@@ -1,21 +1,18 @@
-"""Cycle-simulator microbenchmarks: scan scheduler vs scalar event loop.
+"""Cycle-simulator microbenchmarks: the grid walk vs the reference loop.
 
-Smoke mode (plain ``pytest``) runs small shapes and only checks that both
-engines execute and agree; full mode (``--bench-out``) runs the
-DeiT-base-scale layer and asserts the vectorized engine's speedup.
+The production simulator runs every point as the grid walk at P = 1; the
+scalar event loop of :mod:`repro.hw.cycle_reference` is the reference it
+is timed against.  Smoke mode (plain ``pytest``) runs small shapes and
+only checks that both execute and agree; full mode (``--bench-out``) runs
+DeiT-base-scale shapes and asserts the walk's speedup.
 """
 
 import dataclasses
 
 from repro.hw import CycleAccurateSimulator
+from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.perf import benchit, cached_model_workload, \
     cached_synthetic_attention_workload
-
-
-def _assert_engines_agree(wl):
-    rv = CycleAccurateSimulator().simulate_layer(wl)
-    rs = CycleAccurateSimulator(engine="scalar").simulate_layer(wl)
-    assert dataclasses.astuple(rv) == dataclasses.astuple(rs)
 
 
 def test_cycle_sim_layer(bench_recorder, bench_mode):
@@ -24,91 +21,53 @@ def test_cycle_sim_layer(bench_recorder, bench_mode):
     tokens, heads, dim = (197, 12, 64) if full else (48, 4, 16)
     wl = cached_synthetic_attention_workload(tokens, heads, dim,
                                              sparsity=0.9, seed=7)
-    _assert_engines_agree(wl)
+    walk = CycleAccurateSimulator()
+    ref = ReferenceCycleSimulator()
+    assert dataclasses.astuple(walk.simulate_layer(wl)) == \
+        dataclasses.astuple(ref.simulate_layer(wl))
 
-    vec = CycleAccurateSimulator()
-    ref = CycleAccurateSimulator(engine="scalar")
     repeats = 20 if full else 2
-    rv = benchit(lambda: vec.simulate_layer(wl), name="vectorized",
+    rw = benchit(lambda: walk.simulate_layer(wl), name="walk",
                  repeats=repeats, warmup=1)
-    rs = benchit(lambda: ref.simulate_layer(wl), name="scalar",
+    rr = benchit(lambda: ref.simulate_layer(wl), name="reference",
                  repeats=max(repeats // 4, 1), warmup=1)
-    speedup = rs.best / rv.best
+    speedup = rr.best / rw.best
     bench_recorder.record(
         "cycle_sim_layer",
         shape={"num_tokens": tokens, "num_heads": heads, "head_dim": dim,
                "sparsity": 0.9},
-        vectorized=rv.to_dict(),
-        scalar=rs.to_dict(),
-        speedup_vs_scalar=speedup,
+        walk=rw.to_dict(),
+        reference=rr.to_dict(),
+        speedup_vs_reference=speedup,
     )
-    assert rv.best > 0 and rs.best > 0
+    assert rw.best > 0 and rr.best > 0
     if full:
-        assert speedup >= 5.0, f"vectorized speedup only {speedup:.1f}x"
-
-
-def test_fused_scan(bench_recorder, bench_mode):
-    """Fused (2L × jobs) whole-model scans vs the per-engine split scans.
-
-    The fused fold halves scan *launches* (4 → 2 per model) but must pad
-    the denser and sparser engines to a common job width; polarized masks
-    make the denser engine ~15× narrower, so the padding costs more than
-    the launches save.  The measured ratio (≈0.75–1.0×, below 1 meaning
-    the split path wins) is recorded to keep that finding visible; the
-    benchmark asserts bit-exactness first, which is the property the fold
-    must uphold.
-    """
-    full = bench_mode == "full"
-    model = "deit-base" if full else "deit-tiny"
-    wl = cached_model_workload(model, sparsity=0.9)
-    layers = wl.attention_layers
-
-    fused = CycleAccurateSimulator(scan="fused")
-    split = CycleAccurateSimulator(scan="split")
-    assert dataclasses.astuple(fused.simulate_attention(layers)) == \
-        dataclasses.astuple(split.simulate_attention(layers))
-
-    repeats = 20 if full else 2
-    rf = benchit(lambda: fused.simulate_attention(layers), name="fused",
-                 repeats=repeats, warmup=1)
-    rs = benchit(lambda: split.simulate_attention(layers), name="split",
-                 repeats=repeats, warmup=1)
-    ratio = rs.best / rf.best
-    bench_recorder.record(
-        "fused_scan",
-        model=model,
-        layers=len(layers),
-        fused=rf.to_dict(),
-        split=rs.to_dict(),
-        fused_speedup_vs_split=ratio,
-    )
-    assert rf.best > 0 and rs.best > 0
-    if full:
-        # Guard against the fused fold regressing into pathology; it is
-        # NOT expected to beat the split default (see docstring).
-        assert ratio >= 0.5, f"fused scan collapsed to {ratio:.2f}x"
+        assert speedup >= 5.0, f"grid walk speedup only {speedup:.1f}x"
 
 
 def test_cycle_sim_full_model(bench_recorder, bench_mode):
-    """All attention layers of one model through ``simulate_attention``."""
+    """One design point: every attention layer of a model through
+    ``simulate_attention``."""
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
     wl = cached_model_workload(model, sparsity=0.9)
+    walk = CycleAccurateSimulator()
+    ref = ReferenceCycleSimulator()
+    assert dataclasses.astuple(walk.simulate_attention(wl)) == \
+        dataclasses.astuple(ref.simulate_attention(wl))
 
-    vec = CycleAccurateSimulator()
-    ref = CycleAccurateSimulator(engine="scalar")
-    rv = benchit(lambda: vec.simulate_attention(wl.attention_layers),
-                 name="vectorized", repeats=10 if full else 1, warmup=1)
-    rs = benchit(lambda: ref.simulate_attention(wl.attention_layers),
-                 name="scalar", repeats=3 if full else 1, warmup=0)
-    speedup = rs.best / rv.best
+    rw = benchit(lambda: walk.simulate_attention(wl), name="walk",
+                 repeats=10 if full else 1, warmup=1)
+    rr = benchit(lambda: ref.simulate_attention(wl), name="reference",
+                 repeats=3 if full else 1, warmup=0)
+    speedup = rr.best / rw.best
     bench_recorder.record(
         "cycle_sim_full_model",
         model=model,
         layers=len(wl.attention_layers),
-        vectorized=rv.to_dict(),
-        scalar=rs.to_dict(),
-        speedup_vs_scalar=speedup,
+        walk=rw.to_dict(),
+        reference=rr.to_dict(),
+        speedup_vs_reference=speedup,
     )
     if full:
-        assert speedup >= 5.0, f"vectorized speedup only {speedup:.1f}x"
+        assert speedup >= 5.0, f"grid walk speedup only {speedup:.1f}x"

@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.dist import merge_store, model_workload_spec, run_shard
 from repro.harness.dse import sweep_design_space
+from repro.hw.cycle_reference import ReferenceCycleSimEvaluator
 from repro.perf import benchit, cached_model_workload, seed_worker_workload
 from repro.sim import CycleSimEvaluator
 
@@ -42,10 +43,11 @@ def _steal_task(grid, shard, store, evaluator, spec, steal, steal_chunk,
 def test_dist_shard_scaling(bench_recorder, bench_mode, tmp_path):
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
-    # Full mode uses the scalar engine: expensive points are the regime
-    # where sharding is worth reaching for (the vectorized engine makes
-    # paper-scale points so cheap that only much larger grids fan out).
-    evaluator = CycleSimEvaluator(engine="scalar" if full else "vectorized")
+    # Full mode scores with the reference event loop: expensive points
+    # are the regime where sharding is worth reaching for (the grid walk
+    # makes paper-scale points so cheap that only much larger grids fan
+    # out).
+    evaluator = ReferenceCycleSimEvaluator() if full else CycleSimEvaluator()
     if full:
         grid = {"mac_lines": [16, 32, 64, 128],
                 "ae_compression": [None, 0.5]}
@@ -89,7 +91,7 @@ def test_dist_shard_scaling(bench_recorder, bench_mode, tmp_path):
     bench_recorder.record(
         "dist_shard_scaling",
         model=model,
-        engine=evaluator.engine,
+        evaluator=evaluator.name,
         grid_points=len(serial_points),
         cpu_count=cpus,
         one_shard=one.to_dict(),

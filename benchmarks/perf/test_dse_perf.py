@@ -12,7 +12,7 @@ from repro.harness.dse import pareto_frontier, sweep_design_space
 from repro.hw import model_workload
 from repro.models import get_config
 from repro.perf import KeyedCache, benchit, cached_model_workload
-from repro.sim import AnalyticalEvaluator, CycleSimEvaluator, HybridEvaluator
+from repro.sim import AnalyticalEvaluator, CycleSimEvaluator
 
 
 def test_workload_build_cache(bench_recorder, bench_mode):
@@ -151,15 +151,12 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
     The tentpole measurement: ``"cycle"`` now resolves to
     `BatchedCycleSimEvaluator`, which runs a whole chunk of design points
     as one (points × layers × jobs) width-banded max-plus walk; the
-    per-point reference (`CycleSimEvaluator`) replays the event-driven
-    simulator once per grid point.  Bit-exactness — points, grid order,
-    frontier — is asserted before any timing.  The hybrid sweeps ride
-    along: the analytical prune plus batched fine re-score, and the
-    adaptive variant that skips fine-scoring survivors the observed
-    fine/coarse error band already proves dominated (its fine frontier
-    must equal the full re-score's; the survivor reduction is recorded).
-    The ≥5× assertion arms in full mode on a ≥1k-point grid or a ≥4-CPU
-    box; the honest ratio is recorded either way.
+    per-point path (`CycleSimEvaluator`) runs the same walk once per grid
+    point, at P = 1.  Bit-exactness — points, grid order, frontier — is
+    asserted before any timing.  The hybrid sweep rides along: the
+    analytical prune plus the batched fine re-score.  The ≥5× assertion
+    arms in full mode on a ≥1k-point grid or a ≥4-CPU box; the honest
+    ratio is recorded either way.
     """
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
@@ -182,14 +179,6 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
     assert pareto_frontier(batched_points) == \
         pareto_frontier(per_point_points)
     hybrid_points = sweep_design_space(wl, grid, evaluator="hybrid")
-    adaptive_points = sweep_design_space(wl, grid,
-                                         evaluator=HybridEvaluator(
-                                             adaptive=True))
-    # Adaptive pruning may skip dominated survivors but must keep the
-    # fine frontier intact.
-    assert pareto_frontier(adaptive_points) == pareto_frontier(hybrid_points)
-    assert {p.parameters for p in adaptive_points} <= \
-        {p.parameters for p in hybrid_points}
 
     repeats = 3 if full else 1
     per_point = benchit(
@@ -202,30 +191,19 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
     hybrid = benchit(
         lambda: sweep_design_space(wl, grid, evaluator="hybrid"),
         name="hybrid_serial", repeats=repeats, warmup=1)
-    adaptive = benchit(
-        lambda: sweep_design_space(wl, grid,
-                                   evaluator=HybridEvaluator(adaptive=True)),
-        name="hybrid_adaptive", repeats=repeats, warmup=1)
 
     speedup = per_point.best / batched.best
-    survivors = len(hybrid_points)
     bench_recorder.record(
         "batched_cycle_dse",
         model=model,
         grid_points=len(batched_points),
         cpu_count=os.cpu_count(),
-        survivors=survivors,
-        survivors_adaptive=len(adaptive_points),
-        adaptive_survivor_reduction=(
-            1.0 - len(adaptive_points) / survivors if survivors else 0.0
-        ),
+        survivors=len(hybrid_points),
         per_point_serial=per_point.to_dict(),
         batched_serial=batched.to_dict(),
         hybrid_serial=hybrid.to_dict(),
-        hybrid_adaptive=adaptive.to_dict(),
         speedup_batched=speedup,
         speedup_hybrid_vs_batched_cycle=batched.best / hybrid.best,
-        speedup_adaptive_vs_hybrid=hybrid.best / adaptive.best,
     )
     if full and (len(batched_points) >= 1000 or (os.cpu_count() or 1) >= 4):
         assert speedup >= 5.0, f"batched cycle sweep only {speedup:.1f}x"
@@ -238,8 +216,8 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
     serially, the same sweep fanned across workers, and the hybrid sweep
     (analytical prune, cycle-accurate re-score of the surviving frontier).
     The hybrid win scales with grid size over frontier size; the parallel
-    ratio is recorded honestly — vectorized cycle-sim points are cheap
-    enough (~2 ms) that pool overhead can eat the fan-out on small grids.
+    ratio is recorded honestly — cycle-sim points are cheap
+    enough (~1 ms) that pool overhead can eat the fan-out on small grids.
     """
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
@@ -269,8 +247,8 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
         lambda: sweep_design_space(wl, grid, evaluator=evaluator),
         name="cycle_serial", repeats=repeats, warmup=1)
     # Raw pool fan-out (min_parallel_s=0 bypasses the pilot): the number
-    # that exposed the cheap-point regression — vectorized points cost
-    # ~2 ms, so pool dispatch eats the fan-out on grids this small.
+    # that exposed the cheap-point regression — cycle points cost
+    # ~1 ms, so pool dispatch eats the fan-out on grids this small.
     forced = benchit(
         lambda: sweep_design_space(wl, grid, evaluator=evaluator,
                                    n_jobs=n_jobs, min_parallel_s=0.0),

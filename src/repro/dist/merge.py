@@ -259,14 +259,6 @@ def _fine_rescore(store, manifest, pairs, workload, evaluator, n_jobs):
             "merging a hybrid store needs a HybridEvaluator "
             f"(got {type(evaluator)!r})"
         )
-    if getattr(evaluator, "adaptive", False):
-        raise ValueError(
-            "adaptive hybrid evaluators cannot drive a sharded merge: "
-            "band pruning depends on in-memory scoring order, while the "
-            "fine store must hold every coarse-frontier survivor so "
-            "resumed merges reproduce the non-adaptive sweep exactly; "
-            "merge with adaptive=False"
-        )
     workload_spec = manifest.get("workload") or {}
     if workload is None:
         workload = workload_from_spec(workload_spec)

@@ -193,13 +193,8 @@ def _scored_pair(workload, base_config, names, evaluator, index, row):
 
 def _batch_capable(evaluator) -> bool:
     """Whether ``evaluator`` implements the ``evaluate_batch`` surface
-    (see :class:`repro.sim.evaluator.BatchEvaluator`).  An evaluator may
-    additionally expose a ``batch_capable`` attribute to turn its batch
-    surface off dynamically (the batched cycle evaluator does, for its
-    scalar reference engine)."""
-    return callable(getattr(evaluator, "evaluate_batch", None)) and getattr(
-        evaluator, "batch_capable", True
-    )
+    (see :class:`repro.sim.evaluator.BatchEvaluator`)."""
+    return callable(getattr(evaluator, "evaluate_batch", None))
 
 
 def _chunk_points_from_batch(base_config, names, chunk, metrics):
@@ -500,12 +495,6 @@ _TARGET_CHUNK_SECONDS = 0.05
 #: Grid points timed serially before committing a sweep to a pool.
 _PILOT_POINTS = 2
 
-#: Survivors scored per adaptive-hybrid fine step: small enough that the
-#: observed fine/coarse band updates often (later chunks can skip more),
-#: large enough that a batch-capable fine evaluator still amortises its
-#: array walk.
-_ADAPTIVE_CHUNK = 16
-
 
 def _plan_parallel(per_point_s, remaining, n_jobs, min_parallel_s):
     """Pick ``(n_jobs, chunksize)`` from a measured per-point cost.
@@ -609,69 +598,6 @@ def _hybrid_survivors(pairs, objectives=("seconds", "energy_joules")):
         ((index_of[id(point)], point) for point in front.points),
         key=lambda pair: pair[0],
     )
-
-
-def _adaptive_fine(workload, base_config, names, survivors, evaluator, objectives):
-    """Band-pruned fine phase of an adaptive hybrid sweep.
-
-    Walks the coarse-frontier survivors in ascending grid order, in
-    :data:`_ADAPTIVE_CHUNK`-point steps, tracking per objective the
-    smallest fine/coarse ratio observed so far.  A survivor is *skipped*
-    when its optimistic fine estimate — its coarse objectives scaled by
-    that minimum ratio shrunk by ``evaluator.band_slack`` — is already
-    strictly dominated by an actually-scored fine point: under the band
-    assumption (true ratios stay above the shrunk minimum) its true fine
-    values are dominated too, so it cannot sit on the final fine
-    frontier.  Everything else is scored through :func:`_evaluate_chunk`
-    (one array walk per chunk when the fine evaluator is batch-capable)
-    and widens the band.  Chunks run serially in-process, so the outcome
-    is deterministic regardless of ``n_jobs``.  Returns scored
-    ``(grid_index, point)`` pairs; failures are warn-dropped as usual.
-    """
-    shrink = 1.0 - evaluator.band_slack
-    low_ratio = None
-    scored_rows: List[np.ndarray] = []
-    results = []
-    for chunk in _chunked(survivors, _ADAPTIVE_CHUNK):
-        todo = []
-        for index, point in chunk:
-            coarse_vals = np.array(
-                [getattr(point, obj) for obj in objectives], dtype=np.float64
-            )
-            if low_ratio is not None and scored_rows:
-                optimistic = coarse_vals * low_ratio * shrink
-                rows = np.vstack(scored_rows)
-                less_eq = (rows <= optimistic).all(axis=1)
-                strictly = (rows < optimistic).any(axis=1)
-                if (less_eq & strictly).any():
-                    continue
-            todo.append((index, point, coarse_vals))
-        if not todo:
-            continue
-        scored = _evaluate_chunk(
-            workload,
-            base_config,
-            names,
-            [
-                (index, tuple(dict(point.parameters)[name] for name in names))
-                for index, point, _ in todo
-            ],
-            evaluator.fine,
-        )
-        for pair, (_, _, coarse_vals) in zip(scored, todo):
-            kept = next(iter(_filter_failures([pair])), None)
-            if kept is None:
-                continue
-            index, fine_point = kept
-            fine_vals = np.array(
-                [getattr(fine_point, obj) for obj in objectives], dtype=np.float64
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(coarse_vals > 0, fine_vals / coarse_vals, np.inf)
-            low_ratio = ratio if low_ratio is None else np.minimum(low_ratio, ratio)
-            scored_rows.append(fine_vals)
-            results.append((index, fine_point))
-    return results
 
 
 def _note_chunk(pairs):
@@ -1018,38 +944,28 @@ def _iter_hybrid(
             evaluator.coarse,
         )
     survivors = _hybrid_survivors(coarse_stream, objectives=coarse_objectives)
-    if getattr(evaluator, "adaptive", False):
-        rescored = _adaptive_fine(
-            workload,
-            base_config,
-            names,
-            survivors,
-            evaluator,
-            objectives=coarse_objectives,
-        )
+    indexed = (
+        (index, tuple(dict(point.parameters)[name] for name in names))
+        for index, point in survivors
+    )
+    if _batch_capable(evaluator.fine):
+        # A batch-capable fine evaluator scores the survivor set as a few
+        # in-process array walks; a pool would pay worker spawn to split
+        # work numpy already amortises.
+        fine_jobs, fine_chunk = 1, None
     else:
-        indexed = (
-            (index, tuple(dict(point.parameters)[name] for name in names))
-            for index, point in survivors
-        )
-        if _batch_capable(evaluator.fine):
-            # A batch-capable fine evaluator scores the survivor set as a
-            # few in-process array walks; a pool would pay worker spawn to
-            # split work numpy already amortises.
-            fine_jobs, fine_chunk = 1, None
-        else:
-            # Survivor counts are small and each point is expensive: one
-            # point per task maximises fan-out.
-            fine_jobs, fine_chunk = min(n_jobs, max(len(survivors), 1)), 1
-        rescored = _stream_evaluations(
-            workload,
-            base_config,
-            names,
-            indexed,
-            fine_jobs,
-            fine_chunk,
-            evaluator.fine,
-        )
+        # Survivor counts are small and each point is expensive: one
+        # point per task maximises fan-out.
+        fine_jobs, fine_chunk = min(n_jobs, max(len(survivors), 1)), 1
+    rescored = _stream_evaluations(
+        workload,
+        base_config,
+        names,
+        indexed,
+        fine_jobs,
+        fine_chunk,
+        evaluator.fine,
+    )
     for index, point in sorted(rescored, key=lambda pair: pair[0]):
         if frontier is not None and not frontier.offer(point):
             continue

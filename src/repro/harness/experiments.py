@@ -322,18 +322,16 @@ def fig19_breakdown_energy(
 # ----------------------------------------------------------------------
 # Fig. 4-style layer-resolved view from the event-driven simulator
 # ----------------------------------------------------------------------
-def cycle_per_layer_breakdown(
-    model="deit-base", sparsity=0.9, seed=0, engine="vectorized"
-):
-    """Per-layer makespans and utilizations from ONE batched whole-model
+def cycle_per_layer_breakdown(model="deit-base", sparsity=0.9, seed=0):
+    """Per-layer makespans and utilizations from ONE whole-model
     cycle-simulation (``CycleSimResult.per_layer``), Fig. 4-breakdown style.
 
-    The batched engine simulates all layers in a single array pipeline and
-    still exposes the layer-resolved schedule, so the layer profile costs
-    no more than the headline whole-model number.
+    The simulator walks all layers in a single array pipeline and still
+    exposes the layer-resolved schedule, so the layer profile costs no
+    more than the headline whole-model number.
     """
     wl = model_workload(get_config(model), sparsity=sparsity, seed=seed)
-    total = CycleAccurateSimulator(engine=engine).simulate_attention(wl)
+    total = CycleAccurateSimulator().simulate_attention(wl)
     layers = [
         {
             "layer": i,

@@ -26,7 +26,6 @@ from .dram import DramModel, DramRequest
 from .cycle_sim import (
     CycleAccurateSimulator,
     CycleSimResult,
-    Timeline,
     merge_cycle_results,
 )
 
@@ -59,6 +58,5 @@ __all__ = [
     "DramRequest",
     "CycleAccurateSimulator",
     "CycleSimResult",
-    "Timeline",
     "merge_cycle_results",
 ]

@@ -329,12 +329,6 @@ class JobManager:
             evaluator = evaluator_from_spec(request.get("evaluator", "analytical"))
         except (TypeError, ValueError) as exc:
             raise ServeRequestError(str(exc)) from None
-        if getattr(evaluator, "adaptive", False):
-            raise ServeRequestError(
-                "adaptive hybrid evaluators cannot drive a served study: "
-                "the merge must re-score every coarse-frontier survivor; "
-                "submit with adaptive=false"
-            )
         evaluator_wire = evaluator_spec(evaluator)
         fault_plan = evaluator_wire.get("faults") or {}
         if fault_plan.get("kill_after_records") is not None:

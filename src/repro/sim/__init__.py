@@ -30,9 +30,10 @@ re-implemented (four times) as per-simulator merge loops:
 
 Subclasses override narrow hooks (per-layer kwargs, detail dicts, the
 dense-path simulator) rather than rewriting the loops; fast batched
-implementations (the cycle simulator's one-scan whole-model pipeline, the
-analytical model's array geometry) override the driver method itself and
-are tested bit-for-bit against the base class's fold.
+implementations (the cycle simulator's grid walk, the analytical model's
+array geometry) override the whole-model method itself and are tested
+bit-for-bit against a per-layer reference (the cycle simulator's scalar
+event loop, the analytical model's base-class fold).
 
 Design-space exploration plugs into the same layer through the
 :class:`~repro.sim.evaluator.Evaluator` protocol (:mod:`repro.sim.evaluator`):

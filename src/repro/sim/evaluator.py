@@ -38,12 +38,11 @@ Three built-in strategies cover the repo's simulators:
   truth: latency is the simulated makespan, energy is charged from the
   workload's MAC/softmax counts plus the simulator's observed DRAM
   occupancy with the same :class:`~repro.hw.params.EnergyTable` constants
-  the analytical model uses.  Its :class:`BatchedCycleSimEvaluator`
-  subclass — what ``"cycle"`` resolves to — adds the batch axis by
-  broadcasting the simulator's (layer × job) max-plus scans over a
-  leading design-point axis
-  (:meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`),
-  bit-for-bit equal to the per-point path;
+  the analytical model uses.  Points run the simulator's grid walk
+  (:meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`)
+  at P = 1; its :class:`BatchedCycleSimEvaluator` subclass — what
+  ``"cycle"`` resolves to — walks a whole chunk at once, swept knobs as
+  columns, bit-for-bit equal to the per-point calls;
 * :class:`HybridEvaluator` — a two-phase strategy the DSE engine
   special-cases: prune the grid with the cheap analytical model, then
   re-score only the surviving frontier cycle-accurately.  Called directly
@@ -378,23 +377,53 @@ class BatchedAnalyticalEvaluator(AnalyticalEvaluator):
         ]
 
 
-class CycleSimEvaluator:
-    """Score points with the event-driven cycle simulator (ground truth).
+def _cycle_metrics(workload, config, makespan, dram_busy, bytes_per_cycle):
+    """Charge cycle-simulated totals into one :class:`EvalMetrics` per point.
 
-    Latency is the simulated makespan of the whole attention stack.  Energy
-    mirrors the analytical model's charging scheme
+    THE cycle energy charge, shared by per-point and batched scoring.  It
+    mirrors the analytical model's scheme
     (:meth:`~repro.hw.accelerator.ViTCoDAccelerator._charge_energy`): MACs
     and softmax operations are counted from the workload, DRAM bytes from
     the simulator's observed channel occupancy, SRAM traffic from both, and
-    static power from the makespan — so analytical and cycle-accurate
-    Pareto fronts are comparable point for point.
+    static power from the makespan.  ``makespan``, ``dram_busy`` and
+    ``bytes_per_cycle`` may be scalars or length-``P`` arrays; the
+    expressions are elementwise, so a batch column and a per-point scalar
+    go through the same IEEE ops in the same order.
+    """
+    layers = _attention_layers(workload)
+    macs = sum(l.sddmm_macs + l.spmm_macs for l in layers)
+    softmax_ops = sum(l.total_nnz for l in layers)
+    # The DRAM channel moves ``bytes_per_cycle`` each busy cycle, so the
+    # observed occupancy *is* the traffic estimate (burst effects and
+    # all), matching how the event engine charged the time.
+    dram_bytes = dram_busy * bytes_per_cycle
+    sram_bytes = 2 * dram_bytes + macs * config.bytes_per_element / 4
+    e = config.energy
+    energy_pj = (
+        macs * e.mac_pj
+        + dram_bytes * e.dram_byte_pj
+        + sram_bytes * e.sram_byte_pj
+        + softmax_ops * e.softmax_op_pj
+        + makespan * e.static_pj_per_cycle
+    )
+    seconds = makespan / config.frequency_hz
+    return [
+        EvalMetrics(seconds=s, energy_joules=pj * 1e-12)
+        for s, pj in zip(np.atleast_1d(seconds).tolist(),
+                         np.atleast_1d(energy_pj).tolist())
+    ]
 
-    Parameters
-    ----------
-    engine:
-        Cycle-simulator engine (``"vectorized"`` default, or ``"scalar"``).
-    scan:
-        Whole-model scan strategy (``"split"`` default, or ``"fused"``).
+
+class CycleSimEvaluator:
+    """Score points with the event-driven cycle simulator (ground truth).
+
+    Latency is the simulated makespan of the whole attention stack; energy
+    is charged by :func:`_cycle_metrics` with the same
+    :class:`~repro.hw.params.EnergyTable` constants the analytical model
+    uses, so analytical and cycle-accurate Pareto fronts are comparable
+    point for point.  One point is one
+    :meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`
+    walk at P = 1.
     """
 
     name = "cycle"
@@ -413,47 +442,32 @@ class CycleSimEvaluator:
         for key in parameter.kwargs_keys
     )
 
-    def __init__(self, engine="vectorized", scan="split"):
-        self.engine = engine
-        self.scan = scan
-
-    def __call__(self, workload, config, accel_kwargs):
-        from ..hw.cycle_sim import CycleAccurateSimulator
-
-        unsupported = set(accel_kwargs) - self._SUPPORTED_KWARGS
+    @classmethod
+    def _reject_unsupported(cls, keys):
+        """Raise for ``accel_kwargs`` keys the cycle simulator cannot honour."""
+        unsupported = set(keys) - cls._SUPPORTED_KWARGS
         if unsupported:
             raise UnsupportedParameterError(
                 "CycleSimEvaluator cannot honour swept parameter(s) "
                 f"{sorted(unsupported)}; the cycle simulator only models "
-                f"{sorted(self._SUPPORTED_KWARGS)}"
+                f"{sorted(cls._SUPPORTED_KWARGS)}"
             )
-        sim = CycleAccurateSimulator(
-            config=config, engine=self.engine, scan=self.scan, **accel_kwargs
-        )
-        result = sim.simulate_attention(workload)
-        return EvalMetrics(
-            seconds=config.cycles_to_seconds(result.makespan),
-            energy_joules=self._energy_pj(workload, config, result) * 1e-12,
-        )
 
-    @staticmethod
-    def _energy_pj(workload, config, result):
-        layers = _attention_layers(workload)
-        macs = sum(l.sddmm_macs + l.spmm_macs for l in layers)
-        softmax_ops = sum(l.total_nnz for l in layers)
-        # The DRAM channel moves ``bytes_per_cycle`` each busy cycle, so the
-        # observed occupancy *is* the traffic estimate (burst effects and
-        # all), matching how the event engine charged the time.
-        dram_bytes = result.dram_busy * config.bytes_per_cycle
-        sram_bytes = 2 * dram_bytes + macs * config.bytes_per_element / 4
-        e = config.energy
-        return (
-            macs * e.mac_pj
-            + dram_bytes * e.dram_byte_pj
-            + sram_bytes * e.sram_byte_pj
-            + softmax_ops * e.softmax_op_pj
-            + result.makespan * e.static_pj_per_cycle
+    def __call__(self, workload, config, accel_kwargs):
+        self._reject_unsupported(accel_kwargs)
+        makespan, dram_busy = self._simulate(workload, config, accel_kwargs)
+        (metrics,) = _cycle_metrics(
+            workload, config, makespan, dram_busy, config.bytes_per_cycle
         )
+        return metrics
+
+    def _simulate(self, workload, config, accel_kwargs):
+        """``(makespan, dram_busy)`` of one design point."""
+        from ..hw.cycle_sim import CycleAccurateSimulator
+
+        sim = CycleAccurateSimulator(config=config, **accel_kwargs)
+        totals = sim.simulate_attention_grid(workload, {})
+        return totals["makespan"], totals["dram_busy"]
 
 
 class BatchedCycleSimEvaluator(CycleSimEvaluator):
@@ -464,85 +478,48 @@ class BatchedCycleSimEvaluator(CycleSimEvaluator):
     :meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`
     (points × layers × jobs) max-plus walk — swept knobs become per-point
     numpy columns (via :func:`dse_grid_columns`, the same table the
-    per-point route reads), and the results are **bit-for-bit** what
-    per-point calls produce: the grid walk's event durations live on the
-    same ``2**-20``-cycle grid and its energy charge repeats
-    :meth:`CycleSimEvaluator._energy_pj` operand for operand.  Because
-    the strategy is the same, ``evaluator_spec`` still renders it as
-    ``{"name": "cycle", ...}``: batched and per-point shards of one
-    :mod:`repro.dist` study share a manifest and produce identical
-    stores.
-
-    Only the vectorized engine has a grid walk; with ``engine="scalar"``
-    — the reference event loop — :attr:`batch_capable` turns the batch
-    surface off and the DSE engine keeps the per-point path, preserving
-    the scalar engine's role as the independent oracle.
+    per-point route reads) and energy goes through the same
+    :func:`_cycle_metrics` charge, so the results are **bit-for-bit** what
+    per-point calls produce.  Because the strategy is the same,
+    ``evaluator_spec`` renders both as ``{"name": "cycle"}``: batched and
+    per-point shards of one :mod:`repro.dist` study share a manifest and
+    produce identical stores.
 
     A chunk containing an invalid point — MAC lines below the allocator's
-    minimum, an out-of-range AE ratio — raises for the whole batch; the
-    DSE engine then falls back to per-point scoring of that chunk, which
-    captures exactly the per-point failures an unbatched sweep would.  A
-    sweep of a knob the cycle simulator does not model raises
-    :class:`UnsupportedParameterError` exactly like the per-point path
-    (same table, same message).
+    minimum, an out-of-range AE ratio, a zero bandwidth or buffer — raises
+    for the whole batch; the DSE engine then falls back to per-point
+    scoring of that chunk, which captures exactly the per-point failures
+    an unbatched sweep would.  A sweep of a knob the cycle simulator does
+    not model raises :class:`UnsupportedParameterError` exactly like the
+    per-point path (same table, same message).
     """
-
-    @property
-    def batch_capable(self):
-        """Batch only the vectorized engine (see the class docstring)."""
-        return self.engine == "vectorized"
 
     def evaluate_batch(self, workload, base_config, names, value_rows):
         from ..hw.cycle_sim import CycleAccurateSimulator
 
-        unsupported = {
+        self._reject_unsupported(
             key
             for name in names
-            if name in _DSE_PARAMETERS and not _DSE_PARAMETERS[name].cycle_modelled
+            if name in _DSE_PARAMETERS
             for key in _DSE_PARAMETERS[name].kwargs_keys
-        }
-        if unsupported:
-            raise UnsupportedParameterError(
-                "CycleSimEvaluator cannot honour swept parameter(s) "
-                f"{sorted(unsupported)}; the cycle simulator only models "
-                f"{sorted(self._SUPPORTED_KWARGS)}"
-            )
-        sim = CycleAccurateSimulator(
-            config=base_config, engine=self.engine, scan=self.scan
         )
+        sim = CycleAccurateSimulator(config=base_config)
         columns = dse_grid_columns(
             names, list(value_rows), default_ae=sim.ae_compression
         )
         totals = sim.simulate_attention_grid(workload, columns)
-
-        # Energy: the exact expressions of :meth:`_energy_pj` /
-        # ``cycles_to_seconds`` with the per-point scalars that vary
-        # across the chunk (DRAM bytes-per-cycle) as columns — elementwise
-        # the same IEEE ops, in the same order, as the per-point calls.
-        layers = _attention_layers(workload)
-        macs = sum(l.sddmm_macs + l.spmm_macs for l in layers)
-        softmax_ops = sum(l.total_nnz for l in layers)
+        # A bandwidth column is the per-point ``config.bytes_per_cycle``
+        # expression evaluated elementwise.
         if "dram_bandwidth_bytes_per_s" in columns:
             bytes_per_cycle = (
                 columns["dram_bandwidth_bytes_per_s"] / base_config.frequency_hz
             )
         else:
             bytes_per_cycle = base_config.bytes_per_cycle
-        dram_bytes = totals["dram_busy"] * bytes_per_cycle
-        sram_bytes = 2 * dram_bytes + macs * base_config.bytes_per_element / 4
-        e = base_config.energy
-        energy_pj = (
-            macs * e.mac_pj
-            + dram_bytes * e.dram_byte_pj
-            + sram_bytes * e.sram_byte_pj
-            + softmax_ops * e.softmax_op_pj
-            + totals["makespan"] * e.static_pj_per_cycle
+        return _cycle_metrics(
+            workload, base_config, totals["makespan"], totals["dram_busy"],
+            bytes_per_cycle,
         )
-        seconds = totals["makespan"] / base_config.frequency_hz
-        return [
-            EvalMetrics(seconds=s, energy_joules=pj * 1e-12)
-            for s, pj in zip(seconds.tolist(), energy_pj.tolist())
-        ]
 
 
 class HybridEvaluator:
@@ -553,38 +530,13 @@ class HybridEvaluator:
     Pareto pruning, then only the surviving frontier is re-scored with
     :attr:`fine` (in deterministic grid order).  Used as a plain evaluator
     on a single point it simply defers to :attr:`fine`.
-
-    ``adaptive=True`` opts the fine phase into band-pruned re-scoring:
-    the engine tracks the observed fine/coarse objective-ratio band as
-    survivors are scored and skips the survivors whose *optimistic* fine
-    estimate — coarse objectives scaled by the smallest observed ratio,
-    shrunk by ``band_slack`` — is already strictly dominated by an
-    actually-scored fine point.  Under the band assumption (each
-    objective's true fine/coarse ratio stays above the observed minimum
-    times ``1 - band_slack``) a skipped survivor is provably off the
-    final fine frontier, so the fine *frontier* is unchanged while
-    frontier-adjacent survivors stop costing cycle-accurate runs; the
-    returned survivor *list* shrinks accordingly.  Adaptive hybrids run
-    their fine phase serially in-process (deterministic regardless of
-    ``n_jobs``) and cannot drive a sharded merge
-    (:func:`repro.dist.merge_store` rejects them).
     """
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        coarse: Evaluator = None,
-        fine: Evaluator = None,
-        adaptive: bool = False,
-        band_slack: float = 0.25,
-    ):
+    def __init__(self, coarse: Evaluator = None, fine: Evaluator = None):
         self.coarse = coarse if coarse is not None else BatchedAnalyticalEvaluator()
         self.fine = fine if fine is not None else BatchedCycleSimEvaluator()
-        self.adaptive = bool(adaptive)
-        if not 0.0 <= band_slack < 1.0:
-            raise ValueError("band_slack must be in [0, 1)")
-        self.band_slack = float(band_slack)
 
     def __call__(self, workload, config, accel_kwargs):
         return self.fine(workload, config, accel_kwargs)
@@ -654,19 +606,15 @@ def evaluator_spec(evaluator) -> dict:
         # bit-identically, so they share the manifest spec.
         return {"name": "analytical"}
     if kind is CycleSimEvaluator or kind is BatchedCycleSimEvaluator:
-        # Same sharing: existing "cycle" manifests stay valid and a
-        # batched shard produces the store a per-point shard would.
-        return {"name": "cycle", "engine": evaluator.engine, "scan": evaluator.scan}
+        # Same sharing: a batched shard produces the store a per-point
+        # shard would.
+        return {"name": "cycle"}
     if kind is HybridEvaluator:
-        spec = {
+        return {
             "name": "hybrid",
             "coarse": evaluator_spec(evaluator.coarse),
             "fine": evaluator_spec(evaluator.fine),
         }
-        if evaluator.adaptive:
-            spec["adaptive"] = True
-            spec["band_slack"] = evaluator.band_slack
-        return spec
     name = getattr(evaluator, "name", None) or kind.__qualname__
     return {"name": f"custom:{name}"}
 
@@ -674,20 +622,16 @@ def evaluator_spec(evaluator) -> dict:
 #: Per-strategy key allowlists for :func:`evaluator_from_spec`.  Specs
 #: arrive over the wire (store manifests, the serve layer's job API), so
 #: a misspelt or injected field must fail loudly instead of being
-#: silently dropped — ``{"name": "cycle", "engin": "scalar"}`` would
+#: silently dropped — ``{"name": "hybrid", "fin": {...}}`` would
 #: otherwise score a different study than the caller asked for.
 #: Every strategy also accepts an optional "faults" object — a
 #: :func:`repro.faults.plan_from_spec` plan that wraps the evaluator in
 #: seeded fault injection (see the README's failure runbook).
 _SPEC_KEYS = {
     "analytical": frozenset({"name", "faults"}),
-    "cycle": frozenset({"name", "engine", "scan", "faults"}),
-    "hybrid": frozenset(
-        {"name", "coarse", "fine", "adaptive", "band_slack", "faults"}
-    ),
+    "cycle": frozenset({"name", "faults"}),
+    "hybrid": frozenset({"name", "coarse", "fine", "faults"}),
 }
-_CYCLE_ENGINES = ("vectorized", "scalar")
-_CYCLE_SCANS = ("split", "fused")
 
 
 def _spec_error(spec, problem):
@@ -698,10 +642,9 @@ def evaluator_from_spec(spec) -> Evaluator:
     """Reconstruct an evaluator from an :func:`evaluator_spec` dict.
 
     Accepts a bare name string as shorthand for ``{"name": ...}``.  The
-    spec is *validated*, not merely pattern-matched: unknown fields, an
-    engine/scan outside the simulator's vocabulary, or a non-boolean
-    ``adaptive`` raise :class:`ValueError` with the offending field named
-    — specs cross host and process boundaries (store manifests, the HTTP
+    spec is *validated*, not merely pattern-matched: unknown fields raise
+    :class:`ValueError` with the offending field named — specs cross host
+    and process boundaries (store manifests, the HTTP
     job API), where a silently-tolerated typo would score a different
     study than the one requested.  ``custom:*`` specs (and unknown
     names) raise too: a spec names a strategy across hosts, it cannot
@@ -745,19 +688,7 @@ def evaluator_from_spec(spec) -> Evaluator:
     if name == "analytical":
         return BatchedAnalyticalEvaluator()
     if name == "cycle":
-        engine = spec.get("engine", "vectorized")
-        if engine not in _CYCLE_ENGINES:
-            raise _spec_error(spec, f"engine must be one of {_CYCLE_ENGINES}")
-        scan = spec.get("scan", "split")
-        if scan not in _CYCLE_SCANS:
-            raise _spec_error(spec, f"scan must be one of {_CYCLE_SCANS}")
-        return BatchedCycleSimEvaluator(engine=engine, scan=scan)
-    adaptive = spec.get("adaptive", False)
-    if not isinstance(adaptive, bool):
-        raise _spec_error(spec, "'adaptive' must be a boolean")
-    band_slack = spec.get("band_slack", 0.25)
-    if isinstance(band_slack, bool) or not isinstance(band_slack, (int, float)):
-        raise _spec_error(spec, "'band_slack' must be a number in [0, 1)")
+        return BatchedCycleSimEvaluator()
     coarse = spec.get("coarse")
     fine = spec.get("fine")
     for role, sub in (("coarse", coarse), ("fine", fine)):
@@ -770,8 +701,6 @@ def evaluator_from_spec(spec) -> Evaluator:
         return HybridEvaluator(
             coarse=evaluator_from_spec(coarse) if coarse else None,
             fine=evaluator_from_spec(fine) if fine else None,
-            adaptive=adaptive,
-            band_slack=float(band_slack),
         )
     except ValueError as exc:
         raise _spec_error(spec, str(exc)) from None

@@ -2,15 +2,17 @@
 
 The contract under test: scoring a grid chunk with
 ``BatchedCycleSimEvaluator.evaluate_batch`` (one (points × layers × jobs)
-max-plus walk) is **bit-for-bit** the per-point ``CycleSimEvaluator``
-loop — points, ordering, Pareto frontier, failure attribution, structural
-rejections.  Property-tested over random grids of every parameter the
-cycle simulator models; plus the width-band sub-batching invariants, the
-whole-chunk ``ParetoFront.offer_all`` equivalence, and the adaptive
-hybrid fine phase.  This is the CI-enforced guarantee that makes batching
-an execution detail rather than a model change.
+max-plus walk) is **bit-for-bit** the scalar reference loop scored point
+by point (``ReferenceCycleSimEvaluator``) — points, ordering, Pareto
+frontier, failure attribution, structural rejections.  Property-tested
+over random grids of every parameter the cycle simulator models, on a
+small synthetic model so the slow reference loop stays cheap; plus the
+width-band sub-batching invariants and the whole-chunk
+``ParetoFront.offer_all`` equivalence.  This is the CI-enforced guarantee
+that makes batching an execution detail rather than a model change.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -21,14 +23,26 @@ from repro.harness import dse as dse_module
 from repro.harness.dse import (
     DesignPoint,
     ParetoFront,
+    PointFailure,
     iter_design_space,
     iter_indexed_design_points,
     pareto_frontier,
     sweep_design_space,
 )
-from repro.hw import model_workload, synthetic_attention_workload
+from repro.hw import (
+    AttentionWorkload,
+    HeadWorkload,
+    ModelWorkload,
+    dense_attention_workload,
+    model_workload,
+    synthetic_attention_workload,
+)
 from repro.hw.params import VITCOD_DEFAULT
 from repro.hw import cycle_sim as cycle_sim_module
+from repro.hw.cycle_reference import (
+    ReferenceCycleSimEvaluator,
+    ReferenceCycleSimulator,
+)
 from repro.hw.cycle_sim import CycleAccurateSimulator, _width_bands
 from repro.models import get_config
 from repro.sim import (
@@ -49,6 +63,37 @@ def small_workload():
     return model_workload(get_config("deit-tiny"), sparsity=0.9)
 
 
+@pytest.fixture(scope="module")
+def tiny_workload():
+    """Mixed shapes and sparsities, small enough that the reference loop
+    scores a point in about a millisecond; the last two layers have no
+    sparser jobs and no jobs at all (the walk's empty-engine paths)."""
+    no_jobs = AttentionWorkload(
+        num_tokens=8, num_heads=1, head_dim=4,
+        heads=[HeadWorkload(
+            num_tokens=8, head_dim=4, num_global_tokens=0, denser_nnz=0,
+            sparser_nnz=0, sparser_index_bytes=36,
+            sparser_column_nnz=np.zeros(8, dtype=np.int64),
+        )],
+    )
+    layers = [
+        synthetic_attention_workload(48, 3, 16, sparsity=0.9, seed=1),
+        synthetic_attention_workload(48, 3, 16, sparsity=0.7, seed=2),
+        synthetic_attention_workload(24, 2, 32, sparsity=0.8, seed=3),
+        dense_attention_workload(16, 1, 8),
+        no_jobs,
+    ]
+    return ModelWorkload(name="tiny", attention_layers=layers,
+                         linear_layers=())
+
+
+def _has_zero_resource(names, row):
+    """Whether a grid row zeroes the DRAM bandwidth or the act buffer."""
+    values = dict(zip(names, row))
+    return (values.get("bandwidth_gbps") == 0
+            or values.get("act_buffer_kb") == 0)
+
+
 # ----------------------------------------------------------------------
 # Random grids over every cycle-modelled parameter
 # ----------------------------------------------------------------------
@@ -56,14 +101,15 @@ def cycle_grid_strategy():
     """Random DSE grids over the knobs the cycle simulator models
     (``q_forwarding_hit_rate`` is structurally rejected — tested
     separately), including the edge values (AE off via ``None``,
-    fractional buffer sizes, minimum MAC lines)."""
+    fractional buffer sizes, minimum MAC lines, and the invalid zero
+    bandwidth and zero buffer every path must reject)."""
     mac_lines = st.lists(st.integers(2, 512), min_size=1, max_size=3,
                          unique=True)
     bandwidth = st.lists(
-        st.sampled_from([9.6, 19.2, 38.4, 76.8, 153.6, 307.2]),
+        st.sampled_from([0, 9.6, 19.2, 38.4, 76.8, 153.6, 307.2]),
         min_size=1, max_size=2, unique=True,
     )
-    act_buffer = st.lists(st.sampled_from([0.5, 32, 64, 128, 320, 512]),
+    act_buffer = st.lists(st.sampled_from([0, 0.5, 32, 64, 128, 320, 512]),
                           min_size=1, max_size=2, unique=True)
     ae = st.lists(st.sampled_from([None, 0.25, 0.5, 0.75, 1.0]),
                   min_size=1, max_size=3, unique=True)
@@ -83,51 +129,69 @@ def cycle_grid_strategy():
 class TestBitExactness:
     @given(grid=cycle_grid_strategy())
     @settings(max_examples=12, deadline=None)
-    def test_batched_sweep_equals_per_point(self, small_workload, grid):
-        """Points, grid ordering and frontier are bit-identical."""
-        per_point = sweep_design_space(small_workload, grid,
-                                       evaluator=CycleSimEvaluator())
-        batched = sweep_design_space(small_workload, grid,
-                                     evaluator="cycle")
-        assert batched == per_point  # DesignPoint eq: every field bit-equal
-        assert pareto_frontier(batched) == pareto_frontier(per_point)
+    def test_batched_sweep_equals_per_point(self, tiny_workload, grid):
+        """Points, grid ordering and frontier are bit-identical to the
+        reference loop's; exactly the zero-resource points are dropped,
+        and nothing non-finite is ever scored."""
+        from itertools import product
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reference = sweep_design_space(
+                tiny_workload, grid, evaluator=ReferenceCycleSimEvaluator()
+            )
+            batched = sweep_design_space(tiny_workload, grid,
+                                         evaluator="cycle")
+        assert batched == reference  # DesignPoint eq: every field bit-equal
+        assert pareto_frontier(batched) == pareto_frontier(reference)
+        names = sorted(grid)
+        rows = list(product(*(grid[n] for n in names)))
+        assert len(batched) == sum(
+            not _has_zero_resource(names, row) for row in rows
+        )
+        assert all(math.isfinite(p.seconds) and math.isfinite(p.energy_joules)
+                   for p in batched)
 
     @given(grid=cycle_grid_strategy())
     @settings(max_examples=8, deadline=None)
-    def test_evaluate_batch_matches_call_loop(self, small_workload, grid):
-        """The raw batch surface, without the DSE engine in between."""
+    def test_evaluate_batch_matches_call_loop(self, tiny_workload, grid):
+        """The raw batch surface, without the DSE engine in between: a
+        batch holding an invalid point raises as a whole, and the valid
+        points score exactly as the reference loop does."""
         from itertools import product
 
         names = sorted(grid)
         rows = list(product(*(grid[n] for n in names)))
-        evaluator = BatchedCycleSimEvaluator()
-        batch = evaluator.evaluate_batch(small_workload, VITCOD_DEFAULT,
-                                         names, rows)
-        assert len(batch) == len(rows)
-        for row, metrics in zip(rows, batch):
-            expected = dse_module._evaluate_design_point(
-                small_workload, VITCOD_DEFAULT, names, row,
-                CycleSimEvaluator(),
+        expected = [
+            dse_module._evaluate_design_point(
+                tiny_workload, VITCOD_DEFAULT, names, row,
+                ReferenceCycleSimEvaluator(),
             )
-            assert metrics.seconds == expected.seconds
-            assert metrics.energy_joules == expected.energy_joules
-
-    def test_fused_scan_batches_identically(self, small_workload):
-        grid = {"mac_lines": [16, 64], "ae_compression": [None, 0.5]}
-        per_point = sweep_design_space(
-            small_workload, grid, evaluator=CycleSimEvaluator(scan="fused")
-        )
-        batched = sweep_design_space(
-            small_workload, grid,
-            evaluator=BatchedCycleSimEvaluator(scan="fused"),
-        )
-        assert batched == per_point
+            for row in rows
+        ]
+        failed = [isinstance(e, PointFailure) for e in expected]
+        assert failed == [_has_zero_resource(names, row) for row in rows]
+        evaluator = BatchedCycleSimEvaluator()
+        if any(failed):
+            with pytest.raises(ValueError, match="must be positive"):
+                evaluator.evaluate_batch(tiny_workload, VITCOD_DEFAULT,
+                                         names, rows)
+        valid = [(row, e) for row, e in zip(rows, expected)
+                 if not isinstance(e, PointFailure)]
+        if not valid:
+            return
+        batch = evaluator.evaluate_batch(tiny_workload, VITCOD_DEFAULT,
+                                         names, [row for row, _ in valid])
+        assert len(batch) == len(valid)
+        for (_, point), metrics in zip(valid, batch):
+            assert metrics.seconds == point.seconds
+            assert metrics.energy_joules == point.energy_joules
 
     def test_indexed_subset_matches_per_point(self, small_workload):
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
         per_point = dict(iter_indexed_design_points(
             small_workload, grid, [5, 0, 3],
-            evaluator=CycleSimEvaluator(),
+            evaluator=ReferenceCycleSimEvaluator(),
         ))
         batched = dict(iter_indexed_design_points(
             small_workload, grid, [5, 0, 3], evaluator="cycle",
@@ -164,21 +228,8 @@ class TestBatchEngine:
         assert dse_module._batch_capable(evaluator)
         assert not dse_module._batch_capable(CycleSimEvaluator())
 
-    def test_scalar_engine_never_batches(self, small_workload):
-        """The scalar event loop is the independent oracle: its evaluator
-        must keep the per-point path even though the class has an
-        ``evaluate_batch`` method."""
-        scalar = BatchedCycleSimEvaluator(engine="scalar")
-        assert not scalar.batch_capable
-        assert not dse_module._batch_capable(scalar)
-        assert BatchedCycleSimEvaluator().batch_capable
-        grid = {"mac_lines": [16, 64]}
-        assert sweep_design_space(small_workload, grid,
-                                  evaluator=scalar) == \
-            sweep_design_space(small_workload, grid, evaluator="cycle")
-
     def test_spec_round_trip_shared_with_per_point(self):
-        spec = {"name": "cycle", "engine": "vectorized", "scan": "split"}
+        spec = {"name": "cycle"}
         assert evaluator_spec(BatchedCycleSimEvaluator()) == spec
         assert evaluator_spec(CycleSimEvaluator()) == spec
         rebuilt = evaluator_from_spec(spec)
@@ -210,8 +261,9 @@ class TestBatchEngine:
         — good points kept, bad point warn-dropped."""
         grid = {"mac_lines": [1, 32, 64]}
         with pytest.warns(RuntimeWarning, match="MAC lines"):
-            per_point = sweep_design_space(small_workload, grid,
-                                           evaluator=CycleSimEvaluator())
+            per_point = sweep_design_space(
+                small_workload, grid, evaluator=ReferenceCycleSimEvaluator()
+            )
         with pytest.warns(RuntimeWarning, match="MAC lines"):
             batched = sweep_design_space(small_workload, grid,
                                          evaluator="cycle")
@@ -224,8 +276,9 @@ class TestBatchEngine:
             batched = sweep_design_space(small_workload, grid,
                                          evaluator="cycle")
         with pytest.warns(RuntimeWarning, match="ae_compression"):
-            per_point = sweep_design_space(small_workload, grid,
-                                           evaluator=CycleSimEvaluator())
+            per_point = sweep_design_space(
+                small_workload, grid, evaluator=ReferenceCycleSimEvaluator()
+            )
         assert batched == per_point
         assert [p.parameter("ae_compression") for p in batched] == [0.5]
 
@@ -284,8 +337,7 @@ class TestWidthBands:
     def test_geometry_pads_within_band_only(self):
         """The grid geometry's padded matrices are exactly each band's
         own width — a narrow denser row never pays for the sparser
-        engine's width (the failure mode that made "fused" lose to
-        "split" in the whole-model scans)."""
+        engine's width."""
         layers = [synthetic_attention_workload(96, 2, 32, sparsity=s, seed=i)
                   for i, s in enumerate((0.95, 0.7))]
         sim = CycleAccurateSimulator()
@@ -331,7 +383,7 @@ class TestSimulateAttentionGrid:
     def test_empty_columns_is_own_design_point(self, small_workload):
         sim = CycleAccurateSimulator()
         totals = sim.simulate_attention_grid(small_workload, {})
-        result = sim.simulate_attention(small_workload)
+        result = ReferenceCycleSimulator().simulate_attention(small_workload)
         assert totals["makespan"].shape == (1,)
         for name in ("makespan", "sddmm_makespan", "spmm_makespan",
                      "denser_busy", "sparser_busy", "dram_busy",
@@ -340,14 +392,19 @@ class TestSimulateAttentionGrid:
         assert totals["jobs_executed"] == result.jobs_executed
 
     def test_custom_dram_model_rejected(self, small_workload):
+        """The walk cannot replay a DramModel subclass, so the simulator
+        refuses one when built; the reference loop accepts any."""
         from repro.hw.dram import DramModel
 
         class StatefulDram(DramModel):
             pass
 
-        sim = CycleAccurateSimulator(dram=StatefulDram())
         with pytest.raises(ValueError, match="plain DramModel"):
-            sim.simulate_attention_grid(small_workload, {})
+            CycleAccurateSimulator(dram=StatefulDram())
+        reference = ReferenceCycleSimulator(dram=StatefulDram())
+        plain = ReferenceCycleSimulator(dram=DramModel())
+        assert reference.simulate_attention(small_workload) == \
+            plain.simulate_attention(small_workload)
 
 
 class TestOfferAll:
@@ -414,49 +471,9 @@ class TestHybrid:
         per_point = sweep_design_space(
             small_workload, grid,
             evaluator=HybridEvaluator(coarse=AnalyticalEvaluator(),
-                                      fine=CycleSimEvaluator()),
+                                      fine=ReferenceCycleSimEvaluator()),
         )
         assert batched == per_point
-
-    def test_adaptive_prunes_but_preserves_fine_frontier(
-            self, small_workload):
-        """Satellite: the adaptive fine phase may skip frontier-adjacent
-        survivors, but the fine Pareto frontier must match the full
-        re-score's, and the survivor list must be a subset of it."""
-        grid = {"mac_lines": [8, 16, 32, 64, 128, 256],
-                "bandwidth_gbps": [19.2, 76.8, 153.6],
-                "ae_compression": [None, 0.25, 0.5, 1.0]}
-        full = sweep_design_space(small_workload, grid, evaluator="hybrid")
-        adaptive = sweep_design_space(
-            small_workload, grid, evaluator=HybridEvaluator(adaptive=True)
-        )
-        assert pareto_frontier(adaptive) == pareto_frontier(full)
-        assert set(p.parameters for p in adaptive) <= \
-            set(p.parameters for p in full)
-        assert len(adaptive) <= len(full)
-
-    def test_adaptive_is_deterministic_across_n_jobs(self, small_workload):
-        grid = {"mac_lines": [8, 16, 32, 64, 128],
-                "ae_compression": [None, 0.5]}
-        evaluator = HybridEvaluator(adaptive=True)
-        serial = sweep_design_space(small_workload, grid,
-                                    evaluator=evaluator)
-        parallel = sweep_design_space(small_workload, grid, n_jobs=3,
-                                      evaluator=evaluator)
-        assert parallel == serial
-
-    def test_adaptive_spec_round_trip(self):
-        evaluator = HybridEvaluator(adaptive=True, band_slack=0.1)
-        spec = evaluator_spec(evaluator)
-        assert spec["adaptive"] is True and spec["band_slack"] == 0.1
-        rebuilt = evaluator_from_spec(spec)
-        assert rebuilt.adaptive and rebuilt.band_slack == 0.1
-        # Non-adaptive hybrids keep the historical spec (manifest compat).
-        assert "adaptive" not in evaluator_spec(HybridEvaluator())
-
-    def test_band_slack_validated(self):
-        with pytest.raises(ValueError, match="band_slack"):
-            HybridEvaluator(adaptive=True, band_slack=1.5)
 
 
 class TestDistShards:
@@ -483,16 +500,7 @@ class TestDistShards:
         assert batched.frontier == per_point.frontier
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            direct = sweep_design_space(small_workload, grid,
-                                        evaluator="cycle")
-        assert list(batched.points) == direct
-
-    def test_merge_rejects_adaptive_hybrid(self, small_workload, tmp_path):
-        from repro.dist import merge_store, run_shard
-
-        grid = {"mac_lines": [16, 32]}
-        run_shard(small_workload, grid, "1/1", tmp_path,
-                  evaluator=HybridEvaluator())
-        with pytest.raises(ValueError, match="adaptive"):
-            merge_store(tmp_path, workload=small_workload,
-                        evaluator=HybridEvaluator(adaptive=True))
+            reference = sweep_design_space(
+                small_workload, grid, evaluator=ReferenceCycleSimEvaluator()
+            )
+        assert list(batched.points) == reference

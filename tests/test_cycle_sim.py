@@ -7,11 +7,11 @@ from repro.hw import (
     CycleAccurateSimulator,
     DramModel,
     DramRequest,
-    Timeline,
     ViTCoDAccelerator,
     dense_attention_workload,
     synthetic_attention_workload,
 )
+from repro.hw.cycle_reference import Timeline
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +165,30 @@ class TestCycleSim:
             config=VITCOD_DEFAULT.scaled(4)
         ).simulate_layer(wl90)
         assert big.makespan < small.makespan
+
+
+def test_production_never_imports_the_reference_loop():
+    """The reference event loop is a test oracle: loading the CLI, the
+    service and the dist layer (and running a cycle point) must not pull
+    it in."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys, repro.cli, repro.serve, repro.dist\n"
+        "from repro.sim import resolve_evaluator\n"
+        "from repro.perf import cached_model_workload\n"
+        "from repro.hw.params import VITCOD_DEFAULT\n"
+        "resolve_evaluator('cycle')(cached_model_workload('deit-tiny', "
+        "sparsity=0.9), VITCOD_DEFAULT, {})\n"
+        "print('repro.hw.cycle_reference' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "False"

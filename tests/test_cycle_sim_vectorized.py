@@ -1,8 +1,9 @@
-"""Scan-based scheduler vs the scalar reference: exact-equality properties.
+"""Grid walk at P = 1 vs the scalar reference loop: exact-equality properties.
 
-The vectorized engine must reproduce the scalar event loop *bit for bit*
-(durations are quantized to a ``2**-20``-cycle grid precisely so that the
-two associations of the same event algebra cannot round differently).
+The production simulator must reproduce the per-job event loop of
+:mod:`repro.hw.cycle_reference` *bit for bit* (durations are quantized to a
+``2**-20``-cycle grid precisely so that the two associations of the same
+event algebra cannot round differently).
 """
 
 import dataclasses
@@ -19,18 +20,17 @@ from repro.hw import (
     dense_attention_workload,
     synthetic_attention_workload,
 )
+from repro.hw.cycle_reference import ReferenceCycleSimulator
 
 
 def assert_results_identical(wl, **sim_kwargs):
-    """Simulate ``wl`` with both engines and compare field-for-field."""
-    vec = CycleAccurateSimulator(engine="vectorized", **sim_kwargs)
-    ref = CycleAccurateSimulator(engine="scalar", **sim_kwargs)
-    rv = vec.simulate_layer(wl)
-    rs = ref.simulate_layer(wl)
+    """Simulate ``wl`` with the walk and the loop; compare field-for-field."""
+    rv = CycleAccurateSimulator(**sim_kwargs).simulate_layer(wl)
+    rs = ReferenceCycleSimulator(**sim_kwargs).simulate_layer(wl)
     for f in dataclasses.fields(rv):
         assert getattr(rv, f.name) == getattr(rs, f.name), (
-            f"field {f.name}: vectorized={getattr(rv, f.name)!r} "
-            f"scalar={getattr(rs, f.name)!r}"
+            f"field {f.name}: walk={getattr(rv, f.name)!r} "
+            f"reference={getattr(rs, f.name)!r}"
         )
     return rv
 
@@ -71,7 +71,7 @@ class TestExactAgreement:
         assert_results_identical(wl, config=VITCOD_DEFAULT.scaled(4))
 
     def test_zero_nnz_columns(self):
-        """Empty sparser columns are skipped by both engines."""
+        """Empty sparser columns are skipped by both simulators."""
         heads = [
             head_from_col_nnz(16, 8, ngt=2, col_nnz=[5, 0, 3, 0, 0, 1] + [0] * 8),
             head_from_col_nnz(16, 8, ngt=0, col_nnz=[0] * 16),
@@ -114,6 +114,13 @@ class TestExactAgreement:
         use_ae = data.draw(st.booleans(), label="use_ae")
         assert_results_identical(wl, use_ae=use_ae)
 
+    def test_multi_layer_agreement(self):
+        wl = synthetic_attention_workload(48, 2, 16, sparsity=0.8, seed=1)
+        layers = [wl, wl, wl]
+        rv = CycleAccurateSimulator().simulate_attention(layers)
+        rs = ReferenceCycleSimulator().simulate_attention(layers)
+        assert dataclasses.astuple(rv) == dataclasses.astuple(rs)
+
 
 class TestNnzConservation:
     """The mean-density fallback must not drop remainder products."""
@@ -135,24 +142,20 @@ class TestNnzConservation:
     ])
     def test_jobs_carry_all_products(self, num_tokens, ngt, nnz):
         wl = self._fallback_layer(num_tokens, ngt, nnz)
-        sim = CycleAccurateSimulator()
-        _, sparser_jobs = sim._build_jobs(wl)
+        _, sparser_jobs = ReferenceCycleSimulator()._build_jobs(wl)
         assert sum(j.products for j in sparser_jobs) == nnz
-        _, sparser_products = sim._column_products(wl)
-        assert int(sparser_products.sum()) == nnz
+        assert int(wl.sparser_job_products().sum()) == nnz
 
     def test_simulated_macs_match_workload(self):
         wl = self._fallback_layer(16, 3, 40)
-        sim = CycleAccurateSimulator()
-        _, sparser_jobs = sim._build_jobs(wl)
+        _, sparser_jobs = ReferenceCycleSimulator()._build_jobs(wl)
         simulated = sum(j.products for j in sparser_jobs) * wl.head_dim
         assert simulated == wl.heads[0].sparser_macs
 
     def test_fallback_matches_column_cv_distribution(self):
         """workload.column_cv and the job builder spread identically."""
         wl = self._fallback_layer(16, 3, 40)
-        sim = CycleAccurateSimulator()
-        _, sparser_jobs = sim._build_jobs(wl)
+        _, sparser_jobs = ReferenceCycleSimulator()._build_jobs(wl)
         job_products = sorted(j.products for j in sparser_jobs)
         # column_cv's product list: ngt global columns + per-column spread
         head = wl.heads[0]
@@ -160,19 +163,3 @@ class TestNnzConservation:
         per, rem = divmod(head.sparser_nnz, head.num_tokens - head.num_global_tokens)
         expected += [per + 1] * rem + [per] * (16 - 3 - rem)
         assert sorted(p for p in expected[3:] if p > 0) == job_products
-
-
-class TestEngineFlag:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            CycleAccurateSimulator(engine="gpu")
-
-    def test_default_is_vectorized(self):
-        assert CycleAccurateSimulator().engine == "vectorized"
-
-    def test_multi_layer_agreement(self):
-        wl = synthetic_attention_workload(48, 2, 16, sparsity=0.8, seed=1)
-        layers = [wl, wl, wl]
-        rv = CycleAccurateSimulator().simulate_attention(layers)
-        rs = CycleAccurateSimulator(engine="scalar").simulate_attention(layers)
-        assert dataclasses.astuple(rv) == dataclasses.astuple(rs)

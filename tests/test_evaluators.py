@@ -19,7 +19,8 @@ from repro.harness.dse import (
     pareto_frontier,
     sweep_design_space,
 )
-from repro.hw import CycleAccurateSimulator, model_workload
+from repro.hw import model_workload
+from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.hw.params import VITCOD_DEFAULT
 from repro.models import get_config
 from repro.perf import seed_worker_workload, seeded_workload
@@ -79,7 +80,7 @@ class TestResolve:
         assert isinstance(evaluator, Evaluator)  # structural conformance
 
     def test_instance_passthrough(self):
-        evaluator = CycleSimEvaluator(engine="scalar")
+        evaluator = CycleSimEvaluator()
         assert resolve_evaluator(evaluator) is evaluator
 
     def test_unknown_name(self):
@@ -109,6 +110,8 @@ class TestAnalyticalDefault:
 
 class TestCycleSimEvaluator:
     def test_points_come_from_the_cycle_simulator(self, small_workload):
+        """Latency is the event loop's makespan (checked against the
+        independent reference loop)."""
         points = sweep_design_space(small_workload,
                                     {"mac_lines": [32, 64]},
                                     evaluator="cycle")
@@ -116,7 +119,7 @@ class TestCycleSimEvaluator:
         for point in points:
             config = replace(VITCOD_DEFAULT,
                              num_mac_lines=point.parameter("mac_lines"))
-            result = CycleAccurateSimulator(
+            result = ReferenceCycleSimulator(
                 config=config
             ).simulate_attention(small_workload)
             assert point.seconds == config.cycles_to_seconds(result.makespan)
@@ -275,12 +278,10 @@ class TestEvaluatorSpecs:
 
         for spec in (
             {"name": "analytical"},
-            {"name": "cycle", "engine": "scalar", "scan": "split"},
-            {"name": "cycle", "engine": "vectorized", "scan": "fused"},
+            {"name": "cycle"},
             {"name": "hybrid",
              "coarse": {"name": "analytical"},
-             "fine": {"name": "cycle", "engine": "vectorized",
-                      "scan": "split"}},
+             "fine": {"name": "cycle"}},
         ):
             assert evaluator_spec(evaluator_from_spec(spec)) == spec
 
@@ -309,7 +310,7 @@ class TestEvaluatorSpecs:
         from repro.sim import CycleSimEvaluator, evaluator_from_spec, \
             evaluator_spec
 
-        original = CycleSimEvaluator(engine="scalar")
+        original = CycleSimEvaluator()
         rebuilt = evaluator_from_spec(evaluator_spec(original))
         assert (original(small_workload, VITCOD_DEFAULT, {})
                 == rebuilt(small_workload, VITCOD_DEFAULT, {}))
@@ -330,7 +331,7 @@ class TestSpecHardening:
         from repro.sim import evaluator_from_spec
 
         assert evaluator_from_spec("analytical").name == "analytical"
-        assert evaluator_from_spec("hybrid").adaptive is False
+        assert isinstance(evaluator_from_spec("hybrid"), HybridEvaluator)
 
     def test_rejects_non_dict_specs(self):
         from repro.sim import evaluator_from_spec
@@ -348,6 +349,8 @@ class TestSpecHardening:
         with pytest.raises(ValueError, match="analytical.*cycle.*hybrid"):
             evaluator_from_spec({"name": "quantum"})
 
+    # "engine", "scan", "adaptive" and "band_slack" are retired fields:
+    # specs that still carry them are rejected as unknown fields.
     @pytest.mark.parametrize(
         "spec, match",
         [

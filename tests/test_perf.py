@@ -145,7 +145,7 @@ class TestInstanceMemo:
 
 
 class TestCycleGeometryMemo:
-    """Per-(workload, config) geometry memoized on the workload instance."""
+    """The grid walk's geometry memoized on the model workload instance."""
 
     @pytest.fixture()
     def workload(self):
@@ -165,17 +165,19 @@ class TestCycleGeometryMemo:
 
     def test_keys_track_only_relevant_config_fields(self, workload):
         self._simulate(workload)
-        layer = workload.attention_layers[0]
-        table = layer.__dict__["_cycle_geometry"]
-        baseline = len(table)
-        self._simulate(workload)  # same config: no new entries
-        assert len(table) == baseline
-        # A bandwidth change invalidates service times but not the
-        # MAC-line allocation; a mac_lines change does the reverse.
+        table = workload.__dict__["_cycle_geometry"]
+        assert len(table) == 1
+        # Swept DSE knobs change durations, never the geometry.
+        self._simulate(workload)
         self._simulate(workload, dram_bandwidth_bytes_per_s=30e9)
-        assert len(table) == baseline + 1
         self._simulate(workload, num_mac_lines=32)
-        assert len(table) == baseline + 2
+        self._simulate(workload, act_buffer_bytes=64 * 1024)
+        assert len(table) == 1
+        # The fields the builder reads each get their own entry.
+        self._simulate(workload, softmax_lanes=32)
+        assert len(table) == 2
+        self._simulate(workload, macs_per_line=16)
+        assert len(table) == 3
 
     def test_memoized_results_bit_exact_vs_fresh_workload(self, workload):
         warm = self._simulate(workload)  # populates the memo
@@ -188,23 +190,10 @@ class TestCycleGeometryMemo:
     def test_pickle_strips_geometry_tables(self, workload):
         import pickle
 
+        cold = len(pickle.dumps(workload))
         self._simulate(workload)
+        assert "_cycle_geometry" in workload.__dict__
+        assert len(pickle.dumps(workload)) == cold
         clone = pickle.loads(pickle.dumps(workload))
-        assert all("_cycle_geometry" not in layer.__dict__
-                   for layer in clone.attention_layers)
-
-    def test_custom_dram_model_bypasses_service_memo(self, workload):
-        from repro.hw.cycle_sim import CycleAccurateSimulator
-        from repro.hw.dram import DramModel
-
-        class TweakedDram(DramModel):
-            def service_cycles(self, request):
-                return 2.0 * super().service_cycles(request)
-
-        sim = CycleAccurateSimulator(dram=TweakedDram())
-        sim.simulate_attention(workload)
-        layer = workload.attention_layers[0]
-        table = layer.__dict__.get("_cycle_geometry", {})
-        # Allocation (DRAM-independent) may be memoized; service times of
-        # an unrecognised DRAM model must not be.
-        assert not any(key[0] == "services" for key in table)
+        assert "_cycle_geometry" not in clone.__dict__
+        assert self._simulate(clone) == self._simulate(workload)

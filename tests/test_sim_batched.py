@@ -1,11 +1,12 @@
 """Batched whole-model simulation == per-layer loop, bit for bit.
 
-The batched cycle-sim pipeline runs every layer in one 2-D max-plus scan
-with per-layer reset rows; durations live on the ``2**-20``-cycle grid, so
-the batched and per-layer event algebras are exact in double precision and
-must agree exactly (same argument as the scalar/vectorized equivalence).
-The batched analytical model mirrors the per-layer phase expressions
-operation for operation, so it is held to exact equality too.
+The cycle simulator's grid walk runs every layer in one max-plus scan with
+per-layer reset rows; durations live on the ``2**-20``-cycle grid, so the
+whole-model walk, the walk layer by layer and the scalar reference loop
+(:mod:`repro.hw.cycle_reference`) are exact in double precision and must
+agree exactly, ``per_layer`` breakdowns included.  The batched analytical
+model mirrors the per-layer phase expressions operation for operation, so
+it is held to exact equality too.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from repro.hw import (
     model_workload,
     synthetic_attention_workload,
 )
+from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.models import get_config
 
 
@@ -58,14 +60,13 @@ def random_layer(data, tag):
 
 
 def assert_batched_equals_layer_loop(layers, **sim_kwargs):
-    """Whole-model batched == per-layer loop for BOTH engines, exactly."""
-    vec = CycleAccurateSimulator(engine="vectorized", **sim_kwargs)
-    scalar = CycleAccurateSimulator(engine="scalar", **sim_kwargs)
-    batched = vec.simulate_attention(layers)
-    vec_loop = merge_cycle_results(vec.simulate_layer(l) for l in layers)
-    scalar_loop = scalar.simulate_attention(layers)
-    assert dataclasses.astuple(batched) == dataclasses.astuple(vec_loop)
-    assert dataclasses.astuple(batched) == dataclasses.astuple(scalar_loop)
+    """Whole-model walk == the walk layer by layer == the reference loop."""
+    sim = CycleAccurateSimulator(**sim_kwargs)
+    batched = sim.simulate_attention(layers)
+    walk_loop = merge_cycle_results(sim.simulate_layer(l) for l in layers)
+    reference = ReferenceCycleSimulator(**sim_kwargs).simulate_attention(layers)
+    assert dataclasses.astuple(batched) == dataclasses.astuple(walk_loop)
+    assert dataclasses.astuple(batched) == dataclasses.astuple(reference)
     return batched
 
 
@@ -88,6 +89,29 @@ class TestCycleSimBatched:
         ]
         assert_batched_equals_layer_loop(layers)
 
+    def test_empty_engines(self):
+        """Layers with no denser jobs, no sparser jobs, or no jobs at all
+        exercise the walk's empty-band and carry-through paths."""
+        no_denser = AttentionWorkload(
+            num_tokens=8, num_heads=1, head_dim=4,
+            heads=[HeadWorkload(
+                num_tokens=8, head_dim=4, num_global_tokens=0,
+                denser_nnz=0, sparser_nnz=6, sparser_index_bytes=40,
+                sparser_column_nnz=np.array([3, 0, 0, 1, 0, 0, 2, 0]),
+            )],
+        )
+        no_sparser = dense_attention_workload(8, 1, 4)
+        no_jobs = AttentionWorkload(
+            num_tokens=8, num_heads=1, head_dim=4,
+            heads=[HeadWorkload(
+                num_tokens=8, head_dim=4, num_global_tokens=0,
+                denser_nnz=0, sparser_nnz=0, sparser_index_bytes=36,
+                sparser_column_nnz=np.zeros(8, dtype=np.int64),
+            )],
+        )
+        assert_batched_equals_layer_loop([no_denser, no_sparser, no_jobs])
+        assert_batched_equals_layer_loop([no_jobs])
+
     def test_single_layer(self):
         wl = synthetic_attention_workload(32, 2, 16, sparsity=0.8, seed=1)
         total = assert_batched_equals_layer_loop([wl])
@@ -107,7 +131,7 @@ class TestCycleSimBatched:
     @settings(max_examples=25, deadline=None)
     def test_property_random_multilayer(self, data):
         """Random multi-layer stacks (mixed shapes, empty engines, zero
-        columns) agree bit-for-bit between batched and the layer loop."""
+        columns) agree bit-for-bit between the walk and the layer loops."""
         num_layers = data.draw(st.integers(1, 4), label="num_layers")
         layers = [random_layer(data, f"l{i}") for i in range(num_layers)]
         assert_batched_equals_layer_loop(layers)
@@ -121,79 +145,6 @@ class TestCycleSimBatched:
             assert getattr(total, f.name) == pytest.approx(
                 sum(getattr(r, f.name) for r in total.per_layer)
             )
-
-
-def assert_fused_equals_split(layers, **sim_kwargs):
-    """Fused (2L × jobs) scans == per-engine split scans, bit for bit."""
-    fused = CycleAccurateSimulator(scan="fused", **sim_kwargs)
-    split = CycleAccurateSimulator(scan="split", **sim_kwargs)
-    a = fused.simulate_attention(layers)
-    b = split.simulate_attention(layers)
-    assert dataclasses.astuple(a) == dataclasses.astuple(b)
-    return a
-
-
-class TestFusedScan:
-    """One (2L × jobs) compute scan + one (L × jobs) softmax scan must be
-    indistinguishable from the per-engine scans (and hence from the scalar
-    event loop, which the split path is already held to)."""
-
-    def test_split_is_the_default(self):
-        """Measured choice: split is the width-banded optimum (the fused
-        fold pads the ~15×-narrower denser engine to the sparser width)."""
-        assert CycleAccurateSimulator().scan == "split"
-
-    def test_unknown_scan_rejected(self):
-        with pytest.raises(ValueError, match="unknown scan"):
-            CycleAccurateSimulator(scan="diagonal")
-
-    @pytest.mark.parametrize("model", ["deit-tiny", "levit-128"])
-    def test_models(self, model):
-        wl = model_workload(get_config(model), sparsity=0.9)
-        assert_fused_equals_split(wl.attention_layers)
-
-    def test_dense_and_sparse_mix(self):
-        layers = [
-            dense_attention_workload(24, 2, 16),
-            synthetic_attention_workload(48, 2, 16, sparsity=0.9, seed=3),
-            synthetic_attention_workload(48, 2, 16, sparsity=0.7, seed=4),
-        ]
-        assert_fused_equals_split(layers)
-
-    def test_empty_engines(self):
-        """Layers with no denser jobs, no sparser jobs, or no jobs at all
-        exercise the fused scan's zero-width and carry-through paths."""
-        no_denser = AttentionWorkload(
-            num_tokens=8, num_heads=1, head_dim=4,
-            heads=[HeadWorkload(
-                num_tokens=8, head_dim=4, num_global_tokens=0,
-                denser_nnz=0, sparser_nnz=6, sparser_index_bytes=40,
-                sparser_column_nnz=np.array([3, 0, 0, 1, 0, 0, 2, 0]),
-            )],
-        )
-        no_sparser = dense_attention_workload(8, 1, 4)
-        no_jobs = AttentionWorkload(
-            num_tokens=8, num_heads=1, head_dim=4,
-            heads=[HeadWorkload(
-                num_tokens=8, head_dim=4, num_global_tokens=0,
-                denser_nnz=0, sparser_nnz=0, sparser_index_bytes=36,
-                sparser_column_nnz=np.zeros(8, dtype=np.int64),
-            )],
-        )
-        assert_fused_equals_split([no_denser, no_sparser, no_jobs])
-        assert_fused_equals_split([no_jobs])
-
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_property_fused_equals_split(self, data):
-        """Random multi-layer stacks: fused == split == scalar, exactly."""
-        num_layers = data.draw(st.integers(1, 4), label="num_layers")
-        layers = [random_layer(data, f"l{i}") for i in range(num_layers)]
-        fused = assert_fused_equals_split(layers)
-        scalar = CycleAccurateSimulator(engine="scalar").simulate_attention(
-            layers
-        )
-        assert dataclasses.astuple(fused) == dataclasses.astuple(scalar)
 
 
 class TestAnalyticalBatched:

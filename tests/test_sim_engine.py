@@ -19,6 +19,7 @@ from repro.hw import (
     merge_cycle_results,
     model_workload,
 )
+from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.models import get_config
 from repro.sim import (
     AttentionSimulatorBase,
@@ -150,10 +151,12 @@ class TestCycleSimResultMerged:
 
 
 class TestPerLayerBreakdown:
-    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
-    def test_whole_model_exposes_layers(self, tiny_model, engine):
-        sim = CycleAccurateSimulator(engine=engine)
-        total = sim.simulate_attention(tiny_model)
+    @pytest.mark.parametrize("simulator", [
+        pytest.param(CycleAccurateSimulator, id="vectorized"),
+        pytest.param(ReferenceCycleSimulator, id="scalar"),
+    ])
+    def test_whole_model_exposes_layers(self, tiny_model, simulator):
+        total = simulator().simulate_attention(tiny_model)
         assert len(total.per_layer) == len(tiny_model.attention_layers)
         assert total.makespan == pytest.approx(
             sum(r.makespan for r in total.per_layer)
