@@ -1,14 +1,15 @@
 """Fault-injection overhead: chaos hooks must be (near) free when off.
 
 Same methodology as ``obs_overhead``: three timings of the same sharded
-run — the store write path is where the disabled hooks live
-(``active_plan()`` consulted per record append and per fsync barrier):
+run — the ledger write path (:mod:`repro.ledger`) is where the disabled
+hooks live (``active_plan()`` consulted per record append and per fsync
+barrier):
 
 * ``unhooked`` — the floor: ``active_plan`` swapped for an inert stub
-  inside the store module, so the hot path pays only the call the hooks
+  inside the ledger module, so the hot path pays only the call the hooks
   added;
 * ``disabled`` — the shipped default: no plan active, every hook takes
-  the module-global ``None`` branch;
+  the thread-local ``None`` branch;
 * ``active`` — a zero-fault plan activated (scope bound, every rate 0),
   the cost of merely *carrying* a plan through a healthy run.
 
@@ -20,7 +21,7 @@ until opted in" contract as :mod:`repro.obs`.
 import math
 import tempfile
 
-import repro.dist.store as store_mod
+import repro.ledger as ledger_mod
 from repro.dist import merge_store, model_workload_spec, run_shard
 from repro.faults import activate, plan_from_spec
 from repro.harness.dse import sweep_design_space
@@ -57,7 +58,7 @@ def test_faults_overhead(bench_recorder, bench_mode, monkeypatch, tmp_path):
     assert list(merge_store(sharded_run()).points) == expected
 
     with monkeypatch.context() as mp:
-        mp.setattr(store_mod, "active_plan", lambda: None)
+        mp.setattr(ledger_mod, "active_plan", lambda: None)
         floor = benchit(sharded_run, name="unhooked", repeats=repeats,
                         warmup=1)
 

@@ -69,8 +69,8 @@ EXPERIMENTS = {
     "polarize": "run Algorithm 1 and draw the mask",
     "dse": "design-space sweep + Pareto frontier",
     "dse-shard": "evaluate one K/N shard of a sweep into a result store",
-    "dse-fleet": "supervise N dse-shard subprocesses (heartbeats, "
-                 "crash/hang relaunch with backoff)",
+    "dse-fleet": "supervise N dse-shard subprocesses (crash/hang "
+                 "relaunch with backoff)",
     "dse-merge": "merge a sharded store into the full sweep + frontier",
     "dse-status": "per-shard progress of a sharded sweep store",
     "serve": "run the HTTP DSE job service over a durable data dir",
@@ -194,17 +194,14 @@ def build_parser():
                         help="dse-shard/dse-fleet: transient-failure "
                              "re-evaluations budgeted per grid point "
                              "(default 4; 0 persists first failures)")
-    parser.add_argument("--heartbeat", metavar="PATH", default=None,
-                        help="dse-shard: touch this file once per "
-                             "durable record (dse-fleet's hang signal)")
     parser.add_argument("--num-shards", type=int, default=3, metavar="N",
                         help="dse-fleet: shard subprocesses to "
                              "supervise (default 3)")
     parser.add_argument("--hang-after", type=float, default=30.0,
                         metavar="SECONDS",
-                        help="dse-fleet: heartbeat staleness that "
-                             "counts as a hang and draws a SIGKILL + "
-                             "relaunch (default 30)")
+                        help="dse-fleet: seconds without a write to "
+                             "a shard's ledgers that count as a hang "
+                             "and draw a SIGKILL + relaunch (default 30)")
     parser.add_argument("--max-restarts", type=int, default=3, metavar="N",
                         help="dse-fleet: relaunches per shard before "
                              "it is abandoned (default 3)")
@@ -571,8 +568,7 @@ def _run(args):
             n_jobs=args.n_jobs, chunksize=args.batch_size,
             workload_spec=model_workload_spec(model, sparsity=args.sparsity),
             steal=args.steal, steal_chunk=args.steal_chunk,
-            claim_ttl=args.claim_ttl, handicap=args.handicap,
-            heartbeat=args.heartbeat, **run_kwargs,
+            claim_ttl=args.claim_ttl, handicap=args.handicap, **run_kwargs,
         )
         line = (f"shard {run.shard}: {run.evaluated} evaluated, "
                 f"{run.skipped} already in store, {run.failed} failed "

@@ -34,10 +34,10 @@ restartable *pipeline* over durable artifacts instead:
    (scored vs failed records, stolen-index counts, owed-after-stealing
    ETA, retry counts, ``--stall-after`` staleness flags) without
    touching an evaluator;
-6. **supervise** — ``dse-fleet`` launches N shard subprocesses with
-   heartbeat files and relaunches crashed or hung ones with backoff
-   (:mod:`repro.dist.fleet`), so a seeded fault storm — or a real bad
-   day — still converges to the same bit-identical merge.
+6. **supervise** — ``dse-fleet`` launches N shard subprocesses and
+   relaunches crashed ones, and hung ones whose ledgers went stale,
+   with backoff (:mod:`repro.dist.fleet`), so a seeded fault storm — or
+   a real bad day — still converges to the same bit-identical merge.
 
 
 The same machinery scales *down* to one box: N local processes sharding

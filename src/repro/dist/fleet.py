@@ -2,17 +2,19 @@
 
 ``run_fleet`` (CLI: ``python -m repro dse-fleet``) is the single-host
 supervisor for a sharded study: it launches one ``dse-shard`` subprocess
-per shard, each with a *heartbeat file* the runner touches once per
-durable completion record, and then watches two failure signals:
+per shard and then watches two failure signals:
 
 * **crash** — the subprocess exits nonzero (evaluator bug, injected torn
   write, OOM kill, plain SIGKILL).  The shard is relaunched with capped
   jittered exponential backoff; its store records survive, so the relaunch
   resumes where the corpse stopped.
-* **hang** — the heartbeat goes stale for longer than ``hang_after``
-  seconds while the process still runs (an evaluator stuck inside a
-  point, which no exit code will ever report).  The supervisor SIGKILLs
-  the process and relaunches it through the same backoff path.
+* **hang** — the process runs, but neither of its ledgers
+  (``shard-K-of-N.jsonl``, ``steal-K-of-N.jsonl``) was written in the
+  ``hang_after`` seconds since the later of its launch and its last
+  record: an evaluator stuck inside a point, which no exit code will
+  ever report.  Ledger mtimes track *progress* (one flushed append per
+  record), so a slow shard stays live.  The supervisor SIGKILLs the
+  process and relaunches it through the same backoff path.
 
 Each shard gets ``max_restarts`` relaunches before it is abandoned; when
 the fleet runs with ``--steal``, the surviving shards absorb an abandoned
@@ -38,13 +40,14 @@ from pathlib import Path
 
 from .. import obs
 from .runner import _recorded_indices
+from .sharding import ShardSpec
 from .store import ResultStore
 
 __all__ = ["FleetResult", "run_fleet"]
 
 _log = obs.get_logger("dist.fleet")
 
-#: Heartbeat staleness that counts as a hang (seconds).  Generous by
+#: Seconds without a ledger write that count as a hang.  Generous by
 #: default: a false positive costs one SIGKILL plus a resume, never data.
 _HANG_AFTER_S = 30.0
 
@@ -65,7 +68,7 @@ class FleetResult:
     store: Path
     num_shards: int
     restarts: int  # total relaunches, crashes and hang kills together
-    hang_kills: int  # processes SIGKILLed for a stale heartbeat
+    hang_kills: int  # processes SIGKILLed for stale ledgers
     abandoned: tuple  # 1-based shard indices that exhausted their budget
     complete: bool  # every grid index has a completion record
 
@@ -77,10 +80,10 @@ class FleetResult:
 class _Shard:
     """Supervisor-side state of one shard subprocess."""
 
-    def __init__(self, index, cmd, heartbeat, log_path):
+    def __init__(self, index, cmd, ledgers, log_path):
         self.index = index
         self.cmd = cmd
-        self.heartbeat = heartbeat
+        self.ledgers = ledgers
         self.log_path = log_path
         self.proc = None
         self.launched_at = None
@@ -101,13 +104,15 @@ class _Shard:
             )
         self.launched_at = time.monotonic()
 
-    def heartbeat_age(self) -> float:
-        """Seconds since the last progress signal (records, or launch)."""
-        try:
-            mtime_age = time.time() - self.heartbeat.stat().st_mtime
-        except OSError:
-            mtime_age = float("inf")
-        return min(mtime_age, time.monotonic() - self.launched_at)
+    def idle_s(self) -> float:
+        """Seconds since the later of launch and the last ledger write."""
+        ages = [time.monotonic() - self.launched_at]
+        for path in self.ledgers:
+            try:
+                ages.append(time.time() - path.stat().st_mtime)
+            except OSError:
+                pass  # not written yet
+        return min(ages)
 
 
 def run_fleet(
@@ -126,8 +131,8 @@ def run_fleet(
 
     ``shard_args`` is the common CLI argument tail every shard shares
     (models, grid, evaluator, ``--steal``, ``--faults``, ...); the
-    supervisor adds ``--shard K/N``, ``--out`` and ``--heartbeat`` per
-    shard.  Subprocess output lands in ``<store>/logs/shard-K.log``.
+    supervisor adds ``--shard K/N`` and ``--out`` per shard.  Subprocess
+    output lands in ``<store>/logs/shard-K.log``.
     See the module docstring for the crash/hang/abandon semantics.
     """
     store = Path(store)
@@ -136,23 +141,14 @@ def run_fleet(
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     python = python or sys.executable
     rng = random.Random()
+    layout = ResultStore(store)
     shards = []
     for k in range(1, num_shards + 1):
-        heartbeat = store / "heartbeats" / f"shard-{k:04d}.hb"
-        cmd = [
-            python,
-            "-m",
-            "repro",
-            "dse-shard",
-            "--shard",
-            f"{k}/{num_shards}",
-            "--out",
-            str(store),
-            "--heartbeat",
-            str(heartbeat),
-            *[str(arg) for arg in shard_args],
-        ]
-        shards.append(_Shard(k, cmd, heartbeat, store / "logs" / f"shard-{k}.log"))
+        spec = ShardSpec(k, num_shards)
+        cmd = [python, "-m", "repro", "dse-shard", "--shard", str(spec)]
+        cmd += ["--out", str(store), *[str(arg) for arg in shard_args]]
+        ledgers = (layout.shard_path(spec), layout.steal_path(spec))
+        shards.append(_Shard(k, cmd, ledgers, store / "logs" / f"shard-{k}.log"))
 
     restarts = hang_kills = 0
 
@@ -196,14 +192,14 @@ def run_fleet(
                     else:
                         _crashed(shard, f"exited with code {code}")
                     continue
-                if hang_after > 0 and shard.heartbeat_age() > hang_after:
+                if hang_after > 0 and shard.idle_s() > hang_after:
                     hang_kills += 1
                     obs.counter("fleet_hang_kills").inc()
                     os.kill(shard.proc.pid, signal.SIGKILL)
                     shard.proc.wait()
                     _crashed(
                         shard,
-                        f"heartbeat stale for more than {hang_after:.1f}s",
+                        f"ledgers stale for more than {hang_after:.1f}s",
                     )
             time.sleep(poll_s)
     finally:

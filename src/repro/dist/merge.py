@@ -49,13 +49,13 @@ from ..harness.dse import (
     iter_indexed_design_points,
     pareto_frontier,
 )
+from ..ledger import JsonlAppender
 from ..sim.evaluator import HybridEvaluator, evaluator_from_spec, resolve_evaluator
 from .runner import workload_fingerprint, workload_from_spec
 from .sharding import ShardSpec
 from .store import (
     FINE_NAME,
     IncompleteStoreError,
-    JsonlAppender,
     ResultStore,
     StoreCorruptError,
     StoreMismatchError,

@@ -17,8 +17,8 @@ finishes the shard.
 exhausts its own index set computes which indices the store still owes —
 the records themselves are the ledger, no coordinator needed — and
 claims batches of a slower shard's missing work through advisory
-per-range claim files (atomic ``O_EXCL`` creation; abandoned claims
-expire after ``claim_ttl`` seconds).  Stolen completions append to the
+per-range claim files (exclusively published; abandoned claims expire
+after ``claim_ttl`` seconds).  Stolen completions append to the
 stealer's own ``steal-K-of-N.jsonl`` file, so the one-writer-per-file
 contract holds, and victims periodically re-scan steal coverage to skip
 work someone else already finished.  Claims are *advisory*: two shards
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import time
 from contextlib import nullcontext
@@ -53,10 +52,11 @@ from ..faults.evaluator import FaultyEvaluator
 from ..faults.plan import activate, active_plan
 from ..harness.dse import PointFailure, grid_size, iter_indexed_design_points
 from ..hw.params import VITCOD_DEFAULT
+from ..ledger import JsonlAppender, publish
 from ..perf.cache import cached_model_workload, seeded_workload
 from ..sim.evaluator import HybridEvaluator, resolve_evaluator
 from .sharding import ShardSpec
-from .store import JsonlAppender, ResultStore, build_manifest, encode_record
+from .store import ResultStore, build_manifest, encode_record
 
 __all__ = [
     "ShardRunResult",
@@ -184,7 +184,7 @@ class ShardRunResult:
 
 
 # ----------------------------------------------------------------------
-# Transient-failure retries and liveness heartbeats
+# Transient-failure retries
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _RetryPolicy:
@@ -202,19 +202,6 @@ class _RetryPolicy:
         )
 
 
-def _touch_heartbeat(path: Path):
-    """Liveness signal tied to *progress*: touched once per durable record,
-    so an evaluator hang (unlike mere slowness between records) shows up
-    as a stale mtime a supervisor can act on.  A background thread would
-    defeat the point — it keeps beating while the real work is stuck."""
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a"):
-            os.utime(path, None)
-    except OSError:
-        pass  # heartbeats are best-effort; never fail the shard for one
-
-
 def _score_into(
     out,
     workload,
@@ -230,8 +217,6 @@ def _score_into(
     rng,
     counter,
     skip=None,
-    heartbeat=None,
-    plan=None,
 ):
     """Evaluate ``indices`` into appender ``out``, one record per point.
 
@@ -253,10 +238,6 @@ def _score_into(
         if handicap:
             time.sleep(handicap)
         out.append(encode_record(index, result, retries=retries))
-        if heartbeat is not None:
-            _touch_heartbeat(heartbeat)
-        if plan is not None:
-            plan.note_append()
         obs.counter(counter).inc()
         recorded += 1
         if isinstance(result, PointFailure):
@@ -350,10 +331,10 @@ def _claim_path(store: ResultStore, batch) -> Path:
 def _try_claim(path: Path, shard, ttl: float) -> bool:
     """Atomically claim a steal range, honouring unexpired prior claims.
 
-    ``O_CREAT | O_EXCL`` makes first-creation atomic on a shared
+    An exclusive publish makes first-creation atomic on a shared
     directory; an existing claim younger than ``ttl`` seconds (by file
     mtime) is respected, an older one is considered abandoned and taken
-    over (atomic replace, last writer wins).  Claims are *advisory*: a
+    over (a replace publish, last writer wins).  Claims are *advisory*: a
     lost race means redundant — never wrong — work, because the merge
     tolerates bit-identical duplicates.
     """
@@ -363,22 +344,17 @@ def _try_claim(path: Path, shard, ttl: float) -> bool:
         # Chaos hook: widen the window between computing the owed set
         # and claiming it, so claim races actually happen under test.
         plan.claim_fault()
-    payload = json.dumps({"shard": str(shard), "t": time.time()})
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+    payload = json.dumps({"shard": str(shard), "t": time.time()}) + "\n"
+    if not publish(path, payload, exclusive=True):
         try:
             age = time.time() - path.stat().st_mtime
         except OSError:
-            # The owner released it between our open and stat: treat the
-            # range as handled and move on.
+            # The owner released it between our publish and stat: treat
+            # the range as handled and move on.
             return False
         if ttl > 0 and age <= ttl:
             return False
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(payload + "\n")
-        os.replace(tmp, path)
-        obs.counter("dist_steal_claims").inc()
+        publish(path, payload, exclusive=False)
         obs.counter("dist_claim_takeovers").inc()
         _log.info(
             "shard %s took over abandoned claim %s (%.1fs old)",
@@ -386,9 +362,6 @@ def _try_claim(path: Path, shard, ttl: float) -> bool:
             path.name,
             age,
         )
-        return True
-    with os.fdopen(fd, "w") as fh:
-        fh.write(payload + "\n")
     obs.counter("dist_steal_claims").inc()
     return True
 
@@ -448,8 +421,6 @@ def _steal_missing(
     handicap,
     retry,
     rng,
-    heartbeat=None,
-    plan=None,
 ) -> tuple:
     """Claim and evaluate grid indices slower shards still owe.
 
@@ -488,8 +459,6 @@ def _steal_missing(
                     retry=retry,
                     rng=rng,
                     counter="dist_records_stolen",
-                    heartbeat=heartbeat,
-                    plan=plan,
                 )
                 stolen += recorded
                 retried += batch_retried
@@ -515,7 +484,6 @@ def run_shard(
     claim_ttl=_CLAIM_TTL_S,
     handicap=0.0,
     max_point_retries=_MAX_POINT_RETRIES,
-    heartbeat=None,
 ) -> ShardRunResult:
     """Evaluate shard ``K/N`` of ``grid`` into a durable result store.
 
@@ -555,10 +523,8 @@ def run_shard(
     count; a deterministic failure persists exactly once, as always.  A
     :class:`repro.faults.FaultyEvaluator` is recognised here: its plan is
     scoped to the store (one-shot faults survive process relaunches) and
-    activated for the duration, arming the write-path and claim hooks.
-    ``heartbeat`` names a file touched once per durable record — a
-    supervisor (``dse-fleet``) reads its mtime to tell a hung shard from
-    a slow one.
+    activated in this thread for the duration, arming the ledger and
+    claim hooks.
     """
     shard = ShardSpec.parse(shard)
     grid = {name: tuple(values) for name, values in grid.items()}
@@ -627,9 +593,6 @@ def run_shard(
         point_evaluator = FaultyEvaluator(point_evaluator, plan)
     retry = _RetryPolicy(budget=max(0, int(max_point_retries)))
     rng = random.Random()  # backoff jitter only — never affects results
-    if heartbeat is not None:
-        heartbeat = Path(heartbeat)
-        _touch_heartbeat(heartbeat)
 
     def pending():
         for index in todo:
@@ -657,8 +620,6 @@ def run_shard(
                     # flight; recording it again would only add a tolerated
                     # duplicate.
                     skip=coverage.covered,
-                    heartbeat=heartbeat,
-                    plan=plan,
                 )
                 failed += new_failed
 
@@ -678,8 +639,6 @@ def run_shard(
                     handicap,
                     retry,
                     rng,
-                    heartbeat=heartbeat,
-                    plan=plan,
                 )
                 retried += steal_retried
     _log.info(

@@ -22,11 +22,9 @@ Design rules, in order of importance:
   file is a point that never needs re-evaluating, which is the whole
   resume story, and the timestamps give ``dse-status`` per-shard
   throughput and ETA for free;
-* **atomic-enough writes** — each record is a single ``write`` of one
-  line followed by a flush (an ``fsync`` every few dozen records and at
-  close bounds what an OS crash can lose); a killed writer can leave at
-  most one truncated final line, which loaders tolerate and resumers
-  simply re-evaluate;
+* **atomic-enough writes** — the ledgers and the manifest are written
+  by :mod:`repro.ledger`: a killed writer leaves at most one truncated
+  final line, which loaders tolerate and resumers simply re-evaluate;
 * **bit-exact round-trip** — objectives and parameters are written with
   Python's shortest-round-trip float repr (what :mod:`json` emits), so a
   decoded :class:`~repro.harness.dse.DesignPoint` compares equal to the
@@ -48,18 +46,15 @@ Design rules, in order of importance:
 from __future__ import annotations
 
 import json
-import os
 import re
-import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List
 
-from ..faults.errors import FaultInjectedError
-from ..faults.plan import active_plan
 from ..harness.dse import DesignPoint, PointFailure, grid_size
 from ..hw.params import EnergyTable, HardwareConfig
+from ..ledger import JsonlAppender, StoreCorruptError, StoreError, load_jsonl, publish
 from ..sim.evaluator import evaluator_spec
 
 __all__ = [
@@ -87,20 +82,6 @@ CLAIMS_DIR = "claims"
 _SHARD_RE = re.compile(r"^shard-(\d{4})-of-(\d{4})\.jsonl$")
 _STEAL_RE = re.compile(r"^steal-(\d{4})-of-(\d{4})\.jsonl$")
 
-#: Records between ``fsync`` calls (every record is flushed; syncing each
-#: one would gate cheap evaluators on disk latency for little extra
-#: safety — a flush already survives process death, only an OS crash can
-#: lose the unsynced tail).
-_FSYNC_EVERY = 64
-
-
-class StoreError(RuntimeError):
-    """Base class for result-store failures."""
-
-
-class StoreCorruptError(StoreError):
-    """A store file violates the format (beyond a truncated final line)."""
-
 
 class StoreMismatchError(StoreError):
     """A shard was pointed at a store created for different settings."""
@@ -108,11 +89,6 @@ class StoreMismatchError(StoreError):
 
 class IncompleteStoreError(StoreError):
     """A merge was attempted before every grid point had a record."""
-
-
-def _dump(data) -> str:
-    """Canonical one-line JSON (sorted keys, no spaces, finite floats)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 # ----------------------------------------------------------------------
@@ -229,118 +205,6 @@ def build_manifest(
 
 
 # ----------------------------------------------------------------------
-# JSONL files
-# ----------------------------------------------------------------------
-class JsonlAppender:
-    """Append-only JSONL writer with per-record flush and periodic fsync.
-
-    Opening for append first *repairs a torn tail*: a writer killed
-    mid-record leaves a final line without a newline, and appending after
-    it would glue the next record onto the damaged line (turning a
-    tolerated truncation into real mid-file corruption).  The repair
-    mirrors :func:`load_jsonl`'s tolerance exactly — whatever the loader
-    counted as a record must survive the repair, or a resumed shard would
-    skip a point the store no longer holds: a tail that parses as JSON
-    (the writer died between the record and its newline) is *terminated*
-    with the missing newline; a tail that does not parse never formed a
-    completion record and is truncated away, leaving its point owed to
-    the store.  One writer per file at a time is the contract (each shard
-    file has exactly one owning process).
-    """
-
-    def __init__(self, path):
-        self._path = Path(path)
-        self._repair_torn_tail()
-        self._fh = open(self._path, "a", encoding="utf-8")
-        self._unsynced = 0
-
-    def _repair_torn_tail(self):
-        if not self._path.exists():
-            return
-        data = self._path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        tail = data[data.rfind(b"\n") + 1:]
-        try:
-            json.loads(tail)
-            complete = True
-        except json.JSONDecodeError:
-            complete = False
-        with open(self._path, "r+b") as fh:
-            if complete:
-                fh.seek(0, os.SEEK_END)
-                fh.write(b"\n")
-            else:
-                fh.truncate(data.rfind(b"\n") + 1)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def append(self, record: dict):
-        line = _dump(record) + "\n"
-        plan = active_plan()
-        if plan is not None and plan.torn_write_fault(self._path):
-            # Die exactly like a writer killed mid-append: half the line
-            # reaches the file, the process never returns.  The next
-            # opener's torn-tail repair is the recovery under test.
-            self._fh.write(line[: len(line) // 2])
-            self._fh.flush()
-            raise FaultInjectedError(f"injected torn write in {self._path.name}")
-        self._fh.write(line)
-        self._fh.flush()
-        self._unsynced += 1
-        if self._unsynced >= _FSYNC_EVERY:
-            self._sync()
-
-    def _sync(self):
-        plan = active_plan()
-        if plan is not None:
-            plan.fsync_fault(self._path)
-        os.fsync(self._fh.fileno())
-        self._unsynced = 0
-
-    def close(self):
-        if not self._fh.closed:
-            self._sync()
-            self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
-
-def load_jsonl(path) -> List[dict]:
-    """Parse a JSONL file, tolerating a truncated final line.
-
-    A writer killed mid-append leaves a partial last line; that is the
-    *expected* crash artifact and is silently dropped (the resume path
-    just re-evaluates the point).  Malformed JSON anywhere *before* the
-    final line means the file was edited or the filesystem lied — that
-    raises :class:`StoreCorruptError` rather than guessing.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    lines = path.read_bytes().split(b"\n")
-    records = []
-    for pos, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if b"".join(lines[pos + 1:]).strip():
-                raise StoreCorruptError(
-                    f"{path}: malformed record at line {pos + 1} "
-                    "(not the final line, so not a truncated append)"
-                ) from None
-            break  # truncated tail from a killed writer
-    return records
-
-
-# ----------------------------------------------------------------------
 # The store directory
 # ----------------------------------------------------------------------
 class ResultStore:
@@ -355,12 +219,8 @@ class ResultStore:
 
         The shared entry point of every store-creating caller — shard
         launches (:func:`repro.dist.run_shard`) and the serve layer's job
-        submissions — so concurrent creators of one directory cannot race
-        manifest creation: exactly one writer publishes the manifest
-        atomically (exclusive-create, the claim-file pattern), every
-        other caller attaches and validates field by field, and a caller
-        holding *different* settings gets :class:`StoreMismatchError`
-        instead of silently clobbering the study that won.
+        submissions; see :meth:`ensure_manifest` for how concurrent
+        creators of one directory resolve to one study.
         """
         store = cls(root)
         store.ensure_manifest(manifest)
@@ -391,22 +251,25 @@ class ResultStore:
         """Create the store for ``manifest``, or verify it already matches.
 
         The first caller to run creates the directory and *exclusively*
-        publishes the manifest (see :meth:`_publish_manifest`); every
-        later caller — another shard process, possibly on another host,
-        or a concurrent job submission in the serve layer — compares
-        field by field and refuses to write into a store whose
-        grid/evaluator/config/workload differ.  Exactly one creator can
-        win the publish, so two simultaneous creations with *different*
-        settings resolve to one study plus one loud
+        publishes the manifest (:func:`repro.ledger.publish`: nobody reads
+        a half-written one, and a creator that loses the race reads the
+        winner's); every later caller — another shard process, possibly
+        on another host, or a concurrent job submission in the serve
+        layer — compares field by field and refuses to write into a store
+        whose grid/evaluator/config/workload differ.  Exactly one creator
+        can win the publish, so two simultaneous creations with
+        *different* settings resolve to one study plus one loud
         :class:`StoreMismatchError` — never to a silently mixed store.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         # JSON round-trip first so tuples/lists and int/float unify the
         # same way they will when read back.
-        expected = json.loads(_dump(manifest))
+        expected = json.loads(json.dumps(manifest, sort_keys=True, allow_nan=False))
         existing = self.read_manifest(missing_ok=True)
         if existing is None:
-            existing = self._publish_manifest(expected)
+            payload = json.dumps(expected, sort_keys=True, indent=2, allow_nan=False)
+            published = publish(self.manifest_path, payload + "\n", exclusive=True)
+            existing = expected if published else self.read_manifest()
         mismatched = sorted(
             key for key in set(expected) | set(existing)
             if expected.get(key) != existing.get(key)
@@ -418,32 +281,6 @@ class ResultStore:
                 "use a fresh --out directory per study"
             )
         return existing
-
-    def _publish_manifest(self, expected: dict) -> dict:
-        """Atomically create ``MANIFEST.json``, exclusive and complete.
-
-        Mirrors the steal-claim pattern's exclusive creation with the
-        content atomicity a manifest additionally needs: the payload is
-        written to a uniquely-named temp file first and *hard-linked*
-        into place — ``link`` fails with ``FileExistsError`` if the
-        manifest already exists (the ``O_EXCL`` semantics) and publishes
-        fully-written content when it succeeds, so a concurrent attacher
-        can never observe a half-written manifest.  Losing the race is
-        handled by reading back whatever the winner published (the
-        caller validates it field by field).
-        """
-        payload = json.dumps(expected, sort_keys=True, indent=2, allow_nan=False)
-        tmp = self.manifest_path.with_name(
-            f"{MANIFEST_NAME}.tmp.{os.getpid()}.{threading.get_ident()}"
-        )
-        tmp.write_text(payload + "\n")
-        try:
-            os.link(tmp, self.manifest_path)
-        except FileExistsError:
-            return self.read_manifest()
-        finally:
-            tmp.unlink(missing_ok=True)
-        return expected
 
     # -- shard files ---------------------------------------------------
     def shard_path(self, shard) -> Path:

@@ -2,7 +2,7 @@
 
 ``repro.faults`` is stdlib-only and follows the :mod:`repro.obs` contract:
 until a plan is activated, every injection hook is a true no-op (one
-module-global ``None`` check).  A :class:`FaultPlan` rides the evaluator
+thread-local ``None`` check).  A :class:`FaultPlan` rides the evaluator
 spec wire format as an optional ``"faults"`` key, so faulty studies flow
 through ``dse``, ``dse-shard``, ``dse-fleet`` and ``POST /jobs`` unchanged::
 

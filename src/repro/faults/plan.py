@@ -8,24 +8,30 @@ injection point           fires in
 ``evaluator_error``       :class:`repro.faults.FaultyEvaluator` — raises a
                           transient error for a seeded subset of points
 ``evaluator_hang``        :class:`repro.faults.FaultyEvaluator` — one-shot
-                          sleep inside an evaluation (stalls the heartbeat)
-``torn_write``            ``JsonlAppender.append`` — one-shot half-written
-                          record followed by a crash
-``fsync_error``           ``JsonlAppender``/``EventLog`` fsync — one-shot
+                          sleep inside an evaluation (ledgers go stale)
+``torn_write``            :mod:`repro.ledger` record write — one-shot
+                          half-written record followed by a crash
+``fsync_error``           :mod:`repro.ledger` fsync barrier — one-shot
                           ``OSError`` out of the durability barrier
-``kill``                  shard runner — ``SIGKILL`` the process after N
-                          durable appends
-``claim_delay``           steal claim races — widens the O_EXCL window
+``kill``                  :mod:`repro.ledger` record write — ``SIGKILL``
+                          the process after N durable appends
+``claim_delay``           steal claim races — widens the claim window
 ========================  ====================================================
 
 Everything is derived from ``seed`` and stable point identity, so a chaos
 run is reproducible.  One-shot faults claim an ``O_CREAT | O_EXCL`` marker
 file under the plan's *scope* directory (the result-store root), so a
 relaunched shard does not re-fire a fault its predecessor already spent;
-scope-less plans fall back to per-process one-shot state.
+scope-less plans fall back to per-process one-shot state (the markers
+live here, not in :mod:`repro.ledger`, which imports this module).
+
+Activation is per thread: :func:`activate` arms the ledger and claim
+hooks for the calling thread only, so concurrent served shards each see
+their own plan (or none); :class:`repro.faults.FaultyEvaluator` carries
+its plan itself.
 
 The module is stdlib-only and — like :mod:`repro.obs` — a true no-op until
-a plan is activated: disabled hot paths pay one module-global ``None``
+a plan is activated: disabled hot paths pay one thread-local ``None``
 check.
 """
 
@@ -34,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import os
 import signal
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -293,25 +300,27 @@ def _require_bool(value, name):
 
 # -- activation ------------------------------------------------------------
 
-# The single active plan, consulted by deep write-path hooks (store/event
-# appends) that have no way to receive a plan argument.  ``None`` means
-# every hook is a no-op; runners activate a scoped plan for the duration
-# of a faulty study.
-_ACTIVE = None
+# Each thread's active plan, for write-path hooks (ledger appends, steal
+# claims) that cannot take a plan argument.  Unset: every hook is a no-op;
+# a runner activates a scoped plan in its own thread for a faulty study.
+_ACTIVE = threading.local()
 
 
 def active_plan():
-    """The currently activated plan, or None (the common, no-op case)."""
-    return _ACTIVE
+    """This thread's activated plan, or None (the common, no-op case)."""
+    return getattr(_ACTIVE, "plan", None)
 
 
 @contextmanager
 def activate(plan):
-    """Make ``plan`` visible to write-path hooks for the duration."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = plan
+    """Make ``plan`` visible to this thread's write-path hooks for the duration.
+
+    Other threads keep their own plan (or none); leaving restores this
+    thread's previous plan, so activations nest.
+    """
+    previous = active_plan()
+    _ACTIVE.plan = plan
     try:
         yield plan
     finally:
-        _ACTIVE = previous
+        _ACTIVE.plan = previous

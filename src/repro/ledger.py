@@ -1,0 +1,193 @@
+"""Durable files: append-only JSONL ledgers and atomic publishes.
+
+Every file the DSE stack must not lose is written here, and only here:
+
+* **ledgers** — a store's shard, steal and fine-rescore files and each
+  served job's ``events.jsonl``.  A record is one line, written and
+  flushed in one call, so a killed writer leaves at most one torn final
+  line.  :func:`load_jsonl` drops it, and raises
+  :class:`StoreCorruptError` naming the line on corruption before it.
+  Opening for append repairs it first (the next record would glue onto
+  it) and keeps exactly what the reader counts as a record, so a resumed
+  shard never skips a point the file lost: a tail that parses lost only
+  its newline and is terminated, any other tail is truncated;
+* **publishes** — :func:`publish` makes ``MANIFEST.json``, ``job.json``,
+  ``result.json``, ``error.json`` and steal claims appear whole or not
+  at all.
+
+The write-path hooks of :mod:`repro.faults` (``torn_write``,
+``fsync_error``, ``kill``) fire here.  Imports are the standard library
+and the stdlib-only fault plan, so every layer, ``obs`` included, can
+use this module.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import threading
+from pathlib import Path
+
+from .faults.errors import FaultInjectedError
+from .faults.plan import active_plan
+
+__all__ = [
+    "FSYNC_EVERY",
+    "StoreError",
+    "StoreCorruptError",
+    "JsonlAppender",
+    "append_once",
+    "load_jsonl",
+    "publish",
+]
+
+#: Records between the fsyncs of a long-lived appender: a flush already
+#: survives process death, only an OS crash can lose the unsynced tail.
+FSYNC_EVERY = 64
+
+
+class StoreError(RuntimeError):
+    """Base class for durable-store failures."""
+
+
+class StoreCorruptError(StoreError):
+    """A durable file violates its format (beyond a torn final line)."""
+
+
+def _open_for_append(path: Path):
+    """Repair a torn final line (see the module docstring), then open."""
+    with open(path, "a+b") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+            fh.seek(0)
+            data = fh.read()
+            keep = data.rfind(b"\n") + 1
+            try:
+                json.loads(data[keep:])
+            except ValueError:  # not a record, or cut inside a character
+                fh.truncate(keep)
+            else:
+                fh.write(b"\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+    return open(path, "a", encoding="utf-8")
+
+
+def _write(fh, path: Path, line: str):
+    plan = active_plan()
+    if plan is not None and plan.torn_write_fault(path):
+        # Die like a writer killed mid-append: half the line reaches the
+        # file.  The next opener's repair is the recovery under test.
+        fh.write(line[: len(line) // 2])
+        fh.flush()
+        raise FaultInjectedError(f"injected torn write in {path.name}")
+    fh.write(line)
+    fh.flush()
+    if plan is not None:
+        plan.note_append()
+
+
+def _fsync(fh, path: Path):
+    plan = active_plan()
+    if plan is not None:
+        plan.fsync_fault(path)
+    os.fsync(fh.fileno())
+
+
+class JsonlAppender:
+    """Long-lived ledger writer: one canonical JSON line per record.
+
+    Fsyncs every :data:`FSYNC_EVERY` records and at close; a failed close
+    still releases the file.  One writer per file at a time (each shard
+    and steal ledger has exactly one owning process).
+    """
+
+    def __init__(self, path):
+        self._path = Path(path)
+        self._fh = _open_for_append(self._path)
+        self._unsynced = 0
+
+    def append(self, record: dict):
+        line = json.dumps(
+            record, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+        _write(self._fh, self._path, line + "\n")
+        self._unsynced += 1
+        if self._unsynced >= FSYNC_EVERY:
+            self._sync()
+
+    def _sync(self):
+        _fsync(self._fh, self._path)
+        self._unsynced = 0
+
+    def close(self):
+        if not self._fh.closed:
+            try:
+                self._sync()
+            finally:
+                self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+        return False
+
+
+def append_once(path, line: str):
+    """One-record open → append → close of an encoded line: one fsync."""
+    path = Path(path)
+    with _open_for_append(path) as fh:
+        _write(fh, path, line)
+        _fsync(fh, path)
+
+
+def load_jsonl(path) -> list:
+    """Every record of a ledger, ``[]`` if it is missing.
+
+    A malformed line followed only by whitespace is a killed writer's
+    torn tail and is dropped; one before that raises.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_bytes().split(b"\n")
+    except FileNotFoundError:
+        return []
+    records = []
+    for pos, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            if b"".join(lines[pos + 1 :]).strip():
+                raise StoreCorruptError(
+                    f"{path}: malformed record at line {pos + 1} "
+                    "(not the final line, so not a truncated append)"
+                ) from None
+            break
+    return records
+
+
+def publish(path, text: str, *, exclusive: bool) -> bool:
+    """Atomically make ``path`` hold ``text``; False if an exclusive one lost.
+
+    ``text`` goes to a temp name unique per process and thread, then into
+    place with ``os.link`` when ``exclusive`` (which fails if ``path``
+    exists, so the loser can read the winner's whole file) or
+    ``os.replace`` (last writer wins).
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        if exclusive:
+            os.link(tmp, path)
+        else:
+            os.replace(tmp, path)
+    except FileExistsError:  # only link raises it: the exclusive publish lost
+        return False
+    finally:
+        tmp.unlink(missing_ok=True)
+    return True

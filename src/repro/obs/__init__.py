@@ -5,7 +5,7 @@ One stdlib-only subsystem feeding three surfaces:
 * ``GET /metrics`` — the default registry rendered in Prometheus text
   exposition format (:mod:`.prometheus`);
 * ``GET /jobs/<id>/events`` — durable per-job ``events.jsonl`` timelines
-  (:mod:`.events`);
+  (:mod:`.events`, ledgers written and read by :mod:`repro.ledger`);
 * ``python -m repro dse --trace out.json`` — spans as Chrome trace-event
   ``X`` events, viewable in Perfetto (:mod:`.trace`).
 
@@ -16,7 +16,7 @@ the data path and never alters it: result bytes are bit-identical with
 collection on or off.
 """
 
-from .events import EventLog, EventLogError
+from .events import EventLog
 from .logs import ROOT_LOGGER, configure_logging, get_logger
 from .prometheus import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from .prometheus import render_metrics
@@ -47,7 +47,6 @@ __all__ = [
     "ChromeTrace",
     "Counter",
     "EventLog",
-    "EventLogError",
     "Gauge",
     "Histogram",
     "Registry",

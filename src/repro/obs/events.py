@@ -6,40 +6,21 @@ appends one record ``{"t": unix_seconds, "event": kind, ...fields}``.
 The stream is the timeline source for ``GET /jobs/<id>/events`` and any
 load-test harness reconstructing per-job latency breakdowns.
 
-Durability follows the PR 4 store ledgers (``repro.dist.store``), and is
-deliberately *self-contained* rather than importing them — ``repro.obs``
-must stay a leaf package the dist layer itself can import:
-
-* every append is written, flushed and fsynced before :meth:`append`
-  returns — a ``kill -9`` loses at most the record being written;
-* a torn final line (the one partial-write failure mode of O_APPEND
-  writes) is repaired on the next open: a complete-JSON tail merely
-  missing its newline is terminated, a garbage tail is truncated;
-* :meth:`read` tolerates a torn final line but raises
-  :class:`EventLogError` on mid-file corruption — silent data loss in
-  the middle of a timeline would lie about job history.
+The file is a :mod:`repro.ledger` ledger like the dist store's: each
+append is fsynced before :meth:`EventLog.append` returns, and
+:meth:`EventLog.read` drops a torn final line but raises
+:class:`repro.ledger.StoreCorruptError` on corruption before it — silent
+data loss in the middle of a timeline would lie about job history.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-# Cycle-safe: repro.faults is stdlib-only at import time (it reaches for
-# obs lazily, and only when a fault actually fires), so obs stays a leaf
-# every other layer can import.
-from ..faults.plan import active_plan
+from ..ledger import append_once, load_jsonl
 
-__all__ = ["EventLogError", "EventLog"]
-
-#: How many trailing bytes the tail repair inspects; event records are a
-#: few hundred bytes, so this comfortably covers any torn final line.
-_TAIL_WINDOW = 65536
-
-
-class EventLogError(RuntimeError):
-    """An event stream with corruption before its final line."""
+__all__ = ["EventLog"]
 
 
 class EventLog:
@@ -48,74 +29,16 @@ class EventLog:
     def __init__(self, path):
         self.path = Path(path)
 
-    # -- writing -------------------------------------------------------
     def append(self, event: dict) -> dict:
         """Durably append one record; returns it for convenience."""
         line = json.dumps(event, sort_keys=True, allow_nan=False)
-        self._repair_torn_tail()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            plan = active_plan()
-            if plan is not None:
-                # The injected OSError escapes mid-record — after the
-                # write, before the durability barrier — exactly like a
-                # dying disk; the torn-tail contract must still hold.
-                plan.fsync_fault(self.path)
-            os.fsync(fh.fileno())
+        append_once(self.path, line + "\n")
         return event
 
-    def _repair_torn_tail(self):
-        """Fix a final line torn by a crash mid-write (same contract as
-        the dist store's ``JsonlAppender``): a tail that parses as JSON
-        gets its missing newline, anything else is truncated away."""
-        try:
-            size = self.path.stat().st_size
-        except FileNotFoundError:
-            return
-        if size == 0:
-            return
-        with open(self.path, "r+b") as fh:
-            fh.seek(max(0, size - _TAIL_WINDOW))
-            window = fh.read()
-            if window.endswith(b"\n"):
-                return
-            newline = window.rfind(b"\n")
-            tail = window[newline + 1 :]
-            tail_start = size - len(tail)
-            try:
-                json.loads(tail.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                fh.truncate(tail_start)
-            else:
-                fh.seek(0, os.SEEK_END)
-                fh.write(b"\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    # -- reading -------------------------------------------------------
     def read(self) -> list:
         """Every intact record, in order; ``[]`` for a missing stream."""
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return []
-        events = []
-        lines = text.split("\n")
-        last = len(lines) - 1
-        for number, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                if number == last:
-                    break  # torn tail: the crash-interrupted final write
-                raise EventLogError(
-                    f"{self.path}: corrupt record on line {number + 1}"
-                ) from None
-        return events
+        return load_jsonl(self.path)
 
     def __len__(self) -> int:
         return len(self.read())

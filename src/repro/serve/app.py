@@ -20,7 +20,8 @@ Six routes — JSON everywhere except the Prometheus text of ``/metrics``:
 ========================  ====================================================
 
 Errors are ``{"error": msg}``: ``400`` for malformed submissions, ``404``
-for unknown ids, ``409`` for results of a failed job.  The server is
+for unknown ids, ``409`` for results of a failed job, ``500`` for a job
+ledger corrupt before its final line.  The server is
 deliberately boring — every decision lives in :class:`.jobs.JobManager`;
 this module only parses bytes and picks status codes.
 
@@ -45,7 +46,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
 
 from .. import obs
-from ..obs import METRICS_CONTENT_TYPE, EventLogError, render_metrics
+from ..ledger import StoreCorruptError
+from ..obs import METRICS_CONTENT_TYPE, render_metrics
 from .jobs import (
     JobFailedError,
     JobManager,
@@ -188,8 +190,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown job {job_id!r}")
         except JobFailedError as exc:
             self._error(409, f"job {job_id} failed: {exc}")
-        except EventLogError as exc:
-            self._error(500, f"event stream unreadable: {exc}")
+        except StoreCorruptError as exc:
+            self._error(500, f"job ledger unreadable: {exc}")
 
     def _route_post(self):
         path = self.path.split("?", 1)[0]

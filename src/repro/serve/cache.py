@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
+
+from ..ledger import publish
 
 __all__ = ["EXECUTION_KEYS", "study_fingerprint", "ResultCache"]
 
@@ -79,14 +80,12 @@ class ResultCache:
     def store(self, job_id: str, text: str) -> Path:
         """Atomically publish a finished study's rendered results.
 
-        Temp file + ``os.replace`` in the job directory: a reader (or a
+        A replace-publish (:func:`repro.ledger.publish`): a reader (or a
         crashed writer's successor) sees either no entry or a complete
         one, never a torn document — the presence of ``result.json`` is
         what marks a job *done* across restarts.
         """
         path = self.result_path(job_id)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{RESULT_NAME}.tmp.{os.getpid()}")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        publish(path, text, exclusive=False)
         return path

@@ -35,7 +35,6 @@ identical re-submission retries it.
 from __future__ import annotations
 
 import json
-import os
 import queue
 import random
 import threading
@@ -45,6 +44,7 @@ from pathlib import Path
 
 from .. import obs
 from ..dist.merge import merge_store, store_status
+from ..ledger import publish
 from ..obs.events import EventLog
 from ..dist.runner import (
     model_workload_spec,
@@ -426,7 +426,11 @@ class JobManager:
                 )
                 raise ServeOverloadError(pending, self.max_pending, retry_after)
             job_root = self.jobs_root / job_id
-            created = self._publish_job_record(job_root, record)
+            job_root.mkdir(parents=True, exist_ok=True)
+            # Exclusive publish: a concurrent identical submission, or a
+            # re-submission after a crash, always parses what it finds.
+            text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+            created = publish(job_root / JOB_NAME, text, exclusive=True)
             if not created:
                 # The directory survives from an earlier server life (or
                 # a failed run being retried): adopt its durable record.
@@ -447,27 +451,6 @@ class JobManager:
             )
             job = self._enqueue(job_id, record)
             return self._submit_info(job, cache_hit=False, created=created)
-
-    def _publish_job_record(self, job_root: Path, record: dict) -> bool:
-        """Exclusively and atomically create ``job.json`` (claim pattern).
-
-        Same temp-file + hard-link publish as the store manifest: the
-        link either creates the file with complete content or fails with
-        ``FileExistsError``, so a concurrent identical submission — or a
-        re-submission after a crash — can always *parse* whatever it
-        finds.  Returns whether this call was the creator.
-        """
-        job_root.mkdir(parents=True, exist_ok=True)
-        path = job_root / JOB_NAME
-        tmp = path.with_name(f"{JOB_NAME}.tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
-        try:
-            os.link(tmp, path)
-        except FileExistsError:
-            return False
-        finally:
-            tmp.unlink(missing_ok=True)
-        return True
 
     def _register(self, job_id, record, state, error=None) -> JobState:
         job = JobState(
@@ -666,16 +649,17 @@ class JobManager:
         )
 
     def _fail(self, job, exc):
+        """Fail the job durably; concurrent callers past the first return."""
         error = f"{type(exc).__name__}: {exc}"
-        _log.error("job %s failed: %s", job.job_id, error)
         with self._lock:
+            if job.state == "failed":
+                return
             job.state = "failed"
             job.error = error
             self._bump("jobs_failed")
-        path = job.root / ERROR_NAME
-        tmp = path.with_name(f"{ERROR_NAME}.tmp.{os.getpid()}")
-        tmp.write_text(json.dumps({"error": error, "t": time.time()}) + "\n")
-        os.replace(tmp, path)
+        _log.error("job %s failed: %s", job.job_id, error)
+        text = json.dumps({"error": error, "t": time.time()}) + "\n"
+        publish(job.root / ERROR_NAME, text, exclusive=False)
         self._note_transition(job, "failed", error=error)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Chaos suite: a seeded fault storm must not change a single byte.
 
 Each test runs a real supervised fleet (:func:`repro.dist.run_fleet` —
-``dse-shard`` subprocesses with heartbeats, crash/hang relaunch) under a
-deterministic fault plan, then asserts the merged study is **bit for
-bit** identical to the healthy serial sweep's JSON document.  That is
+``dse-shard`` subprocesses, relaunched when they crash or when their
+ledgers go stale) under a deterministic fault plan, then asserts the
+merged study is **bit for bit** identical to the healthy serial sweep's
+JSON document.  That is
 the whole robustness contract in one assertion: retries, steal
 takeovers, torn-tail repair and supervisor relaunches are allowed to
 cost time, never correctness.

@@ -8,21 +8,25 @@ bit-identical healthy result.
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.dist import (
     ResultStore,
-    build_manifest,
+    ShardSpec,
     decode_record,
     encode_record,
     merge_store,
     model_workload_spec,
+    run_fleet,
     run_shard,
     store_status,
 )
+from repro.dist.fleet import _Shard
 from repro.dist.store import JsonlAppender, load_jsonl, record_payload
 from repro.faults import (
     FaultInjectedError,
@@ -35,7 +39,6 @@ from repro.faults import (
     plan_from_spec,
 )
 from repro.harness.dse import PointFailure, sweep_design_space
-from repro.obs.events import EventLog
 from repro.perf import cached_model_workload
 from repro.sim.evaluator import (
     AnalyticalEvaluator,
@@ -116,6 +119,52 @@ class TestFaultPlan:
         with activate(plan) as active:
             assert active is plan and active_plan() is plan
         assert active_plan() is None
+
+    def test_nested_activation_restores_the_outer_plan(self):
+        outer, inner = FaultPlan(seed=1), FaultPlan(seed=2)
+        with activate(outer):
+            with activate(inner):
+                assert active_plan() is inner
+            assert active_plan() is outer
+        assert active_plan() is None
+
+    def test_activation_is_per_thread(self):
+        """A enters, B enters, A exits: B keeps its plan, A's never leaks."""
+        plans = {"A": FaultPlan(seed=1), "B": FaultPlan(seed=2)}
+        step = {name: threading.Event() for name in
+                ("a_in", "b_in", "a_out", "b_checked")}
+        seen = {}
+
+        def thread_a():
+            with activate(plans["A"]):
+                step["a_in"].set()
+                step["b_in"].wait(10)
+                seen["A inside"] = active_plan()
+            seen["A after"] = active_plan()
+            step["a_out"].set()
+
+        def thread_b():
+            step["a_in"].wait(10)
+            with activate(plans["B"]):
+                step["b_in"].set()
+                step["a_out"].wait(10)
+                seen["B after A exits"] = active_plan()
+            seen["B after"] = active_plan()
+
+        threads = [threading.Thread(target=thread_a),
+                   threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {
+            "A inside": plans["A"],
+            "A after": None,
+            "B after A exits": plans["B"],
+            "B after": None,
+        }
+        assert active_plan() is None  # the main thread never saw either
 
     def test_claim_delay_sleeps(self):
         plan = FaultPlan(claim_delay_s=0.05)
@@ -237,34 +286,6 @@ class TestShardRetries:
 
 
 class TestTornWriteInjection:
-    def test_torn_tail_repaired_on_reopen(self, tmp_path, workload):
-        """Deterministic injection of the killed-writer torn tail."""
-        store = tmp_path / "store"
-        from repro.hw.params import VITCOD_DEFAULT
-        manifest = build_manifest(GRID, 1, AnalyticalEvaluator(),
-                                  VITCOD_DEFAULT, SPEC)
-        ResultStore.create_or_attach(store, manifest)
-        from repro.dist.sharding import ShardSpec
-        path = ResultStore(store).shard_path(ShardSpec(1, 1))
-        plan = plan_from_spec({"torn_write": True}).scoped(store)
-        appender = JsonlAppender(path)
-        appender.append(encode_record(0, sweep_design_space(
-            workload, {"mac_lines": (16,)})[0]))
-        point = sweep_design_space(workload, {"mac_lines": (32,)})[0]
-        with activate(plan):
-            with pytest.raises(FaultInjectedError):
-                appender.append(encode_record(1, point))
-        appender.close()
-        raw = path.read_bytes()
-        assert not raw.endswith(b"\n")  # genuinely torn mid-line
-        # The next writer (a relaunched shard) repairs the tail and
-        # the store reads back only whole records.
-        healed = JsonlAppender(path)
-        healed.append(encode_record(1, point))
-        healed.close()
-        records = load_jsonl(path)
-        assert [r["i"] for r in records] == [0, 1]
-
     def test_faulty_shard_rerun_converges(self, tmp_path, workload):
         """Torn write kills the run; a plain re-run completes the store."""
         faulty = FaultyEvaluator(
@@ -281,37 +302,38 @@ class TestTornWriteInjection:
         assert list(merged.points) == sweep_design_space(workload, GRID)
 
 
-class TestFsyncInjection:
-    def test_event_log_append_survives_fsync_error(self, tmp_path):
-        """The record is durable even when the fsync barrier errors."""
-        log = EventLog(tmp_path / "events.jsonl")
-        log.append({"event": "ok"})
-        plan = plan_from_spec({"fsync_error": True}).scoped(tmp_path)
-        with activate(plan):
-            with pytest.raises(OSError, match="injected fsync"):
-                log.append({"event": "unlucky"})
-            log.append({"event": "after"})  # one-shot: spent
-        events = log.read()
-        assert [e["event"] for e in events] == ["ok", "unlucky", "after"]
+class TestShardLiveness:
+    def test_liveness_follows_ledger_appends(self, tmp_path, monkeypatch):
+        """dse-fleet reads liveness from the ledgers: no heartbeat files."""
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            [str(Path(repro.__file__).parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        ))
+        store = tmp_path / "store"
+        fleet = run_fleet(store, 2, [
+            "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
+            "--steal",
+        ])
+        assert fleet.ok and fleet.hang_kills == 0
+        assert not (store / "heartbeats").exists()
 
-    def test_store_sync_fsync_error_leaves_records_whole(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        plan = plan_from_spec({"fsync_error": True}).scoped(tmp_path)
-        appender = JsonlAppender(path)
-        appender.append({"i": 0})
-        with activate(plan):
-            with pytest.raises(OSError, match="injected fsync"):
-                appender.close()  # the close barrier hits the fault
-        appender.close()  # one-shot spent: the real fsync runs
-        assert load_jsonl(path) == [{"i": 0}]
-
-
-class TestHeartbeat:
-    def test_heartbeat_touched_per_record(self, tmp_path, workload):
-        heartbeat = tmp_path / "hb" / "shard.hb"
-        run_shard(workload, GRID, "1/1", tmp_path / "store",
-                  workload_spec=SPEC, heartbeat=heartbeat)
-        assert heartbeat.is_file()
+        layout = ResultStore(store)
+        spec = ShardSpec(1, 2)
+        ledgers = (layout.shard_path(spec), layout.steal_path(spec))
+        shard = _Shard(1, [], ledgers, tmp_path / "shard-1.log")
+        shard.launched_at = time.monotonic() - 1000.0
+        long_ago = time.time() - 1000.0
+        for path in ledgers:
+            path.touch()
+            os.utime(path, (long_ago, long_ago))
+        assert shard.idle_s() > 900  # stale ledgers, launched long ago
+        for path in ledgers:
+            with JsonlAppender(path) as out:
+                out.append({"i": 0})
+            assert shard.idle_s() < 60  # one append is progress
+            os.utime(path, (long_ago, long_ago))
+        shard.launched_at = time.monotonic()
+        assert shard.idle_s() < 60  # a fresh launch is progress too
 
 
 class TestCliFaultPlans:

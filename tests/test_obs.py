@@ -3,11 +3,12 @@
 Four load-bearing promises: the disabled default registry is a true
 no-op that never alters results; the Prometheus rendering is valid text
 exposition format a scraper can parse; per-job ``events.jsonl`` streams
-survive torn tails like the dist store ledgers do; and the ``/metrics``
-and ``/jobs/<id>/events`` endpoints serve real telemetry from a served
-study.  Plus the ``store_status`` ETA edge cases this PR's progress
-metadata introduced: legacy untimestamped stores, zero-throughput
-shards, and all-failed shards.
+round-trip (their torn-tail contract is :mod:`repro.ledger`'s, tested in
+``test_ledger.py``); and the ``/metrics`` and ``/jobs/<id>/events``
+endpoints serve real telemetry from a served study.  Plus the
+``store_status`` ETA edge cases this PR's progress metadata introduced:
+legacy untimestamped stores, zero-throughput shards, and all-failed
+shards.
 """
 
 import json
@@ -32,7 +33,6 @@ from repro.harness.dse import sweep_design_space
 from repro.obs import (
     ChromeTrace,
     EventLog,
-    EventLogError,
     Registry,
     render_metrics,
     tracing,
@@ -342,35 +342,6 @@ class TestEventLog:
         whole = path.read_bytes()
         path.write_bytes(whole + b'{"event": "torn')
         assert [e["event"] for e in log.read()] == ["a", "b"]
-
-    def test_append_truncates_a_garbage_tail(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(path)
-        log.append({"event": "a"})
-        path.write_bytes(path.read_bytes() + b'{"event": "to')
-        log.append({"event": "b"})
-        assert [e["event"] for e in log.read()] == ["a", "b"]
-        assert path.read_bytes().endswith(b"\n")
-
-    def test_append_terminates_a_complete_json_tail(self, tmp_path):
-        """A tail that parses lost only its newline — keep the record."""
-        path = tmp_path / "events.jsonl"
-        log = EventLog(path)
-        log.append({"event": "a"})
-        path.write_bytes(path.read_bytes() + b'{"event": "b"}')
-        log.append({"event": "c"})
-        assert [e["event"] for e in log.read()] == ["a", "b", "c"]
-
-    def test_interior_corruption_raises(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(path)
-        log.append({"event": "a"})
-        log.append({"event": "b"})
-        lines = path.read_bytes().split(b"\n")
-        lines[0] = b"}{ not json"
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(EventLogError, match="line 1"):
-            log.read()
 
 
 # ----------------------------------------------------------------------

@@ -349,6 +349,20 @@ class TestHTTPService:
                 client._request("/jobs", data=b"{not json")
             assert excinfo.value.status == 400
 
+    def test_corrupt_event_timeline_answers_500(self, tmp_path):
+        with serving(tmp_path / "data", workers=0) as server:
+            client = ServeClient(server.url, retries=0)
+            job_id = client.submit(_request())["id"]
+            assert len(client.events(job_id)) >= 2
+            path = tmp_path / "data" / "jobs" / job_id / "events.jsonl"
+            lines = path.read_bytes().split(b"\n")
+            lines[0] = b"}{ not json"
+            path.write_bytes(b"\n".join(lines))
+            with pytest.raises(ServeError) as excinfo:
+                client.events(job_id)
+            assert excinfo.value.status == 500
+            assert "line 1" in str(excinfo.value)
+
     def test_submission_returns_201_only_on_creation(self, tmp_path):
         import urllib.request
 
@@ -607,6 +621,50 @@ class TestTaskRetries:
         assert "persistent shard crash" in job.error
         assert manager.stats["task_retries"] == 1
         assert manager.stats["jobs_failed"] == 1
+
+    def test_concurrent_shard_failures_fail_the_job_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Two workers failing one job's shards at once: one failure,
+        one ``failed`` event, and both workers live on."""
+        import threading
+
+        import repro.serve.jobs as jobs_mod
+
+        real_run_shard = jobs_mod.run_shard
+        barrier = threading.Barrier(2, timeout=30)
+        failing = {"on": True}
+
+        def run_shard(*args, **kwargs):
+            barrier.wait()  # both shards in flight before either fails
+            if failing["on"]:
+                raise RuntimeError("shard crash")
+            return real_run_shard(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_mod, "run_shard", run_shard)
+        manager = JobManager(tmp_path, workers=2, task_retries=0)
+        try:
+            info = manager.submit(_request(n_shards=2))
+            deadline = time.monotonic() + 60
+            while manager._jobs[info["id"]].state != "failed":
+                assert time.monotonic() < deadline, "job never failed"
+                time.sleep(0.01)
+            failing["on"] = False
+            # A second 2-shard job passes the barrier only if both
+            # workers survived the first job's double failure.
+            healthy = manager.submit(_request(
+                grid={"mac_lines": [16, 64]}, n_shards=2
+            ))
+            deadline = time.monotonic() + 60
+            while manager._jobs[healthy["id"]].state != "done":
+                assert time.monotonic() < deadline, "second job stuck"
+                time.sleep(0.01)
+            assert all(thread.is_alive() for thread in manager._threads)
+        finally:
+            manager.stop()
+        assert manager.stats["jobs_failed"] == 1
+        events = [e["event"] for e in manager.events(info["id"])]
+        assert events.count("failed") == 1
 
     def test_kill_fault_plans_are_rejected(self, tmp_path):
         manager = JobManager(tmp_path, workers=0)
