@@ -22,20 +22,20 @@ from concurrent.futures import ProcessPoolExecutor
 from repro.dist import merge_store, model_workload_spec, run_shard
 from repro.harness.dse import sweep_design_space
 from repro.hw.cycle_reference import ReferenceCycleSimEvaluator
-from repro.perf import benchit, cached_model_workload, seed_worker_workload
+from repro.perf import benchit, cached_model_workload
 from repro.sim import CycleSimEvaluator
 
 
-def _shard_task(grid, shard, store, evaluator, spec):
-    """One shard process's work (workload read from the pool seed)."""
-    return run_shard(None, grid, shard, store, evaluator=evaluator,
+def _shard_task(workload, grid, shard, store, evaluator, spec):
+    """One shard process's work."""
+    return run_shard(workload, grid, shard, store, evaluator=evaluator,
                      workload_spec=spec)
 
 
-def _steal_task(grid, shard, store, evaluator, spec, steal, steal_chunk,
-                handicap):
-    """One elastic-fleet shard (workload read from the pool seed)."""
-    return run_shard(None, grid, shard, store, evaluator=evaluator,
+def _steal_task(workload, grid, shard, store, evaluator, spec, steal,
+                steal_chunk, handicap):
+    """One elastic-fleet shard."""
+    return run_shard(workload, grid, shard, store, evaluator=evaluator,
                      workload_spec=spec, steal=steal,
                      steal_chunk=steal_chunk, handicap=handicap)
 
@@ -62,13 +62,10 @@ def test_dist_shard_scaling(bench_recorder, bench_mode, tmp_path):
             run_shard(workload, grid, "1/1", store, evaluator=evaluator,
                       workload_spec=spec)
         else:
-            with ProcessPoolExecutor(
-                    max_workers=num_shards,
-                    initializer=seed_worker_workload,
-                    initargs=(workload,)) as pool:
+            with ProcessPoolExecutor(max_workers=num_shards) as pool:
                 futures = [
-                    pool.submit(_shard_task, grid, f"{k}/{num_shards}",
-                                store, evaluator, spec)
+                    pool.submit(_shard_task, workload, grid,
+                                f"{k}/{num_shards}", store, evaluator, spec)
                     for k in range(1, num_shards + 1)
                 ]
                 for future in futures:
@@ -137,13 +134,10 @@ def test_dist_work_stealing(bench_recorder, bench_mode, tmp_path):
 
     def run_fleet(steal):
         store = tempfile.mkdtemp(dir=tmp_path)
-        with ProcessPoolExecutor(
-                max_workers=num_shards,
-                initializer=seed_worker_workload,
-                initargs=(workload,)) as pool:
+        with ProcessPoolExecutor(max_workers=num_shards) as pool:
             futures = [
-                pool.submit(_steal_task, grid, f"{k}/{num_shards}", store,
-                            evaluator, spec, steal, steal_chunk,
+                pool.submit(_steal_task, workload, grid, f"{k}/{num_shards}",
+                            store, evaluator, spec, steal, steal_chunk,
                             handicap if k == num_shards else 0.0)
                 for k in range(1, num_shards + 1)
             ]

@@ -7,12 +7,19 @@ dominates, which is exactly why :mod:`repro.perf` memoises it.
 """
 
 import os
+import sys
+from pathlib import Path
 
-from repro.harness.dse import pareto_frontier, sweep_design_space
+from repro.harness.dse import grid_size, pareto_frontier, sweep_design_space
 from repro.hw import model_workload
 from repro.models import get_config
 from repro.perf import KeyedCache, benchit, cached_model_workload
 from repro.sim import AnalyticalEvaluator, CycleSimEvaluator
+
+# The per-point oracle lives with the tests (it is not part of the
+# package): any evaluator, scored one ``__call__`` per grid point.
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
+from per_point import PerPoint  # noqa: E402
 
 
 def test_workload_build_cache(bench_recorder, bench_mode):
@@ -89,11 +96,12 @@ def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
 def test_batched_analytical_dse(bench_recorder, bench_mode):
     """Grid-batched analytical scoring vs the per-point evaluator loop.
 
-    The same streaming engine runs both: the per-point reference
-    (`AnalyticalEvaluator`) pays one Python dispatch, config clone and
-    whole-model array walk per grid point; the batched default
-    (`BatchedAnalyticalEvaluator`) scores bounded chunks of the grid as
-    single (points × layers) numpy walks.  Bit-exactness — points,
+    The same streaming engine runs both: the per-point route
+    (`AnalyticalEvaluator` behind the `PerPoint` test adapter) pays one
+    Python dispatch, config clone and whole-model array walk per grid
+    point; the default batch route (`AnalyticalEvaluator.evaluate_batch`)
+    scores bounded chunks of the grid as single (points × layers) numpy
+    walks.  Bit-exactness — points,
     ordering, frontier — is asserted before any timing.  The ≥10×
     assertion arms in full mode on a ≥1k-point grid or a ≥4-CPU box (the
     win is single-process vectorization, so grid scale is what exposes
@@ -113,8 +121,9 @@ def test_batched_analytical_dse(bench_recorder, bench_mode):
         grid = {"mac_lines": [32, 64], "ae_compression": [None, 0.5]}
     wl = cached_model_workload(model, sparsity=0.9)
 
+    per_point_evaluator = PerPoint(AnalyticalEvaluator())
     per_point_points = sweep_design_space(wl, grid,
-                                          evaluator=AnalyticalEvaluator())
+                                          evaluator=per_point_evaluator)
     batched_points = sweep_design_space(wl, grid)
     # Bit-exactness before timing: same points, same grid order, same
     # frontier — batching must be invisible in the results.
@@ -124,8 +133,7 @@ def test_batched_analytical_dse(bench_recorder, bench_mode):
 
     repeats = 3 if full else 1
     per_point = benchit(
-        lambda: sweep_design_space(wl, grid,
-                                   evaluator=AnalyticalEvaluator()),
+        lambda: sweep_design_space(wl, grid, evaluator=per_point_evaluator),
         name="per_point_serial", repeats=repeats, warmup=1)
     batched = benchit(
         lambda: sweep_design_space(wl, grid),
@@ -148,15 +156,15 @@ def test_batched_analytical_dse(bench_recorder, bench_mode):
 def test_batched_cycle_dse(bench_recorder, bench_mode):
     """Grid-batched cycle-accurate DSE vs the per-point event-driven loop.
 
-    The tentpole measurement: ``"cycle"`` now resolves to
-    `BatchedCycleSimEvaluator`, which runs a whole chunk of design points
-    as one (points × layers × jobs) width-banded max-plus walk; the
-    per-point path (`CycleSimEvaluator`) runs the same walk once per grid
-    point, at P = 1.  Bit-exactness — points, grid order, frontier — is
-    asserted before any timing.  The hybrid sweep rides along: the
-    analytical prune plus the batched fine re-score.  The ≥5× assertion
-    arms in full mode on a ≥1k-point grid or a ≥4-CPU box; the honest
-    ratio is recorded either way.
+    The tentpole measurement: ``"cycle"`` resolves to `CycleSimEvaluator`,
+    whose `evaluate_batch` runs a whole chunk of design points as one
+    (points × layers × jobs) width-banded max-plus walk; the per-point
+    route (the same evaluator behind the `PerPoint` test adapter) runs
+    the same walk once per grid point, at P = 1.  Bit-exactness —
+    points, grid order, frontier — is asserted before any timing.  The
+    hybrid sweep rides along: the analytical prune plus the batched fine
+    re-score.  The ≥5× assertion arms in full mode on a ≥1k-point grid
+    or a ≥4-CPU box; the honest ratio is recorded either way.
     """
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
@@ -171,8 +179,9 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
         grid = {"mac_lines": [32, 64], "ae_compression": [None, 0.5]}
     wl = cached_model_workload(model, sparsity=0.9)
 
+    per_point_evaluator = PerPoint(CycleSimEvaluator())
     per_point_points = sweep_design_space(wl, grid,
-                                          evaluator=CycleSimEvaluator())
+                                          evaluator=per_point_evaluator)
     batched_points = sweep_design_space(wl, grid, evaluator="cycle")
     # Bit-exactness before timing: batching must be invisible.
     assert batched_points == per_point_points
@@ -182,8 +191,7 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
 
     repeats = 3 if full else 1
     per_point = benchit(
-        lambda: sweep_design_space(wl, grid,
-                                   evaluator=CycleSimEvaluator()),
+        lambda: sweep_design_space(wl, grid, evaluator=per_point_evaluator),
         name="per_point_serial", repeats=repeats, warmup=1)
     batched = benchit(
         lambda: sweep_design_space(wl, grid, evaluator="cycle"),
@@ -229,7 +237,8 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
         grid = {"mac_lines": [32, 64], "ae_compression": [None, 0.5]}
     n_jobs = 4 if full else 2
     wl = cached_model_workload(model, sparsity=0.9)
-    evaluator = CycleSimEvaluator()
+    # Per-point cycle points: the regime this entry has always timed.
+    evaluator = PerPoint(CycleSimEvaluator())
 
     serial_points = sweep_design_space(wl, grid, evaluator=evaluator)
     hybrid_points = sweep_design_space(wl, grid, evaluator="hybrid")
@@ -246,12 +255,14 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
     serial = benchit(
         lambda: sweep_design_space(wl, grid, evaluator=evaluator),
         name="cycle_serial", repeats=repeats, warmup=1)
-    # Raw pool fan-out (min_parallel_s=0 bypasses the pilot): the number
-    # that exposed the cheap-point regression — cycle points cost
-    # ~1 ms, so pool dispatch eats the fan-out on grids this small.
+    # Raw pool fan-out (an explicit chunk size bypasses the pilot; one
+    # chunk per worker): the number that exposed the cheap-point
+    # regression — cycle points cost ~1 ms, so pool dispatch eats the
+    # fan-out on grids this small.
+    per_worker = -(-grid_size(grid) // n_jobs)
     forced = benchit(
         lambda: sweep_design_space(wl, grid, evaluator=evaluator,
-                                   n_jobs=n_jobs, min_parallel_s=0.0),
+                                   n_jobs=n_jobs, chunksize=per_worker),
         name="cycle_parallel_forced", repeats=repeats, warmup=1)
     # The adaptive default pilots the first points and stays serial when
     # the whole sweep is cheaper than spawning workers, so n_jobs > 1 is

@@ -10,6 +10,7 @@ import dataclasses
 
 from repro.hw import ViTCoDAccelerator
 from repro.perf import benchit, cached_model_workload
+from repro.sim import merge_results
 
 
 def test_whole_model_batched_analytical(bench_recorder, bench_mode):
@@ -17,20 +18,28 @@ def test_whole_model_batched_analytical(bench_recorder, bench_mode):
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
     wl = cached_model_workload(model, sparsity=0.9)
+    acc = ViTCoDAccelerator()
 
-    batched_acc = ViTCoDAccelerator()
-    loop_acc = ViTCoDAccelerator(batched=False)
-    a = batched_acc.simulate_model(wl)
-    b = loop_acc.simulate_model(wl)
+    def layer_fold():
+        """Every layer's and GEMM's report, folded left to right."""
+        return merge_results(
+            [acc.simulate_attention_layer(layer)
+             for layer in wl.attention_layers]
+            + [acc.simulate_gemm(gemm,
+                                 compress_output=gemm.name.endswith(".qkv"))
+               for gemm in wl.linear_layers]
+        )
+
+    a = acc.simulate_model(wl)
+    b = layer_fold()
     assert dataclasses.astuple(a.latency) == dataclasses.astuple(b.latency)
     assert dataclasses.astuple(a.energy) == dataclasses.astuple(b.energy)
 
     repeats = 30 if full else 2
-    batched = benchit(lambda: batched_acc.simulate_model(wl),
+    batched = benchit(lambda: acc.simulate_model(wl),
                       name="batched", repeats=repeats, warmup=2)
-    loop = benchit(lambda: loop_acc.simulate_model(wl),
-                   name="per_layer_loop", repeats=max(repeats // 3, 1),
-                   warmup=1)
+    loop = benchit(layer_fold, name="per_layer_loop",
+                   repeats=max(repeats // 3, 1), warmup=1)
     speedup = loop.best / batched.best
     bench_recorder.record(
         "whole_model_analytical",

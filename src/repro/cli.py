@@ -8,8 +8,13 @@ Runs any of the paper's experiments headlessly and prints/export results:
     python -m repro polarize --tokens 197 --heads 12
     python -m repro dse --models deit-tiny --evaluator cycle --n-jobs 4
     python -m repro dse --models deit-base --batch-size 2048   # batched grid
-    python -m repro dse --models deit-base --no-batch          # per-point ref
+    python -m repro dse --models deit-base --batch-size 1      # walk at P = 1
     python -m repro list
+
+``--n-jobs`` is a worker budget for ``dse`` alone: its pilot times the
+first batch and spawns a process pool only when the sweep would repay it.
+Every other command scores in one process and rejects ``--n-jobs``; a
+sharded study scales out with more shards (``dse-fleet --num-shards N``).
 
 Sharded sweeps (see :mod:`repro.dist`) split one DSE study across
 processes or hosts that share a store directory:
@@ -147,15 +152,15 @@ def build_parser():
                              "--grid mac_lines=32,64 --grid "
                              "ae_compression=none,0.5")
     parser.add_argument("--n-jobs", type=int, default=1,
-                        help="dse: parallel evaluation workers (default 1)")
+                        help="dse: worker budget; a pilot decides whether "
+                             "a process pool pays (default 1; other "
+                             "commands reject it, use dse-fleet "
+                             "--num-shards)")
     parser.add_argument("--batch-size", type=int, default=None, metavar="N",
-                        help="dse/dse-shard: grid points scored per batch "
-                             "chunk for batch-capable evaluators (default "
-                             "adaptive, ~1024)")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="dse/dse-shard: force per-point evaluation "
-                             "(the batched analytical path is bit-identical"
-                             "; this is the reference escape hatch)")
+                        help="dse/dse-shard/dse-fleet: grid points scored "
+                             "per batch chunk (default adaptive, ~1024; "
+                             "1 walks one point at a time; results are "
+                             "identical at any size)")
     parser.add_argument("--shard", metavar="K/N[@W]", default=None,
                         help="dse-shard: which shard of an N-way "
                              "partition this process evaluates; append "
@@ -242,35 +247,6 @@ def build_parser():
                              "(method, path, status, duration ms) via "
                              "the repro.serve.access logger")
     return parser
-
-
-def _cli_evaluator(name, no_batch):
-    """The evaluator the dse/dse-shard commands should use.
-
-    ``--no-batch`` swaps the batch-capable built-ins for their per-point
-    reference implementations (bit-identical results, one evaluator call
-    per grid point) — analytical, cycle, and both phases of a hybrid
-    sweep.  Manifests are unaffected: batched and per-point variants
-    serialise to the same ``{"name": ...}`` spec, so batched and
-    per-point shards can share one store.
-    """
-    if not no_batch:
-        return name
-    from .sim.evaluator import (
-        AnalyticalEvaluator,
-        CycleSimEvaluator,
-        HybridEvaluator,
-    )
-
-    if name == "analytical":
-        return AnalyticalEvaluator()
-    if name == "cycle":
-        return CycleSimEvaluator()
-    if name == "hybrid":
-        return HybridEvaluator(
-            coarse=AnalyticalEvaluator(), fine=CycleSimEvaluator()
-        )
-    return name
 
 
 def _load_fault_plan(arg):
@@ -360,6 +336,12 @@ def _run(args):
         raise SystemExit(
             f"--batch-size must be a positive point count, got "
             f"{args.batch_size}"
+        )
+    if args.n_jobs != 1 and name != "dse":
+        raise SystemExit(
+            f"--n-jobs applies to dse only, got --n-jobs {args.n_jobs} for "
+            f"{name}; scale a sharded study out with dse-fleet "
+            "--num-shards N instead"
         )
     if name == "list":
         for key in sorted(EXPERIMENTS):
@@ -493,7 +475,7 @@ def _run(args):
         from .perf import cached_model_workload
         model = args.models[0] if args.models else "deit-tiny"
         grid = parse_grid(args.grid)
-        evaluator = _cli_evaluator(args.evaluator, args.no_batch)
+        evaluator = args.evaluator
         faults = _load_fault_plan(args.faults)
         if faults is not None:
             # Serial sweeps have no retry layer: transient injected
@@ -548,7 +530,7 @@ def _run(args):
             )
         model = args.models[0] if args.models else "deit-tiny"
         grid = parse_grid(args.grid)
-        evaluator = _cli_evaluator(args.evaluator, args.no_batch)
+        evaluator = args.evaluator
         faults = _load_fault_plan(args.faults)
         if faults is not None:
             from .faults import FaultyEvaluator
@@ -564,8 +546,7 @@ def _run(args):
             run_kwargs["max_point_retries"] = args.max_point_retries
         run = run_shard(
             workload, grid, args.shard, out,
-            evaluator=evaluator,
-            n_jobs=args.n_jobs, chunksize=args.batch_size,
+            evaluator=evaluator, chunksize=args.batch_size,
             workload_spec=model_workload_spec(model, sparsity=args.sparsity),
             steal=args.steal, steal_chunk=args.steal_chunk,
             claim_ttl=args.claim_ttl, handicap=args.handicap, **run_kwargs,
@@ -609,12 +590,8 @@ def _run(args):
                       "--evaluator", args.evaluator]
         for spec in args.grid or ():
             shard_args += ["--grid", spec]
-        if args.no_batch:
-            shard_args.append("--no-batch")
         if args.batch_size is not None:
             shard_args += ["--batch-size", str(args.batch_size)]
-        if args.n_jobs != 1:
-            shard_args += ["--n-jobs", str(args.n_jobs)]
         if args.steal:
             shard_args.append("--steal")
         if args.steal_chunk is not None:
@@ -663,7 +640,7 @@ def _run(args):
         store = args.store or args.out
         if not store:
             raise SystemExit("dse-merge requires a store directory")
-        merged = merge_store(store, n_jobs=args.n_jobs)
+        merged = merge_store(store)
         manifest = merged.manifest
         workload_spec = manifest.get("workload", {})
         line = (f"merged {manifest['num_shards']} shards "

@@ -21,8 +21,9 @@ loudly.  Ownership stays checked: a shard file may only hold its own
 indices, a steal file only *other* shards' indices.
 
 Hybrid studies shard their cheap *coarse* phase; the expensive fine
-re-score of the surviving frontier happens here, on the merge host, with
-the same resume machinery shards use (survivor records accumulate in
+re-score of the surviving frontier happens here, on the merge host, in
+this one process (through the fine evaluator's batch route, not a pool),
+with the same resume machinery shards use (survivor records accumulate in
 ``fine-rescore.jsonl``, so an interrupted merge re-scores only missing
 survivors).
 
@@ -34,7 +35,6 @@ touching any evaluator.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -44,7 +44,6 @@ from .. import obs
 from ..harness.dse import (
     DesignPoint,
     PointFailure,
-    _batch_capable,
     _hybrid_survivors,
     iter_indexed_design_points,
     pareto_frontier,
@@ -176,7 +175,7 @@ def _load_merged_records(store: ResultStore, manifest: dict):
     return records, duplicates
 
 
-def merge_store(store, workload=None, evaluator=None, n_jobs: int = 1) -> MergeResult:
+def merge_store(store, workload=None, evaluator=None) -> MergeResult:
     """Merge a complete sharded store into the single-process sweep result.
 
     For analytical/cycle studies this touches no evaluator: records are
@@ -189,15 +188,16 @@ def merge_store(store, workload=None, evaluator=None, n_jobs: int = 1) -> MergeR
     ``workload`` / ``evaluator`` are only needed for hybrid studies, and
     only when the manifest cannot supply them (an opaque workload spec, a
     custom evaluator); built-in setups reconstruct both from the
-    manifest.
+    manifest.  The merge runs in this process: survivors are re-scored
+    serially, in batches when the fine evaluator is batch-capable.
     """
     store = ResultStore(store)
     manifest = store.read_manifest()
     with obs.span("dist_merge"):
-        return _merge_loaded(store, manifest, workload, evaluator, n_jobs)
+        return _merge_loaded(store, manifest, workload, evaluator)
 
 
-def _merge_loaded(store, manifest, workload, evaluator, n_jobs) -> MergeResult:
+def _merge_loaded(store, manifest, workload, evaluator) -> MergeResult:
     records, duplicates = _load_merged_records(store, manifest)
 
     pairs = []  # (grid_index, DesignPoint) with failures dropped
@@ -214,7 +214,7 @@ def _merge_loaded(store, manifest, workload, evaluator, n_jobs) -> MergeResult:
 
     if manifest["evaluator"].get("name") == "hybrid":
         points, fine_dropped = _fine_rescore(
-            store, manifest, pairs, workload, evaluator, n_jobs
+            store, manifest, pairs, workload, evaluator
         )
         dropped += fine_dropped
     else:
@@ -231,7 +231,7 @@ def _merge_loaded(store, manifest, workload, evaluator, n_jobs) -> MergeResult:
     )
 
 
-def _fine_rescore(store, manifest, pairs, workload, evaluator, n_jobs):
+def _fine_rescore(store, manifest, pairs, workload, evaluator):
     """Hybrid phase 2 on the merge host: re-score the coarse frontier.
 
     Survivor selection is the shared
@@ -276,22 +276,15 @@ def _fine_rescore(store, manifest, pairs, workload, evaluator, n_jobs):
     done = store.load_records(store.fine_path)
     todo = [index for index in survivors if index not in done]
     if todo:
-        if n_jobs is None:
-            n_jobs = os.cpu_count() or 1
-        if _batch_capable(evaluator.fine):
-            # A batch-capable fine evaluator (the default batched cycle
-            # simulator) scores the survivor set as a few in-process
-            # array walks, as the in-memory hybrid sweep does.
-            fine_jobs, fine_chunk = 1, None
-        else:
-            # One survivor per task, as the in-memory hybrid sweep does:
-            # survivor counts are small and each point is expensive.
-            fine_jobs, fine_chunk = min(max(1, int(n_jobs)), len(todo)), 1
         with JsonlAppender(store.fine_path) as out:
             for index, result in iter_indexed_design_points(
-                    workload, grid, todo, base_config=base_config,
-                    n_jobs=fine_jobs, chunksize=fine_chunk,
-                    evaluator=evaluator.fine, keep_failures=True):
+                workload,
+                grid,
+                todo,
+                base_config=base_config,
+                evaluator=evaluator.fine,
+                keep_failures=True,
+            ):
                 out.append(encode_record(index, result))
         done = store.load_records(store.fine_path)
 

@@ -3,11 +3,12 @@
 :func:`run_shard` is the per-host entry point of a distributed study
 (``python -m repro dse-shard`` wraps it): compute the shard's index set,
 skip every index the store already holds a completion record for, stream
-the rest through the shared DSE engine (any pluggable evaluator, optional
-in-host ``n_jobs`` fan-out), and append one record per point as it
-completes.  Batch-capable evaluators — the analytical default and the
-batched cycle simulator ``"cycle"`` resolves to — score the shard's
-strided index set in bounded whole-chunk numpy batches
+the rest through the shared DSE engine (any pluggable evaluator), and
+append one record per point as it completes.  A shard scores in its own
+process, one chunk at a time; a study fans out by running more shards
+(``dse-fleet --num-shards``), never by a pool inside a shard.
+Batch-capable evaluators — every built-in — score the shard's strided
+index set in bounded whole-chunk numpy batches
 (:mod:`repro.harness.dse`), still emitting one durable completion record
 per point.  Killing the process at any moment loses at most the chunk in
 flight (one point, for per-point evaluators); re-running the same command
@@ -53,7 +54,7 @@ from ..faults.plan import activate, active_plan
 from ..harness.dse import PointFailure, grid_size, iter_indexed_design_points
 from ..hw.params import VITCOD_DEFAULT
 from ..ledger import JsonlAppender, publish
-from ..perf.cache import cached_model_workload, seeded_workload
+from ..perf.cache import cached_model_workload
 from ..sim.evaluator import HybridEvaluator, resolve_evaluator
 from .sharding import ShardSpec
 from .store import ResultStore, build_manifest, encode_record
@@ -209,7 +210,6 @@ def _score_into(
     indices,
     *,
     base_config,
-    n_jobs,
     chunksize,
     evaluator,
     handicap,
@@ -250,7 +250,6 @@ def _score_into(
             grid,
             batch,
             base_config=base_config,
-            n_jobs=n_jobs,
             chunksize=chunksize,
             evaluator=evaluator,
             keep_failures=True,
@@ -414,7 +413,6 @@ def _steal_missing(
     store,
     base_config,
     evaluator,
-    n_jobs,
     chunksize,
     steal_chunk,
     claim_ttl,
@@ -452,7 +450,6 @@ def _steal_missing(
                     grid,
                     batch,
                     base_config=base_config,
-                    n_jobs=n_jobs,
                     chunksize=chunksize,
                     evaluator=evaluator,
                     handicap=handicap,
@@ -476,7 +473,6 @@ def run_shard(
     store,
     base_config=None,
     evaluator=None,
-    n_jobs=1,
     chunksize=None,
     workload_spec=None,
     steal=False,
@@ -507,14 +503,11 @@ def run_shard(
     ``handicap`` sleeps that many seconds per recorded point (an
     artificial straggler for stealing tests and benchmarks).
 
-    ``workload=None`` uses the workload a pool initializer seeded into
-    this process (:func:`repro.perf.seed_worker_workload`), mirroring the
-    DSE engine's worker convention.  Hybrid evaluators shard their
-    *coarse* phase here; the fine re-score belongs to the merge step
-    (:func:`repro.dist.merge_store`), which needs the whole grid.
-    ``workload_spec`` (see :func:`model_workload_spec`) is stored in the
-    manifest so other hosts can verify — and the merge host rebuild —
-    the workload.
+    Hybrid evaluators shard their *coarse* phase here; the fine re-score
+    belongs to the merge step (:func:`repro.dist.merge_store`), which
+    needs the whole grid.  ``workload_spec`` (see
+    :func:`model_workload_spec`) is stored in the manifest so other hosts
+    can verify — and the merge host rebuild — the workload.
 
     Failures are classified: a *transient* one (the evaluator raised a
     :class:`repro.faults.TransientError` or ``OSError``) is re-evaluated
@@ -535,13 +528,6 @@ def run_shard(
         scoring.coarse if isinstance(scoring, HybridEvaluator) else scoring
     )
     base_config = base_config or VITCOD_DEFAULT
-    if workload is None:
-        workload = seeded_workload()
-        if workload is None:
-            raise ValueError(
-                "workload is required (or seed the process "
-                "with repro.perf.seed_worker_workload)"
-            )
 
     # Pin the store to this workload's *structure*, recipe or not: two
     # shards run against different workloads then disagree on the
@@ -609,7 +595,6 @@ def run_shard(
                     grid,
                     pending(),
                     base_config=base_config,
-                    n_jobs=n_jobs,
                     chunksize=chunksize,
                     evaluator=point_evaluator,
                     handicap=handicap,
@@ -632,7 +617,6 @@ def run_shard(
                     store,
                     base_config,
                     point_evaluator,
-                    n_jobs,
                     chunksize,
                     steal_chunk or _STEAL_CHUNK,
                     claim_ttl,

@@ -26,27 +26,32 @@ raises is dropped with a :class:`RuntimeWarning` (the sweep never hangs on
 a poisoned worker task); unknown grid *parameters* still raise.
 
 Evaluators that implement the
-:class:`~repro.sim.evaluator.BatchEvaluator` surface — the analytical
-default does — are handed whole bounded chunks of grid points and score
-them as single numpy batch ops instead of one Python call per point, in
-serial runs, in pool workers, in the hybrid coarse phase and in
-:mod:`repro.dist` shards alike.  Batching is an execution detail only:
-results are bit-for-bit the per-point sweep's (points, ordering, Pareto
-frontier, failure attribution), which is CI-enforced.  Pass a plain
-:class:`~repro.sim.evaluator.AnalyticalEvaluator` instance (CLI:
-``--no-batch``) to force per-point execution, and ``chunksize`` (CLI:
-``--batch-size``) to override the batch granularity.
+:class:`~repro.sim.evaluator.BatchEvaluator` surface — every built-in
+does — are handed whole bounded chunks of grid points and score them as
+single numpy batch ops instead of one Python call per point, in serial
+runs, in pool workers, in the hybrid phases and in :mod:`repro.dist`
+shards alike.  Batching is an execution detail only: results are
+bit-for-bit the per-point sweep's (points, ordering, Pareto frontier,
+failure attribution), which is CI-enforced.  ``chunksize`` (CLI:
+``--batch-size``) bounds the batch granularity; at 1 every point is the
+walk at P = 1.  Evaluators without ``evaluate_batch`` (custom ones, the
+fault-injection wrapper, the reference event loop) are scored per point.
 
-Parallel runs fan grid points across ``concurrent.futures`` workers in
-chunks with a bounded number of chunks in flight, yielding chunks
-``as_completed``; the workload is shipped once per worker through the pool
-initializer (:func:`repro.perf.seed_worker_workload`), so per-workload
-memoized geometry is derived once per worker, not once per chunk.
+The in-memory sweeps are the one layer that fans out in-process:
+``n_jobs`` is a worker budget.  Parallel runs fan grid points across
+``concurrent.futures`` workers in chunks with a bounded number of chunks
+in flight, yielding chunks ``as_completed``; the workload is shipped once
+per worker through the pool initializer
+(:func:`repro.perf.seed_worker_workload`), so per-workload memoized
+geometry is derived once per worker, not once per chunk.
 :func:`sweep_design_space` additionally *pilots* the first grid points
 before committing to a pool: sweeps whose total estimated cost is below
 the cost of spawning workers run serially (cheap analytical grids used to
 pay a ~0.7× "speedup" for their pool), and sweeps that do fan out size
-their chunks to a wall-clock target instead of a fixed point count.
+their chunks to a wall-clock target instead of a fixed point count.  An
+explicit ``chunksize`` bypasses the pilot.  Sharded sweeps
+(:mod:`repro.dist`) scale out with more shard processes instead, and
+score each shard serially.
 
 The deterministic grid indexing is also a *partition key*: every grid
 point has one index in the lexicographic cross-product order, exposed via
@@ -121,13 +126,6 @@ class DesignPoint:
         return self.seconds * self.energy_joules
 
 
-#: Route one swept parameter to the config or the accelerator — since the
-#: batched evaluators grew their own column routes, the single source of
-#: truth is the DSE parameter table in :mod:`repro.sim.evaluator`, which
-#: declares both execution forms of every knob side by side.
-_apply = apply_dse_parameter
-
-
 @dataclass(frozen=True)
 class PointFailure:
     """A design point whose evaluator raised.
@@ -166,7 +164,7 @@ def _evaluate_design_point(workload, base_config, names, values, evaluator: Eval
     config = base_config
     accel_kwargs: dict = {}
     for name, value in zip(names, values):
-        config, accel_kwargs = _apply(config, accel_kwargs, name, value)
+        config, accel_kwargs = apply_dse_parameter(config, accel_kwargs, name, value)
     parameters = tuple(zip(names, values))
     try:
         metrics = evaluator(workload, config, accel_kwargs)
@@ -496,17 +494,18 @@ _TARGET_CHUNK_SECONDS = 0.05
 _PILOT_POINTS = 2
 
 
-def _plan_parallel(per_point_s, remaining, n_jobs, min_parallel_s):
+def _plan_parallel(per_point_s, remaining, n_jobs):
     """Pick ``(n_jobs, chunksize)`` from a measured per-point cost.
 
     Serial (``n_jobs=1``) when the whole remaining sweep is estimated
-    cheaper than ``min_parallel_s`` (the pool would cost more than it
-    saves); otherwise chunks target :data:`_TARGET_CHUNK_SECONDS` of work
-    each — expensive points get small chunks (better balance), cheap
-    points get large ones (less dispatch) — capped at the historical
-    one-chunk-per-worker split and floored at one point.
+    cheaper than :data:`_AUTO_SERIAL_SECONDS` (the pool would cost more
+    than it saves); otherwise chunks target
+    :data:`_TARGET_CHUNK_SECONDS` of work each — expensive points get
+    small chunks (better balance), cheap points get large ones (less
+    dispatch) — capped at the historical one-chunk-per-worker split and
+    floored at one point.
     """
-    if remaining <= 0 or per_point_s * remaining < min_parallel_s:
+    if remaining <= 0 or per_point_s * remaining < _AUTO_SERIAL_SECONDS:
         return 1, max(remaining, 1)
     per_worker = -(-remaining // n_jobs)
     target = max(1, ceil(_TARGET_CHUNK_SECONDS / max(per_point_s, 1e-9)))
@@ -520,45 +519,35 @@ def _resolve_n_jobs(n_jobs):
 
 
 def _piloted_stream(
-    workload, base_config, names, indexed, total, n_jobs, threshold, evaluator
+    workload, base_config, names, indexed, total, n_jobs, evaluator
 ) -> Iterator[tuple]:
     """Adaptive :func:`_stream_evaluations` over a known-length stream.
 
-    Times the first :data:`_PILOT_POINTS` points in-process — or, for a
-    batch-capable evaluator, the first :data:`_BATCH_CHUNK`-point batch,
-    so the measured per-point cost is the *batched* cost the rest of the
-    sweep would actually pay — then either finishes serially (estimated
-    remaining work below ``threshold``: the pool would cost more than it
-    saves, which for batched analytical grids is almost always the case)
-    or fans out with :func:`_plan_parallel`-sized chunks.  Without a
-    pilot (serial request, tiny grid, ``threshold <= 0``) this is the
-    historical one-chunk-per-worker stream.  Yields
-    ``(grid_index, point)`` pairs with failures warn-dropped; parallel
-    yields arrive out of order.
+    With ``n_jobs > 1``, times the first :data:`_PILOT_POINTS` points
+    in-process — or, for a batch-capable evaluator, the first
+    :data:`_BATCH_CHUNK`-point batch, so the measured per-point cost is
+    the *batched* cost the rest of the sweep would actually pay — then
+    either finishes serially (estimated remaining work below
+    :data:`_AUTO_SERIAL_SECONDS`: the pool would cost more than it saves,
+    which for batched analytical grids is almost always the case) or fans
+    out with :func:`_plan_parallel`-sized chunks.  A per-point grid no
+    longer than the pilot skips it and hands each worker one chunk.
+    Yields ``(grid_index, point)`` pairs with failures warn-dropped;
+    parallel yields arrive out of order.
     """
     indexed = iter(indexed)
-    chunksize = -(-total // n_jobs) if (total and n_jobs > 1) else None
-    if chunksize is not None and _batch_capable(evaluator):
-        # The one-chunk-per-worker fallback must not hand a worker an
-        # unbounded evaluate_batch call: (points × layers) temporaries
-        # are bounded by the batch chunk cap, pilot or no pilot.
-        chunksize = min(chunksize, _BATCH_CHUNK)
-    if n_jobs > 1 and threshold > 0 and _batch_capable(evaluator):
+    chunksize = -(-total // n_jobs) if n_jobs > 1 else None
+    if n_jobs > 1 and _batch_capable(evaluator):
         pilot_chunk = list(islice(indexed, _BATCH_CHUNK))
-        if pilot_chunk:
-            begin = perf_counter()
-            pilot = _evaluate_chunk(
-                workload, base_config, names, pilot_chunk, evaluator
-            )
-            per_point = (perf_counter() - begin) / len(pilot_chunk)
-            _note_chunk(pilot)
-            yield from _filter_failures(pilot)
-            n_jobs, chunksize = _plan_parallel(
-                per_point, total - len(pilot_chunk), n_jobs, threshold
-            )
-            chunksize = None if n_jobs == 1 else min(chunksize, _BATCH_CHUNK)
-            _note_pilot(n_jobs, chunksize)
-    elif n_jobs > 1 and threshold > 0 and total > _PILOT_POINTS:
+        begin = perf_counter()
+        pilot = _evaluate_chunk(workload, base_config, names, pilot_chunk, evaluator)
+        per_point = (perf_counter() - begin) / len(pilot_chunk)
+        _note_chunk(pilot)
+        yield from _filter_failures(pilot)
+        n_jobs, chunksize = _plan_parallel(per_point, total - len(pilot_chunk), n_jobs)
+        chunksize = None if n_jobs == 1 else min(chunksize, _BATCH_CHUNK)
+        _note_pilot(n_jobs, chunksize)
+    elif n_jobs > 1 and total > _PILOT_POINTS:
         begin = perf_counter()
         pilot = [
             _scored_pair(workload, base_config, names, evaluator, index, row)
@@ -566,9 +555,7 @@ def _piloted_stream(
         ]
         per_point = (perf_counter() - begin) / _PILOT_POINTS
         yield from _filter_failures(pilot)
-        n_jobs, chunksize = _plan_parallel(
-            per_point, total - _PILOT_POINTS, n_jobs, threshold
-        )
+        n_jobs, chunksize = _plan_parallel(per_point, total - _PILOT_POINTS, n_jobs)
         if n_jobs == 1:
             chunksize = None
         _note_pilot(n_jobs, chunksize)
@@ -738,35 +725,11 @@ def _stream_evaluations(
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _iter_indexed_points(
-    workload, grid, base_config, n_jobs, chunksize=None, evaluator=None
-) -> Iterator[tuple]:
-    """Yield ``(grid_index, DesignPoint)`` pairs over the grid, lazily.
-
-    Serial runs walk the cross-product in grid order without materialising
-    it; see :func:`_stream_evaluations` for the parallel contract.
-    """
-    base_config = base_config or VITCOD_DEFAULT
-    if evaluator is None:
-        evaluator = resolve_evaluator(None)
-    names, combos = _resolve_grid(grid)
-    yield from _stream_evaluations(
-        workload,
-        base_config,
-        names,
-        enumerate(combos),
-        _resolve_n_jobs(n_jobs),
-        chunksize,
-        evaluator,
-    )
-
-
 def iter_indexed_design_points(
     workload: ModelWorkload,
     grid: Dict[str, Sequence],
     indices: Iterable[int] = None,
     base_config: HardwareConfig = None,
-    n_jobs: int = 1,
     chunksize: int = None,
     evaluator=None,
     keep_failures=False,
@@ -780,8 +743,8 @@ def iter_indexed_design_points(
     a disjoint index subset, and because the index *is* the partition key,
     re-running a shard can skip indices its result store already holds.
 
-    Serial runs yield in the order given; ``n_jobs > 1`` fans index chunks
-    across workers and yields them as completed (out of order).  With
+    Points are scored in this process and yielded in the order given (a
+    shard is the unit of fan-out; scale out with more shards).  With
     ``keep_failures=True`` a point whose evaluator raised arrives as a
     ``(grid_index, PointFailure)`` pair instead of being warn-dropped, so
     callers with durable stores can record the failure as a completion.
@@ -809,7 +772,7 @@ def iter_indexed_design_points(
         base_config,
         names,
         indexed,
-        _resolve_n_jobs(n_jobs),
+        1,
         chunksize,
         evaluator,
         keep_failures=keep_failures,
@@ -824,7 +787,6 @@ def iter_design_space(
     frontier: ParetoFront = None,
     evaluator=None,
     chunksize: int = None,
-    min_parallel_s: float = None,
 ) -> Iterator[DesignPoint]:
     """Stream the grid cross-product: yield each :class:`DesignPoint` as it
     completes, never materialising the full grid.
@@ -850,10 +812,9 @@ def iter_design_space(
     by its fine evaluator, in deterministic grid order.  A hybrid coarse
     phase with ``n_jobs > 1`` (and no explicit ``chunksize``) is adaptive
     like the eager sweep: it pilots the first points and stays serial
-    when the whole phase is cheaper than ``min_parallel_s`` (default
-    ~0.25 s; ``0`` forces the pool).  Plain streaming sweeps ignore
-    ``min_parallel_s`` — a lazy stream's length is unknown, so there is
-    nothing to estimate against.
+    when the whole phase is cheaper than spawning workers.  Plain
+    streaming sweeps do not pilot — a lazy stream's length is unknown, so
+    there is nothing to estimate against.
 
     Example
     -------
@@ -872,11 +833,17 @@ def iter_design_space(
             frontier,
             evaluator,
             chunksize,
-            min_parallel_s=min_parallel_s,
         )
         return
-    stream = _iter_indexed_points(
-        workload, grid, base_config, n_jobs, chunksize, evaluator
+    names, combos = _resolve_grid(grid)
+    stream = _stream_evaluations(
+        workload,
+        base_config or VITCOD_DEFAULT,
+        names,
+        enumerate(combos),
+        _resolve_n_jobs(n_jobs),
+        chunksize,
+        evaluator,
     )
     if frontier is not None and _batch_capable(evaluator):
         # Batched scoring arrives chunk-at-a-time anyway, so prune each
@@ -900,7 +867,6 @@ def _iter_hybrid(
     frontier,
     evaluator: HybridEvaluator,
     chunksize,
-    min_parallel_s=None,
 ) -> Iterator[DesignPoint]:
     """Two-phase sweep: coarse-prune the grid, fine-score the survivors.
 
@@ -918,9 +884,6 @@ def _iter_hybrid(
     names = sorted(grid)
     base_config = base_config or VITCOD_DEFAULT
     n_jobs = _resolve_n_jobs(n_jobs)
-    threshold = (
-        _AUTO_SERIAL_SECONDS if min_parallel_s is None else float(min_parallel_s)
-    )
 
     coarse_objectives = (
         frontier.objectives if frontier is not None else ("seconds", "energy_joules")
@@ -940,7 +903,6 @@ def _iter_hybrid(
             combos,
             grid_size(grid),
             n_jobs,
-            threshold,
             evaluator.coarse,
         )
     survivors = _hybrid_survivors(coarse_stream, objectives=coarse_objectives)
@@ -978,7 +940,6 @@ def sweep_design_space(
     base_config: HardwareConfig = None,
     n_jobs: int = 1,
     evaluator=None,
-    min_parallel_s: float = None,
     chunksize: int = None,
 ) -> List[DesignPoint]:
     """Evaluate the cross product of ``grid`` on ``workload``, eagerly.
@@ -993,22 +954,21 @@ def sweep_design_space(
     are dropped (with a :class:`RuntimeWarning`), so the result can be
     shorter than the grid.
 
-    ``n_jobs > 1`` sweeps are *adaptive*: the first
-    :data:`_PILOT_POINTS` points are timed in-process, and the sweep only
-    spawns a pool when the estimated remaining work exceeds
-    ``min_parallel_s`` (default :data:`_AUTO_SERIAL_SECONDS`; pool spawn
-    costs real wall-clock, so cheap grids are faster serial).  When it
-    does fan out, chunks are sized to ~:data:`_TARGET_CHUNK_SECONDS` of
-    estimated work instead of a fixed one-chunk-per-worker split.  Pass
-    ``min_parallel_s=0`` to force the pool and the historical chunking
-    (benchmarks measuring raw fan-out do this).  Either way the returned
-    points are identical to the serial sweep's.
+    ``n_jobs > 1`` sweeps are *adaptive*: the first points (one batch for a
+    batch-capable evaluator, :data:`_PILOT_POINTS` otherwise) are timed
+    in-process, and the sweep only spawns a pool when the estimated
+    remaining work exceeds :data:`_AUTO_SERIAL_SECONDS` (pool spawn costs
+    real wall-clock, so cheap grids are faster serial).  When it does fan
+    out, chunks are sized to ~:data:`_TARGET_CHUNK_SECONDS` of estimated
+    work instead of a fixed one-chunk-per-worker split.  Either way the
+    returned points are identical to the serial sweep's.
 
     An explicit ``chunksize`` is a caller override of both the pilot and
     the chunk planning (the same convention the hybrid coarse phase
-    uses): points are streamed in fixed chunks of that many, which for a
-    batch-capable evaluator is also the batch granularity (CLI:
-    ``--batch-size``).
+    uses): points are streamed in fixed chunks of that many, across
+    ``n_jobs`` workers when ``n_jobs > 1`` — so it forces the pool —
+    and for a batch-capable evaluator it is also the batch granularity
+    (CLI: ``--batch-size``).
 
     Example
     -------
@@ -1029,7 +989,6 @@ def sweep_design_space(
             n_jobs=n_jobs,
             evaluator=evaluator,
             chunksize=chunksize,
-            min_parallel_s=min_parallel_s,
         )
         with obs.span("dse_sweep", evaluator="hybrid", points=grid_size(grid)):
             return list(hybrid_stream)
@@ -1037,9 +996,6 @@ def sweep_design_space(
     combos = list(combos)
     base_config = base_config or VITCOD_DEFAULT
     n_jobs = min(_resolve_n_jobs(n_jobs), len(combos))
-    threshold = (
-        _AUTO_SERIAL_SECONDS if min_parallel_s is None else float(min_parallel_s)
-    )
     indexed = enumerate(combos)
     if chunksize is not None:
         stream = _stream_evaluations(
@@ -1053,7 +1009,6 @@ def sweep_design_space(
             indexed,
             len(combos),
             n_jobs,
-            threshold,
             evaluator,
         )
     points: List[DesignPoint] = [None] * len(combos)
@@ -1127,7 +1082,6 @@ def sensitivity(
     base_config: HardwareConfig = None,
     n_jobs: int = 1,
     evaluator=None,
-    min_parallel_s: float = None,
 ) -> List[dict]:
     """One-dimensional sensitivity: latency/energy vs one parameter.
 
@@ -1146,7 +1100,6 @@ def sensitivity(
         base_config=base_config,
         n_jobs=n_jobs,
         evaluator=evaluator,
-        min_parallel_s=min_parallel_s,
     )
     return [
         {

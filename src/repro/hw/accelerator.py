@@ -19,14 +19,15 @@ Key modelled mechanisms, each traceable to the paper:
   array while active and returned otherwise (§V-B.2);
 * output-stationary SpMM keeping V′ in PE registers (Fig. 13b).
 
-Whole-model simulation (the paper's headline Fig. 15/19 numbers) runs
-through the :mod:`repro.sim` engine layer.  By default (``batched=True``)
-``simulate_attention`` / ``simulate_model`` evaluate every layer and GEMM
-as batched array geometry — per-layer statistics become parallel numpy
-arrays and the phase algebra runs elementwise, mirroring the scalar
-per-layer expressions operation for operation so the batched totals equal
-the per-layer fold bit for bit.  ``batched=False`` keeps the per-layer
-fold of :class:`~repro.sim.ModelSimulatorBase` as the executable reference.
+Whole-model simulation (the paper's headline Fig. 15/19 numbers) has one
+path: ``simulate_attention`` / ``simulate_model`` evaluate every layer and
+GEMM as array geometry — per-layer statistics become parallel numpy
+arrays and the phase algebra runs elementwise (the design-point grid walk
+:meth:`ViTCoDAccelerator.simulate_attention_grid` at P = 1), mirroring the
+scalar per-layer expressions of :meth:`ViTCoDAccelerator.simulate_attention_layer`
+and :meth:`ViTCoDAccelerator.simulate_gemm` operation for operation.  The
+per-layer reports folded with :func:`repro.sim.merge_results` are the test
+oracle: the totals agree with that fold bit for bit.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def _ordered_sum(values, init=0.0):
     """Left-to-right fold of ``values`` starting at ``init``.
 
     Merging per-layer reports folds each latency/energy component left to
-    right; the batched paths reduce their per-layer arrays the same way so
-    batched and per-layer results agree bit for bit (``np.sum``'s pairwise
+    right; the array paths reduce their per-layer arrays the same way so
+    array and per-layer results agree bit for bit (``np.sum``'s pairwise
     association would not).
     """
     total = init
@@ -100,10 +101,6 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         ``False`` serialises both workloads on the full array (ablation).
     dataflow:
         ``"k_stationary"`` (paper's choice) or ``"s_stationary"`` (ablation).
-    batched:
-        Evaluate whole models as batched array geometry (default); set
-        ``False`` for the per-layer reference fold.  Both produce identical
-        reports.
     enc_dec_lines:
         MAC lines reserved for the decoder while Q/K stream in.
     """
@@ -117,7 +114,6 @@ class ViTCoDAccelerator(ModelSimulatorBase):
     #: fetches served from the denser engine's resident Q buffer (§V-B.1).
     q_forwarding_hit_rate: float = 0.3
     name: str = "ViTCoD"
-    batched: bool = True
     #: DRAM row-miss amplification applied to scattered fetches when no
     #: streaming fallback exists (unreordered masks); see repro.hw.dram.
     _scatter_amplification: float = 1.0
@@ -340,22 +336,8 @@ class ViTCoDAccelerator(ModelSimulatorBase):
     # ------------------------------------------------------------------
     # Whole models (repro.sim surface)
     # ------------------------------------------------------------------
-    def _attention_details(self, model):
-        return {"layers": len(model.attention_layers)}
-
-    def _model_details(self, model):
-        return {
-            "attention_layers": len(model.attention_layers),
-            "linear_layers": len(model.linear_layers),
-        }
-
-    def _gemm_kwargs(self, gemm):
-        return {"compress_output": gemm.name.endswith(".qkv")}
-
     def simulate_attention(self, model: ModelWorkload) -> SimReport:
         """Core attention workload only (paper Fig. 15a / Fig. 19)."""
-        if not self.batched:
-            return super().simulate_attention(model)
         layers = model.attention_layers
         if not layers:
             raise ValueError(
@@ -368,13 +350,11 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             latency=latency,
             energy=energy,
             frequency_hz=self.config.frequency_hz,
-            details=self._attention_details(model),
+            details={"layers": len(layers)},
         )
 
     def simulate_model(self, model: ModelWorkload) -> SimReport:
         """End-to-end simulation (attention + all dense layers, Fig. 15b)."""
-        if not self.batched:
-            return super().simulate_model(model)
         report = self.simulate_attention(model)
         latency, energy = self._gemm_phase_arrays(
             model.linear_layers, report.latency, report.energy
@@ -385,7 +365,10 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             latency=latency,
             energy=energy,
             frequency_hz=self.config.frequency_hz,
-            details=self._model_details(model),
+            details={
+                "attention_layers": len(model.attention_layers),
+                "linear_layers": len(model.linear_layers),
+            },
         )
 
     # ------------------------------------------------------------------
@@ -405,9 +388,11 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         ints for MAC lines and buffer bytes, bytes/s for bandwidth);
         missing knobs broadcast this accelerator's own value.  An empty
         dict is the degenerate ``P = 1`` walk of this design point itself.
-        Values are validated like ``__post_init__`` — a grid holding one
-        invalid point raises for the whole batch (the DSE engine then
-        falls back to per-point scoring, which attributes the failure).
+        Values are validated like ``__post_init__``, and a non-positive
+        bandwidth or activation buffer is rejected with the cycle
+        simulator's messages — a grid holding one invalid point raises for
+        the whole batch (the DSE engine then falls back to per-point
+        scoring, which attributes the failure).
         """
         unknown = set(columns) - set(self._GRID_COLUMNS)
         if unknown:
@@ -441,6 +426,13 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             raise ValueError("ae_compression must be in (0, 1]")
         if not ((0.0 <= fwd) & (fwd < 1.0)).all():
             raise ValueError("q_forwarding_hit_rate must be in [0, 1)")
+        # A zero bandwidth divides by zero (infinite seconds); a negative
+        # one or a non-positive buffer scores a meaningless point (the
+        # K-tile count clamps to 1) — reject them rather than rank them.
+        if not (bandwidth > 0).all():
+            raise ValueError("DRAM bandwidth must be positive")
+        if not (act_buffer > 0).all():
+            raise ValueError("act_buffer_bytes must be positive")
         # Column vectors broadcast against the (layers,) workload arrays;
         # every derived value mirrors the scalar config path op for op
         # (``bytes_per_cycle`` is the same division, ``ratio``/``fwd``
@@ -459,8 +451,8 @@ class ViTCoDAccelerator(ModelSimulatorBase):
     def simulate_attention_grid(self, model, columns):
         """Score ``P`` design points on ``model`` as one (P × layers) walk.
 
-        The batched array-geometry path of :meth:`simulate_attention`
-        broadcast over a leading *design-point* axis: swept hardware knobs
+        The array-geometry path of :meth:`simulate_attention` broadcast
+        over a leading *design-point* axis: swept hardware knobs
         arrive as per-point columns (see :meth:`_resolve_grid_columns`)
         instead of per-point :class:`~repro.hw.params.HardwareConfig`
         clones, and the whole grid chunk is evaluated by the same
@@ -513,7 +505,7 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         return latency, energy
 
     def _attention_phase_grid(self, layers, cols):
-        """The (points × layers) attention walk behind both batched paths.
+        """The (points × layers) attention walk behind every attention path.
 
         Workload statistics are (layers,) rows, design-point knobs are
         (points, 1) columns, and every phase expression broadcasts to a
@@ -663,10 +655,9 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         m = np.array([g.m for g in gemms], dtype=np.int64)
         k = np.array([g.k for g in gemms], dtype=np.int64)
         nn = np.array([g.n for g in gemms], dtype=np.int64)
-        compress = np.array(
-            [self._gemm_kwargs(g).get("compress_output", False)
-             for g in gemms], dtype=bool,
-        )
+        # QKV generation encodes its Q and K outputs (simulate_gemm's
+        # ``compress_output``).
+        compress = np.array([g.name.endswith(".qkv") for g in gemms], dtype=bool)
 
         macs = m * k * nn
         compute = np.where(

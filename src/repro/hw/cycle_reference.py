@@ -23,7 +23,7 @@ from math import ceil
 from typing import List, Optional
 
 from ..sim.engine import AttentionSimulatorBase
-from ..sim.evaluator import CycleSimEvaluator
+from ..sim.evaluator import CycleSimEvaluator, _cycle_metrics
 from .allocator import allocate_mac_lines
 from .cycle_sim import _TIME_SCALE, CycleSimResult, merge_cycle_results
 from .dram import DramModel, DramRequest
@@ -248,11 +248,14 @@ class ReferenceCycleSimulator(AttentionSimulatorBase):
         return merge_cycle_results(self.simulate_layer(layer) for layer in model)
 
 
-class ReferenceCycleSimEvaluator(CycleSimEvaluator):
+class ReferenceCycleSimEvaluator:
     """:class:`~repro.sim.evaluator.CycleSimEvaluator` on the reference loop.
 
     Same swept-knob checks, same energy charge; only the simulator
-    differs.  Per-point by design (no ``evaluate_batch``), and a custom
+    differs.  Per-point by design: it has no ``evaluate_batch`` (it does
+    not subclass the production evaluator, so it cannot inherit one), and
+    the DSE engine therefore scores every point with the loop — a
+    reference check never compares the grid walk with itself.  A custom
     evaluator on the wire (``{"name": "custom:cycle-reference"}``), so it
     can never stand in for the production ``"cycle"`` strategy in a
     manifest.
@@ -260,8 +263,13 @@ class ReferenceCycleSimEvaluator(CycleSimEvaluator):
 
     name = "cycle-reference"
 
-    def _simulate(self, workload, config, accel_kwargs):
+    def __call__(self, workload, config, accel_kwargs):
+        CycleSimEvaluator._reject_unsupported(accel_kwargs)
         result = ReferenceCycleSimulator(
             config=config, **accel_kwargs
         ).simulate_attention(workload)
-        return result.makespan, result.dram_busy
+        (metrics,) = _cycle_metrics(
+            workload, config, result.makespan, result.dram_busy,
+            config.bytes_per_cycle,
+        )
+        return metrics

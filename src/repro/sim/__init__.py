@@ -25,15 +25,15 @@ re-implemented (four times) as per-simulator merge loops:
   :func:`merge_results` (raising a clear :class:`ValueError` on empty
   models instead of crashing);
 * :class:`ModelSimulatorBase` — adds the GEMM walk for
-  ``simulate_model``, with hooks for which simulator runs the dense path
-  and which outputs are AE-compressed.
+  ``simulate_model``, with a hook for which simulator runs the dense path.
 
-Subclasses override narrow hooks (per-layer kwargs, detail dicts, the
-dense-path simulator) rather than rewriting the loops; fast batched
+Subclasses override narrow hooks (per-layer kwargs, the dense-path
+simulator) rather than rewriting the loops; fast batched
 implementations (the cycle simulator's grid walk, the analytical model's
 array geometry) override the whole-model method itself and are tested
 bit-for-bit against a per-layer reference (the cycle simulator's scalar
-event loop, the analytical model's base-class fold).
+event loop, the analytical model's per-layer reports folded with
+:func:`merge_results`).
 
 Design-space exploration plugs into the same layer through the
 :class:`~repro.sim.evaluator.Evaluator` protocol (:mod:`repro.sim.evaluator`):
@@ -46,8 +46,6 @@ from .protocol import ModelSimulator, Simulator
 from .engine import AttentionSimulatorBase, ModelSimulatorBase, merge_results
 from .evaluator import (
     AnalyticalEvaluator,
-    BatchedAnalyticalEvaluator,
-    BatchedCycleSimEvaluator,
     BatchEvaluator,
     CycleSimEvaluator,
     EvalMetrics,
@@ -71,9 +69,7 @@ __all__ = [
     "EvalMetrics",
     "UnsupportedParameterError",
     "AnalyticalEvaluator",
-    "BatchedAnalyticalEvaluator",
     "CycleSimEvaluator",
-    "BatchedCycleSimEvaluator",
     "HybridEvaluator",
     "dse_parameter_names",
     "resolve_evaluator",

@@ -35,12 +35,8 @@ class AttentionSimulatorBase:
     """Whole-model attention driver over a per-layer simulator.
 
     Subclasses implement ``simulate_attention_layer(layer, **kwargs)`` and
-    may override the hooks:
-
-    * :meth:`_layer_kwargs` — per-layer keyword arguments (e.g. SpAtten's
-      cascade keep ratios);
-    * :meth:`_attention_details` — replacement ``details`` dict for the
-      merged report (``None`` keeps the merged layer details).
+    may override :meth:`_layer_kwargs` — per-layer keyword arguments (e.g.
+    SpAtten's cascade keep ratios).
     """
 
     name: str = "simulator"
@@ -52,10 +48,6 @@ class AttentionSimulatorBase:
     def _layer_kwargs(self, model):
         """One kwargs dict per attention layer, in layer order."""
         return ({} for _ in model.attention_layers)
-
-    def _attention_details(self, model):
-        """Replacement ``details`` for the merged attention report."""
-        return None
 
     # ------------------------------------------------------------ driver --
     def simulate_attention(self, model):
@@ -70,31 +62,19 @@ class AttentionSimulatorBase:
             for layer, kwargs in zip(layers, self._layer_kwargs(model))
         )
         report.workload = f"{model.name}:attention"
-        details = self._attention_details(model)
-        if details is not None:
-            report.details = details
         return report
 
 
 class ModelSimulatorBase(AttentionSimulatorBase):
     """Adds the dense-layer (QKV / projection / MLP) walk for end-to-end
-    simulation.  The dense path runs on :meth:`_dense_simulator` (``self``
-    for ViTCoD; a reconfigured ViTCoD array for the attention-only
-    baselines), with :meth:`_gemm_kwargs` selecting per-GEMM options such
-    as AE output compression."""
+    simulation.  The dense path runs on :meth:`_dense_simulator` (a
+    reconfigured ViTCoD array for the attention-only baselines; ViTCoD
+    itself walks its GEMMs as arrays)."""
 
     # -------------------------------------------------- subclass hooks --
     def _dense_simulator(self):
         """Simulator whose ``simulate_gemm`` runs the dense layers."""
         return self
-
-    def _gemm_kwargs(self, gemm):
-        """Keyword arguments for one dense GEMM."""
-        return {}
-
-    def _model_details(self, model):
-        """Replacement ``details`` for the end-to-end report."""
-        return None
 
     # ------------------------------------------------------------ driver --
     def simulate_model(self, model):
@@ -102,12 +82,7 @@ class ModelSimulatorBase(AttentionSimulatorBase):
         report = self.simulate_attention(model)
         dense = self._dense_simulator()
         for gemm in model.linear_layers:
-            report = report.merged(
-                dense.simulate_gemm(gemm, **self._gemm_kwargs(gemm))
-            )
+            report = report.merged(dense.simulate_gemm(gemm))
         report.workload = f"{model.name}:end2end"
         report.platform = self.name
-        details = self._model_details(model)
-        if details is not None:
-            report.details = details
         return report

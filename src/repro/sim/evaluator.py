@@ -21,28 +21,25 @@ makes the engine fall back to per-point scoring of that chunk, which
 re-raises structural errors and attributes per-point failures exactly as
 an unbatched sweep would.
 
-Three built-in strategies cover the repo's simulators:
+One class per strategy covers the repo's simulators; each scores one
+point with ``__call__`` and a chunk with ``evaluate_batch``:
 
 * :class:`AnalyticalEvaluator` — the closed-form
   :class:`~repro.hw.accelerator.ViTCoDAccelerator` phase model (the
-  default; behaviour-identical to the pre-evaluator sweeps).  Its
-  :class:`BatchedAnalyticalEvaluator` subclass — what ``"analytical"``
-  resolves to — adds the batch axis by broadcasting the accelerator's
-  array-geometry walk over a leading design-point axis
+  default).  A chunk is one broadcast of the accelerator's array-geometry
+  walk over a leading design-point axis
   (:meth:`~repro.hw.accelerator.ViTCoDAccelerator.simulate_attention_grid`):
   swept knobs become numpy columns instead of per-point
-  :class:`~repro.hw.params.HardwareConfig` clones, bit-for-bit equal to
-  the per-point path;
+  :class:`~repro.hw.params.HardwareConfig` clones; a point is the same
+  walk at P = 1;
 * :class:`CycleSimEvaluator` — the event-driven
   :class:`~repro.hw.cycle_sim.CycleAccurateSimulator`, the repo's ground
   truth: latency is the simulated makespan, energy is charged from the
   workload's MAC/softmax counts plus the simulator's observed DRAM
   occupancy with the same :class:`~repro.hw.params.EnergyTable` constants
-  the analytical model uses.  Points run the simulator's grid walk
-  (:meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`)
-  at P = 1; its :class:`BatchedCycleSimEvaluator` subclass — what
-  ``"cycle"`` resolves to — walks a whole chunk at once, swept knobs as
-  columns, bit-for-bit equal to the per-point calls;
+  the analytical model uses.  Points and chunks run the simulator's grid
+  walk (:meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`),
+  at P = 1 or at P = chunk;
 * :class:`HybridEvaluator` — a two-phase strategy the DSE engine
   special-cases: prune the grid with the cheap analytical model, then
   re-score only the surviving frontier cycle-accurately.  Called directly
@@ -71,9 +68,7 @@ __all__ = [
     "BatchEvaluator",
     "UnsupportedParameterError",
     "AnalyticalEvaluator",
-    "BatchedAnalyticalEvaluator",
     "CycleSimEvaluator",
-    "BatchedCycleSimEvaluator",
     "HybridEvaluator",
     "apply_dse_parameter",
     "dse_grid_columns",
@@ -176,9 +171,9 @@ class _DseParameter:
 
     name: str
     #: Whether the cycle simulator honours the knob.  Drives the derived
-    #: :attr:`CycleSimEvaluator._SUPPORTED_KWARGS` set and the batched
-    #: cycle evaluator's structural-rejection check, so the per-point and
-    #: batched cycle paths accept exactly the same sweeps by construction.
+    #: :attr:`CycleSimEvaluator._SUPPORTED_KWARGS` set behind both of the
+    #: cycle evaluator's structural-rejection checks, so its per-point and
+    #: batch routes accept exactly the same sweeps by construction.
     cycle_modelled: bool
     #: ``accel_kwargs`` keys the knob may introduce (empty for knobs that
     #: route to config fields, which every simulator honours).
@@ -291,9 +286,10 @@ def dse_parameter_names() -> tuple:
 def apply_dse_parameter(config, accel_kwargs, name, value):
     """Route one swept parameter to the config or the accelerator kwargs.
 
-    THE per-point parameter route (the DSE engine's ``_apply`` delegates
-    here): returns the updated ``(config, accel_kwargs)`` pair; unknown
-    names raise ``KeyError`` (a malformed grid is a caller bug).
+    THE per-point parameter route (the DSE engine routes every per-point
+    grid value through here): returns the updated ``(config,
+    accel_kwargs)`` pair; unknown names raise ``KeyError`` (a malformed
+    grid is a caller bug).
     """
     try:
         parameter = _DSE_PARAMETERS[name]
@@ -326,10 +322,22 @@ def dse_grid_columns(names, value_rows, default_ae):
 class AnalyticalEvaluator:
     """Score points with the closed-form ViTCoD phase model (the default).
 
-    Exactly the evaluation the pre-evaluator sweeps ran: construct a
+    ``__call__`` constructs a
     :class:`~repro.hw.accelerator.ViTCoDAccelerator` at the design point
-    and read ``seconds`` / ``energy_joules`` off its attention report —
-    results are bit-identical to the historical sweep output.
+    and reads ``seconds`` / ``energy_joules`` off its attention report.
+    ``evaluate_batch`` scores a whole chunk of grid points as one
+    :meth:`~repro.hw.accelerator.ViTCoDAccelerator.simulate_attention_grid`
+    array walk — swept parameters become per-point numpy columns (routed
+    exactly as the per-point sweep routes them onto
+    :class:`~repro.hw.params.HardwareConfig` fields and accelerator
+    kwargs), and the results are **bit-for-bit** what per-point calls
+    produce.
+
+    A chunk containing an invalid point — MAC lines below the allocator's
+    minimum, an out-of-range AE ratio, a non-positive bandwidth or buffer
+    — raises for the whole batch; the DSE engine then falls back to
+    per-point scoring of that chunk, which captures exactly the per-point
+    failures an unbatched sweep would.
     """
 
     name = "analytical"
@@ -340,28 +348,6 @@ class AnalyticalEvaluator:
         accel = ViTCoDAccelerator(config=config, **accel_kwargs)
         report = accel.simulate_attention(workload)
         return EvalMetrics(seconds=report.seconds, energy_joules=report.energy_joules)
-
-
-class BatchedAnalyticalEvaluator(AnalyticalEvaluator):
-    """The analytical strategy with a whole-chunk batch axis (the default).
-
-    Scoring one point is inherited unchanged; ``evaluate_batch`` scores a
-    whole chunk of grid points as one
-    :meth:`~repro.hw.accelerator.ViTCoDAccelerator.simulate_attention_grid`
-    array walk — swept parameters become per-point numpy columns (routed
-    exactly as the per-point sweep routes them onto
-    :class:`~repro.hw.params.HardwareConfig` fields and accelerator
-    kwargs), and the results are **bit-for-bit** what per-point calls
-    produce.  Because the strategy is the same, ``evaluator_spec`` still
-    renders it as ``{"name": "analytical"}``: batched and per-point
-    shards of one :mod:`repro.dist` study share a manifest and produce
-    identical stores.
-
-    A chunk containing an invalid point — MAC lines below the allocator's
-    minimum, an out-of-range AE ratio — raises for the whole batch; the
-    DSE engine then falls back to per-point scoring of that chunk, which
-    captures exactly the per-point failures an unbatched sweep would.
-    """
 
     def evaluate_batch(self, workload, base_config, names, value_rows):
         from ..hw.accelerator import ViTCoDAccelerator
@@ -423,7 +409,20 @@ class CycleSimEvaluator:
     uses, so analytical and cycle-accurate Pareto fronts are comparable
     point for point.  One point is one
     :meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`
-    walk at P = 1.
+    walk at P = 1; ``evaluate_batch`` walks a whole chunk as one
+    (points × layers × jobs) max-plus walk — swept knobs become per-point
+    numpy columns (via :func:`dse_grid_columns`, the same table the
+    per-point route reads) and energy goes through the same
+    :func:`_cycle_metrics` charge, so the results are **bit-for-bit** what
+    per-point calls produce.
+
+    A chunk containing an invalid point — MAC lines below the allocator's
+    minimum, an out-of-range AE ratio, a non-positive bandwidth or buffer
+    — raises for the whole batch; the DSE engine then falls back to
+    per-point scoring of that chunk, which captures exactly the per-point
+    failures an unbatched sweep would.  A sweep of a knob the cycle
+    simulator does not model raises :class:`UnsupportedParameterError`
+    on both routes (same table, same message).
     """
 
     name = "cycle"
@@ -432,9 +431,9 @@ class CycleSimEvaluator:
     #: ``q_forwarding_hit_rate``, which only the analytical model applies)
     #: raises instead of silently altering the swept grid's meaning.
     #: Derived from the DSE parameter table's ``cycle_modelled`` flags, so
-    #: the per-point and batched cycle paths reject exactly the same knobs
-    #: — a new swept parameter cannot be honoured by one and refused by
-    #: the other.
+    #: the per-point and batch routes reject exactly the same knobs — a
+    #: new swept parameter cannot be honoured by one and refused by the
+    #: other.
     _SUPPORTED_KWARGS = frozenset(
         key
         for parameter in _DSE_PARAMETERS.values()
@@ -454,45 +453,19 @@ class CycleSimEvaluator:
             )
 
     def __call__(self, workload, config, accel_kwargs):
-        self._reject_unsupported(accel_kwargs)
-        makespan, dram_busy = self._simulate(workload, config, accel_kwargs)
-        (metrics,) = _cycle_metrics(
-            workload, config, makespan, dram_busy, config.bytes_per_cycle
-        )
-        return metrics
-
-    def _simulate(self, workload, config, accel_kwargs):
-        """``(makespan, dram_busy)`` of one design point."""
         from ..hw.cycle_sim import CycleAccurateSimulator
 
+        self._reject_unsupported(accel_kwargs)
         sim = CycleAccurateSimulator(config=config, **accel_kwargs)
         totals = sim.simulate_attention_grid(workload, {})
-        return totals["makespan"], totals["dram_busy"]
-
-
-class BatchedCycleSimEvaluator(CycleSimEvaluator):
-    """The cycle-accurate strategy with a whole-chunk batch axis.
-
-    Scoring one point is inherited unchanged; ``evaluate_batch`` runs a
-    whole chunk of grid points as one
-    :meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`
-    (points × layers × jobs) max-plus walk — swept knobs become per-point
-    numpy columns (via :func:`dse_grid_columns`, the same table the
-    per-point route reads) and energy goes through the same
-    :func:`_cycle_metrics` charge, so the results are **bit-for-bit** what
-    per-point calls produce.  Because the strategy is the same,
-    ``evaluator_spec`` renders both as ``{"name": "cycle"}``: batched and
-    per-point shards of one :mod:`repro.dist` study share a manifest and
-    produce identical stores.
-
-    A chunk containing an invalid point — MAC lines below the allocator's
-    minimum, an out-of-range AE ratio, a zero bandwidth or buffer — raises
-    for the whole batch; the DSE engine then falls back to per-point
-    scoring of that chunk, which captures exactly the per-point failures
-    an unbatched sweep would.  A sweep of a knob the cycle simulator does
-    not model raises :class:`UnsupportedParameterError` exactly like the
-    per-point path (same table, same message).
-    """
+        (metrics,) = _cycle_metrics(
+            workload,
+            config,
+            totals["makespan"],
+            totals["dram_busy"],
+            config.bytes_per_cycle,
+        )
+        return metrics
 
     def evaluate_batch(self, workload, base_config, names, value_rows):
         from ..hw.cycle_sim import CycleAccurateSimulator
@@ -517,9 +490,19 @@ class BatchedCycleSimEvaluator(CycleSimEvaluator):
         else:
             bytes_per_cycle = base_config.bytes_per_cycle
         return _cycle_metrics(
-            workload, base_config, totals["makespan"], totals["dram_busy"],
+            workload,
+            base_config,
+            totals["makespan"],
+            totals["dram_busy"],
             bytes_per_cycle,
         )
+
+
+#: The span recorder of the benchmark (``perfbench/tracehook``) wraps
+#: ``evaluate_batch`` under these names, from before each strategy was
+#: one class; they are aliases, not separate execution paths.
+BatchedAnalyticalEvaluator = AnalyticalEvaluator
+BatchedCycleSimEvaluator = CycleSimEvaluator
 
 
 class HybridEvaluator:
@@ -535,16 +518,16 @@ class HybridEvaluator:
     name = "hybrid"
 
     def __init__(self, coarse: Evaluator = None, fine: Evaluator = None):
-        self.coarse = coarse if coarse is not None else BatchedAnalyticalEvaluator()
-        self.fine = fine if fine is not None else BatchedCycleSimEvaluator()
+        self.coarse = coarse if coarse is not None else AnalyticalEvaluator()
+        self.fine = fine if fine is not None else CycleSimEvaluator()
 
     def __call__(self, workload, config, accel_kwargs):
         return self.fine(workload, config, accel_kwargs)
 
 
 _BUILTIN_EVALUATORS = {
-    "analytical": BatchedAnalyticalEvaluator,
-    "cycle": BatchedCycleSimEvaluator,
+    "analytical": AnalyticalEvaluator,
+    "cycle": CycleSimEvaluator,
     "hybrid": HybridEvaluator,
 }
 
@@ -554,15 +537,10 @@ def resolve_evaluator(spec) -> Evaluator:
 
     ``None`` means the analytical default; strings name a built-in
     (``"analytical"``, ``"cycle"``, ``"hybrid"``); anything callable is
-    returned as-is.  ``"analytical"``/``None`` resolve to the
-    batch-capable :class:`BatchedAnalyticalEvaluator` and ``"cycle"`` to
-    :class:`BatchedCycleSimEvaluator` (each bit-identical to its
-    per-point base class point for point — pass an
-    ``AnalyticalEvaluator()`` / ``CycleSimEvaluator()`` instance to force
-    per-point execution).
+    returned as-is.
     """
     if spec is None:
-        return BatchedAnalyticalEvaluator()
+        return AnalyticalEvaluator()
     if isinstance(spec, str):
         try:
             return _BUILTIN_EVALUATORS[spec]()
@@ -601,13 +579,9 @@ def evaluator_spec(evaluator) -> dict:
         spec["faults"] = plan.spec()
         return spec
     kind = type(evaluator)
-    if kind is AnalyticalEvaluator or kind is BatchedAnalyticalEvaluator:
-        # One strategy, two execution modes: batched and per-point score
-        # bit-identically, so they share the manifest spec.
+    if kind is AnalyticalEvaluator:
         return {"name": "analytical"}
-    if kind is CycleSimEvaluator or kind is BatchedCycleSimEvaluator:
-        # Same sharing: a batched shard produces the store a per-point
-        # shard would.
+    if kind is CycleSimEvaluator:
         return {"name": "cycle"}
     if kind is HybridEvaluator:
         return {
@@ -686,9 +660,9 @@ def evaluator_from_spec(spec) -> Evaluator:
         inner_spec = {k: v for k, v in spec.items() if k != "faults"}
         return FaultyEvaluator(evaluator_from_spec(inner_spec), plan)
     if name == "analytical":
-        return BatchedAnalyticalEvaluator()
+        return AnalyticalEvaluator()
     if name == "cycle":
-        return BatchedCycleSimEvaluator()
+        return CycleSimEvaluator()
     coarse = spec.get("coarse")
     fine = spec.get("fine")
     for role, sub in (("coarse", coarse), ("fine", fine)):

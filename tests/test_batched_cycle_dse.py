@@ -1,7 +1,7 @@
 """Grid-batched cycle-accurate DSE: the batch axis must be invisible.
 
 The contract under test: scoring a grid chunk with
-``BatchedCycleSimEvaluator.evaluate_batch`` (one (points × layers × jobs)
+``CycleSimEvaluator.evaluate_batch`` (one (points × layers × jobs)
 max-plus walk) is **bit-for-bit** the scalar reference loop scored point
 by point (``ReferenceCycleSimEvaluator``) — points, ordering, Pareto
 frontier, failure attribution, structural rejections.  Property-tested
@@ -46,7 +46,6 @@ from repro.hw.cycle_reference import (
 from repro.hw.cycle_sim import CycleAccurateSimulator, _width_bands
 from repro.models import get_config
 from repro.sim import (
-    BatchedCycleSimEvaluator,
     BatchEvaluator,
     CycleSimEvaluator,
     HybridEvaluator,
@@ -56,6 +55,8 @@ from repro.sim import (
     resolve_evaluator,
 )
 from repro.sim.evaluator import _DSE_PARAMETERS
+
+from per_point import PerPoint
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ class TestBitExactness:
         ]
         failed = [isinstance(e, PointFailure) for e in expected]
         assert failed == [_has_zero_resource(names, row) for row in rows]
-        evaluator = BatchedCycleSimEvaluator()
+        evaluator = CycleSimEvaluator()
         if any(failed):
             with pytest.raises(ValueError, match="must be positive"):
                 evaluator.evaluate_batch(tiny_workload, VITCOD_DEFAULT,
@@ -203,9 +204,10 @@ class TestBitExactness:
         serial = sweep_design_space(small_workload, grid, evaluator="cycle")
         assert sweep_design_space(small_workload, grid, n_jobs=3,
                                   evaluator="cycle") == serial
+        # An explicit chunk size bypasses the pilot: 6 points over 3
+        # workers, one 2-point chunk each.
         assert sweep_design_space(small_workload, grid, n_jobs=3,
-                                  min_parallel_s=0.0,
-                                  evaluator="cycle") == serial
+                                  chunksize=2, evaluator="cycle") == serial
 
     def test_sub_batched_walk_matches(self, small_workload, monkeypatch):
         """A tiny cell budget forces many design-point sub-batches; the
@@ -222,33 +224,66 @@ class TestBitExactness:
 class TestBatchEngine:
     def test_cycle_resolves_batch_capable(self):
         evaluator = resolve_evaluator("cycle")
-        assert isinstance(evaluator, BatchedCycleSimEvaluator)
-        assert isinstance(evaluator, CycleSimEvaluator)  # same strategy
+        assert type(evaluator) is CycleSimEvaluator
         assert isinstance(evaluator, BatchEvaluator)
         assert dse_module._batch_capable(evaluator)
-        assert not dse_module._batch_capable(CycleSimEvaluator())
+        assert not dse_module._batch_capable(PerPoint(CycleSimEvaluator()))
+
+    def test_reference_evaluator_stays_per_point(self):
+        """The oracle must never inherit the production batch walk, or
+        every reference check would compare the walk with itself."""
+        evaluator = ReferenceCycleSimEvaluator()
+        assert not callable(getattr(evaluator, "evaluate_batch", None))
+        assert not dse_module._batch_capable(evaluator)
+
+    def test_reference_sweep_never_walks_the_grid(self, tiny_workload,
+                                                  monkeypatch):
+        """With the production walk broken, a sweep through the reference
+        evaluator still returns the reference points (it runs the scalar
+        event loop), while the production evaluator scores nothing."""
+        grid = {"mac_lines": [16, 32], "ae_compression": [None, 0.5]}
+        reference = sweep_design_space(tiny_workload, grid,
+                                       evaluator=ReferenceCycleSimEvaluator())
+        assert len(reference) == 4
+
+        def broken(self, model, columns):
+            raise RuntimeError("grid walk used")
+
+        monkeypatch.setattr(CycleAccurateSimulator, "simulate_attention_grid",
+                            broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert sweep_design_space(
+                tiny_workload, grid, evaluator=ReferenceCycleSimEvaluator()
+            ) == reference
+        with pytest.warns(RuntimeWarning, match="grid walk used"):
+            assert sweep_design_space(tiny_workload, grid,
+                                      evaluator="cycle") == []
 
     def test_spec_round_trip_shared_with_per_point(self):
+        """One class scores both routes, so there is one spec; the
+        pre-merge batched name survives only as an alias of it."""
+        from repro.sim.evaluator import BatchedCycleSimEvaluator
+
+        assert BatchedCycleSimEvaluator is CycleSimEvaluator
         spec = {"name": "cycle"}
-        assert evaluator_spec(BatchedCycleSimEvaluator()) == spec
         assert evaluator_spec(CycleSimEvaluator()) == spec
         rebuilt = evaluator_from_spec(spec)
-        assert isinstance(rebuilt, BatchedCycleSimEvaluator)
+        assert type(rebuilt) is CycleSimEvaluator
         assert evaluator_spec(rebuilt) == spec
 
     def test_serial_sweep_uses_batch_calls(self, small_workload,
                                            monkeypatch):
         """The engine really routes cycle chunks through evaluate_batch."""
         calls = []
-        real = BatchedCycleSimEvaluator.evaluate_batch
+        real = CycleSimEvaluator.evaluate_batch
 
         def spying(self, workload, base_config, names, rows):
             rows = list(rows)
             calls.append(len(rows))
             return real(self, workload, base_config, names, rows)
 
-        monkeypatch.setattr(BatchedCycleSimEvaluator, "evaluate_batch",
-                            spying)
+        monkeypatch.setattr(CycleSimEvaluator, "evaluate_batch", spying)
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
         points = sweep_design_space(small_workload, grid, evaluator="cycle")
         assert len(points) == 6
@@ -297,8 +332,8 @@ class TestBatchEngine:
                                    evaluator="cycle")
 
     def test_supported_kwargs_derived_from_table(self):
-        """Satellite: the per-point rejection set comes from the shared
-        DSE parameter table, so batched and per-point paths cannot
+        """Satellite: the rejection set of both routes comes from the
+        shared DSE parameter table, so batched and per-point paths cannot
         drift."""
         expected = frozenset(
             key
@@ -307,7 +342,6 @@ class TestBatchEngine:
             for key in parameter.kwargs_keys
         )
         assert CycleSimEvaluator._SUPPORTED_KWARGS == expected
-        assert BatchedCycleSimEvaluator._SUPPORTED_KWARGS == expected
         assert expected == frozenset({"use_ae", "ae_compression"})
         # Every parameter the table declares routes through both forms.
         assert set(_DSE_PARAMETERS) == {
@@ -453,9 +487,10 @@ class TestOfferAll:
                                          frontier=batched_front,
                                          evaluator="cycle"))
         per_point_front = ParetoFront()
-        per_point = list(iter_design_space(small_workload, grid,
-                                           frontier=per_point_front,
-                                           evaluator=CycleSimEvaluator()))
+        per_point = list(iter_design_space(
+            small_workload, grid, frontier=per_point_front,
+            evaluator=PerPoint(CycleSimEvaluator()),
+        ))
         assert batched == per_point
         assert batched_front.points == per_point_front.points
         assert batched_front.offered == per_point_front.offered
@@ -470,7 +505,7 @@ class TestHybrid:
                                      evaluator="hybrid")
         per_point = sweep_design_space(
             small_workload, grid,
-            evaluator=HybridEvaluator(coarse=AnalyticalEvaluator(),
+            evaluator=HybridEvaluator(coarse=PerPoint(AnalyticalEvaluator()),
                                       fine=ReferenceCycleSimEvaluator()),
         )
         assert batched == per_point
@@ -491,7 +526,7 @@ class TestDistShards:
                           tmp_path / "batched", evaluator="cycle")
                 run_shard(small_workload, grid, shard,
                           tmp_path / "per_point",
-                          evaluator=CycleSimEvaluator())
+                          evaluator=PerPoint(CycleSimEvaluator()))
             batched = merge_store(tmp_path / "batched",
                                   workload=small_workload)
             per_point = merge_store(tmp_path / "per_point",

@@ -1,14 +1,19 @@
 """Grid-batched analytical DSE: the batch axis must be invisible.
 
 The contract under test: scoring a grid chunk with
-``BatchedAnalyticalEvaluator.evaluate_batch`` (one numpy walk over a
-leading design-point axis) is **bit-for-bit** the per-point
-``AnalyticalEvaluator`` loop — points, ordering, Pareto frontier,
-failure attribution, durable shard records.  Property-tested over random
-grids of all five sweepable parameters; this is the CI-enforced
+``AnalyticalEvaluator.evaluate_batch`` (one numpy walk over a leading
+design-point axis) is **bit-for-bit** the per-point route (the same
+evaluator behind :class:`per_point.PerPoint`, one ``__call__`` per grid
+point) — points, ordering, Pareto frontier, failure attribution, durable
+shard records.  Property-tested over random grids of all five sweepable
+parameters, invalid resource values included; this is the CI-enforced
 guarantee that makes batching an execution detail rather than a model
 change.
 """
+
+import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +31,13 @@ from repro.hw.params import VITCOD_DEFAULT
 from repro.models import get_config
 from repro.sim import (
     AnalyticalEvaluator,
-    BatchedAnalyticalEvaluator,
     BatchEvaluator,
     evaluator_from_spec,
     evaluator_spec,
     resolve_evaluator,
 )
+
+from per_point import PerPoint
 
 
 @pytest.fixture(scope="module")
@@ -42,17 +48,25 @@ def small_workload():
 # ----------------------------------------------------------------------
 # Random grids over every sweepable parameter
 # ----------------------------------------------------------------------
+def _has_bad_resource(names, row):
+    """Whether a grid row has a non-positive DRAM bandwidth or act buffer."""
+    values = dict(zip(names, row))
+    return (values.get("bandwidth_gbps", 1) <= 0
+            or values.get("act_buffer_kb", 1) <= 0)
+
+
 def grid_strategy():
     """Random DSE grids: any subset of the five parameters, small value
     lists, including the knobs' edge values (AE off via ``None``, zero
-    forwarding, fractional buffer sizes)."""
+    forwarding, fractional buffer sizes) and the zero and negative
+    bandwidths and buffers every route must reject."""
     mac_lines = st.lists(st.integers(2, 512), min_size=1, max_size=3,
                          unique=True)
     bandwidth = st.lists(
-        st.sampled_from([9.6, 19.2, 38.4, 76.8, 153.6, 307.2]),
+        st.sampled_from([-10, 0, 9.6, 19.2, 38.4, 76.8, 153.6, 307.2]),
         min_size=1, max_size=2, unique=True,
     )
-    act_buffer = st.lists(st.sampled_from([0.5, 32, 64, 128, 320, 512]),
+    act_buffer = st.lists(st.sampled_from([-8, 0, 0.5, 32, 64, 128, 320, 512]),
                           min_size=1, max_size=2, unique=True)
     ae = st.lists(st.sampled_from([None, 0.25, 0.5, 0.75, 1.0]),
                   min_size=1, max_size=3, unique=True)
@@ -76,38 +90,67 @@ class TestBitExactness:
     @given(grid=grid_strategy())
     @settings(max_examples=40, deadline=None)
     def test_batched_sweep_equals_per_point(self, small_workload, grid):
-        """Points, grid ordering and frontier are bit-identical."""
-        per_point = sweep_design_space(small_workload, grid,
-                                       evaluator=AnalyticalEvaluator())
-        batched = sweep_design_space(small_workload, grid)
+        """Points, grid ordering and frontier are bit-identical; exactly
+        the points with a non-positive bandwidth or buffer are dropped,
+        and nothing non-finite or negative is ever scored."""
+        from itertools import product
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            per_point = sweep_design_space(
+                small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())
+            )
+            batched = sweep_design_space(small_workload, grid)
         assert batched == per_point  # DesignPoint eq: every field bit-equal
         assert pareto_frontier(batched) == pareto_frontier(per_point)
+        names = sorted(grid)
+        rows = list(product(*(grid[n] for n in names)))
+        assert len(batched) == sum(
+            not _has_bad_resource(names, row) for row in rows
+        )
+        assert all(math.isfinite(p.seconds) and p.seconds >= 0
+                   and math.isfinite(p.energy_joules)
+                   and p.energy_joules >= 0 for p in batched)
 
     @given(grid=grid_strategy())
     @settings(max_examples=15, deadline=None)
     def test_evaluate_batch_matches_call_loop(self, small_workload, grid):
-        """The raw batch surface, without the DSE engine in between."""
+        """The raw batch surface, without the DSE engine in between: a
+        batch holding an invalid point raises as a whole, and the valid
+        points score exactly as per-point calls do."""
         from itertools import product
 
         names = sorted(grid)
         rows = list(product(*(grid[n] for n in names)))
-        evaluator = BatchedAnalyticalEvaluator()
-        batch = evaluator.evaluate_batch(small_workload, VITCOD_DEFAULT,
-                                         names, rows)
-        assert len(batch) == len(rows)
-        for row, metrics in zip(rows, batch):
-            expected = dse_module._evaluate_design_point(
-                small_workload, VITCOD_DEFAULT, names, row,
-                AnalyticalEvaluator(),
+        evaluator = AnalyticalEvaluator()
+        expected = [
+            dse_module._evaluate_design_point(
+                small_workload, VITCOD_DEFAULT, names, row, evaluator
             )
-            assert metrics.seconds == expected.seconds
-            assert metrics.energy_joules == expected.energy_joules
+            for row in rows
+        ]
+        failed = [isinstance(e, dse_module.PointFailure) for e in expected]
+        assert failed == [_has_bad_resource(names, row) for row in rows]
+        if any(failed):
+            with pytest.raises(ValueError, match="must be positive"):
+                evaluator.evaluate_batch(small_workload, VITCOD_DEFAULT,
+                                         names, rows)
+        valid = [(row, e) for row, e in zip(rows, expected)
+                 if not isinstance(e, dse_module.PointFailure)]
+        if not valid:
+            return
+        batch = evaluator.evaluate_batch(small_workload, VITCOD_DEFAULT,
+                                         names, [row for row, _ in valid])
+        assert len(batch) == len(valid)
+        for (_, point), metrics in zip(valid, batch):
+            assert metrics.seconds == point.seconds
+            assert metrics.energy_joules == point.energy_joules
 
     def test_indexed_subset_matches_per_point(self, small_workload):
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
         per_point = dict(iter_indexed_design_points(
             small_workload, grid, [5, 0, 3],
-            evaluator=AnalyticalEvaluator(),
+            evaluator=PerPoint(AnalyticalEvaluator()),
         ))
         batched = dict(iter_indexed_design_points(small_workload, grid,
                                                   [5, 0, 3]))
@@ -117,8 +160,10 @@ class TestBitExactness:
         grid = {"mac_lines": [16, 32, 64], "bandwidth_gbps": [19.2, 76.8]}
         serial = sweep_design_space(small_workload, grid)
         assert sweep_design_space(small_workload, grid, n_jobs=3) == serial
+        # An explicit chunk size bypasses the pilot: 6 points over 3
+        # workers, one 2-point chunk each.
         assert sweep_design_space(small_workload, grid, n_jobs=3,
-                                  min_parallel_s=0.0) == serial
+                                  chunksize=2) == serial
 
     def test_explicit_chunksize_matches(self, small_workload):
         grid = {"mac_lines": [16, 32, 64, 128],
@@ -137,41 +182,74 @@ class TestBitExactness:
                                      evaluator="hybrid")
         per_point = sweep_design_space(
             small_workload, grid,
-            evaluator=HybridEvaluator(coarse=AnalyticalEvaluator(),
-                                      fine=CycleSimEvaluator()),
+            evaluator=HybridEvaluator(
+                coarse=PerPoint(AnalyticalEvaluator()),
+                fine=PerPoint(CycleSimEvaluator()),
+            ),
         )
         assert batched == per_point
+
+    @pytest.mark.parametrize("evaluator", ["analytical", "cycle", "hybrid"])
+    def test_non_positive_resources_dropped(self, small_workload, evaluator):
+        """A zero or negative bandwidth or buffer is an invalid point for
+        every evaluator: only the (76.8 GB/s, 320 KB) point survives,
+        instead of a -10 GB/s point topping the frontier."""
+        grid = {"bandwidth_gbps": [-10, 0, 76.8],
+                "act_buffer_kb": [-8, 0, 320]}
+        with pytest.warns(RuntimeWarning, match="must be positive"):
+            points = sweep_design_space(small_workload, grid,
+                                        evaluator=evaluator)
+        assert [dict(p.parameters) for p in points] == \
+            [{"act_buffer_kb": 320, "bandwidth_gbps": 76.8}]
+        assert all(math.isfinite(p.seconds) and p.seconds > 0
+                   and math.isfinite(p.energy_joules)
+                   and p.energy_joules > 0 for p in points)
+
+    def test_cli_json_holds_only_valid_points(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "out.json"
+        with pytest.warns(RuntimeWarning, match="must be positive"):
+            main(["dse", "--models", "deit-tiny",
+                  "--grid", "bandwidth_gbps=-10,0,76.8",
+                  "--grid", "act_buffer_kb=-8,0,320", "--json", str(out)])
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        points = json.loads(text)["points"]
+        assert [row["parameters"] for row in points] == \
+            [{"act_buffer_kb": 320, "bandwidth_gbps": 76.8}]
 
 
 class TestBatchEngine:
     def test_analytical_default_is_batch_capable(self):
         evaluator = resolve_evaluator(None)
-        assert isinstance(evaluator, BatchedAnalyticalEvaluator)
-        assert isinstance(evaluator, AnalyticalEvaluator)  # same strategy
+        assert type(evaluator) is AnalyticalEvaluator
         assert isinstance(evaluator, BatchEvaluator)
         assert dse_module._batch_capable(evaluator)
-        assert not dse_module._batch_capable(AnalyticalEvaluator())
+        assert not dse_module._batch_capable(PerPoint(AnalyticalEvaluator()))
 
     def test_spec_round_trip_shared_with_per_point(self):
-        assert evaluator_spec(BatchedAnalyticalEvaluator()) == \
-            {"name": "analytical"}
+        """One class scores both routes, so there is one spec; the
+        pre-merge batched name survives only as an alias of it."""
+        from repro.sim.evaluator import BatchedAnalyticalEvaluator
+
+        assert BatchedAnalyticalEvaluator is AnalyticalEvaluator
         assert evaluator_spec(AnalyticalEvaluator()) == \
             {"name": "analytical"}
         rebuilt = evaluator_from_spec({"name": "analytical"})
-        assert isinstance(rebuilt, BatchedAnalyticalEvaluator)
+        assert type(rebuilt) is AnalyticalEvaluator
 
     def test_serial_sweep_uses_batch_calls(self, small_workload,
                                            monkeypatch):
         """The engine really routes chunks through evaluate_batch."""
         calls = []
-        real = BatchedAnalyticalEvaluator.evaluate_batch
+        real = AnalyticalEvaluator.evaluate_batch
 
         def spying(self, workload, base_config, names, rows):
             calls.append(len(list(rows)))
             return real(self, workload, base_config, names, rows)
 
-        monkeypatch.setattr(BatchedAnalyticalEvaluator, "evaluate_batch",
-                            spying)
+        monkeypatch.setattr(AnalyticalEvaluator, "evaluate_batch", spying)
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
         points = sweep_design_space(small_workload, grid)
         assert len(points) == 6
@@ -180,19 +258,18 @@ class TestBatchEngine:
     def test_sensitivity_shares_the_batch_path(self, small_workload,
                                                monkeypatch):
         calls = []
-        real = BatchedAnalyticalEvaluator.evaluate_batch
+        real = AnalyticalEvaluator.evaluate_batch
 
         def spying(self, workload, base_config, names, rows):
             rows = list(rows)
             calls.append(len(rows))
             return real(self, workload, base_config, names, rows)
 
-        monkeypatch.setattr(BatchedAnalyticalEvaluator, "evaluate_batch",
-                            spying)
+        monkeypatch.setattr(AnalyticalEvaluator, "evaluate_batch", spying)
         rows = sensitivity(small_workload, "mac_lines", [16, 32, 64])
         assert sum(calls) == 3  # one batch, not three evaluator calls
         per_point = sensitivity(small_workload, "mac_lines", [16, 32, 64],
-                                evaluator=AnalyticalEvaluator())
+                                evaluator=PerPoint(AnalyticalEvaluator()))
         assert rows == per_point
 
     def test_invalid_point_falls_back_to_per_point_failures(
@@ -202,8 +279,9 @@ class TestBatchEngine:
         — good points kept, bad point warn-dropped."""
         grid = {"mac_lines": [1, 32, 64]}
         with pytest.warns(RuntimeWarning, match="MAC lines"):
-            per_point = sweep_design_space(small_workload, grid,
-                                           evaluator=AnalyticalEvaluator())
+            per_point = sweep_design_space(
+                small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())
+            )
         with pytest.warns(RuntimeWarning, match="MAC lines"):
             batched = sweep_design_space(small_workload, grid)
         assert batched == per_point
@@ -214,8 +292,9 @@ class TestBatchEngine:
         with pytest.warns(RuntimeWarning, match="ae_compression"):
             batched = sweep_design_space(small_workload, grid)
         with pytest.warns(RuntimeWarning, match="ae_compression"):
-            per_point = sweep_design_space(small_workload, grid,
-                                           evaluator=AnalyticalEvaluator())
+            per_point = sweep_design_space(
+                small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())
+            )
         assert batched == per_point
         assert [p.parameter("ae_compression") for p in batched] == [0.5]
 
@@ -227,7 +306,7 @@ class TestBatchEngine:
         """A batch implementation returning the wrong number of results
         is treated as a failed batch (loudly), not silently mis-zipped."""
 
-        class Truncating(BatchedAnalyticalEvaluator):
+        class Truncating(AnalyticalEvaluator):
             def evaluate_batch(self, workload, base_config, names, rows):
                 return super().evaluate_batch(
                     workload, base_config, names, list(rows)[:-1]
@@ -244,7 +323,7 @@ class TestBatchEngine:
         scoring — results would stay bit-identical, hiding the lost
         speedup."""
 
-        class Broken(BatchedAnalyticalEvaluator):
+        class Broken(AnalyticalEvaluator):
             def evaluate_batch(self, workload, base_config, names, rows):
                 raise RuntimeError("batch kernel exploded")
 
@@ -254,34 +333,6 @@ class TestBatchEngine:
                                         evaluator=Broken())
         assert points == sweep_design_space(small_workload,
                                             {"mac_lines": [16, 32]})
-
-    def test_forced_pool_chunk_plan_stays_bounded(self, small_workload,
-                                                  monkeypatch):
-        """min_parallel_s=0 (pilot bypassed) must not plan one unbounded
-        evaluate_batch call per worker on a big grid."""
-        serial = sweep_design_space(
-            small_workload, {"mac_lines": list(range(8, 200, 4))}
-        )
-        captured = {}
-        real = dse_module._stream_evaluations
-
-        def spying(workload, base_config, names, indexed, n_jobs,
-                   chunksize, evaluator, keep_failures=False):
-            captured["chunksize"] = chunksize
-            # Run serially: the planned chunk size is what is under test.
-            return real(workload, base_config, names, indexed, 1,
-                        chunksize, evaluator, keep_failures=keep_failures)
-
-        monkeypatch.setattr(dse_module, "_stream_evaluations", spying)
-        monkeypatch.setattr(dse_module, "_BATCH_CHUNK", 8)
-        forced = sweep_design_space(
-            small_workload, {"mac_lines": list(range(8, 200, 4))},
-            n_jobs=2, min_parallel_s=0.0,
-        )
-        assert forced == serial
-        # 48 points / 2 workers would be 24-point chunks; the batch cap
-        # (patched to 8) must bound the plan.
-        assert captured["chunksize"] == 8
 
     def test_cli_batch_size_validated(self):
         from repro.cli import main

@@ -489,6 +489,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["dse-merge"])
 
+    @pytest.mark.parametrize("command", [
+        ["dse-shard", "--shard", "1/1"],
+        ["dse-fleet"],
+        ["dse-merge"],
+    ])
+    def test_n_jobs_is_dse_only(self, tmp_path, command):
+        """Shards and merges score in one process: --n-jobs is refused
+        before any store is touched, pointing at the fleet instead."""
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="dse-fleet --num-shards"):
+            main(command + ["--out", str(store), "--n-jobs", "2"]
+                 + self.GRID_ARGS)
+        assert not store.exists()
+
     def test_separate_processes_match_serial(self, tmp_path):
         """Two real CLI processes shard one store; merge == serial sweep."""
         store = str(tmp_path / "store")

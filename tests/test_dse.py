@@ -181,6 +181,7 @@ class TestStreaming:
         """Taking 5 points from an 864-point grid evaluates exactly 5
         with a per-point evaluator, and at most one batch chunk with the
         batch-capable default — never the whole grid."""
+        from per_point import PerPoint
         from repro.sim import AnalyticalEvaluator
 
         calls = []
@@ -195,7 +196,7 @@ class TestStreaming:
                 "bandwidth_gbps": [19.2, 76.8],
                 "ae_compression": [None, 0.25, 0.3, 0.5, 0.75]}
         taken = list(islice(iter_design_space(
-            small_workload, grid, evaluator=AnalyticalEvaluator()), 5))
+            small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())), 5))
         assert len(taken) == 5
         assert len(calls) == 5
 
@@ -344,15 +345,6 @@ class TestGridIndexing:
         everything = dict(iter_indexed_design_points(small_workload, grid))
         assert [everything[i] for i in range(len(serial))] == serial
 
-    def test_indexed_iteration_parallel_same_pairs(self, small_workload):
-        from repro.harness.dse import iter_indexed_design_points
-
-        grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
-        serial = dict(iter_indexed_design_points(small_workload, grid))
-        parallel = dict(iter_indexed_design_points(small_workload, grid,
-                                                   n_jobs=2))
-        assert parallel == serial
-
     def test_hybrid_rejected(self, small_workload):
         from repro.harness.dse import iter_indexed_design_points
 
@@ -395,25 +387,26 @@ class TestAdaptiveSweep:
 
     def test_forced_pool_matches_serial(self, small_workload):
         serial = sweep_design_space(small_workload, self.GRID)
+        # An explicit chunk size bypasses the pilot and forces the pool.
         forced = sweep_design_space(small_workload, self.GRID, n_jobs=3,
-                                    min_parallel_s=0.0)
+                                    chunksize=2)
         assert forced == serial
 
     def test_plan_parallel_math(self):
         from repro.harness.dse import _plan_parallel
 
-        # Remaining work cheaper than the pool: serial.
-        assert _plan_parallel(0.001, 46, 4, 0.25) == (1, 46)
+        # Remaining work cheaper than the pool (0.25 s): serial.
+        assert _plan_parallel(0.001, 46, 4) == (1, 46)
         # Expensive points: one point per chunk for balance.
-        assert _plan_parallel(0.2, 46, 4, 0.25) == (4, 1)
+        assert _plan_parallel(0.2, 46, 4) == (4, 1)
         # Cheap points, big grid: chunks target ~50 ms of work.
-        n_jobs, chunk = _plan_parallel(0.002, 1000, 4, 0.25)
+        n_jobs, chunk = _plan_parallel(0.002, 1000, 4)
         assert n_jobs == 4 and chunk == 25
         # Never exceeds the one-chunk-per-worker split.
-        n_jobs, chunk = _plan_parallel(0.001, 400, 4, 0.25)
+        n_jobs, chunk = _plan_parallel(0.001, 400, 4)
         assert chunk <= -(-400 // 4)
         # Nothing left: serial, floor chunk of 1.
-        assert _plan_parallel(0.5, 0, 4, 0.25) == (1, 1)
+        assert _plan_parallel(0.5, 0, 4) == (1, 1)
 
     def test_pilot_failures_still_warn_and_drop(self, small_workload):
         calls = []
@@ -453,5 +446,5 @@ class TestAdaptiveSweep:
         serial = sweep_design_space(small_workload, self.GRID,
                                     evaluator="hybrid")
         forced = sweep_design_space(small_workload, self.GRID, n_jobs=3,
-                                    evaluator="hybrid", min_parallel_s=0.0)
+                                    evaluator="hybrid", chunksize=2)
         assert forced == serial

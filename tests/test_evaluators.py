@@ -34,6 +34,8 @@ from repro.sim import (
     resolve_evaluator,
 )
 
+from per_point import PerPoint
+
 GRID = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
 
 
@@ -42,15 +44,20 @@ def small_workload():
     return model_workload(get_config("deit-tiny"), sparsity=0.9)
 
 
-class ExplodingEvaluator(AnalyticalEvaluator):
-    """Raises on one specific design point (module-level: pool-picklable)."""
+class ExplodingEvaluator:
+    """Raises on one specific design point (module-level: pool-picklable).
+
+    Wraps the analytical model rather than subclassing it: a subclass
+    would inherit ``evaluate_batch``, and the engine would score whole
+    chunks without ever reaching the raising ``__call__``.
+    """
 
     name = "exploding"
 
     def __call__(self, workload, config, accel_kwargs):
         if config.num_mac_lines == 32:
             raise RuntimeError("injected evaluator failure")
-        return super().__call__(workload, config, accel_kwargs)
+        return AnalyticalEvaluator()(workload, config, accel_kwargs)
 
 
 class AreaEvaluator:
@@ -129,7 +136,8 @@ class TestCycleSimEvaluator:
         every = sweep_design_space(small_workload, GRID, evaluator="cycle")
         front = ParetoFront()
         list(iter_design_space(small_workload, GRID,
-                               evaluator=CycleSimEvaluator(), frontier=front))
+                               evaluator=PerPoint(CycleSimEvaluator()),
+                               frontier=front))
         assert front.offered == len(every)
         assert front.points == pareto_frontier(every)
 

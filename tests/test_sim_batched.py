@@ -4,9 +4,10 @@ The cycle simulator's grid walk runs every layer in one max-plus scan with
 per-layer reset rows; durations live on the ``2**-20``-cycle grid, so the
 whole-model walk, the walk layer by layer and the scalar reference loop
 (:mod:`repro.hw.cycle_reference`) are exact in double precision and must
-agree exactly, ``per_layer`` breakdowns included.  The batched analytical
-model mirrors the per-layer phase expressions operation for operation, so
-it is held to exact equality too.
+agree exactly, ``per_layer`` breakdowns included.  The analytical model's
+array geometry mirrors the per-layer phase expressions operation for
+operation, so it is held to exact equality with its per-layer reports
+folded by ``merge_results``.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.hw import (
 )
 from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.models import get_config
+from repro.sim import merge_results
 
 
 def random_layer(data, tag):
@@ -147,19 +149,35 @@ class TestCycleSimBatched:
             )
 
 
+def layer_fold(accel, wl, end_to_end):
+    """The per-layer reference: every attention layer's report (and, end
+    to end, every GEMM's, Q/K outputs AE-compressed) folded left to right
+    with ``merge_results``."""
+    reports = [accel.simulate_attention_layer(layer)
+               for layer in wl.attention_layers]
+    if end_to_end:
+        reports += [
+            accel.simulate_gemm(gemm, compress_output=gemm.name.endswith(".qkv"))
+            for gemm in wl.linear_layers
+        ]
+    return merge_results(reports)
+
+
 class TestAnalyticalBatched:
-    """ViTCoDAccelerator(batched=True) vs the per-layer reference fold."""
+    """ViTCoDAccelerator's array geometry vs the per-layer reference fold."""
 
     def assert_reports_identical(self, wl, **kwargs):
-        batched = ViTCoDAccelerator(**kwargs)
-        loop = ViTCoDAccelerator(batched=False, **kwargs)
-        for method in ("simulate_attention", "simulate_model"):
-            a = getattr(batched, method)(wl)
-            b = getattr(loop, method)(wl)
+        accel = ViTCoDAccelerator(**kwargs)
+        for method, end_to_end, suffix in (
+            ("simulate_attention", False, "attention"),
+            ("simulate_model", True, "end2end"),
+        ):
+            a = getattr(accel, method)(wl)
+            b = layer_fold(accel, wl, end_to_end)
             assert dataclasses.astuple(a.latency) == dataclasses.astuple(b.latency)
             assert dataclasses.astuple(a.energy) == dataclasses.astuple(b.energy)
-            assert (a.platform, a.workload, a.details) == \
-                (b.platform, b.workload, b.details)
+            assert (a.platform, a.frequency_hz) == (b.platform, b.frequency_hz)
+            assert a.workload == f"{wl.name}:{suffix}"
 
     @pytest.mark.parametrize("model", ["deit-tiny", "levit-128"])
     def test_models(self, model):

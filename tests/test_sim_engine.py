@@ -92,10 +92,6 @@ class TestEmptyModels:
         with pytest.raises(ValueError):
             make().simulate_model(empty_model)
 
-    def test_unbatched_vitcod_raises_too(self, empty_model):
-        with pytest.raises(ValueError):
-            ViTCoDAccelerator(batched=False).simulate_attention(empty_model)
-
     def test_merge_results_empty(self):
         with pytest.raises(ValueError):
             merge_results([])
