@@ -16,8 +16,8 @@ from repro.models import get_config
 from repro.perf import KeyedCache, benchit, cached_model_workload
 from repro.sim import AnalyticalEvaluator, CycleSimEvaluator
 
-# The per-point oracle lives with the tests (it is not part of the
-# package): any evaluator, scored one ``__call__`` per grid point.
+# The per-point oracles live with the tests (they are not part of the
+# package): one call per grid point, lifted into rows by the adapter.
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
 from per_point import PerPoint  # noqa: E402
 
@@ -96,9 +96,9 @@ def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
 def test_batched_analytical_dse(bench_recorder, bench_mode):
     """Grid-batched analytical scoring vs the per-point evaluator loop.
 
-    The same streaming engine runs both: the per-point route
-    (`AnalyticalEvaluator` behind the `PerPoint` test adapter) pays one
-    Python dispatch, config clone and whole-model array walk per grid
+    The same streaming engine runs both: the per-point route (the
+    analytical per-layer fold behind the `PerPoint` test oracle) pays one
+    Python dispatch, config clone and per-layer report fold per grid
     point; the default batch route (`AnalyticalEvaluator.evaluate_batch`)
     scores bounded chunks of the grid as single (points × layers) numpy
     walks.  Bit-exactness — points,
@@ -159,8 +159,8 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
     The tentpole measurement: ``"cycle"`` resolves to `CycleSimEvaluator`,
     whose `evaluate_batch` runs a whole chunk of design points as one
     (points × layers × jobs) width-banded max-plus walk; the per-point
-    route (the same evaluator behind the `PerPoint` test adapter) runs
-    the same walk once per grid point, at P = 1.  Bit-exactness —
+    route (the `PerPoint` test oracle) runs the same walk once per grid
+    point on a cloned config, at P = 1.  Bit-exactness —
     points, grid order, frontier — is asserted before any timing.  The
     hybrid sweep rides along: the analytical prune plus the batched fine
     re-score.  The ≥5× assertion arms in full mode on a ≥1k-point grid
@@ -264,7 +264,7 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
         lambda: sweep_design_space(wl, grid, evaluator=evaluator,
                                    n_jobs=n_jobs, chunksize=per_worker),
         name="cycle_parallel_forced", repeats=repeats, warmup=1)
-    # The adaptive default pilots the first points and stays serial when
+    # The adaptive default pilots the first chunk and stays serial when
     # the whole sweep is cheaper than spawning workers, so n_jobs > 1 is
     # no longer a footgun on cheap grids (the fix for the ~0.7× above).
     adaptive = benchit(
@@ -296,7 +296,7 @@ def test_cycle_sim_dse(bench_recorder, bench_mode):
         speedup = serial.best / hybrid.best
         assert speedup >= 2.0, f"hybrid sweep only {speedup:.2f}x"
         # The adaptive path must never lose much to the serial sweep:
-        # its pilot is two points of real work plus one timing call.
+        # its pilot is one chunk of real work plus one timing call.
         adaptive_ratio = serial.best / adaptive.best
         assert adaptive_ratio >= 0.8, \
             f"adaptive n_jobs sweep regressed to {adaptive_ratio:.2f}x"

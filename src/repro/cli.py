@@ -100,7 +100,11 @@ def _parse_grid_value(token):
 
 
 def parse_grid(specs):
-    """Parse repeated ``--grid name=v1,v2,...`` options into a DSE grid."""
+    """Parse repeated ``--grid name=v1,v2,...`` options into a checked DSE
+    grid: a malformed or out-of-domain grid exits with one line, before
+    any store, subprocess or pool exists."""
+    from .harness.dse import check_grid
+
     grid = {}
     for spec in specs or ():
         name, sep, values = spec.partition("=")
@@ -117,7 +121,10 @@ def parse_grid(specs):
                 f"bad --grid value in {spec!r}: {exc}; expected numbers "
                 "or 'none'"
             ) from None
-    return grid or dict(DEFAULT_DSE_GRID)
+    try:
+        return check_grid(grid or DEFAULT_DSE_GRID)
+    except ValueError as exc:
+        raise SystemExit(f"bad --grid: {exc}") from None
 
 
 def build_parser():
@@ -481,8 +488,9 @@ def _run(args):
             # Serial sweeps have no retry layer: transient injected
             # failures surface as dropped points (the dist runner is
             # the path that heals them).  Hybrid's two-phase pruning
-            # would silently degrade under a per-point wrapper, so the
-            # combination is rejected rather than mis-simulated.
+            # would silently degrade under the fault wrapper (it scores
+            # rows, not phases), so the combination is rejected rather
+            # than mis-simulated.
             if args.evaluator == "hybrid":
                 raise SystemExit(
                     "--faults with the hybrid evaluator needs the "
@@ -584,6 +592,7 @@ def _run(args):
             raise SystemExit(
                 f"--num-shards must be >= 1, got {args.num_shards}"
             )
+        parse_grid(args.grid)  # a bad grid fails here, not in N shards
         faults = _load_fault_plan(args.faults)
         model = args.models[0] if args.models else "deit-tiny"
         shard_args = ["--models", model, "--sparsity", str(args.sparsity),

@@ -189,7 +189,7 @@ def merge_store(store, workload=None, evaluator=None) -> MergeResult:
     only when the manifest cannot supply them (an opaque workload spec, a
     custom evaluator); built-in setups reconstruct both from the
     manifest.  The merge runs in this process: survivors are re-scored
-    serially, in batches when the fine evaluator is batch-capable.
+    serially, in chunks.
     """
     store = ResultStore(store)
     manifest = store.read_manifest()

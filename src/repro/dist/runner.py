@@ -6,12 +6,12 @@ skip every index the store already holds a completion record for, stream
 the rest through the shared DSE engine (any pluggable evaluator), and
 append one record per point as it completes.  A shard scores in its own
 process, one chunk at a time; a study fans out by running more shards
-(``dse-fleet --num-shards``), never by a pool inside a shard.
-Batch-capable evaluators — every built-in — score the shard's strided
-index set in bounded whole-chunk numpy batches
-(:mod:`repro.harness.dse`), still emitting one durable completion record
-per point.  Killing the process at any moment loses at most the chunk in
-flight (one point, for per-point evaluators); re-running the same command
+(``dse-fleet --num-shards``), never by a pool inside a shard.  Every
+evaluator — fault-injecting wrappers and lifted per-point callables
+included — scores the shard's strided index set in bounded chunks, one
+``evaluate_batch`` call each (:mod:`repro.harness.dse`), still emitting
+one durable completion record per point.  Killing the process at any
+moment loses at most the chunk in flight; re-running the same command
 finishes the shard.
 
 **Work-stealing** (``steal=True``) makes the fleet elastic: a shard that
@@ -51,7 +51,12 @@ from pathlib import Path
 from .. import obs
 from ..faults.evaluator import FaultyEvaluator
 from ..faults.plan import activate, active_plan
-from ..harness.dse import PointFailure, grid_size, iter_indexed_design_points
+from ..harness.dse import (
+    PointFailure,
+    check_grid,
+    grid_size,
+    iter_indexed_design_points,
+)
 from ..hw.params import VITCOD_DEFAULT
 from ..ledger import JsonlAppender, publish
 from ..perf.cache import cached_model_workload
@@ -71,7 +76,7 @@ _log = obs.get_logger("dist.runner")
 
 #: Grid indices claimed per steal batch: small enough that several
 #: stealers share one straggler's backlog, large enough that
-#: batch-capable evaluators still amortise their array walk.
+#: evaluators still amortise their array walk.
 _STEAL_CHUNK = 16
 
 #: Seconds between re-scans of the store's steal files while a shard
@@ -517,10 +522,11 @@ def run_shard(
     :class:`repro.faults.FaultyEvaluator` is recognised here: its plan is
     scoped to the store (one-shot faults survive process relaunches) and
     activated in this thread for the duration, arming the ledger and
-    claim hooks.
+    claim hooks.  A malformed grid raises before the store is touched
+    (:func:`repro.harness.dse.check_grid`).
     """
+    grid = check_grid(grid)
     shard = ShardSpec.parse(shard)
-    grid = {name: tuple(values) for name, values in grid.items()}
     evaluator = resolve_evaluator(evaluator)
     plan = getattr(evaluator, "fault_plan", None)
     scoring = evaluator.inner if plan is not None else evaluator

@@ -52,7 +52,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List
 
-from ..harness.dse import DesignPoint, PointFailure, grid_size
+from ..harness.dse import DesignPoint, PointFailure, check_grid, grid_size
 from ..hw.params import EnergyTable, HardwareConfig
 from ..ledger import JsonlAppender, StoreCorruptError, StoreError, load_jsonl, publish
 from ..sim.evaluator import evaluator_spec
@@ -245,6 +245,7 @@ class ResultStore:
                 f"{self.manifest_path}: schema "
                 f"{manifest.get('schema')!r} != {SCHEMA!r}"
             )
+        check_grid(manifest["grid"])
         return manifest
 
     def ensure_manifest(self, manifest: dict) -> dict:

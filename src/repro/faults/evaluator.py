@@ -2,42 +2,52 @@
 
 from __future__ import annotations
 
+from .errors import FaultInjectedError
+
 __all__ = ["FaultyEvaluator"]
 
 
 class FaultyEvaluator:
-    """Wrap any point evaluator with a :class:`~repro.faults.FaultPlan`.
+    """Wrap any evaluator with a :class:`~repro.faults.FaultPlan`.
 
-    The wrapper is deliberately per-point (no ``evaluate_batch``): every
-    injected fault must land on one attributable design point so the
-    retry machinery can re-evaluate exactly that point.  Batch-capable
-    inner evaluators simply fall back to their per-point protocol.
-
-    Faults are selected from the *evaluated configuration*, not grid
-    order, so shard layout, stealing and chunking never change which
-    points are faulty.
+    Scores rows like any evaluator: each call fires the plan's one-shot
+    hang at most once, returns a :class:`FaultInjectedError` for every
+    seeded faulty row, and scores the healthy rows with one inner
+    ``evaluate_batch`` call.  Faulty rows are picked by the row's sorted
+    ``(name, value)`` pairs — the tuple ``DesignPoint.parameters`` holds
+    — not by grid order, so shard layout, stealing and chunking never
+    change which points fault, and every injected failure lands on one
+    attributable point for the retry machinery to re-evaluate.
     """
 
     def __init__(self, inner, plan):
-        if inner is None or isinstance(inner, str):
-            # Resolved lazily so this module stays stdlib-only at import
-            # time (obs/dist import sibling fault modules at module level).
-            from ..sim.evaluator import resolve_evaluator
-
-            inner = resolve_evaluator(inner)
+        # Resolved lazily so this module stays stdlib-only at import time
+        # (obs/dist import sibling fault modules at module level).
+        from ..sim.evaluator import resolve_evaluator
         from .plan import plan_from_spec
 
-        self.inner = inner
+        self.inner = resolve_evaluator(inner)
         self.fault_plan = plan_from_spec(plan)
 
-    def __call__(self, workload, config, accel_kwargs):
-        self.fault_plan.evaluator_fault(_point_key(config, accel_kwargs))
-        return self.inner(workload, config, accel_kwargs)
+    def evaluate_batch(self, workload, base_config, names, rows):
+        rows = list(rows)
+        self.fault_plan.evaluator_hang()
+        results = [None] * len(rows)
+        healthy = []
+        for i, row in enumerate(rows):
+            try:
+                self.fault_plan.evaluator_error(repr(tuple(zip(names, row))))
+            except FaultInjectedError as exc:
+                results[i] = exc
+            else:
+                healthy.append(i)
+        if healthy:
+            scored = self.inner.evaluate_batch(
+                workload, base_config, names, [rows[i] for i in healthy]
+            )
+            for i, result in zip(healthy, scored, strict=True):
+                results[i] = result
+        return results
 
     def __repr__(self):
         return f"FaultyEvaluator({self.inner!r}, {self.fault_plan!r})"
-
-
-def _point_key(config, accel_kwargs):
-    """Stable identity of an evaluated point across processes and hosts."""
-    return f"{config!r}|{sorted(accel_kwargs.items())!r}"

@@ -5,10 +5,10 @@ A :class:`FaultPlan` describes *which* faults to inject and *where*:
 ========================  ====================================================
 injection point           fires in
 ========================  ====================================================
-``evaluator_error``       :class:`repro.faults.FaultyEvaluator` — raises a
+``evaluator_error``       :class:`repro.faults.FaultyEvaluator` — a
                           transient error for a seeded subset of points
 ``evaluator_hang``        :class:`repro.faults.FaultyEvaluator` — one-shot
-                          sleep inside an evaluation (ledgers go stale)
+                          sleep inside a scoring call (ledgers go stale)
 ``torn_write``            :mod:`repro.ledger` record write — one-shot
                           half-written record followed by a crash
 ``fsync_error``           :mod:`repro.ledger` fsync barrier — one-shot
@@ -140,16 +140,20 @@ class FaultPlan:
 
     # -- injection points --------------------------------------------------
 
-    def evaluator_fault(self, key):
-        """Called by ``FaultyEvaluator`` before each real evaluation.
-
-        May sleep (one-shot hang) and may raise :class:`FaultInjectedError`
-        (seeded transient error, at most ``evaluator_error_attempts`` times
-        per point per process).
-        """
+    def evaluator_hang(self):
+        """Called by ``FaultyEvaluator`` once per scoring call: the
+        one-shot hang sleeps ``evaluator_hang_s`` the first time."""
         if self.evaluator_hang_s > 0 and self._fire_once("evaluator_hang"):
             self._count("evaluator_hang")
             time.sleep(self.evaluator_hang_s)
+
+    def evaluator_error(self, key):
+        """Called by ``FaultyEvaluator`` for each point it scores.
+
+        Raises :class:`FaultInjectedError` when ``key`` is in the seeded
+        subset, at most ``evaluator_error_attempts`` times per point per
+        process.
+        """
         if self._selected("evaluator_error", key, self.evaluator_error_rate):
             n = self._attempts.get(key, 0) + 1
             self._attempts[key] = n

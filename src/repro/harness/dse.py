@@ -6,7 +6,9 @@ measurable: sweep any subset of {MAC lines, bandwidth, buffer size, AE
 compression, forwarding hit rate} over a workload, collect latency/energy,
 and extract the Pareto frontier.
 
-All evaluation goes through ONE streaming engine:
+Every grid enters through :func:`check_grid`, which checks each swept
+knob's values against the knob's domain once, before any pool, store or
+job exists.  All evaluation then goes through ONE streaming engine:
 
 * :func:`iter_design_space` lazily walks the grid cross-product and yields
   :class:`DesignPoint` objects as they complete — huge grids are never
@@ -16,49 +18,34 @@ All evaluation goes through ONE streaming engine:
   and restores deterministic grid order, so serial and parallel runs are
   interchangeable (and equal to the streaming results point for point).
 
-*What* scores a point is pluggable (:mod:`repro.sim.evaluator`): pass
-``evaluator=`` — ``"analytical"`` (the default closed-form model),
-``"cycle"`` (the event-driven simulator, streamed through the same
-engine), ``"hybrid"`` (prune analytically, re-score the surviving frontier
-cycle-accurately, survivors in deterministic grid order), or any
-:class:`~repro.sim.evaluator.Evaluator` instance.  A point whose evaluator
-raises is dropped with a :class:`RuntimeWarning` (the sweep never hangs on
-a poisoned worker task); unknown grid *parameters* still raise.
+*What* scores a point is pluggable (:mod:`repro.sim.evaluator`):
+``"analytical"`` (the default closed-form model), ``"cycle"`` (the
+event-driven simulator), ``"hybrid"`` (prune analytically, re-score the
+surviving frontier cycle-accurately, in grid order), any
+:class:`~repro.sim.evaluator.Evaluator`, or a per-point callable.  Every
+chunk of grid points is one ``evaluate_batch`` call with one result or
+one failure per row: a failed row is dropped with a
+:class:`RuntimeWarning` (the sweep never hangs on a poisoned worker
+task), a call that raises fails every row of its chunk, and an
+:class:`~repro.sim.evaluator.UnsupportedParameterError` propagates.
+``chunksize`` (CLI: ``--batch-size``) bounds the chunk; results are
+bit-for-bit the same for any chunk size and any ``n_jobs``.
 
-Evaluators that implement the
-:class:`~repro.sim.evaluator.BatchEvaluator` surface — every built-in
-does — are handed whole bounded chunks of grid points and score them as
-single numpy batch ops instead of one Python call per point, in serial
-runs, in pool workers, in the hybrid phases and in :mod:`repro.dist`
-shards alike.  Batching is an execution detail only: results are
-bit-for-bit the per-point sweep's (points, ordering, Pareto frontier,
-failure attribution), which is CI-enforced.  ``chunksize`` (CLI:
-``--batch-size``) bounds the batch granularity; at 1 every point is the
-walk at P = 1.  Evaluators without ``evaluate_batch`` (custom ones, the
-fault-injection wrapper, the reference event loop) are scored per point.
+``n_jobs`` is a worker budget of the in-memory sweeps only: chunks fan
+across ``concurrent.futures`` workers with a bounded number in flight,
+and the workload ships once per worker through the pool initializer
+(:func:`repro.perf.seed_worker_workload`).  :func:`sweep_design_space`
+*pilots* the first chunk before committing to a pool: sweeps cheaper
+than spawning workers run serially, and sweeps that fan out size their
+chunks to a wall-clock target.  An explicit ``chunksize`` bypasses the
+pilot — pass one for an expensive per-point callable.  Sharded sweeps
+(:mod:`repro.dist`) scale out with more shard processes instead.
 
-The in-memory sweeps are the one layer that fans out in-process:
-``n_jobs`` is a worker budget.  Parallel runs fan grid points across
-``concurrent.futures`` workers in chunks with a bounded number of chunks
-in flight, yielding chunks ``as_completed``; the workload is shipped once
-per worker through the pool initializer
-(:func:`repro.perf.seed_worker_workload`), so per-workload memoized
-geometry is derived once per worker, not once per chunk.
-:func:`sweep_design_space` additionally *pilots* the first grid points
-before committing to a pool: sweeps whose total estimated cost is below
-the cost of spawning workers run serially (cheap analytical grids used to
-pay a ~0.7× "speedup" for their pool), and sweeps that do fan out size
-their chunks to a wall-clock target instead of a fixed point count.  An
-explicit ``chunksize`` bypasses the pilot.  Sharded sweeps
-(:mod:`repro.dist`) scale out with more shard processes instead, and
-score each shard serially.
-
-The deterministic grid indexing is also a *partition key*: every grid
-point has one index in the lexicographic cross-product order, exposed via
-:func:`grid_size` / :func:`grid_point` /
-:func:`iter_indexed_design_points`, which is what :mod:`repro.dist` shards
-across hosts (each shard evaluates a disjoint index subset and a merge
-reproduces the single-process sweep bit for bit).
+The deterministic grid index is also a *partition key*
+(:func:`grid_size` / :func:`grid_point` /
+:func:`iter_indexed_design_points`): :mod:`repro.dist` shards disjoint
+index subsets across hosts, and a merge reproduces the single-process
+sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -85,10 +72,9 @@ from ..hw.params import VITCOD_DEFAULT, HardwareConfig
 from ..hw.workload import ModelWorkload
 from ..perf.cache import seed_worker_workload, seeded_workload
 from ..sim.evaluator import (
-    Evaluator,
     HybridEvaluator,
     UnsupportedParameterError,
-    apply_dse_parameter,
+    check_dse_values,
     resolve_evaluator,
 )
 
@@ -96,6 +82,7 @@ __all__ = [
     "DesignPoint",
     "PointFailure",
     "ParetoFront",
+    "check_grid",
     "grid_size",
     "grid_point",
     "iter_indexed_design_points",
@@ -147,140 +134,59 @@ class PointFailure:
     transient: bool = False
 
 
-#: Backwards-compatible private alias (the class predates :mod:`repro.dist`).
-_PointFailure = PointFailure
-
-
-def _evaluate_design_point(workload, base_config, names, values, evaluator: Evaluator):
-    """Evaluate one grid point (module-level so process pools can pickle it).
-
-    Unknown/misrouted grid parameters raise (a malformed *grid* is a caller
-    bug, including an :class:`~repro.sim.evaluator.UnsupportedParameterError`
-    from an evaluator that cannot honour a swept knob); any other exception
-    from the evaluator itself — a simulator blowing up on one configuration
-    — is captured as a :class:`_PointFailure` so a pool worker returns it
-    instead of poisoning its whole chunk.
-    """
-    config = base_config
-    accel_kwargs: dict = {}
-    for name, value in zip(names, values):
-        config, accel_kwargs = apply_dse_parameter(config, accel_kwargs, name, value)
-    parameters = tuple(zip(names, values))
-    try:
-        metrics = evaluator(workload, config, accel_kwargs)
-    except UnsupportedParameterError:
-        raise
-    except Exception as exc:
-        return _PointFailure(
-            parameters=parameters,
-            error=f"{type(exc).__name__}: {exc}",
-            transient=isinstance(exc, (TransientError, OSError)),
-        )
-    return DesignPoint(
-        parameters=parameters,
-        seconds=metrics.seconds,
-        energy_joules=metrics.energy_joules,
-        area_proxy=config.total_macs,
-    )
-
-
-def _scored_pair(workload, base_config, names, evaluator, index, row):
-    """One ``(grid_index, result)`` pair via :func:`_evaluate_design_point`."""
-    return index, _evaluate_design_point(workload, base_config, names, row, evaluator)
-
-
-def _batch_capable(evaluator) -> bool:
-    """Whether ``evaluator`` implements the ``evaluate_batch`` surface
-    (see :class:`repro.sim.evaluator.BatchEvaluator`)."""
-    return callable(getattr(evaluator, "evaluate_batch", None))
-
-
-def _chunk_points_from_batch(base_config, names, chunk, metrics):
-    """Zip one chunk's batch metrics into ``(grid_index, DesignPoint)``.
-
-    The area proxy mirrors the per-point path's ``config.total_macs``
-    (swept MAC lines times the base config's per-line width) without
-    cloning a config per point.
-    """
-    lines_at = names.index("mac_lines") if "mac_lines" in names else None
-    pairs = []
-    for (index, values), point_metrics in zip(chunk, metrics):
-        lines = (
-            int(values[lines_at])
-            if lines_at is not None
-            else base_config.num_mac_lines
-        )
-        point = DesignPoint(
-            parameters=tuple(zip(names, values)),
-            seconds=point_metrics.seconds,
-            energy_joules=point_metrics.energy_joules,
-            area_proxy=lines * base_config.macs_per_line,
-        )
-        pairs.append((index, point))
-    return pairs
-
-
 def _evaluate_chunk(workload, base_config, names, chunk, evaluator):
-    """Evaluate a list of ``(grid_index, values)`` pairs in one task.
+    """Score ``(grid_index, values)`` pairs with one ``evaluate_batch`` call.
 
-    ``workload=None`` means "use the workload the pool initializer seeded
-    into this worker" (:func:`repro.perf.seed_worker_workload`) — chunk
-    tasks then carry no workload payload at all.
-
-    A batch-capable evaluator (:func:`_batch_capable`) scores the whole
-    chunk in one ``evaluate_batch`` call — one numpy walk instead of
-    ``len(chunk)`` Python dispatches, bit-for-bit equal to the per-point
-    loop by the :class:`~repro.sim.evaluator.BatchEvaluator` contract.
-    Any exception from the batch call drops to the per-point loop below,
-    which re-raises structural errors (unknown parameters,
-    :class:`~repro.sim.evaluator.UnsupportedParameterError`) and captures
-    per-point evaluator failures as :class:`PointFailure` — so failure
-    attribution is identical with and without batching.
+    Module-level so process pools can pickle the task; ``workload=None``
+    means the workload the pool initializer seeded into this worker
+    (:func:`repro.perf.seed_worker_workload`).  Each row's entry becomes
+    a :class:`DesignPoint` (area proxy: swept MAC lines times the base
+    config's per-line width) or, when it is an exception, a
+    :class:`PointFailure` carrying ``"<Type>: <message>"``; an exception
+    raised out of the call fails every row.
+    :class:`~repro.sim.evaluator.UnsupportedParameterError` propagates
+    either way: a structurally invalid sweep, not a per-point failure.
     """
     if workload is None:
         workload = seeded_workload()
-    if _batch_capable(evaluator):
-        try:
-            metrics = evaluator.evaluate_batch(
-                workload, base_config, names, [values for _, values in chunk]
+    rows = [values for _, values in chunk]
+    try:
+        results = evaluator.evaluate_batch(workload, base_config, names, rows)
+        if len(results) != len(rows):
+            raise RuntimeError(
+                f"evaluate_batch returned {len(results)} results "
+                f"for {len(rows)} points"
             )
-            if len(metrics) != len(chunk):
-                raise RuntimeError(
-                    f"evaluate_batch returned {len(metrics)} results "
-                    f"for {len(chunk)} points"
-                )
-        except UnsupportedParameterError:
-            # Structural by definition: the batch raise IS the raise every
-            # per-point call would produce — propagate it clean instead of
-            # warning about a fallback that could only re-raise it.
-            raise
-        except Exception as exc:
-            # Fall back to the per-point loop below, which attributes the
-            # failure (or re-raises a structural error) — but say so: a
-            # systematically broken batch implementation would otherwise
-            # degrade every chunk silently, producing correct results at
-            # none of the batched speed.
-            _log.warning(
-                "evaluate_batch failed (%s: %s); scoring this %d-point "
-                "chunk per point",
-                type(exc).__name__,
-                exc,
-                len(chunk),
+    except UnsupportedParameterError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - fails every row below
+        results = [exc] * len(rows)
+    lines_at = names.index("mac_lines") if "mac_lines" in names else None
+    pairs = []
+    for (index, values), result in zip(chunk, results):
+        parameters = tuple(zip(names, values))
+        if isinstance(result, UnsupportedParameterError):
+            raise result
+        if isinstance(result, Exception):
+            point = PointFailure(
+                parameters=parameters,
+                error=f"{type(result).__name__}: {result}",
+                transient=isinstance(result, (TransientError, OSError)),
             )
-            obs.counter("dse_batch_fallbacks").inc()
-            warnings.warn(
-                f"evaluate_batch failed ({type(exc).__name__}: {exc}); "
-                f"scoring this {len(chunk)}-point chunk per point",
-                RuntimeWarning,
-                stacklevel=2,
+        else:
+            lines = (
+                int(values[lines_at])
+                if lines_at is not None
+                else base_config.num_mac_lines
             )
-            metrics = None
-        if metrics is not None:
-            return _chunk_points_from_batch(base_config, names, chunk, metrics)
-    return [
-        _scored_pair(workload, base_config, names, evaluator, index, row)
-        for index, row in chunk
-    ]
+            point = DesignPoint(
+                parameters=parameters,
+                seconds=result.seconds,
+                energy_joules=result.energy_joules,
+                area_proxy=lines * base_config.macs_per_line,
+            )
+        pairs.append((index, point))
+    return pairs
 
 
 class ParetoFront:
@@ -400,28 +306,32 @@ class ParetoFront:
         return iter(self._points)
 
 
-def _resolve_grid(grid):
+def check_grid(grid) -> Dict[str, tuple]:
+    """Materialise a grid's values as tuples and check every knob's domain.
+
+    THE grid check, run wherever a grid enters — the in-memory sweeps,
+    :func:`repro.dist.run_shard`, the CLI's ``--grid`` and the serve
+    layer's ``POST /jobs`` — before any pool, store, subprocess or job
+    exists (see :func:`repro.sim.evaluator.check_dse_values`).  One-shot
+    iterables are read once.  An empty grid, a parameter without values,
+    an unknown name or an out-of-domain value raises :class:`ValueError`.
+    """
     if not grid:
         raise ValueError("empty DSE grid")
-    names = sorted(grid)
-    return names, product(*(grid[n] for n in names))
-
-
-def _normalise_grid(grid) -> Dict[str, tuple]:
-    """Materialise grid values as tuples (one-shot iterables read once)."""
-    if not grid:
-        raise ValueError("empty DSE grid")
-    normalised = {name: tuple(values) for name, values in grid.items()}
-    for name, values in normalised.items():
+    checked = {}
+    for name, values in grid.items():
+        values = tuple(values)
         if not values:
             raise ValueError(f"DSE parameter {name!r} has no values")
-    return normalised
+        check_dse_values(name, values)
+        checked[name] = values
+    return checked
 
 
 def grid_size(grid) -> int:
     """Number of points in the grid cross-product."""
     size = 1
-    for values in _normalise_grid(grid).values():
+    for values in check_grid(grid).values():
         size *= len(values)
     return size
 
@@ -434,12 +344,12 @@ def grid_point(grid, index: int) -> tuple:
     O(#parameters) by mixed-radix arithmetic, so shards of a huge grid can
     materialise exactly their own points without walking the cross-product.
     """
-    grid = _normalise_grid(grid)
+    grid = check_grid(grid)
     return _decode_grid_index(grid, sorted(grid), index)
 
 
 def _decode_grid_index(grid, names, index):
-    """:func:`grid_point` over an already-normalised grid."""
+    """:func:`grid_point` over an already-checked grid."""
     if index < 0:
         raise IndexError(f"grid index must be non-negative, got {index}")
     values = []
@@ -468,16 +378,12 @@ def _chunked(iterable, size):
         yield chunk
 
 
-#: Grid points bundled per parallel task: large enough to amortise the
-#: per-task workload pickle, small enough to keep the stream responsive.
-_STREAM_CHUNK = 16
-
-#: Grid points scored per ``evaluate_batch`` call when the evaluator is
-#: batch-capable: big enough to amortise every numpy launch across the
+#: Grid points scored per ``evaluate_batch`` call unless ``chunksize``
+#: says otherwise: big enough to amortise every numpy launch across the
 #: chunk (the per-point share of array-op overhead is negligible by a few
 #: hundred points), small enough to bound the (points × layers)
 #: temporaries and keep streams/stores responsive.  Also the cap on
-#: planned parallel chunk sizes for batch evaluators.
+#: planned parallel chunk sizes.
 _BATCH_CHUNK = 1024
 
 #: Eager sweeps below this much estimated total work run serially even
@@ -489,9 +395,6 @@ _AUTO_SERIAL_SECONDS = 0.25
 #: Adaptive chunks aim for this much work per task: big enough to amortise
 #: dispatch, small enough to keep workers balanced near the sweep's tail.
 _TARGET_CHUNK_SECONDS = 0.05
-
-#: Grid points timed serially before committing a sweep to a pool.
-_PILOT_POINTS = 2
 
 
 def _plan_parallel(per_point_s, remaining, n_jobs):
@@ -519,25 +422,22 @@ def _resolve_n_jobs(n_jobs):
 
 
 def _piloted_stream(
-    workload, base_config, names, indexed, total, n_jobs, evaluator
+    workload, base_config, names, indexed, total, n_jobs, chunksize, evaluator
 ) -> Iterator[tuple]:
     """Adaptive :func:`_stream_evaluations` over a known-length stream.
 
-    With ``n_jobs > 1``, times the first :data:`_PILOT_POINTS` points
-    in-process — or, for a batch-capable evaluator, the first
-    :data:`_BATCH_CHUNK`-point batch, so the measured per-point cost is
-    the *batched* cost the rest of the sweep would actually pay — then
-    either finishes serially (estimated remaining work below
-    :data:`_AUTO_SERIAL_SECONDS`: the pool would cost more than it saves,
-    which for batched analytical grids is almost always the case) or fans
-    out with :func:`_plan_parallel`-sized chunks.  A per-point grid no
-    longer than the pilot skips it and hands each worker one chunk.
-    Yields ``(grid_index, point)`` pairs with failures warn-dropped;
-    parallel yields arrive out of order.
+    With ``n_jobs > 1`` and no explicit ``chunksize``, times the first
+    :data:`_BATCH_CHUNK`-point chunk in-process — so the measured
+    per-point cost is the chunked cost the rest of the sweep would pay —
+    then either finishes serially (estimated remaining work below
+    :data:`_AUTO_SERIAL_SECONDS`: the pool would cost more than it saves)
+    or fans out with :func:`_plan_parallel`-sized chunks.  An explicit
+    ``chunksize`` skips the pilot and streams fixed chunks across
+    ``n_jobs`` workers.  Yields ``(grid_index, point)`` pairs with
+    failures warn-dropped; parallel yields arrive out of order.
     """
     indexed = iter(indexed)
-    chunksize = -(-total // n_jobs) if n_jobs > 1 else None
-    if n_jobs > 1 and _batch_capable(evaluator):
+    if n_jobs > 1 and chunksize is None:
         pilot_chunk = list(islice(indexed, _BATCH_CHUNK))
         begin = perf_counter()
         pilot = _evaluate_chunk(workload, base_config, names, pilot_chunk, evaluator)
@@ -546,18 +446,6 @@ def _piloted_stream(
         yield from _filter_failures(pilot)
         n_jobs, chunksize = _plan_parallel(per_point, total - len(pilot_chunk), n_jobs)
         chunksize = None if n_jobs == 1 else min(chunksize, _BATCH_CHUNK)
-        _note_pilot(n_jobs, chunksize)
-    elif n_jobs > 1 and total > _PILOT_POINTS:
-        begin = perf_counter()
-        pilot = [
-            _scored_pair(workload, base_config, names, evaluator, index, row)
-            for index, row in islice(indexed, _PILOT_POINTS)
-        ]
-        per_point = (perf_counter() - begin) / _PILOT_POINTS
-        yield from _filter_failures(pilot)
-        n_jobs, chunksize = _plan_parallel(per_point, total - _PILOT_POINTS, n_jobs)
-        if n_jobs == 1:
-            chunksize = None
         _note_pilot(n_jobs, chunksize)
     yield from _stream_evaluations(
         workload, base_config, names, indexed, n_jobs, chunksize, evaluator
@@ -597,7 +485,7 @@ def _note_chunk(pairs):
     registry = obs.get_registry()
     if not registry.enabled:
         return
-    failed = sum(1 for _, point in pairs if isinstance(point, _PointFailure))
+    failed = sum(1 for _, point in pairs if isinstance(point, PointFailure))
     registry.counter("dse_chunks_dispatched").inc()
     if len(pairs) > failed:
         registry.counter("dse_points_scored").inc(len(pairs) - failed)
@@ -617,7 +505,7 @@ def _note_pilot(n_jobs, chunksize):
 def _filter_failures(pairs):
     """Pass ``(index, DesignPoint)`` pairs through; warn-and-drop failures."""
     for index, point in pairs:
-        if isinstance(point, _PointFailure):
+        if isinstance(point, PointFailure):
             _log.warning(
                 "DSE point %d %r dropped: evaluator raised %s",
                 index,
@@ -647,17 +535,16 @@ def _stream_evaluations(
 ) -> Iterator[tuple]:
     """Evaluate ``(grid_index, values)`` pairs, yielding completed points.
 
-    The engine under both the lazy and the eager sweep: serial runs
-    evaluate in the order given; parallel runs keep at most ``2 * n_jobs``
-    chunks in flight and yield chunks as they complete (out of order —
-    that IS the streaming contract; sort by index to recover input order).
-    Either way, a batch-capable evaluator scores each chunk as ONE
-    ``evaluate_batch`` array op (:data:`_BATCH_CHUNK` points per chunk by
-    default; ``chunksize`` overrides) instead of a per-point Python loop
-    — bit-for-bit the same points, order and failures (see
-    :func:`_evaluate_chunk`).  The workload is shipped once per worker
-    via the pool initializer, so chunk tasks stay tiny and workers reuse
-    one memoized workload object.
+    The engine under both the lazy and the eager sweep: every chunk of
+    ``chunksize or`` :data:`_BATCH_CHUNK` points is one
+    :func:`_evaluate_chunk` call.  Serial runs evaluate in the order
+    given (laziness is per chunk: an early-stopping consumer evaluates
+    at most one chunk beyond what it takes); parallel runs keep at most
+    ``2 * n_jobs`` chunks in flight and yield chunks as they complete
+    (out of order — that IS the streaming contract; sort by index to
+    recover input order).  The workload is shipped once per worker via
+    the pool initializer, so chunk tasks stay tiny and workers reuse one
+    memoized workload object.
     Only pool *creation* may fall back to threads (sandboxes without
     process/semaphore support); failures outside the evaluator — including
     BrokenProcessPool — propagate.  ``keep_failures=True`` yields
@@ -665,28 +552,14 @@ def _stream_evaluations(
     sharded runners persist them as completion records).
     """
     sieve = (lambda pairs: pairs) if keep_failures else _filter_failures
+    chunks = _chunked(indexed, chunksize or _BATCH_CHUNK)
     if n_jobs == 1:
-        if _batch_capable(evaluator):
-            # Serial batched streaming: score bounded chunks as single
-            # array ops.  Laziness weakens from per-point to per-chunk —
-            # an early-stopping consumer evaluates at most one chunk
-            # beyond what it takes.
-            for chunk in _chunked(indexed, chunksize or _BATCH_CHUNK):
-                with obs.span("dse_chunk"):
-                    scored = _evaluate_chunk(
-                        workload, base_config, names, chunk, evaluator
-                    )
-                _note_chunk(scored)
-                yield from sieve(scored)
-            return
-        pairs = (
-            _scored_pair(workload, base_config, names, evaluator, index, row)
-            for index, row in indexed
-        )
-        yield from sieve(pairs)
+        for chunk in chunks:
+            with obs.span("dse_chunk"):
+                scored = _evaluate_chunk(workload, base_config, names, chunk, evaluator)
+            _note_chunk(scored)
+            yield from sieve(scored)
         return
-    default_chunk = _BATCH_CHUNK if _batch_capable(evaluator) else _STREAM_CHUNK
-    chunks = _chunked(indexed, chunksize or default_chunk)
     try:
         pool = ProcessPoolExecutor(
             max_workers=n_jobs,
@@ -753,7 +626,7 @@ def iter_indexed_design_points(
     ``evaluator.coarse``) but the prune needs the whole grid — see
     :func:`repro.dist.merge_store`, which re-scores the merged frontier.
     """
-    grid = _normalise_grid(grid)
+    grid = check_grid(grid)
     names = sorted(grid)
     evaluator = resolve_evaluator(evaluator)
     if isinstance(evaluator, HybridEvaluator):
@@ -809,12 +682,13 @@ def iter_design_space(
     for very expensive points), and ``"hybrid"`` — or any
     :class:`~repro.sim.evaluator.HybridEvaluator` — prunes the grid with
     its coarse evaluator and yields only the surviving frontier re-scored
-    by its fine evaluator, in deterministic grid order.  A hybrid coarse
-    phase with ``n_jobs > 1`` (and no explicit ``chunksize``) is adaptive
-    like the eager sweep: it pilots the first points and stays serial
-    when the whole phase is cheaper than spawning workers.  Plain
+    by its fine evaluator, in deterministic grid order.  Both hybrid
+    phases with ``n_jobs > 1`` (and no explicit ``chunksize``) are
+    adaptive like the eager sweep: each pilots its first chunk and stays
+    serial when the phase is cheaper than spawning workers.  Plain
     streaming sweeps do not pilot — a lazy stream's length is unknown, so
-    there is nothing to estimate against.
+    there is nothing to estimate against.  Frontier pruning offers each
+    chunk at once (:meth:`ParetoFront.offer_all`).
 
     Example
     -------
@@ -824,6 +698,7 @@ def iter_design_space(
     >>> best = front.points                        # exact final frontier
     """
     evaluator = resolve_evaluator(evaluator)
+    grid = check_grid(grid)
     if isinstance(evaluator, HybridEvaluator):
         yield from _iter_hybrid(
             workload,
@@ -835,28 +710,25 @@ def iter_design_space(
             chunksize,
         )
         return
-    names, combos = _resolve_grid(grid)
+    names = sorted(grid)
     stream = _stream_evaluations(
         workload,
         base_config or VITCOD_DEFAULT,
         names,
-        enumerate(combos),
+        enumerate(product(*(grid[n] for n in names))),
         _resolve_n_jobs(n_jobs),
         chunksize,
         evaluator,
     )
-    if frontier is not None and _batch_capable(evaluator):
-        # Batched scoring arrives chunk-at-a-time anyway, so prune each
-        # chunk with one whole-chunk dominance broadcast instead of one
-        # ``offer`` per point — same yielded points, same final frontier
-        # (see :meth:`ParetoFront.offer_all`); laziness stays per-chunk.
-        for chunk in _chunked(stream, chunksize or _BATCH_CHUNK):
-            yield from frontier.offer_all([point for _, point in chunk])
+    if frontier is None:
+        for _, point in stream:
+            yield point
         return
-    for _, point in stream:
-        if frontier is not None and not frontier.offer(point):
-            continue
-        yield point
+    # Points arrive chunk-at-a-time anyway, so prune each chunk with one
+    # whole-chunk dominance broadcast — the same yielded points and final
+    # frontier as one ``offer`` per point; laziness stays per-chunk.
+    for chunk in _chunked(stream, chunksize or _BATCH_CHUNK):
+        yield from frontier.offer_all([point for _, point in chunk])
 
 
 def _iter_hybrid(
@@ -871,16 +743,15 @@ def _iter_hybrid(
     """Two-phase sweep: coarse-prune the grid, fine-score the survivors.
 
     Phase 1 streams every grid point through ``evaluator.coarse`` into an
-    incremental :class:`ParetoFront` — adaptively (see
-    :func:`_piloted_stream`): a cheap coarse phase with ``n_jobs > 1``
-    stays serial instead of paying for a pool it cannot amortise.  Phase 2
-    re-scores only the surviving frontier with ``evaluator.fine``.
-    Survivors are processed and yielded in ascending grid order, so hybrid
-    sweeps are deterministic regardless of ``n_jobs`` or completion order
-    (the non-dominated set of a multiset of points does not depend on
-    arrival order).
+    incremental :class:`ParetoFront`; phase 2 re-scores only the surviving
+    frontier with ``evaluator.fine``.  Both phases go through
+    :func:`_piloted_stream`, so a cheap phase with ``n_jobs > 1`` stays
+    serial instead of paying for a pool it cannot amortise.  ``grid`` is
+    already checked.  Survivors are processed and yielded in ascending
+    grid order, so hybrid sweeps are deterministic regardless of
+    ``n_jobs`` or completion order (the non-dominated set of a multiset
+    of points does not depend on arrival order).
     """
-    grid = _normalise_grid(grid)
     names = sorted(grid)
     base_config = base_config or VITCOD_DEFAULT
     n_jobs = _resolve_n_jobs(n_jobs)
@@ -888,44 +759,29 @@ def _iter_hybrid(
     coarse_objectives = (
         frontier.objectives if frontier is not None else ("seconds", "energy_joules")
     )
-    combos = enumerate(product(*(grid[n] for n in names)))
-    if chunksize is not None:
-        # An explicit chunk size is a caller override (expensive coarse
-        # points): keep the historical fixed-chunk stream.
-        coarse_stream = _stream_evaluations(
-            workload, base_config, names, combos, n_jobs, chunksize, evaluator.coarse
-        )
-    else:
-        coarse_stream = _piloted_stream(
-            workload,
-            base_config,
-            names,
-            combos,
-            grid_size(grid),
-            n_jobs,
-            evaluator.coarse,
-        )
+    coarse_stream = _piloted_stream(
+        workload,
+        base_config,
+        names,
+        enumerate(product(*(grid[n] for n in names))),
+        grid_size(grid),
+        n_jobs,
+        chunksize,
+        evaluator.coarse,
+    )
     survivors = _hybrid_survivors(coarse_stream, objectives=coarse_objectives)
     indexed = (
         (index, tuple(dict(point.parameters)[name] for name in names))
         for index, point in survivors
     )
-    if _batch_capable(evaluator.fine):
-        # A batch-capable fine evaluator scores the survivor set as a few
-        # in-process array walks; a pool would pay worker spawn to split
-        # work numpy already amortises.
-        fine_jobs, fine_chunk = 1, None
-    else:
-        # Survivor counts are small and each point is expensive: one
-        # point per task maximises fan-out.
-        fine_jobs, fine_chunk = min(n_jobs, max(len(survivors), 1)), 1
-    rescored = _stream_evaluations(
+    rescored = _piloted_stream(
         workload,
         base_config,
         names,
         indexed,
-        fine_jobs,
-        fine_chunk,
+        len(survivors),
+        min(n_jobs, max(len(survivors), 1)),
+        chunksize,
         evaluator.fine,
     )
     for index, point in sorted(rescored, key=lambda pair: pair[0]):
@@ -954,8 +810,7 @@ def sweep_design_space(
     are dropped (with a :class:`RuntimeWarning`), so the result can be
     shorter than the grid.
 
-    ``n_jobs > 1`` sweeps are *adaptive*: the first points (one batch for a
-    batch-capable evaluator, :data:`_PILOT_POINTS` otherwise) are timed
+    ``n_jobs > 1`` sweeps are *adaptive*: the first chunk is timed
     in-process, and the sweep only spawns a pool when the estimated
     remaining work exceeds :data:`_AUTO_SERIAL_SECONDS` (pool spawn costs
     real wall-clock, so cheap grids are faster serial).  When it does fan
@@ -964,21 +819,22 @@ def sweep_design_space(
     returned points are identical to the serial sweep's.
 
     An explicit ``chunksize`` is a caller override of both the pilot and
-    the chunk planning (the same convention the hybrid coarse phase
-    uses): points are streamed in fixed chunks of that many, across
-    ``n_jobs`` workers when ``n_jobs > 1`` — so it forces the pool —
-    and for a batch-capable evaluator it is also the batch granularity
-    (CLI: ``--batch-size``).
+    the chunk planning (the same convention the hybrid phases use):
+    points are scored in fixed chunks of that many, across ``n_jobs``
+    workers when ``n_jobs > 1`` — so it forces the pool (CLI:
+    ``--batch-size``).  Pass one for an expensive per-point callable,
+    whose pilot would otherwise score a whole :data:`_BATCH_CHUNK` chunk
+    in-process.
 
     Example
     -------
     >>> grid = {"mac_lines": [32, 64, 128], "ae_compression": [None, 0.5]}
     >>> points = sweep_design_space(workload, grid, n_jobs=4)
     """
-    # Normalise once: the grid is resolved both here (for sizing/ordering)
-    # and inside the streaming engine, so one-shot iterables must not be
+    # Check once: the grid is read both here (for sizing/ordering) and
+    # inside the streaming engine, so one-shot iterables must not be
     # consumed twice.
-    grid = _normalise_grid(grid)
+    grid = check_grid(grid)
     evaluator = resolve_evaluator(evaluator)
     if isinstance(evaluator, HybridEvaluator):
         # The hybrid stream already arrives in deterministic grid order.
@@ -992,25 +848,18 @@ def sweep_design_space(
         )
         with obs.span("dse_sweep", evaluator="hybrid", points=grid_size(grid)):
             return list(hybrid_stream)
-    names, combos = _resolve_grid(grid)
-    combos = list(combos)
-    base_config = base_config or VITCOD_DEFAULT
-    n_jobs = min(_resolve_n_jobs(n_jobs), len(combos))
-    indexed = enumerate(combos)
-    if chunksize is not None:
-        stream = _stream_evaluations(
-            workload, base_config, names, indexed, n_jobs, chunksize, evaluator
-        )
-    else:
-        stream = _piloted_stream(
-            workload,
-            base_config,
-            names,
-            indexed,
-            len(combos),
-            n_jobs,
-            evaluator,
-        )
+    names = sorted(grid)
+    combos = list(product(*(grid[n] for n in names)))
+    stream = _piloted_stream(
+        workload,
+        base_config or VITCOD_DEFAULT,
+        names,
+        enumerate(combos),
+        len(combos),
+        min(_resolve_n_jobs(n_jobs), len(combos)),
+        chunksize,
+        evaluator,
+    )
     points: List[DesignPoint] = [None] * len(combos)
     with obs.span("dse_sweep", points=len(combos)):
         for index, point in stream:
@@ -1087,12 +936,11 @@ def sensitivity(
 
     A thin view over :func:`sweep_design_space` on the one-parameter grid
     ``{parameter: values}``, so it shares everything the sweep engine
-    provides — workload memoization, the adaptive pool pilot, and whole-
-    chunk batch scoring for batch-capable evaluators (the analytical
-    default scores the entire value list as one numpy batch instead of
-    one evaluator call per value).  Rows arrive in the order ``values``
-    were given; values whose evaluator raised are warn-dropped like any
-    sweep point.
+    provides — the grid check, workload memoization, the adaptive pool
+    pilot, and whole-chunk scoring (the analytical default scores the
+    entire value list as one numpy batch).  Rows arrive in the order
+    ``values`` were given; values whose evaluator raised are warn-dropped
+    like any sweep point.
     """
     points = sweep_design_space(
         workload,

@@ -1,6 +1,6 @@
 """ViTCoD accelerator simulator (paper §V)."""
 
-from .params import EnergyTable, HardwareConfig, VITCOD_DEFAULT
+from .params import EnergyTable, HardwareConfig, VITCOD_DEFAULT, check_domain
 from .workload import (
     HeadWorkload,
     HeadStatArrays,
@@ -33,6 +33,7 @@ __all__ = [
     "EnergyTable",
     "HardwareConfig",
     "VITCOD_DEFAULT",
+    "check_domain",
     "HeadWorkload",
     "HeadStatArrays",
     "AttentionWorkload",

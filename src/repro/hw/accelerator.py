@@ -46,7 +46,7 @@ from .dataflow import (
     s_stationary_sddmm_cycles,
     softmax_cycles,
 )
-from .params import VITCOD_DEFAULT, HardwareConfig
+from .params import VITCOD_DEFAULT, HardwareConfig, check_domain
 from .trace import EnergyBreakdown, LatencyBreakdown, SimReport
 from .workload import AttentionWorkload, GemmWorkload, ModelWorkload
 
@@ -123,10 +123,8 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             self.config = VITCOD_DEFAULT
         if self.dataflow not in ("k_stationary", "s_stationary"):
             raise ValueError(f"unknown dataflow {self.dataflow!r}")
-        if not 0.0 < self.ae_compression <= 1.0:
-            raise ValueError("ae_compression must be in (0, 1]")
-        if not 0.0 <= self.q_forwarding_hit_rate < 1.0:
-            raise ValueError("q_forwarding_hit_rate must be in [0, 1)")
+        check_domain(ae_compression=self.ae_compression,
+                     q_forwarding_hit_rate=self.q_forwarding_hit_rate)
 
     # ------------------------------------------------------------------
     # Attention layer
@@ -388,11 +386,10 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         ints for MAC lines and buffer bytes, bytes/s for bandwidth);
         missing knobs broadcast this accelerator's own value.  An empty
         dict is the degenerate ``P = 1`` walk of this design point itself.
-        Values are validated like ``__post_init__``, and a non-positive
-        bandwidth or activation buffer is rejected with the cycle
-        simulator's messages — a grid holding one invalid point raises for
-        the whole batch (the DSE engine then falls back to per-point
-        scoring, which attributes the failure).
+        Every knob, broadcast defaults included, goes through
+        :func:`~repro.hw.params.check_domain` before any cast, so a grid
+        holding one out-of-domain value raises for the whole walk (the
+        DSE grid check rejects such values before any evaluator runs).
         """
         unknown = set(columns) - set(self._GRID_COLUMNS)
         if unknown:
@@ -407,32 +404,28 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             )
         points = lengths.pop() if lengths else 1
         cfg = self.config
+        knobs = {
+            "num_mac_lines": cfg.num_mac_lines,
+            "dram_bandwidth_bytes_per_s": cfg.dram_bandwidth_bytes_per_s,
+            "act_buffer_bytes": cfg.act_buffer_bytes,
+            "use_ae": self.use_ae,
+            "ae_compression": self.ae_compression,
+            "q_forwarding_hit_rate": self.q_forwarding_hit_rate,
+        }
+        knobs.update(columns)
+        check_domain(**knobs)
 
-        def column(name, default, dtype):
+        def column(name, dtype):
             if name in columns:
                 return np.asarray(columns[name], dtype=dtype)
-            return np.full(points, default, dtype=dtype)
+            return np.full(points, knobs[name], dtype=dtype)
 
-        lines = column("num_mac_lines", cfg.num_mac_lines, np.int64)
-        bandwidth = column("dram_bandwidth_bytes_per_s",
-                           cfg.dram_bandwidth_bytes_per_s, np.float64)
-        act_buffer = column("act_buffer_bytes", cfg.act_buffer_bytes,
-                            np.int64)
-        use_ae = column("use_ae", self.use_ae, bool)
-        ae = column("ae_compression", self.ae_compression, np.float64)
-        fwd = column("q_forwarding_hit_rate", self.q_forwarding_hit_rate,
-                     np.float64)
-        if not ((0.0 < ae) & (ae <= 1.0)).all():
-            raise ValueError("ae_compression must be in (0, 1]")
-        if not ((0.0 <= fwd) & (fwd < 1.0)).all():
-            raise ValueError("q_forwarding_hit_rate must be in [0, 1)")
-        # A zero bandwidth divides by zero (infinite seconds); a negative
-        # one or a non-positive buffer scores a meaningless point (the
-        # K-tile count clamps to 1) — reject them rather than rank them.
-        if not (bandwidth > 0).all():
-            raise ValueError("DRAM bandwidth must be positive")
-        if not (act_buffer > 0).all():
-            raise ValueError("act_buffer_bytes must be positive")
+        lines = column("num_mac_lines", np.int64)
+        bandwidth = column("dram_bandwidth_bytes_per_s", np.float64)
+        act_buffer = column("act_buffer_bytes", np.int64)
+        use_ae = column("use_ae", bool)
+        ae = column("ae_compression", np.float64)
+        fwd = column("q_forwarding_hit_rate", np.float64)
         # Column vectors broadcast against the (layers,) workload arrays;
         # every derived value mirrors the scalar config path op for op
         # (``bytes_per_cycle`` is the same division, ``ratio``/``fwd``

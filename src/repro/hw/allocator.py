@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import check_domain
+
 __all__ = ["Allocation", "allocate_mac_lines", "allocate_mac_lines_batched"]
 
 
@@ -31,8 +33,7 @@ def allocate_mac_lines(total_lines, denser_macs, sparser_macs, reserve_min=1):
     Each engine keeps at least ``reserve_min`` lines while it has work; an
     engine with zero work cedes everything to the other.
     """
-    if total_lines < 2:
-        raise ValueError("need at least 2 MAC lines to allocate")
+    check_domain(num_mac_lines=total_lines)
     if denser_macs < 0 or sparser_macs < 0:
         raise ValueError("workload sizes must be non-negative")
 
@@ -64,9 +65,8 @@ def allocate_mac_lines_batched(total_lines, denser_macs, sparser_macs,
     (point, layer) pair in one shot, each element still exactly equal to
     the scalar allocator's answer.
     """
+    check_domain(num_mac_lines=total_lines)
     total_lines = np.asarray(total_lines, dtype=np.int64)
-    if (total_lines < 2).any():
-        raise ValueError("need at least 2 MAC lines to allocate")
     denser_macs = np.asarray(denser_macs, dtype=np.int64)
     sparser_macs = np.asarray(sparser_macs, dtype=np.int64)
     if (denser_macs < 0).any() or (sparser_macs < 0).any():

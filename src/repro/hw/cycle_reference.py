@@ -252,13 +252,14 @@ class ReferenceCycleSimEvaluator:
     """:class:`~repro.sim.evaluator.CycleSimEvaluator` on the reference loop.
 
     Same swept-knob checks, same energy charge; only the simulator
-    differs.  Per-point by design: it has no ``evaluate_batch`` (it does
-    not subclass the production evaluator, so it cannot inherit one), and
-    the DSE engine therefore scores every point with the loop — a
-    reference check never compares the grid walk with itself.  A custom
-    evaluator on the wire (``{"name": "custom:cycle-reference"}``), so it
-    can never stand in for the production ``"cycle"`` strategy in a
-    manifest.
+    differs.  A per-point callable by design: it has no
+    ``evaluate_batch`` (it does not subclass the production evaluator, so
+    it cannot inherit one), and the DSE engine lifts it into rows with
+    :class:`~repro.sim.evaluator.PointEvaluator`, scoring every point
+    with the loop — a reference check never compares the grid walk with
+    itself.  A custom evaluator on the wire
+    (``{"name": "custom:cycle-reference"}``), so it can never stand in for
+    the production ``"cycle"`` strategy in a manifest.
     """
 
     name = "cycle-reference"

@@ -59,7 +59,7 @@ from ..perf.memo import instance_memo
 from ..sim.engine import AttentionSimulatorBase, merge_results
 from .allocator import allocate_mac_lines_batched
 from .dram import DramModel
-from .params import VITCOD_DEFAULT, HardwareConfig
+from .params import VITCOD_DEFAULT, HardwareConfig, check_domain
 from .workload import AttentionWorkload, ModelWorkload
 
 __all__ = ["CycleSimResult", "CycleAccurateSimulator", "merge_cycle_results"]
@@ -312,8 +312,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
                  ae_compression=0.5, dram: Optional[DramModel] = None):
         self.config = config or VITCOD_DEFAULT
         self.use_ae = use_ae
-        if not 0.0 < ae_compression <= 1.0:
-            raise ValueError("ae_compression must be in (0, 1]")
+        check_domain(ae_compression=ae_compression)
         if dram is not None and type(dram) is not DramModel:
             raise ValueError(
                 "CycleAccurateSimulator requires a plain DramModel: a custom "
@@ -362,11 +361,11 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         maps a subset of :data:`_GRID_COLUMNS` to length-``P`` arrays
         (already converted the way the design point would be built: ints
         for MAC lines and buffer bytes, bytes/s for bandwidth); missing
-        knobs broadcast this simulator's own value.  A chunk holding one
-        invalid point — an AE ratio outside (0, 1], a non-positive
-        bandwidth or activation buffer — raises for the whole batch (the
-        DSE engine then falls back to per-point scoring, which attributes
-        the failure).  A bandwidth column overrides the DRAM channel rate
+        knobs broadcast this simulator's own value.  Every knob goes
+        through :func:`~repro.hw.params.check_domain` before any cast, so
+        a chunk holding one out-of-domain value raises for the whole walk
+        (the DSE grid check rejects such values before any evaluator
+        runs).  A bandwidth column overrides the DRAM channel rate
         exactly as a per-point config clone would (``bandwidth /
         frequency``); without one the channel keeps this simulator's own
         ``dram.bytes_per_cycle``.
@@ -384,31 +383,32 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
             )
         points = lengths.pop() if lengths else 1
         cfg = self.config
+        knobs = {
+            "num_mac_lines": cfg.num_mac_lines,
+            # The channel this simulator's DRAM model actually runs.
+            "dram_bandwidth_bytes_per_s":
+                self.dram.bytes_per_cycle * cfg.frequency_hz,
+            "act_buffer_bytes": cfg.act_buffer_bytes,
+            "use_ae": self.use_ae,
+            "ae_compression": self.ae_compression,
+        }
+        knobs.update(columns)
+        check_domain(**knobs)
 
-        def column(name, default, dtype):
+        def column(name, dtype):
             if name in columns:
                 return np.asarray(columns[name], dtype=dtype)
-            return np.full(points, default, dtype=dtype)
+            return np.full(points, knobs[name], dtype=dtype)
 
-        lines = column("num_mac_lines", cfg.num_mac_lines, np.int64)
-        act_buffer = column("act_buffer_bytes", cfg.act_buffer_bytes,
-                            np.int64)
-        use_ae = column("use_ae", self.use_ae, bool)
-        ae = column("ae_compression", self.ae_compression, np.float64)
-        if not ((0.0 < ae) & (ae <= 1.0)).all():
-            raise ValueError("ae_compression must be in (0, 1]")
+        lines = column("num_mac_lines", np.int64)
+        act_buffer = column("act_buffer_bytes", np.int64)
+        use_ae = column("use_ae", bool)
+        ae = column("ae_compression", np.float64)
         if "dram_bandwidth_bytes_per_s" in columns:
-            bandwidth = np.asarray(columns["dram_bandwidth_bytes_per_s"],
-                                   dtype=np.float64)
-            bpc = bandwidth / cfg.frequency_hz
+            bpc = column("dram_bandwidth_bytes_per_s", np.float64) \
+                / cfg.frequency_hz
         else:
             bpc = np.full(points, self.dram.bytes_per_cycle)
-        # A zero channel rate or buffer divides by zero in the service
-        # times and tile counts: reject it rather than score NaN.
-        if not (bpc > 0).all():
-            raise ValueError("DRAM bandwidth must be positive")
-        if not (act_buffer > 0).all():
-            raise ValueError("act_buffer_bytes must be positive")
         return {
             "points": points,
             "lines": lines,

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-__all__ = ["EnergyTable", "HardwareConfig", "VITCOD_DEFAULT"]
+import numpy as np
+
+__all__ = ["EnergyTable", "HardwareConfig", "VITCOD_DEFAULT", "check_domain"]
 
 
 @dataclass(frozen=True)
@@ -90,3 +92,40 @@ class HardwareConfig:
 
 #: The paper's published design point.
 VITCOD_DEFAULT = HardwareConfig()
+
+
+def _is_whole(v):
+    return np.isfinite(v) & (v == np.floor(v))
+
+
+#: Each swept knob's domain, written once: ``(knob, in-domain test over a
+#: float64 array, message)``.  Knobs are named as the simulators read
+#: them (config fields and accelerator kwargs, after unit conversion).
+_DOMAINS = (
+    ("num_mac_lines", lambda v: _is_whole(v) & (v >= 2),
+     "need a whole number of at least 2 MAC lines (the allocator's floor)"),
+    ("dram_bandwidth_bytes_per_s", lambda v: np.isfinite(v) & (v > 0),
+     "DRAM bandwidth must be finite and positive"),
+    ("act_buffer_bytes", lambda v: _is_whole(v) & (v > 0),
+     "act_buffer_bytes must be a whole, positive number of bytes"),
+    ("ae_compression", lambda v: (v > 0) & (v <= 1),
+     "ae_compression must be in (0, 1]"),
+    ("q_forwarding_hit_rate", lambda v: (v >= 0) & (v < 1),
+     "q_forwarding_hit_rate must be in [0, 1)"),
+)
+
+
+def check_domain(**knobs):
+    """Raise :class:`ValueError` unless every given knob is in its domain.
+
+    THE domain check of the five swept knobs (see :data:`_DOMAINS`):
+    each keyword is a scalar or an array of per-point values, and the
+    first knob holding a value outside its domain raises with that
+    knob's message.  NaN is outside every domain.  The DSE grid check,
+    the simulators' constructors and grid walks, and the MAC-line
+    allocators all call this one function.
+    """
+    for name, inside, message in _DOMAINS:
+        if name in knobs:
+            if not inside(np.asarray(knobs[name], dtype=np.float64)).all():
+                raise ValueError(message)

@@ -13,7 +13,8 @@ Every file the DSE stack must not lose is written here, and only here:
   its newline and is terminated, any other tail is truncated;
 * **publishes** — :func:`publish` makes ``MANIFEST.json``, ``job.json``,
   ``result.json``, ``error.json`` and steal claims appear whole or not
-  at all.
+  at all, and durably: the content is fsynced before it takes the name,
+  and the directory entry after.
 
 The write-path hooks of :mod:`repro.faults` (``torn_write``,
 ``fsync_error``, ``kill``) fire here.  Imports are the standard library
@@ -173,15 +174,21 @@ def load_jsonl(path) -> list:
 def publish(path, text: str, *, exclusive: bool) -> bool:
     """Atomically make ``path`` hold ``text``; False if an exclusive one lost.
 
-    ``text`` goes to a temp name unique per process and thread, then into
-    place with ``os.link`` when ``exclusive`` (which fails if ``path``
-    exists, so the loser can read the winner's whole file) or
-    ``os.replace`` (last writer wins).
+    ``text`` goes to a temp name unique per process and thread and is
+    fsynced, then moves into place with ``os.link`` when ``exclusive``
+    (which fails if ``path`` exists, so the loser can read the winner's
+    whole file) or ``os.replace`` (last writer wins); a final fsync of
+    the directory makes the name itself survive a power loss.  These are
+    plain ``os.fsync`` calls, outside the fault plan's ``fsync_error``
+    hook, which covers the ledgers only.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         if exclusive:
             os.link(tmp, path)
         else:
@@ -190,4 +197,9 @@ def publish(path, text: str, *, exclusive: bool) -> bool:
         return False
     finally:
         tmp.unlink(missing_ok=True)
+    fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     return True

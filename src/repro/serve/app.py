@@ -63,7 +63,7 @@ _JOB_ROUTE = re.compile(r"^/jobs/([0-9a-f]{16})(/results|/events)?$")
 _access_log = obs.get_logger("serve.access")
 
 
-def _route_template(path: str) -> str:
+def _path_template(path: str) -> str:
     """Collapse a request path to its route label (bounded cardinality)."""
     path = path.split("?", 1)[0]
     if path in ("/", "/health"):
@@ -120,7 +120,7 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             duration = perf_counter() - begin
             status = self._status if self._status is not None else 500
-            route = _route_template(self.path)
+            route = _path_template(self.path)
             registry = obs.get_registry()
             if registry.enabled:
                 registry.counter(
@@ -146,12 +146,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------
     def do_GET(self):
-        self._dispatch("GET", self._route_get)
+        self._dispatch("GET", self._handle_get)
 
     def do_POST(self):
-        self._dispatch("POST", self._route_post)
+        self._dispatch("POST", self._handle_post)
 
-    def _route_get(self):
+    def _handle_get(self):
         path = self.path.split("?", 1)[0]
         if path in ("/", "/health"):
             self._send_json(
@@ -193,7 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
         except StoreCorruptError as exc:
             self._error(500, f"job ledger unreadable: {exc}")
 
-    def _route_post(self):
+    def _handle_post(self):
         path = self.path.split("?", 1)[0]
         if path != "/jobs":
             self._error(404, f"no route {path!r}")

@@ -60,14 +60,10 @@ from ..dist.store import (
     config_to_dict,
     decode_record,
 )
-from ..harness.dse import PointFailure, grid_size
+from ..harness.dse import PointFailure, check_grid, grid_size
 from ..harness.serialization import dse_result_payload, to_json
 from ..hw.params import VITCOD_DEFAULT
-from ..sim.evaluator import (
-    dse_parameter_names,
-    evaluator_from_spec,
-    evaluator_spec,
-)
+from ..sim.evaluator import evaluator_from_spec, evaluator_spec
 from .cache import ResultCache, study_fingerprint
 
 __all__ = [
@@ -256,28 +252,23 @@ class JobManager:
                 "'grid' must be a non-empty object mapping parameter "
                 "names to value lists"
             )
-        known = dse_parameter_names()
-        normalized = {}
+        size = 1
         for name, values in grid.items():
-            if name not in known:
-                raise ServeRequestError(
-                    f"unknown grid parameter {name!r}; choose from {list(known)}"
-                )
             if not isinstance(values, (list, tuple)) or not values:
                 raise ServeRequestError(
                     f"grid parameter {name!r} needs a non-empty list of values"
                 )
-            for value in values:
-                if value is not None:
-                    _check_number(value, f"grid parameter {name!r} value")
-            normalized[name] = list(values)
-        size = grid_size(normalized)
+            size *= len(values)
         if size > self.max_grid_points:
             raise ServeRequestError(
                 f"grid has {size} points, above this server's limit of "
                 f"{self.max_grid_points}"
             )
-        return normalized
+        try:
+            checked = check_grid(grid)
+        except ValueError as exc:
+            raise ServeRequestError(str(exc)) from None
+        return {name: list(values) for name, values in checked.items()}
 
     def _normalize_workload_spec(self, request) -> dict:
         spec = request.get("workload_spec")
@@ -749,11 +740,11 @@ class JobManager:
         :class:`JobFailedError`.
         """
         job = self._get(job_id)
+        if job.state == "failed":
+            raise JobFailedError(job.error or "job failed")
         cached = self.cache.lookup(job_id)
         if cached is not None:
             return cached, False
-        if job.state == "failed":
-            raise JobFailedError(job.error or "job failed")
         store = ResultStore(job.store_root)
         records = {}
         for _, _, path in store.shard_files():
@@ -788,11 +779,13 @@ class JobManager:
     def resume(self) -> list:
         """Re-enqueue every unfinished job directory (server startup).
 
-        A directory with a ``result.json`` registers as done (its cache
-        entry already serves), one with an ``error.json`` registers as
-        failed (an identical re-submission retries it), and anything
-        else goes back on the queue — its shards skip every recorded
-        index, so only the genuinely missing work re-runs.
+        A directory whose recorded grid fails
+        :func:`~repro.harness.dse.check_grid` registers as failed with
+        that message, one with a ``result.json`` as done (its cache
+        entry already serves), one with an ``error.json`` as failed (an
+        identical re-submission retries it), and anything else goes back
+        on the queue — its shards skip every recorded index, so only the
+        genuinely missing work re-runs.
         """
         resumed = []
         if not self.jobs_root.is_dir():
@@ -805,6 +798,11 @@ class JobManager:
             record = json.loads(record_path.read_text())
             with self._lock:
                 if job_id in self._jobs:
+                    continue
+                try:
+                    check_grid(record["grid"])
+                except ValueError as exc:
+                    self._register(job_id, record, state="failed", error=str(exc))
                     continue
                 if self.cache.lookup(job_id) is not None:
                     self._register(job_id, record, state="done")

@@ -37,20 +37,23 @@ event loop, the analytical model's per-layer reports folded with
 
 Design-space exploration plugs into the same layer through the
 :class:`~repro.sim.evaluator.Evaluator` protocol (:mod:`repro.sim.evaluator`):
-a strategy mapping ``(workload, config, accel_kwargs)`` to the objective
-metrics a DSE point is built from, with analytical, cycle-accurate and
-hybrid (analytical-prune, cycle-rescore) built-ins.
+a strategy scoring a chunk of grid rows with ``evaluate_batch``, one
+objective-metrics record or one exception per row, with analytical,
+cycle-accurate and hybrid (analytical-prune, cycle-rescore) built-ins.
+A per-point callable ``(workload, config, accel_kwargs) -> metrics``
+reaches the same protocol through one adapter,
+:class:`~repro.sim.evaluator.PointEvaluator`.
 """
 
 from .protocol import ModelSimulator, Simulator
 from .engine import AttentionSimulatorBase, ModelSimulatorBase, merge_results
 from .evaluator import (
     AnalyticalEvaluator,
-    BatchEvaluator,
     CycleSimEvaluator,
     EvalMetrics,
     Evaluator,
     HybridEvaluator,
+    PointEvaluator,
     UnsupportedParameterError,
     dse_parameter_names,
     evaluator_from_spec,
@@ -65,7 +68,7 @@ __all__ = [
     "ModelSimulatorBase",
     "merge_results",
     "Evaluator",
-    "BatchEvaluator",
+    "PointEvaluator",
     "EvalMetrics",
     "UnsupportedParameterError",
     "AnalyticalEvaluator",

@@ -1,76 +1,68 @@
 """Pluggable design-point evaluators for design-space exploration.
 
-A DSE sweep walks a grid of hardware configurations and scores each one on
-a workload.  *How* a point is scored is a strategy, captured by the
-:class:`Evaluator` protocol: a callable mapping ``(workload, config,
-accel_kwargs)`` to :class:`EvalMetrics` (the ``seconds`` / ``energy_joules``
-pair a :class:`~repro.harness.dse.DesignPoint` is built from).  The DSE
-engine (:mod:`repro.harness.dse`) is written against this surface only, so
-any simulator — analytical, event-driven, or a future external one — can
-stream through :func:`~repro.harness.dse.iter_design_space` unchanged.
+A DSE sweep walks a grid of hardware configurations and scores each one
+on a workload.  *How* rows are scored is a strategy, captured by the one
+:class:`Evaluator` protocol: ``evaluate_batch(workload, base_config,
+names, rows)`` takes the swept parameter names (sorted) and one value
+tuple per grid point, and returns a list aligned with ``rows`` holding
+each row's :class:`EvalMetrics` or the exception that row raised.  ViTCoD
+fixes its attention masks offline, so every grid row is independent and
+one result per row is the natural unit.  The DSE engine
+(:mod:`repro.harness.dse`) is written against this surface only: every
+chunk is one ``evaluate_batch`` call, in serial runs, pool workers, the
+hybrid phases and :mod:`repro.dist` shards alike.
 
-Evaluators may additionally implement the :class:`BatchEvaluator`
-protocol: ``evaluate_batch(workload, base_config, names, value_rows)``
-scores a whole chunk of grid points in one call, returning one
-:class:`EvalMetrics` per row.  The DSE engine detects the capability and
-hands each bounded chunk to ``evaluate_batch`` instead of looping
-``__call__`` per point — with the contract that the batch results are
-**bit-for-bit** what the per-point calls would produce, so batching is an
-execution detail, never a semantics change.  A batch call that raises
-makes the engine fall back to per-point scoring of that chunk, which
-re-raises structural errors and attributes per-point failures exactly as
-an unbatched sweep would.
-
-One class per strategy covers the repo's simulators; each scores one
-point with ``__call__`` and a chunk with ``evaluate_batch``:
+Each swept knob is declared once in the parameter table below: its one
+unit conversion (grid value → simulator column, refusing any value it
+would truncate) and whether the cycle simulator models it.  Its domain
+lives in :func:`repro.hw.params.check_domain`; :func:`check_dse_values`
+runs both where a grid enters, so an evaluator never sees an
+out-of-domain row.  The built-ins, one class per strategy:
 
 * :class:`AnalyticalEvaluator` — the closed-form
   :class:`~repro.hw.accelerator.ViTCoDAccelerator` phase model (the
-  default).  A chunk is one broadcast of the accelerator's array-geometry
-  walk over a leading design-point axis
-  (:meth:`~repro.hw.accelerator.ViTCoDAccelerator.simulate_attention_grid`):
-  swept knobs become numpy columns instead of per-point
-  :class:`~repro.hw.params.HardwareConfig` clones; a point is the same
-  walk at P = 1;
+  default); a chunk is one array-geometry walk over a leading
+  design-point axis (``simulate_attention_grid``);
 * :class:`CycleSimEvaluator` — the event-driven
-  :class:`~repro.hw.cycle_sim.CycleAccurateSimulator`, the repo's ground
-  truth: latency is the simulated makespan, energy is charged from the
-  workload's MAC/softmax counts plus the simulator's observed DRAM
-  occupancy with the same :class:`~repro.hw.params.EnergyTable` constants
-  the analytical model uses.  Points and chunks run the simulator's grid
-  walk (:meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`),
-  at P = 1 or at P = chunk;
+  :class:`~repro.hw.cycle_sim.CycleAccurateSimulator`, the ground truth;
+  a chunk is one run of its grid walk, and energy is charged with the
+  same :class:`~repro.hw.params.EnergyTable` constants;
 * :class:`HybridEvaluator` — a two-phase strategy the DSE engine
-  special-cases: prune the grid with the cheap analytical model, then
-  re-score only the surviving frontier cycle-accurately.  Called directly
-  on one point it scores with its fine evaluator.
+  special-cases: prune with the analytical model, re-score the surviving
+  frontier cycle-accurately.
 
-Evaluator instances cross process boundaries in parallel sweeps, so they
-must be picklable (the built-ins are plain objects with scalar state).
-They also cross *host* boundaries in sharded sweeps (:mod:`repro.dist`),
-as JSON: :func:`evaluator_spec` renders a built-in evaluator to a plain
-dict a result-store manifest can persist, and :func:`evaluator_from_spec`
-reconstructs an equivalent instance on any machine — the round-trip is
-exact for the built-ins, so every shard of a study scores points with the
-same strategy the merge step assumes.
+A per-point callable ``(workload, config, accel_kwargs) -> EvalMetrics``
+— a custom strategy, the scalar reference loop, a test oracle — reaches
+the engine through one adapter, :class:`PointEvaluator`;
+:func:`resolve_evaluator` applies it to anything without
+``evaluate_batch``.
+
+Evaluators cross process boundaries in parallel sweeps, so they must be
+picklable.  They cross *host* boundaries in sharded sweeps as JSON:
+:func:`evaluator_spec` renders a built-in to a plain dict a result-store
+manifest can persist, and :func:`evaluator_from_spec` reconstructs an
+equivalent instance on any machine — exactly, for the built-ins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Protocol, Sequence, runtime_checkable
+import numbers
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, List, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
+
+from ..hw.params import HardwareConfig, check_domain
 
 __all__ = [
     "EvalMetrics",
     "Evaluator",
-    "BatchEvaluator",
+    "PointEvaluator",
     "UnsupportedParameterError",
     "AnalyticalEvaluator",
     "CycleSimEvaluator",
     "HybridEvaluator",
-    "apply_dse_parameter",
+    "check_dse_values",
     "dse_grid_columns",
     "dse_parameter_names",
     "resolve_evaluator",
@@ -110,42 +102,26 @@ class EvalMetrics:
 
 @runtime_checkable
 class Evaluator(Protocol):
-    """Strategy scoring one ``(workload, config, accel_kwargs)`` triple.
+    """Strategy scoring grid rows: one result or one failure per row.
 
-    ``accel_kwargs`` are the non-:class:`~repro.hw.params.HardwareConfig`
-    knobs routed by the DSE parameter table (``use_ae``, ``ae_compression``,
-    ``q_forwarding_hit_rate``); an evaluator that cannot honour a knob must
-    raise rather than silently ignore it.
+    ``names`` are the swept DSE parameter names (sorted, as the grid
+    walks them), ``rows`` one value tuple per design point, and
+    ``base_config`` the unswept :class:`~repro.hw.params.HardwareConfig`
+    every point is derived from.  The returned list aligns with ``rows``:
+    each entry is the row's :class:`EvalMetrics` or the exception scoring
+    it raised.  An evaluator that cannot honour a swept knob raises
+    :class:`UnsupportedParameterError` rather than silently ignoring it.
     """
 
     name: str
-
-    def __call__(self, workload: Any, config: Any, accel_kwargs: dict) -> EvalMetrics:
-        ...
-
-
-@runtime_checkable
-class BatchEvaluator(Evaluator, Protocol):
-    """An :class:`Evaluator` that can score a whole grid chunk in one call.
-
-    ``names`` are the swept DSE parameter names (sorted, as the grid
-    walks them) and ``value_rows`` one value tuple per design point;
-    ``base_config`` is the unswept :class:`~repro.hw.params.HardwareConfig`
-    every point is derived from.  The returned list aligns with
-    ``value_rows`` and must be **bit-for-bit** what per-point ``__call__``
-    invocations would produce — the DSE engine treats batching purely as
-    an execution strategy.  Implementations signal any problem by
-    raising; the engine then re-scores the chunk per point, which
-    attributes per-point failures and re-raises structural errors.
-    """
 
     def evaluate_batch(
         self,
         workload: Any,
         base_config: Any,
         names: Sequence[str],
-        value_rows: Sequence[tuple],
-    ) -> List[EvalMetrics]:
+        rows: Sequence[tuple],
+    ) -> List[Union[EvalMetrics, Exception]]:
         ...
 
 
@@ -159,203 +135,203 @@ def _attention_layers(workload):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _DseParameter:
-    """How one swept DSE knob routes onto a design point.
-
-    Each knob is declared once, with both of its execution forms — the
-    per-point route (clone a :class:`~repro.hw.params.HardwareConfig`
-    field or add an accelerator kwarg) and the batched route (append
-    per-point numpy columns for the grid simulators) — side by side, so
-    the two paths can never drift: a new knob either defines both forms
-    here or exists in neither.
-    """
+    """How one swept DSE knob becomes simulator columns."""
 
     name: str
     #: Whether the cycle simulator honours the knob.  Drives the derived
-    #: :attr:`CycleSimEvaluator._SUPPORTED_KWARGS` set behind both of the
-    #: cycle evaluator's structural-rejection checks, so its per-point and
-    #: batch routes accept exactly the same sweeps by construction.
+    #: :attr:`CycleSimEvaluator._SUPPORTED_KWARGS` set behind the cycle
+    #: evaluator's structural rejection.
     cycle_modelled: bool
     #: ``accel_kwargs`` keys the knob may introduce (empty for knobs that
-    #: route to config fields, which every simulator honours).
+    #: become config fields, which every simulator honours).
     kwargs_keys: tuple
-    #: ``(config, accel_kwargs, value) -> (config, accel_kwargs)``
-    route: Callable
-    #: ``(columns, values, default_ae) -> None`` — append grid columns,
-    #: applying the exact conversions ``route`` applies before cloning.
+    #: ``(values, default_ae) -> {column: array}`` — the knob's one unit
+    #: conversion; it refuses any value it would truncate.
     columns: Callable
 
 
-def _route_mac_lines(config, kwargs, value):
-    return replace(config, num_mac_lines=int(value)), kwargs
+def _number(value):
+    """``value`` if it is a real number (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"must be a number, got {value!r}")
+    return value
 
 
-def _columns_mac_lines(columns, values, default_ae):
-    columns["num_mac_lines"] = np.array([int(v) for v in values], dtype=np.int64)
+def _whole(value, scale, unit):
+    """``value * scale`` as an int, refusing to truncate."""
+    scaled = _number(value) * scale
+    if not isinstance(scaled, numbers.Integral) and not float(scaled).is_integer():
+        raise ValueError(f"{scaled!r} {unit} is not a whole number")
+    return int(scaled)
 
 
-def _route_bandwidth(config, kwargs, value):
-    return replace(config, dram_bandwidth_bytes_per_s=float(value) * 1e9), kwargs
+def _columns_mac_lines(values, default_ae):
+    lines = [_whole(v, 1, "MAC lines") for v in values]
+    return {"num_mac_lines": np.array(lines, dtype=np.int64)}
 
 
-def _columns_bandwidth(columns, values, default_ae):
-    columns["dram_bandwidth_bytes_per_s"] = np.array(
-        [float(v) * 1e9 for v in values], dtype=np.float64
-    )
+def _columns_bandwidth(values, default_ae):
+    bandwidth = [float(_number(v)) * 1e9 for v in values]
+    return {"dram_bandwidth_bytes_per_s": np.array(bandwidth, dtype=np.float64)}
 
 
-def _route_act_buffer(config, kwargs, value):
-    return replace(config, act_buffer_bytes=int(value * 1024)), kwargs
+def _columns_act_buffer(values, default_ae):
+    act_buffer = [_whole(v, 1024, "bytes") for v in values]
+    return {"act_buffer_bytes": np.array(act_buffer, dtype=np.int64)}
 
 
-def _columns_act_buffer(columns, values, default_ae):
-    columns["act_buffer_bytes"] = np.array(
-        [int(v * 1024) for v in values], dtype=np.int64
-    )
+def _columns_ae(values, default_ae):
+    # `None` means the AE datapath is off; the ratio column then holds
+    # ``default_ae`` (the simulator's own ratio, unused while AE is off).
+    ratios = [default_ae if v is None else float(_number(v)) for v in values]
+    return {
+        "use_ae": np.array([v is not None for v in values], dtype=bool),
+        "ae_compression": np.array(ratios, dtype=np.float64),
+    }
 
 
-def _route_ae(config, kwargs, value):
-    if value is None:
-        return config, {**kwargs, "use_ae": False}
-    return config, {**kwargs, "use_ae": True, "ae_compression": float(value)}
-
-
-def _columns_ae(columns, values, default_ae):
-    # `None` means the AE datapath is off; the ratio column then keeps
-    # the simulator's default so validation passes, exactly like the
-    # per-point kwargs route.
-    columns["use_ae"] = np.array([v is not None for v in values], dtype=bool)
-    columns["ae_compression"] = np.array(
-        [default_ae if v is None else float(v) for v in values], dtype=np.float64
-    )
-
-
-def _route_q_forwarding(config, kwargs, value):
-    return config, {**kwargs, "q_forwarding_hit_rate": float(value)}
-
-
-def _columns_q_forwarding(columns, values, default_ae):
-    columns["q_forwarding_hit_rate"] = np.array(
-        [float(v) for v in values], dtype=np.float64
-    )
+def _columns_q_forwarding(values, default_ae):
+    rates = [float(_number(v)) for v in values]
+    return {"q_forwarding_hit_rate": np.array(rates, dtype=np.float64)}
 
 
 _DSE_PARAMETERS = {
     p.name: p
     for p in (
-        _DseParameter("mac_lines", True, (), _route_mac_lines, _columns_mac_lines),
+        _DseParameter("mac_lines", True, (), _columns_mac_lines),
+        _DseParameter("bandwidth_gbps", True, (), _columns_bandwidth),
+        _DseParameter("act_buffer_kb", True, (), _columns_act_buffer),
         _DseParameter(
-            "bandwidth_gbps", True, (), _route_bandwidth, _columns_bandwidth
-        ),
-        _DseParameter(
-            "act_buffer_kb", True, (), _route_act_buffer, _columns_act_buffer
-        ),
-        _DseParameter(
-            "ae_compression",
-            True,
-            ("use_ae", "ae_compression"),
-            _route_ae,
-            _columns_ae,
+            "ae_compression", True, ("use_ae", "ae_compression"), _columns_ae
         ),
         _DseParameter(
             "q_forwarding_hit_rate",
             False,  # only the analytical model applies Q forwarding
             ("q_forwarding_hit_rate",),
-            _route_q_forwarding,
             _columns_q_forwarding,
         ),
     )
 }
 
-
-def _unknown_parameter(name):
-    return KeyError(
-        f"unknown DSE parameter {name!r}; choose from " + ", ".join(_DSE_PARAMETERS)
-    )
+#: Columns that are :class:`~repro.hw.params.HardwareConfig` fields; every
+#: other column is an accelerator kwarg.
+_CONFIG_COLUMNS = frozenset(f.name for f in fields(HardwareConfig))
 
 
 def dse_parameter_names() -> tuple:
     """The swept parameter names the DSE layer understands, sorted.
 
     The public face of the parameter table for wire-format validators
-    (the serve layer rejects a posted grid naming anything else *before*
-    a store is created) and error messages.
+    and error messages.
     """
     return tuple(sorted(_DSE_PARAMETERS))
 
 
-def apply_dse_parameter(config, accel_kwargs, name, value):
-    """Route one swept parameter to the config or the accelerator kwargs.
-
-    THE per-point parameter route (the DSE engine routes every per-point
-    grid value through here): returns the updated ``(config,
-    accel_kwargs)`` pair; unknown names raise ``KeyError`` (a malformed
-    grid is a caller bug).
-    """
+def _parameter(name):
     try:
-        parameter = _DSE_PARAMETERS[name]
+        return _DSE_PARAMETERS[name]
     except KeyError:
-        raise _unknown_parameter(name) from None
-    return parameter.route(config, accel_kwargs, value)
+        raise ValueError(
+            f"unknown grid parameter {name!r}; choose from "
+            + ", ".join(dse_parameter_names())
+        ) from None
 
 
-def dse_grid_columns(names, value_rows, default_ae):
-    """Build grid-simulator columns for a chunk of design points.
+def check_dse_values(name, values):
+    """Convert one swept knob's values and check their domain.
 
-    THE batched parameter route: one column dict for
-    ``simulate_attention_grid`` (accelerator or cycle simulator), with
-    every value converted exactly as :func:`apply_dse_parameter` converts
-    it before cloning a config — so batched and per-point scoring read
-    bit-identical design points.  ``default_ae`` fills the AE-ratio
-    column for points whose AE datapath is off (the column must still
-    pass validation).
+    THE grid check (run by :func:`repro.harness.dse.check_grid` wherever
+    a grid enters): the knob's one unit conversion, then
+    :func:`repro.hw.params.check_domain` on the converted column.  An
+    unknown name, a ``None`` outside ``ae_compression``, a value the
+    conversion would truncate, or one outside the knob's domain raises
+    one :class:`ValueError` naming the parameter and the value.
+    """
+    parameter = _parameter(name)
+    try:
+        check_domain(**parameter.columns(values, 1.0))
+        return
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for value in values:  # name the first value that fails on its own
+        try:
+            check_domain(**parameter.columns([value], 1.0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            reason = "only ae_compression sweeps None" if value is None else exc
+            raise ValueError(
+                f"grid parameter {name!r} value {value!r}: {reason}"
+            ) from None
+
+
+def dse_grid_columns(names, rows, default_ae):
+    """Build grid-simulator columns for a chunk of grid rows.
+
+    One column dict for ``simulate_attention_grid`` (accelerator or cycle
+    simulator), each swept value converted by its knob's one conversion.
+    ``default_ae`` fills the AE-ratio column for rows whose AE datapath
+    is off.
     """
     columns = {}
     for j, name in enumerate(names):
-        try:
-            parameter = _DSE_PARAMETERS[name]
-        except KeyError:
-            raise _unknown_parameter(name) from None
-        parameter.columns(columns, [row[j] for row in value_rows], default_ae)
+        columns.update(_parameter(name).columns([row[j] for row in rows], default_ae))
     return columns
 
 
+class PointEvaluator:
+    """Lift a per-point callable into the rows protocol (THE adapter).
+
+    ``point(workload, config, accel_kwargs) -> EvalMetrics`` is called
+    once per row: ``config`` is ``base_config`` with the row's swept
+    config fields, ``accel_kwargs`` its accelerator kwargs — both built
+    from the :func:`dse_grid_columns` columns, so a per-point callable
+    reads exactly the values the grid simulators read (``ae_compression
+    = None`` arrives as ``{"use_ae": False}``).  An exception a row
+    raises becomes that row's entry.  Module-level and picklable, so a
+    lifted callable crosses into pool workers like any evaluator.
+    """
+
+    def __init__(self, point):
+        self.point = point
+        self.name = getattr(point, "name", None) or type(point).__qualname__
+
+    def evaluate_batch(self, workload, base_config, names, rows):
+        rows = list(rows)
+        columns = {
+            key: column.tolist()
+            for key, column in dse_grid_columns(names, rows, None).items()
+        }
+        swept = _CONFIG_COLUMNS.intersection(columns)  # config-field columns
+        results = []
+        for i in range(len(rows)):
+            kwargs = {key: column[i] for key, column in columns.items()}
+            config = replace(base_config, **{key: kwargs.pop(key) for key in swept})
+            if not kwargs.get("use_ae", True):
+                del kwargs["ae_compression"]
+            try:
+                results.append(self.point(workload, config, kwargs))
+            except Exception as exc:  # noqa: BLE001 - the row's entry
+                results.append(exc)
+        return results
+
+
 class AnalyticalEvaluator:
-    """Score points with the closed-form ViTCoD phase model (the default).
+    """Score rows with the closed-form ViTCoD phase model (the default).
 
-    ``__call__`` constructs a
-    :class:`~repro.hw.accelerator.ViTCoDAccelerator` at the design point
-    and reads ``seconds`` / ``energy_joules`` off its attention report.
-    ``evaluate_batch`` scores a whole chunk of grid points as one
+    A chunk is one
     :meth:`~repro.hw.accelerator.ViTCoDAccelerator.simulate_attention_grid`
-    array walk — swept parameters become per-point numpy columns (routed
-    exactly as the per-point sweep routes them onto
-    :class:`~repro.hw.params.HardwareConfig` fields and accelerator
-    kwargs), and the results are **bit-for-bit** what per-point calls
-    produce.
-
-    A chunk containing an invalid point — MAC lines below the allocator's
-    minimum, an out-of-range AE ratio, a non-positive bandwidth or buffer
-    — raises for the whole batch; the DSE engine then falls back to
-    per-point scoring of that chunk, which captures exactly the per-point
-    failures an unbatched sweep would.
+    array walk: swept parameters become per-point numpy columns (via
+    :func:`dse_grid_columns`), and each row's metrics are bit-for-bit
+    the accelerator's report at that design point — the per-layer fold
+    test oracle holds it to that.
     """
 
     name = "analytical"
 
-    def __call__(self, workload, config, accel_kwargs):
-        from ..hw.accelerator import ViTCoDAccelerator
-
-        accel = ViTCoDAccelerator(config=config, **accel_kwargs)
-        report = accel.simulate_attention(workload)
-        return EvalMetrics(seconds=report.seconds, energy_joules=report.energy_joules)
-
-    def evaluate_batch(self, workload, base_config, names, value_rows):
+    def evaluate_batch(self, workload, base_config, names, rows):
         from ..hw.accelerator import ViTCoDAccelerator
 
         accel = ViTCoDAccelerator(config=base_config)
-        columns = dse_grid_columns(
-            names, list(value_rows), default_ae=accel.ae_compression
-        )
+        columns = dse_grid_columns(names, list(rows), accel.ae_compression)
         seconds, energy = accel.simulate_attention_grid(workload, columns)
         return [
             EvalMetrics(seconds=s, energy_joules=e)
@@ -401,28 +377,19 @@ def _cycle_metrics(workload, config, makespan, dram_busy, bytes_per_cycle):
 
 
 class CycleSimEvaluator:
-    """Score points with the event-driven cycle simulator (ground truth).
+    """Score rows with the event-driven cycle simulator (ground truth).
 
     Latency is the simulated makespan of the whole attention stack; energy
     is charged by :func:`_cycle_metrics` with the same
     :class:`~repro.hw.params.EnergyTable` constants the analytical model
     uses, so analytical and cycle-accurate Pareto fronts are comparable
-    point for point.  One point is one
+    point for point.  A chunk is one
     :meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`
-    walk at P = 1; ``evaluate_batch`` walks a whole chunk as one
     (points × layers × jobs) max-plus walk — swept knobs become per-point
-    numpy columns (via :func:`dse_grid_columns`, the same table the
-    per-point route reads) and energy goes through the same
-    :func:`_cycle_metrics` charge, so the results are **bit-for-bit** what
-    per-point calls produce.
-
-    A chunk containing an invalid point — MAC lines below the allocator's
-    minimum, an out-of-range AE ratio, a non-positive bandwidth or buffer
-    — raises for the whole batch; the DSE engine then falls back to
-    per-point scoring of that chunk, which captures exactly the per-point
-    failures an unbatched sweep would.  A sweep of a knob the cycle
-    simulator does not model raises :class:`UnsupportedParameterError`
-    on both routes (same table, same message).
+    numpy columns (via :func:`dse_grid_columns`) — and each row is
+    bit-for-bit the scalar reference loop's point
+    (:mod:`repro.hw.cycle_reference`).  A sweep of a knob the cycle
+    simulator does not model raises :class:`UnsupportedParameterError`.
     """
 
     name = "cycle"
@@ -430,10 +397,7 @@ class CycleSimEvaluator:
     #: ``accel_kwargs`` the cycle simulator can honour; anything else (e.g.
     #: ``q_forwarding_hit_rate``, which only the analytical model applies)
     #: raises instead of silently altering the swept grid's meaning.
-    #: Derived from the DSE parameter table's ``cycle_modelled`` flags, so
-    #: the per-point and batch routes reject exactly the same knobs — a
-    #: new swept parameter cannot be honoured by one and refused by the
-    #: other.
+    #: Derived from the DSE parameter table's ``cycle_modelled`` flags.
     _SUPPORTED_KWARGS = frozenset(
         key
         for parameter in _DSE_PARAMETERS.values()
@@ -452,34 +416,14 @@ class CycleSimEvaluator:
                 f"{sorted(cls._SUPPORTED_KWARGS)}"
             )
 
-    def __call__(self, workload, config, accel_kwargs):
-        from ..hw.cycle_sim import CycleAccurateSimulator
-
-        self._reject_unsupported(accel_kwargs)
-        sim = CycleAccurateSimulator(config=config, **accel_kwargs)
-        totals = sim.simulate_attention_grid(workload, {})
-        (metrics,) = _cycle_metrics(
-            workload,
-            config,
-            totals["makespan"],
-            totals["dram_busy"],
-            config.bytes_per_cycle,
-        )
-        return metrics
-
-    def evaluate_batch(self, workload, base_config, names, value_rows):
+    def evaluate_batch(self, workload, base_config, names, rows):
         from ..hw.cycle_sim import CycleAccurateSimulator
 
         self._reject_unsupported(
-            key
-            for name in names
-            if name in _DSE_PARAMETERS
-            for key in _DSE_PARAMETERS[name].kwargs_keys
+            key for name in names for key in _parameter(name).kwargs_keys
         )
         sim = CycleAccurateSimulator(config=base_config)
-        columns = dse_grid_columns(
-            names, list(value_rows), default_ae=sim.ae_compression
-        )
+        columns = dse_grid_columns(names, list(rows), sim.ae_compression)
         totals = sim.simulate_attention_grid(workload, columns)
         # A bandwidth column is the per-point ``config.bytes_per_cycle``
         # expression evaluated elementwise.
@@ -511,18 +455,20 @@ class HybridEvaluator:
     The DSE engine recognises this type and runs the two-phase sweep:
     every grid point is scored with :attr:`coarse` under incremental
     Pareto pruning, then only the surviving frontier is re-scored with
-    :attr:`fine` (in deterministic grid order).  Used as a plain evaluator
-    on a single point it simply defers to :attr:`fine`.
+    :attr:`fine` (in deterministic grid order).  Both resolve like any
+    evaluator spec (a per-point callable is lifted by
+    :class:`PointEvaluator`).  Called directly on rows it scores them
+    with :attr:`fine`.
     """
 
     name = "hybrid"
 
-    def __init__(self, coarse: Evaluator = None, fine: Evaluator = None):
-        self.coarse = coarse if coarse is not None else AnalyticalEvaluator()
-        self.fine = fine if fine is not None else CycleSimEvaluator()
+    def __init__(self, coarse=None, fine=None):
+        self.coarse = resolve_evaluator(coarse)
+        self.fine = resolve_evaluator("cycle" if fine is None else fine)
 
-    def __call__(self, workload, config, accel_kwargs):
-        return self.fine(workload, config, accel_kwargs)
+    def evaluate_batch(self, workload, base_config, names, rows):
+        return self.fine.evaluate_batch(workload, base_config, names, rows)
 
 
 _BUILTIN_EVALUATORS = {
@@ -536,8 +482,9 @@ def resolve_evaluator(spec) -> Evaluator:
     """Normalise an evaluator spec to an :class:`Evaluator` instance.
 
     ``None`` means the analytical default; strings name a built-in
-    (``"analytical"``, ``"cycle"``, ``"hybrid"``); anything callable is
-    returned as-is.
+    (``"analytical"``, ``"cycle"``, ``"hybrid"``); anything with
+    ``evaluate_batch`` is returned as-is, and any other callable is a
+    per-point callable lifted into rows by :class:`PointEvaluator`.
     """
     if spec is None:
         return AnalyticalEvaluator()
@@ -549,8 +496,10 @@ def resolve_evaluator(spec) -> Evaluator:
                 f"unknown evaluator {spec!r}; choose from "
                 f"{sorted(_BUILTIN_EVALUATORS)} or pass an Evaluator"
             ) from None
-    if callable(spec):
+    if callable(getattr(spec, "evaluate_batch", None)):
         return spec
+    if callable(spec):
+        return PointEvaluator(spec)
     raise TypeError(
         f"evaluator must be None, a name, or a callable, got {type(spec)!r}"
     )
@@ -649,8 +598,7 @@ def evaluator_from_spec(spec) -> Evaluator:
     faults = spec.get("faults")
     if faults is not None:
         # Build the inner evaluator from the same spec minus the plan,
-        # then wrap: FaultyEvaluator is per-point by design, so the
-        # retry machinery can attribute every injected failure.
+        # then wrap it in the seeded fault injector.
         from ..faults import FaultPlanError, FaultyEvaluator, plan_from_spec
 
         try:

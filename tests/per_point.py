@@ -1,27 +1,64 @@
-"""The per-point oracle: any DSE evaluator, scored one point at a time.
+"""Per-point oracles: each built-in strategy scored one point at a time.
 
-Every built-in evaluator scores a chunk of grid points with
-``evaluate_batch`` and one point with ``__call__``; the DSE engine uses
-the batch route whenever an evaluator has one.  :class:`PerPoint` hides
-it, so a sweep through the wrapper takes the per-point route for every
-point — the grid values routed onto a cloned config by
-``apply_dse_parameter``, then one ``__call__`` — which is the oracle the
-batched sweeps are held to bit for bit.
+Every built-in evaluator scores a chunk of grid rows with
+``evaluate_batch``.  :class:`PerPoint` is the independent per-point
+oracle the batched sweeps are held to bit for bit: a picklable callable
+``(workload, config, accel_kwargs) -> EvalMetrics`` which the DSE engine
+lifts into rows through its one adapter
+(:class:`repro.sim.evaluator.PointEvaluator`) — each row's values routed
+onto a cloned config and accelerator kwargs, then one call.
 
-A plain module (not a conftest) so the wrapper pickles into pool
-workers.  The tests import it directly; ``benchmarks/perf`` and the CI
-checks put this directory on ``sys.path`` first.
+* ``PerPoint(AnalyticalEvaluator())`` is the per-layer fold: the
+  accelerator's ``simulate_attention_layer`` report per layer, folded with
+  ``merge_results`` (the oracle ``test_sim_batched`` holds the array
+  geometry to);
+* ``PerPoint(CycleSimEvaluator())`` is the simulator's walk at P = 1 on the
+  cloned config, charged with the production energy charge.  The scalar
+  event loop is ``repro.hw.cycle_reference.ReferenceCycleSimEvaluator``.
+
+A plain module (not a conftest) so the oracle pickles into pool workers.
+The tests import it directly; ``benchmarks/perf`` and the CI checks put
+this directory on ``sys.path`` first.
 """
 
-__all__ = ["PerPoint"]
+from repro.hw import CycleAccurateSimulator, ViTCoDAccelerator
+from repro.sim import CycleSimEvaluator, EvalMetrics, merge_results
+from repro.sim.evaluator import _cycle_metrics
+
+__all__ = ["PerPoint", "analytical_fold", "cycle_walk"]
+
+
+def analytical_fold(workload, config, accel_kwargs):
+    """The analytical model's per-layer reports folded left to right."""
+    accel = ViTCoDAccelerator(config=config, **accel_kwargs)
+    report = merge_results(
+        [accel.simulate_attention_layer(layer)
+         for layer in workload.attention_layers]
+    )
+    return EvalMetrics(seconds=report.seconds,
+                       energy_joules=report.energy_joules)
+
+
+def cycle_walk(workload, config, accel_kwargs):
+    """The cycle simulator at one cloned design point (the walk at P = 1)."""
+    CycleSimEvaluator._reject_unsupported(accel_kwargs)
+    result = CycleAccurateSimulator(
+        config=config, **accel_kwargs
+    ).simulate_attention(workload)
+    (metrics,) = _cycle_metrics(workload, config, result.makespan,
+                                result.dram_busy, config.bytes_per_cycle)
+    return metrics
+
+
+_ORACLES = {"analytical": analytical_fold, "cycle": cycle_walk}
 
 
 class PerPoint:
-    """Score with ``inner.__call__`` only (no ``evaluate_batch``)."""
+    """``evaluator``'s per-point oracle (no ``evaluate_batch`` of its own)."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = inner.name
+    def __init__(self, evaluator):
+        self.name = evaluator.name
+        self.score = _ORACLES[evaluator.name]
 
     def __call__(self, workload, config, accel_kwargs):
-        return self.inner(workload, config, accel_kwargs)
+        return self.score(workload, config, accel_kwargs)

@@ -3,9 +3,10 @@
 The contract under test: scoring a grid chunk with
 ``CycleSimEvaluator.evaluate_batch`` (one (points × layers × jobs)
 max-plus walk) is **bit-for-bit** the scalar reference loop scored point
-by point (``ReferenceCycleSimEvaluator``) — points, ordering, Pareto
-frontier, failure attribution, structural rejections.  Property-tested
-over random grids of every parameter the cycle simulator models, on a
+by point (``ReferenceCycleSimEvaluator``, lifted into rows by the one
+adapter) — points, ordering, Pareto frontier, failure attribution,
+structural rejections.  Property-tested over random in-domain grids of
+every parameter the cycle simulator models, on a
 small synthetic model so the slow reference loop stays cheap; plus the
 width-band sub-batching invariants and the whole-chunk
 ``ParetoFront.offer_all`` equivalence.  This is the CI-enforced guarantee
@@ -19,11 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness import dse as dse_module
 from repro.harness.dse import (
     DesignPoint,
     ParetoFront,
-    PointFailure,
     iter_design_space,
     iter_indexed_design_points,
     pareto_frontier,
@@ -46,9 +45,10 @@ from repro.hw.cycle_reference import (
 from repro.hw.cycle_sim import CycleAccurateSimulator, _width_bands
 from repro.models import get_config
 from repro.sim import (
-    BatchEvaluator,
     CycleSimEvaluator,
+    Evaluator,
     HybridEvaluator,
+    PointEvaluator,
     UnsupportedParameterError,
     evaluator_from_spec,
     evaluator_spec,
@@ -88,29 +88,22 @@ def tiny_workload():
                          linear_layers=())
 
 
-def _has_zero_resource(names, row):
-    """Whether a grid row zeroes the DRAM bandwidth or the act buffer."""
-    values = dict(zip(names, row))
-    return (values.get("bandwidth_gbps") == 0
-            or values.get("act_buffer_kb") == 0)
-
-
 # ----------------------------------------------------------------------
 # Random grids over every cycle-modelled parameter
 # ----------------------------------------------------------------------
 def cycle_grid_strategy():
     """Random DSE grids over the knobs the cycle simulator models
     (``q_forwarding_hit_rate`` is structurally rejected — tested
-    separately), including the edge values (AE off via ``None``,
-    fractional buffer sizes, minimum MAC lines, and the invalid zero
-    bandwidth and zero buffer every path must reject)."""
+    separately), including the in-domain edge values (AE off via
+    ``None``, AE 1.0, fractional buffer sizes that are whole bytes, the
+    2-line minimum)."""
     mac_lines = st.lists(st.integers(2, 512), min_size=1, max_size=3,
                          unique=True)
     bandwidth = st.lists(
-        st.sampled_from([0, 9.6, 19.2, 38.4, 76.8, 153.6, 307.2]),
+        st.sampled_from([9.6, 19.2, 38.4, 76.8, 153.6, 307.2]),
         min_size=1, max_size=2, unique=True,
     )
-    act_buffer = st.lists(st.sampled_from([0, 0.5, 32, 64, 128, 320, 512]),
+    act_buffer = st.lists(st.sampled_from([0.5, 32, 64, 128, 320, 512]),
                           min_size=1, max_size=2, unique=True)
     ae = st.lists(st.sampled_from([None, 0.25, 0.5, 0.75, 1.0]),
                   min_size=1, max_size=3, unique=True)
@@ -132,61 +125,38 @@ class TestBitExactness:
     @settings(max_examples=12, deadline=None)
     def test_batched_sweep_equals_per_point(self, tiny_workload, grid):
         """Points, grid ordering and frontier are bit-identical to the
-        reference loop's; exactly the zero-resource points are dropped,
-        and nothing non-finite is ever scored."""
+        reference loop's; every point is scored, and nothing non-finite
+        is."""
         from itertools import product
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            reference = sweep_design_space(
-                tiny_workload, grid, evaluator=ReferenceCycleSimEvaluator()
-            )
-            batched = sweep_design_space(tiny_workload, grid,
-                                         evaluator="cycle")
+        reference = sweep_design_space(
+            tiny_workload, grid, evaluator=ReferenceCycleSimEvaluator()
+        )
+        batched = sweep_design_space(tiny_workload, grid, evaluator="cycle")
         assert batched == reference  # DesignPoint eq: every field bit-equal
         assert pareto_frontier(batched) == pareto_frontier(reference)
-        names = sorted(grid)
-        rows = list(product(*(grid[n] for n in names)))
-        assert len(batched) == sum(
-            not _has_zero_resource(names, row) for row in rows
-        )
+        assert len(batched) == len(list(product(*grid.values())))
         assert all(math.isfinite(p.seconds) and math.isfinite(p.energy_joules)
                    for p in batched)
 
     @given(grid=cycle_grid_strategy())
     @settings(max_examples=8, deadline=None)
     def test_evaluate_batch_matches_call_loop(self, tiny_workload, grid):
-        """The raw batch surface, without the DSE engine in between: a
-        batch holding an invalid point raises as a whole, and the valid
-        points score exactly as the reference loop does."""
+        """The raw rows surface, without the DSE engine in between: one
+        batch call scores every row exactly as the reference loop's call
+        loop (lifted by the adapter) does."""
         from itertools import product
 
         names = sorted(grid)
         rows = list(product(*(grid[n] for n in names)))
-        expected = [
-            dse_module._evaluate_design_point(
-                tiny_workload, VITCOD_DEFAULT, names, row,
-                ReferenceCycleSimEvaluator(),
-            )
-            for row in rows
-        ]
-        failed = [isinstance(e, PointFailure) for e in expected]
-        assert failed == [_has_zero_resource(names, row) for row in rows]
-        evaluator = CycleSimEvaluator()
-        if any(failed):
-            with pytest.raises(ValueError, match="must be positive"):
-                evaluator.evaluate_batch(tiny_workload, VITCOD_DEFAULT,
-                                         names, rows)
-        valid = [(row, e) for row, e in zip(rows, expected)
-                 if not isinstance(e, PointFailure)]
-        if not valid:
-            return
-        batch = evaluator.evaluate_batch(tiny_workload, VITCOD_DEFAULT,
-                                         names, [row for row, _ in valid])
-        assert len(batch) == len(valid)
-        for (_, point), metrics in zip(valid, batch):
-            assert metrics.seconds == point.seconds
-            assert metrics.energy_joules == point.energy_joules
+        expected = PointEvaluator(ReferenceCycleSimEvaluator()).evaluate_batch(
+            tiny_workload, VITCOD_DEFAULT, names, rows
+        )
+        batch = CycleSimEvaluator().evaluate_batch(
+            tiny_workload, VITCOD_DEFAULT, names, rows
+        )
+        assert len(batch) == len(expected) == len(rows)
+        assert batch == expected  # EvalMetrics eq: both fields bit-equal
 
     def test_indexed_subset_matches_per_point(self, small_workload):
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
@@ -225,16 +195,19 @@ class TestBatchEngine:
     def test_cycle_resolves_batch_capable(self):
         evaluator = resolve_evaluator("cycle")
         assert type(evaluator) is CycleSimEvaluator
-        assert isinstance(evaluator, BatchEvaluator)
-        assert dse_module._batch_capable(evaluator)
-        assert not dse_module._batch_capable(PerPoint(CycleSimEvaluator()))
+        assert isinstance(evaluator, Evaluator)
+        assert resolve_evaluator(evaluator) is evaluator
+        assert type(resolve_evaluator(PerPoint(CycleSimEvaluator()))) \
+            is PointEvaluator
 
     def test_reference_evaluator_stays_per_point(self):
         """The oracle must never inherit the production batch walk, or
-        every reference check would compare the walk with itself."""
+        every reference check would compare the walk with itself: it is
+        a per-point callable the adapter lifts."""
         evaluator = ReferenceCycleSimEvaluator()
         assert not callable(getattr(evaluator, "evaluate_batch", None))
-        assert not dse_module._batch_capable(evaluator)
+        lifted = resolve_evaluator(evaluator)
+        assert type(lifted) is PointEvaluator and lifted.point is evaluator
 
     def test_reference_sweep_never_walks_the_grid(self, tiny_workload,
                                                   monkeypatch):
@@ -291,31 +264,33 @@ class TestBatchEngine:
 
     def test_invalid_point_falls_back_to_per_point_failures(
             self, small_workload):
-        """A chunk holding an invalid point (1 MAC line breaks the
-        allocator) must fail per point, exactly like the unbatched sweep
-        — good points kept, bad point warn-dropped."""
-        grid = {"mac_lines": [1, 32, 64]}
-        with pytest.warns(RuntimeWarning, match="MAC lines"):
-            per_point = sweep_design_space(
-                small_workload, grid, evaluator=ReferenceCycleSimEvaluator()
+        """1 MAC line breaks the allocator: the grid rejects it before any
+        evaluator runs, and a row that reaches a scorer anyway (a direct
+        call) fails per point under the reference loop while the walk
+        refuses the whole call."""
+        with pytest.raises(ValueError, match=r"'mac_lines' value 1: .*MAC"):
+            sweep_design_space(small_workload, {"mac_lines": [1, 32, 64]},
+                               evaluator="cycle")
+        rows = [(1,), (32,)]
+        reference = PointEvaluator(ReferenceCycleSimEvaluator()) \
+            .evaluate_batch(small_workload, VITCOD_DEFAULT, ["mac_lines"],
+                            rows)
+        assert isinstance(reference[0], ValueError)
+        assert "at least 2 MAC lines" in str(reference[0])
+        assert reference[1] == CycleSimEvaluator().evaluate_batch(
+            small_workload, VITCOD_DEFAULT, ["mac_lines"], rows[1:]
+        )[0]
+        with pytest.raises(ValueError, match="at least 2 MAC lines"):
+            CycleSimEvaluator().evaluate_batch(
+                small_workload, VITCOD_DEFAULT, ["mac_lines"], rows
             )
-        with pytest.warns(RuntimeWarning, match="MAC lines"):
-            batched = sweep_design_space(small_workload, grid,
-                                         evaluator="cycle")
-        assert batched == per_point
-        assert [p.parameter("mac_lines") for p in batched] == [32, 64]
 
-    def test_invalid_ae_falls_back_per_point(self, small_workload):
-        grid = {"ae_compression": [1.5, 0.5]}
-        with pytest.warns(RuntimeWarning, match="ae_compression"):
-            batched = sweep_design_space(small_workload, grid,
-                                         evaluator="cycle")
-        with pytest.warns(RuntimeWarning, match="ae_compression"):
-            per_point = sweep_design_space(
-                small_workload, grid, evaluator=ReferenceCycleSimEvaluator()
-            )
-        assert batched == per_point
-        assert [p.parameter("ae_compression") for p in batched] == [0.5]
+    def test_invalid_ae_rejected(self, small_workload):
+        with pytest.raises(ValueError,
+                           match=r"'ae_compression' value 1.5: ae_compression"):
+            sweep_design_space(small_workload,
+                               {"ae_compression": [1.5, 0.5]},
+                               evaluator="cycle")
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_unsupported_parameter_raises_cleanly(self, small_workload,
@@ -518,24 +493,19 @@ class TestDistShards:
         would — byte-identical stores, so mixed fleets are safe."""
         from repro.dist import merge_store, run_shard
 
-        grid = {"mac_lines": [1, 16, 32, 64], "ae_compression": [None, 0.5]}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for shard in ("1/2", "2/2"):
-                run_shard(small_workload, grid, shard,
-                          tmp_path / "batched", evaluator="cycle")
-                run_shard(small_workload, grid, shard,
-                          tmp_path / "per_point",
-                          evaluator=PerPoint(CycleSimEvaluator()))
-            batched = merge_store(tmp_path / "batched",
-                                  workload=small_workload)
-            per_point = merge_store(tmp_path / "per_point",
-                                    workload=small_workload)
+        grid = {"mac_lines": [2, 16, 32, 64], "ae_compression": [None, 0.5]}
+        for shard in ("1/2", "2/2"):
+            run_shard(small_workload, grid, shard,
+                      tmp_path / "batched", evaluator="cycle")
+            run_shard(small_workload, grid, shard,
+                      tmp_path / "per_point",
+                      evaluator=PerPoint(CycleSimEvaluator()))
+        batched = merge_store(tmp_path / "batched", workload=small_workload)
+        per_point = merge_store(tmp_path / "per_point",
+                                workload=small_workload)
         assert batched.points == per_point.points
         assert batched.frontier == per_point.frontier
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            reference = sweep_design_space(
-                small_workload, grid, evaluator=ReferenceCycleSimEvaluator()
-            )
+        reference = sweep_design_space(
+            small_workload, grid, evaluator=ReferenceCycleSimEvaluator()
+        )
         assert list(batched.points) == reference

@@ -2,18 +2,18 @@
 
 The contract under test: scoring a grid chunk with
 ``AnalyticalEvaluator.evaluate_batch`` (one numpy walk over a leading
-design-point axis) is **bit-for-bit** the per-point route (the same
-evaluator behind :class:`per_point.PerPoint`, one ``__call__`` per grid
-point) — points, ordering, Pareto frontier, failure attribution, durable
-shard records.  Property-tested over random grids of all five sweepable
-parameters, invalid resource values included; this is the CI-enforced
-guarantee that makes batching an execution detail rather than a model
-change.
+design-point axis) is **bit-for-bit** the per-point oracle (the per-layer
+fold behind :class:`per_point.PerPoint`, lifted into rows by the one
+adapter, one call per grid point) — points, ordering, Pareto frontier,
+failure attribution, durable shard records.  Property-tested over random
+in-domain grids of all five sweepable parameters; out-of-domain values
+never reach an evaluator (the grid check rejects them).  This is the
+CI-enforced guarantee that makes batching an execution detail rather
+than a model change.
 """
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +31,8 @@ from repro.hw.params import VITCOD_DEFAULT
 from repro.models import get_config
 from repro.sim import (
     AnalyticalEvaluator,
-    BatchEvaluator,
+    Evaluator,
+    PointEvaluator,
     evaluator_from_spec,
     evaluator_spec,
     resolve_evaluator,
@@ -45,28 +46,42 @@ def small_workload():
     return model_workload(get_config("deit-tiny"), sparsity=0.9)
 
 
+class FailingRow:
+    """The analytical model with the 32-line row's entry an exception."""
+
+    name = "failing-row"
+
+    def evaluate_batch(self, workload, base_config, names, rows):
+        rows = list(rows)
+        results = AnalyticalEvaluator().evaluate_batch(
+            workload, base_config, names, rows
+        )
+        return [RuntimeError("row broke") if row == (32,) else result
+                for row, result in zip(rows, results)]
+
+
+def failing_point(workload, config, accel_kwargs):
+    """:class:`FailingRow` as a per-point callable (the per-layer fold)."""
+    if config.num_mac_lines == 32:
+        raise RuntimeError("row broke")
+    return PerPoint(AnalyticalEvaluator())(workload, config, accel_kwargs)
+
+
 # ----------------------------------------------------------------------
 # Random grids over every sweepable parameter
 # ----------------------------------------------------------------------
-def _has_bad_resource(names, row):
-    """Whether a grid row has a non-positive DRAM bandwidth or act buffer."""
-    values = dict(zip(names, row))
-    return (values.get("bandwidth_gbps", 1) <= 0
-            or values.get("act_buffer_kb", 1) <= 0)
-
-
 def grid_strategy():
     """Random DSE grids: any subset of the five parameters, small value
-    lists, including the knobs' edge values (AE off via ``None``, zero
-    forwarding, fractional buffer sizes) and the zero and negative
-    bandwidths and buffers every route must reject."""
+    lists, including the knobs' in-domain edge values (AE off via
+    ``None``, AE 1.0, zero forwarding, fractional buffer sizes that are
+    whole bytes, the allocator's 2-line floor)."""
     mac_lines = st.lists(st.integers(2, 512), min_size=1, max_size=3,
                          unique=True)
     bandwidth = st.lists(
-        st.sampled_from([-10, 0, 9.6, 19.2, 38.4, 76.8, 153.6, 307.2]),
+        st.sampled_from([9.6, 19.2, 38.4, 76.8, 153.6, 307.2]),
         min_size=1, max_size=2, unique=True,
     )
-    act_buffer = st.lists(st.sampled_from([-8, 0, 0.5, 32, 64, 128, 320, 512]),
+    act_buffer = st.lists(st.sampled_from([0.5, 32, 64, 128, 320, 512]),
                           min_size=1, max_size=2, unique=True)
     ae = st.lists(st.sampled_from([None, 0.25, 0.5, 0.75, 1.0]),
                   min_size=1, max_size=3, unique=True)
@@ -90,24 +105,17 @@ class TestBitExactness:
     @given(grid=grid_strategy())
     @settings(max_examples=40, deadline=None)
     def test_batched_sweep_equals_per_point(self, small_workload, grid):
-        """Points, grid ordering and frontier are bit-identical; exactly
-        the points with a non-positive bandwidth or buffer are dropped,
-        and nothing non-finite or negative is ever scored."""
+        """Points, grid ordering and frontier are bit-identical; every
+        point is scored, and nothing non-finite or negative is."""
         from itertools import product
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            per_point = sweep_design_space(
-                small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())
-            )
-            batched = sweep_design_space(small_workload, grid)
+        per_point = sweep_design_space(
+            small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())
+        )
+        batched = sweep_design_space(small_workload, grid)
         assert batched == per_point  # DesignPoint eq: every field bit-equal
         assert pareto_frontier(batched) == pareto_frontier(per_point)
-        names = sorted(grid)
-        rows = list(product(*(grid[n] for n in names)))
-        assert len(batched) == sum(
-            not _has_bad_resource(names, row) for row in rows
-        )
+        assert len(batched) == len(list(product(*grid.values())))
         assert all(math.isfinite(p.seconds) and p.seconds >= 0
                    and math.isfinite(p.energy_joules)
                    and p.energy_joules >= 0 for p in batched)
@@ -115,36 +123,20 @@ class TestBitExactness:
     @given(grid=grid_strategy())
     @settings(max_examples=15, deadline=None)
     def test_evaluate_batch_matches_call_loop(self, small_workload, grid):
-        """The raw batch surface, without the DSE engine in between: a
-        batch holding an invalid point raises as a whole, and the valid
-        points score exactly as per-point calls do."""
+        """The raw rows surface, without the DSE engine in between: one
+        batch call scores every row exactly as the per-point oracle's
+        call loop (lifted by the adapter) does."""
         from itertools import product
 
         names = sorted(grid)
         rows = list(product(*(grid[n] for n in names)))
-        evaluator = AnalyticalEvaluator()
-        expected = [
-            dse_module._evaluate_design_point(
-                small_workload, VITCOD_DEFAULT, names, row, evaluator
-            )
-            for row in rows
-        ]
-        failed = [isinstance(e, dse_module.PointFailure) for e in expected]
-        assert failed == [_has_bad_resource(names, row) for row in rows]
-        if any(failed):
-            with pytest.raises(ValueError, match="must be positive"):
-                evaluator.evaluate_batch(small_workload, VITCOD_DEFAULT,
-                                         names, rows)
-        valid = [(row, e) for row, e in zip(rows, expected)
-                 if not isinstance(e, dse_module.PointFailure)]
-        if not valid:
-            return
-        batch = evaluator.evaluate_batch(small_workload, VITCOD_DEFAULT,
-                                         names, [row for row, _ in valid])
-        assert len(batch) == len(valid)
-        for (_, point), metrics in zip(valid, batch):
-            assert metrics.seconds == point.seconds
-            assert metrics.energy_joules == point.energy_joules
+        expected = PointEvaluator(PerPoint(AnalyticalEvaluator())) \
+            .evaluate_batch(small_workload, VITCOD_DEFAULT, names, rows)
+        batch = AnalyticalEvaluator().evaluate_batch(
+            small_workload, VITCOD_DEFAULT, names, rows
+        )
+        assert len(batch) == len(expected) == len(rows)
+        assert batch == expected  # EvalMetrics eq: both fields bit-equal
 
     def test_indexed_subset_matches_per_point(self, small_workload):
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
@@ -190,29 +182,43 @@ class TestBitExactness:
         assert batched == per_point
 
     @pytest.mark.parametrize("evaluator", ["analytical", "cycle", "hybrid"])
-    def test_non_positive_resources_dropped(self, small_workload, evaluator):
-        """A zero or negative bandwidth or buffer is an invalid point for
-        every evaluator: only the (76.8 GB/s, 320 KB) point survives,
-        instead of a -10 GB/s point topping the frontier."""
+    def test_non_positive_resources_rejected(self, small_workload,
+                                             evaluator):
+        """A zero or negative bandwidth or buffer is outside its knob's
+        domain for every evaluator: the grid raises naming the value
+        before anything is scored, instead of a -10 GB/s point topping
+        the frontier."""
         grid = {"bandwidth_gbps": [-10, 0, 76.8],
                 "act_buffer_kb": [-8, 0, 320]}
-        with pytest.warns(RuntimeWarning, match="must be positive"):
-            points = sweep_design_space(small_workload, grid,
-                                        evaluator=evaluator)
+        with pytest.raises(ValueError, match=r"'bandwidth_gbps' value -10"):
+            sweep_design_space(small_workload, grid, evaluator=evaluator)
+        del grid["bandwidth_gbps"]
+        with pytest.raises(ValueError, match=r"'act_buffer_kb' value -8"):
+            sweep_design_space(small_workload, grid, evaluator=evaluator)
+        points = sweep_design_space(
+            small_workload, {"bandwidth_gbps": [76.8],
+                             "act_buffer_kb": [320]}, evaluator=evaluator
+        )
         assert [dict(p.parameters) for p in points] == \
             [{"act_buffer_kb": 320, "bandwidth_gbps": 76.8}]
         assert all(math.isfinite(p.seconds) and p.seconds > 0
                    and math.isfinite(p.energy_joules)
                    and p.energy_joules > 0 for p in points)
 
-    def test_cli_json_holds_only_valid_points(self, tmp_path, capsys):
+    def test_cli_json_holds_only_valid_points(self, tmp_path):
+        """An out-of-domain grid exits with one line and writes no JSON;
+        the in-domain grid's JSON holds only finite, valid points."""
         from repro.cli import main
 
         out = tmp_path / "out.json"
-        with pytest.warns(RuntimeWarning, match="must be positive"):
+        with pytest.raises(SystemExit, match=r"'bandwidth_gbps' value -10"):
             main(["dse", "--models", "deit-tiny",
                   "--grid", "bandwidth_gbps=-10,0,76.8",
-                  "--grid", "act_buffer_kb=-8,0,320", "--json", str(out)])
+                  "--grid", "act_buffer_kb=320", "--json", str(out)])
+        assert not out.exists()
+        main(["dse", "--models", "deit-tiny",
+              "--grid", "bandwidth_gbps=76.8",
+              "--grid", "act_buffer_kb=320", "--json", str(out)])
         text = out.read_text()
         assert "Infinity" not in text and "NaN" not in text
         points = json.loads(text)["points"]
@@ -224,9 +230,11 @@ class TestBatchEngine:
     def test_analytical_default_is_batch_capable(self):
         evaluator = resolve_evaluator(None)
         assert type(evaluator) is AnalyticalEvaluator
-        assert isinstance(evaluator, BatchEvaluator)
-        assert dse_module._batch_capable(evaluator)
-        assert not dse_module._batch_capable(PerPoint(AnalyticalEvaluator()))
+        assert isinstance(evaluator, Evaluator)
+        assert resolve_evaluator(evaluator) is evaluator
+        oracle = PerPoint(AnalyticalEvaluator())
+        lifted = resolve_evaluator(oracle)
+        assert type(lifted) is PointEvaluator and lifted.point is oracle
 
     def test_spec_round_trip_shared_with_per_point(self):
         """One class scores both routes, so there is one spec; the
@@ -274,37 +282,42 @@ class TestBatchEngine:
 
     def test_invalid_point_falls_back_to_per_point_failures(
             self, small_workload):
-        """A chunk holding an invalid point (1 MAC line breaks the
-        allocator) must fail per point, exactly like the unbatched sweep
-        — good points kept, bad point warn-dropped."""
-        grid = {"mac_lines": [1, 32, 64]}
-        with pytest.warns(RuntimeWarning, match="MAC lines"):
-            per_point = sweep_design_space(
-                small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())
-            )
-        with pytest.warns(RuntimeWarning, match="MAC lines"):
-            batched = sweep_design_space(small_workload, grid)
+        """A chunk holding a row its evaluator cannot score fails that
+        row alone — one per-point failure, attributed exactly as a
+        raising per-point callable's — good points kept, bad point
+        warn-dropped."""
+        grid = {"mac_lines": [16, 32, 64]}
+        with pytest.warns(RuntimeWarning, match="RuntimeError: row broke"):
+            batched = sweep_design_space(small_workload, grid,
+                                         evaluator=FailingRow())
+        with pytest.warns(RuntimeWarning, match="RuntimeError: row broke"):
+            per_point = sweep_design_space(small_workload, grid,
+                                           evaluator=failing_point)
         assert batched == per_point
-        assert [p.parameter("mac_lines") for p in batched] == [32, 64]
+        assert [p.parameter("mac_lines") for p in batched] == [16, 64]
+        records = [
+            dict(iter_indexed_design_points(small_workload, grid,
+                                            evaluator=evaluator,
+                                            keep_failures=True))[1]
+            for evaluator in (FailingRow(), failing_point)
+        ]
+        assert records[0] == records[1]
+        assert records[0].error == "RuntimeError: row broke"
 
-    def test_invalid_ae_falls_back_per_point(self, small_workload):
-        grid = {"ae_compression": [1.5, 0.5]}
-        with pytest.warns(RuntimeWarning, match="ae_compression"):
-            batched = sweep_design_space(small_workload, grid)
-        with pytest.warns(RuntimeWarning, match="ae_compression"):
-            per_point = sweep_design_space(
-                small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())
-            )
-        assert batched == per_point
-        assert [p.parameter("ae_compression") for p in batched] == [0.5]
+    def test_invalid_ae_rejected(self, small_workload):
+        """An AE ratio outside (0, 1] is a grid error, not a point."""
+        with pytest.raises(ValueError,
+                           match=r"'ae_compression' value 1.5: ae_compression"):
+            sweep_design_space(small_workload, {"ae_compression": [1.5, 0.5]})
 
     def test_unknown_parameter_still_raises(self, small_workload):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown grid parameter"):
             sweep_design_space(small_workload, {"voltage": [0.9]})
 
     def test_batch_size_mismatch_falls_back(self, small_workload):
         """A batch implementation returning the wrong number of results
-        is treated as a failed batch (loudly), not silently mis-zipped."""
+        is treated as a failed call (loudly: every row of the chunk
+        fails), not silently mis-zipped."""
 
         class Truncating(AnalyticalEvaluator):
             def evaluate_batch(self, workload, base_config, names, rows):
@@ -313,26 +326,32 @@ class TestBatchEngine:
                 )
 
         grid = {"mac_lines": [16, 32, 64]}
-        with pytest.warns(RuntimeWarning, match="evaluate_batch failed"):
+        with pytest.warns(RuntimeWarning,
+                          match="evaluate_batch returned 2 results"):
             points = sweep_design_space(small_workload, grid,
                                         evaluator=Truncating())
-        assert points == sweep_design_space(small_workload, grid)
+        assert points == []
 
-    def test_fallback_is_announced(self, small_workload):
-        """A broken batch path must not silently degrade to per-point
-        scoring — results would stay bit-identical, hiding the lost
-        speedup."""
+    def test_raising_call_fails_every_row(self, small_workload):
+        """An exception out of the call fails each row of its chunk (with
+        the per-point failure text), and only that chunk."""
 
         class Broken(AnalyticalEvaluator):
             def evaluate_batch(self, workload, base_config, names, rows):
-                raise RuntimeError("batch kernel exploded")
+                rows = list(rows)
+                if any(row[0] == 16 for row in rows):
+                    raise RuntimeError("batch kernel exploded")
+                return super().evaluate_batch(workload, base_config, names,
+                                              rows)
 
-        with pytest.warns(RuntimeWarning, match="batch kernel exploded"):
-            points = sweep_design_space(small_workload,
-                                        {"mac_lines": [16, 32]},
-                                        evaluator=Broken())
+        grid = {"mac_lines": [16, 32, 64]}
+        with pytest.warns(RuntimeWarning,
+                          match="RuntimeError: batch kernel exploded"):
+            points = sweep_design_space(small_workload, grid,
+                                        evaluator=Broken(), chunksize=2)
+        assert [p.parameter("mac_lines") for p in points] == [64]
         assert points == sweep_design_space(small_workload,
-                                            {"mac_lines": [16, 32]})
+                                            {"mac_lines": [64]})
 
     def test_cli_batch_size_validated(self):
         from repro.cli import main

@@ -183,8 +183,9 @@ def test_production_never_imports_the_reference_loop():
         "from repro.sim import resolve_evaluator\n"
         "from repro.perf import cached_model_workload\n"
         "from repro.hw.params import VITCOD_DEFAULT\n"
-        "resolve_evaluator('cycle')(cached_model_workload('deit-tiny', "
-        "sparsity=0.9), VITCOD_DEFAULT, {})\n"
+        "resolve_evaluator('cycle').evaluate_batch(cached_model_workload("
+        "'deit-tiny', sparsity=0.9), VITCOD_DEFAULT, ['mac_lines'], "
+        "[(64,)])\n"
         "print('repro.hw.cycle_reference' in sys.modules)\n"
     )
     env = dict(os.environ)

@@ -40,6 +40,8 @@ from repro.hw.params import VITCOD_DEFAULT, HardwareConfig
 from repro.perf import cached_model_workload
 from repro.sim.evaluator import AnalyticalEvaluator
 
+from per_point import PerPoint
+
 GRID = {"mac_lines": (16, 32, 64), "ae_compression": (None, 0.5)}
 SPEC = model_workload_spec("deit-tiny", sparsity=0.9)
 
@@ -219,7 +221,7 @@ class _RecordingEvaluator:
     name = "recording"
 
     def __init__(self, poison=None):
-        self.inner = AnalyticalEvaluator()
+        self.inner = PerPoint(AnalyticalEvaluator())
         self.poison = poison
         self.calls = []
 

@@ -53,7 +53,7 @@ class TestSweep:
         assert seconds[0] >= seconds[1] >= seconds[2]
 
     def test_unknown_parameter(self, small_workload):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown grid parameter"):
             sweep_design_space(small_workload, {"voltage": [0.9]})
 
     def test_empty_grid(self, small_workload):
@@ -178,25 +178,24 @@ class TestStreaming:
             sorted(eager, key=_params_key)
 
     def test_lazy_never_materialises_grid(self, small_workload, monkeypatch):
-        """Taking 5 points from an 864-point grid evaluates exactly 5
-        with a per-point evaluator, and at most one batch chunk with the
-        batch-capable default — never the whole grid."""
+        """Taking 5 points from an 864-point grid evaluates exactly 5 at
+        ``chunksize=1``, and at most one default chunk otherwise — never
+        the whole grid."""
         from per_point import PerPoint
         from repro.sim import AnalyticalEvaluator
 
         calls = []
-        real = dse_module._evaluate_design_point
+        oracle = PerPoint(AnalyticalEvaluator())
 
-        def counting(*args):
+        def counting(workload, config, accel_kwargs):
             calls.append(1)
-            return real(*args)
+            return oracle(workload, config, accel_kwargs)
 
-        monkeypatch.setattr(dse_module, "_evaluate_design_point", counting)
         grid = {"mac_lines": list(range(8, 520, 6)),
                 "bandwidth_gbps": [19.2, 76.8],
                 "ae_compression": [None, 0.25, 0.3, 0.5, 0.75]}
         taken = list(islice(iter_design_space(
-            small_workload, grid, evaluator=PerPoint(AnalyticalEvaluator())), 5))
+            small_workload, grid, evaluator=counting, chunksize=1), 5))
         assert len(taken) == 5
         assert len(calls) == 5
 
@@ -409,15 +408,15 @@ class TestAdaptiveSweep:
         assert _plan_parallel(0.5, 0, 4) == (1, 1)
 
     def test_pilot_failures_still_warn_and_drop(self, small_workload):
-        calls = []
+        from per_point import PerPoint
+        from repro.sim import AnalyticalEvaluator
+
+        oracle = PerPoint(AnalyticalEvaluator())
 
         def flaky(workload, config, accel_kwargs):
-            calls.append(config.num_mac_lines)
             if config.num_mac_lines == 16:
                 raise RuntimeError("pilot boom")
-            from repro.sim import AnalyticalEvaluator
-
-            return AnalyticalEvaluator()(workload, config, accel_kwargs)
+            return oracle(workload, config, accel_kwargs)
 
         flaky.name = "flaky"
         with pytest.warns(RuntimeWarning, match="pilot boom"):

@@ -47,9 +47,8 @@ def small_workload():
 class ExplodingEvaluator:
     """Raises on one specific design point (module-level: pool-picklable).
 
-    Wraps the analytical model rather than subclassing it: a subclass
-    would inherit ``evaluate_batch``, and the engine would score whole
-    chunks without ever reaching the raising ``__call__``.
+    A per-point callable the engine lifts into rows; healthy points are
+    the analytical per-layer fold.
     """
 
     name = "exploding"
@@ -57,7 +56,7 @@ class ExplodingEvaluator:
     def __call__(self, workload, config, accel_kwargs):
         if config.num_mac_lines == 32:
             raise RuntimeError("injected evaluator failure")
-        return AnalyticalEvaluator()(workload, config, accel_kwargs)
+        return PerPoint(AnalyticalEvaluator())(workload, config, accel_kwargs)
 
 
 class AreaEvaluator:
@@ -184,7 +183,7 @@ class TestFailureHandling:
         with pytest.warns(RuntimeWarning, match="injected evaluator"):
             points = sweep_design_space(small_workload, self.GRID,
                                         evaluator=ExplodingEvaluator(),
-                                        n_jobs=2)
+                                        n_jobs=2, chunksize=1)
         assert [p.parameter("mac_lines") for p in points] == [16, 64]
         good = sweep_design_space(small_workload, self.GRID)
         assert points == [p for p in good
@@ -192,7 +191,7 @@ class TestFailureHandling:
 
     def test_unknown_parameter_still_raises(self, small_workload):
         """Malformed grids are caller bugs, not droppable failures."""
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown grid parameter"):
             sweep_design_space(small_workload, {"voltage": [0.9]},
                                evaluator=ExplodingEvaluator())
 
@@ -234,9 +233,13 @@ class TestHybrid:
         assert all(p in yielded for p in front.points)
 
     def test_direct_call_scores_fine(self, small_workload):
-        hybrid = HybridEvaluator()
-        fine = hybrid(small_workload, VITCOD_DEFAULT, {})
-        direct = CycleSimEvaluator()(small_workload, VITCOD_DEFAULT, {})
+        rows = [(16,), (64,)]
+        fine = HybridEvaluator().evaluate_batch(
+            small_workload, VITCOD_DEFAULT, ["mac_lines"], rows
+        )
+        direct = CycleSimEvaluator().evaluate_batch(
+            small_workload, VITCOD_DEFAULT, ["mac_lines"], rows
+        )
         assert fine == direct
 
     def test_custom_coarse_and_fine(self, small_workload):
@@ -320,8 +323,11 @@ class TestEvaluatorSpecs:
 
         original = CycleSimEvaluator()
         rebuilt = evaluator_from_spec(evaluator_spec(original))
-        assert (original(small_workload, VITCOD_DEFAULT, {})
-                == rebuilt(small_workload, VITCOD_DEFAULT, {}))
+        rows = [(16,), (64,)]
+        assert (original.evaluate_batch(small_workload, VITCOD_DEFAULT,
+                                        ["mac_lines"], rows)
+                == rebuilt.evaluate_batch(small_workload, VITCOD_DEFAULT,
+                                          ["mac_lines"], rows))
 
     def test_metrics_round_trip(self):
         import json

@@ -180,13 +180,69 @@ class TestFaultyEvaluator:
             inner, {"evaluator_error_rate": 1.0, "evaluator_error_attempts": 2}
         )
         from repro.hw.params import VITCOD_DEFAULT
-        kwargs = {}
+        args = (workload, VITCOD_DEFAULT, ["mac_lines"], [(16,), (32,)])
         for _ in range(2):
-            with pytest.raises(FaultInjectedError):
-                faulty(workload, VITCOD_DEFAULT, kwargs)
-        assert faulty(workload, VITCOD_DEFAULT, kwargs) == inner(
-            workload, VITCOD_DEFAULT, kwargs
-        )
+            assert all(isinstance(result, FaultInjectedError)
+                       for result in faulty.evaluate_batch(*args))
+        assert faulty.evaluate_batch(*args) == inner.evaluate_batch(*args)
+
+    @pytest.mark.parametrize("seed, chaos_faults, serve_faults",
+                             [(5, 1, 1), (7, 2, 2), (3, 5, 3)])
+    def test_faulty_points_keyed_by_parameters(self, workload, seed,
+                                              chaos_faults, serve_faults):
+        """Faulty rows are picked by their ``(name, value)`` pairs: the
+        seeds the chaos and serve tests use fault 1/2/5 of the 6-point
+        chaos grid and 1/2/3 of the 4-point serve grid, for any chunking."""
+        from itertools import product
+
+        from repro.hw.params import VITCOD_DEFAULT
+
+        for grid, expected in ((GRID, chaos_faults),
+                               ({"mac_lines": (16, 32),
+                                 "ae_compression": (None, 0.5)},
+                                serve_faults)):
+            names = sorted(grid)
+            rows = list(product(*(grid[n] for n in names)))
+            faulty = FaultyEvaluator(
+                "analytical", {"seed": seed, "evaluator_error_rate": 0.5}
+            )
+            whole = faulty.evaluate_batch(workload, VITCOD_DEFAULT, names,
+                                          rows)
+            hit = [isinstance(r, FaultInjectedError) for r in whole]
+            assert sum(hit) == expected
+            faulty = FaultyEvaluator(
+                "analytical", {"seed": seed, "evaluator_error_rate": 0.5}
+            )
+            single = [
+                isinstance(faulty.evaluate_batch(workload, VITCOD_DEFAULT,
+                                                 names, [row])[0],
+                           FaultInjectedError)
+                for row in reversed(rows)
+            ]
+            assert single[::-1] == hit
+
+    def test_faulty_shard_batches_the_inner_evaluator(self, tmp_path,
+                                                       workload):
+        """A fault-injected shard scores through evaluate_batch: one inner
+        call with every healthy point of the chunk, then per-point retries
+        of the faulted ones, and a store equal to the serial sweep."""
+        calls = []
+
+        class Spy(AnalyticalEvaluator):
+            def evaluate_batch(self, workload, base_config, names, rows):
+                rows = list(rows)
+                calls.append(len(rows))
+                return super().evaluate_batch(workload, base_config, names,
+                                              rows)
+
+        faulty = FaultyEvaluator(Spy(),
+                                 {"seed": 7, "evaluator_error_rate": 0.5})
+        run = run_shard(workload, GRID, "1/1", tmp_path / "store",
+                        evaluator=faulty, workload_spec=SPEC)
+        assert run.complete and run.failed == 0 and run.retried == 2
+        assert calls[0] == 4 and sum(calls) == 6
+        assert list(merge_store(tmp_path / "store").points) == \
+            sweep_design_space(workload, GRID)
 
     def test_injected_error_is_transient(self):
         assert issubclass(FaultInjectedError, TransientError)

@@ -205,3 +205,33 @@ class TestPublish:
         assert results == [True] * self.THREADS
         assert path.read_text() in {self._text(k) for k in range(self.THREADS)}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]
+
+    @pytest.mark.parametrize("exclusive, move", [(True, "link"),
+                                                 (False, "replace")])
+    def test_publish_is_durable(self, tmp_path, monkeypatch, exclusive, move):
+        """The content is fsynced before it takes the name, and the
+        directory after: a power loss leaves the old state or the whole
+        new file, never an empty or missing one."""
+        import stat
+
+        events = []
+        real_fsync, real_move = os.fsync, getattr(os, move)
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(info.st_mode) else "file"
+            events.append(("fsync", kind, info.st_size))
+            real_fsync(fd)
+
+        def moved(src, dst):
+            events.append((move,))
+            real_move(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, move, moved)
+        text = '{"done": true}\n'
+        assert publish(tmp_path / "result.json", text, exclusive=exclusive)
+        assert [e[:2] for e in events] == \
+            [("fsync", "file"), (move,), ("fsync", "dir")]
+        assert events[0][2] == len(text)
+        assert (tmp_path / "result.json").read_text() == text

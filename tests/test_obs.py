@@ -42,6 +42,8 @@ from repro.perf import cached_model_workload
 from repro.serve import JobManager, ServeClient, ServeError, serving
 from repro.sim.evaluator import AnalyticalEvaluator
 
+from per_point import PerPoint
+
 GRID = {"mac_lines": (16, 32, 64), "ae_compression": (None, 0.5)}
 SPEC = model_workload_spec("deit-tiny", sparsity=0.9)
 SERVE_GRID = {"mac_lines": [16, 32], "ae_compression": [None, 0.5]}
@@ -353,7 +355,7 @@ class _FailingEvaluator:
     name = "failing"
 
     def __init__(self, poison=None):
-        self.inner = AnalyticalEvaluator()
+        self.inner = PerPoint(AnalyticalEvaluator())
         self.poison = poison
 
     def __call__(self, workload, config, accel_kwargs):
