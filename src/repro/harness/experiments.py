@@ -31,11 +31,9 @@ from ..perf.cache import cached_model_workload as model_workload
 from ..roofline import sddmm_roofline_points, ridge_intensity
 from ..sparsity import (
     metrics,
-    prune_attention_map,
     split_and_conquer,
     synthetic_nlp_attention,
     synthetic_vit_attention,
-    threshold_for_sparsity,
 )
 from .surrogate import (
     BASELINE_ACCURACY,
@@ -195,13 +193,11 @@ def fig8_polarization(
         maps = synthetic_vit_attention(
             num_tokens, num_heads=num_heads, seed=seed + 101 * layer
         )
-        theta_p = threshold_for_sparsity(maps, sparsity)
-        pruned = prune_attention_map(maps, theta_p)
-        result = split_and_conquer(maps, theta_p=theta_p, theta_d=theta_d)
+        result = split_and_conquer(maps, target_sparsity=sparsity, theta_d=theta_d)
         reordered = result.reordered_masks()
         per_layer.append(
             {
-                "prune_only": metrics.mask_summary(pruned),
+                "prune_only": metrics.mask_summary(result.mask),
                 "prune_and_reorder": metrics.mask_summary(
                     reordered, result.num_global_tokens
                 ),

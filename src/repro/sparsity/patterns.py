@@ -47,17 +47,20 @@ def synthetic_vit_attention(
 
     maps = np.empty((num_heads, n, n))
     idx = np.arange(n)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    bands = {}  # one Gaussian band per distinct jittered width
     for h in range(num_heads):
         width = max(1, band_width + int(rng.integers(-1, 2)))
-        dist = np.abs(idx[:, None] - idx[None, :])
-        band = band_strength * np.exp(-((dist / width) ** 2))
-        base = background * rng.random((n, n))
-        scores = base + band
+        if width not in bands:
+            bands[width] = band_strength * np.exp(-((dist / width) ** 2))
+        scores = rng.random(out=maps[h])
+        scores *= background
+        scores += bands[width]
         k = max(1, num_global_tokens + int(rng.integers(-1, 2)))
         global_cols = rng.choice(n, size=min(k, n), replace=False)
         scores[:, global_cols] += global_strength * (
             0.75 + 0.5 * rng.random(len(global_cols)))
-        maps[h] = scores / scores.sum(axis=-1, keepdims=True)
+    maps /= maps.sum(axis=-1, keepdims=True)
     return maps
 
 

@@ -4,6 +4,19 @@ For each query row of an averaged, normalised attention map, keep the
 highest-valued attention scores until their cumulative sum reaches the
 information-quantity threshold ``θp``, and prune the rest.  The result is a
 binary mask that stays **fixed** during finetuning and inference (§IV-B).
+
+**One sort per layer.**  Each row is normalised to unit mass and sorted
+once, by value, over the whole (H, N, N) stack (:func:`_rank_rows`).  The
+θp bisection and the mask both read that one ranking, and
+:func:`~repro.sparsity.split_and_conquer` hands the same ranking to both
+steps.  No index sort is needed: a row that keeps ``k`` entries keeps
+every entry above its k-th largest value.
+
+**Stable tie rule.**  Entries tied with the k-th largest value are kept
+lowest column index first, until the row holds ``k``.  That is exactly the
+set the first ``k`` positions of a stable descending argsort select.
+
+Maps holding NaN or ±inf are rejected before any sort.
 """
 
 from __future__ import annotations
@@ -16,6 +29,75 @@ __all__ = [
     "threshold_for_sparsity",
     "mask_for_sparsity",
 ]
+
+
+def _rank_rows(attention_map):
+    """Normalise each row of ``attention_map`` and sort it once, by value.
+
+    Returns ``(probs, descending, cumulative)``: the row-normalised map in
+    its original column order, each of its rows largest value first, and
+    the running sum of ``descending``.
+    """
+    attention_map = np.asarray(attention_map, dtype=np.float64)
+    if not np.isfinite(attention_map).all():
+        raise ValueError(
+            f"attention map of shape {attention_map.shape} has non-finite entries"
+        )
+    # Renormalise rows so theta_p is a fraction of each row's total mass.
+    row_sums = attention_map.sum(axis=-1, keepdims=True)
+    probs = attention_map / np.where(row_sums <= 0, 1.0, row_sums)
+    descending = np.sort(probs, axis=-1)[..., ::-1]
+    return probs, descending, np.cumsum(descending, axis=-1)
+
+
+def _keep_counts(cumulative, theta_p):
+    """Per row, the largest entries up to the one whose cumulative sum
+    first reaches ``theta_p`` (Alg. 1 lines 2-5 accumulate then stop);
+    a row whose total mass never reaches it keeps everything."""
+    counts = np.argmax(cumulative >= theta_p - 1e-12, axis=-1) + 1
+    return np.where(cumulative[..., -1] < theta_p - 1e-12,
+                    cumulative.shape[-1], counts)
+
+
+def _prune(ranked, theta_p, min_keep):
+    """The θp mask of a ranking, ties broken by the stable tie rule."""
+    if not 0.0 < theta_p <= 1.0:
+        raise ValueError(f"theta_p must be in (0, 1], got {theta_p}")
+    if min_keep < 1:
+        raise ValueError("min_keep must be >= 1")
+    probs, descending, cumulative = ranked
+    counts = np.maximum(_keep_counts(cumulative, theta_p),
+                        min(min_keep, probs.shape[-1]))
+    kth = np.take_along_axis(descending, counts[..., None] - 1, axis=-1)
+    mask = probs >= kth
+    surplus = mask.sum(axis=-1) - counts
+    crowded = surplus > 0  # rows with more ties at the k-th value than room
+    if crowded.any():
+        tied = probs[crowded] == kth[crowded]
+        tie_rank = np.cumsum(tied, axis=-1)
+        room = tie_rank[:, -1:] - surplus[crowded][:, None]
+        mask[crowded] &= ~tied | (tie_rank <= room)
+    return mask
+
+
+def _threshold(ranked, target_sparsity, tol=5e-3, max_iter=60):
+    """Bisect θp over a ranking's cumulative mass (default ``min_keep``)."""
+    if not 0.0 <= target_sparsity < 1.0:
+        raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity}")
+    cumulative = ranked[2]
+    lo, hi = 1e-6, 1.0
+    best = hi
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        sparsity = 1.0 - _keep_counts(cumulative, mid).sum() / cumulative.size
+        if abs(sparsity - target_sparsity) <= tol:
+            return mid
+        if sparsity > target_sparsity:
+            lo = mid  # too sparse → keep more mass
+        else:
+            hi = mid
+        best = mid
+    return best
 
 
 def prune_attention_map(attention_map, theta_p, min_keep=1):
@@ -39,37 +121,9 @@ def prune_attention_map(attention_map, theta_p, min_keep=1):
         True where attention is kept ("1" in the paper's mask).
     """
     attention_map = np.asarray(attention_map, dtype=np.float64)
-    if not 0.0 < theta_p <= 1.0:
-        raise ValueError(f"theta_p must be in (0, 1], got {theta_p}")
-    if min_keep < 1:
-        raise ValueError("min_keep must be >= 1")
-    if attention_map.ndim == 3:
-        return np.stack(
-            [prune_attention_map(a, theta_p, min_keep) for a in attention_map]
-        )
-    if attention_map.ndim != 2:
+    if attention_map.ndim not in (2, 3):
         raise ValueError(f"expected 2-D or 3-D map, got shape {attention_map.shape}")
-
-    n = attention_map.shape[-1]
-    min_keep = min(min_keep, n)
-    # Renormalise rows so theta_p is a fraction of each row's total mass.
-    row_sums = attention_map.sum(axis=-1, keepdims=True)
-    row_sums = np.where(row_sums <= 0, 1.0, row_sums)
-    probs = attention_map / row_sums
-
-    order = np.argsort(-probs, axis=-1, kind="stable")  # descending
-    sorted_probs = np.take_along_axis(probs, order, axis=-1)
-    cumulative = np.cumsum(sorted_probs, axis=-1)
-    # Keep entries strictly before the cumulative sum first reaches theta_p,
-    # plus the entry that crosses it (Alg. 1 lines 2-5 accumulate then stop).
-    keep_counts = np.argmax(cumulative >= theta_p - 1e-12, axis=-1) + 1
-    # Rows whose total mass never reaches theta_p keep everything.
-    keep_counts = np.where(cumulative[:, -1] < theta_p - 1e-12, n, keep_counts)
-    keep_counts = np.maximum(keep_counts, min_keep)
-
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n)[None, :], axis=-1)
-    return ranks < keep_counts[:, None]
+    return _prune(_rank_rows(attention_map), theta_p, min_keep)
 
 
 def mask_sparsity(mask):
@@ -83,46 +137,11 @@ def threshold_for_sparsity(attention_map, target_sparsity, tol=5e-3, max_iter=60
 
     The paper sweeps sparsity ratios {50…95}% (§VI-C); this inverts the
     θp → sparsity map, which is monotone (larger θp keeps more entries).
-
-    The per-row sort and cumulative sums do not depend on θp, so they are
-    hoisted out of the bisection loop: each iteration only re-derives the
-    per-row keep counts from the precomputed cumulative mass, exactly as
+    The rows are sorted once; each iteration only re-derives the per-row
+    keep counts from the cumulative mass, exactly as
     :func:`prune_attention_map` (with its default ``min_keep=1``) would.
     """
-    if not 0.0 <= target_sparsity < 1.0:
-        raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity}")
-
-    attention_map = np.asarray(attention_map, dtype=np.float64)
-    rows = attention_map.reshape(-1, attention_map.shape[-1])
-    n = rows.shape[-1]
-    row_sums = rows.sum(axis=-1, keepdims=True)
-    row_sums = np.where(row_sums <= 0, 1.0, row_sums)
-    probs = rows / row_sums
-    cumulative = np.cumsum(
-        np.take_along_axis(probs, np.argsort(-probs, axis=-1, kind="stable"),
-                           axis=-1),
-        axis=-1,
-    )
-    total_mass = cumulative[:, -1]
-
-    def sparsity_at(theta):
-        keep_counts = np.argmax(cumulative >= theta - 1e-12, axis=-1) + 1
-        keep_counts = np.where(total_mass < theta - 1e-12, n, keep_counts)
-        return 1.0 - keep_counts.sum() / cumulative.size
-
-    lo, hi = 1e-6, 1.0
-    best = hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        sparsity = sparsity_at(mid)
-        if abs(sparsity - target_sparsity) <= tol:
-            return mid
-        if sparsity > target_sparsity:
-            lo = mid  # too sparse → keep more mass
-        else:
-            hi = mid
-        best = mid
-    return best
+    return _threshold(_rank_rows(attention_map), target_sparsity, tol, max_iter)
 
 
 def mask_for_sparsity(attention_map, target_sparsity, tol=5e-3):

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .pruning import prune_attention_map, mask_sparsity, threshold_for_sparsity
+from .pruning import _prune, _rank_rows, _threshold, mask_sparsity
 from .reordering import reorder_attention_map
 
 __all__ = ["HeadPartition", "SplitConquerResult", "split_and_conquer",
@@ -125,10 +125,11 @@ def split_and_conquer(
 
     if (theta_p is None) == (target_sparsity is None):
         raise ValueError("provide exactly one of theta_p or target_sparsity")
+    # One ranking of the rows serves both the θp bisection and the mask.
+    ranked = _rank_rows(attention_map)
     if theta_p is None:
-        theta_p = threshold_for_sparsity(attention_map, target_sparsity)
-
-    mask = prune_attention_map(attention_map, theta_p, min_keep=min_keep)
+        theta_p = _threshold(ranked, target_sparsity)
+    mask = _prune(ranked, theta_p, min_keep=min_keep)
 
     partitions = []
     for head_mask in mask:
