@@ -157,10 +157,10 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
     """Grid-batched cycle-accurate DSE vs the per-point event-driven loop.
 
     The tentpole measurement: ``"cycle"`` resolves to `CycleSimEvaluator`,
-    whose `evaluate_batch` runs a whole chunk of design points as one
-    (points × layers × jobs) width-banded max-plus walk; the per-point
-    route (the `PerPoint` test oracle) runs the same walk once per grid
-    point on a cloned config, at P = 1.  Bit-exactness —
+    whose `evaluate_batch` runs a whole chunk of design points as one grid
+    walk (line envelopes built once per MAC-line count, O(rows) per
+    point); the per-point route (the `PerPoint` test oracle) runs the same
+    walk once per grid point on a cloned config, at P = 1.  Bit-exactness —
     points, grid order, frontier — is asserted before any timing.  The
     hybrid sweep rides along: the analytical prune plus the batched fine
     re-score.  The ≥5× assertion arms in full mode on a ≥1k-point grid

@@ -24,16 +24,39 @@ a 197-token, 12-head layer in well under a millisecond of wall time.
 
 There is one simulation path, the grid walk of
 :meth:`CycleAccurateSimulator.simulate_attention_grid`: P design points ×
-L layers × each layer's jobs, scheduled as numpy max-plus scans.  The
-per-column FCFS recurrences unroll into scans — the double-buffered
-compute recurrence ``compute_free[i] = max(compute_free[i-1],
-load_done[i]) + cycles[i]`` is
-``cumsum(cycles) + maximum.accumulate(load_done - exclusive_cumsum(cycles))``
-— so a whole batch of design points is a handful of array ops.  One
-design point is the walk at P = 1 (empty columns):
-:meth:`~CycleAccurateSimulator.simulate_attention` reads that row's
-per-layer values into :class:`CycleSimResult` objects, and
-:meth:`~CycleAccurateSimulator.simulate_layer` is its one-layer case.
+L layers, each layer one row per engine.  A row's FCFS recurrences fold
+in closed form: the double-buffered compute recurrence ``compute_free[i]
+= max(compute_free[i-1], load_done[i]) + cycles[i]`` is ``total[i] +
+max(0, max_{k<=i}(load_done[k] - offset[k]))`` with ``total =
+cumsum(cycles)`` and ``offset = total - cycles``, and the K-column loads
+form an arithmetic ladder ``load_done[k] = base + s * (k + 1)`` (``base``
+the row's DRAM start, ``s`` the layer's K-column service time).  The
+identities ``max(x, 0) + a = max(x + a, a)`` and ``max_j(base + X[j]) =
+base + max_j X[j]`` then give
+
+* the row's finish, ``max(base + E(s), 0) + total[n-1]``, with
+  ``E(s) = max_j(s * (j + 1) - offset[j])``;
+* its softmax term, ``max(base + F(s), max_j addend[j])``, with
+  ``F(s) = max_j(s * (j + 1) + C[j])`` and ``C[j] = max_{k>=j} addend[k]
+  - offset[j]``, where ``addend = total - sm_off`` is each job's slack
+  against the layer's one FCFS softmax queue, whose final completion is
+  all that is consumed.
+
+``E`` and ``F`` are upper envelopes of lines in ``s`` with slopes
+``j + 1``; their intercepts (``-offset`` and ``C``, ``-inf`` in padded job
+slots) depend on the MAC-line count alone, so the walk builds them once
+per distinct count in a chunk, and bandwidth and AE ratio only move ``s``
+and ``base``.  Per (count, row), the line attaining the max at the
+smallest ``s`` among the count's points is tested at the largest: if it
+attains the max there too, it is the envelope on the whole range (a
+convex function lies below its chord), and each point's ``E`` or ``F``
+is one multiply-add.  A row failing the test (a tie, or a range
+straddling the compute/DRAM-bound crossover) is evaluated directly, as a
+max over its jobs per point.  A design point thus costs O(rows), and each
+distinct MAC-line count O(jobs) once.  One design point is the walk at
+P = 1 (empty columns): :meth:`~CycleAccurateSimulator.simulate_attention`
+reads that row's per-layer values into :class:`CycleSimResult` objects,
+and :meth:`~CycleAccurateSimulator.simulate_layer` is its one-layer case.
 
 The executable reference semantics is the per-job Python event loop in
 :mod:`repro.hw.cycle_reference`, which only tests and benchmarks import.
@@ -43,8 +66,12 @@ softmax durations are integer cycle counts already, and DRAM service
 times are quantized at the single point where they enter the event
 algebra (:meth:`CycleAccurateSimulator._grid_service`).  With all
 durations on that grid and makespans far below ``2**33`` cycles, every
-double-precision add/max is exact, so the walk and the loop agree
-bit-for-bit regardless of association order.
+double-precision add, max and step multiple ``s * (j + 1)`` is exact, so
+the identities above hold exactly and the walk and the loop agree
+bit-for-bit regardless of association order.  A compute duration is
+``ceil(products / lines)`` waves; for integers below ``2**53`` the
+correctly rounded float quotient has the exact ceiling, so that division
+runs in float64.
 """
 
 from __future__ import annotations
@@ -70,26 +97,27 @@ _TIME_SCALE = float(1 << 20)
 
 
 def _pad_rows(arrays):
-    """Stack variable-length int64 job arrays into a zero-padded matrix.
+    """Stack variable-length int64 job arrays into a zero-padded float64
+    matrix (exact: job products are far below ``2**53``).
 
     Returns ``(matrix, lengths)``; zero products mean zero-duration jobs,
     so padded slots are inert in every duration computation.
     """
     lengths = np.array([a.size for a in arrays], dtype=np.int64)
     width = int(lengths.max()) if lengths.size else 0
-    matrix = np.zeros((len(arrays), width), dtype=np.int64)
+    matrix = np.zeros((len(arrays), width))
     for i, a in enumerate(arrays):
         matrix[i, : a.size] = a
     return matrix, lengths
 
 
-#: float64 cells one grid-walk scan array may hold: the design-point axis
-#: of :meth:`CycleAccurateSimulator.simulate_attention_grid` is walked in
-#: sub-batches of ``budget // cells_per_point`` points, so peak memory is
-#: bounded no matter how many points one ``evaluate_batch`` chunk holds.
-#: 2**20 cells (8 MiB) measured fastest on DeiT-Base grids: the in-place
-#: scans then run cache-resident instead of streaming from DRAM (1<<22
-#: was ~2x slower wall-clock for identical results).
+#: float64 cells one grid-walk temporary may hold: per-count envelope
+#: tables are built for sub-batches of ``budget // (2 * band cells)``
+#: MAC-line counts, and rows evaluated directly walk sub-batches of
+#: ``budget // (2 * rows * jobs)`` points, so peak memory stays bounded however
+#: many points or distinct counts a chunk holds (per-point work is
+#: O(rows)).  2**20 cells (8 MiB) builds a 1024-point DeiT-Base chunk's
+#: tables, 16 distinct counts, in one sub-batch per width band.
 _GRID_CELL_BUDGET = 1 << 20
 
 
@@ -112,6 +140,48 @@ def _width_bands(widths):
             continue
         bands.setdefault(width.bit_length(), []).append(i)
     return [np.array(bands[bits], dtype=np.int64) for bits in sorted(bands)]
+
+
+def _envelope_lines(intercepts, slopes, lo, hi):
+    """Each row's line of an upper envelope over its points' steps.
+
+    ``intercepts`` (..., jobs) and ``slopes`` (jobs,) define the lines
+    ``s * slopes[j] + intercepts[..., j]``; the steps ``s`` of a row's
+    points span ``[lo, hi]`` (``hi=None``: one step, ``lo``).  Returns
+    ``(slope, intercept, covered)``.  With one step the line is flat at
+    the envelope's value and ``covered`` is None.  Otherwise it is the
+    line attaining the max at ``lo`` (the first, on ties), and ``covered``
+    marks rows where it also attains the max at ``hi``: the envelope,
+    convex, lies below that chord, so there the line *is* the envelope
+    on the whole range (exactly, on the ``2**-20`` grid).  The caller
+    evaluates the other rows directly.
+    """
+    at = np.multiply(lo[..., None], slopes, out=np.empty_like(intercepts))
+    at += intercepts
+    if hi is None:
+        value = at.max(axis=-1)
+        return np.zeros_like(value), value, None
+    j = at.argmax(axis=-1)[..., None]
+    icpt = np.take_along_axis(intercepts, j, axis=-1)[..., 0]
+    np.multiply(hi[..., None], slopes, out=at)
+    at += intercepts
+    covered = np.take_along_axis(at, j, axis=-1)[..., 0] == at.max(axis=-1)
+    return slopes[j[..., 0]], icpt, covered
+
+
+def _direct_envelopes(steps, pts, rows, slopes, intercepts):
+    """Both envelopes of some rows, evaluated per point as a max over jobs.
+
+    For rows no single line covers: ``intercepts`` is (rows, 2, jobs), and
+    point ``p``'s ``E`` and ``F`` are ``max_j(s * (j + 1) + c_j)`` at its
+    step ``s = steps[p, row]``, in sub-batches of :data:`_GRID_CELL_BUDGET`
+    cells.  Yields ``(points, rows, values)``, values (points, 2, rows).
+    """
+    batch = max(1, _GRID_CELL_BUDGET // intercepts.size)
+    for start in range(0, pts.size, batch):
+        idx = pts[start:start + batch]
+        ladder = steps[idx][:, rows, None, None] * slopes + intercepts
+        yield idx, rows, ladder.max(axis=-1).transpose(0, 2, 1)
 
 
 @dataclass
@@ -194,7 +264,8 @@ def _build_grid_geometry(layers, macs_per_line, lanes, b):
     (:meth:`CycleAccurateSimulator._grid_geometry`).  Job widths are a
     property of the workload alone — design points change event
     *durations*, never the job list — so the width-band row grouping, the
-    padded product matrices, their padding masks, and the softmax
+    padded product matrices, the envelope slopes and the ``pad_floor``
+    that keeps padded job slots off every envelope, and the softmax
     durations (the lane count is never swept) are shared by every design
     point.  The per-layer job products themselves come memoized off each
     layer (``denser_job_products`` / ``sparser_job_products``).
@@ -263,13 +334,18 @@ def _build_grid_geometry(layers, macs_per_line, lanes, b):
             if r >= L:
                 excl = sm_denser_total[r - L] + excl
             sm_off[j, : sm.size] = excl
+        width = pad.shape[1]
         compute_bands.append({
+            "rows": rows,
             "layer": layer_idx,
             "is_d": is_d,
             "pad": pad,
             "lengths": lengths,
-            "mask": np.arange(pad.shape[1])[None, :] >= lengths[:, None],
+            "pad_floor": np.where(
+                np.arange(width)[None, :] >= lengths[:, None], -np.inf, 0.0
+            ),
             "sm_off": sm_off,
+            "slopes": np.arange(1, width + 1, dtype=np.float64),
         })
 
     return {
@@ -284,7 +360,6 @@ def _build_grid_geometry(layers, macs_per_line, lanes, b):
         "total_nnz": total_nnz,
         "sm_total": sm_total,
         "compute_bands": compute_bands,
-        "cells": sum(band["pad"].size for band in compute_bands),
         "jobs": n_d + n_s + 2,
     }
 
@@ -347,7 +422,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         return merge_cycle_results(CycleSimResult(*row) for row in rows)
 
     # ------------------------------------------------------------------
-    # The grid walk: a (points × rows × jobs) max-plus scan
+    # The grid walk: per-count line envelopes, O(rows) per point
     # ------------------------------------------------------------------
     #: Design-point knobs :meth:`simulate_attention_grid` accepts as
     #: per-point columns; anything else comes from this simulator.
@@ -455,8 +530,8 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
 
         Swept hardware knobs arrive as per-point columns (see
         :meth:`_resolve_grid_columns`) instead of ``P`` simulator
-        instances, and every (point, layer, job) event is scheduled by
-        max-plus scans broadcast over a leading design-point axis —
+        instances, and each (point, row) schedule is read off line
+        envelopes built once per MAC-line count (:meth:`_walk`) —
         mirroring
         :meth:`~repro.hw.accelerator.ViTCoDAccelerator.simulate_attention_grid`
         one abstraction level down, at event granularity.
@@ -484,216 +559,139 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         ``per_layer`` maps each :data:`_WALK_FIELDS` name to a
         (points × layers) array, ``jobs`` holds each layer's event count.
 
-        Rows are grouped into width-band sub-batches
-        (:func:`_width_bands`) so neither engine's rows pad to the
-        other's width.  The design-point axis is walked grouped by the
-        (MAC lines, bytes/cycle, AE ratio) triple — the scan tables
-        those columns determine are shared across each group
-        (:meth:`_grid_group_tables`) — in sub-batches sized to
-        :data:`_GRID_CELL_BUDGET` cells so peak memory stays bounded
-        regardless of batch size.
+        A row reaches a point only through its DRAM start ``base`` and
+        K-column step ``s``.  By ``max(x, 0) + a = max(x + a, a)`` and
+        ``max_j(base + X[j]) = base + max_j X[j]`` its finish and softmax
+        term read two upper envelopes of lines ``s * (j + 1) + c_j``
+        (intercepts ``-offset`` and ``C``, module docstring) built once
+        per distinct MAC-line count.  A line topping an envelope at both
+        ends of a count's step range is the envelope on all of it
+        (:func:`_envelope_lines`): one multiply-add per point; other rows
+        are evaluated directly (:func:`_direct_envelopes`).  Every value
+        stays on the ``2**-20`` grid, so every step is exact, as before.
         """
         cols = self._resolve_grid_columns(columns)
-        geometry = self._grid_geometry(model)
-        points = cols["points"]
-        per_layer = {
-            name: np.empty((points, geometry["layers"]))
-            for name in _WALK_FIELDS
-        }
-        per_layer["softmax_busy"][:] = geometry["sm_total"]
+        g = self._grid_geometry(model)
+        points, L = cols["points"], g["layers"]
+        per_layer = {name: np.empty((points, L)) for name in _WALK_FIELDS}
+        per_layer["softmax_busy"][:] = g["sm_total"]
+        if not points:
+            return per_layer, g["jobs"]
 
-        # Engine MAC-line split per (point, layer); the batched allocator
-        # is elementwise-exact against the scalar one, floored at 1 as
-        # the schedulers require.  Lines below the allocator's minimum
-        # raise here for the whole batch, before anything is walked.
-        d_lines, s_lines = allocate_mac_lines_batched(
-            cols["lines"][:, None], geometry["denser_macs"],
-            geometry["sparser_macs"]
+        # Byte/tile geometry and quantized DRAM service times per (point,
+        # layer): the reference loop's expressions with ratio, buffer and
+        # bandwidth as (points, 1) columns.  ``s_col`` is the K-column
+        # step of both engines' request ladders.
+        ratio = cols["ratio"][:, None]
+        bpc = cols["bpc"][:, None]
+        k_tiles = np.maximum(1.0, np.ceil(
+            g["tensor_bytes"] * ratio / (cols["act_buffer"][:, None] / 2)
+        ))
+        q_service = self._grid_service(
+            np.trunc(g["tensor_bytes"] * ratio * k_tiles), bpc
         )
-        alloc = {
-            "d_lines": np.maximum(d_lines, 1),
-            "s_lines": np.maximum(s_lines, 1),
-        }
-
-        # Points sharing a (MAC lines, bytes/cycle, AE ratio) triple
-        # share their entire scan geometry -- durations, cumsums, and
-        # the running max of the arithmetic request ladder -- so the
-        # point axis is walked one such group at a time: the heavy
-        # tables collapse from the point axis onto the handful of
-        # distinct column triples (_grid_group_tables), and the
-        # full-size per-point arrays only ever see elementwise SIMD
-        # passes (_grid_walk_group).  Results are scattered straight back
-        # through the original indices, so the ordering is unobservable.
-        order = np.lexsort(
-            (cols["act_buffer"], cols["ratio"], cols["bpc"], cols["lines"])
-        )
-        key = np.stack([cols["lines"][order], cols["bpc"][order],
-                        cols["ratio"][order]])
-        cuts = np.flatnonzero(np.any(key[:, 1:] != key[:, :-1], axis=0)) + 1
-        starts = np.concatenate(([0], cuts))
-        stops = np.concatenate((cuts, [points]))
-        step = max(1, _GRID_CELL_BUDGET // max(geometry["cells"], 1))
-        line_cache = {}
-        for ga, gb in zip(starts.tolist(), stops.tolist()):
-            shared = self._grid_group_tables(
-                geometry, cols, alloc, order[ga], line_cache
-            )
-            for start in range(ga, gb, step):
-                idx = order[start:min(start + step, gb)]
-                self._grid_walk_group(geometry, cols, shared, idx, per_layer)
-        return per_layer, geometry["jobs"]
-
-    def _grid_group_tables(self, geometry, cols, alloc, rep, line_cache):
-        """Scan tables shared by one (MAC lines, bytes/cycle, AE) group.
-
-        ``rep`` indexes any design point of the group (all points of a
-        group agree on every column the tables read).  Compute durations
-        depend only on the MAC-line column, so the duration tables --
-        per band: the inclusive cumsum ``total``, its exclusive form
-        ``offset``, per-row ``busy`` sums, the ``last`` cumsum column,
-        and the softmax slack ``addend`` -- are cached per distinct line
-        count across groups.
-
-        The per-group work is the request-ladder running max: requests
-        are *arithmetic* in the job index (``base + step * j``, the
-        double-buffered K-column loads), so the scanned slack splits as
-        ``base + (step * j - offset_j)`` and its running max as
-        ``base + M_j`` with ``M = maximum.accumulate(step * j - offset)``
-        -- a pure function of this group's columns, independent of the
-        point axis.  Every operand lives on the ``2**-20`` grid with
-        magnitude far below ``2**32``, so both sums are exact and the
-        regrouping is bitwise-neutral; padded slots keep ``-inf``
-        request times through ``M``, so they can never raise a row's
-        running max-plus state.
-        """
-        g = geometry
-        lines_key = int(cols["lines"][rep])
-        tables = line_cache.get(lines_key)
-        if tables is None:
-            tables = []
-            d_row = alloc["d_lines"][rep]
-            s_row = alloc["s_lines"][rep]
-            for band in g["compute_bands"]:
-                layer_idx = band["layer"]
-                eng_lines = np.where(
-                    band["is_d"], d_row[layer_idx], s_row[layer_idx]
-                )
-                durations = (
-                    -(-band["pad"] // eng_lines[:, None])
-                    * g["per_wave"][layer_idx][:, None]
-                ).astype(np.float64)
-                total = np.cumsum(durations, axis=-1)
-                tables.append({
-                    "total": total,
-                    "offset": total - durations,
-                    "busy": durations.sum(axis=-1),
-                    "last": total[:, -1],
-                    "addend": total - band["sm_off"],
-                })
-            line_cache[lines_key] = tables
-
-        # The ladder step is the sparser K-column service time, computed
-        # from this group's scalar bandwidth/ratio with the exact
-        # per-point expressions (IEEE ops are elementwise, so scalar and
-        # column evaluation agree bitwise).
-        bpc = cols["bpc"][rep]
-        ratio = cols["ratio"][rep]
-        step_vec = self._grid_service(np.trunc(g["k_bytes_full"] * ratio), bpc)
-        bands = []
-        for band, t in zip(g["compute_bands"], tables):
-            width = band["pad"].shape[1]
-            h = step_vec[band["layer"]][:, None] * np.arange(1, width + 1)
-            h -= t["offset"]
-            h[band["mask"]] = -np.inf
-            bands.append({**t, "M": np.maximum.accumulate(h, axis=-1)})
-        return bands
-
-    def _grid_walk_group(self, geometry, cols, shared, idx, per_layer):
-        """One design-point sub-batch within a (lines, bpc, ratio) group.
-
-        Writes rows ``idx`` of every ``per_layer`` array.  The compute
-        scans are prefactored into ``shared`` (see
-        :meth:`_grid_group_tables`): a row's job completions are
-        ``total_j + max(base + M_j, 0)``, so the per-point work is
-        broadcast adds and maxima only.
-
-        The softmax queues need no scan at all: only each queue's
-        *final* completion is consumed downstream, and unrolling the
-        FCFS recurrence gives ``S_total + max(0, max_j(r_j - S_excl_j))``
-        -- a plain max-reduce.  With ``r_j = total_j + max0_j`` the
-        reduced term is ``max0_j + (total_j - S_excl_j)``, whose second
-        summand is the precomputed ``addend``; denser requests precede
-        sparser ones exactly as in the event loop (the sparser rows'
-        ``S_excl`` starts past the denser jobs' total softmax time), so
-        the concatenated queue equals the loop's single FCFS unit.
-        Padded slots carry ``addend = -inf`` and layers without a denser
-        (or sparser) row keep that side's running max at ``-inf``, which
-        is the loop's empty-engine case.
-        """
-        g = geometry
-        L = g["layers"]
-        p = idx.size
-        bpc = cols["bpc"][idx][:, None]
-        act_buffer = cols["act_buffer"][idx][:, None]
-        ratio = cols["ratio"][idx][:, None]
-        lines = cols["lines"][idx][:, None]
-
-        # Byte/tile geometry and quantized DRAM service times: the
-        # reference loop's expressions with ratio/buffer/bandwidth as
-        # (points, 1) columns.
-        k_col_bytes = np.trunc(g["k_bytes_full"] * ratio)
-        k_tiles = np.maximum(
-            1.0, np.ceil(g["tensor_bytes"] * ratio / (act_buffer / 2))
-        )
-        q_stream = np.trunc(g["tensor_bytes"] * ratio * k_tiles)
-        q_service = self._grid_service(q_stream, bpc)
-        s_col = self._grid_service(k_col_bytes, bpc)
+        s_col = self._grid_service(np.trunc(g["k_bytes_full"] * ratio), bpc)
         v_service = self._grid_service(2 * g["tensor_bytes"], bpc)
+        spmm_compute = np.ceil(g["total_nnz"] / cols["lines"][:, None]) \
+            * g["per_wave"]
 
-        spmm_compute = np.ceil(g["total_nnz"] / lines) * g["per_wave"]
+        # Engine MAC-line split per (count, row); the batched allocator
+        # is elementwise-exact against the scalar one, floored at 1 as the
+        # schedulers require.  Lines below the allocator's minimum raise
+        # here for the whole batch, before anything is walked.
+        counts, inverse = np.unique(cols["lines"], return_inverse=True)
+        row_lines = np.maximum(np.concatenate(allocate_mac_lines_batched(
+            counts[:, None], g["denser_macs"], g["sparser_macs"]
+        ), axis=1), 1)
 
-        t_denser = np.zeros((p, L))
-        t_sparser = np.zeros((p, L))
-        denser_busy = np.zeros((p, L))
-        sparser_busy = np.zeros((p, L))
-        md = np.full((p, L), -np.inf)
-        ms = np.full((p, L), -np.inf)
-        for band, t in zip(g["compute_bands"], shared):
-            layer_idx = band["layer"]
-            is_d = band["is_d"]
-            # DRAM channel per layer: q-stream, denser K loads, sparser
-            # K loads.
-            base = np.where(
-                is_d,
-                q_service[:, layer_idx],
-                q_service[:, layer_idx]
-                + s_col[:, layer_idx] * g["n_d"][layer_idx],
-            )
-            buf = base[:, :, None] + t["M"]
-            np.maximum(buf, 0.0, out=buf)
-            finish = buf[:, :, -1] + t["last"]
-            d_rows = np.flatnonzero(is_d)
-            s_rows = np.flatnonzero(~is_d)
-            t_denser[:, layer_idx[d_rows]] = finish[:, d_rows]
-            t_sparser[:, layer_idx[s_rows]] = finish[:, s_rows]
-            denser_busy[:, layer_idx[d_rows]] = t["busy"][d_rows]
-            sparser_busy[:, layer_idx[s_rows]] = t["busy"][s_rows]
-            buf += t["addend"]
-            band_max = buf.max(axis=-1)
-            md[:, layer_idx[d_rows]] = band_max[:, d_rows]
-            ms[:, layer_idx[s_rows]] = band_max[:, s_rows]
-        sm_free = g["sm_total"] + np.maximum(np.maximum(md, ms), 0.0)
+        # Each count's points, contiguous in ``order``, and the range of
+        # K-column steps they span per (count, layer).
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
+        s_lo = np.minimum.reduceat(s_col[order], bounds[:-1], axis=0)
+        s_hi = np.maximum.reduceat(s_col[order], bounds[:-1], axis=0)
+        # Row i is layer i's denser engine, row L + i its sparser one.
+        steps = np.concatenate([s_col, s_col], axis=1)
+
+        # Per (count, row): the (E, F) lines' slopes [0:2] and intercepts
+        # [2:4], the engine's busy time [4] and the softmax floor [5].  A
+        # row without jobs keeps a -inf line, no busy time and a -inf
+        # floor: an idle engine, the loop's empty-engine case.
+        table = np.zeros((counts.size, 6, 2 * L))
+        table[:, [2, 3, 5]] = -np.inf
+        direct = []
+        for band in g["compute_bands"]:
+            rows, layer_idx = band["rows"], band["layer"]
+            batch = max(1, _GRID_CELL_BUDGET // (2 * band["pad"].size))
+            for c0 in range(0, counts.size, batch):
+                c = slice(c0, c0 + batch)
+                # Both envelopes' intercepts, built in place in one buffer
+                # (module docstring): durations -> offset -> E's -offset,
+                # total -> addend -> its suffix max -> C.  Padded job slots
+                # end at -inf in both (sm_off is +inf there).
+                lines = row_lines[c][:, rows, None]
+                intercepts = np.empty((len(lines), 2) + band["pad"].shape)
+                durations, total = intercepts[:, 0], intercepts[:, 1]
+                np.ceil(np.divide(band["pad"], lines, out=durations),
+                        out=durations)
+                durations *= g["per_wave"][layer_idx][:, None]
+                np.cumsum(durations, axis=-1, out=total)
+                table[c, 4, rows] = total[..., -1]
+                offset = np.subtract(total, durations, out=durations)
+                addend = np.subtract(total, band["sm_off"], out=total)
+                np.maximum.accumulate(addend[..., ::-1], axis=-1,
+                                      out=addend[..., ::-1])
+                table[c, 5, rows] = addend[..., 0]
+                addend -= offset
+                np.subtract(band["pad_floor"], offset, out=offset)
+                lo = s_lo[c][:, None, layer_idx]
+                hi = s_hi[c][:, None, layer_idx]
+                if np.array_equal(lo, hi):
+                    hi = None  # one step per row: no range to cover
+                slope, icpt, covered = _envelope_lines(
+                    intercepts, band["slopes"], lo, hi)
+                table[c, 0:2, rows] = slope
+                table[c, 2:4, rows] = icpt
+                if covered is None:
+                    continue
+                covered = covered.all(axis=1)
+                for k in np.flatnonzero(~covered.all(axis=-1)).tolist():
+                    failed = np.flatnonzero(~covered[k])
+                    direct.extend(_direct_envelopes(
+                        steps, order[bounds[c0 + k]:bounds[c0 + k + 1]],
+                        rows[failed], band["slopes"],
+                        intercepts[k, :, failed],
+                    ))
+
+        # O(rows) per point: each envelope is one multiply-add at the
+        # point's step, then the two identities give each row's finish and
+        # softmax term.  A sparser row's DRAM start follows the denser K
+        # loads.
+        per_point = table[inverse]
+        envelopes = steps[:, None, :] * per_point[:, 0:2] + per_point[:, 2:4]
+        for pts, rows, values in direct:
+            envelopes[pts[:, None, None], np.arange(2)[:, None], rows] = values
+        envelopes += np.concatenate(
+            [q_service, q_service + s_col * g["n_d"]], axis=1
+        )[:, None, :]
+        finish = np.maximum(envelopes[:, 0], 0.0) + per_point[:, 4]
+        sm_term = np.maximum(envelopes[:, 1], per_point[:, 5])
+        sm_free = g["sm_total"] + np.maximum(
+            np.maximum(sm_term[:, :L], sm_term[:, L:]), 0.0
+        )
 
         # SpMM phase: V streams once the channel and the SDDMM phase are
         # both free; the engines' lines are reunited for the SpMM.
-        sddmm_done = np.maximum(np.maximum(t_denser, t_sparser), sm_free)
+        sddmm_done = np.maximum(np.maximum(finish[:, :L], finish[:, L:]),
+                                sm_free)
         dram_free = q_service + s_col * (g["n_d"] + g["n_s"])
         v_done = np.maximum(sddmm_done, dram_free) + v_service
         spmm_done = np.maximum(sddmm_done + spmm_compute, v_done)
 
-        per_layer["makespan"][idx] = spmm_done
-        per_layer["sddmm_makespan"][idx] = sddmm_done
-        per_layer["spmm_makespan"][idx] = spmm_done - sddmm_done
-        per_layer["denser_busy"][idx] = denser_busy
-        per_layer["sparser_busy"][idx] = sparser_busy
-        per_layer["dram_busy"][idx] = dram_free + v_service
+        per_layer["makespan"][:] = spmm_done
+        per_layer["sddmm_makespan"][:] = sddmm_done
+        per_layer["spmm_makespan"][:] = spmm_done - sddmm_done
+        per_layer["denser_busy"][:] = per_point[:, 4, :L]
+        per_layer["sparser_busy"][:] = per_point[:, 4, L:]
+        per_layer["dram_busy"][:] = dram_free + v_service
+        return per_layer, g["jobs"]

@@ -385,7 +385,7 @@ class CycleSimEvaluator:
     uses, so analytical and cycle-accurate Pareto fronts are comparable
     point for point.  A chunk is one
     :meth:`~repro.hw.cycle_sim.CycleAccurateSimulator.simulate_attention_grid`
-    (points × layers × jobs) max-plus walk — swept knobs become per-point
+    grid walk (O(rows) per point) — swept knobs become per-point
     numpy columns (via :func:`dse_grid_columns`) — and each row is
     bit-for-bit the scalar reference loop's point
     (:mod:`repro.hw.cycle_reference`).  A sweep of a knob the cycle

@@ -1,8 +1,8 @@
 """Grid-batched cycle-accurate DSE: the batch axis must be invisible.
 
 The contract under test: scoring a grid chunk with
-``CycleSimEvaluator.evaluate_batch`` (one (points × layers × jobs)
-max-plus walk) is **bit-for-bit** the scalar reference loop scored point
+``CycleSimEvaluator.evaluate_batch`` (one grid walk over the chunk) is
+**bit-for-bit** the scalar reference loop scored point
 by point (``ReferenceCycleSimEvaluator``, lifted into rows by the one
 adapter) — points, ordering, Pareto frontier, failure attribution,
 structural rejections.  Property-tested over random in-domain grids of
@@ -180,15 +180,31 @@ class TestBitExactness:
                                   chunksize=2, evaluator="cycle") == serial
 
     def test_sub_batched_walk_matches(self, small_workload, monkeypatch):
-        """A tiny cell budget forces many design-point sub-batches; the
-        walk must stay bit-identical (sub-batching is memory bounding,
-        not a semantics change)."""
-        grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
+        """A tiny cell budget forces one MAC-line count per table
+        sub-batch and one point per direct-route sub-batch (the 0.5 and
+        3000 GB/s points straddle the compute/DRAM-bound crossover, so
+        rows take that route); the walk must stay bit-identical to the
+        default budget and to the reference loop (sub-batching is memory
+        bounding, not a semantics change)."""
+        grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5],
+                "bandwidth_gbps": [0.5, 3000.0]}
         reference = sweep_design_space(small_workload, grid,
-                                       evaluator="cycle")
-        monkeypatch.setattr(cycle_sim_module, "_GRID_CELL_BUDGET", 1)
+                                       evaluator=ReferenceCycleSimEvaluator())
         assert sweep_design_space(small_workload, grid,
                                   evaluator="cycle") == reference
+        monkeypatch.setattr(cycle_sim_module, "_GRID_CELL_BUDGET", 1)
+        direct_batches = []
+        real = cycle_sim_module._direct_envelopes
+
+        def counting(*args):
+            for pts, rows, values in real(*args):
+                direct_batches.append(pts.size)
+                yield pts, rows, values
+
+        monkeypatch.setattr(cycle_sim_module, "_direct_envelopes", counting)
+        assert sweep_design_space(small_workload, grid,
+                                  evaluator="cycle") == reference
+        assert direct_batches and set(direct_batches) == {1}
 
 
 class TestBatchEngine:
@@ -368,10 +384,14 @@ class TestWidthBands:
         for band in geometry["compute_bands"]:
             # Softmax slack offsets: finite exactly on the real job
             # slots (padded slots must stay +inf so the max-reduce
-            # ignores them).
+            # ignores them); the envelope floor is 0 on job slots and
+            # -inf on padded ones, so padding never tops a line.
+            padded = np.arange(band["pad"].shape[1]) >= band["lengths"][:, None]
             assert band["sm_off"].shape == band["pad"].shape
-            assert np.isfinite(band["sm_off"][~band["mask"]]).all()
-            assert np.isinf(band["sm_off"][band["mask"]]).all()
+            assert np.isfinite(band["sm_off"][~padded]).all()
+            assert np.isinf(band["sm_off"][padded]).all()
+            assert (band["pad_floor"][~padded] == 0.0).all()
+            assert np.isneginf(band["pad_floor"][padded]).all()
 
 
 class TestSimulateAttentionGrid:
