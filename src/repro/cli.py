@@ -33,8 +33,9 @@ missing indices of slower shards — see :mod:`repro.dist`):
     python -m repro dse-shard --shard 1/3@4,1,1 --out store/ --steal
 
 Chaos-ready operation (see :mod:`repro.faults` and :mod:`repro.dist.fleet`):
-a supervisor keeps N shard subprocesses alive under crashes and hangs,
-and a seeded fault plan makes failures reproducible:
+a supervisor forks N shards from its own process (each runs ``dse-shard``
+without starting an interpreter) and keeps them alive under crashes and
+hangs, and a seeded fault plan makes failures reproducible:
 
     python -m repro dse-fleet --out store/ --num-shards 3 --steal \\
         --faults '{"seed": 7, "evaluator_error_rate": 0.1}'
@@ -74,7 +75,7 @@ EXPERIMENTS = {
     "polarize": "run Algorithm 1 and draw the mask",
     "dse": "design-space sweep + Pareto frontier",
     "dse-shard": "evaluate one K/N shard of a sweep into a result store",
-    "dse-fleet": "supervise N dse-shard subprocesses (crash/hang "
+    "dse-fleet": "fork and supervise N dse-shard children (crash/hang "
                  "relaunch with backoff)",
     "dse-merge": "merge a sharded store into the full sweep + frontier",
     "dse-status": "per-shard progress of a sharded sweep store",
@@ -102,7 +103,7 @@ def _parse_grid_value(token):
 def parse_grid(specs):
     """Parse repeated ``--grid name=v1,v2,...`` options into a checked DSE
     grid: a malformed or out-of-domain grid exits with one line, before
-    any store, subprocess or pool exists."""
+    any store, shard or pool exists."""
     from .harness.dse import check_grid
 
     grid = {}
@@ -207,7 +208,7 @@ def build_parser():
                              "re-evaluations budgeted per grid point "
                              "(default 4; 0 persists first failures)")
     parser.add_argument("--num-shards", type=int, default=3, metavar="N",
-                        help="dse-fleet: shard subprocesses to "
+                        help="dse-fleet: shards to fork and "
                              "supervise (default 3)")
     parser.add_argument("--hang-after", type=float, default=30.0,
                         metavar="SECONDS",

@@ -277,6 +277,15 @@ def dse_grid_columns(names, rows, default_ae):
     return columns
 
 
+def _per_row(metrics, names, rows):
+    """One grid walk's metrics as one entry per row.
+
+    With no swept knob the columns are empty and the walk scores the base
+    point once; each row (``()``) is that point.
+    """
+    return metrics if names else metrics * len(rows)
+
+
 class PointEvaluator:
     """Lift a per-point callable into the rows protocol (THE adapter).
 
@@ -330,13 +339,15 @@ class AnalyticalEvaluator:
     def evaluate_batch(self, workload, base_config, names, rows):
         from ..hw.accelerator import ViTCoDAccelerator
 
+        rows = list(rows)
         accel = ViTCoDAccelerator(config=base_config)
-        columns = dse_grid_columns(names, list(rows), accel.ae_compression)
+        columns = dse_grid_columns(names, rows, accel.ae_compression)
         seconds, energy = accel.simulate_attention_grid(workload, columns)
-        return [
+        metrics = [
             EvalMetrics(seconds=s, energy_joules=e)
             for s, e in zip(seconds.tolist(), energy.tolist())
         ]
+        return _per_row(metrics, names, rows)
 
 
 def _cycle_metrics(workload, config, makespan, dram_busy, bytes_per_cycle):
@@ -422,8 +433,9 @@ class CycleSimEvaluator:
         self._reject_unsupported(
             key for name in names for key in _parameter(name).kwargs_keys
         )
+        rows = list(rows)
         sim = CycleAccurateSimulator(config=base_config)
-        columns = dse_grid_columns(names, list(rows), sim.ae_compression)
+        columns = dse_grid_columns(names, rows, sim.ae_compression)
         totals = sim.simulate_attention_grid(workload, columns)
         # A bandwidth column is the per-point ``config.bytes_per_cycle``
         # expression evaluated elementwise.
@@ -433,13 +445,14 @@ class CycleSimEvaluator:
             )
         else:
             bytes_per_cycle = base_config.bytes_per_cycle
-        return _cycle_metrics(
+        metrics = _cycle_metrics(
             workload,
             base_config,
             totals["makespan"],
             totals["dram_busy"],
             bytes_per_cycle,
         )
+        return _per_row(metrics, names, rows)
 
 
 #: The span recorder of the benchmark (``perfbench/tracehook``) wraps

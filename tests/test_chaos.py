@@ -1,7 +1,7 @@
 """Chaos suite: a seeded fault storm must not change a single byte.
 
 Each test runs a real supervised fleet (:func:`repro.dist.run_fleet` —
-``dse-shard`` subprocesses, relaunched when they crash or when their
+forked ``dse-shard`` children, relaunched when they crash or when their
 ledgers go stale) under a deterministic fault plan, then asserts the
 merged study is **bit for bit** identical to the healthy serial sweep's
 JSON document.  That is
@@ -67,11 +67,6 @@ def _storm_fleet(store, evaluator_name, storm, num_shards=3, hang_after=2.0):
         "--steal", "--claim-ttl", "2",
         "--faults", json.dumps(storm),
     ]
-    env_root = str(Path(repro.__file__).parents[1])
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        [env_root] + ([os.environ["PYTHONPATH"]]
-                      if "PYTHONPATH" in os.environ else [])
-    )
     return run_fleet(
         store, num_shards, shard_args,
         hang_after=hang_after, max_restarts=5,

@@ -30,6 +30,7 @@ from repro.sim import (
     EvalMetrics,
     Evaluator,
     HybridEvaluator,
+    PointEvaluator,
     UnsupportedParameterError,
     resolve_evaluator,
 )
@@ -96,6 +97,34 @@ class TestResolve:
     def test_non_callable(self):
         with pytest.raises(TypeError):
             resolve_evaluator(42)
+
+
+class TestOneEntryPerRow:
+    """``evaluate_batch`` returns one entry per row, swept knobs or none:
+    each built-in agrees with its per-point oracle lifted by the one
+    adapter (hybrid scores rows with its fine evaluator, the cycle one)."""
+
+    @pytest.mark.parametrize("names, rows", [
+        ([], []),
+        ([], [()]),
+        ([], [(), (), ()]),
+        (["mac_lines"], []),
+        (["mac_lines"], [(16,), (64,)]),
+    ], ids=["unswept-0", "unswept-1", "unswept-3", "swept-0", "swept-2"])
+    @pytest.mark.parametrize("evaluator, oracle", [
+        (AnalyticalEvaluator(), AnalyticalEvaluator()),
+        (CycleSimEvaluator(), CycleSimEvaluator()),
+        (HybridEvaluator(), CycleSimEvaluator()),
+    ], ids=["analytical", "cycle", "hybrid"])
+    def test_matches_per_point_adapter(self, small_workload, evaluator,
+                                       oracle, names, rows):
+        expected = PointEvaluator(PerPoint(oracle)).evaluate_batch(
+            small_workload, VITCOD_DEFAULT, names, rows
+        )
+        assert len(expected) == len(rows)
+        assert evaluator.evaluate_batch(
+            small_workload, VITCOD_DEFAULT, names, rows
+        ) == expected
 
 
 class TestAnalyticalDefault:

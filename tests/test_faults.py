@@ -7,10 +7,12 @@ bit-identical healthy result.
 """
 
 import json
+import logging
 import os
+import re
+import subprocess
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -359,12 +361,8 @@ class TestTornWriteInjection:
 
 
 class TestShardLiveness:
-    def test_liveness_follows_ledger_appends(self, tmp_path, monkeypatch):
+    def test_liveness_follows_ledger_appends(self, tmp_path):
         """dse-fleet reads liveness from the ledgers: no heartbeat files."""
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-            [str(Path(repro.__file__).parents[1])]
-            + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        ))
         store = tmp_path / "store"
         fleet = run_fleet(store, 2, [
             "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
@@ -390,6 +388,77 @@ class TestShardLiveness:
             os.utime(path, (long_ago, long_ago))
         shard.launched_at = time.monotonic()
         assert shard.idle_s() < 60  # a fresh launch is progress too
+
+
+class TestForkedShards:
+    """dse-fleet forks each shard from the supervisor's process, which
+    has already imported ``repro``; a child runs ``dse-shard`` and exits
+    with the interpreter's status, never returning into the supervisor."""
+
+    def test_no_interpreter_is_started(self, tmp_path, monkeypatch, workload):
+        """No subprocess and no PYTHONPATH: the shards are forked."""
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("a fleet shard started a subprocess")
+
+        monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+        store = tmp_path / "store"
+        fleet = run_fleet(store, 2, [
+            "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
+        ])
+        assert fleet.ok and fleet.restarts == 0
+        assert list(merge_store(store).points) == sweep_design_space(
+            workload, {"mac_lines": (16, 32, 64)}
+        )
+
+    def test_failing_child_never_acts_as_supervisor(self, tmp_path,
+                                                    monkeypatch):
+        """A forked child inherits this process's patch of ``run_shard``
+        (the CLI imports it at call time): shard 1/2 raises at every
+        launch and is abandoned, shard 2/2 completes, and each child's
+        output lands in its log."""
+        real_run_shard = repro.dist.run_shard
+
+        def run_shard(workload, grid, shard, *args, **kwargs):
+            if shard == "1/2":
+                raise RuntimeError("shard 1/2 refuses to run")
+            return real_run_shard(workload, grid, shard, *args, **kwargs)
+
+        monkeypatch.setattr(repro.dist, "run_shard", run_shard)
+        store = tmp_path / "store"
+        fleet = run_fleet(store, 2, [
+            "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
+        ], max_restarts=2, poll_s=0.02, backoff_base_s=0.01)
+        assert fleet.abandoned == (1,)
+        assert fleet.restarts == 2  # all shard 1's: shard 2 exited 0
+        assert fleet.hang_kills == 0
+        assert not fleet.complete
+        first, second = store_status(store).shards
+        assert first.done == 0
+        assert second.done == second.total > 0
+
+        logs = store / "logs"
+        lines = (logs / "shard-2.log").read_text().splitlines()
+        assert re.fullmatch(r"shard 2/2: \d+ evaluated, .*", lines[-2])
+        assert lines[-1].startswith("store: ")
+        failed = (logs / "shard-1.log").read_text()
+        assert failed.count("Traceback (most recent call last)") == 3
+        assert failed.count("RuntimeError: shard 1/2 refuses to run") == 3
+
+    def test_system_exit_message_and_status(self, tmp_path, caplog):
+        """An argument check's ``SystemExit`` message goes to the log and
+        the child exits 1, as ``python -m repro dse-shard`` would."""
+        store = tmp_path / "store"
+        with caplog.at_level(logging.WARNING, logger="repro.dist.fleet"):
+            fleet = run_fleet(store, 1, [
+                "--models", "deit-tiny", "--grid", "mac_lines=16",
+                "--handicap", "-1",
+            ], max_restarts=0)
+        assert fleet.abandoned == (1,) and fleet.restarts == 0
+        assert "(exited with code 1)" in caplog.text
+        log = (store / "logs" / "shard-1.log").read_text()
+        assert log == "--handicap must be non-negative seconds, got -1.0\n"
 
 
 class TestCliFaultPlans:
