@@ -164,7 +164,9 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
     points, grid order, frontier — is asserted before any timing.  The
     hybrid sweep rides along: the analytical prune plus the batched fine
     re-score.  The ≥5× assertion arms in full mode on a ≥1k-point grid
-    or a ≥4-CPU box; the honest ratio is recorded either way.
+    or a ≥4-CPU box; the honest ratio is recorded either way.  In full
+    mode the hybrid must also cost no more than the full cycle sweep it
+    prunes.
     """
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
@@ -201,6 +203,7 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
         name="hybrid_serial", repeats=repeats, warmup=1)
 
     speedup = per_point.best / batched.best
+    speedup_hybrid = batched.best / hybrid.best
     bench_recorder.record(
         "batched_cycle_dse",
         model=model,
@@ -211,10 +214,13 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
         batched_serial=batched.to_dict(),
         hybrid_serial=hybrid.to_dict(),
         speedup_batched=speedup,
-        speedup_hybrid_vs_batched_cycle=batched.best / hybrid.best,
+        speedup_hybrid_vs_batched_cycle=speedup_hybrid,
     )
     if full and (len(batched_points) >= 1000 or (os.cpu_count() or 1) >= 4):
         assert speedup >= 5.0, f"batched cycle sweep only {speedup:.1f}x"
+    if full:
+        assert speedup_hybrid >= 1.0, \
+            f"hybrid sweep only {speedup_hybrid:.2f}x the full cycle sweep"
 
 
 def test_cycle_sim_dse(bench_recorder, bench_mode):

@@ -345,6 +345,10 @@ def _run(args):
             f"--batch-size must be a positive point count, got "
             f"{args.batch_size}"
         )
+    if args.n_jobs < 1:
+        raise SystemExit(
+            f"--n-jobs must be a positive worker count, got {args.n_jobs}"
+        )
     if args.n_jobs != 1 and name != "dse":
         raise SystemExit(
             f"--n-jobs applies to dse only, got --n-jobs {args.n_jobs} for "

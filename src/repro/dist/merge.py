@@ -235,11 +235,11 @@ def _fine_rescore(store, manifest, pairs, workload, evaluator):
     """Hybrid phase 2 on the merge host: re-score the coarse frontier.
 
     Survivor selection is the shared
-    :func:`repro.harness.dse._hybrid_survivors` rule over the merged
-    coarse scores in grid order (the non-dominated set of a multiset is
-    arrival-order independent, so sharded execution order cannot change
-    it).  Fine scores append to the store like any shard file, so an
-    interrupted merge resumes.
+    :func:`repro.harness.dse._hybrid_survivors` rule —
+    :func:`~repro.harness.dse.pareto_frontier` of the merged coarse
+    scores in grid order (the non-dominated set of a multiset does not
+    depend on the order shards scored it in).  Fine scores append to the
+    store like any shard file, so an interrupted merge resumes.
     """
     if evaluator is None:
         # Strip any fault plan the study ran under: the merge host

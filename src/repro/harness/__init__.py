@@ -9,8 +9,6 @@ from .surrogate import (
 )
 from .dse import (
     DesignPoint,
-    ParetoFront,
-    iter_design_space,
     sweep_design_space,
     pareto_frontier,
     sensitivity,
@@ -40,8 +38,6 @@ from .experiments import (
 
 __all__ = [
     "DesignPoint",
-    "ParetoFront",
-    "iter_design_space",
     "sweep_design_space",
     "pareto_frontier",
     "sensitivity",

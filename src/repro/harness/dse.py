@@ -8,15 +8,17 @@ and extract the Pareto frontier.
 
 Every grid enters through :func:`check_grid`, which checks each swept
 knob's values against the knob's domain once, before any pool, store or
-job exists.  All evaluation then goes through ONE streaming engine:
+job exists.  All evaluation then goes through ONE chunked engine
+(:func:`_stream_evaluations`), under two drivers:
 
-* :func:`iter_design_space` lazily walks the grid cross-product and yields
-  :class:`DesignPoint` objects as they complete — huge grids are never
-  materialised, and an incremental :class:`ParetoFront` can prune the
-  stream on the fly (pass ``frontier=``);
-* :func:`sweep_design_space` is the eager wrapper: it drains the stream
-  and restores deterministic grid order, so serial and parallel runs are
-  interchangeable (and equal to the streaming results point for point).
+* :func:`sweep_design_space`, THE in-memory sweep: it scores the grid
+  cross-product and returns the points in deterministic grid order, so
+  serial and parallel runs are interchangeable;
+* :func:`iter_indexed_design_points`, the shard surface: it streams the
+  points of any subset of grid indices, lazily, in this process.
+
+:func:`pareto_frontier` is THE non-dominated-set rule: every result's
+frontier, and the survivors of a hybrid sweep, come from it.
 
 *What* scores a point is pluggable (:mod:`repro.sim.evaluator`):
 ``"analytical"`` (the default closed-form model), ``"cycle"`` (the
@@ -31,7 +33,7 @@ task), a call that raises fails every row of its chunk, and an
 ``chunksize`` (CLI: ``--batch-size``) bounds the chunk; results are
 bit-for-bit the same for any chunk size and any ``n_jobs``.
 
-``n_jobs`` is a worker budget of the in-memory sweeps only: chunks fan
+``n_jobs`` is a worker budget of the in-memory sweep only: chunks fan
 across ``concurrent.futures`` workers with a bounded number in flight,
 and the workload ships once per worker through the pool initializer
 (:func:`repro.perf.seed_worker_workload`).  :func:`sweep_design_space`
@@ -81,12 +83,10 @@ from ..sim.evaluator import (
 __all__ = [
     "DesignPoint",
     "PointFailure",
-    "ParetoFront",
     "check_grid",
     "grid_size",
     "grid_point",
     "iter_indexed_design_points",
-    "iter_design_space",
     "sweep_design_space",
     "pareto_frontier",
     "sensitivity",
@@ -117,7 +117,7 @@ class DesignPoint:
 class PointFailure:
     """A design point whose evaluator raised.
 
-    The in-memory sweeps drop failures with a :class:`RuntimeWarning`; the
+    The in-memory sweep drops failures with a :class:`RuntimeWarning`; the
     sharded runners (:mod:`repro.dist`) instead persist them as per-point
     completion records, so a resumed shard does not re-run a point that
     deterministically fails and a merge can reproduce the single-process
@@ -189,127 +189,10 @@ def _evaluate_chunk(workload, base_config, names, chunk, evaluator):
     return pairs
 
 
-class ParetoFront:
-    """Incremental non-dominated set under minimise-objectives.
-
-    Feed points one at a time with :meth:`offer`; at any moment
-    :attr:`points` is exactly :func:`pareto_frontier` of everything offered
-    so far (equal points never dominate each other, so duplicates of a
-    frontier point are all kept — the same convention as the eager scan).
-    This is what lets a streaming sweep prune a huge grid without ever
-    holding more than the current frontier.
-    """
-
-    def __init__(self, objectives=("seconds", "energy_joules")):
-        self.objectives = tuple(objectives)
-        self._points: List = []
-        self._values: List[np.ndarray] = []
-        self.offered = 0
-
-    def _objective_values(self, point):
-        return np.array(
-            [getattr(point, obj) for obj in self.objectives], dtype=np.float64
-        )
-
-    def offer(self, point) -> bool:
-        """Add ``point`` if currently non-dominated; returns whether kept.
-
-        A newly-kept point evicts any frontier members it dominates.
-        """
-        self.offered += 1
-        value = self._objective_values(point)
-        if self._values:
-            values = np.vstack(self._values)
-            less_eq = (values <= value).all(axis=1)
-            strictly = (values < value).any(axis=1)
-            if (less_eq & strictly).any():
-                return False
-            dominated = (value <= values).all(axis=1) & (value < values).any(axis=1)
-            if dominated.any():
-                keep = ~dominated
-                self._points = [p for p, k in zip(self._points, keep) if k]
-                self._values = [v for v, k in zip(self._values, keep) if k]
-        self._points.append(point)
-        self._values.append(value)
-        return True
-
-    def offer_all(self, points: Sequence) -> List:
-        """Offer a whole chunk at once; returns the points kept.
-
-        Bit-for-bit the sequential :meth:`offer` loop: the returned list
-        holds exactly the points a sequential loop would have kept (in
-        arrival order, including points a *later* arrival evicts — kept
-        means non-dominated at offer time), and the frontier afterwards
-        is identical.  The dominance tests run as whole-chunk numpy
-        broadcasts instead of one :meth:`offer` vstack per point, which
-        is what lets streaming sweeps prune chunk-sized batches at array
-        speed.
-
-        Equivalence argument: a sequential offer rejects point ``j`` iff
-        some frontier member dominates it on arrival; every point offered
-        earlier (kept or rejected, chunk or pre-chunk) is dominated by a
-        frontier member unless it is one, and dominance is transitive —
-        so ``j`` is rejected iff *some earlier-offered point* dominates
-        it, which is the broadcast below.  The survivors' frontier is
-        then the non-dominated subset of (old frontier + kept), in
-        first-seen order, with equal points never dominating each other —
-        exactly :func:`pareto_frontier`'s convention.
-        """
-        points = list(points)
-        if not points:
-            return []
-        self.offered += len(points)
-        new = np.array(
-            [[getattr(p, obj) for obj in self.objectives] for p in points],
-            dtype=np.float64,
-        )
-        if self._values:
-            old = np.vstack(self._values)
-            less_eq = (old[:, None, :] <= new[None, :, :]).all(axis=2)
-            strictly = (old[:, None, :] < new[None, :, :]).any(axis=2)
-            rejected = (less_eq & strictly).any(axis=0)
-        else:
-            rejected = np.zeros(len(points), dtype=bool)
-        less_eq = (new[:, None, :] <= new[None, :, :]).all(axis=2)
-        strictly = (new[:, None, :] < new[None, :, :]).any(axis=2)
-        earlier = np.triu(np.ones((len(points), len(points)), dtype=bool), 1)
-        rejected |= (less_eq & strictly & earlier).any(axis=0)
-        kept = [p for p, r in zip(points, rejected.tolist()) if not r]
-        if kept:
-            merged = self._points + kept
-            values = np.vstack(
-                self._values + [v for v, r in zip(new, rejected.tolist()) if not r]
-            )
-            if values.shape[1] == 2:
-                keep_mask = _pareto_mask_sorted_2d(values)
-            else:
-                keep_mask = _pareto_mask_pairwise(values)
-            self._points = [p for p, k in zip(merged, keep_mask) if k]
-            self._values = [v for v, k in zip(values, keep_mask) if k]
-        return kept
-
-    def update(self, points: Iterable) -> "ParetoFront":
-        """Offer every point of an iterable (draining it); returns self."""
-        for point in points:
-            self.offer(point)
-        return self
-
-    @property
-    def points(self) -> List:
-        """Current frontier, in first-seen order."""
-        return list(self._points)
-
-    def __len__(self):
-        return len(self._points)
-
-    def __iter__(self):
-        return iter(self._points)
-
-
 def check_grid(grid) -> Dict[str, tuple]:
     """Materialise a grid's values as tuples and check every knob's domain.
 
-    THE grid check, run wherever a grid enters — the in-memory sweeps,
+    THE grid check, run wherever a grid enters — the in-memory sweep,
     :func:`repro.dist.run_shard`, the CLI's ``--grid`` and the serve
     layer's ``POST /jobs`` — before any pool, store, subprocess or job
     exists (see :func:`repro.sim.evaluator.check_dse_values`).  One-shot
@@ -426,7 +309,8 @@ def _piloted_stream(
 ) -> Iterator[tuple]:
     """Adaptive :func:`_stream_evaluations` over a known-length stream.
 
-    With ``n_jobs > 1`` and no explicit ``chunksize``, times the first
+    ``n_jobs`` is clamped to the ``total`` points.  With ``n_jobs > 1``
+    and no explicit ``chunksize``, times the first
     :data:`_BATCH_CHUNK`-point chunk in-process — so the measured
     per-point cost is the chunked cost the rest of the sweep would pay —
     then either finishes serially (estimated remaining work below
@@ -436,6 +320,7 @@ def _piloted_stream(
     ``n_jobs`` workers.  Yields ``(grid_index, point)`` pairs with
     failures warn-dropped; parallel yields arrive out of order.
     """
+    n_jobs = min(n_jobs, max(total, 1))
     indexed = iter(indexed)
     if n_jobs > 1 and chunksize is None:
         pilot_chunk = list(islice(indexed, _BATCH_CHUNK))
@@ -452,27 +337,20 @@ def _piloted_stream(
     )
 
 
-def _hybrid_survivors(pairs, objectives=("seconds", "energy_joules")):
+def _hybrid_survivors(pairs):
     """Coarse-frontier survivors of ``(grid_index, point)`` pairs.
 
-    THE survivor-selection rule of a hybrid sweep, shared by the
-    in-memory two-phase sweep (:func:`_iter_hybrid`) and the sharded
-    merge (:func:`repro.dist.merge_store`) so the two can never drift:
-    offer every coarse point to a :class:`ParetoFront` and return the
-    surviving ``(grid_index, point)`` pairs in ascending grid order.  The
-    non-dominated set of a multiset is arrival-order independent, so any
-    execution order (serial, pooled, sharded) selects the same indices.
+    THE survivor rule of a hybrid sweep, shared by the in-memory sweep
+    (:func:`sweep_design_space`) and the sharded merge
+    (:func:`repro.dist.merge_store`) so the two can never drift:
+    :func:`pareto_frontier` over the coarse points.  ``pairs`` must be in
+    ascending grid order; the surviving pairs keep it.  The non-dominated
+    set of a multiset does not depend on the order its points were
+    scored in, so serial, pooled and sharded runs select the same
+    indices.
     """
-    front = ParetoFront(objectives=objectives)
-    index_of = {}  # id(point) -> grid index (points are unique objects)
-    for chunk in _chunked(pairs, _BATCH_CHUNK):
-        chunk_index = {id(point): index for index, point in chunk}
-        for point in front.offer_all([point for _, point in chunk]):
-            index_of[id(point)] = chunk_index[id(point)]
-    return sorted(
-        ((index_of[id(point)], point) for point in front.points),
-        key=lambda pair: pair[0],
-    )
+    frontier = set(map(id, pareto_frontier([point for _, point in pairs])))
+    return [(index, point) for index, point in pairs if id(point) in frontier]
 
 
 def _note_chunk(pairs):
@@ -535,8 +413,8 @@ def _stream_evaluations(
 ) -> Iterator[tuple]:
     """Evaluate ``(grid_index, values)`` pairs, yielding completed points.
 
-    The engine under both the lazy and the eager sweep: every chunk of
-    ``chunksize or`` :data:`_BATCH_CHUNK` points is one
+    The engine under both drivers (the sweep and the shard stream):
+    every chunk of ``chunksize or`` :data:`_BATCH_CHUNK` points is one
     :func:`_evaluate_chunk` call.  Serial runs evaluate in the order
     given (laziness is per chunk: an early-stopping consumer evaluates
     at most one chunk beyond what it takes); parallel runs keep at most
@@ -652,144 +530,6 @@ def iter_indexed_design_points(
     )
 
 
-def iter_design_space(
-    workload: ModelWorkload,
-    grid: Dict[str, Sequence],
-    base_config: HardwareConfig = None,
-    n_jobs: int = 1,
-    frontier: ParetoFront = None,
-    evaluator=None,
-    chunksize: int = None,
-) -> Iterator[DesignPoint]:
-    """Stream the grid cross-product: yield each :class:`DesignPoint` as it
-    completes, never materialising the full grid.
-
-    ``n_jobs > 1`` (or ``None`` for one per CPU) fans chunks of points
-    across worker processes and yields them ``as_completed`` — out of grid
-    order, but the multiset of points is exactly the eager sweep's.  With
-    ``n_jobs == 1`` points arrive in grid order, lazily.
-
-    Pass a :class:`ParetoFront` as ``frontier`` for incremental pruning:
-    only points non-dominated *at the time they arrive* are yielded, and
-    after the stream is drained ``frontier.points`` is exactly
-    :func:`pareto_frontier` of the whole grid.
-
-    ``evaluator`` selects what scores each point (see
-    :func:`~repro.sim.evaluator.resolve_evaluator`): ``None``/
-    ``"analytical"`` keep the closed-form default, ``"cycle"`` streams
-    event-driven :class:`~repro.hw.cycle_sim.CycleAccurateSimulator`
-    points through the same bounded-chunk engine (tune ``chunksize`` down
-    for very expensive points), and ``"hybrid"`` — or any
-    :class:`~repro.sim.evaluator.HybridEvaluator` — prunes the grid with
-    its coarse evaluator and yields only the surviving frontier re-scored
-    by its fine evaluator, in deterministic grid order.  Both hybrid
-    phases with ``n_jobs > 1`` (and no explicit ``chunksize``) are
-    adaptive like the eager sweep: each pilots its first chunk and stays
-    serial when the phase is cheaper than spawning workers.  Plain
-    streaming sweeps do not pilot — a lazy stream's length is unknown, so
-    there is nothing to estimate against.  Frontier pruning offers each
-    chunk at once (:meth:`ParetoFront.offer_all`).
-
-    Example
-    -------
-    >>> front = ParetoFront()
-    >>> for point in iter_design_space(workload, grid, frontier=front):
-    ...     print("candidate", point.parameters)   # prefix-frontier points
-    >>> best = front.points                        # exact final frontier
-    """
-    evaluator = resolve_evaluator(evaluator)
-    grid = check_grid(grid)
-    if isinstance(evaluator, HybridEvaluator):
-        yield from _iter_hybrid(
-            workload,
-            grid,
-            base_config,
-            n_jobs,
-            frontier,
-            evaluator,
-            chunksize,
-        )
-        return
-    names = sorted(grid)
-    stream = _stream_evaluations(
-        workload,
-        base_config or VITCOD_DEFAULT,
-        names,
-        enumerate(product(*(grid[n] for n in names))),
-        _resolve_n_jobs(n_jobs),
-        chunksize,
-        evaluator,
-    )
-    if frontier is None:
-        for _, point in stream:
-            yield point
-        return
-    # Points arrive chunk-at-a-time anyway, so prune each chunk with one
-    # whole-chunk dominance broadcast — the same yielded points and final
-    # frontier as one ``offer`` per point; laziness stays per-chunk.
-    for chunk in _chunked(stream, chunksize or _BATCH_CHUNK):
-        yield from frontier.offer_all([point for _, point in chunk])
-
-
-def _iter_hybrid(
-    workload,
-    grid,
-    base_config,
-    n_jobs,
-    frontier,
-    evaluator: HybridEvaluator,
-    chunksize,
-) -> Iterator[DesignPoint]:
-    """Two-phase sweep: coarse-prune the grid, fine-score the survivors.
-
-    Phase 1 streams every grid point through ``evaluator.coarse`` into an
-    incremental :class:`ParetoFront`; phase 2 re-scores only the surviving
-    frontier with ``evaluator.fine``.  Both phases go through
-    :func:`_piloted_stream`, so a cheap phase with ``n_jobs > 1`` stays
-    serial instead of paying for a pool it cannot amortise.  ``grid`` is
-    already checked.  Survivors are processed and yielded in ascending
-    grid order, so hybrid sweeps are deterministic regardless of
-    ``n_jobs`` or completion order (the non-dominated set of a multiset
-    of points does not depend on arrival order).
-    """
-    names = sorted(grid)
-    base_config = base_config or VITCOD_DEFAULT
-    n_jobs = _resolve_n_jobs(n_jobs)
-
-    coarse_objectives = (
-        frontier.objectives if frontier is not None else ("seconds", "energy_joules")
-    )
-    coarse_stream = _piloted_stream(
-        workload,
-        base_config,
-        names,
-        enumerate(product(*(grid[n] for n in names))),
-        grid_size(grid),
-        n_jobs,
-        chunksize,
-        evaluator.coarse,
-    )
-    survivors = _hybrid_survivors(coarse_stream, objectives=coarse_objectives)
-    indexed = (
-        (index, tuple(dict(point.parameters)[name] for name in names))
-        for index, point in survivors
-    )
-    rescored = _piloted_stream(
-        workload,
-        base_config,
-        names,
-        indexed,
-        len(survivors),
-        min(n_jobs, max(len(survivors), 1)),
-        chunksize,
-        evaluator.fine,
-    )
-    for index, point in sorted(rescored, key=lambda pair: pair[0]):
-        if frontier is not None and not frontier.offer(point):
-            continue
-        yield point
-
-
 def sweep_design_space(
     workload: ModelWorkload,
     grid: Dict[str, Sequence],
@@ -798,73 +538,72 @@ def sweep_design_space(
     evaluator=None,
     chunksize: int = None,
 ) -> List[DesignPoint]:
-    """Evaluate the cross product of ``grid`` on ``workload``, eagerly.
+    """Evaluate the cross product of ``grid`` on ``workload``.
 
-    A drained, re-ordered :func:`iter_design_space`: ``n_jobs`` fans grid
-    points across worker processes (``None`` means one per CPU); results
-    are returned in grid order regardless, and a parallel sweep returns
-    exactly what the serial sweep would.  ``evaluator`` selects the
-    scoring strategy (``"analytical"`` default, ``"cycle"``, ``"hybrid"``
-    or an :class:`~repro.sim.evaluator.Evaluator`); hybrid sweeps return
-    only the re-scored frontier survivors.  Points whose evaluator raised
-    are dropped (with a :class:`RuntimeWarning`), so the result can be
-    shorter than the grid.
+    THE in-memory sweep: ``n_jobs`` fans grid points across worker
+    processes (``None`` means one per CPU); results are returned in grid
+    order regardless, and a parallel sweep returns exactly what the
+    serial sweep would.  ``evaluator`` selects the scoring strategy
+    (``"analytical"`` default, ``"cycle"``, ``"hybrid"`` or an
+    :class:`~repro.sim.evaluator.Evaluator`).  Points whose evaluator
+    raised are dropped (with a :class:`RuntimeWarning`), so the result
+    can be shorter than the grid.
+
+    A hybrid sweep runs two phases: ``evaluator.coarse`` scores every
+    grid point, :func:`pareto_frontier` of those points (in grid order)
+    picks the survivors, and ``evaluator.fine`` re-scores only them.  It
+    returns the fine points, in grid order.
 
     ``n_jobs > 1`` sweeps are *adaptive*: the first chunk is timed
     in-process, and the sweep only spawns a pool when the estimated
     remaining work exceeds :data:`_AUTO_SERIAL_SECONDS` (pool spawn costs
     real wall-clock, so cheap grids are faster serial).  When it does fan
     out, chunks are sized to ~:data:`_TARGET_CHUNK_SECONDS` of estimated
-    work instead of a fixed one-chunk-per-worker split.  Either way the
-    returned points are identical to the serial sweep's.
+    work instead of a fixed one-chunk-per-worker split.  Each hybrid
+    phase pilots on its own.  Either way the returned points are
+    identical to the serial sweep's.
 
     An explicit ``chunksize`` is a caller override of both the pilot and
-    the chunk planning (the same convention the hybrid phases use):
-    points are scored in fixed chunks of that many, across ``n_jobs``
-    workers when ``n_jobs > 1`` — so it forces the pool (CLI:
-    ``--batch-size``).  Pass one for an expensive per-point callable,
-    whose pilot would otherwise score a whole :data:`_BATCH_CHUNK` chunk
-    in-process.
+    the chunk planning: points are scored in fixed chunks of that many,
+    across ``n_jobs`` workers when ``n_jobs > 1`` — so it forces the pool
+    (CLI: ``--batch-size``).  Pass one for an expensive per-point
+    callable, whose pilot would otherwise score a whole
+    :data:`_BATCH_CHUNK` chunk in-process.
 
     Example
     -------
     >>> grid = {"mac_lines": [32, 64, 128], "ae_compression": [None, 0.5]}
     >>> points = sweep_design_space(workload, grid, n_jobs=4)
     """
-    # Check once: the grid is read both here (for sizing/ordering) and
-    # inside the streaming engine, so one-shot iterables must not be
-    # consumed twice.
     grid = check_grid(grid)
     evaluator = resolve_evaluator(evaluator)
-    if isinstance(evaluator, HybridEvaluator):
-        # The hybrid stream already arrives in deterministic grid order.
-        hybrid_stream = iter_design_space(
-            workload,
-            grid,
-            base_config,
-            n_jobs=n_jobs,
-            evaluator=evaluator,
-            chunksize=chunksize,
-        )
-        with obs.span("dse_sweep", evaluator="hybrid", points=grid_size(grid)):
-            return list(hybrid_stream)
     names = sorted(grid)
+    base_config = base_config or VITCOD_DEFAULT
+    n_jobs = _resolve_n_jobs(n_jobs)
     combos = list(product(*(grid[n] for n in names)))
-    stream = _piloted_stream(
-        workload,
-        base_config or VITCOD_DEFAULT,
-        names,
-        enumerate(combos),
-        len(combos),
-        min(_resolve_n_jobs(n_jobs), len(combos)),
-        chunksize,
-        evaluator,
-    )
-    points: List[DesignPoint] = [None] * len(combos)
-    with obs.span("dse_sweep", points=len(combos)):
+
+    def scored(indexed, total, scorer):
+        """One piloted phase, drained into grid slots (None: dropped)."""
+        slots = [None] * len(combos)
+        stream = _piloted_stream(
+            workload, base_config, names, indexed, total, n_jobs, chunksize, scorer
+        )
         for index, point in stream:
-            points[index] = point
-    return [point for point in points if point is not None]
+            slots[index] = point
+        return slots
+
+    if not isinstance(evaluator, HybridEvaluator):
+        with obs.span("dse_sweep", points=len(combos)):
+            slots = scored(enumerate(combos), len(combos), evaluator)
+    else:
+        with obs.span("dse_sweep", evaluator="hybrid", points=len(combos)):
+            coarse = scored(enumerate(combos), len(combos), evaluator.coarse)
+            survivors = _hybrid_survivors(
+                [(i, point) for i, point in enumerate(coarse) if point is not None]
+            )
+            indexed = ((i, combos[i]) for i, _ in survivors)
+            slots = scored(indexed, len(survivors), evaluator.fine)
+    return [point for point in slots if point is not None]
 
 
 def _pareto_mask_sorted_2d(values: np.ndarray) -> np.ndarray:
@@ -885,7 +624,9 @@ def _pareto_mask_sorted_2d(values: np.ndarray) -> np.ndarray:
     group_id = np.cumsum(group_start) - 1
     starts = np.flatnonzero(group_start)
     cummin_b = np.minimum.accumulate(b)
-    prev_min = np.full(starts.size, np.inf)
+    # NaN compares False, so nothing dominates the first group — an
+    # +inf sentinel would drop its points whose ``b`` is +inf.
+    prev_min = np.full(starts.size, np.nan)
     prev_min[1:] = cummin_b[starts[1:] - 1]
     group_min_b = b[starts]
     dominated = (prev_min[group_id] <= b) | (b > group_min_b[group_id])

@@ -466,9 +466,9 @@ class HybridEvaluator:
     """Prune with a cheap evaluator, re-score survivors with the real one.
 
     The DSE engine recognises this type and runs the two-phase sweep:
-    every grid point is scored with :attr:`coarse` under incremental
-    Pareto pruning, then only the surviving frontier is re-scored with
-    :attr:`fine` (in deterministic grid order).  Both resolve like any
+    every grid point is scored with :attr:`coarse`, and only the Pareto
+    frontier of those scores (``pareto_frontier``, in grid order) is
+    re-scored with :attr:`fine`.  Both resolve like any
     evaluator spec (a per-point callable is lifted by
     :class:`PointEvaluator`).  Called directly on rows it scores them
     with :attr:`fine`.

@@ -8,8 +8,7 @@ adapter) — points, ordering, Pareto frontier, failure attribution,
 structural rejections.  Property-tested over random in-domain grids of
 every parameter the cycle simulator models, on a
 small synthetic model so the slow reference loop stays cheap; plus the
-width-band sub-batching invariants and the whole-chunk
-``ParetoFront.offer_all`` equivalence.  This is the CI-enforced guarantee
+width-band sub-batching invariants.  This is the CI-enforced guarantee
 that makes batching an execution detail rather than a model change.
 """
 
@@ -21,9 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness.dse import (
-    DesignPoint,
-    ParetoFront,
-    iter_design_space,
     iter_indexed_design_points,
     pareto_frontier,
     sweep_design_space,
@@ -434,61 +430,6 @@ class TestSimulateAttentionGrid:
         plain = ReferenceCycleSimulator(dram=DramModel())
         assert reference.simulate_attention(small_workload) == \
             plain.simulate_attention(small_workload)
-
-
-class TestOfferAll:
-    @staticmethod
-    def _points(values):
-        return [
-            DesignPoint(parameters=(("i", i),), seconds=float(s),
-                        energy_joules=float(e), area_proxy=0.0)
-            for i, (s, e) in enumerate(values)
-        ]
-
-    @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_offer_all_equals_sequential_offers(self, data):
-        """Whole-chunk pruning is bit-for-bit the offer() loop: same kept
-        points (at offer time), same final frontier, same counter —
-        including duplicate and tied objective values, and any chunk
-        split of the same stream."""
-        n = data.draw(st.integers(1, 30))
-        values = data.draw(st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)),
-            min_size=n, max_size=n,
-        ))
-        points = self._points(values)
-        sequential = ParetoFront()
-        kept_seq = [p for p in points if sequential.offer(p)]
-        chunked = ParetoFront()
-        kept_chunks = []
-        remaining = points
-        while remaining:
-            size = data.draw(st.integers(1, len(remaining)))
-            kept_chunks.extend(chunked.offer_all(remaining[:size]))
-            remaining = remaining[size:]
-        assert kept_chunks == kept_seq
-        assert chunked.points == sequential.points
-        assert chunked.offered == sequential.offered
-
-    def test_streaming_frontier_matches_per_point_offers(
-            self, small_workload):
-        """iter_design_space's chunked frontier pruning yields the same
-        candidates and final frontier as per-point offers."""
-        grid = {"mac_lines": [8, 16, 32, 64, 128],
-                "ae_compression": [None, 0.5]}
-        batched_front = ParetoFront()
-        batched = list(iter_design_space(small_workload, grid,
-                                         frontier=batched_front,
-                                         evaluator="cycle"))
-        per_point_front = ParetoFront()
-        per_point = list(iter_design_space(
-            small_workload, grid, frontier=per_point_front,
-            evaluator=PerPoint(CycleSimEvaluator()),
-        ))
-        assert batched == per_point
-        assert batched_front.points == per_point_front.points
-        assert batched_front.offered == per_point_front.offered
 
 
 class TestHybrid:

@@ -507,6 +507,19 @@ class TestCli:
                  + self.GRID_ARGS)
         assert not store.exists()
 
+    @pytest.mark.parametrize("n_jobs", ["0", "-3"])
+    def test_dse_rejects_n_jobs_below_one(self, tmp_path, n_jobs):
+        """dse refuses a worker budget below 1 instead of silently
+        sweeping serially, as it refuses --batch-size below 1."""
+        from repro.cli import main
+
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit, match=(
+                f"^--n-jobs must be a positive worker count, got {n_jobs}$")):
+            main(["dse", "--models", "deit-tiny", "--n-jobs", n_jobs,
+                  "--json", str(out)] + self.GRID_ARGS)
+        assert not out.exists()
+
     def test_separate_processes_match_serial(self, tmp_path):
         """Two real CLI processes shard one store; merge == serial sweep."""
         store = str(tmp_path / "store")

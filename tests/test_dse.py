@@ -8,8 +8,7 @@ import pytest
 from repro.harness import dse as dse_module
 from repro.harness.dse import (
     DesignPoint,
-    ParetoFront,
-    iter_design_space,
+    iter_indexed_design_points,
     pareto_frontier,
     sensitivity,
     sweep_design_space,
@@ -124,12 +123,13 @@ class TestPareto:
     @pytest.mark.parametrize("n_objectives", [2, 3])
     def test_matches_brute_force_with_ties(self, n_objectives):
         """The sort-based frontier equals the O(n²) dominance scan,
-        including duplicated and tied coordinates."""
+        including duplicated, tied and ±inf coordinates."""
         rng = np.random.default_rng(42)
         objectives = ("seconds", "energy_joules", "area_proxy")[:n_objectives]
-        for _ in range(50):
+        coordinates = [-np.inf, 0.0, 1.0, 2.0, 3.0, 4.0, np.inf]
+        for _ in range(200):
             n = int(rng.integers(1, 30))
-            vals = rng.integers(0, 5, size=(n, 3)).astype(float)
+            vals = rng.choice(coordinates, size=(n, 3))
             points = [
                 DesignPoint((("i", i),), seconds=v[0], energy_joules=v[1],
                             area_proxy=v[2])
@@ -158,29 +158,13 @@ class TestPareto:
         assert fastest in frontier
 
 
-def _params_key(point):
-    return repr(point.parameters)
-
-
 class TestStreaming:
-    GRID = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
-
-    def test_serial_stream_equals_eager_sweep(self, small_workload):
-        eager = sweep_design_space(small_workload, self.GRID)
-        streamed = list(iter_design_space(small_workload, self.GRID))
-        assert streamed == eager  # same points, same (grid) order
-
-    def test_parallel_stream_same_multiset(self, small_workload):
-        eager = sweep_design_space(small_workload, self.GRID)
-        streamed = list(iter_design_space(small_workload, self.GRID,
-                                          n_jobs=3))
-        assert sorted(streamed, key=_params_key) == \
-            sorted(eager, key=_params_key)
+    """The shard surface, :func:`iter_indexed_design_points`, is lazy."""
 
     def test_lazy_never_materialises_grid(self, small_workload, monkeypatch):
-        """Taking 5 points from an 864-point grid evaluates exactly 5 at
-        ``chunksize=1``, and at most one default chunk otherwise — never
-        the whole grid."""
+        """Taking 5 points from an 860-point grid evaluates exactly 5 at
+        ``chunksize=1``, and one chunk of 100 at ``chunksize=100`` —
+        never the whole grid."""
         from per_point import PerPoint
         from repro.sim import AnalyticalEvaluator
 
@@ -194,7 +178,7 @@ class TestStreaming:
         grid = {"mac_lines": list(range(8, 520, 6)),
                 "bandwidth_gbps": [19.2, 76.8],
                 "ae_compression": [None, 0.25, 0.3, 0.5, 0.75]}
-        taken = list(islice(iter_design_space(
+        taken = list(islice(iter_indexed_design_points(
             small_workload, grid, evaluator=counting, chunksize=1), 5))
         assert len(taken) == 5
         assert len(calls) == 5
@@ -207,33 +191,14 @@ class TestStreaming:
             return real_chunk(workload, base_config, names, chunk, evaluator)
 
         monkeypatch.setattr(dse_module, "_evaluate_chunk", counting_chunk)
-        taken = list(islice(iter_design_space(small_workload, grid), 5))
+        taken = list(islice(iter_indexed_design_points(
+            small_workload, grid, chunksize=100), 5))
         assert len(taken) == 5
-        assert sum(batched) <= dse_module._BATCH_CHUNK  # one chunk, not 864
-
-    def test_incremental_frontier_matches_eager(self, small_workload):
-        eager = sweep_design_space(small_workload, self.GRID)
-        front = ParetoFront()
-        yielded = list(iter_design_space(small_workload, self.GRID,
-                                         frontier=front))
-        assert front.points == pareto_frontier(eager)
-        assert front.offered == len(eager)
-        # Every yielded point was non-dominated when it arrived, and the
-        # final frontier is a subset of what was yielded.
-        assert all(p in eager for p in yielded)
-        assert all(p in yielded for p in front.points)
-
-    def test_parallel_frontier_matches_eager(self, small_workload):
-        eager = sweep_design_space(small_workload, self.GRID)
-        front = ParetoFront()
-        list(iter_design_space(small_workload, self.GRID, n_jobs=2,
-                               frontier=front))
-        assert (sorted(front.points, key=_params_key)
-                == sorted(pareto_frontier(eager), key=_params_key))
+        assert batched == [100]  # one chunk, not 860 points
 
     def test_empty_grid_raises(self, small_workload):
         with pytest.raises(ValueError):
-            next(iter_design_space(small_workload, {}))
+            next(iter_indexed_design_points(small_workload, {}))
 
     def test_one_shot_iterable_grid_values(self, small_workload):
         """Grid values that can only be consumed once still sweep fully."""
@@ -241,50 +206,6 @@ class TestStreaming:
         from_iter = sweep_design_space(small_workload,
                                        {"mac_lines": iter([16, 32])})
         assert from_iter == eager
-
-
-class TestParetoFront:
-    def _point(self, i, seconds, energy):
-        return DesignPoint((("i", i),), seconds=seconds,
-                           energy_joules=energy, area_proxy=1)
-
-    def test_dominated_offer_rejected(self):
-        front = ParetoFront()
-        assert front.offer(self._point(0, 1.0, 1.0))
-        assert not front.offer(self._point(1, 2.0, 2.0))
-        assert len(front) == 1
-
-    def test_new_point_evicts_dominated(self):
-        front = ParetoFront()
-        front.offer(self._point(0, 2.0, 2.0))
-        front.offer(self._point(1, 3.0, 1.0))
-        assert front.offer(self._point(2, 1.0, 1.0))  # dominates both
-        assert [p.parameter("i") for p in front] == [2]
-
-    def test_duplicates_all_kept(self):
-        front = ParetoFront()
-        p = self._point(0, 1.0, 1.0)
-        assert front.offer(p) and front.offer(p) and front.offer(p)
-        assert len(front) == 3  # equal points never dominate each other
-
-    def test_matches_eager_on_random_streams(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            n = int(rng.integers(1, 40))
-            vals = rng.integers(0, 5, size=(n, 2)).astype(float)
-            points = [self._point(i, v[0], v[1]) for i, v in enumerate(vals)]
-            front = ParetoFront().update(points)
-            assert front.points == pareto_frontier(points)
-
-    def test_three_objectives(self):
-        points = [
-            DesignPoint((("i", 0),), 1.0, 2.0, 3.0),
-            DesignPoint((("i", 1),), 2.0, 1.0, 3.0),
-            DesignPoint((("i", 2),), 2.0, 2.0, 4.0),  # dominated by 0 and 1
-        ]
-        objectives = ("seconds", "energy_joules", "area_proxy")
-        front = ParetoFront(objectives=objectives).update(points)
-        assert front.points == pareto_frontier(points, objectives=objectives)
 
 
 class TestSensitivity:
@@ -334,8 +255,6 @@ class TestGridIndexing:
             grid_size({"mac_lines": []})
 
     def test_indexed_iteration_matches_sweep(self, small_workload):
-        from repro.harness.dse import iter_indexed_design_points
-
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
         serial = sweep_design_space(small_workload, grid)
         subset = dict(iter_indexed_design_points(small_workload, grid,
@@ -345,16 +264,13 @@ class TestGridIndexing:
         assert [everything[i] for i in range(len(serial))] == serial
 
     def test_hybrid_rejected(self, small_workload):
-        from repro.harness.dse import iter_indexed_design_points
-
         with pytest.raises(ValueError, match="hybrid"):
             next(iter_indexed_design_points(small_workload,
                                             {"mac_lines": [16]},
                                             evaluator="hybrid"))
 
     def test_keep_failures_yields_them(self, small_workload):
-        from repro.harness.dse import PointFailure, \
-            iter_indexed_design_points
+        from repro.harness.dse import PointFailure
 
         def explode(workload, config, accel_kwargs):
             raise RuntimeError("nope")

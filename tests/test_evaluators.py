@@ -14,8 +14,7 @@ import pytest
 
 from repro.harness import dse as dse_module
 from repro.harness.dse import (
-    ParetoFront,
-    iter_design_space,
+    iter_indexed_design_points,
     pareto_frontier,
     sweep_design_space,
 )
@@ -23,7 +22,11 @@ from repro.hw import model_workload
 from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.hw.params import VITCOD_DEFAULT
 from repro.models import get_config
-from repro.perf import seed_worker_workload, seeded_workload
+from repro.perf import (
+    cached_model_workload,
+    seed_worker_workload,
+    seeded_workload,
+)
 from repro.sim import (
     AnalyticalEvaluator,
     CycleSimEvaluator,
@@ -138,8 +141,8 @@ class TestAnalyticalDefault:
 
     def test_streaming_default_matches(self, small_workload):
         eager = sweep_design_space(small_workload, GRID)
-        streamed = list(iter_design_space(small_workload, GRID,
-                                          evaluator="analytical"))
+        streamed = [point for _, point in iter_indexed_design_points(
+            small_workload, GRID, evaluator="analytical")]
         assert streamed == eager
 
 
@@ -159,15 +162,6 @@ class TestCycleSimEvaluator:
             ).simulate_attention(small_workload)
             assert point.seconds == config.cycles_to_seconds(result.makespan)
             assert point.energy_joules > 0
-
-    def test_stream_with_incremental_frontier(self, small_workload):
-        every = sweep_design_space(small_workload, GRID, evaluator="cycle")
-        front = ParetoFront()
-        list(iter_design_space(small_workload, GRID,
-                               evaluator=PerPoint(CycleSimEvaluator()),
-                               frontier=front))
-        assert front.offered == len(every)
-        assert front.points == pareto_frontier(every)
 
     def test_parallel_equals_serial(self, small_workload):
         serial = sweep_design_space(small_workload, GRID, evaluator="cycle")
@@ -194,7 +188,7 @@ class TestCycleSimEvaluator:
         with pytest.raises(ValueError):
             sweep_design_space(small_workload, {}, evaluator="cycle")
         with pytest.raises(ValueError):
-            next(iter_design_space(small_workload, {}, evaluator="hybrid"))
+            sweep_design_space(small_workload, {}, evaluator="hybrid")
 
 
 class TestFailureHandling:
@@ -254,13 +248,6 @@ class TestHybrid:
         ]
         assert runs[0] == runs[1] == runs[2] == runs[3]
 
-    def test_stream_applies_user_frontier(self, small_workload):
-        front = ParetoFront()
-        yielded = list(iter_design_space(small_workload, GRID,
-                                         evaluator="hybrid", frontier=front))
-        assert front.points == pareto_frontier(yielded)
-        assert all(p in yielded for p in front.points)
-
     def test_direct_call_scores_fine(self, small_workload):
         rows = [(16,), (64,)]
         fine = HybridEvaluator().evaluate_batch(
@@ -281,6 +268,55 @@ class TestHybrid:
         analytical = sweep_design_space(small_workload,
                                         {"mac_lines": [16, 64]})
         assert points == analytical
+
+
+#: A 32-point DeiT-Base grid whose analytical frontier is two pairs of
+#: tied points: 128 and 136 MAC lines score the same seconds and energy.
+TIED_GRID = {"mac_lines": (64, 96, 128, 136), "bandwidth_gbps": (24, 192),
+             "act_buffer_kb": (256, 384), "ae_compression": (None, 0.5)}
+
+
+class TestHybridTiedFrontier:
+    """Hybrid survivors are pareto_frontier of the coarse points, ties
+    and all, whatever the execution route."""
+
+    @pytest.fixture(scope="class")
+    def deit_base(self):
+        return cached_model_workload("deit-base", sparsity=0.9)
+
+    @pytest.fixture(scope="class")
+    def expected(self, deit_base):
+        """The cycle scores of the analytical frontier, in grid order."""
+        analytical = sweep_design_space(deit_base, TIED_GRID)
+        cycle = {p.parameters: p
+                 for p in sweep_design_space(deit_base, TIED_GRID,
+                                             evaluator="cycle")}
+        return [cycle[p.parameters] for p in pareto_frontier(analytical)]
+
+    def test_grid_has_tied_frontier(self, deit_base):
+        analytical = sweep_design_space(deit_base, TIED_GRID)
+        scores = [(p.seconds, p.energy_joules)
+                  for p in pareto_frontier(analytical)]
+        assert len(analytical) == 32
+        assert len(scores) == 4 and len(set(scores)) == 2
+
+    @pytest.mark.parametrize("n_jobs, chunksize",
+                             [(1, None), (2, None), (1, 1), (2, 1)])
+    def test_sweep_rescores_analytical_frontier(self, deit_base, expected,
+                                                n_jobs, chunksize):
+        hybrid = sweep_design_space(deit_base, TIED_GRID, n_jobs=n_jobs,
+                                    chunksize=chunksize, evaluator="hybrid")
+        assert hybrid == expected
+
+    def test_sharded_merge_rescores_analytical_frontier(
+            self, deit_base, expected, tmp_path):
+        from repro.dist import merge_store, model_workload_spec, run_shard
+
+        spec = model_workload_spec("deit-base", sparsity=0.9)
+        for shard in ("1/2", "2/2"):
+            run_shard(deit_base, TIED_GRID, shard, tmp_path,
+                      evaluator="hybrid", workload_spec=spec)
+        assert list(merge_store(tmp_path).points) == expected
 
 
 class TestWorkerSeeding:
