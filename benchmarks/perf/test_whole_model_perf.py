@@ -1,34 +1,32 @@
-"""Whole-model analytical simulation: batched geometry vs the layer fold.
+"""Whole-model analytical simulation: the array walks vs the layer fold.
 
 Smoke mode (plain ``pytest``) runs a small model and only checks that the
-batched whole-model results agree bit-for-bit with the per-layer fold;
-full mode (``--bench-out``) runs 12-layer DeiT-Base and asserts the
-speedup.
+walks' whole-model results agree bit-for-bit with the scalar model's
+per-layer fold (``tests/analytical_oracle.py``); full mode
+(``--bench-out``) runs 12-layer DeiT-Base and asserts the speedup.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 from repro.hw import ViTCoDAccelerator
 from repro.perf import benchit, cached_model_workload
-from repro.sim import merge_results
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
+import analytical_oracle  # noqa: E402
 
 
 def test_whole_model_batched_analytical(bench_recorder, bench_mode):
-    """Array-geometry ViTCoDAccelerator vs its per-layer reference fold."""
+    """ViTCoDAccelerator's array walks vs the scalar per-layer fold."""
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
     wl = cached_model_workload(model, sparsity=0.9)
     acc = ViTCoDAccelerator()
 
     def layer_fold():
-        """Every layer's and GEMM's report, folded left to right."""
-        return merge_results(
-            [acc.simulate_attention_layer(layer)
-             for layer in wl.attention_layers]
-            + [acc.simulate_gemm(gemm,
-                                 compress_output=gemm.name.endswith(".qkv"))
-               for gemm in wl.linear_layers]
-        )
+        """Every layer's and GEMM's scalar report, folded left to right."""
+        return analytical_oracle.fold(acc, wl, end_to_end=True)
 
     a = acc.simulate_model(wl)
     b = layer_fold()

@@ -59,6 +59,7 @@ class GeneralPlatform:
         overhead = len(model.linear_layers) * self.kernel_overhead_s
         linear = self._report(model, "linear", seconds, overhead, flops)
         merged = attn.merged(linear, workload=f"{model.name}:end2end")
+        merged.details = {"flops": attn.details["flops"] + flops}
         return merged
 
     def _report(self, model, phase, seconds, overhead_s, flops):

@@ -311,6 +311,15 @@ def _read_store(read, store, **kwargs):
         raise SystemExit(f"{store}: {exc}") from None
 
 
+def _existing_manifest(store):
+    """``store``'s manifest, or ``None`` before any shard created it;
+    ``dse-shard`` and ``dse-fleet`` read it through :func:`_read_store`
+    before a shard scores or forks."""
+    from .dist import ResultStore
+
+    return ResultStore(store).read_manifest(missing_ok=True)
+
+
 def _dse_result(model, sparsity, evaluator_name, grid, points):
     """Print the DSE point table and build the JSON payload.
 
@@ -543,6 +552,7 @@ def _run(args):
             )
         model = args.models[0] if args.models else "deit-tiny"
         grid = parse_grid(args.grid)
+        _read_store(_existing_manifest, out)
         evaluator = args.evaluator
         faults = _load_fault_plan(args.faults)
         if faults is not None:
@@ -597,7 +607,9 @@ def _run(args):
             raise SystemExit(
                 f"--num-shards must be >= 1, got {args.num_shards}"
             )
-        parse_grid(args.grid)  # a bad grid fails here, not in N shards
+        # A bad grid or a refused store fails here, not in N shards.
+        parse_grid(args.grid)
+        _read_store(_existing_manifest, out)
         faults = _load_fault_plan(args.faults)
         model = args.models[0] if args.models else "deit-tiny"
         shard_args = ["--models", model, "--sparsity", str(args.sparsity),

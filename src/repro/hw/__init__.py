@@ -14,9 +14,7 @@ from .workload import (
 )
 from .trace import LatencyBreakdown, EnergyBreakdown, SimReport
 from .dataflow import (
-    k_stationary_sddmm_cycles,
     s_stationary_sddmm_cycles,
-    output_stationary_spmm_cycles,
     dense_gemm_cycles,
     softmax_cycles,
 )
@@ -46,9 +44,7 @@ __all__ = [
     "LatencyBreakdown",
     "EnergyBreakdown",
     "SimReport",
-    "k_stationary_sddmm_cycles",
     "s_stationary_sddmm_cycles",
-    "output_stationary_spmm_cycles",
     "dense_gemm_cycles",
     "softmax_cycles",
     "Allocation",

@@ -19,50 +19,55 @@ Key modelled mechanisms, each traceable to the paper:
   array while active and returned otherwise (§V-B.2);
 * output-stationary SpMM keeping V′ in PE registers (Fig. 13b).
 
-Whole-model simulation (the paper's headline Fig. 15/19 numbers) has one
-path: ``simulate_attention`` / ``simulate_model`` evaluate every layer and
-GEMM as array geometry — per-layer statistics become parallel numpy
-arrays and the phase algebra runs elementwise (the design-point grid walk
-:meth:`ViTCoDAccelerator.simulate_attention_grid` at P = 1), mirroring the
-scalar per-layer expressions of :meth:`ViTCoDAccelerator.simulate_attention_layer`
-and :meth:`ViTCoDAccelerator.simulate_gemm` operation for operation.  The
-per-layer reports folded with :func:`repro.sim.merge_results` are the test
-oracle: the totals agree with that fold bit for bit.
+The model is written once, as two array walks.  The attention walk
+(:meth:`ViTCoDAccelerator._attention_walk`) turns per-layer statistics
+into (layers,) rows and design-point knobs into (points, 1) columns, and
+runs the phase algebra elementwise; the GEMM walk
+(:meth:`ViTCoDAccelerator._gemm_walk`) does the same over dense layers.
+Each returns per-layer arrays, and a left-to-right fold sums them as
+``SimReport.merged`` would.  Every surface is a case of the walks: the
+design-point grid (:meth:`ViTCoDAccelerator.simulate_attention_grid`), the
+whole model at this design point (``simulate_attention``, and
+``simulate_model`` from :class:`~repro.sim.engine.ModelSimulatorBase`,
+which folds the GEMM walk onto the attention totals), one layer
+(``simulate_attention_layer``) and one GEMM (``simulate_gemm``).  A scalar
+per-layer model is the test oracle (``tests/analytical_oracle.py``):
+one-layer and one-GEMM reports equal its reports, and the walks' totals
+equal the fold of its reports, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
 from ..sim.engine import ModelSimulatorBase
-from .allocator import allocate_mac_lines, allocate_mac_lines_batched
-from .dataflow import (
-    dense_gemm_cycles,
-    k_stationary_sddmm_cycles,
-    output_stationary_spmm_cycles,
-    s_stationary_sddmm_cycles,
-    softmax_cycles,
-)
+from .allocator import allocate_mac_lines_batched
 from .params import VITCOD_DEFAULT, HardwareConfig, check_domain
 from .trace import EnergyBreakdown, LatencyBreakdown, SimReport
 from .workload import AttentionWorkload, GemmWorkload, ModelWorkload
 
 __all__ = ["ViTCoDAccelerator"]
 
+_LATENCY = ("compute", "preprocess", "data_movement")
+_ENERGY = ("mac", "sram", "dram", "other", "static")
+#: Per-layer and per-GEMM values a one-layer / one-GEMM report carries.
+_LAYER_DETAILS = ("sddmm_compute", "mac_count", "dram_bytes")
+_GEMM_DETAILS = ("mac_count", "dram_bytes")
 
-def _ordered_sum(values, init=0.0):
-    """Left-to-right fold of ``values`` starting at ``init``.
+
+def _ordered_sum(values, init):
+    """Left-to-right fold of one design point's per-layer ``values`` (a
+    (layers,) or (1, layers) array) starting at ``init``.
 
     Merging per-layer reports folds each latency/energy component left to
-    right; the array paths reduce their per-layer arrays the same way so
-    array and per-layer results agree bit for bit (``np.sum``'s pairwise
-    association would not).
+    right; the walks' folds reduce their per-layer arrays the same way so
+    walk totals and the fold of one-layer reports agree bit for bit
+    (``np.sum``'s pairwise association would not).
     """
     total = init
-    for value in values.tolist():
+    for value in np.ravel(values).tolist():
         total += value
     return total
 
@@ -81,6 +86,18 @@ def _fold_rows(values, points):
     for j in range(values.shape[-1]):
         total = total + values[..., j]
     return total
+
+
+def _fold_onto(walk, latency, energy):
+    """One design point's walk folded onto ``latency`` and ``energy`` left
+    to right, exactly as a chain of its per-layer (or per-GEMM) ``merged``
+    reports would."""
+    return (
+        LatencyBreakdown(**{key: _ordered_sum(walk[key], getattr(latency, key))
+                            for key in _LATENCY}),
+        EnergyBreakdown(**{key: _ordered_sum(walk[key], getattr(energy, key))
+                           for key in _ENERGY}),
+    )
 
 
 @dataclass
@@ -127,162 +144,61 @@ class ViTCoDAccelerator(ModelSimulatorBase):
                      q_forwarding_hit_rate=self.q_forwarding_hit_rate)
 
     # ------------------------------------------------------------------
-    # Attention layer
+    # Surfaces: cases of the walks
     # ------------------------------------------------------------------
     def simulate_attention_layer(self, layer: AttentionWorkload) -> SimReport:
-        cfg = self.config
-        b = cfg.bytes_per_element
-        bpc = cfg.bytes_per_cycle
-        n, d = layer.num_tokens, layer.embed_dim
-        dk, H = layer.head_dim, layer.num_heads
-        ratio = self.ae_compression if self.use_ae else 1.0
+        """One attention layer: the walk's one-layer case, as
+        ``CycleAccurateSimulator.simulate_layer`` is the cycle walk's.
 
-        latency = LatencyBreakdown()
-        energy = EnergyBreakdown()
-        mac_count = 0
-        dram_bytes = 0
-
-        # ---------------- preprocess: CSC/COO index preload ------------
-        idx_bytes = layer.index_bytes()
-        latency.preprocess += idx_bytes / bpc
-        dram_bytes += idx_bytes
-
-        # ---------------- SDDMM phase ----------------------------------
-        # Memory model (see DESIGN.md §"hardware model"):
-        #   * Q and K each stream through once, in head-sized chunks that fit
-        #     the Q/V and K/S buffers (heads map to MAC-line chunks, §V-B.1),
-        #     compressed by the AE ratio when the AE datapath is on;
-        #   * sparser-region non-zeros lying off the diagonal band lose that
-        #     streaming locality and trigger scattered per-token Q fetches,
-        #     mitigated by query-based forwarding from the denser engine's
-        #     buffer and by AE compression of the fetched token rows;
-        #   * the decoder is sized to sustain DRAM line rate (the paper
-        #     pipelines decode behind the stream), so it contributes energy
-        #     and MAC work but does not throttle the stream.
-        tensor_bytes = n * d * b  # one of Q / K / V, decoded
-        # All heads process in parallel (head-per-MAC-line chunks), so the
-        # K/S buffer holds a token window across every head; K is kept in
-        # compressed form on chip when the AE is active (decoded at line
-        # rate into the PE staging registers), which widens the window.
-        k_window_bytes = cfg.act_buffer_bytes / 2
-        k_tiles = max(1, ceil(tensor_bytes * ratio / k_window_bytes))
-        stream_bytes = tensor_bytes * ratio * (1 + k_tiles)  # K once + Q/tile
-        fwd = self.q_forwarding_hit_rate if self.two_pronged else 0.0
-        # Scattered fetches: with the reordered (polarized) layout the
-        # scheduler can fall back to one extra full (compressed) sequential
-        # Q stream when scattering would cost more — at low sparsity the
-        # "scattered" non-zeros cover most rows and streaming wins.  Without
-        # reordering there is no streaming order to fall back to: the raw
-        # per-token fetches stand, amplified by DRAM row misses.
-        scatter_raw = layer.scattered_nnz * dk * b * ratio * (1.0 - fwd)
-        if layer.streaming_fallback:
-            scatter_bytes = min(scatter_raw, tensor_bytes * ratio)
-        else:
-            scatter_bytes = scatter_raw * self._scatter_amplification
-        sddmm_dram = stream_bytes + scatter_bytes
-        dram_bytes += sddmm_dram
-
-        # Decoder work: every compressed element read back costs H MACs to
-        # reconstruct the full head dimension (enc weight is Hc×H).
-        decode_macs = int(sddmm_dram / b) * H if self.use_ae else 0
-        memory_cycles = sddmm_dram / bpc
-
-        compute_lines = cfg.num_mac_lines
-        stats = layer.head_stats()
-        denser_products = int((stats.global_tokens * stats.tokens).sum())
-        sparser_products = int(stats.sparser_nnz.sum())
-        denser_macs = denser_products * dk
-        sparser_macs = sparser_products * dk
-
-        if self.dataflow == "s_stationary":
-            # Ablation: Sanger-style spatial mapping on the same workload.
-            eff = self._s_stationary_pack_efficiency(layer)
-            sddmm_compute = s_stationary_sddmm_cycles(
-                denser_products + sparser_products,
-                dk,
-                compute_lines * cfg.macs_per_line,
-                pack_efficiency=eff,
-            )
-        elif self.two_pronged:
-            alloc = allocate_mac_lines(compute_lines, denser_macs, sparser_macs)
-            denser_cycles = k_stationary_sddmm_cycles(
-                denser_products, dk, max(alloc.denser_lines, 1), cfg.macs_per_line
-            ) if denser_products else 0
-            sparser_cycles = k_stationary_sddmm_cycles(
-                sparser_products, dk, max(alloc.sparser_lines, 1), cfg.macs_per_line
-            ) if sparser_products else 0
-            sddmm_compute = max(denser_cycles, sparser_cycles)
-        else:
-            # Single-engine ablation: the mixed column population (full
-            # global-token columns interleaved with nearly-empty sparse
-            # ones) causes temporal load imbalance — MAC lines idle while a
-            # heavy column drains.  Utilization degrades with the
-            # coefficient of variation of per-column work (§III-A), which
-            # the two-pronged split restores by giving each engine a
-            # near-uniform population.
-            single_util = 0.9 / (1.0 + 0.3 * layer.column_cv())
-            sddmm_compute = ceil(
-                (
-                    k_stationary_sddmm_cycles(
-                        denser_products, dk, compute_lines, cfg.macs_per_line
-                    )
-                    + k_stationary_sddmm_cycles(
-                        sparser_products, dk, compute_lines, cfg.macs_per_line
-                    )
-                )
-                / max(single_util, 0.1)
-            )
-
-        phase = max(sddmm_compute, memory_cycles)
-        latency.compute += sddmm_compute
-        latency.data_movement += phase - sddmm_compute
-        mac_count += denser_macs + sparser_macs + decode_macs
-
-        # ---------------- SpMM phase -----------------------------------
-        # V streams in and V' writes back uncompressed (the AE covers Q/K
-        # only); scattered S non-zeros outside the streaming window gather
-        # their V rows individually, with the same fallback rule as above.
-        spmm_scatter_raw = layer.scattered_nnz * dk * b
-        if layer.streaming_fallback:
-            spmm_scatter = min(spmm_scatter_raw, tensor_bytes)
-        else:
-            spmm_scatter = spmm_scatter_raw * self._scatter_amplification
-        spmm_dram = 2 * tensor_bytes + spmm_scatter
-        dram_bytes += spmm_dram
-        total_nnz = layer.total_nnz
-        spmm_products = total_nnz
-        spmm_compute = output_stationary_spmm_cycles(
-            spmm_products, dk, cfg.num_mac_lines, cfg.macs_per_line
+        ``details`` holds the layer's SDDMM compute cycles
+        (``sddmm_compute``), MACs (``mac_count``) and DRAM bytes
+        (``dram_bytes``).
+        """
+        walk = self._attention_walk([layer], self._resolve_grid_columns({}))
+        return self._report(
+            f"attention(n={layer.num_tokens}, H={layer.num_heads}, "
+            f"dk={layer.head_dim})",
+            walk,
+            {key: float(walk[key][0, 0]) for key in _LAYER_DETAILS},
         )
-        spmm_phase = max(spmm_compute, spmm_dram / bpc)
-        latency.compute += spmm_compute
-        latency.data_movement += spmm_phase - spmm_compute
-        mac_count += layer.spmm_macs
 
-        # ---------------- softmax --------------------------------------
-        # Dedicated per-engine softmax units consume completed attention-map
-        # columns while SDDMM/SpMM continue (Fig. 12), so only the portion
-        # exceeding the MAC-side busy time lands on the critical path.
-        sm_cycles = softmax_cycles(total_nnz, n * H, lanes=cfg.softmax_lanes)
-        latency.compute += max(0, sm_cycles - (phase + spmm_phase))
-        energy.other += total_nnz * cfg.energy.softmax_op_pj
+    def simulate_attention(self, model: ModelWorkload) -> SimReport:
+        """Core attention workload only (paper Fig. 15a / Fig. 19)."""
+        layers = model.attention_layers
+        if not layers:
+            raise ValueError(
+                f"{self.name}: model {model.name!r} has no attention layers"
+            )
+        walk = self._attention_walk(layers, self._resolve_grid_columns({}))
+        return self._report(f"{model.name}:attention", walk,
+                            {"layers": len(layers)})
 
-        self._charge_energy(energy, mac_count, dram_bytes, latency.total)
+    def simulate_gemm(self, gemm: GemmWorkload) -> SimReport:
+        """One dense GEMM: the GEMM walk's one-GEMM case.
+
+        ``details`` holds its MACs (``mac_count``, encoder MACs included)
+        and DRAM bytes (``dram_bytes``).
+        """
+        walk = self._gemm_walk([gemm])
+        return self._report(gemm.name, walk,
+                            {key: float(walk[key][0]) for key in _GEMM_DETAILS})
+
+    def _fold_gemms(self, gemms, latency, energy):
+        """The GEMM walk folded onto ``latency`` and ``energy``: the dense
+        half of :meth:`~repro.sim.engine.ModelSimulatorBase.simulate_model`."""
+        return _fold_onto(self._gemm_walk(gemms), latency, energy)
+
+    def _report(self, workload, walk, details):
+        """A walk at this design point, folded from zero, as one report."""
+        latency, energy = _fold_onto(walk, LatencyBreakdown(),
+                                     EnergyBreakdown())
         return SimReport(
             platform=self.name,
-            workload=f"attention(n={n}, H={H}, dk={dk})",
+            workload=workload,
             latency=latency,
             energy=energy,
-            frequency_hz=cfg.frequency_hz,
-            details={
-                "stream_bytes": stream_bytes,
-                "scatter_bytes": scatter_bytes,
-                "sddmm_compute": sddmm_compute,
-                "sddmm_memory": memory_cycles,
-                "spmm_compute": spmm_compute,
-                "mac_count": mac_count,
-                "dram_bytes": dram_bytes,
-            },
+            frequency_hz=self.config.frequency_hz,
+            details=details,
         )
 
     def _s_stationary_pack_efficiency(self, layer):
@@ -295,79 +211,6 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         slots = int((slot_rows * stats.tokens).sum())
         nnz = layer.total_nnz
         return min(1.0, max(nnz / slots, 0.05)) if slots else 1.0
-
-    # ------------------------------------------------------------------
-    # Dense layers (QKV generation, projection, MLP) — §V-B.3
-    # ------------------------------------------------------------------
-    def simulate_gemm(self, gemm: GemmWorkload, compress_output=False) -> SimReport:
-        cfg = self.config
-        b = cfg.bytes_per_element
-        compute = dense_gemm_cycles(gemm.m, gemm.k, gemm.n, cfg.total_macs)
-
-        out_ratio = 1.0
-        encode_macs = 0
-        if compress_output and self.use_ae:
-            # QKV generation: Q and K (2/3 of the output) are encoded before
-            # the off-chip writeback; the encoder engine is pipelined behind
-            # the GEMM (§V-B.2) so only its energy is charged.
-            out_ratio = (2 * self.ae_compression + 1) / 3
-            encode_macs = int(gemm.m * gemm.n * (2 / 3) * self.ae_compression)
-
-        traffic = (gemm.weight_bytes(b) + gemm.m * gemm.k * b
-                   + gemm.m * gemm.n * b * out_ratio)
-        phase = max(compute, traffic / cfg.bytes_per_cycle)
-
-        latency = LatencyBreakdown(
-            compute=compute, data_movement=phase - compute
-        )
-        energy = EnergyBreakdown()
-        self._charge_energy(energy, gemm.macs + encode_macs, traffic, latency.total)
-        return SimReport(
-            platform=self.name,
-            workload=gemm.name,
-            latency=latency,
-            energy=energy,
-            frequency_hz=cfg.frequency_hz,
-            details={"dram_bytes": traffic, "mac_count": gemm.macs + encode_macs},
-        )
-
-    # ------------------------------------------------------------------
-    # Whole models (repro.sim surface)
-    # ------------------------------------------------------------------
-    def simulate_attention(self, model: ModelWorkload) -> SimReport:
-        """Core attention workload only (paper Fig. 15a / Fig. 19)."""
-        layers = model.attention_layers
-        if not layers:
-            raise ValueError(
-                f"{self.name}: model {model.name!r} has no attention layers"
-            )
-        latency, energy = self._attention_phase_arrays(layers)
-        return SimReport(
-            platform=self.name,
-            workload=f"{model.name}:attention",
-            latency=latency,
-            energy=energy,
-            frequency_hz=self.config.frequency_hz,
-            details={"layers": len(layers)},
-        )
-
-    def simulate_model(self, model: ModelWorkload) -> SimReport:
-        """End-to-end simulation (attention + all dense layers, Fig. 15b)."""
-        report = self.simulate_attention(model)
-        latency, energy = self._gemm_phase_arrays(
-            model.linear_layers, report.latency, report.energy
-        )
-        return SimReport(
-            platform=self.name,
-            workload=f"{model.name}:end2end",
-            latency=latency,
-            energy=energy,
-            frequency_hz=self.config.frequency_hz,
-            details={
-                "attention_layers": len(model.attention_layers),
-                "linear_layers": len(model.linear_layers),
-            },
-        )
 
     # ------------------------------------------------------------------
     # Batched array geometry
@@ -462,7 +305,9 @@ class ViTCoDAccelerator(ModelSimulatorBase):
                 f"{self.name}: model {model.name!r} has no attention layers"
             )
         cols = self._resolve_grid_columns(columns)
-        folded = self._attention_phase_grid(layers, cols)
+        walk = self._attention_walk(layers, cols)
+        folded = {key: _fold_rows(walk[key], cols["points"])
+                  for key in _LATENCY + _ENERGY}
         cycles = (folded["compute"] + folded["preprocess"]) \
             + folded["data_movement"]
         seconds = cycles / self.config.frequency_hz
@@ -470,42 +315,18 @@ class ViTCoDAccelerator(ModelSimulatorBase):
                      + folded["other"] + folded["static"])
         return seconds, energy_pj * 1e-12
 
-    def _attention_phase_arrays(self, layers):
-        """Every attention layer's phase algebra as elementwise arrays.
-
-        The ``P = 1`` case of :meth:`_attention_phase_grid` at this
-        accelerator's own design point.  Each expression mirrors
-        :meth:`simulate_attention_layer` operation for operation (same
-        IEEE ops on the same values), and the per-layer arrays fold
-        left-to-right like ``SimReport.merged`` — so the totals are
-        bit-for-bit those of the per-layer loop.
-        """
-        folded = self._attention_phase_grid(
-            layers, self._resolve_grid_columns({})
-        )
-        latency = LatencyBreakdown(
-            compute=float(folded["compute"][0]),
-            preprocess=float(folded["preprocess"][0]),
-            data_movement=float(folded["data_movement"][0]),
-        )
-        energy = EnergyBreakdown(
-            mac=float(folded["mac"][0]),
-            sram=float(folded["sram"][0]),
-            dram=float(folded["dram"][0]),
-            other=float(folded["other"][0]),
-            static=float(folded["static"][0]),
-        )
-        return latency, energy
-
-    def _attention_phase_grid(self, layers, cols):
+    # ------------------------------------------------------------------
+    # The walks
+    # ------------------------------------------------------------------
+    def _attention_walk(self, layers, cols):
         """The (points × layers) attention walk behind every attention path.
 
         Workload statistics are (layers,) rows, design-point knobs are
-        (points, 1) columns, and every phase expression broadcasts to a
-        (points × layers) array whose elements are exactly the scalar
-        path's values; per-layer folds run left-to-right per point
-        (:func:`_fold_rows`).  Returns the folded latency categories and
-        energy components, each a (points,) array.
+        (points, 1) columns (:meth:`_resolve_grid_columns`), and every
+        phase expression broadcasts elementwise.  Returns each layer's
+        latency categories, energy components and :data:`_LAYER_DETAILS`
+        as arrays over (points × layers) — a config-independent one,
+        softmax energy, over (layers,) — for a fold to sum.
         """
         cfg = self.config
         b = cfg.bytes_per_element
@@ -513,7 +334,6 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         mpl = cfg.macs_per_line
         ratio = cols["ratio"]
         compute_lines = cols["lines"]
-        points = cols["points"]
 
         n = np.array([l.num_tokens for l in layers], dtype=np.int64)
         H = np.array([l.num_heads for l in layers], dtype=np.int64)
@@ -533,14 +353,25 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             dtype=np.int64,
         )
 
-        # ---------------- preprocess ------------------------------------
+        # ---------------- preprocess: CSC/COO index preload -------------
         preprocess = idx_bytes / bpc
 
         # ---------------- SDDMM phase -----------------------------------
-        tensor_bytes = n * d * b
+        # Q and K stream through once in head-sized chunks, compressed by
+        # the AE ratio when the AE datapath is on.  All heads run in
+        # parallel, so the K/S buffer holds a token window across every
+        # head (K stays compressed on chip, which widens it) and Q
+        # re-streams once per K tile.
+        tensor_bytes = n * d * b  # one of Q / K / V, decoded
         k_window_bytes = cols["act_buffer"] / 2
         k_tiles = np.maximum(1, np.ceil(tensor_bytes * ratio / k_window_bytes))
-        stream_bytes = tensor_bytes * ratio * (1 + k_tiles)
+        stream_bytes = tensor_bytes * ratio * (1 + k_tiles)  # K once + Q/tile
+        # Sparser-region non-zeros off the diagonal band trigger scattered
+        # per-token Q fetches, cut by query-based forwarding.  With the
+        # reordered layout the scheduler falls back to one more full
+        # sequential Q stream when scattering costs more; without
+        # reordering there is no streaming order to fall back to, and the
+        # raw fetches stand, amplified by DRAM row misses.
         fwd = cols["fwd"]
         scatter_raw = scattered * dk * b * ratio * (1.0 - fwd)
         scatter_bytes = np.where(
@@ -549,6 +380,9 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             scatter_raw * self._scatter_amplification,
         )
         sddmm_dram = stream_bytes + scatter_bytes
+        # The decoder keeps up with DRAM line rate, so it costs energy and
+        # MACs but never throttles the stream: each compressed element read
+        # back costs H MACs to reconstruct the full head dimension.
         decode_macs = np.where(
             cols["use_ae"], np.trunc(sddmm_dram / b) * H, 0.0
         )
@@ -559,6 +393,7 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         cycles_per_wave = np.ceil(dk / mpl)
 
         if self.dataflow == "s_stationary":
+            # Ablation: Sanger-style spatial mapping on the same workload.
             eff = np.array(
                 [self._s_stationary_pack_efficiency(l) for l in layers]
             )
@@ -585,6 +420,11 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             )
             sddmm_compute = np.maximum(denser_cycles, sparser_cycles)
         else:
+            # Single-engine ablation: global-token columns interleaved with
+            # nearly empty sparse ones idle MAC lines while a heavy column
+            # drains, so utilization falls with the coefficient of
+            # variation of per-column work (§III-A); the two-pronged split
+            # restores it by giving each engine a near-uniform population.
             cv = np.array([l.column_cv() for l in layers])
             single_util = 0.9 / (1.0 + 0.3 * cv)
             serial = (
@@ -600,6 +440,9 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         phase = np.maximum(sddmm_compute, memory_cycles)
 
         # ---------------- SpMM phase ------------------------------------
+        # V streams in and V' writes back uncompressed (the AE covers Q/K
+        # only); scattered non-zeros gather their V rows individually,
+        # under the same fallback rule.
         spmm_scatter_raw = scattered * dk * b
         spmm_scatter = np.where(
             fallback,
@@ -615,6 +458,9 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         spmm_phase = np.maximum(spmm_compute, spmm_dram / bpc)
 
         # ---------------- softmax ---------------------------------------
+        # Per-engine softmax units consume finished columns while SDDMM and
+        # SpMM continue (Fig. 12): only the excess over the MAC-side busy
+        # time lands on the critical path.
         sm_cycles = np.ceil((total_nnz + 2 * (n * H)) / cfg.softmax_lanes)
         sm_extra = np.maximum(0.0, sm_cycles - (phase + spmm_phase))
 
@@ -626,30 +472,34 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         cycles = (compute + preprocess) + data_movement
         e = cfg.energy
         return {
-            "compute": _fold_rows(compute, points),
-            "preprocess": _fold_rows(preprocess, points),
-            "data_movement": _fold_rows(data_movement, points),
-            "mac": _fold_rows(mac_count * e.mac_pj, points),
-            "sram": _fold_rows(
-                (2 * dram_bytes + mac_count * b / 4) * e.sram_byte_pj, points
-            ),
-            "dram": _fold_rows(dram_bytes * e.dram_byte_pj, points),
-            "other": _fold_rows(total_nnz * e.softmax_op_pj, points),
-            "static": _fold_rows(cycles * e.static_pj_per_cycle, points),
+            "compute": compute,
+            "preprocess": preprocess,
+            "data_movement": data_movement,
+            "mac": mac_count * e.mac_pj,
+            "sram": (2 * dram_bytes + mac_count * b / 4) * e.sram_byte_pj,
+            "dram": dram_bytes * e.dram_byte_pj,
+            "other": total_nnz * e.softmax_op_pj,
+            "static": cycles * e.static_pj_per_cycle,
+            "sddmm_compute": sddmm_compute,
+            "mac_count": mac_count,
+            "dram_bytes": dram_bytes,
         }
 
-    def _gemm_phase_arrays(self, gemms, base_latency, base_energy):
-        """The dense-layer walk as arrays, folded onto the attention totals
-        exactly as the per-GEMM ``merged`` chain would."""
+    def _gemm_walk(self, gemms):
+        """The dense-layer walk (§V-B.3): each GEMM's latency categories,
+        energy components and :data:`_GEMM_DETAILS` as (gemms,) arrays.
+
+        Every GEMM runs on the whole reconfigured array at 85 %
+        utilization.  With the AE datapath on, QKV generation (a GEMM
+        named ``*.qkv``) encodes its Q and K outputs, 2/3 of the output,
+        before the off-chip writeback; the encoder is pipelined behind the
+        GEMM (§V-B.2), so only its energy is charged.
+        """
         cfg = self.config
         b = cfg.bytes_per_element
-        if not gemms:
-            return base_latency, base_energy
         m = np.array([g.m for g in gemms], dtype=np.int64)
         k = np.array([g.k for g in gemms], dtype=np.int64)
         nn = np.array([g.n for g in gemms], dtype=np.int64)
-        # QKV generation encodes its Q and K outputs (simulate_gemm's
-        # ``compress_output``).
         compress = np.array([g.name.endswith(".qkv") for g in gemms], dtype=bool)
 
         macs = m * k * nn
@@ -670,36 +520,19 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         traffic = k * nn * b + m * k * b + m * nn * b * out_ratio
         phase = np.maximum(compute, traffic / cfg.bytes_per_cycle)
         data_movement = phase - compute
-
-        latency = LatencyBreakdown(
-            compute=_ordered_sum(compute, base_latency.compute),
-            preprocess=base_latency.preprocess,
-            data_movement=_ordered_sum(data_movement, base_latency.data_movement),
-        )
-        total_macs = macs + encode_macs
+        mac_count = macs + encode_macs
         cycles = (compute + 0.0) + data_movement
+        none = np.zeros(len(gemms))  # GEMMs have no preprocess or softmax
         e = cfg.energy
-        energy = EnergyBreakdown(
-            mac=_ordered_sum(total_macs * e.mac_pj, base_energy.mac),
-            sram=_ordered_sum(
-                (2 * traffic + total_macs * b / 4) * e.sram_byte_pj,
-                base_energy.sram,
-            ),
-            dram=_ordered_sum(traffic * e.dram_byte_pj, base_energy.dram),
-            other=base_energy.other,
-            static=_ordered_sum(
-                cycles * e.static_pj_per_cycle, base_energy.static
-            ),
-        )
-        return latency, energy
-
-    # ------------------------------------------------------------------
-    def _charge_energy(self, energy, macs, dram_bytes, cycles):
-        e = self.config.energy
-        energy.mac += macs * e.mac_pj
-        energy.dram += dram_bytes * e.dram_byte_pj
-        # SRAM: fills/drains mirror DRAM traffic; operand fetch is amortised
-        # by MAC-line broadcast (one K vector feeds a whole line).
-        sram_bytes = 2 * dram_bytes + macs * self.config.bytes_per_element / 4
-        energy.sram += sram_bytes * e.sram_byte_pj
-        energy.static += cycles * e.static_pj_per_cycle
+        return {
+            "compute": compute,
+            "preprocess": none,
+            "data_movement": data_movement,
+            "mac": mac_count * e.mac_pj,
+            "sram": (2 * traffic + mac_count * b / 4) * e.sram_byte_pj,
+            "dram": traffic * e.dram_byte_pj,
+            "other": none,
+            "static": cycles * e.static_pj_per_cycle,
+            "mac_count": mac_count,
+            "dram_bytes": traffic,
+        }

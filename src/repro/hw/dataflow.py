@@ -13,8 +13,13 @@ Three mappings matter:
 * **Output-stationary SpMM** (both phases' second step): V′ rows stay in PE
   registers; S and V stream through.
 
-All functions return cycle counts; they are pure so the ablation bench can
-compare mappings on identical workloads.
+ViTCoD's own mappings, K-stationary SDDMM and output-stationary SpMM, are
+written once, elementwise, in the accelerator's array walk
+(:mod:`repro.hw.accelerator`); their scalar forms live with the test
+oracle (``tests/analytical_oracle.py``).  The scalar formulas here serve
+the baselines: S-stationary SDDMM (Sanger), a dense GEMM on the whole array
+(SpAtten's kept-token attention) and the softmax unit (both).  All return
+cycle counts and are pure.
 """
 
 from __future__ import annotations
@@ -22,28 +27,10 @@ from __future__ import annotations
 from math import ceil
 
 __all__ = [
-    "k_stationary_sddmm_cycles",
     "s_stationary_sddmm_cycles",
-    "output_stationary_spmm_cycles",
     "dense_gemm_cycles",
     "softmax_cycles",
 ]
-
-
-def k_stationary_sddmm_cycles(num_products, head_dim, mac_lines, macs_per_line=8):
-    """Cycles for ``num_products`` masked Q·K dot products on ``mac_lines``.
-
-    Each line computes one dot product in ``ceil(head_dim / macs_per_line)``
-    cycles (feature dim mapped spatially, inter-PE accumulation — Fig. 12 ❶);
-    lines work on different products in parallel.
-    """
-    if mac_lines <= 0:
-        raise ValueError("mac_lines must be positive")
-    if num_products == 0:
-        return 0
-    cycles_per_wave = ceil(head_dim / macs_per_line)
-    waves = ceil(num_products / mac_lines)
-    return waves * cycles_per_wave
 
 
 def s_stationary_sddmm_cycles(num_products, head_dim, total_macs,
@@ -64,21 +51,6 @@ def s_stationary_sddmm_cycles(num_products, head_dim, total_macs,
     effective = total_macs * pack_efficiency
     waves = ceil(num_products / effective)
     return waves * head_dim
-
-
-def output_stationary_spmm_cycles(nnz, head_dim, mac_lines, macs_per_line=8):
-    """Cycles for S·V with V′ rows stationary (intra-PE accumulation, ❷).
-
-    Every kept attention score drives a ``head_dim``-wide AXPY into its V′
-    row; a line retires ``macs_per_line`` features per cycle.
-    """
-    if mac_lines <= 0:
-        raise ValueError("mac_lines must be positive")
-    if nnz == 0:
-        return 0
-    cycles_per_update = ceil(head_dim / macs_per_line)
-    waves = ceil(nnz / mac_lines)
-    return waves * cycles_per_update
 
 
 def dense_gemm_cycles(m, k, n, total_macs, utilization=0.85):

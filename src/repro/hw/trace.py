@@ -109,7 +109,11 @@ class SimReport:
         return other.energy_pj / self.energy_pj
 
     def merged(self, other, workload=None):
-        """Concatenate two sequential reports on the same platform."""
+        """Concatenate two sequential reports on the same platform.
+
+        The result carries no ``details``: each piece's values describe
+        that piece only, so a whole-model driver sets its own.
+        """
         if abs(self.frequency_hz - other.frequency_hz) > 1e-6:
             raise ValueError("cannot merge reports at different frequencies")
         return SimReport(
@@ -118,5 +122,4 @@ class SimReport:
             latency=self.latency + other.latency,
             energy=self.energy + other.energy,
             frequency_hz=self.frequency_hz,
-            details={**self.details, **other.details},
         )

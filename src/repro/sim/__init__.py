@@ -24,16 +24,19 @@ re-implemented (four times) as per-simulator merge loops:
   over ``model.attention_layers`` and folds the per-layer reports with
   :func:`merge_results` (raising a clear :class:`ValueError` on empty
   models instead of crashing);
-* :class:`ModelSimulatorBase` — adds the GEMM walk for
-  ``simulate_model``, with a hook for which simulator runs the dense path.
+* :class:`ModelSimulatorBase` — the one ``simulate_model``: the dense
+  simulator's GEMM walk folded onto the attention totals, with a hook for
+  which simulator runs the dense path (ViTCoD's array, reconfigured for
+  the attention-only baselines).
 
 Subclasses override narrow hooks (per-layer kwargs, the dense-path
-simulator) rather than rewriting the loops; fast batched
-implementations (the cycle simulator's grid walk, the analytical model's
-array geometry) override the whole-model method itself and are tested
-bit-for-bit against a per-layer reference (the cycle simulator's scalar
-event loop, the analytical model's per-layer reports folded with
-:func:`merge_results`).
+simulator) rather than rewriting the loops; the walks (the cycle
+simulator's grid walk, the analytical model's array walks) override
+``simulate_attention`` itself, their one-layer cases serve
+``simulate_attention_layer``, and both are tested bit-for-bit against a
+scalar reference (the cycle simulator's event loop in
+:mod:`repro.hw.cycle_reference`, the analytical model's per-layer reports
+in ``tests/analytical_oracle.py``, folded with :func:`merge_results`).
 
 Design-space exploration plugs into the same layer through the
 :class:`~repro.sim.evaluator.Evaluator` protocol (:mod:`repro.sim.evaluator`):

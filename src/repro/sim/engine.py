@@ -1,12 +1,17 @@
-"""Shared whole-model accumulation: one merge fold instead of four.
+"""Shared whole-model accumulation: one merge fold and one end-to-end
+driver.
 
 Before this layer existed, ``ViTCoDAccelerator``, ``SangerSimulator``,
 ``SpAttenSimulator`` and ``CycleAccurateSimulator`` each hand-rolled the
 same ``report = None; for layer: report = report.merged(r)`` loop (and each
 crashed with ``AttributeError: 'NoneType' object has no attribute
 'workload'`` on models without attention layers).  The fold lives here
-once, as :func:`merge_results`, and the two base classes drive it for any
-per-layer simulator.
+once, as :func:`merge_results`, and :class:`AttentionSimulatorBase` drives
+it for any per-layer simulator.  :class:`ModelSimulatorBase` has the one
+``simulate_model`` of ViTCoD, Sanger and SpAtten: the dense simulator's
+GEMM walk (ViTCoD's reconfigured array) folded onto the attention totals.
+A whole-model report's ``details`` describe the model, never one of its
+pieces.
 """
 
 from __future__ import annotations
@@ -62,27 +67,32 @@ class AttentionSimulatorBase:
             for layer, kwargs in zip(layers, self._layer_kwargs(model))
         )
         report.workload = f"{model.name}:attention"
+        report.details = {"layers": len(layers)}
         return report
 
 
 class ModelSimulatorBase(AttentionSimulatorBase):
     """Adds the dense-layer (QKV / projection / MLP) walk for end-to-end
-    simulation.  The dense path runs on :meth:`_dense_simulator` (a
-    reconfigured ViTCoD array for the attention-only baselines; ViTCoD
-    itself walks its GEMMs as arrays)."""
+    simulation.  The dense layers run on :meth:`_dense_simulator`: ViTCoD
+    itself, or a reconfigured ViTCoD array for the attention-only
+    baselines."""
 
     # -------------------------------------------------- subclass hooks --
     def _dense_simulator(self):
-        """Simulator whose ``simulate_gemm`` runs the dense layers."""
+        """Simulator whose ``_fold_gemms(gemms, latency, energy)`` folds
+        its GEMM walk onto attention totals."""
         return self
 
     # ------------------------------------------------------------ driver --
     def simulate_model(self, model):
-        """End-to-end simulation: attention plus all dense layers."""
+        """End-to-end simulation: the dense simulator's GEMM walk folded
+        onto the attention totals, left to right."""
         report = self.simulate_attention(model)
-        dense = self._dense_simulator()
-        for gemm in model.linear_layers:
-            report = report.merged(dense.simulate_gemm(gemm))
+        report.latency, report.energy = self._dense_simulator()._fold_gemms(
+            model.linear_layers, report.latency, report.energy
+        )
         report.workload = f"{model.name}:end2end"
         report.platform = self.name
+        report.details = {"attention_layers": len(model.attention_layers),
+                          "linear_layers": len(model.linear_layers)}
         return report

@@ -331,8 +331,8 @@ class AnalyticalEvaluator:
     :meth:`~repro.hw.accelerator.ViTCoDAccelerator.simulate_attention_grid`
     array walk: swept parameters become per-point numpy columns (via
     :func:`dse_grid_columns`), and each row's metrics are bit-for-bit
-    the accelerator's report at that design point — the per-layer fold
-    test oracle holds it to that.
+    the accelerator's report at that design point — the scalar model's
+    per-layer fold (``tests/analytical_oracle.py``) holds it to that.
     """
 
     name = "analytical"
@@ -355,8 +355,8 @@ def _cycle_metrics(workload, config, makespan, dram_busy, bytes_per_cycle):
     """Charge cycle-simulated totals into one :class:`EvalMetrics` per point.
 
     THE cycle energy charge, shared by per-point and batched scoring.  It
-    mirrors the analytical model's scheme
-    (:meth:`~repro.hw.accelerator.ViTCoDAccelerator._charge_energy`): MACs
+    mirrors the analytical model's scheme (the energy components of
+    :meth:`~repro.hw.accelerator.ViTCoDAccelerator._attention_walk`): MACs
     and softmax operations are counted from the workload, DRAM bytes from
     the simulator's observed channel occupancy, SRAM traffic from both, and
     static power from the makespan.  ``makespan``, ``dram_busy`` and

@@ -8,10 +8,9 @@ lifts into rows through its one adapter
 (:class:`repro.sim.evaluator.PointEvaluator`) — each row's values routed
 onto a cloned config and accelerator kwargs, then one call.
 
-* ``PerPoint(AnalyticalEvaluator())`` is the per-layer fold: the
-  accelerator's ``simulate_attention_layer`` report per layer, folded with
-  ``merge_results`` (the oracle ``test_sim_batched`` holds the array
-  geometry to);
+* ``PerPoint(AnalyticalEvaluator())`` is the per-layer fold of the
+  scalar analytical model (``analytical_oracle.fold``, the oracle
+  ``test_sim_batched`` holds the accelerator's array walks to);
 * ``PerPoint(CycleSimEvaluator())`` is the simulator's walk at P = 1 on the
   cloned config, charged with the production energy charge.  The scalar
   event loop is ``repro.hw.cycle_reference.ReferenceCycleSimEvaluator``.
@@ -21,19 +20,19 @@ The tests import it directly; ``benchmarks/perf`` and the CI checks put
 this directory on ``sys.path`` first.
 """
 
+import analytical_oracle
 from repro.hw import CycleAccurateSimulator, ViTCoDAccelerator
-from repro.sim import CycleSimEvaluator, EvalMetrics, merge_results
+from repro.sim import CycleSimEvaluator, EvalMetrics
 from repro.sim.evaluator import _cycle_metrics
 
 __all__ = ["PerPoint", "analytical_fold", "cycle_walk"]
 
 
 def analytical_fold(workload, config, accel_kwargs):
-    """The analytical model's per-layer reports folded left to right."""
-    accel = ViTCoDAccelerator(config=config, **accel_kwargs)
-    report = merge_results(
-        [accel.simulate_attention_layer(layer)
-         for layer in workload.attention_layers]
+    """The scalar analytical model's per-layer reports folded left to
+    right."""
+    report = analytical_oracle.fold(
+        ViTCoDAccelerator(config=config, **accel_kwargs), workload
     )
     return EvalMetrics(seconds=report.seconds,
                        energy_joules=report.energy_joules)

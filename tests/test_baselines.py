@@ -45,6 +45,17 @@ class TestGeneralPlatforms:
         r = gpu_platform().simulate_attention(deit_base_90)
         assert r.energy_joules > 0
 
+    @pytest.mark.parametrize("make", [cpu_platform, edgegpu_platform,
+                                      gpu_platform])
+    def test_end2end_flops_count_attention_and_linear(self, make,
+                                                      deit_base_90):
+        p = make()
+        attention = p.simulate_attention(deit_base_90).details["flops"]
+        assert attention == 1_430_654_976
+        assert (p.simulate_model(deit_base_90).details
+                == {"flops": attention + 2 * deit_base_90.linear_macs})
+        assert attention + 2 * deit_base_90.linear_macs == 34_894_909_440
+
     def test_kernel_overhead_matters_for_tiny_layers(self):
         # LeViT's late stages have 16-token layers where overhead dominates;
         # attention time per FLOP should be worse than DeiT-Base's.

@@ -370,16 +370,28 @@ class TestUnknownEvaluatorRefused:
         assert counting.calls == []
         assert not ResultStore(store).shard_path(ShardSpec(2, 2)).exists()
 
-    @pytest.mark.parametrize("command", ["dse-merge", "dse-status"])
-    def test_cli_exits_with_one_line(self, tmp_path, workload, command):
+    @pytest.mark.parametrize("command,flags", [
+        ("dse-merge", []),
+        ("dse-status", []),
+        ("dse-shard", ["--shard", "2/2"]),
+        ("dse-fleet", ["--num-shards", "2", "--max-restarts", "0"]),
+    ], ids=["dse-merge", "dse-status", "dse-shard", "dse-fleet"])
+    def test_cli_exits_with_one_line(self, tmp_path, workload, command,
+                                     flags):
+        """Every store command refuses the manifest before a shard scores
+        or forks: one line, no JSON, no new ledger and no ``logs/``."""
         from repro.cli import main
 
-        store = _retired_store(tmp_path / "store", workload)
+        store = _retired_store(tmp_path / "store", workload, shards=("1/2",))
+        before = sorted(path.name for path in store.iterdir())
         out = tmp_path / "out.json"
         with pytest.raises(SystemExit) as excinfo:
-            main([command, str(store), "--json", str(out)])
+            main([command, str(store), "--json", str(out), *flags,
+                  "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
+                  "--grid", "ae_compression=none,0.5"])
         assert excinfo.value.code == f"{store}: {REFUSAL}"
         assert not out.exists()
+        assert sorted(path.name for path in store.iterdir()) == before
 
 
 class TestStatus:

@@ -115,17 +115,17 @@ class TestGemm:
         assert r.latency.compute > 0
 
     def test_qkv_compression_reduces_writeback(self):
+        # QKV generation (a ``*.qkv`` GEMM) AE-encodes its Q/K outputs; a
+        # same-shape GEMM under any other name writes back uncompressed.
         acc = ViTCoDAccelerator()
-        g = GemmWorkload("l0.qkv", 197, 768, 2304)
-        plain = acc.simulate_gemm(g, compress_output=False)
-        compressed = acc.simulate_gemm(g, compress_output=True)
+        compressed = acc.simulate_gemm(GemmWorkload("l0.qkv", 197, 768, 2304))
+        plain = acc.simulate_gemm(GemmWorkload("l0.fc1", 197, 768, 2304))
         assert (compressed.details["dram_bytes"] < plain.details["dram_bytes"])
 
     def test_no_compression_without_ae(self):
         acc = ViTCoDAccelerator(use_ae=False)
-        g = GemmWorkload("l0.qkv", 64, 64, 192)
-        a = acc.simulate_gemm(g, compress_output=True)
-        b = acc.simulate_gemm(g, compress_output=False)
+        a = acc.simulate_gemm(GemmWorkload("l0.qkv", 64, 64, 192))
+        b = acc.simulate_gemm(GemmWorkload("l0.fc1", 64, 64, 192))
         assert a.details["dram_bytes"] == b.details["dram_bytes"]
 
 

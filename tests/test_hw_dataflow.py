@@ -1,16 +1,23 @@
-"""Tests for dataflow cycle models, PE allocation, and trace bookkeeping."""
+"""Tests for dataflow cycle models, PE allocation, and trace bookkeeping.
+
+ViTCoD's K-stationary SDDMM and output-stationary SpMM formulas are
+written elementwise in the accelerator's array walk; their scalar forms
+are tested here from the test oracle that holds the walk to them.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from analytical_oracle import (
+    k_stationary_sddmm_cycles,
+    output_stationary_spmm_cycles,
+)
 from repro.hw import (
     LatencyBreakdown,
     EnergyBreakdown,
     SimReport,
     allocate_mac_lines,
     dense_gemm_cycles,
-    k_stationary_sddmm_cycles,
-    output_stationary_spmm_cycles,
     s_stationary_sddmm_cycles,
     softmax_cycles,
 )
@@ -179,6 +186,13 @@ class TestTrace:
                       EnergyBreakdown(mac=7), frequency_hz=1e9)
         m = a.merged(b)
         assert m.cycles == 30 and m.energy.mac == 12
+
+    def test_merged_carries_no_piece_details(self):
+        a = SimReport("p", "w1", LatencyBreakdown(compute=10),
+                      frequency_hz=1e9, details={"mac_count": 5})
+        b = SimReport("p", "w2", LatencyBreakdown(compute=20),
+                      frequency_hz=1e9, details={"mac_count": 7})
+        assert a.merged(b).details == {}
 
     def test_merged_frequency_mismatch(self):
         a = SimReport("p", "w", LatencyBreakdown(), frequency_hz=1e9)

@@ -6,8 +6,8 @@ whole-model walk, the walk layer by layer and the scalar reference loop
 (:mod:`repro.hw.cycle_reference`) are exact in double precision and must
 agree exactly, ``per_layer`` breakdowns included.  The analytical model's
 array geometry mirrors the per-layer phase expressions operation for
-operation, so it is held to exact equality with its per-layer reports
-folded by ``merge_results``.
+operation, so it is held to exact equality with the scalar model's
+per-layer reports folded by ``merge_results`` (``analytical_oracle.fold``).
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import analytical_oracle
 from repro.hw import (
     AttentionWorkload,
     CycleAccurateSimulator,
@@ -28,7 +29,6 @@ from repro.hw import (
 )
 from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.models import get_config
-from repro.sim import merge_results
 
 
 def random_layer(data, tag):
@@ -149,22 +149,9 @@ class TestCycleSimBatched:
             )
 
 
-def layer_fold(accel, wl, end_to_end):
-    """The per-layer reference: every attention layer's report (and, end
-    to end, every GEMM's, Q/K outputs AE-compressed) folded left to right
-    with ``merge_results``."""
-    reports = [accel.simulate_attention_layer(layer)
-               for layer in wl.attention_layers]
-    if end_to_end:
-        reports += [
-            accel.simulate_gemm(gemm, compress_output=gemm.name.endswith(".qkv"))
-            for gemm in wl.linear_layers
-        ]
-    return merge_results(reports)
-
-
 class TestAnalyticalBatched:
-    """ViTCoDAccelerator's array geometry vs the per-layer reference fold."""
+    """ViTCoDAccelerator's array walks vs the scalar model's per-layer
+    fold."""
 
     def assert_reports_identical(self, wl, **kwargs):
         accel = ViTCoDAccelerator(**kwargs)
@@ -173,7 +160,7 @@ class TestAnalyticalBatched:
             ("simulate_model", True, "end2end"),
         ):
             a = getattr(accel, method)(wl)
-            b = layer_fold(accel, wl, end_to_end)
+            b = analytical_oracle.fold(accel, wl, end_to_end)
             assert dataclasses.astuple(a.latency) == dataclasses.astuple(b.latency)
             assert dataclasses.astuple(a.energy) == dataclasses.astuple(b.energy)
             assert (a.platform, a.frequency_hz) == (b.platform, b.frequency_hz)

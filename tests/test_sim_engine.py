@@ -196,6 +196,22 @@ class TestBaselineBehaviourPreserved:
         assert report.platform == "Sanger"
         assert report.workload.endswith(":end2end")
 
+    @pytest.mark.parametrize("make", [
+        ViTCoDAccelerator, SangerSimulator, SpAttenSimulator,
+    ])
+    def test_whole_model_details_describe_the_model(self, make):
+        """No whole-model report passes off its last layer's or last
+        GEMM's values (``mac_count``, ``dram_bytes``, ...) as the
+        model's."""
+        wl = model_workload(get_config("deit-base"), sparsity=0.9)
+        sim = make()
+        assert sim.simulate_attention(wl).details == {"layers": 12}
+        expected = {"attention_layers": 12, "linear_layers": 48}
+        if make is SpAttenSimulator:
+            ratios = sim._keep_ratios(wl)
+            expected["mean_keep_ratio"] = sum(ratios) / len(ratios)
+        assert sim.simulate_model(wl).details == expected
+
     def test_vitcod_details(self, tiny_model):
         acc = ViTCoDAccelerator()
         attn = acc.simulate_attention(tiny_model)
