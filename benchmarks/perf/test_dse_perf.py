@@ -1,8 +1,8 @@
 """Workload-construction and DSE-sweep microbenchmarks.
 
 The DSE benchmark measures the end-to-end cost a sweep actually pays:
-cold = rebuild the workload from masks, then evaluate the grid serially;
-warm = cached workload + ``n_jobs`` worker fan-out.  Workload construction
+cold = rebuild the workload from masks, then evaluate the grid; warm =
+the cached workload, then the same sweep.  Workload construction
 dominates, which is exactly why :mod:`repro.perf` memoises it.
 """
 
@@ -10,7 +10,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.harness.dse import grid_size, pareto_frontier, sweep_design_space
+from repro.harness.dse import pareto_frontier, sweep_design_space
 from repro.hw import model_workload
 from repro.models import get_config
 from repro.perf import KeyedCache, benchit, cached_model_workload
@@ -46,8 +46,8 @@ def test_workload_build_cache(bench_recorder, bench_mode):
         assert speedup >= 10.0, f"cache hit only {speedup:.1f}x faster"
 
 
-def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
-    """Full sweep cost: cold build + serial grid vs cached + parallel grid."""
+def test_dse_sweep_cached(bench_recorder, bench_mode):
+    """Full sweep cost: cold build + sweep vs cached workload + sweep."""
     full = bench_mode == "full"
     model = "deit-base" if full else "deit-tiny"
     cfg = get_config(model)
@@ -57,7 +57,6 @@ def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
                 "ae_compression": [None, 0.5]}
     else:
         grid = {"mac_lines": [32, 64], "ae_compression": [None, 0.5]}
-    n_jobs = 4 if full else 2
 
     def cold_sweep():
         wl = model_workload(cfg, sparsity=0.9)
@@ -65,14 +64,14 @@ def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
 
     def warm_sweep():
         wl = cached_model_workload(model, sparsity=0.9)
-        return sweep_design_space(wl, grid, n_jobs=n_jobs)
+        return sweep_design_space(wl, grid)
 
     cold = benchit(cold_sweep, name="cold_serial",
                    repeats=3 if full else 1, warmup=0)
     cached_model_workload(model, sparsity=0.9)  # prime the shared cache
-    warm = benchit(warm_sweep, name="cached_parallel",
+    warm = benchit(warm_sweep, name="cached_serial",
                    repeats=5 if full else 1, warmup=1)
-    # Parallel + cached must not change the answer.
+    # The cache must not change the answer.
     points_cold = cold_sweep()
     points_warm = warm_sweep()
     assert points_warm == points_cold
@@ -83,14 +82,13 @@ def test_dse_sweep_cached_parallel(bench_recorder, bench_mode):
         "dse_sweep",
         model=model,
         grid_points=len(points_warm),
-        n_jobs=n_jobs,
         frontier_size=len(frontier),
         cold_serial=cold.to_dict(),
-        cached_parallel=warm.to_dict(),
-        speedup_cached_parallel=speedup,
+        cached_serial=warm.to_dict(),
+        speedup_cached=speedup,
     )
     if full:
-        assert speedup >= 2.0, f"cached+parallel sweep only {speedup:.1f}x"
+        assert speedup >= 2.0, f"cached sweep only {speedup:.1f}x"
 
 
 def test_batched_analytical_dse(bench_recorder, bench_mode):
@@ -207,70 +205,3 @@ def test_batched_cycle_dse(bench_recorder, bench_mode):
     )
     if full and (len(batched_points) >= 1000 or (os.cpu_count() or 1) >= 4):
         assert speedup >= 5.0, f"batched cycle sweep only {speedup:.1f}x"
-
-
-def test_cycle_sim_dse(bench_recorder, bench_mode):
-    """Cycle-accurate sweeps through the evaluator-pluggable engine.
-
-    The per-point event-driven sweep run serially, the same sweep fanned
-    across a forced pool, and the adaptive default that pilots the first
-    chunk first.  The parallel ratios are recorded honestly — cycle-sim
-    points are cheap enough (~1 ms) that pool overhead can eat the fan-out
-    on small grids.
-    """
-    full = bench_mode == "full"
-    model = "deit-base" if full else "deit-tiny"
-    if full:
-        grid = {"mac_lines": [16, 32, 64, 128, 256, 512],
-                "bandwidth_gbps": [19.2, 38.4, 76.8, 153.6],
-                "ae_compression": [None, 0.5]}
-    else:
-        grid = {"mac_lines": [32, 64], "ae_compression": [None, 0.5]}
-    n_jobs = 4 if full else 2
-    wl = cached_model_workload(model, sparsity=0.9)
-    # Per-point cycle points: the regime this entry has always timed.
-    evaluator = PerPoint(CycleSimEvaluator())
-
-    serial_points = sweep_design_space(wl, grid, evaluator=evaluator)
-    # Sanity before timing: parallel == serial.
-    assert sweep_design_space(wl, grid, evaluator=evaluator,
-                              n_jobs=n_jobs) == serial_points
-
-    repeats = 3 if full else 1
-    serial = benchit(
-        lambda: sweep_design_space(wl, grid, evaluator=evaluator),
-        name="cycle_serial", repeats=repeats, warmup=1)
-    # Raw pool fan-out (an explicit chunk size bypasses the pilot; one
-    # chunk per worker): the number that exposed the cheap-point
-    # regression — cycle points cost ~1 ms, so pool dispatch eats the
-    # fan-out on grids this small.
-    per_worker = -(-grid_size(grid) // n_jobs)
-    forced = benchit(
-        lambda: sweep_design_space(wl, grid, evaluator=evaluator,
-                                   n_jobs=n_jobs, chunksize=per_worker),
-        name="cycle_parallel_forced", repeats=repeats, warmup=1)
-    # The adaptive default pilots the first chunk and stays serial when
-    # the whole sweep is cheaper than spawning workers, so n_jobs > 1 is
-    # no longer a footgun on cheap grids (the fix for the ~0.7× above).
-    adaptive = benchit(
-        lambda: sweep_design_space(wl, grid, evaluator=evaluator,
-                                   n_jobs=n_jobs),
-        name="cycle_parallel_adaptive", repeats=repeats, warmup=1)
-
-    bench_recorder.record(
-        "cycle_sim_dse",
-        model=model,
-        grid_points=len(serial_points),
-        n_jobs=n_jobs,
-        cycle_serial=serial.to_dict(),
-        cycle_parallel_forced=forced.to_dict(),
-        cycle_parallel_adaptive=adaptive.to_dict(),
-        speedup_parallel_forced=serial.best / forced.best,
-        speedup_parallel_adaptive=serial.best / adaptive.best,
-    )
-    if full:
-        # The adaptive path must never lose much to the serial sweep:
-        # its pilot is one chunk of real work plus one timing call.
-        adaptive_ratio = serial.best / adaptive.best
-        assert adaptive_ratio >= 0.8, \
-            f"adaptive n_jobs sweep regressed to {adaptive_ratio:.2f}x"

@@ -4,14 +4,20 @@ Smoke mode (plain ``pytest``) runs a small model and only checks that the
 walks' whole-model results agree bit-for-bit with the scalar model's
 per-layer fold (``tests/analytical_oracle.py``); full mode
 (``--bench-out``) runs 12-layer DeiT-Base and asserts the speedup.
+
+The two are timed interleaved, one call of each per round, and the gate
+compares their medians, so host drift slows both alike instead of
+deciding the ratio.
 """
 
 import dataclasses
+import statistics
 import sys
+import time
 from pathlib import Path
 
 from repro.hw import ViTCoDAccelerator
-from repro.perf import benchit, cached_model_workload
+from repro.perf import BenchResult, cached_model_workload
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
 import analytical_oracle  # noqa: E402
@@ -33,12 +39,20 @@ def test_whole_model_batched_analytical(bench_recorder, bench_mode):
     assert dataclasses.astuple(a.latency) == dataclasses.astuple(b.latency)
     assert dataclasses.astuple(a.energy) == dataclasses.astuple(b.energy)
 
-    repeats = 30 if full else 2
-    batched = benchit(lambda: acc.simulate_model(wl),
-                      name="batched", repeats=repeats, warmup=2)
-    loop = benchit(layer_fold, name="per_layer_loop",
-                   repeats=max(repeats // 3, 1), warmup=1)
-    speedup = loop.best / batched.best
+    rounds = 30 if full else 2
+    walk_times, fold_times = [], []
+    for round_ in range(rounds + 2):  # the first two rounds warm up
+        start = time.perf_counter()
+        acc.simulate_model(wl)
+        middle = time.perf_counter()
+        layer_fold()
+        end = time.perf_counter()
+        if round_ >= 2:
+            walk_times.append(middle - start)
+            fold_times.append(end - middle)
+    batched = BenchResult("batched", walk_times, rounds)
+    loop = BenchResult("per_layer_loop", fold_times, rounds)
+    speedup = statistics.median(fold_times) / statistics.median(walk_times)
     bench_recorder.record(
         "whole_model_analytical",
         model=model,

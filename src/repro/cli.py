@@ -6,15 +6,14 @@ Runs any of the paper's experiments headlessly and prints/export results:
     python -m repro fig19 --json results.json
     python -m repro roofline
     python -m repro polarize --tokens 197 --heads 12
-    python -m repro dse --models deit-tiny --evaluator cycle --n-jobs 4
+    python -m repro dse --models deit-tiny --evaluator cycle
     python -m repro dse --models deit-base --batch-size 2048   # batched grid
     python -m repro dse --models deit-base --batch-size 1      # walk at P = 1
     python -m repro list
 
-``--n-jobs`` is a worker budget for ``dse`` alone: its pilot times the
-first batch and spawns a process pool only when the sweep would repay it.
-Every other command scores in one process and rejects ``--n-jobs``; a
-sharded study scales out with more shards (``dse-fleet --num-shards N``).
+Every command scores in one process; a study scales out with more shards:
+
+    python -m repro dse-fleet --out store/ --num-shards 4 --evaluator cycle
 
 Sharded sweeps (see :mod:`repro.dist`) split one DSE study across
 processes or hosts that share a store directory:
@@ -57,6 +56,7 @@ import sys
 
 from . import harness
 from .harness.serialization import to_json
+from .ledger import StoreError
 from .sim.evaluator import evaluator_names
 
 __all__ = ["main", "build_parser"]
@@ -104,7 +104,7 @@ def _parse_grid_value(token):
 def parse_grid(specs):
     """Parse repeated ``--grid name=v1,v2,...`` options into a checked DSE
     grid: a malformed or out-of-domain grid exits with one line, before
-    any store, shard or pool exists."""
+    any store or shard exists."""
     from .harness.dse import check_grid
 
     grid = {}
@@ -159,11 +159,6 @@ def build_parser():
                         help="dse: one swept parameter (repeatable), e.g. "
                              "--grid mac_lines=32,64 --grid "
                              "ae_compression=none,0.5")
-    parser.add_argument("--n-jobs", type=int, default=1,
-                        help="dse: worker budget; a pilot decides whether "
-                             "a process pool pays (default 1; other "
-                             "commands reject it, use dse-fleet "
-                             "--num-shards)")
     parser.add_argument("--batch-size", type=int, default=None, metavar="N",
                         help="dse/dse-shard/dse-fleet: grid points scored "
                              "per batch chunk (default adaptive, ~1024; "
@@ -303,11 +298,14 @@ def _format_eta(eta_seconds):
 
 
 def _read_store(read, store, **kwargs):
-    """``read(store, **kwargs)``, exiting with one line if the store's
-    manifest is refused (a grid or evaluator this version cannot score)."""
+    """``read(store, **kwargs)``, exiting with the one line ``<store>:
+    <message>`` if the store is refused: a manifest naming a grid or
+    evaluator this version cannot score (``ValueError``), or any
+    :class:`~repro.ledger.StoreError` (no manifest, another schema, a
+    half-run or corrupt store)."""
     try:
         return read(store, **kwargs)
-    except ValueError as exc:
+    except (ValueError, StoreError) as exc:
         raise SystemExit(f"{store}: {exc}") from None
 
 
@@ -362,16 +360,6 @@ def _run(args):
         raise SystemExit(
             f"--batch-size must be a positive point count, got "
             f"{args.batch_size}"
-        )
-    if args.n_jobs < 1:
-        raise SystemExit(
-            f"--n-jobs must be a positive worker count, got {args.n_jobs}"
-        )
-    if args.n_jobs != 1 and name != "dse":
-        raise SystemExit(
-            f"--n-jobs applies to dse only, got --n-jobs {args.n_jobs} for "
-            f"{name}; scale a sharded study out with dse-fleet "
-            "--num-shards N instead"
         )
     if name == "list":
         for key in sorted(EXPERIMENTS):
@@ -521,8 +509,7 @@ def _run(args):
             with obs.span("dse_workload", model=model):
                 workload = cached_model_workload(model, sparsity=args.sparsity)
             points = sweep_design_space(
-                workload, grid, n_jobs=args.n_jobs,
-                evaluator=evaluator,
+                workload, grid, evaluator=evaluator,
                 chunksize=args.batch_size,
             )
         if args.trace:
@@ -567,13 +554,20 @@ def _run(args):
                     f"{args.max_point_retries}"
                 )
             run_kwargs["max_point_retries"] = args.max_point_retries
-        run = run_shard(
-            workload, grid, args.shard, out,
-            evaluator=evaluator, chunksize=args.batch_size,
-            workload_spec=model_workload_spec(model, sparsity=args.sparsity),
-            steal=args.steal, steal_chunk=args.steal_chunk,
-            claim_ttl=args.claim_ttl, handicap=args.handicap, **run_kwargs,
-        )
+        try:
+            run = run_shard(
+                workload, grid, args.shard, out,
+                evaluator=evaluator, chunksize=args.batch_size,
+                workload_spec=model_workload_spec(model,
+                                                  sparsity=args.sparsity),
+                steal=args.steal, steal_chunk=args.steal_chunk,
+                claim_ttl=args.claim_ttl, handicap=args.handicap,
+                **run_kwargs,
+            )
+        except StoreError as exc:
+            # Another study's store, a corrupt ledger: one line, like
+            # dse-merge; injected faults raise other errors.
+            raise SystemExit(f"{out}: {exc}") from None
         line = (f"shard {run.shard}: {run.evaluated} evaluated, "
                 f"{run.skipped} already in store, {run.failed} failed "
                 f"({run.total} grid points owned)")

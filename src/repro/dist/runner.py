@@ -6,7 +6,7 @@ skip every index the store already holds a completion record for, stream
 the rest through the shared DSE engine (any pluggable evaluator), and
 append one record per point as it completes.  A shard scores in its own
 process, one chunk at a time; a study fans out by running more shards
-(``dse-fleet --num-shards``), never by a pool inside a shard.  Every
+(``dse-fleet --num-shards``).  Every
 evaluator — fault-injecting wrappers and lifted per-point callables
 included — scores the shard's strided index set in bounded chunks, one
 ``evaluate_batch`` call each (:mod:`repro.harness.dse`), still emitting

@@ -7,15 +7,15 @@ compression, forwarding hit rate} over a workload, collect latency/energy,
 and extract the Pareto frontier.
 
 Every grid enters through :func:`check_grid`, which checks each swept
-knob's values against the knob's domain once, before any pool, store or
-job exists.  All evaluation then goes through ONE chunked engine
-(:func:`_stream_evaluations`), under two drivers:
+knob's values against the knob's domain once, before any store or job
+exists.  All evaluation then goes through ONE chunked engine
+(:func:`_stream_evaluations`), which scores chunks in order in this
+process, under two drivers:
 
 * :func:`sweep_design_space`, THE in-memory sweep: it scores the grid
-  cross-product and returns the points in deterministic grid order, so
-  serial and parallel runs are interchangeable;
+  cross-product and returns the points in deterministic grid order;
 * :func:`iter_indexed_design_points`, the shard surface: it streams the
-  points of any subset of grid indices, lazily, in this process.
+  points of any subset of grid indices, lazily.
 
 :func:`pareto_frontier` is THE non-dominated-set rule: every result's
 frontier comes from it.
@@ -26,21 +26,14 @@ event-driven simulator), any :class:`~repro.sim.evaluator.Evaluator`,
 or a per-point callable.  Every
 chunk of grid points is one ``evaluate_batch`` call with one result or
 one failure per row: a failed row is dropped with a
-:class:`RuntimeWarning` (the sweep never hangs on a poisoned worker
-task), a call that raises fails every row of its chunk, and an
-:class:`~repro.sim.evaluator.UnsupportedParameterError` propagates.
-``chunksize`` (CLI: ``--batch-size``) bounds the chunk; results are
-bit-for-bit the same for any chunk size and any ``n_jobs``.
+:class:`RuntimeWarning`, a call that raises fails every row of its
+chunk, and an :class:`~repro.sim.evaluator.UnsupportedParameterError`
+propagates.  ``chunksize`` (CLI: ``--batch-size``) bounds the chunk;
+results are bit-for-bit the same for any chunk size.
 
-``n_jobs`` is a worker budget of the in-memory sweep only: chunks fan
-across ``concurrent.futures`` workers with a bounded number in flight,
-and the workload ships once per worker through the pool initializer
-(:func:`repro.perf.seed_worker_workload`).  :func:`sweep_design_space`
-*pilots* the first chunk before committing to a pool: sweeps cheaper
-than spawning workers run serially, and sweeps that fan out size their
-chunks to a wall-clock target.  An explicit ``chunksize`` bypasses the
-pilot — pass one for an expensive per-point callable.  Sharded sweeps
-(:mod:`repro.dist`) scale out with more shard processes instead.
+A sweep scores in one process.  A study scales out by sharding
+(:mod:`repro.dist`): ``dse-fleet --num-shards N`` forks N shard
+processes, or ``dse-shard`` runs them on more hosts.
 
 The deterministic grid index is also a *partition key*
 (:func:`grid_size` / :func:`grid_point` /
@@ -51,18 +44,9 @@ sweep bit for bit.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
 from itertools import islice, product
-from math import ceil
-from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
@@ -71,7 +55,6 @@ from .. import obs
 from ..faults.errors import TransientError
 from ..hw.params import VITCOD_DEFAULT, HardwareConfig
 from ..hw.workload import ModelWorkload
-from ..perf.cache import seed_worker_workload, seeded_workload
 from ..sim.evaluator import (
     UnsupportedParameterError,
     check_dse_values,
@@ -135,18 +118,13 @@ class PointFailure:
 def _evaluate_chunk(workload, base_config, names, chunk, evaluator):
     """Score ``(grid_index, values)`` pairs with one ``evaluate_batch`` call.
 
-    Module-level so process pools can pickle the task; ``workload=None``
-    means the workload the pool initializer seeded into this worker
-    (:func:`repro.perf.seed_worker_workload`).  Each row's entry becomes
-    a :class:`DesignPoint` (area proxy: swept MAC lines times the base
-    config's per-line width) or, when it is an exception, a
-    :class:`PointFailure` carrying ``"<Type>: <message>"``; an exception
-    raised out of the call fails every row.
+    Each row's entry becomes a :class:`DesignPoint` (area proxy: swept
+    MAC lines times the base config's per-line width) or, when it is an
+    exception, a :class:`PointFailure` carrying ``"<Type>: <message>"``;
+    an exception raised out of the call fails every row.
     :class:`~repro.sim.evaluator.UnsupportedParameterError` propagates
     either way: a structurally invalid sweep, not a per-point failure.
     """
-    if workload is None:
-        workload = seeded_workload()
     rows = [values for _, values in chunk]
     try:
         results = evaluator.evaluate_batch(workload, base_config, names, rows)
@@ -192,7 +170,7 @@ def check_grid(grid) -> Dict[str, tuple]:
 
     THE grid check, run wherever a grid enters — the in-memory sweep,
     :func:`repro.dist.run_shard`, the CLI's ``--grid`` and the serve
-    layer's ``POST /jobs`` — before any pool, store, subprocess or job
+    layer's ``POST /jobs`` — before any store, shard process or job
     exists (see :func:`repro.sim.evaluator.check_dse_values`).  One-shot
     iterables are read once.  An empty grid, a parameter without values,
     an unknown name or an out-of-domain value raises :class:`ValueError`.
@@ -263,87 +241,14 @@ def _chunked(iterable, size):
 #: says otherwise: big enough to amortise every numpy launch across the
 #: chunk (the per-point share of array-op overhead is negligible by a few
 #: hundred points), small enough to bound the (points × layers)
-#: temporaries and keep streams/stores responsive.  Also the cap on
-#: planned parallel chunk sizes.
+#: temporaries and keep streams/stores responsive.
 _BATCH_CHUNK = 1024
-
-#: Eager sweeps below this much estimated total work run serially even
-#: when ``n_jobs > 1``: spawning a process pool costs a few hundred
-#: milliseconds, which used to buy cheap-point sweeps a ~0.7× "speedup"
-#: (BENCH ``cycle_sim_dse`` at 48 vectorized points).
-_AUTO_SERIAL_SECONDS = 0.25
-
-#: Adaptive chunks aim for this much work per task: big enough to amortise
-#: dispatch, small enough to keep workers balanced near the sweep's tail.
-_TARGET_CHUNK_SECONDS = 0.05
-
-
-def _plan_parallel(per_point_s, remaining, n_jobs):
-    """Pick ``(n_jobs, chunksize)`` from a measured per-point cost.
-
-    Serial (``n_jobs=1``) when the whole remaining sweep is estimated
-    cheaper than :data:`_AUTO_SERIAL_SECONDS` (the pool would cost more
-    than it saves); otherwise chunks target
-    :data:`_TARGET_CHUNK_SECONDS` of work each — expensive points get
-    small chunks (better balance), cheap points get large ones (less
-    dispatch) — capped at the historical one-chunk-per-worker split and
-    floored at one point.
-    """
-    if remaining <= 0 or per_point_s * remaining < _AUTO_SERIAL_SECONDS:
-        return 1, max(remaining, 1)
-    per_worker = -(-remaining // n_jobs)
-    target = max(1, ceil(_TARGET_CHUNK_SECONDS / max(per_point_s, 1e-9)))
-    return n_jobs, min(per_worker, target)
-
-
-def _resolve_n_jobs(n_jobs):
-    """The worker budget: ``None`` means one worker per CPU."""
-    if n_jobs is None:
-        return os.cpu_count() or 1
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be a positive worker count, got {n_jobs}")
-    return int(n_jobs)
-
-
-def _piloted_stream(
-    workload, base_config, names, indexed, total, n_jobs, chunksize, evaluator
-) -> Iterator[tuple]:
-    """Adaptive :func:`_stream_evaluations` over a known-length stream.
-
-    ``n_jobs`` is clamped to the ``total`` points.  With ``n_jobs > 1``
-    and no explicit ``chunksize``, times the first
-    :data:`_BATCH_CHUNK`-point chunk in-process — so the measured
-    per-point cost is the chunked cost the rest of the sweep would pay —
-    then either finishes serially (estimated remaining work below
-    :data:`_AUTO_SERIAL_SECONDS`: the pool would cost more than it saves)
-    or fans out with :func:`_plan_parallel`-sized chunks.  An explicit
-    ``chunksize`` skips the pilot and streams fixed chunks across
-    ``n_jobs`` workers.  Yields ``(grid_index, point)`` pairs with
-    failures warn-dropped; parallel yields arrive out of order.
-    """
-    n_jobs = min(n_jobs, max(total, 1))
-    indexed = iter(indexed)
-    if n_jobs > 1 and chunksize is None:
-        pilot_chunk = list(islice(indexed, _BATCH_CHUNK))
-        begin = perf_counter()
-        pilot = _evaluate_chunk(workload, base_config, names, pilot_chunk, evaluator)
-        per_point = (perf_counter() - begin) / len(pilot_chunk)
-        _note_chunk(pilot)
-        yield from _filter_failures(pilot)
-        n_jobs, chunksize = _plan_parallel(per_point, total - len(pilot_chunk), n_jobs)
-        chunksize = None if n_jobs == 1 else min(chunksize, _BATCH_CHUNK)
-        _note_pilot(n_jobs, chunksize)
-    yield from _stream_evaluations(
-        workload, base_config, names, indexed, n_jobs, chunksize, evaluator
-    )
 
 
 def _note_chunk(pairs):
-    """Count one completed chunk's results into the telemetry registry.
+    """Count one scored chunk's results into the telemetry registry.
 
-    Called once per dispatched chunk in the consumer process (pool chunks
-    are counted on arrival — worker-process registries don't survive the
-    hop).  A disabled registry — the default — costs one attribute check.
+    A disabled registry — the default — costs one attribute check.
     """
     registry = obs.get_registry()
     if not registry.enabled:
@@ -352,17 +257,6 @@ def _note_chunk(pairs):
     registry.counter("dse_chunks_dispatched").inc()
     if len(pairs) > failed:
         registry.counter("dse_points_scored").inc(len(pairs) - failed)
-
-
-def _note_pilot(n_jobs, chunksize):
-    """Record the pilot's pool decision (see :func:`_plan_parallel`)."""
-    registry = obs.get_registry()
-    if not registry.enabled:
-        return
-    mode = "serial" if n_jobs == 1 else "parallel"
-    registry.counter("dse_pilot_decisions", mode=mode).inc()
-    if n_jobs > 1 and chunksize:
-        registry.gauge("dse_pilot_chunk_size").set(chunksize)
 
 
 def _filter_failures(pairs):
@@ -391,74 +285,26 @@ def _stream_evaluations(
     base_config,
     names,
     indexed,
-    n_jobs,
     chunksize,
     evaluator,
     keep_failures=False,
 ) -> Iterator[tuple]:
-    """Evaluate ``(grid_index, values)`` pairs, yielding completed points.
+    """Evaluate ``(grid_index, values)`` pairs, yielding scored points.
 
     The engine under both drivers (the sweep and the shard stream):
     every chunk of ``chunksize or`` :data:`_BATCH_CHUNK` points is one
-    :func:`_evaluate_chunk` call.  Serial runs evaluate in the order
-    given (laziness is per chunk: an early-stopping consumer evaluates
-    at most one chunk beyond what it takes); parallel runs keep at most
-    ``2 * n_jobs`` chunks in flight and yield chunks as they complete
-    (out of order — that IS the streaming contract; sort by index to
-    recover input order).  The workload is shipped once per worker via
-    the pool initializer, so chunk tasks stay tiny and workers reuse one
-    memoized workload object.
-    Only pool *creation* may fall back to threads (sandboxes without
-    process/semaphore support); failures outside the evaluator — including
-    BrokenProcessPool — propagate.  ``keep_failures=True`` yields
-    :class:`PointFailure` results instead of warn-dropping them (the
-    sharded runners persist them as completion records).
+    :func:`_evaluate_chunk` call, in the order given.  Laziness is per
+    chunk: an early-stopping consumer evaluates at most one chunk beyond
+    what it takes.  ``keep_failures=True`` yields :class:`PointFailure`
+    results instead of warn-dropping them (the sharded runners persist
+    them as completion records).
     """
     sieve = (lambda pairs: pairs) if keep_failures else _filter_failures
-    chunks = _chunked(indexed, chunksize or _BATCH_CHUNK)
-    if n_jobs == 1:
-        for chunk in chunks:
-            with obs.span("dse_chunk"):
-                scored = _evaluate_chunk(workload, base_config, names, chunk, evaluator)
-            _note_chunk(scored)
-            yield from sieve(scored)
-        return
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=n_jobs,
-            initializer=seed_worker_workload,
-            initargs=(workload,),
-        )
-        task_workload = None  # workers read the seeded copy instead
-    except OSError:
-        pool = ThreadPoolExecutor(max_workers=n_jobs)
-        task_workload = workload
-    obs.counter("dse_pool_spawns").inc()
-
-    def submit(chunk):
-        return pool.submit(
-            _evaluate_chunk, task_workload, base_config, names, chunk, evaluator
-        )
-
-    try:
-        pending = set()
-        for chunk in islice(chunks, 2 * n_jobs):
-            pending.add(submit(chunk))
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                chunk = next(chunks, None)
-                if chunk is not None:
-                    pending.add(submit(chunk))
-                scored = future.result()
-                _note_chunk(scored)
-                yield from sieve(scored)
-        pool.shutdown(wait=True)
-    finally:
-        # An abandoned stream (consumer stopped early) must not block on
-        # the in-flight chunks: cancel what hasn't started and return
-        # without waiting for what has.
-        pool.shutdown(wait=False, cancel_futures=True)
+    for chunk in _chunked(indexed, chunksize or _BATCH_CHUNK):
+        with obs.span("dse_chunk"):
+            scored = _evaluate_chunk(workload, base_config, names, chunk, evaluator)
+        _note_chunk(scored)
+        yield from sieve(scored)
 
 
 def iter_indexed_design_points(
@@ -498,7 +344,6 @@ def iter_indexed_design_points(
         base_config,
         names,
         indexed,
-        1,
         chunksize,
         evaluator,
         keep_failures=keep_failures,
@@ -509,61 +354,42 @@ def sweep_design_space(
     workload: ModelWorkload,
     grid: Dict[str, Sequence],
     base_config: HardwareConfig = None,
-    n_jobs: int = 1,
     evaluator=None,
     chunksize: int = None,
 ) -> List[DesignPoint]:
     """Evaluate the cross product of ``grid`` on ``workload``.
 
-    THE in-memory sweep: ``n_jobs`` fans grid points across worker
-    processes (``None`` means one per CPU); results are returned in grid
-    order regardless, and a parallel sweep returns exactly what the
-    serial sweep would; ``n_jobs`` below 1 raises :class:`ValueError`.
-    ``evaluator`` selects the scoring strategy (``"analytical"``
-    default, ``"cycle"`` or an :class:`~repro.sim.evaluator.Evaluator`).
-    Points whose evaluator raised are dropped (with a
-    :class:`RuntimeWarning`), so the result can be shorter than the grid.
-
-    ``n_jobs > 1`` sweeps are *adaptive*: the first chunk is timed
-    in-process, and the sweep only spawns a pool when the estimated
-    remaining work exceeds :data:`_AUTO_SERIAL_SECONDS` (pool spawn costs
-    real wall-clock, so cheap grids are faster serial).  When it does fan
-    out, chunks are sized to ~:data:`_TARGET_CHUNK_SECONDS` of estimated
-    work instead of a fixed one-chunk-per-worker split.  Either way the
-    returned points are identical to the serial sweep's.
-
-    An explicit ``chunksize`` is a caller override of both the pilot and
-    the chunk planning: points are scored in fixed chunks of that many,
-    across ``n_jobs`` workers when ``n_jobs > 1`` — so it forces the pool
-    (CLI: ``--batch-size``).  Pass one for an expensive per-point
-    callable, whose pilot would otherwise score a whole
-    :data:`_BATCH_CHUNK` chunk in-process.
+    THE in-memory sweep: one in-order pass of the chunk engine in this
+    process, returning the points in grid order.  ``evaluator`` selects
+    the scoring strategy (``"analytical"`` default, ``"cycle"`` or an
+    :class:`~repro.sim.evaluator.Evaluator`); ``chunksize`` (CLI:
+    ``--batch-size``) bounds the points per ``evaluate_batch`` call and
+    never changes the result.  Points whose evaluator raised are dropped
+    (with a :class:`RuntimeWarning`), so the result can be shorter than
+    the grid.  To spread a study over processes or hosts, shard it
+    (:mod:`repro.dist`).
 
     Example
     -------
     >>> grid = {"mac_lines": [32, 64, 128], "ae_compression": [None, 0.5]}
-    >>> points = sweep_design_space(workload, grid, n_jobs=4)
+    >>> points = sweep_design_space(workload, grid, evaluator="cycle")
     """
     grid = check_grid(grid)
     evaluator = resolve_evaluator(evaluator)
     names = sorted(grid)
-    base_config = base_config or VITCOD_DEFAULT
-    n_jobs = _resolve_n_jobs(n_jobs)
     combos = list(product(*(grid[n] for n in names)))
-    slots = [None] * len(combos)  # None: the point was dropped
     with obs.span("dse_sweep", points=len(combos)):
-        for index, point in _piloted_stream(
-            workload,
-            base_config,
-            names,
-            enumerate(combos),
-            len(combos),
-            n_jobs,
-            chunksize,
-            evaluator,
-        ):
-            slots[index] = point
-    return [point for point in slots if point is not None]
+        return [
+            point
+            for _, point in _stream_evaluations(
+                workload,
+                base_config or VITCOD_DEFAULT,
+                names,
+                enumerate(combos),
+                chunksize,
+                evaluator,
+            )
+        ]
 
 
 def _pareto_mask_sorted_2d(values: np.ndarray) -> np.ndarray:
@@ -630,16 +456,15 @@ def sensitivity(
     parameter,
     values,
     base_config: HardwareConfig = None,
-    n_jobs: int = 1,
     evaluator=None,
 ) -> List[dict]:
     """One-dimensional sensitivity: latency/energy vs one parameter.
 
     A thin view over :func:`sweep_design_space` on the one-parameter grid
     ``{parameter: values}``, so it shares everything the sweep engine
-    provides — the grid check, workload memoization, the adaptive pool
-    pilot, and whole-chunk scoring (the analytical default scores the
-    entire value list as one numpy batch).  Rows arrive in the order
+    provides — the grid check and whole-chunk scoring (the analytical
+    default scores the entire value list as one numpy batch).  Rows
+    arrive in the order
     ``values`` were given; values whose evaluator raised are warn-dropped
     like any sweep point.
     """
@@ -647,7 +472,6 @@ def sensitivity(
         workload,
         {parameter: list(values)},
         base_config=base_config,
-        n_jobs=n_jobs,
         evaluator=evaluator,
     )
     return [

@@ -11,7 +11,7 @@ bit, and it is slow: tens of milliseconds per DeiT-Tiny point.
 
 No production module imports this one.  The test suite, the perf
 benchmarks and the CI cross-check use it, most conveniently through
-:class:`ReferenceCycleSimEvaluator`, a picklable DSE evaluator that scores
+:class:`ReferenceCycleSimEvaluator`, a per-point DSE evaluator that scores
 points with the loop and charges energy exactly as
 :class:`~repro.sim.evaluator.CycleSimEvaluator` does.
 """

@@ -512,8 +512,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
 
         Memoized on a :class:`~repro.hw.workload.ModelWorkload`, keyed by
         the configuration fields the builder reads, so repeated points and
-        batches on a cached workload skip the build (the table is stripped
-        from pickles with the workload's other caches).  A bare layer
+        batches on a cached workload skip the build.  A bare layer
         sequence is built fresh on every call.
         """
         cfg = self.config

@@ -120,26 +120,8 @@ class HeadStatArrays:
     locality: np.ndarray
 
 
-class _PickledWithoutCaches:
-    """Pickles drop the instance caches named in ``_CACHE_ATTRS``.
-
-    The caches (see :func:`_memoized` and
-    :func:`repro.perf.memo.instance_memo`) are pure derived data, and
-    parallel DSE chunks ship the workload often enough that doubling the
-    payload matters.
-    """
-
-    _CACHE_ATTRS = ()
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        for attr in self._CACHE_ATTRS:
-            state.pop(attr, None)
-        return state
-
-
 @dataclass(frozen=True)
-class AttentionWorkload(_PickledWithoutCaches):
+class AttentionWorkload:
     """One attention layer: shapes plus per-head polarized statistics.
 
     ``streaming_fallback`` records whether the mask has been reordered into
@@ -154,9 +136,6 @@ class AttentionWorkload(_PickledWithoutCaches):
     head_dim: int
     heads: Sequence[HeadWorkload]
     streaming_fallback: bool = True
-
-    _CACHE_ATTRS = ("_head_stats", "_denser_job_products",
-                    "_sparser_job_products")
 
     @property
     def embed_dim(self):
@@ -325,16 +304,12 @@ class GemmWorkload:
 
 
 @dataclass(frozen=True)
-class ModelWorkload(_PickledWithoutCaches):
+class ModelWorkload:
     """All layers of one model, ready for end-to-end simulation."""
 
     name: str
     attention_layers: Sequence[AttentionWorkload]
     linear_layers: Sequence[GemmWorkload]
-
-    #: ``_cycle_geometry`` is the cycle simulator's grid-walk geometry,
-    #: keyed by the configuration fields it reads.
-    _CACHE_ATTRS = ("_cycle_geometry",)
 
     @property
     def attention_macs(self):

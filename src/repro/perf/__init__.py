@@ -15,8 +15,6 @@ from .cache import (
     instance_memo,
     cached_synthetic_attention_workload,
     clear_workload_cache,
-    seed_worker_workload,
-    seeded_workload,
     workload_cache,
     workload_cache_stats,
 )
@@ -29,8 +27,6 @@ __all__ = [
     "cached_model_workload",
     "cached_synthetic_attention_workload",
     "clear_workload_cache",
-    "seed_worker_workload",
-    "seeded_workload",
     "workload_cache",
     "workload_cache_stats",
     "BenchResult",

@@ -24,9 +24,7 @@ def instance_memo(obj, slot, key, builder):
     The table lives in the instance ``__dict__`` via
     ``object.__setattr__`` — frozen dataclasses stay immutable in their
     *fields* while sharing pure derived data, exactly the convention of
-    ``repro.hw.workload._memoized``.  Owners that are pickled must strip
-    the slot (list it in the class's pickle strip-list): the table is
-    derived data keyed by live configuration, not payload.
+    ``repro.hw.workload._memoized``.
 
     Builders must be pure functions of ``obj`` and ``key``.  Dict reads
     and writes are atomic under the GIL; two threads racing on a fresh

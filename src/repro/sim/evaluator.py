@@ -9,7 +9,7 @@ each row's :class:`EvalMetrics` or the exception that row raised.  ViTCoD
 fixes its attention masks offline, so every grid row is independent and
 one result per row is the natural unit.  The DSE engine
 (:mod:`repro.harness.dse`) is written against this surface only: every
-chunk is one ``evaluate_batch`` call, in serial runs, pool workers and
+chunk is one ``evaluate_batch`` call, in in-memory sweeps and
 :mod:`repro.dist` shards alike.
 
 Each swept knob is declared once in the parameter table below: its one
@@ -34,8 +34,7 @@ the engine through one adapter, :class:`PointEvaluator`;
 :func:`resolve_evaluator` applies it to anything without
 ``evaluate_batch``.
 
-Evaluators cross process boundaries in parallel sweeps, so they must be
-picklable.  They cross *host* boundaries in sharded sweeps as JSON:
+Evaluators cross *host* boundaries in sharded sweeps as JSON:
 :func:`evaluator_spec` renders a built-in to a plain dict a result-store
 manifest can persist, and :func:`evaluator_from_spec` reconstructs an
 equivalent instance on any machine — exactly, for the built-ins.  A
@@ -296,8 +295,7 @@ class PointEvaluator:
     from the :func:`dse_grid_columns` columns, so a per-point callable
     reads exactly the values the grid simulators read (``ae_compression
     = None`` arrives as ``{"use_ae": False}``).  An exception a row
-    raises becomes that row's entry.  Module-level and picklable, so a
-    lifted callable crosses into pool workers like any evaluator.
+    raises becomes that row's entry.
     """
 
     def __init__(self, point):

@@ -2,7 +2,7 @@
 
 Every built-in evaluator scores a chunk of grid rows with
 ``evaluate_batch``.  :class:`PerPoint` is the independent per-point
-oracle the batched sweeps are held to bit for bit: a picklable callable
+oracle the batched sweeps are held to bit for bit: a callable
 ``(workload, config, accel_kwargs) -> EvalMetrics`` which the DSE engine
 lifts into rows through its one adapter
 (:class:`repro.sim.evaluator.PointEvaluator`) — each row's values routed
@@ -15,9 +15,9 @@ onto a cloned config and accelerator kwargs, then one call.
   cloned config, charged with the production energy charge.  The scalar
   event loop is ``repro.hw.cycle_reference.ReferenceCycleSimEvaluator``.
 
-A plain module (not a conftest) so the oracle pickles into pool workers.
-The tests import it directly; ``benchmarks/perf`` and the CI checks put
-this directory on ``sys.path`` first.
+A plain module, not a conftest: the tests import it directly, and
+``benchmarks/perf`` and the CI checks put this directory on ``sys.path``
+first.
 """
 
 import analytical_oracle

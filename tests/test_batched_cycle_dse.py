@@ -164,16 +164,6 @@ class TestBitExactness:
         ))
         assert batched == per_point
 
-    def test_parallel_and_forced_pool_match_serial(self, small_workload):
-        grid = {"mac_lines": [16, 32, 64], "bandwidth_gbps": [19.2, 76.8]}
-        serial = sweep_design_space(small_workload, grid, evaluator="cycle")
-        assert sweep_design_space(small_workload, grid, n_jobs=3,
-                                  evaluator="cycle") == serial
-        # An explicit chunk size bypasses the pilot: 6 points over 3
-        # workers, one 2-point chunk each.
-        assert sweep_design_space(small_workload, grid, n_jobs=3,
-                                  chunksize=2, evaluator="cycle") == serial
-
     def test_sub_batched_walk_matches(self, small_workload, monkeypatch):
         """A tiny cell budget forces one MAC-line count per table
         sub-batch and one point per direct-route sub-batch (the 0.5 and
@@ -303,18 +293,19 @@ class TestBatchEngine:
                                {"ae_compression": [1.5, 0.5]},
                                evaluator="cycle")
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("chunksize", [1, 2])
     def test_unsupported_parameter_raises_cleanly(self, small_workload,
-                                                  n_jobs):
+                                                  chunksize):
         """Sweeping a knob the cycle simulator does not model is a
-        structural error in batched mode exactly as per point — raised
-        clean, with no fallback RuntimeWarning noise."""
+        structural error in batched mode exactly as per point (one point
+        per chunk, or two) — raised clean, with no fallback
+        RuntimeWarning noise."""
         grid = {"mac_lines": [16, 32], "q_forwarding_hit_rate": [0.0, 0.9]}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(UnsupportedParameterError,
                                match="q_forwarding_hit_rate"):
-                sweep_design_space(small_workload, grid, n_jobs=n_jobs,
+                sweep_design_space(small_workload, grid, chunksize=chunksize,
                                    evaluator="cycle")
 
     def test_supported_kwargs_derived_from_table(self):

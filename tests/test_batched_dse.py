@@ -148,23 +148,16 @@ class TestBitExactness:
                                                   [5, 0, 3]))
         assert batched == per_point
 
-    def test_parallel_and_forced_pool_match_serial(self, small_workload):
-        grid = {"mac_lines": [16, 32, 64], "bandwidth_gbps": [19.2, 76.8]}
-        serial = sweep_design_space(small_workload, grid)
-        assert sweep_design_space(small_workload, grid, n_jobs=3) == serial
-        # An explicit chunk size bypasses the pilot: 6 points over 3
-        # workers, one 2-point chunk each.
-        assert sweep_design_space(small_workload, grid, n_jobs=3,
-                                  chunksize=2) == serial
-
     def test_explicit_chunksize_matches(self, small_workload):
+        """8 points in chunks of 3 (the last one short) give the default
+        chunk's points, under both built-in evaluators."""
         grid = {"mac_lines": [16, 32, 64, 128],
                 "ae_compression": [None, 0.5]}
-        serial = sweep_design_space(small_workload, grid)
-        assert sweep_design_space(small_workload, grid,
-                                  chunksize=3) == serial
-        assert sweep_design_space(small_workload, grid, n_jobs=2,
-                                  chunksize=3) == serial
+        for evaluator in ("analytical", "cycle"):
+            serial = sweep_design_space(small_workload, grid,
+                                        evaluator=evaluator)
+            assert sweep_design_space(small_workload, grid, chunksize=3,
+                                      evaluator=evaluator) == serial
 
     def test_cycle_sweep_batches_identically(self, small_workload):
         grid = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}

@@ -335,6 +335,26 @@ REFUSAL = ("unknown evaluator 'hybrid': recorded studies must name one of "
            "['analytical', 'cycle'] or custom:*")
 
 
+GRID_FLAGS = ("--grid", "mac_lines=16,32,64", "--grid",
+              "ae_compression=none,0.5")
+
+
+def _refused_exit(tmp_path, store, command, *args):
+    """Run ``command`` on ``store`` expecting a refusal; return its exit
+    code after checking it wrote no JSON and added or removed no store
+    file."""
+    from repro.cli import main
+
+    before = sorted(path.name for path in store.iterdir())
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(store), "--json", str(out), "--models",
+              "deit-tiny", *args])
+    assert not out.exists()
+    assert sorted(path.name for path in store.iterdir()) == before
+    return excinfo.value.code
+
+
 def _retired_store(root, workload, shards=("1/2", "2/2")):
     """A store as the retired two-phase ``hybrid`` strategy left it:
     coarse (analytical) records under a manifest naming ``hybrid``."""
@@ -380,18 +400,56 @@ class TestUnknownEvaluatorRefused:
                                      flags):
         """Every store command refuses the manifest before a shard scores
         or forks: one line, no JSON, no new ledger and no ``logs/``."""
-        from repro.cli import main
-
         store = _retired_store(tmp_path / "store", workload, shards=("1/2",))
-        before = sorted(path.name for path in store.iterdir())
-        out = tmp_path / "out.json"
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, str(store), "--json", str(out), *flags,
-                  "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
-                  "--grid", "ae_compression=none,0.5"])
-        assert excinfo.value.code == f"{store}: {REFUSAL}"
-        assert not out.exists()
-        assert sorted(path.name for path in store.iterdir()) == before
+        code = _refused_exit(tmp_path, store, command, *flags,
+                             *GRID_FLAGS)
+        assert code == f"{store}: {REFUSAL}"
+
+
+def _damaged_store(root, workload, damage):
+    """A store one dist command must refuse with a :class:`StoreError`:
+    ``missing`` is a directory without a manifest, ``schema`` a manifest
+    of another schema, ``half-run`` a store with one of two shards run."""
+    root.mkdir()
+    if damage == "missing":
+        return root
+    run_shard(workload, GRID, "1/2", root, workload_spec=SPEC)
+    if damage == "schema":
+        path = ResultStore(root).manifest_path
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = "repro-dist/0"
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return root
+
+
+class TestStoreErrorsExitWithOneLine:
+    """Every store command ends on a :class:`StoreError` with the one
+    line ``<store>: <message>``, exit 1, and no traceback, as it does on
+    a refused manifest: a missing manifest, another schema, a half-run
+    store and another study's store."""
+
+    SCHEMA = "schema 'repro-dist/0' != 'repro-dist/1'"
+
+    @pytest.mark.parametrize("command,damage,args,message", [
+        ("dse-merge", "missing", GRID_FLAGS, "is not a result store"),
+        ("dse-status", "missing", GRID_FLAGS, "is not a result store"),
+        ("dse-merge", "schema", GRID_FLAGS, SCHEMA),
+        ("dse-status", "schema", GRID_FLAGS, SCHEMA),
+        ("dse-shard", "schema", ("--shard", "2/2", *GRID_FLAGS), SCHEMA),
+        ("dse-merge", "half-run", GRID_FLAGS,
+         "store holds 3 of 6 grid points"),
+        ("dse-shard", "half-run", ("--shard", "2/2", "--grid",
+                                   "mac_lines=16,32"),
+         "use a fresh --out directory per study"),
+    ], ids=["dse-merge-missing", "dse-status-missing", "dse-merge-schema",
+            "dse-status-schema", "dse-shard-schema", "dse-merge-half-run",
+            "dse-shard-other-grid"])
+    def test_cli_exits_with_one_line(self, tmp_path, workload, command,
+                                     damage, args, message):
+        store = _damaged_store(tmp_path / "store", workload, damage)
+        code = _refused_exit(tmp_path, store, command, *args)
+        assert isinstance(code, str) and "\n" not in code
+        assert code.startswith(f"{store}: ") and message in code
 
 
 class TestStatus:
@@ -534,35 +592,6 @@ class TestCli:
             main(["dse-shard", "--shard", "1/2"])
         with pytest.raises(SystemExit):
             main(["dse-merge"])
-
-    @pytest.mark.parametrize("command", [
-        ["dse-shard", "--shard", "1/1"],
-        ["dse-fleet"],
-        ["dse-merge"],
-    ])
-    def test_n_jobs_is_dse_only(self, tmp_path, command):
-        """Shards and merges score in one process: --n-jobs is refused
-        before any store is touched, pointing at the fleet instead."""
-        from repro.cli import main
-
-        store = tmp_path / "store"
-        with pytest.raises(SystemExit, match="dse-fleet --num-shards"):
-            main(command + ["--out", str(store), "--n-jobs", "2"]
-                 + self.GRID_ARGS)
-        assert not store.exists()
-
-    @pytest.mark.parametrize("n_jobs", ["0", "-3"])
-    def test_dse_rejects_n_jobs_below_one(self, tmp_path, n_jobs):
-        """dse refuses a worker budget below 1 instead of silently
-        sweeping serially, as it refuses --batch-size below 1."""
-        from repro.cli import main
-
-        out = tmp_path / "out.json"
-        with pytest.raises(SystemExit, match=(
-                f"^--n-jobs must be a positive worker count, got {n_jobs}$")):
-            main(["dse", "--models", "deit-tiny", "--n-jobs", n_jobs,
-                  "--json", str(out)] + self.GRID_ARGS)
-        assert not out.exists()
 
     def test_separate_processes_match_serial(self, tmp_path):
         """Two real CLI processes shard one store; merge == serial sweep."""

@@ -1,6 +1,10 @@
 """Tests for the design-space exploration utilities."""
 
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,39 +67,6 @@ class TestSweep:
         points = sweep_design_space(small_workload, {"mac_lines": [32, 64]})
         assert points[0].area_proxy == 32 * 8
         assert points[1].area_proxy == 64 * 8
-
-
-class TestParallelSweep:
-    GRID = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
-
-    def test_parallel_equals_serial(self, small_workload):
-        serial = sweep_design_space(small_workload, self.GRID)
-        parallel = sweep_design_space(small_workload, self.GRID, n_jobs=3)
-        assert parallel == serial  # same points, same (grid) order
-
-    def test_n_jobs_clamped_to_grid(self, small_workload):
-        points = sweep_design_space(small_workload, {"mac_lines": [32]},
-                                    n_jobs=8)
-        assert len(points) == 1
-
-    def test_n_jobs_none_uses_cpus(self, small_workload):
-        points = sweep_design_space(small_workload, self.GRID, n_jobs=None)
-        assert points == sweep_design_space(small_workload, self.GRID)
-
-    @pytest.mark.parametrize("n_jobs", [0, -3])
-    def test_n_jobs_below_one_raises(self, small_workload, n_jobs):
-        """A worker count below 1 is refused with the CLI's wording
-        instead of silently sweeping serially."""
-        message = f"^n_jobs must be a positive worker count, got {n_jobs}$"
-        with pytest.raises(ValueError, match=message):
-            sweep_design_space(small_workload, self.GRID, n_jobs=n_jobs)
-        with pytest.raises(ValueError, match=message):
-            sensitivity(small_workload, "mac_lines", [32, 64], n_jobs=n_jobs)
-
-    def test_sensitivity_parallel(self, small_workload):
-        serial = sensitivity(small_workload, "mac_lines", [32, 64])
-        parallel = sensitivity(small_workload, "mac_lines", [32, 64], n_jobs=2)
-        assert parallel == serial
 
 
 class TestPareto:
@@ -289,81 +260,30 @@ class TestGridIndexing:
         assert all("nope" in res.error for _, res in pairs)
 
 
-class TestAdaptiveSweep:
-    """Cheap sweeps stay serial; forced pools still match bit for bit."""
+def test_a_sweep_starts_no_process_pool(tmp_path):
+    """A sweep scores in one process (a study scales out by sharding):
+    after ``python -m repro dse --evaluator cycle``, and with the service
+    and the dist layer imported, neither ``multiprocessing`` nor
+    ``concurrent.futures`` is loaded."""
+    import repro
 
-    GRID = {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]}
-
-    def test_cheap_grid_never_spawns_pool(self, small_workload, monkeypatch):
-        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pool spawned for a trivially cheap sweep")
-
-        monkeypatch.setattr(dse_module, "ProcessPoolExecutor", forbidden)
-        monkeypatch.setattr(dse_module, "ThreadPoolExecutor", forbidden)
-        serial = sweep_design_space(small_workload, self.GRID)
-        adaptive = sweep_design_space(small_workload, self.GRID, n_jobs=3)
-        assert adaptive == serial
-
-    def test_forced_pool_matches_serial(self, small_workload):
-        serial = sweep_design_space(small_workload, self.GRID)
-        # An explicit chunk size bypasses the pilot and forces the pool.
-        forced = sweep_design_space(small_workload, self.GRID, n_jobs=3,
-                                    chunksize=2)
-        assert forced == serial
-
-    def test_plan_parallel_math(self):
-        from repro.harness.dse import _plan_parallel
-
-        # Remaining work cheaper than the pool (0.25 s): serial.
-        assert _plan_parallel(0.001, 46, 4) == (1, 46)
-        # Expensive points: one point per chunk for balance.
-        assert _plan_parallel(0.2, 46, 4) == (4, 1)
-        # Cheap points, big grid: chunks target ~50 ms of work.
-        n_jobs, chunk = _plan_parallel(0.002, 1000, 4)
-        assert n_jobs == 4 and chunk == 25
-        # Never exceeds the one-chunk-per-worker split.
-        n_jobs, chunk = _plan_parallel(0.001, 400, 4)
-        assert chunk <= -(-400 // 4)
-        # Nothing left: serial, floor chunk of 1.
-        assert _plan_parallel(0.5, 0, 4) == (1, 1)
-
-    def test_pilot_failures_still_warn_and_drop(self, small_workload):
-        from per_point import PerPoint
-        from repro.sim import AnalyticalEvaluator
-
-        oracle = PerPoint(AnalyticalEvaluator())
-
-        def flaky(workload, config, accel_kwargs):
-            if config.num_mac_lines == 16:
-                raise RuntimeError("pilot boom")
-            return oracle(workload, config, accel_kwargs)
-
-        flaky.name = "flaky"
-        with pytest.warns(RuntimeWarning, match="pilot boom"):
-            points = sweep_design_space(small_workload, self.GRID,
-                                        n_jobs=2, evaluator=flaky)
-        # Both poisoned points (one of them a pilot) dropped, rest kept.
-        assert len(points) == 4
-        assert all(p.parameter("mac_lines") != 16 for p in points)
-
-    def test_cheap_cycle_grid_never_spawns_pool(self, small_workload,
-                                                monkeypatch):
-        """The adaptive pilot covers cycle-accurate sweeps too."""
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pool spawned for a cheap cycle sweep")
-
-        monkeypatch.setattr(dse_module, "ProcessPoolExecutor", forbidden)
-        monkeypatch.setattr(dse_module, "ThreadPoolExecutor", forbidden)
-        serial = sweep_design_space(small_workload, self.GRID,
-                                    evaluator="cycle")
-        adaptive = sweep_design_space(small_workload, self.GRID, n_jobs=3,
-                                      evaluator="cycle")
-        assert adaptive == serial
-
-    def test_forced_cycle_pool_matches_serial(self, small_workload):
-        serial = sweep_design_space(small_workload, self.GRID,
-                                    evaluator="cycle")
-        forced = sweep_design_space(small_workload, self.GRID, n_jobs=3,
-                                    evaluator="cycle", chunksize=2)
-        assert forced == serial
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'dse', '--models', 'deit-tiny', '--evaluator',"
+        " 'cycle', '--grid', 'mac_lines=16,32', '--json', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "import repro.serve.app, repro.dist\n"
+        "print(sorted(name for name in ('multiprocessing', "
+        "'concurrent.futures') if name in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = tmp_path / "dse.json"
+    run = subprocess.run([sys.executable, "-c", code, str(out)], check=True,
+                         capture_output=True, text=True, env=env,
+                         cwd=str(tmp_path))
+    assert out.exists()
+    assert run.stdout.strip().splitlines()[-1] == "[]"

@@ -12,13 +12,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness import dse as dse_module
 from repro.harness.dse import iter_indexed_design_points, sweep_design_space
 from repro.hw import model_workload
 from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.hw.params import VITCOD_DEFAULT
 from repro.models import get_config
-from repro.perf import seed_worker_workload, seeded_workload
 from repro.sim import (
     AnalyticalEvaluator,
     CycleSimEvaluator,
@@ -40,7 +38,7 @@ def small_workload():
 
 
 class ExplodingEvaluator:
-    """Raises on one specific design point (module-level: pool-picklable).
+    """Raises on one specific design point.
 
     A per-point callable the engine lifts into rows; healthy points are
     the analytical per-layer fold.
@@ -55,7 +53,7 @@ class ExplodingEvaluator:
 
 
 class AreaEvaluator:
-    """Deterministic toy evaluator (module-level: pool-picklable)."""
+    """Deterministic toy evaluator."""
 
     name = "area"
 
@@ -152,12 +150,6 @@ class TestCycleSimEvaluator:
             assert point.seconds == config.cycles_to_seconds(result.makespan)
             assert point.energy_joules > 0
 
-    def test_parallel_equals_serial(self, small_workload):
-        serial = sweep_design_space(small_workload, GRID, evaluator="cycle")
-        parallel = sweep_design_space(small_workload, GRID,
-                                      evaluator="cycle", n_jobs=3)
-        assert parallel == serial
-
     def test_unsupported_parameter_raises(self, small_workload):
         """The cycle sim does not model Q forwarding: sweeping it is a
         caller bug that raises, not a droppable per-point failure."""
@@ -170,7 +162,7 @@ class TestCycleSimEvaluator:
         with pytest.raises(UnsupportedParameterError):
             sweep_design_space(
                 small_workload, {"q_forwarding_hit_rate": [0.0, 0.3]},
-                evaluator="cycle", n_jobs=2,
+                evaluator="cycle", chunksize=1,
             )
 
     def test_empty_grid(self, small_workload):
@@ -187,59 +179,17 @@ class TestFailureHandling:
                                         evaluator=ExplodingEvaluator())
         assert [p.parameter("mac_lines") for p in points] == [16, 64]
 
-    def test_pool_failure_dropped_not_hung(self, small_workload):
-        """A worker-side evaluator exception must neither hang the sweep
-        nor poison the rest of its chunk."""
-        with pytest.warns(RuntimeWarning, match="injected evaluator"):
-            points = sweep_design_space(small_workload, self.GRID,
-                                        evaluator=ExplodingEvaluator(),
-                                        n_jobs=2, chunksize=1)
-        assert [p.parameter("mac_lines") for p in points] == [16, 64]
-        good = sweep_design_space(small_workload, self.GRID)
-        assert points == [p for p in good
-                          if p.parameter("mac_lines") != 32]
-
     def test_unknown_parameter_still_raises(self, small_workload):
         """Malformed grids are caller bugs, not droppable failures."""
         with pytest.raises(ValueError, match="unknown grid parameter"):
             sweep_design_space(small_workload, {"voltage": [0.9]},
                                evaluator=ExplodingEvaluator())
 
-    def test_custom_evaluator_parallel(self, small_workload):
-        serial = sweep_design_space(small_workload, self.GRID,
+    def test_custom_evaluator_scores_every_point(self, small_workload):
+        points = sweep_design_space(small_workload, self.GRID,
                                     evaluator=AreaEvaluator())
-        parallel = sweep_design_space(small_workload, self.GRID,
-                                      evaluator=AreaEvaluator(), n_jobs=2)
-        assert parallel == serial
-        assert [p.seconds for p in serial] == \
+        assert [p.seconds for p in points] == \
             [1.0 / (16 * 8), 1.0 / (32 * 8), 1.0 / (64 * 8)]
-
-
-class TestWorkerSeeding:
-    def test_chunk_resolves_seeded_workload(self, small_workload):
-        """``workload=None`` chunks read the initializer-seeded workload."""
-        assert seeded_workload() is None
-        seed_worker_workload(small_workload)
-        try:
-            assert seeded_workload() is small_workload
-            seeded = dse_module._evaluate_chunk(
-                None, VITCOD_DEFAULT, ["mac_lines"], [(0, (32,))],
-                AnalyticalEvaluator(),
-            )
-            direct = dse_module._evaluate_chunk(
-                small_workload, VITCOD_DEFAULT, ["mac_lines"], [(0, (32,))],
-                AnalyticalEvaluator(),
-            )
-            assert seeded == direct
-        finally:
-            seed_worker_workload(None)
-
-    def test_parallel_sweep_leaves_parent_unseeded(self, small_workload):
-        sweep_design_space(small_workload, {"mac_lines": [16, 32]}, n_jobs=2)
-        # The initializer runs in the workers; the parent process keeps a
-        # clean slate (the thread-pool fallback passes the workload
-        # explicitly instead of seeding the shared module state).
-        assert seeded_workload() is None
 
 
 class TestEvaluatorSpecs:

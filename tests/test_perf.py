@@ -186,14 +186,3 @@ class TestCycleGeometryMemo:
             model_workload(get_config("deit-tiny"), sparsity=0.9)
         )
         assert warm == warm2 == cold
-
-    def test_pickle_strips_geometry_tables(self, workload):
-        import pickle
-
-        cold = len(pickle.dumps(workload))
-        self._simulate(workload)
-        assert "_cycle_geometry" in workload.__dict__
-        assert len(pickle.dumps(workload)) == cold
-        clone = pickle.loads(pickle.dumps(workload))
-        assert "_cycle_geometry" not in clone.__dict__
-        assert self._simulate(clone) == self._simulate(workload)

@@ -233,22 +233,6 @@ class TestWorkloadStatArrays:
         assert int(wl.sparser_job_products().sum()) == 40
         assert int(wl.denser_job_products().sum()) == 3 * 16
 
-    def test_pickle_strips_cached_arrays(self):
-        """Warm geometry caches must not inflate the pickled workload
-        (parallel DSE ships it once per chunk)."""
-        import pickle
-
-        wl = synthetic_attention_workload(48, 4, 16, sparsity=0.9, seed=5)
-        cold = len(pickle.dumps(wl))
-        wl.head_stats()
-        wl.denser_job_products()
-        wl.sparser_job_products()
-        assert len(pickle.dumps(wl)) == cold
-        clone = pickle.loads(pickle.dumps(wl))
-        assert clone.total_nnz == wl.total_nnz
-        assert (clone.sparser_job_products()
-                == wl.sparser_job_products()).all()
-
 
 class TestBatchedAllocator:
     def test_matches_scalar_allocator(self):
