@@ -13,15 +13,19 @@ full mode):
 The ``obs_overhead`` entry in ``BENCH_perf.json`` records all three;
 full mode asserts disabled stays under 3% of the floor and enabled under
 10% — the "instrumentation everywhere, cost opt-in" contract of
-:mod:`repro.obs`.
+:mod:`repro.obs`.  The variants are timed interleaved, one call of each
+per round, and the gate compares their medians, so host drift slows all
+three alike instead of deciding the overheads.
 """
 
+import contextlib
 import math
+import statistics
 
 from repro import obs
 from repro.harness.dse import sweep_design_space
 from repro.obs.registry import NOOP_METRIC, NOOP_SPAN, Registry
-from repro.perf import benchit, cached_model_workload
+from repro.perf import BenchResult, Timer, cached_model_workload
 
 import repro.harness.dse as dse_mod
 
@@ -74,7 +78,7 @@ def test_obs_overhead(bench_recorder, bench_mode, monkeypatch):
         grid = {"mac_lines": [32, 64], "ae_compression": [None, 0.5]}
     grid_points = math.prod(len(v) for v in grid.values())
     workload = cached_model_workload(model, sparsity=0.9)
-    repeats = 7 if full else 2
+    rounds = 60 if full else 3
 
     def sweep():
         return sweep_design_space(workload, grid)
@@ -82,27 +86,46 @@ def test_obs_overhead(bench_recorder, bench_mode, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(dse_mod, "obs", _InertObs)
         expected = sweep()
-        floor = benchit(sweep, name="uninstrumented", repeats=repeats, warmup=1)
-
     with obs.use_registry(Registry(enabled=False)):
         assert sweep() == expected  # telemetry never alters results
-        disabled = benchit(sweep, name="disabled", repeats=repeats, warmup=1)
-
-    with obs.use_registry(Registry(enabled=True)) as registry:
+    registry = Registry(enabled=True)
+    with obs.use_registry(registry):
         assert sweep() == expected
-        enabled = benchit(sweep, name="enabled", repeats=repeats, warmup=1)
-        scored = registry.value("dse_points_scored")
+
+    @contextlib.contextmanager
+    def uninstrumented():
+        with monkeypatch.context() as mp:
+            mp.setattr(dse_mod, "obs", _InertObs)
+            yield
+
+    variants = {
+        "uninstrumented": uninstrumented,
+        "disabled": lambda: obs.use_registry(Registry(enabled=False)),
+        "enabled": lambda: obs.use_registry(registry),
+    }
+    names = list(variants)
+    times = {name: [] for name in names}
+    for round_ in range(rounds + 1):  # the first round warms up
+        # Each round starts one variant later, so every variant runs in
+        # every position of the round equally often.
+        shift = round_ % len(names)
+        for name in names[shift:] + names[:shift]:
+            with variants[name](), Timer() as timer:
+                sweep()
+            if round_:
+                times[name].append(timer.seconds)
+    scored = registry.value("dse_points_scored")
 
     assert scored is not None and scored >= grid_points
-    overhead_disabled = disabled.best / floor.best - 1.0
-    overhead_enabled = enabled.best / floor.best - 1.0
+    median = {name: statistics.median(t) for name, t in times.items()}
+    overhead_disabled = median["disabled"] / median["uninstrumented"] - 1.0
+    overhead_enabled = median["enabled"] / median["uninstrumented"] - 1.0
     bench_recorder.record(
         "obs_overhead",
         model=model,
         grid_points=grid_points,
-        uninstrumented=floor.to_dict(),
-        disabled=disabled.to_dict(),
-        enabled=enabled.to_dict(),
+        **{name: BenchResult(name, t, rounds).to_dict()
+           for name, t in times.items()},
         overhead_disabled=overhead_disabled,
         overhead_enabled=overhead_enabled,
     )

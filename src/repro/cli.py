@@ -57,7 +57,7 @@ import sys
 from . import harness
 from .harness.serialization import to_json
 from .ledger import StoreError
-from .sim.evaluator import evaluator_names
+from .sim.evaluator import check_swept_knobs, evaluator_names
 
 __all__ = ["main", "build_parser"]
 
@@ -127,6 +127,39 @@ def parse_grid(specs):
         return check_grid(grid or DEFAULT_DSE_GRID)
     except ValueError as exc:
         raise SystemExit(f"bad --grid: {exc}") from None
+
+
+def _sweep_grid(args):
+    """``--grid``, checked by :func:`parse_grid` and against the knobs
+    ``--evaluator`` models: one line, before any workload or store."""
+    grid = parse_grid(args.grid)
+    try:
+        check_swept_knobs(args.evaluator, sorted(grid))
+    except ValueError as exc:
+        raise SystemExit(f"bad --grid: {exc}") from None
+    return grid
+
+
+def _check_shard_options(args):
+    """Every ``dse-shard`` option, checked once with one line on failure:
+    by ``dse-shard`` before it reads its store, by ``dse-fleet`` before
+    it forks a shard."""
+    from .dist import ShardSpec
+
+    if args.shard is not None:
+        try:
+            ShardSpec.parse(args.shard)
+        except ValueError as exc:
+            raise SystemExit(f"--shard: {exc}") from None
+    if args.steal_chunk is not None and args.steal_chunk < 1:
+        raise SystemExit("--steal-chunk must be a positive index count, "
+                         f"got {args.steal_chunk}")
+    if args.handicap < 0:
+        raise SystemExit(f"--handicap must be non-negative seconds, got "
+                         f"{args.handicap}")
+    if args.max_point_retries is not None and args.max_point_retries < 0:
+        raise SystemExit(f"--max-point-retries must be >= 0, got "
+                         f"{args.max_point_retries}")
 
 
 def build_parser():
@@ -492,7 +525,7 @@ def _run(args):
         from .harness.dse import sweep_design_space
         from .perf import cached_model_workload
         model = args.models[0] if args.models else "deit-tiny"
-        grid = parse_grid(args.grid)
+        grid = _sweep_grid(args)
         evaluator = args.evaluator
         faults = _load_fault_plan(args.faults)
         if faults is not None:
@@ -527,18 +560,9 @@ def _run(args):
         if not out:
             raise SystemExit("dse-shard requires --out DIR (the store "
                              "directory shared by every shard)")
-        if args.steal_chunk is not None and args.steal_chunk < 1:
-            raise SystemExit(
-                f"--steal-chunk must be a positive index count, got "
-                f"{args.steal_chunk}"
-            )
-        if args.handicap < 0:
-            raise SystemExit(
-                f"--handicap must be non-negative seconds, got "
-                f"{args.handicap}"
-            )
+        _check_shard_options(args)
         model = args.models[0] if args.models else "deit-tiny"
-        grid = parse_grid(args.grid)
+        grid = _sweep_grid(args)
         _read_store(_existing_manifest, out)
         evaluator = args.evaluator
         faults = _load_fault_plan(args.faults)
@@ -548,11 +572,6 @@ def _run(args):
         workload = cached_model_workload(model, sparsity=args.sparsity)
         run_kwargs = {}
         if args.max_point_retries is not None:
-            if args.max_point_retries < 0:
-                raise SystemExit(
-                    f"--max-point-retries must be >= 0, got "
-                    f"{args.max_point_retries}"
-                )
             run_kwargs["max_point_retries"] = args.max_point_retries
         try:
             run = run_shard(
@@ -601,8 +620,10 @@ def _run(args):
             raise SystemExit(
                 f"--num-shards must be >= 1, got {args.num_shards}"
             )
-        # A bad grid or a refused store fails here, not in N shards.
-        parse_grid(args.grid)
+        # A bad option, a bad grid or a refused store fails here, not
+        # in N shards.
+        _check_shard_options(args)
+        _sweep_grid(args)
         _read_store(_existing_manifest, out)
         faults = _load_fault_plan(args.faults)
         model = args.models[0] if args.models else "deit-tiny"

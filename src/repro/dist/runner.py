@@ -59,7 +59,7 @@ from ..harness.dse import (
 from ..hw.params import VITCOD_DEFAULT
 from ..ledger import JsonlAppender, publish
 from ..perf.cache import cached_model_workload
-from ..sim.evaluator import resolve_evaluator
+from ..sim.evaluator import check_swept_knobs, resolve_evaluator
 from .sharding import ShardSpec
 from .store import ResultStore, build_manifest, encode_record
 
@@ -518,12 +518,15 @@ def run_shard(
     :class:`repro.faults.FaultyEvaluator` is recognised here: its plan is
     scoped to the store (one-shot faults survive process relaunches) and
     activated in this thread for the duration, arming the ledger and
-    claim hooks.  A malformed grid raises before the store is touched
-    (:func:`repro.harness.dse.check_grid`).
+    claim hooks.  A malformed grid, or one sweeping a knob the evaluator
+    does not model, raises before the store is touched
+    (:func:`repro.harness.dse.check_grid`,
+    :func:`repro.sim.evaluator.check_swept_knobs`).
     """
     grid = check_grid(grid)
     shard = ShardSpec.parse(shard)
     evaluator = resolve_evaluator(evaluator)
+    check_swept_knobs(evaluator, sorted(grid))
     plan = getattr(evaluator, "fault_plan", None)
     point_evaluator = evaluator.inner if plan is not None else evaluator
     base_config = base_config or VITCOD_DEFAULT

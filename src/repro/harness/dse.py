@@ -8,9 +8,10 @@ and extract the Pareto frontier.
 
 Every grid enters through :func:`check_grid`, which checks each swept
 knob's values against the knob's domain once, before any store or job
-exists.  All evaluation then goes through ONE chunked engine
-(:func:`_stream_evaluations`), which scores chunks in order in this
-process, under two drivers:
+exists; :func:`~repro.sim.evaluator.check_swept_knobs` then refuses a
+knob the evaluator does not model.  All evaluation then goes through ONE
+chunked engine (:func:`_stream_evaluations`), which scores chunks in
+order in this process, under two drivers:
 
 * :func:`sweep_design_space`, THE in-memory sweep: it scores the grid
   cross-product and returns the points in deterministic grid order;
@@ -58,6 +59,7 @@ from ..hw.workload import ModelWorkload
 from ..sim.evaluator import (
     UnsupportedParameterError,
     check_dse_values,
+    check_swept_knobs,
     resolve_evaluator,
 )
 
@@ -334,6 +336,7 @@ def iter_indexed_design_points(
     grid = check_grid(grid)
     names = sorted(grid)
     evaluator = resolve_evaluator(evaluator)
+    check_swept_knobs(evaluator, names)
     base_config = base_config or VITCOD_DEFAULT
     if indices is None:
         indexed = enumerate(product(*(grid[n] for n in names)))
@@ -377,6 +380,7 @@ def sweep_design_space(
     grid = check_grid(grid)
     evaluator = resolve_evaluator(evaluator)
     names = sorted(grid)
+    check_swept_knobs(evaluator, names)
     combos = list(product(*(grid[n] for n in names)))
     with obs.span("dse_sweep", points=len(combos)):
         return [

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..sim.engine import ModelSimulatorBase
 from .allocator import allocate_mac_lines_batched
-from .params import VITCOD_DEFAULT, HardwareConfig, check_domain
+from .params import VITCOD_DEFAULT, HardwareConfig, check_domain, design_columns
 from .trace import EnergyBreakdown, LatencyBreakdown, SimReport
 from .workload import AttentionWorkload, GemmWorkload, ModelWorkload
 
@@ -215,72 +215,39 @@ class ViTCoDAccelerator(ModelSimulatorBase):
     # ------------------------------------------------------------------
     # Batched array geometry
     # ------------------------------------------------------------------
-    #: Design-point knobs :meth:`simulate_attention_grid` accepts as
-    #: per-point columns; anything else comes from this accelerator.
-    _GRID_COLUMNS = ("num_mac_lines", "dram_bandwidth_bytes_per_s",
-                     "act_buffer_bytes", "use_ae", "ae_compression",
-                     "q_forwarding_hit_rate")
-
     def _resolve_grid_columns(self, columns):
-        """Normalise per-point column arrays for the grid walk.
+        """Per-point columns for the attention walk.
 
-        ``columns`` maps a subset of :data:`_GRID_COLUMNS` to length-``P``
-        arrays (already converted the way the design point would be built:
-        ints for MAC lines and buffer bytes, bytes/s for bandwidth);
-        missing knobs broadcast this accelerator's own value.  An empty
-        dict is the degenerate ``P = 1`` walk of this design point itself.
-        Every knob, broadcast defaults included, goes through
-        :func:`~repro.hw.params.check_domain` before any cast, so a grid
-        holding one out-of-domain value raises for the whole walk (the
-        DSE grid check rejects such values before any evaluator runs).
+        :func:`~repro.hw.params.design_columns` over this accelerator's
+        knobs (its config's MAC lines, bandwidth and buffer, its AE
+        switch, ratio and Q-forwarding hit rate), then the walk's own
+        (points, 1) shapes.  An empty dict is the degenerate ``P = 1``
+        walk of this design point itself.
         """
-        unknown = set(columns) - set(self._GRID_COLUMNS)
-        if unknown:
-            raise ValueError(
-                f"unknown design-point column(s) {sorted(unknown)}; "
-                f"choose from {list(self._GRID_COLUMNS)}"
-            )
-        lengths = {len(np.atleast_1d(v)) for v in columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(
-                f"design-point columns disagree on length: {sorted(lengths)}"
-            )
-        points = lengths.pop() if lengths else 1
         cfg = self.config
-        knobs = {
+        knobs = design_columns(columns, {
             "num_mac_lines": cfg.num_mac_lines,
             "dram_bandwidth_bytes_per_s": cfg.dram_bandwidth_bytes_per_s,
             "act_buffer_bytes": cfg.act_buffer_bytes,
             "use_ae": self.use_ae,
             "ae_compression": self.ae_compression,
             "q_forwarding_hit_rate": self.q_forwarding_hit_rate,
-        }
-        knobs.update(columns)
-        check_domain(**knobs)
-
-        def column(name, dtype):
-            if name in columns:
-                return np.asarray(columns[name], dtype=dtype)
-            return np.full(points, knobs[name], dtype=dtype)
-
-        lines = column("num_mac_lines", np.int64)
-        bandwidth = column("dram_bandwidth_bytes_per_s", np.float64)
-        act_buffer = column("act_buffer_bytes", np.int64)
-        use_ae = column("use_ae", bool)
-        ae = column("ae_compression", np.float64)
-        fwd = column("q_forwarding_hit_rate", np.float64)
+        })
+        use_ae = knobs["use_ae"]
+        bandwidth = knobs["dram_bandwidth_bytes_per_s"]
+        points = use_ae.size
         # Column vectors broadcast against the (layers,) workload arrays;
         # every derived value mirrors the scalar config path op for op
         # (``bytes_per_cycle`` is the same division, ``ratio``/``fwd``
         # the same conditional selection).
         return {
             "points": points,
-            "lines": lines[:, None],
+            "lines": knobs["num_mac_lines"][:, None],
             "bpc": bandwidth[:, None] / cfg.frequency_hz,
-            "act_buffer": act_buffer[:, None],
+            "act_buffer": knobs["act_buffer_bytes"][:, None],
             "use_ae": use_ae[:, None],
-            "ratio": np.where(use_ae, ae, 1.0)[:, None],
-            "fwd": (fwd if self.two_pronged else
+            "ratio": np.where(use_ae, knobs["ae_compression"], 1.0)[:, None],
+            "fwd": (knobs["q_forwarding_hit_rate"] if self.two_pronged else
                     np.zeros(points))[:, None],
         }
 

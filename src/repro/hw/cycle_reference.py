@@ -23,7 +23,7 @@ from math import ceil
 from typing import List, Optional
 
 from ..sim.engine import AttentionSimulatorBase
-from ..sim.evaluator import CycleSimEvaluator, _cycle_metrics
+from ..sim.evaluator import _cycle_metrics
 from .allocator import allocate_mac_lines
 from .cycle_sim import _TIME_SCALE, CycleSimResult, merge_cycle_results
 from .dram import DramModel, DramRequest
@@ -251,10 +251,10 @@ class ReferenceCycleSimulator(AttentionSimulatorBase):
 class ReferenceCycleSimEvaluator:
     """:class:`~repro.sim.evaluator.CycleSimEvaluator` on the reference loop.
 
-    Same swept-knob checks, same energy charge; only the simulator
-    differs.  A per-point callable by design: it has no
-    ``evaluate_batch`` (it does not subclass the production evaluator, so
-    it cannot inherit one), and the DSE engine lifts it into rows with
+    Same energy charge; only the simulator differs.  A per-point callable
+    by design: it has no ``evaluate_batch`` (it does not subclass the
+    production evaluator, so it cannot inherit one), and the DSE engine
+    lifts it into rows with
     :class:`~repro.sim.evaluator.PointEvaluator`, scoring every point
     with the loop — a reference check never compares the grid walk with
     itself.  A custom evaluator on the wire
@@ -265,7 +265,6 @@ class ReferenceCycleSimEvaluator:
     name = "cycle-reference"
 
     def __call__(self, workload, config, accel_kwargs):
-        CycleSimEvaluator._reject_unsupported(accel_kwargs)
         result = ReferenceCycleSimulator(
             config=config, **accel_kwargs
         ).simulate_attention(workload)

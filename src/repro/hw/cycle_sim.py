@@ -86,7 +86,7 @@ from ..perf.memo import instance_memo
 from ..sim.engine import AttentionSimulatorBase, merge_results
 from .allocator import allocate_mac_lines_batched
 from .dram import DramModel
-from .params import VITCOD_DEFAULT, HardwareConfig, check_domain
+from .params import VITCOD_DEFAULT, HardwareConfig, check_domain, design_columns
 from .workload import AttentionWorkload, ModelWorkload
 
 __all__ = ["CycleSimResult", "CycleAccurateSimulator", "merge_cycle_results"]
@@ -373,31 +373,21 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         Hardware design point (defaults to the paper's).
     use_ae:
         Compress Q/K streams/loads by ``ae_compression``.
-    dram:
-        Optional :class:`DramModel` with custom burst parameters.
-        Subclasses are rejected: the grid walk evaluates sequential
-        service times in closed form and cannot replay per-request state
-        a subclass may keep (the reference loop in
-        :mod:`repro.hw.cycle_reference` accepts any model).
+
+    The DRAM channel is a plain :class:`DramModel` at the design point's
+    bandwidth: the walk evaluates its sequential service times in closed
+    form (the reference loop in :mod:`repro.hw.cycle_reference` accepts
+    any model).
     """
 
     name = "CycleSim"
 
     def __init__(self, config: Optional[HardwareConfig] = None, use_ae=True,
-                 ae_compression=0.5, dram: Optional[DramModel] = None):
+                 ae_compression=0.5):
         self.config = config or VITCOD_DEFAULT
         self.use_ae = use_ae
         check_domain(ae_compression=ae_compression)
-        if dram is not None and type(dram) is not DramModel:
-            raise ValueError(
-                "CycleAccurateSimulator requires a plain DramModel: a custom "
-                "subclass may carry per-request state the grid walk cannot "
-                "replay (repro.hw.cycle_reference simulates any model)"
-            )
         self.ae_compression = ae_compression
-        self.dram = dram or DramModel(
-            bytes_per_cycle=self.config.bytes_per_cycle
-        )
 
     def simulate_layer(self, layer: AttentionWorkload) -> CycleSimResult:
         """One attention layer: the single-layer case of
@@ -416,7 +406,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         tuple of single-layer results, and the totals are their field
         sums.  A ``ModelWorkload`` keeps the walk's geometry memoized.
         """
-        per_layer, jobs = self._walk(model, {})
+        per_layer, jobs = self._walk(model, self._resolve_grid_columns({}))
         rows = zip(*(per_layer[name][0].tolist() for name in _WALK_FIELDS),
                    jobs.tolist())
         return merge_cycle_results(CycleSimResult(*row) for row in rows)
@@ -424,72 +414,30 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
     # ------------------------------------------------------------------
     # The grid walk: per-count line envelopes, O(rows) per point
     # ------------------------------------------------------------------
-    #: Design-point knobs :meth:`simulate_attention_grid` accepts as
-    #: per-point columns; anything else comes from this simulator.
-    _GRID_COLUMNS = ("num_mac_lines", "dram_bandwidth_bytes_per_s",
-                     "act_buffer_bytes", "use_ae", "ae_compression")
-
     def _resolve_grid_columns(self, columns):
-        """Normalise per-point column arrays for the grid walk.
+        """Per-point columns for the grid walk.
 
-        Mirrors ``ViTCoDAccelerator._resolve_grid_columns``: ``columns``
-        maps a subset of :data:`_GRID_COLUMNS` to length-``P`` arrays
-        (already converted the way the design point would be built: ints
-        for MAC lines and buffer bytes, bytes/s for bandwidth); missing
-        knobs broadcast this simulator's own value.  Every knob goes
-        through :func:`~repro.hw.params.check_domain` before any cast, so
-        a chunk holding one out-of-domain value raises for the whole walk
-        (the DSE grid check rejects such values before any evaluator
-        runs).  A bandwidth column overrides the DRAM channel rate
-        exactly as a per-point config clone would (``bandwidth /
-        frequency``); without one the channel keeps this simulator's own
-        ``dram.bytes_per_cycle``.
+        :func:`~repro.hw.params.design_columns` over the knobs this
+        simulator models (its config's MAC lines, bandwidth and buffer,
+        its AE switch and ratio), then the walk's flat columns.  ``bpc``
+        is each point's DRAM channel rate, ``bandwidth / frequency`` as a
+        per-point config clone computes it; the energy charge reads it
+        too (:meth:`simulate_attention_grid`).
         """
-        unknown = set(columns) - set(self._GRID_COLUMNS)
-        if unknown:
-            raise ValueError(
-                f"unknown design-point column(s) {sorted(unknown)}; "
-                f"choose from {list(self._GRID_COLUMNS)}"
-            )
-        lengths = {len(np.atleast_1d(v)) for v in columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(
-                f"design-point columns disagree on length: {sorted(lengths)}"
-            )
-        points = lengths.pop() if lengths else 1
         cfg = self.config
-        knobs = {
+        knobs = design_columns(columns, {
             "num_mac_lines": cfg.num_mac_lines,
-            # The channel this simulator's DRAM model actually runs.
-            "dram_bandwidth_bytes_per_s":
-                self.dram.bytes_per_cycle * cfg.frequency_hz,
+            "dram_bandwidth_bytes_per_s": cfg.dram_bandwidth_bytes_per_s,
             "act_buffer_bytes": cfg.act_buffer_bytes,
             "use_ae": self.use_ae,
             "ae_compression": self.ae_compression,
-        }
-        knobs.update(columns)
-        check_domain(**knobs)
-
-        def column(name, dtype):
-            if name in columns:
-                return np.asarray(columns[name], dtype=dtype)
-            return np.full(points, knobs[name], dtype=dtype)
-
-        lines = column("num_mac_lines", np.int64)
-        act_buffer = column("act_buffer_bytes", np.int64)
-        use_ae = column("use_ae", bool)
-        ae = column("ae_compression", np.float64)
-        if "dram_bandwidth_bytes_per_s" in columns:
-            bpc = column("dram_bandwidth_bytes_per_s", np.float64) \
-                / cfg.frequency_hz
-        else:
-            bpc = np.full(points, self.dram.bytes_per_cycle)
+        })
         return {
-            "points": points,
-            "lines": lines,
-            "bpc": bpc,
-            "act_buffer": act_buffer,
-            "ratio": np.where(use_ae, ae, 1.0),
+            "points": knobs["use_ae"].size,
+            "lines": knobs["num_mac_lines"],
+            "bpc": knobs["dram_bandwidth_bytes_per_s"] / cfg.frequency_hz,
+            "act_buffer": knobs["act_buffer_bytes"],
+            "ratio": np.where(knobs["use_ae"], knobs["ae_compression"], 1.0),
         }
 
     def _grid_service(self, nbytes, bpc):
@@ -502,7 +450,7 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         bytes costing zero — elementwise over a (points × layers)
         broadcast with per-point ``bpc`` channel rates.
         """
-        burst = self.dram.burst_bytes
+        burst = DramModel.burst_bytes  # a plain DramModel's channel
         bursts = np.ceil(nbytes / burst)
         cycles = np.round(bursts * burst / bpc * _TIME_SCALE) / _TIME_SCALE
         return np.where(nbytes == 0, 0.0, cycles)
@@ -539,21 +487,26 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         ``sddmm_makespan``, ``spmm_makespan``, ``denser_busy``,
         ``sparser_busy``, ``dram_busy``, ``softmax_busy`` — plus the
         config-independent scalar ``jobs_executed``: the sums over layers
-        of the walk's (points × layers) arrays.  Element ``i`` of every
-        array is **bit-for-bit** the reference event loop's total at
+        of the walk's (points × layers) arrays.  ``bytes_per_cycle``
+        holds each point's DRAM channel rate, so ``dram_busy *
+        bytes_per_cycle`` is its DRAM traffic.  Element ``i`` of every
+        walk total is **bit-for-bit** the reference event loop's total at
         design point ``i``: all event durations live on the
         ``2**-20``-cycle grid, so every sum and max here is exact and
         association-free, and every non-grid expression (byte counts, tile
         counts, service times) repeats the loop's IEEE ops operand for
         operand.
         """
-        per_layer, jobs = self._walk(model, columns)
+        cols = self._resolve_grid_columns(columns)
+        per_layer, jobs = self._walk(model, cols)
         totals = {name: values.sum(axis=1) for name, values in per_layer.items()}
         totals["jobs_executed"] = int(jobs.sum())
+        totals["bytes_per_cycle"] = cols["bpc"]
         return totals
 
-    def _walk(self, model, columns):
-        """Run the grid walk; returns ``(per_layer, jobs)``.
+    def _walk(self, model, cols):
+        """Run the grid walk over resolved columns
+        (:meth:`_resolve_grid_columns`); returns ``(per_layer, jobs)``.
 
         ``per_layer`` maps each :data:`_WALK_FIELDS` name to a
         (points × layers) array, ``jobs`` holds each layer's event count.
@@ -569,7 +522,6 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         are evaluated directly (:func:`_direct_envelopes`).  Every value
         stays on the ``2**-20`` grid, so every step is exact, as before.
         """
-        cols = self._resolve_grid_columns(columns)
         g = self._grid_geometry(model)
         points, L = cols["points"], g["layers"]
         per_layer = {name: np.empty((points, L)) for name in _WALK_FIELDS}

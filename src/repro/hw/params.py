@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["EnergyTable", "HardwareConfig", "VITCOD_DEFAULT", "check_domain"]
+__all__ = ["EnergyTable", "HardwareConfig", "UnsupportedParameterError",
+           "VITCOD_DEFAULT", "check_domain", "design_columns"]
 
 
 @dataclass(frozen=True)
@@ -98,34 +99,81 @@ def _is_whole(v):
     return np.isfinite(v) & (v == np.floor(v))
 
 
-#: Each swept knob's domain, written once: ``(knob, in-domain test over a
-#: float64 array, message)``.  Knobs are named as the simulators read
-#: them (config fields and accelerator kwargs, after unit conversion).
-_DOMAINS = (
-    ("num_mac_lines", lambda v: _is_whole(v) & (v >= 2),
-     "need a whole number of at least 2 MAC lines (the allocator's floor)"),
-    ("dram_bandwidth_bytes_per_s", lambda v: np.isfinite(v) & (v > 0),
-     "DRAM bandwidth must be finite and positive"),
-    ("act_buffer_bytes", lambda v: _is_whole(v) & (v > 0),
-     "act_buffer_bytes must be a whole, positive number of bytes"),
-    ("ae_compression", lambda v: (v > 0) & (v <= 1),
-     "ae_compression must be in (0, 1]"),
-    ("q_forwarding_hit_rate", lambda v: (v >= 0) & (v < 1),
-     "q_forwarding_hit_rate must be in [0, 1)"),
-)
+class UnsupportedParameterError(ValueError):
+    """A design-point column the grid walk does not model: a sweep of a
+    knob the evaluator cannot honour, refused as a whole (the DSE engine
+    re-raises it instead of dropping the point)."""
+
+
+#: Each design-point column's dtype and domain, written once: ``knob ->
+#: (dtype, in-domain test over a float64 array, message)``.  Knobs are
+#: named as the simulators read them (config fields and accelerator
+#: kwargs, after unit conversion); the swept ``ae_compression`` knob is
+#: two columns, ``use_ae`` and the ratio.
+_DOMAINS = {
+    "num_mac_lines": (
+        np.int64, lambda v: _is_whole(v) & (v >= 2),
+        "need a whole number of at least 2 MAC lines (the allocator's floor)"),
+    "dram_bandwidth_bytes_per_s": (
+        np.float64, lambda v: np.isfinite(v) & (v > 0),
+        "DRAM bandwidth must be finite and positive"),
+    "act_buffer_bytes": (
+        np.int64, lambda v: _is_whole(v) & (v > 0),
+        "act_buffer_bytes must be a whole, positive number of bytes"),
+    "use_ae": (
+        bool, lambda v: (v == 0) | (v == 1),
+        "use_ae must be True or False"),
+    "ae_compression": (
+        np.float64, lambda v: (v > 0) & (v <= 1),
+        "ae_compression must be in (0, 1]"),
+    "q_forwarding_hit_rate": (
+        np.float64, lambda v: (v >= 0) & (v < 1),
+        "q_forwarding_hit_rate must be in [0, 1)"),
+}
 
 
 def check_domain(**knobs):
     """Raise :class:`ValueError` unless every given knob is in its domain.
 
-    THE domain check of the five swept knobs (see :data:`_DOMAINS`):
+    THE domain check of the design-point columns (see :data:`_DOMAINS`):
     each keyword is a scalar or an array of per-point values, and the
     first knob holding a value outside its domain raises with that
     knob's message.  NaN is outside every domain.  The DSE grid check,
-    the simulators' constructors and grid walks, and the MAC-line
+    the simulators' constructors, :func:`design_columns` and the MAC-line
     allocators all call this one function.
     """
-    for name, inside, message in _DOMAINS:
+    for name, (_, inside, message) in _DOMAINS.items():
         if name in knobs:
             if not inside(np.asarray(knobs[name], dtype=np.float64)).all():
                 raise ValueError(message)
+
+
+def design_columns(columns, defaults):
+    """THE resolver of both grid walks: each knob of ``defaults`` (the
+    knobs the walk models, with its own values) as a length-``P`` array
+    of its :data:`_DOMAINS` dtype, cast from ``columns`` (length-``P``
+    arrays in simulator units) or broadcast from ``defaults``; empty
+    ``columns`` are the ``P = 1`` walk of the defaults.  A column outside
+    ``defaults`` raises :class:`UnsupportedParameterError`, unequal
+    lengths :class:`ValueError`, and every knob, defaults included, goes
+    through :func:`check_domain` before any cast.
+    """
+    unknown = set(columns) - set(defaults)
+    if unknown:
+        raise UnsupportedParameterError(
+            f"unknown design-point column(s) {sorted(unknown)}; "
+            f"the walk models {list(defaults)}"
+        )
+    lengths = {len(np.atleast_1d(v)) for v in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(
+            f"design-point columns disagree on length: {sorted(lengths)}"
+        )
+    points = lengths.pop() if lengths else 1
+    knobs = {**defaults, **columns}
+    check_domain(**knobs)
+    return {
+        name: np.asarray(value, dtype=_DOMAINS[name][0]) if name in columns
+        else np.full(points, value, dtype=_DOMAINS[name][0])
+        for name, value in knobs.items()
+    }

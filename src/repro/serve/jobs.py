@@ -65,6 +65,7 @@ from ..harness.serialization import dse_result_payload, to_json
 from ..hw.params import VITCOD_DEFAULT
 from ..sim.evaluator import (
     check_evaluator_name,
+    check_swept_knobs,
     evaluator_from_spec,
     evaluator_spec,
 )
@@ -322,6 +323,7 @@ class JobManager:
         grid = self._normalize_grid(request.get("grid"))
         try:
             evaluator = evaluator_from_spec(request.get("evaluator", "analytical"))
+            check_swept_knobs(evaluator, sorted(grid))
         except (TypeError, ValueError) as exc:
             raise ServeRequestError(str(exc)) from None
         evaluator_wire = evaluator_spec(evaluator)

@@ -13,11 +13,12 @@ chunk is one ``evaluate_batch`` call, in in-memory sweeps and
 :mod:`repro.dist` shards alike.
 
 Each swept knob is declared once in the parameter table below: its one
-unit conversion (grid value → simulator column, refusing any value it
-would truncate) and whether the cycle simulator models it.  Its domain
-lives in :func:`repro.hw.params.check_domain`; :func:`check_dse_values`
-runs both where a grid enters, so an evaluator never sees an
-out-of-domain row.  The built-ins, one class per strategy:
+unit conversion (grid value → simulator columns, refusing any value it
+would truncate).  Its domain lives in
+:func:`repro.hw.params.check_domain`; :func:`check_dse_values` runs both
+where a grid enters, and :func:`check_swept_knobs` refuses a knob the
+evaluator's grid walk does not model.  The built-ins, one class per
+strategy:
 
 * :class:`AnalyticalEvaluator` — the closed-form
   :class:`~repro.hw.accelerator.ViTCoDAccelerator` phase model (the
@@ -47,11 +48,16 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, List, Protocol, Sequence, Union, runtime_checkable
+from typing import Any, List, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
-from ..hw.params import HardwareConfig, check_domain
+from ..hw.params import (
+    VITCOD_DEFAULT,
+    HardwareConfig,
+    UnsupportedParameterError,
+    check_domain,
+)
 
 __all__ = [
     "EvalMetrics",
@@ -62,6 +68,7 @@ __all__ = [
     "CycleSimEvaluator",
     "check_dse_values",
     "check_evaluator_name",
+    "check_swept_knobs",
     "dse_grid_columns",
     "dse_parameter_names",
     "evaluator_names",
@@ -69,15 +76,6 @@ __all__ = [
     "evaluator_spec",
     "evaluator_from_spec",
 ]
-
-
-class UnsupportedParameterError(ValueError):
-    """A swept parameter the evaluator cannot honour (a caller bug).
-
-    The DSE engine re-raises this instead of warn-and-dropping the point:
-    a grid that sweeps a knob the chosen evaluator does not model is a
-    structurally invalid sweep, not a transient per-point failure.
-    """
 
 
 @dataclass(frozen=True)
@@ -131,25 +129,8 @@ def _attention_layers(workload):
 
 
 # ----------------------------------------------------------------------
-# The DSE parameter table: ONE declaration per swept knob
+# The DSE parameter table: ONE conversion per swept knob
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _DseParameter:
-    """How one swept DSE knob becomes simulator columns."""
-
-    name: str
-    #: Whether the cycle simulator honours the knob.  Drives the derived
-    #: :attr:`CycleSimEvaluator._SUPPORTED_KWARGS` set behind the cycle
-    #: evaluator's structural rejection.
-    cycle_modelled: bool
-    #: ``accel_kwargs`` keys the knob may introduce (empty for knobs that
-    #: become config fields, which every simulator honours).
-    kwargs_keys: tuple
-    #: ``(values, default_ae) -> {column: array}`` — the knob's one unit
-    #: conversion; it refuses any value it would truncate.
-    columns: Callable
-
-
 def _number(value):
     """``value`` if it is a real number (bools are not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -165,52 +146,44 @@ def _whole(value, scale, unit):
     return int(scaled)
 
 
-def _columns_mac_lines(values, default_ae):
+def _columns_mac_lines(values):
     lines = [_whole(v, 1, "MAC lines") for v in values]
     return {"num_mac_lines": np.array(lines, dtype=np.int64)}
 
 
-def _columns_bandwidth(values, default_ae):
+def _columns_bandwidth(values):
     bandwidth = [float(_number(v)) * 1e9 for v in values]
     return {"dram_bandwidth_bytes_per_s": np.array(bandwidth, dtype=np.float64)}
 
 
-def _columns_act_buffer(values, default_ae):
+def _columns_act_buffer(values):
     act_buffer = [_whole(v, 1024, "bytes") for v in values]
     return {"act_buffer_bytes": np.array(act_buffer, dtype=np.int64)}
 
 
-def _columns_ae(values, default_ae):
-    # `None` means the AE datapath is off; the ratio column then holds
-    # ``default_ae`` (the simulator's own ratio, unused while AE is off).
-    ratios = [default_ae if v is None else float(_number(v)) for v in values]
+def _columns_ae(values):
+    # `None` means the AE datapath is off; the ratio column then holds an
+    # in-domain constant no walk reads.
+    ratios = [1.0 if v is None else float(_number(v)) for v in values]
     return {
         "use_ae": np.array([v is not None for v in values], dtype=bool),
         "ae_compression": np.array(ratios, dtype=np.float64),
     }
 
 
-def _columns_q_forwarding(values, default_ae):
+def _columns_q_forwarding(values):
     rates = [float(_number(v)) for v in values]
     return {"q_forwarding_hit_rate": np.array(rates, dtype=np.float64)}
 
 
+#: ``knob -> (values -> {column: array})``: each swept knob's one unit
+#: conversion; it refuses any value it would truncate.
 _DSE_PARAMETERS = {
-    p.name: p
-    for p in (
-        _DseParameter("mac_lines", True, (), _columns_mac_lines),
-        _DseParameter("bandwidth_gbps", True, (), _columns_bandwidth),
-        _DseParameter("act_buffer_kb", True, (), _columns_act_buffer),
-        _DseParameter(
-            "ae_compression", True, ("use_ae", "ae_compression"), _columns_ae
-        ),
-        _DseParameter(
-            "q_forwarding_hit_rate",
-            False,  # only the analytical model applies Q forwarding
-            ("q_forwarding_hit_rate",),
-            _columns_q_forwarding,
-        ),
-    )
+    "mac_lines": _columns_mac_lines,
+    "bandwidth_gbps": _columns_bandwidth,
+    "act_buffer_kb": _columns_act_buffer,
+    "ae_compression": _columns_ae,
+    "q_forwarding_hit_rate": _columns_q_forwarding,
 }
 
 #: Columns that are :class:`~repro.hw.params.HardwareConfig` fields; every
@@ -247,15 +220,15 @@ def check_dse_values(name, values):
     conversion would truncate, or one outside the knob's domain raises
     one :class:`ValueError` naming the parameter and the value.
     """
-    parameter = _parameter(name)
+    columns = _parameter(name)
     try:
-        check_domain(**parameter.columns(values, 1.0))
+        check_domain(**columns(values))
         return
     except (TypeError, ValueError, OverflowError):
         pass
     for value in values:  # name the first value that fails on its own
         try:
-            check_domain(**parameter.columns([value], 1.0))
+            check_domain(**columns([value]))
         except (TypeError, ValueError, OverflowError) as exc:
             reason = "only ae_compression sweeps None" if value is None else exc
             raise ValueError(
@@ -263,18 +236,39 @@ def check_dse_values(name, values):
             ) from None
 
 
-def dse_grid_columns(names, rows, default_ae):
+def dse_grid_columns(names, rows):
     """Build grid-simulator columns for a chunk of grid rows.
 
     One column dict for ``simulate_attention_grid`` (accelerator or cycle
     simulator), each swept value converted by its knob's one conversion.
-    ``default_ae`` fills the AE-ratio column for rows whose AE datapath
-    is off.
     """
     columns = {}
     for j, name in enumerate(names):
-        columns.update(_parameter(name).columns([row[j] for row in rows], default_ae))
+        columns.update(_parameter(name)([row[j] for row in rows]))
     return columns
+
+
+def check_swept_knobs(evaluator, names):
+    """Refuse a sweep of knobs ``evaluator`` does not model.
+
+    THE check where a grid meets its evaluator (the sweeps, ``run_shard``,
+    the CLI's ``dse`` commands, ``POST /jobs``): a built-in, or a fault
+    wrapper of one, resolves the swept columns over zero rows with its
+    walk's own resolver, so a knob outside the defaults the walk passes
+    to :func:`~repro.hw.params.design_columns` raises
+    :class:`UnsupportedParameterError` with no workload built.
+    """
+    evaluator = resolve_evaluator(evaluator)
+    evaluator = getattr(evaluator, "inner", evaluator)
+    simulator = getattr(evaluator, "_simulator", None)
+    if simulator is None:
+        return
+    columns = dse_grid_columns(names, [])
+    try:
+        simulator(VITCOD_DEFAULT)._resolve_grid_columns(columns)
+    except UnsupportedParameterError as exc:
+        message = f"evaluator {evaluator.name!r}: {exc}"
+        raise UnsupportedParameterError(message) from None
 
 
 def _per_row(metrics, names, rows):
@@ -304,10 +298,8 @@ class PointEvaluator:
 
     def evaluate_batch(self, workload, base_config, names, rows):
         rows = list(rows)
-        columns = {
-            key: column.tolist()
-            for key, column in dse_grid_columns(names, rows, None).items()
-        }
+        columns = dse_grid_columns(names, rows)
+        columns = {key: column.tolist() for key, column in columns.items()}
         swept = _CONFIG_COLUMNS.intersection(columns)  # config-field columns
         results = []
         for i in range(len(rows)):
@@ -335,13 +327,17 @@ class AnalyticalEvaluator:
 
     name = "analytical"
 
-    def evaluate_batch(self, workload, base_config, names, rows):
+    @staticmethod
+    def _simulator(config):  # the grid walk this strategy scores with
         from ..hw.accelerator import ViTCoDAccelerator
 
+        return ViTCoDAccelerator(config=config)
+
+    def evaluate_batch(self, workload, base_config, names, rows):
         rows = list(rows)
-        accel = ViTCoDAccelerator(config=base_config)
-        columns = dse_grid_columns(names, rows, accel.ae_compression)
-        seconds, energy = accel.simulate_attention_grid(workload, columns)
+        seconds, energy = self._simulator(base_config).simulate_attention_grid(
+            workload, dse_grid_columns(names, rows)
+        )
         metrics = [
             EvalMetrics(seconds=s, energy_joules=e)
             for s, e in zip(seconds.tolist(), energy.tolist())
@@ -404,52 +400,23 @@ class CycleSimEvaluator:
 
     name = "cycle"
 
-    #: ``accel_kwargs`` the cycle simulator can honour; anything else (e.g.
-    #: ``q_forwarding_hit_rate``, which only the analytical model applies)
-    #: raises instead of silently altering the swept grid's meaning.
-    #: Derived from the DSE parameter table's ``cycle_modelled`` flags.
-    _SUPPORTED_KWARGS = frozenset(
-        key
-        for parameter in _DSE_PARAMETERS.values()
-        if parameter.cycle_modelled
-        for key in parameter.kwargs_keys
-    )
-
-    @classmethod
-    def _reject_unsupported(cls, keys):
-        """Raise for ``accel_kwargs`` keys the cycle simulator cannot honour."""
-        unsupported = set(keys) - cls._SUPPORTED_KWARGS
-        if unsupported:
-            raise UnsupportedParameterError(
-                "CycleSimEvaluator cannot honour swept parameter(s) "
-                f"{sorted(unsupported)}; the cycle simulator only models "
-                f"{sorted(cls._SUPPORTED_KWARGS)}"
-            )
-
-    def evaluate_batch(self, workload, base_config, names, rows):
+    @staticmethod
+    def _simulator(config):  # the grid walk this strategy scores with
         from ..hw.cycle_sim import CycleAccurateSimulator
 
-        self._reject_unsupported(
-            key for name in names for key in _parameter(name).kwargs_keys
-        )
+        return CycleAccurateSimulator(config=config)
+
+    def evaluate_batch(self, workload, base_config, names, rows):
         rows = list(rows)
-        sim = CycleAccurateSimulator(config=base_config)
-        columns = dse_grid_columns(names, rows, sim.ae_compression)
-        totals = sim.simulate_attention_grid(workload, columns)
-        # A bandwidth column is the per-point ``config.bytes_per_cycle``
-        # expression evaluated elementwise.
-        if "dram_bandwidth_bytes_per_s" in columns:
-            bytes_per_cycle = (
-                columns["dram_bandwidth_bytes_per_s"] / base_config.frequency_hz
-            )
-        else:
-            bytes_per_cycle = base_config.bytes_per_cycle
+        totals = self._simulator(base_config).simulate_attention_grid(
+            workload, dse_grid_columns(names, rows)
+        )
         metrics = _cycle_metrics(
             workload,
             base_config,
             totals["makespan"],
             totals["dram_busy"],
-            bytes_per_cycle,
+            totals["bytes_per_cycle"],
         )
         return _per_row(metrics, names, rows)
 

@@ -22,7 +22,7 @@ first.
 
 import analytical_oracle
 from repro.hw import CycleAccurateSimulator, ViTCoDAccelerator
-from repro.sim import CycleSimEvaluator, EvalMetrics
+from repro.sim import EvalMetrics
 from repro.sim.evaluator import _cycle_metrics
 
 __all__ = ["PerPoint", "analytical_fold", "cycle_walk"]
@@ -40,7 +40,6 @@ def analytical_fold(workload, config, accel_kwargs):
 
 def cycle_walk(workload, config, accel_kwargs):
     """The cycle simulator at one cloned design point (the walk at P = 1)."""
-    CycleSimEvaluator._reject_unsupported(accel_kwargs)
     result = CycleAccurateSimulator(
         config=config, **accel_kwargs
     ).simulate_attention(workload)

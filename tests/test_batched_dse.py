@@ -14,11 +14,13 @@ than a model change.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import analytical_oracle
 from repro.harness import dse as dse_module
 from repro.harness.dse import (
     iter_indexed_design_points,
@@ -26,13 +28,16 @@ from repro.harness.dse import (
     sensitivity,
     sweep_design_space,
 )
-from repro.hw import model_workload
+from repro.hw import CycleAccurateSimulator, ViTCoDAccelerator, model_workload
+from repro.hw.cycle_reference import ReferenceCycleSimulator
+from repro.hw.cycle_sim import _WALK_FIELDS
 from repro.hw.params import VITCOD_DEFAULT
 from repro.models import get_config
 from repro.sim import (
     AnalyticalEvaluator,
     Evaluator,
     PointEvaluator,
+    UnsupportedParameterError,
     evaluator_from_spec,
     evaluator_spec,
     resolve_evaluator,
@@ -352,41 +357,82 @@ class TestBatchEngine:
                   "--grid", "mac_lines=16,32", "--batch-size", "0"])
 
 
+#: Both grid walks; one ``design_columns`` resolves their columns, so
+#: each resolver behaviour is one test over both.
+WALKS = (ViTCoDAccelerator, CycleAccurateSimulator)
+
+#: One out-of-domain value per column both walks model, beside an
+#: in-domain one: the whole chunk is refused.
+OUT_OF_DOMAIN = [
+    ("num_mac_lines", [16, 1], "at least 2 MAC lines"),
+    ("dram_bandwidth_bytes_per_s", [76.8e9, 0.0], "finite and positive"),
+    ("act_buffer_bytes", [1024, 0], "whole, positive number of bytes"),
+    ("use_ae", [True, 2], "use_ae must be True or False"),
+    ("ae_compression", [0.5, 1.5], r"ae_compression must be in \(0, 1\]"),
+]
+
+
 class TestSimulateAttentionGrid:
     def test_unknown_column_rejected(self, small_workload):
-        from repro.hw.accelerator import ViTCoDAccelerator
-
-        with pytest.raises(ValueError, match="unknown design-point"):
-            ViTCoDAccelerator().simulate_attention_grid(
-                small_workload, {"voltage": np.array([0.9])}
-            )
+        for walk in WALKS:
+            with pytest.raises(UnsupportedParameterError,
+                               match="unknown design-point column"):
+                walk().simulate_attention_grid(
+                    small_workload, {"voltage": np.array([0.9])}
+                )
 
     def test_mismatched_column_lengths_rejected(self, small_workload):
-        from repro.hw.accelerator import ViTCoDAccelerator
+        for walk in WALKS:
+            with pytest.raises(ValueError, match="disagree on length"):
+                walk().simulate_attention_grid(
+                    small_workload,
+                    {"num_mac_lines": np.array([16, 32]),
+                     "ae_compression": np.array([0.5])},
+                )
 
-        with pytest.raises(ValueError, match="disagree on length"):
-            ViTCoDAccelerator().simulate_attention_grid(
-                small_workload,
-                {"num_mac_lines": np.array([16, 32]),
-                 "ae_compression": np.array([0.5])},
-            )
+    @pytest.mark.parametrize("column, values, message", OUT_OF_DOMAIN,
+                             ids=[case[0] for case in OUT_OF_DOMAIN])
+    def test_out_of_domain_column_rejected(self, small_workload, column,
+                                           values, message):
+        for walk in WALKS:
+            with pytest.raises(ValueError, match=message):
+                walk().simulate_attention_grid(
+                    small_workload, {column: np.array(values)}
+                )
+
+    def test_out_of_domain_default_rejected(self, small_workload):
+        """An unswept knob broadcasts the walk's own value, which is
+        checked like a swept one."""
+        config = replace(VITCOD_DEFAULT, num_mac_lines=1)
+        for walk in WALKS:
+            with pytest.raises(ValueError, match="at least 2 MAC lines"):
+                walk(config=config).simulate_attention_grid(
+                    small_workload, {"act_buffer_bytes": np.array([1024])}
+                )
 
     def test_empty_columns_is_own_design_point(self, small_workload):
-        from repro.hw.accelerator import ViTCoDAccelerator
-
-        accel = ViTCoDAccelerator()
-        seconds, energy = accel.simulate_attention_grid(small_workload, {})
-        report = accel.simulate_attention(small_workload)
-        assert seconds.shape == (1,) and energy.shape == (1,)
-        assert seconds[0] == report.seconds
-        assert energy[0] == report.energy_joules
+        """No columns is each walk's own design point, P = 1, equal to
+        that walk's independent scalar oracle."""
+        seconds, energy = ViTCoDAccelerator().simulate_attention_grid(
+            small_workload, {}
+        )
+        report = analytical_oracle.fold(ViTCoDAccelerator(), small_workload)
+        assert seconds.tolist() == [report.seconds]
+        assert energy.tolist() == [report.energy_joules]
+        totals = CycleAccurateSimulator().simulate_attention_grid(
+            small_workload, {}
+        )
+        result = ReferenceCycleSimulator().simulate_attention(small_workload)
+        for name in _WALK_FIELDS:
+            assert totals[name].tolist() == [getattr(result, name)], name
+        assert totals["jobs_executed"] == result.jobs_executed
+        assert totals["bytes_per_cycle"].tolist() == \
+            [VITCOD_DEFAULT.bytes_per_cycle]
 
     def test_ablation_flags_respected(self, small_workload):
         """The grid walk inherits non-swept accelerator flags (dataflow,
         two_pronged) from the instance, like per-point construction
         would."""
-        from repro.hw.accelerator import ViTCoDAccelerator
-
         for kwargs in ({"two_pronged": False},
                        {"dataflow": "s_stationary"},
                        {"use_ae": False}):
@@ -395,8 +441,6 @@ class TestSimulateAttentionGrid:
             seconds, energy = accel.simulate_attention_grid(small_workload,
                                                             cols)
             for i, lines in enumerate((32, 64)):
-                from dataclasses import replace
-
                 ref = ViTCoDAccelerator(
                     config=replace(VITCOD_DEFAULT, num_mac_lines=lines),
                     **kwargs,

@@ -77,8 +77,9 @@ def bench_rows():
 def walk_both(workload, names, rows):
     """The production walk and the scan oracle on one chunk of rows."""
     sim = CycleAccurateSimulator()
-    columns = dse_grid_columns(names, rows, sim.ae_compression)
-    return sim._walk(workload, columns), scan_walk(sim, workload, columns)
+    columns = dse_grid_columns(names, rows)
+    return (sim._walk(workload, sim._resolve_grid_columns(columns)),
+            scan_walk(sim, workload, columns))
 
 
 def assert_fields_identical(got, want):
@@ -223,8 +224,8 @@ def test_direct_rows_match_reference_loop(workload, grid):
     with pytest.MonkeyPatch.context() as monkeypatch:
         direct = DirectRows(monkeypatch)
         sim = CycleAccurateSimulator()
-        got, _ = sim._walk(workload,
-                           dse_grid_columns(names, rows, sim.ae_compression))
+        got, _ = sim._walk(workload, sim._resolve_grid_columns(
+            dse_grid_columns(names, rows)))
     assert direct.rows > 0, "no row took the direct route"
     want = reference_fields(workload, names, rows)
     for name in _WALK_FIELDS:

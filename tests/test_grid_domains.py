@@ -11,6 +11,10 @@ directory.  Values are drawn at and across each knob's domain edges:
 * activation buffer: a whole, positive number of bytes;
 * AE ratio: in (0, 1], or ``None`` (AE off);
 * Q-forwarding hit rate: in [0, 1).
+
+A grid sweeping a knob its evaluator's walk does not model (the cycle
+walk and ``q_forwarding_hit_rate``), and a bad ``dse-shard`` option, are
+refused the same way: one line or HTTP 400, no state.
 """
 
 import json
@@ -23,11 +27,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.dist import merge_store, model_workload_spec, run_shard
+from repro.faults import FaultyEvaluator
 from repro.harness.dse import sweep_design_space
 from repro.hw.params import VITCOD_DEFAULT
 from repro.perf import cached_model_workload
 from repro.serve import JobManager, ServeClient, ServeError, serving
 from repro.serve.jobs import ServeRequestError
+from repro.sim import UnsupportedParameterError
+from repro.sim.evaluator import check_swept_knobs, dse_parameter_names
 
 SPEC = model_workload_spec("deit-tiny", sparsity=0.9)
 
@@ -211,3 +218,132 @@ class TestRecordedGridsAreChecked:
         job = restarted._jobs[info["id"]]
         assert job.state == "failed"
         assert "'mac_lines' value 16.5" in job.error
+
+
+# ----------------------------------------------------------------------
+# A knob the evaluator does not model, refused where the grid meets it
+# ----------------------------------------------------------------------
+UNMODELLED = ["--evaluator", "cycle", "--grid", "q_forwarding_hit_rate=0,0.3"]
+
+#: The swept knobs each built-in's walk does not model.
+REFUSED = {"analytical": set(), "cycle": {"q_forwarding_hit_rate"}}
+
+
+class TestUnmodelledKnobRefused:
+    @pytest.mark.parametrize("evaluator", sorted(REFUSED))
+    def test_each_walk_refuses_exactly_what_it_does_not_model(
+            self, evaluator):
+        faulty = FaultyEvaluator(evaluator, {"seed": 1})
+        for name in dse_parameter_names():
+            for scorer in (evaluator, faulty):
+                if name in REFUSED[evaluator]:
+                    with pytest.raises(UnsupportedParameterError,
+                                       match=f"'{evaluator}'.*{name}"):
+                        check_swept_knobs(scorer, ["mac_lines", name])
+                else:
+                    check_swept_knobs(scorer, ["mac_lines", name])
+
+    def test_dse_exits_before_the_build(self, tmp_path, monkeypatch):
+        import repro.perf
+
+        def build(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a workload was built for a refused grid")
+
+        monkeypatch.setattr(repro.perf, "cached_model_workload", build)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["dse", "--models", "deit-tiny", *UNMODELLED,
+                  "--json", str(out)])
+        message = str(exc.value.code)
+        assert "q_forwarding_hit_rate" in message and "\n" not in message
+        assert not out.exists()
+
+    def test_dse_shard_leaves_no_store(self, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="q_forwarding_hit_rate"):
+            main(["dse-shard", "--shard", "1/2", "--out", str(store),
+                  "--models", "deit-tiny", *UNMODELLED])
+        assert not store.exists()
+
+    def test_dse_fleet_launches_no_shard(self, tmp_path, monkeypatch):
+        import repro.dist
+
+        def launched(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a shard was launched for a refused grid")
+
+        monkeypatch.setattr(repro.dist, "run_fleet", launched)
+        store = tmp_path / "s"
+        with pytest.raises(SystemExit, match="q_forwarding_hit_rate"):
+            main(["dse-fleet", "--out", str(store), "--num-shards", "2",
+                  *UNMODELLED])
+        assert not store.exists()
+
+    def test_run_shard_raises_before_the_manifest(self, tmp_path, workload):
+        store = tmp_path / "store"
+        with pytest.raises(UnsupportedParameterError,
+                           match="q_forwarding_hit_rate"):
+            run_shard(workload, {"q_forwarding_hit_rate": [0, 0.3]}, "1/2",
+                      store, evaluator="cycle", workload_spec=SPEC)
+        assert not store.exists()
+
+    def test_post_jobs_answers_400(self, tmp_path):
+        with serving(tmp_path / "data", workers=0) as server:
+            with pytest.raises(ServeError) as exc:
+                ServeClient(server.url).submit({
+                    "grid": {"q_forwarding_hit_rate": [0, 0.3]},
+                    "evaluator": "cycle", "model": "deit-tiny",
+                })
+        assert exc.value.status == 400
+        assert "q_forwarding_hit_rate" in str(exc.value)
+        assert not any((tmp_path / "data" / "jobs").iterdir())
+
+
+# ----------------------------------------------------------------------
+# dse-shard options, checked once by dse-shard and dse-fleet
+# ----------------------------------------------------------------------
+#: Bad ``--shard`` spellings, and the options dse-fleet hands to every
+#: shard it forks (``--handicap`` and ``--steal-chunk`` under dse-shard
+#: alone are ``test_dist``'s ``test_bad_steal_flags_rejected``).
+BAD_SHARD_SPECS = [
+    (["--shard", "3/2"], "--shard: shard index must be in 1..2, got 3"),
+    (["--shard", "0/2"], "--shard: shard index must be in 1..2, got 0"),
+    (["--shard", "abc"], "--shard: bad shard spec 'abc'"),
+    (["--shard", "1/2", "--max-point-retries", "-1"],
+     "--max-point-retries must be >= 0"),
+]
+FLEET_OPTIONS = [
+    (["--max-point-retries", "-1"], "--max-point-retries must be >= 0"),
+    (["--handicap", "-1"], "--handicap must be non-negative"),
+    (["--steal", "--steal-chunk", "0"], "--steal-chunk must be a positive"),
+]
+
+
+class TestShardOptionsRefused:
+    @pytest.mark.parametrize("options, message", BAD_SHARD_SPECS,
+                             ids=[" ".join(o) for o, _ in BAD_SHARD_SPECS])
+    def test_dse_shard_exits_with_one_line(self, tmp_path, options, message):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exc:
+            main(["dse-shard", "--out", str(store), "--models", "deit-tiny",
+                  "--grid", "mac_lines=16,32", *options])
+        text = str(exc.value.code)
+        assert text.startswith(message) and "\n" not in text
+        assert not store.exists()
+
+    @pytest.mark.parametrize("options, message", FLEET_OPTIONS,
+                             ids=[" ".join(o) for o, _ in FLEET_OPTIONS])
+    def test_dse_fleet_launches_no_shard(self, tmp_path, monkeypatch,
+                                         options, message):
+        import repro.dist
+
+        def launched(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a shard was launched for a bad option")
+
+        monkeypatch.setattr(repro.dist, "run_fleet", launched)
+        store = tmp_path / "s"
+        with pytest.raises(SystemExit) as exc:
+            main(["dse-fleet", "--out", str(store), "--num-shards", "2",
+                  "--grid", "mac_lines=16,32", *options])
+        text = str(exc.value.code)
+        assert text.startswith(message) and "\n" not in text
+        assert not store.exists()
