@@ -38,7 +38,11 @@ from repro.hw.cycle_reference import (
     ReferenceCycleSimEvaluator,
     ReferenceCycleSimulator,
 )
-from repro.hw.cycle_sim import CycleAccurateSimulator, _width_bands
+from repro.hw.cycle_sim import (
+    _WALK_FIELDS,
+    CycleAccurateSimulator,
+    _width_bands,
+)
 from repro.models import get_config
 from repro.sim import (
     CycleSimEvaluator,
@@ -362,6 +366,37 @@ class TestWidthBands:
 
 
 class TestSimulateAttentionGrid:
+    def test_unknown_column_rejected(self, small_workload):
+        """The cycle walk refuses any column outside the knobs it models,
+        the analytical walk's Q-forwarding hit rate included."""
+        for column in ("voltage", "q_forwarding_hit_rate"):
+            with pytest.raises(UnsupportedParameterError,
+                               match="unknown design-point column"):
+                CycleAccurateSimulator().simulate_attention_grid(
+                    small_workload, {column: np.array([0.5])}
+                )
+
+    def test_mismatched_column_lengths_rejected(self, small_workload):
+        with pytest.raises(ValueError, match="disagree on length"):
+            CycleAccurateSimulator().simulate_attention_grid(
+                small_workload,
+                {"num_mac_lines": np.array([16, 32]),
+                 "ae_compression": np.array([0.5])},
+            )
+
+    def test_empty_columns_is_own_design_point(self, small_workload):
+        """No columns is the simulator's own design point, P = 1, equal
+        to the reference event loop."""
+        totals = CycleAccurateSimulator().simulate_attention_grid(
+            small_workload, {}
+        )
+        result = ReferenceCycleSimulator().simulate_attention(small_workload)
+        for name in _WALK_FIELDS:
+            assert totals[name].tolist() == [getattr(result, name)], name
+        assert totals["jobs_executed"] == result.jobs_executed
+        assert totals["bytes_per_cycle"].tolist() == \
+            [VITCOD_DEFAULT.bytes_per_cycle]
+
     def test_custom_dram_model_rejected(self, small_workload):
         """The walk cannot replay a DramModel subclass, so the simulator
         takes no DRAM model at all; the reference loop accepts any."""
