@@ -351,32 +351,46 @@ def _existing_manifest(store):
     return ResultStore(store).read_manifest(missing_ok=True)
 
 
-def _dse_result(model, sparsity, evaluator_name, grid, points):
-    """Print the DSE point table and build the JSON payload.
+def _write_json(path, chunks):
+    """Write ``chunks`` of JSON text to ``path`` and say so."""
+    with open(path, "w") as fh:
+        fh.writelines(chunks)
+    print(f"\nwrote {path}")
+
+
+def _dse_result(model, sparsity, evaluator_name, grid, points, json_path,
+                frontier=None):
+    """Print the DSE point table and write the JSON payload to ``json_path``.
 
     The payload itself comes from the shared
     :func:`repro.harness.serialization.dse_result_payload` builder, so
     ``dse``, ``dse-merge`` and the serve layer's results endpoint all
     serialise one sweep identically (the CI smoke jobs assert the JSON
-    files are byte-identical across the three surfaces).
+    files are byte-identical across the three surfaces).  The table goes
+    to stdout line by line and the JSON into its file chunk by chunk:
+    the text ``format_table`` and ``to_json`` return whole, never held
+    whole.  ``frontier`` is ``pareto_frontier(points)`` when the caller
+    has it (a merge does).
     """
-    from .harness.serialization import dse_result_payload
+    from .harness.serialization import dse_result_payload, iter_json
 
-    payload = dse_result_payload(model, sparsity, evaluator_name, grid, points)
+    payload = dse_result_payload(model, sparsity, evaluator_name, grid, points,
+                                 frontier=frontier)
     names_ = sorted(grid)
-    rows = payload["points"]
-    frontier_size = sum(1 for row in rows if row["pareto"])
-    print(harness.format_table(
-        names_ + ["seconds", "energy_J", "EDP", "pareto"],
-        [[row["parameters"][n] for n in names_]
-         + [row["seconds"], row["energy_joules"], row["edp"],
-            "*" if row["pareto"] else ""]
-         for row in rows],
+    rows = [[row["parameters"][n] for n in names_]
+            + [row["seconds"], row["energy_joules"], row["edp"],
+               "*" if row["pareto"] else ""]
+            for row in payload["points"]]
+    for line in harness.iter_table(
+        names_ + ["seconds", "energy_J", "EDP", "pareto"], rows,
         float_fmt="{:.3e}",
-    ))
+    ):
+        print(line)
+    frontier_size = sum(1 for row in rows if row[-1])
     print(f"\n{len(rows)} points ({evaluator_name} evaluator), "
           f"{frontier_size} on the Pareto frontier")
-    return payload
+    if json_path:
+        _write_json(json_path, iter_json(payload))
 
 
 def _run(args):
@@ -549,7 +563,7 @@ def _run(args):
             print(f"wrote Chrome trace {args.trace} (load in Perfetto)",
                   file=sys.stderr)
         return _dse_result(model, args.sparsity, args.evaluator, grid,
-                           points)
+                           points, args.json)
 
     if name == "dse-shard":
         from .dist import model_workload_spec, run_shard
@@ -696,7 +710,9 @@ def _run(args):
             workload_spec.get("sparsity"),
             manifest["evaluator"]["name"],
             {k: tuple(v) for k, v in manifest["grid"].items()},
-            list(merged.points),
+            merged.points,
+            args.json,
+            frontier=merged.frontier,
         )
 
     if name == "dse-status":
@@ -779,9 +795,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     result = _run(args)
     if args.json and result is not None:
-        with open(args.json, "w") as fh:
-            fh.write(to_json(result))
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, [to_json(result)])
     return 0
 
 

@@ -21,7 +21,9 @@ loudly.  Ownership stays checked: a shard file may only hold its own
 indices, a steal file only *other* shards' indices.
 
 The merge is a pure fold of records: it builds no workload and touches
-no evaluator, so any host that can read the store can merge it.
+no evaluator, so any host that can read the store can merge it.  It
+streams the ledgers line by line and decodes each record into its grid
+slot, so its memory follows the number of points, not of records.
 
 :func:`store_status` is the monitoring companion: per-shard completion
 counts — scored vs persisted-failure records, stolen-index counts, and
@@ -97,24 +99,31 @@ def _shard_spec(manifest: dict, shard_index: int) -> ShardSpec:
     )
 
 
-def _load_merged_records(store: ResultStore, manifest: dict):
-    """Every shard's records as one ``index -> record`` map, verified.
+def _fold_records(store: ResultStore, manifest: dict):
+    """Decode every record into its grid slot as it is read, verified.
 
-    Returns ``(records, duplicates)``.  Checks the partition invariants:
-    all files belong to this store's ``N``-way partition, a shard file
-    holds only indices the (possibly weighted) shard owns, a steal file
-    holds only in-range indices its shard does *not* own, and no index
-    is missing.  An index recorded more than once is tolerated when
-    every copy has the same payload (timestamp aside) and counted in
-    ``duplicates``; conflicting copies raise :class:`StoreCorruptError`.
+    Returns ``(slots, duplicates)``: ``slots[i]`` holds grid index
+    ``i``'s decoded result (or the :class:`StoreCorruptError` of a record
+    that does not decode, for the caller to raise in grid order).  Checks
+    the partition invariants: all files belong to this store's ``N``-way
+    partition, a shard file holds only indices the (possibly weighted)
+    shard owns, a steal file holds only in-range indices its shard does
+    *not* own, and no index is missing.  Within a file the first record
+    of an index wins.  An index recorded in more than one file is tolerated
+    when every copy has the same payload (timestamp aside) and counted
+    in ``duplicates``; conflicting copies raise
+    :class:`StoreCorruptError`.  Ownership keeps shard files disjoint, so
+    only a steal file can repeat an index: steal files are read first,
+    and only their payloads are kept, to check the copies read after.
     """
     num_shards = manifest["num_shards"]
     size = manifest["grid_size"]
-    records: dict = {}
-    duplicates = 0
     sources = [
-        (index, count, path, False) for index, count, path in store.shard_files()
-    ] + [(index, count, path, True) for index, count, path in store.steal_files()]
+        (index, count, path, True) for index, count, path in store.steal_files()
+    ] + [(index, count, path, False) for index, count, path in store.shard_files()]
+    stolen = {}  # index -> (payload, result) of its first steal-file copy
+    slots = [None] * size
+    duplicates = 0
     for shard_index, shard_count, path, is_steal in sources:
         if shard_count != num_shards:
             raise StoreMismatchError(
@@ -122,7 +131,8 @@ def _load_merged_records(store: ResultStore, manifest: dict):
                 f"the store was created for /{num_shards}"
             )
         owned = set(_shard_spec(manifest, shard_index).indices(size))
-        for index, record in store.load_records(path).items():
+        seen = set()  # this steal file's indices so far
+        for index, record in store.iter_records(path):
             if is_steal and index in owned:
                 raise StoreCorruptError(
                     f"{path.name} holds grid index {index}, which shard "
@@ -139,45 +149,59 @@ def _load_merged_records(store: ResultStore, manifest: dict):
                     f"{path.name} holds grid index {index}, which shard "
                     f"{shard_index}/{shard_count} does not own"
                 )
-            if index in records:
-                if record_payload(records[index]) == record_payload(record):
-                    duplicates += 1
-                    continue
-                raise StoreCorruptError(
-                    f"grid index {index} appears in multiple files with "
-                    "conflicting results — the evaluator is not "
-                    "deterministic, or the store mixes studies"
-                )
-            records[index] = record
-    if len(records) < size:
-        missing = size - len(records)
+            if index in seen or slots[index] is not None:
+                continue  # a repeat within this file: the first one wins
+            if index in stolen:
+                if stolen[index][0] != record_payload(record):
+                    raise StoreCorruptError(
+                        f"grid index {index} appears in multiple files with "
+                        "conflicting results — the evaluator is not "
+                        "deterministic, or the store mixes studies"
+                    )
+                duplicates += 1
+            if is_steal:
+                seen.add(index)
+                stolen.setdefault(index, (record_payload(record), _decoded(record)))
+            else:
+                slots[index] = _decoded(record)
+    for index, (_, result) in stolen.items():
+        if slots[index] is None:
+            slots[index] = result
+    missing = slots.count(None)
+    if missing:
         raise IncompleteStoreError(
-            f"store holds {len(records)} of {size} grid points "
+            f"store holds {size - missing} of {size} grid points "
             f"({missing} missing); run the remaining shards "
             "(see `python -m repro dse-status`)"
         )
-    return records, duplicates
+    return slots, duplicates
+
+
+def _decoded(record):
+    """A record's result, or the error that decoding it raised."""
+    try:
+        return decode_record(record)[1]
+    except StoreCorruptError as exc:
+        return exc
 
 
 def merge_store(store) -> MergeResult:
     """Merge a complete sharded store into the single-process sweep result.
 
-    A pure fold of records: they are decoded in grid order, failures
-    dropped, and the frontier recomputed — no workload is built and no
-    evaluator runs.
+    A pure fold of records: each is decoded into its grid slot as the
+    ledgers stream past, failures are dropped in grid order, and the
+    frontier recomputed — no workload is built, no evaluator runs and no
+    raw record outlives its line.
     """
     store = ResultStore(store)
     manifest = store.read_manifest()
     with obs.span("dist_merge"):
-        records, duplicates = _load_merged_records(store, manifest)
+        slots, duplicates = _fold_records(store, manifest)
         points = []  # grid order, failures dropped
         dropped = 0
-        for index in range(manifest["grid_size"]):
-            record_index, result = decode_record(records[index])
-            if record_index != index:
-                raise StoreCorruptError(
-                    f"record indexed {index} decodes to {record_index}"
-                )
+        for index, result in enumerate(slots):
+            if isinstance(result, StoreCorruptError):
+                raise result
             if isinstance(result, PointFailure):
                 _drop_failure(index, result)
                 dropped += 1

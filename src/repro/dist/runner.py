@@ -290,13 +290,13 @@ def _score_into(
 # Work-stealing: owed indices, advisory claims, steal coverage
 # ----------------------------------------------------------------------
 def _recorded_indices(store: ResultStore) -> set:
-    """Every grid index any shard or steal file holds a record for."""
-    recorded = set()
-    for _, _, path in store.shard_files():
-        recorded.update(store.load_records(path))
-    for _, _, path in store.steal_files():
-        recorded.update(store.load_records(path))
-    return recorded
+    """Every grid index any shard or steal file holds a record for,
+    streamed: no record outlives its line."""
+    return {
+        index
+        for _, _, path in store.shard_files() + store.steal_files()
+        for index, _ in store.iter_records(path)
+    }
 
 
 def _owed_indices(size: int, shard: ShardSpec, recorded) -> list:
@@ -399,7 +399,7 @@ class _StealCoverage:
         for shard_index, shard_count, path in self._store.steal_files():
             if (shard_index, shard_count) == self._own:
                 continue
-            covered.update(self._store.load_records(path))
+            covered.update(index for index, _ in self._store.iter_records(path))
         self._covered = covered
         self._last = time.monotonic()
         return covered

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -54,7 +55,14 @@ from typing import Dict, List
 
 from ..harness.dse import DesignPoint, PointFailure, check_grid, grid_size
 from ..hw.params import EnergyTable, HardwareConfig
-from ..ledger import JsonlAppender, StoreCorruptError, StoreError, load_jsonl, publish
+from ..ledger import (
+    JsonlAppender,
+    StoreCorruptError,
+    StoreError,
+    iter_jsonl,
+    load_jsonl,
+    publish,
+)
 from ..sim.evaluator import check_evaluator_name, evaluator_spec
 
 __all__ = [
@@ -65,6 +73,7 @@ __all__ = [
     "IncompleteStoreError",
     "ResultStore",
     "JsonlAppender",
+    "load_jsonl",
     "encode_record",
     "decode_record",
     "record_payload",
@@ -133,7 +142,10 @@ def decode_record(record: dict):
     """Inverse of :func:`encode_record`: ``(index, DesignPoint|PointFailure)``."""
     try:
         index = int(record["i"])
-        parameters = tuple((str(name), value) for name, value in record["p"])
+        # One shared string per knob name, not one per record.
+        parameters = tuple(
+            (sys.intern(str(name)), value) for name, value in record["p"]
+        )
         if "err" in record:
             return index, PointFailure(parameters=parameters, error=str(record["err"]))
         return index, DesignPoint(
@@ -319,6 +331,16 @@ class ResultStore:
         """Directory of advisory steal-range claim files (see runner)."""
         return self.root / CLAIMS_DIR
 
+    def iter_records(self, path):
+        """Each completion record of one JSONL file as ``(index, record)``,
+        streamed in file order, duplicates included."""
+        for record in iter_jsonl(path):
+            if not isinstance(record, dict) or "i" not in record:
+                raise StoreCorruptError(
+                    f"{path}: record without a grid index: {record!r}"
+                )
+            yield int(record["i"]), record
+
     def load_records(self, path) -> Dict[int, dict]:
         """Index every completion record of one JSONL file.
 
@@ -328,10 +350,6 @@ class ResultStore:
         same data and are dropped.
         """
         records: Dict[int, dict] = {}
-        for record in load_jsonl(path):
-            if not isinstance(record, dict) or "i" not in record:
-                raise StoreCorruptError(
-                    f"{path}: record without a grid index: {record!r}"
-                )
-            records.setdefault(int(record["i"]), record)
+        for index, record in self.iter_records(path):
+            records.setdefault(index, record)
         return records

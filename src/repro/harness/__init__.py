@@ -1,6 +1,6 @@
 """Experiment harness: one runner per paper table/figure."""
 
-from .report import format_table, format_speedup_row
+from .report import format_table, format_speedup_row, iter_table
 from .surrogate import (
     BASELINE_ACCURACY,
     vit_fixed_mask_accuracy,
@@ -17,6 +17,7 @@ from .serialization import (
     report_to_dict,
     report_from_dict,
     reports_to_csv,
+    iter_json,
     to_json,
 )
 from .experiments import (
@@ -44,8 +45,10 @@ __all__ = [
     "report_to_dict",
     "report_from_dict",
     "reports_to_csv",
+    "iter_json",
     "to_json",
     "format_table",
+    "iter_table",
     "format_speedup_row",
     "BASELINE_ACCURACY",
     "vit_fixed_mask_accuracy",

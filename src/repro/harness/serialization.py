@@ -20,6 +20,7 @@ __all__ = [
     "report_from_dict",
     "reports_to_csv",
     "dse_result_payload",
+    "iter_json",
     "to_json",
 ]
 
@@ -105,7 +106,9 @@ def reports_to_csv(reports) -> str:
     return buffer.getvalue()
 
 
-def dse_result_payload(model, sparsity, evaluator_name, grid, points) -> dict:
+def dse_result_payload(
+    model, sparsity, evaluator_name, grid, points, *, frontier=None
+) -> dict:
     """THE serialisable form of a finished DSE sweep.
 
     One payload builder shared by every surface that renders a sweep —
@@ -114,10 +117,15 @@ def dse_result_payload(model, sparsity, evaluator_name, grid, points) -> dict:
     served over HTTP reproduce the single-process sweep's JSON **byte
     for byte** (``to_json`` of equal payloads is identical text: keys
     are sorted and floats round-trip through the shortest repr).
+    ``frontier``, when a caller already holds ``pareto_frontier(points)``
+    (a merge does), flags those same point objects instead of running
+    the rule again.
     """
     from .dse import pareto_frontier
 
-    frontier = set(map(id, pareto_frontier(points)))
+    if frontier is None:
+        frontier = pareto_frontier(points)
+    on_front = set(map(id, frontier))
     return {
         "model": model,
         "sparsity": sparsity,
@@ -129,13 +137,28 @@ def dse_result_payload(model, sparsity, evaluator_name, grid, points) -> dict:
                 "seconds": point.seconds,
                 "energy_joules": point.energy_joules,
                 "edp": point.edp,
-                "pareto": id(point) in frontier,
+                "pareto": id(point) in on_front,
             }
             for point in points
         ],
     }
 
 
+class _Encoder(json.JSONEncoder):
+    """``json`` with numpy scalars and arrays taken as their Python values."""
+
+    def default(self, o):
+        if isinstance(o, (np.integer, np.floating, np.ndarray)):
+            return _plain(o)
+        return super().default(o)
+
+
+def iter_json(payload, indent=2):
+    """The text of :func:`to_json` as the encoder produces it, chunk by
+    chunk, so a large result can be written without one string of it."""
+    return _Encoder(indent=indent, sort_keys=True).iterencode(payload)
+
+
 def to_json(payload, indent=2) -> str:
     """JSON-dump any harness result (numpy types handled)."""
-    return json.dumps(_plain(payload), indent=indent, sort_keys=True)
+    return "".join(iter_json(payload, indent))

@@ -23,7 +23,7 @@ from math import ceil
 from typing import List, Optional
 
 from ..sim.engine import AttentionSimulatorBase
-from ..sim.evaluator import _cycle_metrics
+from ..sim.evaluator import CycleSimEvaluator, _cycle_metrics
 from .allocator import allocate_mac_lines
 from .cycle_sim import _TIME_SCALE, CycleSimResult, merge_cycle_results
 from .dram import DramModel, DramRequest
@@ -259,10 +259,14 @@ class ReferenceCycleSimEvaluator:
     with the loop — a reference check never compares the grid walk with
     itself.  A custom evaluator on the wire
     (``{"name": "custom:cycle-reference"}``), so it can never stand in for
-    the production ``"cycle"`` strategy in a manifest.
+    the production ``"cycle"`` strategy in a manifest.  Its knob set is
+    the cycle walk's: ``_simulator`` names the walk whose resolver
+    :func:`~repro.sim.evaluator.check_swept_knobs` runs, so a sweep of a
+    knob neither models is refused before anything is scored.
     """
 
     name = "cycle-reference"
+    _simulator = staticmethod(CycleSimEvaluator._simulator)
 
     def __call__(self, workload, config, accel_kwargs):
         result = ReferenceCycleSimulator(

@@ -5,8 +5,9 @@ Every file the DSE stack must not lose is written here, and only here:
 * **ledgers** — a store's shard and steal files and each served job's
   ``events.jsonl``.  A record is one line, written and
   flushed in one call, so a killed writer leaves at most one torn final
-  line.  :func:`load_jsonl` drops it, and raises
-  :class:`StoreCorruptError` naming the line on corruption before it.
+  line.  The one reader, :func:`iter_jsonl`, streams a ledger line by
+  line, drops that line, and raises :class:`StoreCorruptError` naming
+  the line on corruption before it; :func:`load_jsonl` is its list form.
   Opening for append repairs it first (the next record would glue onto
   it) and keeps exactly what the reader counts as a record, so a resumed
   shard never skips a point the file lost: a tail that parses lost only
@@ -38,6 +39,7 @@ __all__ = [
     "StoreCorruptError",
     "JsonlAppender",
     "append_once",
+    "iter_jsonl",
     "load_jsonl",
     "publish",
 ]
@@ -144,31 +146,40 @@ def append_once(path, line: str):
         _fsync(fh, path)
 
 
-def load_jsonl(path) -> list:
-    """Every record of a ledger, ``[]`` if it is missing.
+def iter_jsonl(path):
+    """Each record of a ledger, read one line at a time; none if missing.
 
     A malformed line followed only by whitespace is a killed writer's
-    torn tail and is dropped; one before that raises.
+    torn tail and is dropped; one before that raises, after the records
+    that precede it have been yielded.
     """
     path = Path(path)
     try:
-        lines = path.read_bytes().split(b"\n")
+        fh = open(path, "rb")
     except FileNotFoundError:
-        return []
-    records = []
-    for pos, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if b"".join(lines[pos + 1 :]).strip():
+        return
+    with fh:
+        torn = None  # line number of a malformed line, if one was seen
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            if torn is not None:
                 raise StoreCorruptError(
-                    f"{path}: malformed record at line {pos + 1} "
+                    f"{path}: malformed record at line {torn} "
                     "(not the final line, so not a truncated append)"
-                ) from None
-            break
-    return records
+                )
+            try:
+                record = json.loads(line)
+            except ValueError:
+                torn = number
+                continue
+            yield record
+
+
+def load_jsonl(path) -> list:
+    """Every record of a ledger, ``[]`` if it is missing (see
+    :func:`iter_jsonl`)."""
+    return list(iter_jsonl(path))
 
 
 def publish(path, text: str, *, exclusive: bool) -> bool:

@@ -630,7 +630,8 @@ class JobManager:
             spec.get("sparsity"),
             merged.manifest["evaluator"]["name"],
             {name: tuple(vs) for name, vs in merged.manifest["grid"].items()},
-            list(merged.points),
+            merged.points,
+            frontier=merged.frontier,
         )
         self.cache.store(job.job_id, to_json(payload))
         with self._lock:

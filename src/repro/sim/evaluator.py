@@ -256,10 +256,15 @@ def check_swept_knobs(evaluator, names):
     wrapper of one, resolves the swept columns over zero rows with its
     walk's own resolver, so a knob outside the defaults the walk passes
     to :func:`~repro.hw.params.design_columns` raises
-    :class:`UnsupportedParameterError` with no workload built.
+    :class:`UnsupportedParameterError` with no workload built.  A
+    per-point callable that names a walk as ``_simulator`` (the scalar
+    reference loop names the cycle walk) is checked the same way through
+    its :class:`PointEvaluator`.
     """
     evaluator = resolve_evaluator(evaluator)
     evaluator = getattr(evaluator, "inner", evaluator)
+    if isinstance(evaluator, PointEvaluator):
+        evaluator = evaluator.point
     simulator = getattr(evaluator, "_simulator", None)
     if simulator is None:
         return

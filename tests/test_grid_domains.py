@@ -243,6 +243,41 @@ class TestUnmodelledKnobRefused:
                 else:
                     check_swept_knobs(scorer, ["mac_lines", name])
 
+    def test_reference_loop_refuses_what_the_cycle_walk_does(
+            self, tmp_path, workload, monkeypatch):
+        """The scalar oracle stays a per-point callable, and names the
+        cycle walk's knob set: an unmodelled knob is refused before any
+        point is scored or any store exists."""
+        from repro.hw.cycle_reference import (
+            ReferenceCycleSimEvaluator,
+            ReferenceCycleSimulator,
+        )
+
+        def scored(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a point was scored for a refused grid")
+
+        monkeypatch.setattr(ReferenceCycleSimulator, "simulate_attention",
+                            scored)
+        reference = ReferenceCycleSimEvaluator()
+        assert not hasattr(reference, "evaluate_batch")
+        for name in dse_parameter_names():
+            if name in REFUSED["cycle"]:
+                with pytest.raises(UnsupportedParameterError,
+                                   match=f"'cycle-reference'.*{name}"):
+                    check_swept_knobs(reference, ["mac_lines", name])
+            else:
+                check_swept_knobs(reference, ["mac_lines", name])
+        grid = {"q_forwarding_hit_rate": [0, 0.3]}
+        with pytest.raises(UnsupportedParameterError,
+                           match="q_forwarding_hit_rate"):
+            sweep_design_space(workload, grid, evaluator=reference)
+        store = tmp_path / "store"
+        with pytest.raises(UnsupportedParameterError,
+                           match="q_forwarding_hit_rate"):
+            run_shard(workload, grid, "1/2", store, evaluator=reference,
+                      workload_spec=SPEC)
+        assert not store.exists()
+
     def test_dse_exits_before_the_build(self, tmp_path, monkeypatch):
         import repro.perf
 
