@@ -28,11 +28,13 @@ slot, so its memory follows the number of points, not of records.
 :func:`store_status` is the monitoring companion: per-shard completion
 counts — scored vs persisted-failure records, stolen-index counts, and
 an ETA over the work each shard still *owes after stealing* — without
-touching any evaluator.
+touching any evaluator.  It streams the ledgers too, keeping per shard
+only index sets, timestamp bounds and counts.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -338,26 +340,62 @@ class StoreStatus:
         return max(etas, default=0.0)
 
 
-def _shard_eta(stamps, pending) -> float:
+def _shard_eta(count, oldest, newest, pending) -> float:
     """ETA of one shard from its completion-record timestamps.
 
-    The observed rate is ``(stamps - 1) / (newest - oldest)`` over the
-    records this shard itself wrote (own file plus its steal file) —
-    resume-friendly (gaps between runs flatten the rate estimate rather
-    than breaking it) and free of any clock-synchronisation assumption
-    across hosts, since only one host's timestamps are ever compared.
-    ``pending`` is the work owed *after* stealing, so a straggler whose
-    slice is being drained by the fleet sees its ETA fall accordingly.
-    Returns ``0.0`` for a complete shard and ``None`` below two distinct
-    timestamps (no rate observable yet).
+    The observed rate is ``(count - 1) / (newest - oldest)`` over the
+    ``count`` timestamped records this shard itself wrote (own file plus
+    its steal file) — resume-friendly (gaps between runs flatten the rate
+    estimate rather than breaking it) and free of any
+    clock-synchronisation assumption across hosts, since only one host's
+    timestamps are ever compared.  ``pending`` is the work owed *after*
+    stealing, so a straggler whose slice is being drained by the fleet
+    sees its ETA fall accordingly.  Returns ``0.0`` for a complete shard
+    and ``None`` below two distinct timestamps (no rate observable yet).
     """
     if pending <= 0:
         return 0.0
-    stamps = sorted(stamps)
-    if len(stamps) < 2 or stamps[-1] <= stamps[0]:
+    if count < 2 or newest <= oldest:
         return None
-    rate = (len(stamps) - 1) / (stamps[-1] - stamps[0])
+    rate = (count - 1) / (newest - oldest)
     return pending / rate
+
+
+@dataclass(frozen=True)
+class _LedgerTally:
+    """What :func:`store_status` keeps of one ledger once it is read."""
+
+    indices: set  # distinct grid indices
+    stamps: int  # timestamped records
+    oldest: float  # inf without a timestamp
+    newest: float  # -inf without a timestamp
+    retries: int
+
+
+def _tally_ledger(store: ResultStore, path, covered: bytearray) -> _LedgerTally:
+    """Stream one ledger into ``covered`` and its own tally.
+
+    ``covered[i]`` keeps what the first record of in-range index ``i``,
+    over all ledgers in the order they are tallied, says: ``1`` scored,
+    ``2`` failed.  Within the file the first record of an index counts,
+    for the timestamps and retries too.
+    """
+    indices = set()
+    stamps = retries = 0
+    oldest, newest = math.inf, -math.inf
+    for index, record in store.iter_records(path):
+        if index in indices:
+            continue
+        indices.add(index)
+        if 0 <= index < len(covered) and not covered[index]:
+            covered[index] = 2 if "err" in record else 1
+        if "t" in record:
+            stamp = float(record["t"])
+            stamps += 1
+            oldest = min(oldest, stamp)
+            newest = max(newest, stamp)
+        retries += int(record.get("r", 0))
+    return _LedgerTally(indices, stamps, oldest, newest, retries)
 
 
 def store_status(store, stall_after=None) -> StoreStatus:
@@ -374,55 +412,49 @@ def store_status(store, stall_after=None) -> StoreStatus:
     than the threshold (or that never wrote a record at all) is flagged
     ``stalled``, the operator's cue that the process is hung or dead and
     a supervisor/steal pass should absorb its slice.
+
+    A fold: the ledgers stream past once — shard files first, then steal
+    files, so an index counts as failed when the first file to cover it
+    says so — and no record outlives its line.
     """
     store = ResultStore(store)
     manifest = store.read_manifest()
     size = manifest["grid_size"]
-    num_shards = manifest["num_shards"]
-    own_records = {}
-    steal_records = {}
-    for k in range(1, num_shards + 1):
-        shard = _shard_spec(manifest, k)
-        own_records[k] = store.load_records(store.shard_path(shard))
-        steal_records[k] = store.load_records(store.steal_path(shard))
-    covered: dict = {}
-    for records in list(own_records.values()) + list(steal_records.values()):
-        for index, record in records.items():
-            covered.setdefault(index, record)
+    shards = [
+        _shard_spec(manifest, k) for k in range(1, manifest["num_shards"] + 1)
+    ]
+    covered = bytearray(size)
+    own = [_tally_ledger(store, store.shard_path(s), covered) for s in shards]
+    steal = [_tally_ledger(store, store.steal_path(s), covered) for s in shards]
     statuses = []
-    for k in range(1, num_shards + 1):
-        shard = _shard_spec(manifest, k)
-        owned = set(shard.indices(size))
-        done_records = {
-            index: record for index, record in covered.items() if index in owned
-        }
-        done = len(done_records)
-        stamps = [
-            float(record["t"])
-            for records in (own_records[k], steal_records[k])
-            for record in records.values()
-            if "t" in record
-        ]
-        pending = len(owned) - done
+    for shard, mine, theirs in zip(shards, own, steal):
+        total = done = failed = stolen = 0
+        for index in shard.indices(size):
+            total += 1
+            if covered[index]:
+                done += 1
+                failed += covered[index] == 2
+                stolen += index not in mine.indices
+        stamps = mine.stamps + theirs.stamps
+        oldest = min(mine.oldest, theirs.oldest)
+        newest = max(mine.newest, theirs.newest)
+        pending = total - done
         stalled = (
             stall_after is not None
             and pending > 0
-            and (not stamps or time.time() - max(stamps) > stall_after)
+            and (not stamps or time.time() - newest > stall_after)
         )
-        status = ShardStatus(
-            shard=shard,
-            total=len(owned),
-            done=done,
-            failed=sum(1 for record in done_records.values() if "err" in record),
-            stolen=sum(1 for index in done_records if index not in own_records[k]),
-            steals=len(steal_records[k]),
-            eta_seconds=_shard_eta(stamps, pending),
-            retries=sum(
-                int(record.get("r", 0))
-                for records in (own_records[k], steal_records[k])
-                for record in records.values()
-            ),
-            stalled=stalled,
+        statuses.append(
+            ShardStatus(
+                shard=shard,
+                total=total,
+                done=done,
+                failed=failed,
+                stolen=stolen,
+                steals=len(theirs.indices),
+                eta_seconds=_shard_eta(stamps, oldest, newest, pending),
+                retries=mine.retries + theirs.retries,
+                stalled=stalled,
+            )
         )
-        statuses.append(status)
     return StoreStatus(manifest=manifest, shards=tuple(statuses))

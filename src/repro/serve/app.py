@@ -10,8 +10,9 @@ Six routes — JSON everywhere except the Prometheus text of ``/metrics``:
                           (``201`` when this call created the job, ``200``
                           when it deduplicated onto a running one or hit the
                           result cache)
-``GET /jobs``             brief info for every known job
-``GET /jobs/<id>``        progress from the store ledger (done %, ETA)
+``GET /jobs``             brief info for every job directory
+``GET /jobs/<id>``        progress (done %, ETA): a live job's from the
+                          store ledger, a finished job's from its dir
 ``GET /jobs/<id>/events``  the job's durable lifecycle timeline
                           (``events.jsonl``, oldest first)
 ``GET /jobs/<id>/results``  the results document — partial while running,
@@ -226,14 +227,18 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServeServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer that owns a :class:`JobManager`."""
+    """A ThreadingHTTPServer that owns a :class:`JobManager`.
+
+    ``resumed`` lists the job ids the manager re-queued at start-up.
+    """
 
     daemon_threads = True
 
-    def __init__(self, address, manager: JobManager, verbose=False):
+    def __init__(self, address, manager: JobManager, verbose=False, resumed=()):
         super().__init__(address, _Handler)
         self.manager = manager
         self.verbose = verbose
+        self.resumed = list(resumed)
 
     @property
     def port(self) -> int:
@@ -275,8 +280,8 @@ def build_server(
         task_timeout=task_timeout,
         task_retries=task_retries,
     )
-    manager.resume()
-    return ServeServer((host, port), manager, verbose=verbose)
+    resumed = manager.resume()
+    return ServeServer((host, port), manager, verbose=verbose, resumed=resumed)
 
 
 def run_server(
@@ -315,14 +320,10 @@ def run_server(
         signal.signal(signal.SIGTERM, _drain)
     except ValueError:
         pass  # not the main thread (tests drive run_server off-main)
-    resumed = [
-        info["id"]
-        for info in server.manager.jobs()
-        if info["state"] in ("queued", "running")
-    ]
     print(
         f"repro-serve listening on {server.url} "
-        f"(data_dir={data_dir}, workers={workers}, resumed={len(resumed)})",
+        f"(data_dir={data_dir}, workers={workers}, "
+        f"resumed={len(server.resumed)})",
         flush=True,
     )
     try:

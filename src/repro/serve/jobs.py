@@ -16,9 +16,10 @@ durable form is one directory:
 Everything that matters survives a server kill: ``job.json`` says what to
 run, the store's completion records say what already ran, and
 ``result.json`` says it finished.  :meth:`JobManager.resume` re-enqueues
-every job directory without a result on startup, and the shards resume
-from their records (:func:`repro.dist.run_shard` skips recorded indices)
-— a restarted server picks up mid-grid, not from scratch.
+every job directory without a result or an error on startup, and the
+shards resume from their records (:func:`repro.dist.run_shard` skips
+recorded indices) — a restarted server picks up mid-grid, not from
+scratch.
 
 Execution is a small in-process worker pool over a queue of *(job,
 shard)* tasks: each job runs as ``n_shards`` :mod:`repro.dist` shards
@@ -30,13 +31,21 @@ cache.  Evaluator failures on individual grid points are completion
 records like everywhere else in the dist layer; only structural errors
 (an invalid sweep, a crashed merge) fail the job, durably, until an
 identical re-submission retries it.
+
+The manager's table holds live jobs only: queued, running or merging.
+A job leaves it once its ``result.json`` or ``error.json`` is published
+and its transition event appended, and from then on every lookup reads
+its directory — so a server's memory follows its live work, not the
+number of studies it has served.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import queue
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,7 +53,7 @@ from pathlib import Path
 
 from .. import obs
 from ..dist.merge import merge_store, store_status
-from ..ledger import publish
+from ..ledger import iter_jsonl, publish
 from ..obs.events import EventLog
 from ..dist.runner import (
     model_workload_spec,
@@ -89,6 +98,9 @@ ERROR_NAME = "error.json"
 EVENTS_NAME = "events.jsonl"
 
 _STOP = object()
+
+#: The only strings a lookup joins to a path: a :func:`study_fingerprint`.
+_JOB_ID = re.compile(r"[0-9a-f]{16}")
 
 _log = obs.get_logger("serve.jobs")
 
@@ -140,7 +152,7 @@ class JobFailedError(RuntimeError):
 
 @dataclass
 class JobState:
-    """In-memory view of one job (the durable truth lives in its dir)."""
+    """One job: a live table entry, or a finished job read from its dir."""
 
     job_id: str
     request: dict  # the job.json record
@@ -158,6 +170,12 @@ class JobState:
     def n_shards(self) -> int:
         return int(self.request["n_shards"])
 
+    @property
+    def grid_size(self) -> int:
+        """The recorded grid's point count, without re-checking it (a
+        refused record's grid may fail the check)."""
+        return math.prod(len(values) for values in self.request["grid"].values())
+
 
 def _check_number(value, name, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -165,6 +183,16 @@ def _check_number(value, name, minimum=None):
     if minimum is not None and value < minimum:
         raise ServeRequestError(f"{name} must be >= {minimum}, got {value!r}")
     return value
+
+
+def _refusal(record):
+    """Why this version cannot run a recorded job, or ``None``."""
+    try:
+        check_grid(record["grid"])
+        check_evaluator_name(record["evaluator"].get("name"))
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class JobManager:
@@ -399,10 +427,10 @@ class JobManager:
         with self._lock:
             self._bump("submitted")
             if self.cache.lookup(job_id) is not None:
+                # Finished: its directory answers for it, so nothing is
+                # registered.
                 self._bump("cache_hits")
-                job = self._jobs.get(job_id)
-                if job is None:
-                    job = self._register(job_id, record, state="done")
+                job = JobState(job_id, record, self.jobs_root / job_id, "done")
                 self._event(job.root, "cache_hit")
                 return self._submit_info(job, cache_hit=True, created=False)
             job = self._jobs.get(job_id)
@@ -449,20 +477,10 @@ class JobManager:
             job = self._enqueue(job_id, record)
             return self._submit_info(job, cache_hit=False, created=created)
 
-    def _register(self, job_id, record, state, error=None) -> JobState:
-        job = JobState(
-            job_id=job_id,
-            request=record,
-            root=self.jobs_root / job_id,
-            state=state,
-            error=error,
-        )
-        self._jobs[job_id] = job
-        return job
-
     def _enqueue(self, job_id, record) -> JobState:
         """(Re-)queue every shard of a job; caller holds the lock."""
-        job = self._register(job_id, record, state="queued")
+        job = JobState(job_id, record, self.jobs_root / job_id, "queued")
+        self._jobs[job_id] = job
         job.remaining = set(range(1, job.n_shards + 1))
         (job.root / ERROR_NAME).unlink(missing_ok=True)
         for k in sorted(job.remaining):
@@ -477,7 +495,7 @@ class JobManager:
             "cache_hit": cache_hit,
             "created": created,
             "n_shards": job.n_shards,
-            "grid_size": grid_size(job.request["grid"]),
+            "grid_size": job.grid_size,
             "evaluator": job.request["evaluator"]["name"],
         }
 
@@ -507,10 +525,10 @@ class JobManager:
         return True
 
     def _run_task(self, job_id, shard_index):
-        job = self._jobs[job_id]
         with self._lock:
-            if job.state == "failed":
-                return  # a sibling shard already poisoned the job
+            job = self._jobs.get(job_id)
+            if job is None or job.state == "failed":
+                return  # finished, or a sibling shard poisoned the job
             started = job.state == "queued"
             if started:
                 job.state = "running"
@@ -644,6 +662,7 @@ class JobManager:
             frontier=len(merged.frontier),
             duplicates=merged.duplicates,
         )
+        self._drop(job)
 
     def _fail(self, job, exc):
         """Fail the job durably; concurrent callers past the first return."""
@@ -658,33 +677,102 @@ class JobManager:
         text = json.dumps({"error": error, "t": time.time()}) + "\n"
         publish(job.root / ERROR_NAME, text, exclusive=False)
         self._note_transition(job, "failed", error=error)
+        self._drop(job)
+
+    def _drop(self, job):
+        """Forget a finished job, once its outcome and event are durable.
+
+        From here on lookups read its directory.  A failed job that an
+        identical re-submission has already re-queued is a new entry,
+        which stays.
+        """
+        with self._lock:
+            if self._jobs.get(job.job_id) is job:
+                del self._jobs[job.job_id]
 
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def _get(self, job_id) -> JobState:
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
+    def _live(self, job_id):
+        """``job_id``'s table entry, or ``None`` if it is not live.
+
+        Only a well-formed id (16 lowercase hex characters) gets past
+        here, so no other string is ever joined to a path.
+        """
+        if not isinstance(job_id, str) or not _JOB_ID.fullmatch(job_id):
             raise UnknownJobError(job_id)
-        return job
+        with self._lock:
+            return self._jobs.get(job_id)
+
+    def _get(self, job_id) -> JobState:
+        """A live job from the table, or a finished one from its dir."""
+        job = self._live(job_id)
+        return job if job is not None else self._read(job_id)
+
+    def _read(self, job_id) -> JobState:
+        """A job outside the table, as its directory records it.
+
+        ``result.json`` makes it done and ``error.json`` failed; a record
+        this version cannot run (:func:`_refusal`) reads as failed with
+        the reason.  Any other directory is not this manager's job — it
+        was never resumed — unless an identical re-submission re-queued
+        it since the table was read, and then the new entry answers.
+        """
+        root = self.jobs_root / job_id
+        try:
+            record = json.loads((root / JOB_NAME).read_text())
+        except (FileNotFoundError, NotADirectoryError):
+            raise UnknownJobError(job_id) from None
+        if self.cache.result_path(job_id).is_file():
+            return JobState(job_id, record, root, "done")
+        try:
+            error = json.loads((root / ERROR_NAME).read_text()).get("error")
+        except FileNotFoundError:
+            error = _refusal(record)
+            if error is None:
+                job = self._live(job_id)
+                if job is None:
+                    raise UnknownJobError(job_id) from None
+                return job
+        return JobState(job_id, record, root, "failed", error=error)
 
     def jobs(self) -> list:
-        """Brief submission info for every known job (listing endpoint)."""
-        with self._lock:
-            jobs = list(self._jobs.values())
+        """Brief submission info for every job directory (listing endpoint).
+
+        Live jobs answer from the table and finished ones from their
+        directories, so the listing reads the data dir.
+        """
+        jobs = []
+        for job_dir in sorted(self.jobs_root.iterdir()):
+            try:
+                jobs.append(self._get(job_dir.name))
+            except UnknownJobError:
+                continue  # not a job directory, or one never resumed
         return [
             self._submit_info(job, cache_hit=False, created=False)
             for job in sorted(jobs, key=lambda j: j.request.get("created", 0.0))
         ]
 
-    def status(self, job_id) -> dict:
-        """One job's progress, served incrementally from the store ledger.
+    def _done_points(self, job):
+        """The point count of the job's ``done`` event, or ``None`` when a
+        crash fell between ``result.json`` and that append.
 
-        ``done``/``scored``/``failed_points``/``eta_seconds`` come from
-        :func:`repro.dist.store_status` over the job's completion records
-        — no evaluator is touched, so polling is always cheap, and the
-        numbers advance while shards run.
+        The first one: every cache hit appends an event after it, and a
+        re-run after a lost ``result.json`` merges the same records.
+        """
+        for event in iter_jsonl(job.root / EVENTS_NAME):
+            if event.get("event") == "done":
+                return event.get("points")
+        return None
+
+    def status(self, job_id) -> dict:
+        """One job's progress, read without touching an evaluator.
+
+        A live (or failed) job's ``done``/``scored``/``failed_points``/
+        ``eta_seconds`` come from :func:`repro.dist.store_status` over
+        its completion records, so the numbers advance while shards run.
+        A done job's come from the counts its durable ``done`` event
+        recorded: every grid point is done, and no ledger is read.
         """
         job = self._get(job_id)
         spec = job.request["workload_spec"]
@@ -695,11 +783,21 @@ class JobManager:
             "model": spec.get("model"),
             "sparsity": spec.get("sparsity"),
             "n_shards": job.n_shards,
-            "grid_size": grid_size(job.request["grid"]),
+            "grid_size": job.grid_size,
             "cached": job.state == "done",
         }
         if job.error:
             info["error"] = job.error
+        points = self._done_points(job) if job.state == "done" else None
+        if points is not None:
+            info.update(
+                done=info["grid_size"],
+                scored=points,
+                failed_points=info["grid_size"] - points,
+                fraction_done=1.0,
+                eta_seconds=0.0,
+            )
+            return info
         try:
             progress = store_status(job.store_root)
         except (StoreError, ValueError):  # no store yet, or a refused one
@@ -735,20 +833,23 @@ class JobManager:
     def results(self, job_id):
         """``(text, partial)`` — the rendered results document.
 
-        A finished job serves its cached document *verbatim* (the bytes
-        are the contract: byte-identical to ``python -m repro dse
-        --json`` on the same study).  An unfinished job streams a partial
+        A finished job serves its cached document *verbatim*, straight
+        from ``result.json`` (the bytes are the contract: byte-identical
+        to ``python -m repro dse --json`` on the same study).  An unfinished job streams a partial
         document decoded from the completion records written so far —
         scored points in grid order, marked ``"partial": true`` with
         done/grid-size counters.  A failed job raises
         :class:`JobFailedError`.
         """
-        job = self._get(job_id)
+        job = self._live(job_id)
+        if job is None or job.state != "failed":
+            cached = self.cache.lookup(job_id)
+            if cached is not None:
+                return cached, False
+        if job is None:
+            job = self._read(job_id)
         if job.state == "failed":
             raise JobFailedError(job.error or "job failed")
-        cached = self.cache.lookup(job_id)
-        if cached is not None:
-            return cached, False
         store = ResultStore(job.store_root)
         records = {}
         for _, _, path in store.shard_files():
@@ -771,7 +872,7 @@ class JobManager:
             "partial": True,
             "state": job.state,
             "evaluator": job.request["evaluator"]["name"],
-            "grid_size": grid_size(job.request["grid"]),
+            "grid_size": job.grid_size,
             "done": len(records),
             "points": points,
         }
@@ -783,40 +884,35 @@ class JobManager:
     def resume(self) -> list:
         """Re-enqueue every unfinished job directory (server startup).
 
-        A directory whose recorded grid fails
-        :func:`~repro.harness.dse.check_grid`, or whose evaluator name
-        fails :func:`~repro.sim.evaluator.check_evaluator_name`, registers
-        as failed with that message, one with a ``result.json`` as done
-        (its cache entry already serves), one with an ``error.json`` as
-        failed (an identical re-submission retries it), and anything else
-        goes back on the queue — its shards skip every recorded index, so
-        only the genuinely missing work re-runs.
+        A directory with a ``result.json`` or an ``error.json`` is
+        finished: it is not opened, and lookups answer from it (an
+        identical re-submission retries a failed one).  A record whose
+        grid fails :func:`~repro.harness.dse.check_grid`, or whose
+        evaluator name fails
+        :func:`~repro.sim.evaluator.check_evaluator_name`, is refused:
+        it stays off the queue, and lookups answer failed with that
+        message.  Anything else goes back on the queue — its shards skip
+        every recorded index, so only the genuinely missing work re-runs.
+        Returns the ids it queued.
         """
         resumed = []
         if not self.jobs_root.is_dir():
             return resumed
         for job_dir in sorted(self.jobs_root.iterdir()):
-            record_path = job_dir / JOB_NAME
-            if not record_path.is_file():
-                continue
             job_id = job_dir.name
+            record_path = job_dir / JOB_NAME
+            if (
+                not _JOB_ID.fullmatch(job_id)
+                or not record_path.is_file()
+                or self.cache.result_path(job_id).is_file()
+                or (job_dir / ERROR_NAME).is_file()
+            ):
+                continue
             record = json.loads(record_path.read_text())
+            if _refusal(record) is not None:
+                continue
             with self._lock:
                 if job_id in self._jobs:
-                    continue
-                try:
-                    check_grid(record["grid"])
-                    check_evaluator_name(record["evaluator"].get("name"))
-                except ValueError as exc:
-                    self._register(job_id, record, state="failed", error=str(exc))
-                    continue
-                if self.cache.lookup(job_id) is not None:
-                    self._register(job_id, record, state="done")
-                    continue
-                error_path = job_dir / ERROR_NAME
-                if error_path.is_file():
-                    error = json.loads(error_path.read_text()).get("error")
-                    self._register(job_id, record, state="failed", error=error)
                     continue
                 self._event(job_dir, "resumed")
                 self._enqueue(job_id, record)

@@ -215,9 +215,9 @@ class TestRecordedGridsAreChecked:
         record.write_text(json.dumps(data))
         restarted = JobManager(tmp_path, workers=0)
         assert restarted.resume() == []
-        job = restarted._jobs[info["id"]]
-        assert job.state == "failed"
-        assert "'mac_lines' value 16.5" in job.error
+        status = restarted.status(info["id"])
+        assert status["state"] == "failed"
+        assert "'mac_lines' value 16.5" in status["error"]
 
 
 # ----------------------------------------------------------------------

@@ -580,9 +580,9 @@ class TestBackpressure:
         # would reject the same study as a fresh submission.
         tight = JobManager(tmp_path, workers=0, max_pending=1)
         assert info["id"] in tight.resume()
-        assert tight._jobs[info["id"]].state == "queued"
+        assert tight.status(info["id"])["state"] == "queued"
         _drain(tight)
-        assert tight._jobs[info["id"]].state == "done"
+        assert tight.status(info["id"])["state"] == "done"
 
     def test_http_overload_is_503_with_retry_after(self, tmp_path):
         import urllib.error
@@ -619,8 +619,7 @@ class TestTaskRetries:
             evaluator={"name": "analytical", "faults": {"fsync_error": True}}
         ))
         _drain(manager)
-        job = manager._jobs[info["id"]]
-        assert job.state == "done"
+        assert manager.status(info["id"])["state"] == "done"
         assert manager.stats["task_retries"] == 1
         text, partial = manager.results(info["id"])
         assert not partial and text.encode() == expected
@@ -638,7 +637,7 @@ class TestTaskRetries:
             }
         ))
         _drain(manager)
-        assert manager._jobs[info["id"]].state == "done"
+        assert manager.status(info["id"])["state"] == "done"
         assert manager.stats["task_retries"] == 0
         text, _ = manager.results(info["id"])
         assert text.encode() == expected
@@ -653,9 +652,9 @@ class TestTaskRetries:
         manager = JobManager(tmp_path, workers=0, task_retries=1)
         info = manager.submit(_request())
         _drain(manager)
-        job = manager._jobs[info["id"]]
-        assert job.state == "failed"
-        assert "persistent shard crash" in job.error
+        status = manager.status(info["id"])
+        assert status["state"] == "failed"
+        assert "persistent shard crash" in status["error"]
         assert manager.stats["task_retries"] == 1
         assert manager.stats["jobs_failed"] == 1
 
@@ -683,7 +682,7 @@ class TestTaskRetries:
         try:
             info = manager.submit(_request(n_shards=2))
             deadline = time.monotonic() + 60
-            while manager._jobs[info["id"]].state != "failed":
+            while manager.status(info["id"])["state"] != "failed":
                 assert time.monotonic() < deadline, "job never failed"
                 time.sleep(0.01)
             failing["on"] = False
@@ -693,7 +692,7 @@ class TestTaskRetries:
                 grid={"mac_lines": [16, 64]}, n_shards=2
             ))
             deadline = time.monotonic() + 60
-            while manager._jobs[healthy["id"]].state != "done":
+            while manager.status(healthy["id"])["state"] != "done":
                 assert time.monotonic() < deadline, "second job stuck"
                 time.sleep(0.01)
             assert all(thread.is_alive() for thread in manager._threads)
@@ -720,16 +719,16 @@ class TestTaskWatchdog:
         # handicap sleeps per recorded point: 4 points x 0.5s >> 0.3s.
         info = manager.submit(_request(handicap=0.5))
         _drain(manager)
-        job = manager._jobs[info["id"]]
-        assert job.state == "failed"
-        assert "task timeout" in job.error
+        status = manager.status(info["id"])
+        assert status["state"] == "failed"
+        assert "task timeout" in status["error"]
         assert manager.stats["task_timeouts"] >= 1
 
     def test_fast_tasks_never_meet_the_watchdog(self, tmp_path):
         manager = JobManager(tmp_path, workers=0, task_timeout=60.0)
         info = manager.submit(_request())
         _drain(manager)
-        assert manager._jobs[info["id"]].state == "done"
+        assert manager.status(info["id"])["state"] == "done"
         assert manager.stats["task_timeouts"] == 0
 
 
