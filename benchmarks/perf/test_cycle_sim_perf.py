@@ -1,18 +1,23 @@
 """Cycle-simulator microbenchmarks: the grid walk vs the reference loop.
 
 The production simulator runs every point as the grid walk at P = 1; the
-scalar event loop of :mod:`repro.hw.cycle_reference` is the reference it
+scalar event loop of ``tests/cycle_reference.py`` is the reference it
 is timed against.  Smoke mode (plain ``pytest``) runs small shapes and
 only checks that both execute and agree; full mode (``--bench-out``) runs
 DeiT-base-scale shapes and asserts the walk's speedup.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 from repro.hw import CycleAccurateSimulator
-from repro.hw.cycle_reference import ReferenceCycleSimulator
 from repro.perf import benchit, cached_model_workload, \
     cached_synthetic_attention_workload
+
+# The reference loop is a test oracle; it lives in tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
+from cycle_reference import ReferenceCycleSimulator  # noqa: E402
 
 
 def test_cycle_sim_layer(bench_recorder, bench_mode):

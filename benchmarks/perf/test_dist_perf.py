@@ -16,14 +16,19 @@ can represent; this entry tracks the overhead side of that story.
 """
 
 import os
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 from repro.dist import merge_store, model_workload_spec, run_shard
 from repro.harness.dse import sweep_design_space
-from repro.hw.cycle_reference import ReferenceCycleSimEvaluator
 from repro.perf import benchit, cached_model_workload
 from repro.sim import CycleSimEvaluator
+
+# The reference loop is a test oracle; it lives in tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
+from cycle_reference import ReferenceCycleSimEvaluator  # noqa: E402
 
 
 def _shard_task(workload, grid, shard, store, evaluator, spec):

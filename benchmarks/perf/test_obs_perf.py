@@ -49,14 +49,6 @@ class _InertObs:
         return NOOP_METRIC
 
     @staticmethod
-    def gauge(name, help="", **labels):
-        return NOOP_METRIC
-
-    @staticmethod
-    def histogram(name, help="", buckets=None, **labels):
-        return NOOP_METRIC
-
-    @staticmethod
     def span(name, **trace_args):
         return NOOP_SPAN
 

@@ -58,22 +58,6 @@ class HeadAutoEncoder(Module):
     def forward(self, x):
         return self.decode(self.encode(x))
 
-    # ------------------------------------------------------------------
-    # Hardware-facing metadata
-    # ------------------------------------------------------------------
-    @property
-    def traffic_ratio(self):
-        """Off-chip Q/K traffic relative to no compression (e.g. 0.5)."""
-        return self.compressed_heads / self.num_heads
-
-    def macs_per_token(self, head_dim):
-        """Encoder + decoder MACs to process one token's Q (or K) vector."""
-        return 2 * self.num_heads * self.compressed_heads * head_dim
-
-    def weight_footprint(self):
-        """Parameter count of the AE (pre-loaded on chip, §V-B.2)."""
-        return self.enc_weight.size + self.dec_weight.size
-
 
 def default_ae_factory(compression=0.5, seed=0):
     """Factory for :meth:`VisionTransformer.set_autoencoder` — one AE per

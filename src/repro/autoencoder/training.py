@@ -32,20 +32,12 @@ class AETrainingResult:
         return self.baseline_accuracy - self.final_accuracy
 
     @property
-    def epochs(self):
-        return [h["epoch"] for h in self.history]
-
-    @property
     def test_losses(self):
         return [h["test_loss"] for h in self.history]
 
     @property
     def recon_losses(self):
         return [h["recon_loss"] for h in self.history]
-
-    @property
-    def accuracies(self):
-        return [h["test_accuracy"] for h in self.history]
 
 
 def attach_autoencoders(model, compression=0.5, seed=0):

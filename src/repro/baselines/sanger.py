@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-import numpy as np
-
-from ..hw.dataflow import s_stationary_sddmm_cycles, softmax_cycles
+from ..hw.dataflow import pack_efficiency, s_stationary_sddmm_cycles, softmax_cycles
 from ..hw.params import VITCOD_DEFAULT, HardwareConfig
 from ..hw.trace import EnergyBreakdown, LatencyBreakdown, SimReport
 from ..hw.workload import AttentionWorkload
@@ -53,20 +51,6 @@ class SangerSimulator(ModelSimulatorBase):
     def __post_init__(self):
         if self.config is None:
             self.config = VITCOD_DEFAULT
-
-    # ------------------------------------------------------------------
-    def pack_efficiency(self, layer: AttentionWorkload):
-        """Slot utilization after packing rows into ``pack_width`` segments.
-
-        Rows with r non-zeros occupy ``ceil(r / W) * W`` PE slots."""
-        stats = layer.head_stats()
-        head_nnz = stats.denser_nnz + stats.sparser_nnz
-        r = np.maximum(head_nnz / stats.tokens, 1e-9)
-        slot_rows = np.ceil(r / self.pack_width) * self.pack_width
-        total_slots = int((slot_rows * stats.tokens).sum())
-        if total_slots == 0:
-            return 1.0
-        return max(min(int(head_nnz.sum()) / total_slots, 1.0), 0.05)
 
     # ------------------------------------------------------------------
     def simulate_attention_layer(self, layer: AttentionWorkload) -> SimReport:
@@ -107,7 +91,7 @@ class SangerSimulator(ModelSimulatorBase):
         dram += stream
 
         # ---- SDDMM (S-stationary on packed rows) ------------------------
-        eff = self.pack_efficiency(layer)
+        eff = pack_efficiency(layer, self.pack_width)
         sddmm_products = layer.total_nnz
         sddmm_compute = s_stationary_sddmm_cycles(
             sddmm_products, dk, cfg.total_macs, pack_efficiency=eff

@@ -745,7 +745,7 @@ def _run(args):
             line += f", {status.retries} retries"
         if status.stalled_shards:
             line += (", shards "
-                     f"{[str(s) for s in status.stalled_shards]} STALLED")
+                     f"{[str(s.shard) for s in status.stalled_shards]} STALLED")
         if not status.complete:
             line += f"; ETA {_format_eta(status.eta_seconds)}"
         print(line)
@@ -761,7 +761,7 @@ def _run(args):
             "eta_seconds": status.eta_seconds,
             "complete": status.complete,
             "retries": status.retries,
-            "stalled_shards": [str(s) for s in status.stalled_shards],
+            "stalled_shards": [str(s.shard) for s in status.stalled_shards],
             "shards": [
                 {"shard": str(s.shard), "done": s.done,
                  "scored": s.scored, "failed": s.failed,

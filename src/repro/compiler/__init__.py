@@ -3,7 +3,7 @@
 from .isa import Opcode, Instruction, Program
 from .parser import LayerConfig, parse_layers
 from .codegen import compile_layers
-from .executor import execute_attention_layer, dense_masked_attention_reference
+from .executor import execute_attention_layer
 from .reconfig import (
     CompileCost,
     estimate_compile_cost,
@@ -19,7 +19,6 @@ __all__ = [
     "parse_layers",
     "compile_layers",
     "execute_attention_layer",
-    "dense_masked_attention_reference",
     "CompileCost",
     "estimate_compile_cost",
     "amortized_overhead",

@@ -33,10 +33,6 @@ class Instruction:
     opcode: Opcode
     operands: dict = field(default_factory=dict)
 
-    def __str__(self):
-        args = ", ".join(f"{k}={v}" for k, v in sorted(self.operands.items()))
-        return f"{self.opcode.value}({args})"
-
 
 @dataclass
 class Program:
@@ -50,14 +46,3 @@ class Program:
 
     def __len__(self):
         return len(self.instructions)
-
-    def __iter__(self):
-        return iter(self.instructions)
-
-    def count(self, opcode):
-        return sum(1 for inst in self.instructions if inst.opcode is opcode)
-
-    def listing(self):
-        return "\n".join(
-            f"{i:4d}: {inst}" for i, inst in enumerate(self.instructions)
-        )

@@ -35,11 +35,6 @@ class LayerConfig:
     dataflow_sddmm: str = "k_stationary"
     dataflow_spmm: str = "output_stationary"
 
-    @property
-    def sparsity(self):
-        total = self.denser_nnz + self.sparser_nnz
-        return 1.0 - total / (self.num_heads * self.num_tokens**2)
-
 
 def parse_layers(results: Sequence[SplitConquerResult], head_dim,
                  config: HardwareConfig = None) -> List[LayerConfig]:

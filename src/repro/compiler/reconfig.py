@@ -16,6 +16,7 @@ from math import ceil
 from typing import Sequence
 
 from ..hw.params import VITCOD_DEFAULT, HardwareConfig
+from .codegen import compile_layers
 from .parser import LayerConfig
 
 __all__ = ["CompileCost", "estimate_compile_cost", "amortized_overhead",
@@ -42,10 +43,6 @@ class CompileCost:
         return (self.instruction_cycles + self.index_build_cycles
                 + self.config_cycles)
 
-    def seconds(self, config: HardwareConfig = None):
-        config = config or VITCOD_DEFAULT
-        return self.total_cycles / config.frequency_hz
-
 
 def estimate_compile_cost(layer_configs: Sequence[LayerConfig],
                           config: HardwareConfig = None) -> CompileCost:
@@ -53,8 +50,9 @@ def estimate_compile_cost(layer_configs: Sequence[LayerConfig],
     config = config or VITCOD_DEFAULT
     if not layer_configs:
         raise ValueError("no layer configs to compile")
-    instructions = 13 * len(layer_configs)  # codegen emits ~13 per layer
-    instruction_cycles = instructions * _CYCLES_PER_INSTRUCTION
+    # The host emits the Fig. 14 program once per task.
+    program = compile_layers(layer_configs)
+    instruction_cycles = len(program) * _CYCLES_PER_INSTRUCTION
     # CSC build: one pass over the mask non-zeros (host-side, pipelined
     # 8 entries/cycle through the packer).
     nnz = sum(c.sparser_nnz for c in layer_configs)

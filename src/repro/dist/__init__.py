@@ -63,7 +63,7 @@ from .runner import (
     workload_fingerprint,
     workload_from_spec,
 )
-from .sharding import ShardSpec, shard_indices
+from .sharding import ShardSpec
 from .store import (
     IncompleteStoreError,
     JsonlAppender,
@@ -80,7 +80,6 @@ from .store import (
 
 __all__ = [
     "ShardSpec",
-    "shard_indices",
     "ResultStore",
     "JsonlAppender",
     "StoreError",

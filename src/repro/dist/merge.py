@@ -273,10 +273,6 @@ class ShardStatus:
     def fraction_scored(self) -> float:
         return self.scored / self.total if self.total else 1.0
 
-    @property
-    def complete(self) -> bool:
-        return self.done >= self.total
-
 
 @dataclass(frozen=True)
 class StoreStatus:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["ShardSpec", "shard_indices"]
+__all__ = ["ShardSpec"]
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,3 @@ class ShardSpec:
         if self.weights is None:
             return base
         return base + "@" + ",".join(str(weight) for weight in self.weights)
-
-
-def shard_indices(size: int, shard) -> "range | list":
-    """Convenience: :meth:`ShardSpec.indices` accepting ``"K/N[@w]"`` strings."""
-    return ShardSpec.parse(shard).indices(size)

@@ -48,6 +48,3 @@ class FaultyEvaluator:
             for i, result in zip(healthy, scored, strict=True):
                 results[i] = result
         return results
-
-    def __repr__(self):
-        return f"FaultyEvaluator({self.inner!r}, {self.fault_plan!r})"

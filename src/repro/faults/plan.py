@@ -102,10 +102,6 @@ class FaultPlan:
         self._fired = set()  # scope-less one-shot points fired in-process
         self._appended = 0  # durable appends seen by this process
 
-    def __repr__(self):
-        parts = ", ".join(f"{k}={v!r}" for k, v in sorted(self.spec().items()))
-        return f"FaultPlan({parts})"
-
     # -- wire format -------------------------------------------------------
 
     def spec(self):

@@ -1,15 +1,6 @@
-"""Sparse storage formats and tiling utilities."""
+"""Sparse index formats of the sparser engine (CSC, and COO for the
+format ablation)."""
 
-from .sparse import CSCMatrix, CSRMatrix, COOMatrix, index_bytes
-from .tiling import TileGrid, tile_1d, tiles_for_matmul, fits_in_buffer
+from .sparse import CSCMatrix, COOMatrix
 
-__all__ = [
-    "CSCMatrix",
-    "CSRMatrix",
-    "COOMatrix",
-    "index_bytes",
-    "TileGrid",
-    "tile_1d",
-    "tiles_for_matmul",
-    "fits_in_buffer",
-]
+__all__ = ["CSCMatrix", "COOMatrix"]

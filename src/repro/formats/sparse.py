@@ -3,8 +3,8 @@
 The sparser engine pre-loads non-zero *indexes* in **CSC** (compressed sparse
 column) format — chosen over COO because the K-stationary dataflow produces
 attention-map columns one at a time (§V-B.1), so walking a CSC column yields
-exactly the Q rows a resident K vector must be multiplied with.  CSR and COO
-are provided for comparison and for the format ablation.
+exactly the Q rows a resident K vector must be multiplied with.  COO is
+provided for the format ablation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CSCMatrix", "CSRMatrix", "COOMatrix", "index_bytes"]
+__all__ = ["CSCMatrix", "COOMatrix"]
 
 
 def _validate_dense(dense):
@@ -51,12 +51,6 @@ class CSCMatrix:
     def column_nnz(self):
         return np.diff(self.col_ptr)
 
-    def to_dense(self):
-        out = np.zeros(self.shape, dtype=bool)
-        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.col_ptr))
-        out[self.row_idx, cols] = True
-        return out
-
     def index_bytes(self, ptr_bytes=4, idx_bytes=1):
         """Storage for the index structure (paper: 20 KB index buffer).
 
@@ -66,45 +60,6 @@ class CSCMatrix:
         if self.shape[0] > 256 and idx_bytes == 1:
             idx_bytes = 2
         return len(self.col_ptr) * ptr_bytes + len(self.row_idx) * idx_bytes
-
-
-@dataclass(frozen=True)
-class CSRMatrix:
-    """Boolean sparsity pattern in compressed-sparse-row form."""
-
-    shape: tuple
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-
-    @classmethod
-    def from_dense(cls, dense):
-        dense = _validate_dense(dense).astype(bool)
-        rows, cols = dense.shape
-        row_ptr = np.zeros(rows + 1, dtype=np.int64)
-        row_ptr[1:] = np.cumsum(dense.sum(axis=1))
-        col_idx = np.nonzero(dense)[1].astype(np.int64)
-        return cls(shape=(rows, cols), row_ptr=row_ptr, col_idx=col_idx)
-
-    @property
-    def nnz(self):
-        return int(self.row_ptr[-1])
-
-    def row(self, i):
-        return self.col_idx[self.row_ptr[i] : self.row_ptr[i + 1]]
-
-    def row_nnz(self):
-        return np.diff(self.row_ptr)
-
-    def to_dense(self):
-        out = np.zeros(self.shape, dtype=bool)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.row_ptr))
-        out[rows, self.col_idx] = True
-        return out
-
-    def index_bytes(self, ptr_bytes=4, idx_bytes=1):
-        if self.shape[1] > 256 and idx_bytes == 1:
-            idx_bytes = 2
-        return len(self.row_ptr) * ptr_bytes + len(self.col_idx) * idx_bytes
 
 
 @dataclass(frozen=True)
@@ -126,21 +81,8 @@ class COOMatrix:
     def nnz(self):
         return len(self.rows)
 
-    def to_dense(self):
-        out = np.zeros(self.shape, dtype=bool)
-        out[self.rows, self.cols] = True
-        return out
-
     def index_bytes(self, idx_bytes=1):
         if max(self.shape) > 256 and idx_bytes == 1:
             idx_bytes = 2
         # Two coordinates per non-zero — why CSC wins for our patterns.
         return 2 * self.nnz * idx_bytes
-
-
-def index_bytes(mask, fmt="csc"):
-    """Index storage for ``mask`` in the given format ('csc'|'csr'|'coo')."""
-    classes = {"csc": CSCMatrix, "csr": CSRMatrix, "coo": COOMatrix}
-    if fmt not in classes:
-        raise ValueError(f"unknown format {fmt!r}; choose from {sorted(classes)}")
-    return classes[fmt].from_dense(np.asarray(mask)).index_bytes()

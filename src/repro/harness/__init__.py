@@ -1,6 +1,6 @@
 """Experiment harness: one runner per paper table/figure."""
 
-from .report import format_table, format_speedup_row, iter_table
+from .report import format_table, iter_table
 from .surrogate import (
     BASELINE_ACCURACY,
     vit_fixed_mask_accuracy,
@@ -13,13 +13,7 @@ from .dse import (
     pareto_frontier,
     sensitivity,
 )
-from .serialization import (
-    report_to_dict,
-    report_from_dict,
-    reports_to_csv,
-    iter_json,
-    to_json,
-)
+from .serialization import iter_json, to_json
 from .experiments import (
     DEFAULT_MODELS,
     ALL_MODELS,
@@ -30,7 +24,6 @@ from .experiments import (
     fig15_speedups,
     fig17_accuracy_latency,
     fig19_breakdown_energy,
-    cycle_per_layer_breakdown,
     table1_taxonomy,
     ablation_prune_reorder,
     nlp_comparison,
@@ -42,14 +35,10 @@ __all__ = [
     "sweep_design_space",
     "pareto_frontier",
     "sensitivity",
-    "report_to_dict",
-    "report_from_dict",
-    "reports_to_csv",
     "iter_json",
     "to_json",
     "format_table",
     "iter_table",
-    "format_speedup_row",
     "BASELINE_ACCURACY",
     "vit_fixed_mask_accuracy",
     "nlp_dynamic_accuracy",
@@ -63,7 +52,6 @@ __all__ = [
     "fig15_speedups",
     "fig17_accuracy_latency",
     "fig19_breakdown_energy",
-    "cycle_per_layer_breakdown",
     "table1_taxonomy",
     "ablation_prune_reorder",
     "nlp_comparison",

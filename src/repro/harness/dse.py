@@ -37,10 +37,9 @@ A sweep scores in one process.  A study scales out by sharding
 processes, or ``dse-shard`` runs them on more hosts.
 
 The deterministic grid index is also a *partition key*
-(:func:`grid_size` / :func:`grid_point` /
-:func:`iter_indexed_design_points`): :mod:`repro.dist` shards disjoint
-index subsets across hosts, and a merge reproduces the single-process
-sweep bit for bit.
+(:func:`grid_size` / :func:`iter_indexed_design_points`): :mod:`repro.dist`
+shards disjoint index subsets across hosts, and a merge reproduces the
+single-process sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ __all__ = [
     "PointFailure",
     "check_grid",
     "grid_size",
-    "grid_point",
     "iter_indexed_design_points",
     "sweep_design_space",
     "pareto_frontier",
@@ -197,20 +195,15 @@ def grid_size(grid) -> int:
     return size
 
 
-def grid_point(grid, index: int) -> tuple:
-    """Decode one grid index into its value tuple (sorted-name order).
+def _decode_grid_index(grid, names, index):
+    """Decode one grid index into its value tuple (``names`` order).
 
     The index is the point's position in the deterministic sweep order —
     ``enumerate(product(*(grid[n] for n in sorted(grid))))`` — decoded in
     O(#parameters) by mixed-radix arithmetic, so shards of a huge grid can
     materialise exactly their own points without walking the cross-product.
+    ``grid`` is already checked and ``names`` is ``sorted(grid)``.
     """
-    grid = check_grid(grid)
-    return _decode_grid_index(grid, sorted(grid), index)
-
-
-def _decode_grid_index(grid, names, index):
-    """:func:`grid_point` over an already-checked grid."""
     if index < 0:
         raise IndexError(f"grid index must be non-negative, got {index}")
     values = []
@@ -425,33 +418,25 @@ def _pareto_mask_sorted_2d(values: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _pareto_mask_pairwise(values: np.ndarray) -> np.ndarray:
-    """Non-dominated mask for any objective count via one broadcast."""
-    less_eq = np.all(values[:, None, :] <= values[None, :, :], axis=2)
-    strictly = np.any(values[:, None, :] < values[None, :, :], axis=2)
-    dominated = np.any(less_eq & strictly, axis=0)
-    return ~dominated
-
-
 def pareto_frontier(
     points: Sequence[DesignPoint], objectives=("seconds", "energy_joules")
 ) -> List[DesignPoint]:
-    """Non-dominated subset under the given minimise-objectives.
+    """Non-dominated subset under two minimise-objectives.
 
-    The two-objective case (the common one) runs in O(n log n) via a sort
-    and a prefix-minimum scan; other objective counts use a vectorized
-    pairwise dominance check.  Points are returned in input order.
+    Runs in O(n log n) via a sort and a prefix-minimum scan.  Points are
+    returned in input order.
     """
+    if len(objectives) != 2:
+        raise ValueError(
+            f"pareto_frontier takes two objectives, got {tuple(objectives)!r}"
+        )
     if not points:
         return []
     values = np.array(
         [[getattr(p, obj) for obj in objectives] for p in points],
         dtype=np.float64,
     )
-    if values.shape[1] == 2:
-        keep = _pareto_mask_sorted_2d(values)
-    else:
-        keep = _pareto_mask_pairwise(values)
+    keep = _pareto_mask_sorted_2d(values)
     return [p for p, k in zip(points, keep) if k]
 
 

@@ -17,11 +17,7 @@ from ..baselines import (
     edgegpu_platform,
     gpu_platform,
 )
-from ..hw import (
-    CycleAccurateSimulator,
-    ViTCoDAccelerator,
-    attention_workload_from_masks,
-)
+from ..hw import ViTCoDAccelerator, attention_workload_from_masks
 from ..models import NLP_BERT_BASE, get_config
 # Experiment runners are pure in (config, sparsity, seed, ...), so workload
 # construction — by far their hottest step — goes through the process-wide
@@ -51,7 +47,6 @@ __all__ = [
     "fig15_speedups",
     "fig17_accuracy_latency",
     "fig19_breakdown_energy",
-    "cycle_per_layer_breakdown",
     "table1_taxonomy",
     "ablation_prune_reorder",
     "nlp_comparison",
@@ -312,42 +307,6 @@ def fig19_breakdown_energy(
         / mean_latency["vitcod"],
         "energy_efficiency_vs_sanger": mean_energy["sanger"]
         / mean_energy["vitcod"],
-    }
-
-
-# ----------------------------------------------------------------------
-# Fig. 4-style layer-resolved view from the event-driven simulator
-# ----------------------------------------------------------------------
-def cycle_per_layer_breakdown(model="deit-base", sparsity=0.9, seed=0):
-    """Per-layer makespans and utilizations from ONE whole-model
-    cycle-simulation (``CycleSimResult.per_layer``), Fig. 4-breakdown style.
-
-    The simulator walks all layers in a single array pipeline and still
-    exposes the layer-resolved schedule, so the layer profile costs no
-    more than the headline whole-model number.
-    """
-    wl = model_workload(get_config(model), sparsity=sparsity, seed=seed)
-    total = CycleAccurateSimulator().simulate_attention(wl)
-    layers = [
-        {
-            "layer": i,
-            "makespan": r.makespan,
-            "sddmm_makespan": r.sddmm_makespan,
-            "spmm_makespan": r.spmm_makespan,
-            "denser_utilization": r.denser_utilization,
-            "sparser_utilization": r.sparser_utilization,
-            "dram_utilization": r.dram_utilization,
-            "makespan_fraction": (
-                r.makespan / total.makespan if total.makespan else 0.0
-            ),
-        }
-        for i, r in enumerate(total.per_layer)
-    ]
-    return {
-        "model": model,
-        "sparsity": sparsity,
-        "total_makespan": total.makespan,
-        "layers": layers,
     }
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["format_table", "iter_table", "format_speedup_row"]
+__all__ = ["format_table", "iter_table"]
 
 
 def iter_table(headers, rows, float_fmt="{:.2f}"):
@@ -32,8 +32,3 @@ def iter_table(headers, rows, float_fmt="{:.2f}"):
 def format_table(headers, rows, float_fmt="{:.2f}"):
     """Render a list of rows (sequences) as an aligned ASCII table."""
     return "\n".join(iter_table(headers, list(rows), float_fmt))
-
-
-def format_speedup_row(name, speedups):
-    """One row of a Fig. 15-style speedup table."""
-    return [name] + [f"{s:.1f}x" for s in speedups]

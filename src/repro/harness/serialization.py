@@ -1,109 +1,17 @@
-"""Serialisation of simulation reports and experiment results.
+"""JSON export of experiment and DSE results.
 
-Everything the harness produces can be exported to plain dicts / JSON / CSV
-so external tooling (plotting notebooks, CI dashboards) can consume the
-reproduction's numbers without importing the package.
+Every ``--json`` file and every served result document is ``to_json``
+text (or its chunks, :func:`iter_json`), so equal payloads are equal
+bytes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import numpy as np
 
-from ..hw.trace import EnergyBreakdown, LatencyBreakdown, SimReport
-
-__all__ = [
-    "report_to_dict",
-    "report_from_dict",
-    "reports_to_csv",
-    "dse_result_payload",
-    "iter_json",
-    "to_json",
-]
-
-
-def _plain(value):
-    """Recursively convert numpy scalars/arrays into JSON-safe types."""
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def report_to_dict(report: SimReport) -> dict:
-    """Flatten a :class:`SimReport` into a JSON-safe dict."""
-    return {
-        "platform": report.platform,
-        "workload": report.workload,
-        "frequency_hz": report.frequency_hz,
-        "latency": {
-            "compute": report.latency.compute,
-            "preprocess": report.latency.preprocess,
-            "data_movement": report.latency.data_movement,
-        },
-        "energy_pj": {
-            "mac": report.energy.mac,
-            "sram": report.energy.sram,
-            "dram": report.energy.dram,
-            "other": report.energy.other,
-            "static": report.energy.static,
-        },
-        "seconds": report.seconds,
-        "energy_joules": report.energy_joules,
-        "details": _plain(report.details),
-    }
-
-
-def report_from_dict(data: dict) -> SimReport:
-    """Inverse of :func:`report_to_dict` (derived fields recomputed)."""
-    latency = LatencyBreakdown(**data["latency"])
-    energy = EnergyBreakdown(**data["energy_pj"])
-    return SimReport(
-        platform=data["platform"],
-        workload=data["workload"],
-        latency=latency,
-        energy=energy,
-        frequency_hz=data["frequency_hz"],
-        details=dict(data.get("details", {})),
-    )
-
-
-def reports_to_csv(reports) -> str:
-    """Render reports as CSV (one row each, flat columns)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    header = [
-        "platform",
-        "workload",
-        "seconds",
-        "energy_joules",
-        "compute_cycles",
-        "preprocess_cycles",
-        "data_movement_cycles",
-    ]
-    writer.writerow(header)
-    for report in reports:
-        row = [
-            report.platform,
-            report.workload,
-            f"{report.seconds:.9g}",
-            f"{report.energy_joules:.9g}",
-            f"{report.latency.compute:.6g}",
-            f"{report.latency.preprocess:.6g}",
-            f"{report.latency.data_movement:.6g}",
-        ]
-        writer.writerow(row)
-    return buffer.getvalue()
+__all__ = ["dse_result_payload", "iter_json", "to_json"]
 
 
 def dse_result_payload(
@@ -149,7 +57,7 @@ class _Encoder(json.JSONEncoder):
 
     def default(self, o):
         if isinstance(o, (np.integer, np.floating, np.ndarray)):
-            return _plain(o)
+            return o.tolist()
         return super().default(o)
 
 

@@ -29,11 +29,11 @@ Each returns per-layer arrays, and a left-to-right fold sums them as
 design-point grid (:meth:`ViTCoDAccelerator.simulate_attention_grid`), the
 whole model at this design point (``simulate_attention``, and
 ``simulate_model`` from :class:`~repro.sim.engine.ModelSimulatorBase`,
-which folds the GEMM walk onto the attention totals), one layer
-(``simulate_attention_layer``) and one GEMM (``simulate_gemm``).  A scalar
-per-layer model is the test oracle (``tests/analytical_oracle.py``):
-one-layer and one-GEMM reports equal its reports, and the walks' totals
-equal the fold of its reports, bit for bit.
+which folds the GEMM walk onto the attention totals) and one layer
+(``simulate_attention_layer``).  A scalar per-layer model is the test
+oracle (``tests/analytical_oracle.py``): one-layer reports, and one-GEMM
+reports of the GEMM walk, equal its reports, and the walks' totals equal
+the fold of its reports, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,17 +44,23 @@ import numpy as np
 
 from ..sim.engine import ModelSimulatorBase
 from .allocator import allocate_mac_lines_batched
+from .dataflow import (
+    dense_gemm_cycles,
+    k_tiles,
+    pack_efficiency,
+    s_stationary_sddmm_cycles,
+    softmax_cycles,
+)
 from .params import VITCOD_DEFAULT, HardwareConfig, check_domain, design_columns
 from .trace import EnergyBreakdown, LatencyBreakdown, SimReport
-from .workload import AttentionWorkload, GemmWorkload, ModelWorkload
+from .workload import AttentionWorkload, ModelWorkload
 
 __all__ = ["ViTCoDAccelerator"]
 
 _LATENCY = ("compute", "preprocess", "data_movement")
 _ENERGY = ("mac", "sram", "dram", "other", "static")
-#: Per-layer and per-GEMM values a one-layer / one-GEMM report carries.
+#: Per-layer values a one-layer report carries.
 _LAYER_DETAILS = ("sddmm_compute", "mac_count", "dram_bytes")
-_GEMM_DETAILS = ("mac_count", "dram_bytes")
 
 
 def _ordered_sum(values, init):
@@ -173,16 +179,6 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         return self._report(f"{model.name}:attention", walk,
                             {"layers": len(layers)})
 
-    def simulate_gemm(self, gemm: GemmWorkload) -> SimReport:
-        """One dense GEMM: the GEMM walk's one-GEMM case.
-
-        ``details`` holds its MACs (``mac_count``, encoder MACs included)
-        and DRAM bytes (``dram_bytes``).
-        """
-        walk = self._gemm_walk([gemm])
-        return self._report(gemm.name, walk,
-                            {key: float(walk[key][0]) for key in _GEMM_DETAILS})
-
     def _fold_gemms(self, gemms, latency, energy):
         """The GEMM walk folded onto ``latency`` and ``energy``: the dense
         half of :meth:`~repro.sim.engine.ModelSimulatorBase.simulate_model`."""
@@ -200,17 +196,6 @@ class ViTCoDAccelerator(ModelSimulatorBase):
             frequency_hz=self.config.frequency_hz,
             details=details,
         )
-
-    def _s_stationary_pack_efficiency(self, layer):
-        """Packing efficiency of a rigid spatial array on this mask (the
-        fraction of PE slots holding real non-zeros after row packing)."""
-        width = self.config.macs_per_line * 2
-        stats = layer.head_stats()
-        per_row = (stats.denser_nnz + stats.sparser_nnz) / stats.tokens
-        slot_rows = np.ceil(np.maximum(per_row, 1) / width) * width
-        slots = int((slot_rows * stats.tokens).sum())
-        nnz = layer.total_nnz
-        return min(1.0, max(nnz / slots, 0.05)) if slots else 1.0
 
     # ------------------------------------------------------------------
     # Batched array geometry
@@ -330,9 +315,8 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         # head (K stays compressed on chip, which widens it) and Q
         # re-streams once per K tile.
         tensor_bytes = n * d * b  # one of Q / K / V, decoded
-        k_window_bytes = cols["act_buffer"] / 2
-        k_tiles = np.maximum(1, np.ceil(tensor_bytes * ratio / k_window_bytes))
-        stream_bytes = tensor_bytes * ratio * (1 + k_tiles)  # K once + Q/tile
+        tiles = k_tiles(tensor_bytes, ratio, cols["act_buffer"])
+        stream_bytes = tensor_bytes * ratio * (1 + tiles)  # K once + Q/tile
         # Sparser-region non-zeros off the diagonal band trigger scattered
         # per-token Q fetches, cut by query-based forwarding.  With the
         # reordered layout the scheduler falls back to one more full
@@ -360,14 +344,12 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         cycles_per_wave = np.ceil(dk / mpl)
 
         if self.dataflow == "s_stationary":
-            # Ablation: Sanger-style spatial mapping on the same workload.
-            eff = np.array(
-                [self._s_stationary_pack_efficiency(l) for l in layers]
-            )
-            effective = (compute_lines * mpl) * eff
-            products = denser_products + sparser_products
-            sddmm_compute = np.where(
-                products > 0, np.ceil(products / effective) * dk, 0.0
+            # Ablation: Sanger-style spatial mapping on the same workload,
+            # packed into rows of two MAC lines' width.
+            eff = np.array([pack_efficiency(l, 2 * mpl) for l in layers])
+            sddmm_compute = s_stationary_sddmm_cycles(
+                denser_products + sparser_products, dk, compute_lines * mpl,
+                pack_efficiency=eff,
             )
         elif self.two_pronged:
             d_lines, s_lines = allocate_mac_lines_batched(
@@ -428,7 +410,7 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         # Per-engine softmax units consume finished columns while SDDMM and
         # SpMM continue (Fig. 12): only the excess over the MAC-side busy
         # time lands on the critical path.
-        sm_cycles = np.ceil((total_nnz + 2 * (n * H)) / cfg.softmax_lanes)
+        sm_cycles = softmax_cycles(total_nnz, n * H, lanes=cfg.softmax_lanes)
         sm_extra = np.maximum(0.0, sm_cycles - (phase + spmm_phase))
 
         compute = sddmm_compute + spmm_compute + sm_extra
@@ -454,7 +436,8 @@ class ViTCoDAccelerator(ModelSimulatorBase):
 
     def _gemm_walk(self, gemms):
         """The dense-layer walk (§V-B.3): each GEMM's latency categories,
-        energy components and :data:`_GEMM_DETAILS` as (gemms,) arrays.
+        energy components, ``mac_count`` and ``dram_bytes`` as (gemms,)
+        arrays.
 
         Every GEMM runs on the whole reconfigured array at 85 %
         utilization.  With the AE datapath on, QKV generation (a GEMM
@@ -470,9 +453,7 @@ class ViTCoDAccelerator(ModelSimulatorBase):
         compress = np.array([g.name.endswith(".qkv") for g in gemms], dtype=bool)
 
         macs = m * k * nn
-        compute = np.where(
-            macs > 0, np.ceil(macs / (cfg.total_macs * 0.85)), 0.0
-        )
+        compute = dense_gemm_cycles(m, k, nn, cfg.total_macs)
         if self.use_ae:
             out_ratio = np.where(
                 compress, (2 * self.ae_compression + 1) / 3, 1.0

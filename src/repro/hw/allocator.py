@@ -22,10 +22,6 @@ class Allocation:
     denser_lines: int
     sparser_lines: int
 
-    @property
-    def total(self):
-        return self.denser_lines + self.sparser_lines
-
 
 def allocate_mac_lines(total_lines, denser_macs, sparser_macs, reserve_min=1):
     """Split ``total_lines`` proportionally to the two engines' MAC counts.

@@ -59,7 +59,8 @@ reads that row's per-layer values into :class:`CycleSimResult` objects,
 and :meth:`~CycleAccurateSimulator.simulate_layer` is its one-layer case.
 
 The executable reference semantics is the per-job Python event loop in
-:mod:`repro.hw.cycle_reference`, which only tests and benchmarks import.
+``tests/cycle_reference.py``, an oracle outside the package that only
+tests, benchmarks and CI import.
 To let them assert *exact* (bitwise) agreement, every event duration is
 snapped to a ``2**-20``-cycle grid (:data:`_TIME_SCALE`): compute and
 softmax durations are integer cycle counts already, and DRAM service
@@ -85,6 +86,7 @@ import numpy as np
 from ..perf.memo import instance_memo
 from ..sim.engine import AttentionSimulatorBase, merge_results
 from .allocator import allocate_mac_lines_batched
+from .dataflow import k_tiles
 from .dram import DramModel
 from .params import VITCOD_DEFAULT, HardwareConfig, check_domain, design_columns
 from .workload import AttentionWorkload, ModelWorkload
@@ -190,8 +192,8 @@ class CycleSimResult:
 
     Whole-model results additionally carry the per-layer breakdown in
     ``per_layer`` (one single-layer :class:`CycleSimResult` per attention
-    layer, in layer order) so figure runners can plot layer-resolved
-    makespans/utilizations from one run.
+    layer, in layer order), so layer-resolved makespans come from one
+    run.
     """
 
     makespan: float
@@ -203,18 +205,6 @@ class CycleSimResult:
     softmax_busy: float
     jobs_executed: int
     per_layer: Tuple["CycleSimResult", ...] = ()
-
-    @property
-    def denser_utilization(self):
-        return self.denser_busy / self.makespan if self.makespan else 0.0
-
-    @property
-    def sparser_utilization(self):
-        return self.sparser_busy / self.makespan if self.makespan else 0.0
-
-    @property
-    def dram_utilization(self):
-        return self.dram_busy / self.makespan if self.makespan else 0.0
 
     def _layers(self):
         """This result as a tuple of single-layer results."""
@@ -376,8 +366,8 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
 
     The DRAM channel is a plain :class:`DramModel` at the design point's
     bandwidth: the walk evaluates its sequential service times in closed
-    form (the reference loop in :mod:`repro.hw.cycle_reference` accepts
-    any model).
+    form (the reference loop in ``tests/cycle_reference.py`` accepts any
+    model).
     """
 
     name = "CycleSim"
@@ -535,11 +525,9 @@ class CycleAccurateSimulator(AttentionSimulatorBase):
         # step of both engines' request ladders.
         ratio = cols["ratio"][:, None]
         bpc = cols["bpc"][:, None]
-        k_tiles = np.maximum(1.0, np.ceil(
-            g["tensor_bytes"] * ratio / (cols["act_buffer"][:, None] / 2)
-        ))
+        tiles = k_tiles(g["tensor_bytes"], ratio, cols["act_buffer"][:, None])
         q_service = self._grid_service(
-            np.trunc(g["tensor_bytes"] * ratio * k_tiles), bpc
+            np.trunc(g["tensor_bytes"] * ratio * tiles), bpc
         )
         s_col = self._grid_service(np.trunc(g["k_bytes_full"] * ratio), bpc)
         v_service = self._grid_service(2 * g["tensor_bytes"], bpc)

@@ -55,20 +55,3 @@ class DramModel:
             return transfer
         misses = bursts * (1.0 - self.scattered_row_hit_rate)
         return transfer + misses * self.row_miss_penalty_cycles
-
-    def effective_bandwidth(self, request_bytes, sequential=True):
-        """Achieved bytes/cycle for a pattern of ``request_bytes`` requests."""
-        if request_bytes <= 0:
-            raise ValueError("request_bytes must be positive")
-        cycles = self.service_cycles(
-            DramRequest(bytes=request_bytes, sequential=sequential)
-        )
-        return request_bytes / cycles
-
-    def amplification(self, request_bytes, sequential=True):
-        """Ratio of charged time to ideal-bandwidth time (>= 1)."""
-        ideal = request_bytes / self.bytes_per_cycle
-        actual = self.service_cycles(
-            DramRequest(bytes=request_bytes, sequential=sequential)
-        )
-        return actual / ideal

@@ -68,9 +68,6 @@ class HardwareConfig:
         convention (512 MACs × 500 MHz = 256 GOPS compute roof)."""
         return self.total_macs * self.frequency_hz / 1e9
 
-    def cycles_to_seconds(self, cycles):
-        return cycles / self.frequency_hz
-
     def scaled(self, factor, name=None):
         """Scale compute + bandwidth + buffers by ``factor``.
 

@@ -103,11 +103,6 @@ class SimReport:
             return float("inf")
         return other.seconds / self.seconds
 
-    def energy_efficiency_over(self, other):
-        if self.energy_pj == 0:
-            return float("inf")
-        return other.energy_pj / self.energy_pj
-
     def merged(self, other, workload=None):
         """Concatenate two sequential reports on the same platform.
 

@@ -21,8 +21,7 @@ from ..sparsity.patterns import synthetic_vit_attention
 __all__ = ["HeadWorkload", "HeadStatArrays", "AttentionWorkload",
            "GemmWorkload", "ModelWorkload",
            "attention_workload_from_masks", "dense_attention_workload",
-           "synthetic_attention_workload", "model_workload",
-           "split_remainder"]
+           "synthetic_attention_workload", "model_workload"]
 
 
 def _memoized(obj, attr, builder):
@@ -40,23 +39,6 @@ def _memoized(obj, attr, builder):
         value = builder()
         object.__setattr__(obj, attr, value)
         return value
-
-
-def split_remainder(nnz, cols):
-    """Spread ``nnz`` products over ``cols`` columns without losing the
-    remainder: the first ``nnz % cols`` columns carry one extra product.
-
-    The shared mean-density fallback for heads lacking per-column counts —
-    both the cycle simulator's job builders and :meth:`AttentionWorkload.column_cv`
-    must distribute identically or the load-imbalance metric diverges from
-    the simulated job stream.
-    """
-    if cols <= 0:
-        return np.zeros(0, dtype=np.int64)
-    per, rem = divmod(int(nnz), cols)
-    counts = np.full(cols, per, dtype=np.int64)
-    counts[:rem] += 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -78,28 +60,21 @@ class HeadWorkload:
     sparser_locality: float = 1.0
     sparser_column_nnz: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def total_nnz(self):
-        return self.denser_nnz + self.sparser_nnz
-
-    @property
-    def sparsity(self):
-        return 1.0 - self.total_nnz / (self.num_tokens**2)
-
-    @property
-    def denser_macs(self):
-        """SDDMM MACs in the denser block (processed densely)."""
-        return self.num_global_tokens * self.num_tokens * self.head_dim
-
-    @property
-    def sparser_macs(self):
-        """SDDMM MACs in the sparser remainder (non-zeros only)."""
-        return self.sparser_nnz * self.head_dim
-
-    @property
-    def spmm_macs(self):
-        """S·V MACs (every kept score contributes one dk-length row update)."""
-        return self.total_nnz * self.head_dim
+    def column_nnz(self):
+        """Products per sparser column: ``sparser_column_nnz``, or for a
+        head built without it, ``sparser_nnz`` spread over the sparser
+        columns, the first ``nnz % cols`` carrying one extra product (the
+        job stream and :meth:`AttentionWorkload.column_cv` both read this,
+        so the load-imbalance metric matches the simulated jobs)."""
+        if self.sparser_column_nnz is not None:
+            return self.sparser_column_nnz
+        cols = self.num_tokens - self.num_global_tokens
+        if cols <= 0:
+            return np.zeros(0, dtype=np.int64)
+        per, rem = divmod(int(self.sparser_nnz), cols)
+        counts = np.full(cols, per, dtype=np.int64)
+        counts[:rem] += 1
+        return counts
 
 
 @dataclass(frozen=True)
@@ -182,18 +157,14 @@ class AttentionWorkload:
     def sparser_job_products(self) -> np.ndarray:
         """Per-column products of the sparser engine's job stream, in head
         order with empty columns dropped (cached).  Heads without explicit
-        per-column counts fall back to :func:`split_remainder`."""
+        per-column counts fall back to :meth:`HeadWorkload.column_nnz`'s
+        even spread."""
         return _memoized(self, "_sparser_job_products", self._build_sparser_jobs)
 
     def _build_sparser_jobs(self):
         parts = []
         for head in self.heads:
-            col_nnz = head.sparser_column_nnz
-            if col_nnz is None:
-                col_nnz = split_remainder(
-                    head.sparser_nnz, head.num_tokens - head.num_global_tokens
-                )
-            parts.append(np.asarray(col_nnz, dtype=np.int64))
+            parts.append(np.asarray(head.column_nnz(), dtype=np.int64))
         if not parts:
             return np.zeros(0, dtype=np.int64)
         merged = np.concatenate(parts)
@@ -229,18 +200,6 @@ class AttentionWorkload:
             ((stats.denser_nnz + stats.sparser_nnz) * stats.head_dim).sum()
         )
 
-    @property
-    def denser_fraction(self):
-        """Fraction of SDDMM MACs in the denser engine's share."""
-        total = self.sddmm_macs
-        if total == 0:
-            return 1.0
-        stats = self.head_stats()
-        denser = int(
-            (stats.global_tokens * stats.tokens * stats.head_dim).sum()
-        )
-        return denser / total
-
     def column_cv(self):
         """Coefficient of variation of per-column SDDMM products when the
         whole mask is processed by ONE engine (global-token columns carry
@@ -252,13 +211,7 @@ class AttentionWorkload:
         products = []
         for head in self.heads:
             products.extend([head.num_tokens] * head.num_global_tokens)
-            if head.sparser_column_nnz is not None:
-                products.extend(int(x) for x in head.sparser_column_nnz)
-            else:
-                products.extend(split_remainder(
-                    head.sparser_nnz,
-                    head.num_tokens - head.num_global_tokens,
-                ).tolist())
+            products.extend(int(x) for x in head.column_nnz())
         arr = np.asarray([p for p in products if p > 0], dtype=np.float64)
         if arr.size == 0 or arr.mean() == 0:
             return 0.0
@@ -271,13 +224,6 @@ class AttentionWorkload:
         # np.round matches builtins.round (half-to-even) on float64.
         scattered = np.round(stats.sparser_nnz * (1.0 - stats.locality))
         return int(scattered.astype(np.int64).sum())
-
-    def qk_bytes(self, bytes_per_element):
-        """Q plus K footprint of the whole layer."""
-        return 2 * self.num_tokens * self.embed_dim * bytes_per_element
-
-    def v_bytes(self, bytes_per_element):
-        return self.num_tokens * self.embed_dim * bytes_per_element
 
     def index_bytes(self):
         return int(self.head_stats().index_bytes.sum())
@@ -299,9 +245,6 @@ class GemmWorkload:
     def weight_bytes(self, bytes_per_element):
         return self.k * self.n * bytes_per_element
 
-    def io_bytes(self, bytes_per_element):
-        return (self.m * self.k + self.m * self.n) * bytes_per_element
-
 
 @dataclass(frozen=True)
 class ModelWorkload:
@@ -310,10 +253,6 @@ class ModelWorkload:
     name: str
     attention_layers: Sequence[AttentionWorkload]
     linear_layers: Sequence[GemmWorkload]
-
-    @property
-    def attention_macs(self):
-        return sum(l.sddmm_macs + l.spmm_macs for l in self.attention_layers)
 
     @property
     def linear_macs(self):

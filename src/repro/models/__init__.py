@@ -6,19 +6,12 @@ from .config import (
     MODEL_REGISTRY,
     NLP_BERT_BASE,
     get_config,
-    list_models,
 )
 from .attention import MultiHeadSelfAttention
 from .vit import TransformerBlock, VisionTransformer, build_vit
 from .levit import TokenPool, LeViT, build_levit
 from .strided import StridedTransformer, build_strided
-from .extraction import extract_average_attention, normalize_rows
-from .analysis import (
-    distance_profile,
-    global_column_share,
-    head_agreement,
-    structure_report,
-)
+from .extraction import extract_average_attention
 from .zoo import (
     TrainResult,
     train_classifier,
@@ -26,7 +19,6 @@ from .zoo import (
     pretrained,
     evaluate_classifier,
     evaluate_pose,
-    clear_zoo_cache,
 )
 
 __all__ = [
@@ -35,7 +27,6 @@ __all__ = [
     "MODEL_REGISTRY",
     "NLP_BERT_BASE",
     "get_config",
-    "list_models",
     "MultiHeadSelfAttention",
     "TransformerBlock",
     "VisionTransformer",
@@ -46,16 +37,10 @@ __all__ = [
     "StridedTransformer",
     "build_strided",
     "extract_average_attention",
-    "normalize_rows",
-    "distance_profile",
-    "global_column_share",
-    "head_agreement",
-    "structure_report",
     "TrainResult",
     "train_classifier",
     "train_pose_model",
     "pretrained",
     "evaluate_classifier",
     "evaluate_pose",
-    "clear_zoo_cache",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-__all__ = ["StageSpec", "ModelConfig", "MODEL_REGISTRY", "get_config", "list_models"]
+__all__ = ["StageSpec", "ModelConfig", "MODEL_REGISTRY", "get_config"]
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,6 @@ class ModelConfig:
         total = 0
         for n, h, dk in self.paper_attention_workloads():
             total += 2 * h * (n * n * dk) * 2  # QK^T and SV
-        return total
-
-    def paper_linear_flops(self):
-        """FLOPs of QKV/output projections + MLP across all layers."""
-        total = 0
-        for stage in self.paper_stages:
-            d = stage.embed_dim
-            n = stage.num_tokens
-            per_layer = 2 * n * d * (3 * d) + 2 * n * d * d  # QKV gen + out proj
-            per_layer += 2 * 2 * n * d * int(d * self.mlp_ratio)  # MLP fc1+fc2
-            total += per_layer * stage.depth
         return total
 
 
@@ -192,7 +181,3 @@ def get_config(name):
     if key not in MODEL_REGISTRY:
         raise KeyError(f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}")
     return MODEL_REGISTRY[key]
-
-
-def list_models():
-    return sorted(MODEL_REGISTRY)

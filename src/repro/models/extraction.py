@@ -8,11 +8,9 @@ recording enabled and return per-layer, per-head maps averaged over samples.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..nn.autograd import no_grad
 
-__all__ = ["extract_average_attention", "normalize_rows"]
+__all__ = ["extract_average_attention"]
 
 
 def extract_average_attention(model, inputs, batch_size=64):
@@ -60,11 +58,3 @@ def extract_average_attention(model, inputs, batch_size=64):
     if count == 0:
         raise ValueError("no input samples provided")
     return [s / count for s in sums]
-
-
-def normalize_rows(attention_map):
-    """Renormalise each row of a (…, N, N) map to sum to 1."""
-    attention_map = np.asarray(attention_map, dtype=np.float64)
-    row_sums = attention_map.sum(axis=-1, keepdims=True)
-    row_sums = np.where(row_sums <= 0, 1.0, row_sums)
-    return attention_map / row_sums

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..nn.autograd import Tensor
 from ..nn.modules import Module, Parameter, Linear, LayerNorm
-from .vit import TransformerBlock
+from .vit import AttentionStack, TransformerBlock
 from .config import ModelConfig
 
 __all__ = ["TokenPool", "LeViT", "build_levit"]
@@ -48,7 +48,7 @@ class TokenPool(Module):
         return self.proj(pooled)
 
 
-class LeViT(Module):
+class LeViT(AttentionStack):
     """Multi-stage ViT with attention-based classification (mean pooling)."""
 
     def __init__(self, patch_dim, num_classes, stages, mlp_ratio=2.0, seed=0):
@@ -97,25 +97,6 @@ class LeViT(Module):
                 tokens = pool(tokens)
         feats = self.norm(tokens).mean(axis=1)
         return self.head(feats)
-
-    def attention_modules(self):
-        return [block.attn for block in self.blocks]
-
-    def set_masks(self, masks):
-        if len(masks) != len(self.blocks):
-            raise ValueError(f"expected {len(self.blocks)} masks, got {len(masks)}")
-        for block, mask in zip(self.blocks, masks):
-            block.attn.set_mask(mask)
-
-    def set_autoencoder(self, factory):
-        for block in self.blocks:
-            block.attn.autoencoder = factory(block.attn.num_heads, block.attn.head_dim)
-
-    def reconstruction_pairs(self):
-        pairs = []
-        for block in self.blocks:
-            pairs.extend(block.attn.last_reconstruction_pairs)
-        return pairs
 
 
 def build_levit(config: ModelConfig, patch_dim, num_classes, seed=0):

@@ -3,8 +3,8 @@
 The paper evaluates this model on Human3.6M for AR/VR workloads.  The
 defining architectural feature for workload purposes is a vanilla transformer
 encoder over a long frame sequence followed by strided token reduction;
-at simulation scale we implement sequence-to-sequence regression with a
-strided refinement head on our synthetic pose dataset.
+at simulation scale we implement its encoder as sequence-to-sequence
+regression on our synthetic pose dataset.
 """
 
 from __future__ import annotations
@@ -12,22 +12,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.autograd import Tensor
-from ..nn.modules import Module, Parameter, Linear, LayerNorm
-from .vit import TransformerBlock
+from ..nn.modules import Parameter, Linear, LayerNorm
+from .vit import AttentionStack, TransformerBlock
 from .config import ModelConfig
 
 __all__ = ["StridedTransformer", "build_strided"]
 
 
-class StridedTransformer(Module):
-    """Transformer encoder + strided centre-frame refinement for pose."""
+class StridedTransformer(AttentionStack):
+    """The Strided Transformer's encoder, regressing a pose per frame."""
 
     def __init__(self, joint_dim, num_tokens, depth, dim, num_heads,
-                 mlp_ratio=2.0, stride=3, seed=0):
+                 mlp_ratio=2.0, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.num_tokens = num_tokens
-        self.stride = stride
         self.embed = Linear(joint_dim, dim, rng=rng)
         self.pos_embed = Parameter(rng.standard_normal((1, num_tokens, dim)) * 0.02)
         self.blocks = []
@@ -46,31 +45,6 @@ class StridedTransformer(Module):
         for block in self.blocks:
             tokens = block(tokens)
         return self.head(self.norm(tokens))
-
-    def strided_summary(self, x):
-        """Strided (every ``stride``-th frame) pose output — the model's
-        reduced-rate prediction stream used by the downstream AR/VR consumer."""
-        full = self.forward(x)
-        return full[:, :: self.stride, :]
-
-    def attention_modules(self):
-        return [block.attn for block in self.blocks]
-
-    def set_masks(self, masks):
-        if len(masks) != len(self.blocks):
-            raise ValueError(f"expected {len(self.blocks)} masks, got {len(masks)}")
-        for block, mask in zip(self.blocks, masks):
-            block.attn.set_mask(mask)
-
-    def set_autoencoder(self, factory):
-        for block in self.blocks:
-            block.attn.autoencoder = factory(block.attn.num_heads, block.attn.head_dim)
-
-    def reconstruction_pairs(self):
-        pairs = []
-        for block in self.blocks:
-            pairs.extend(block.attn.last_reconstruction_pairs)
-        return pairs
 
 
 def build_strided(config: ModelConfig, joint_dim, seed=0):

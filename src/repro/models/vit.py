@@ -28,7 +28,42 @@ class TransformerBlock(Module):
         return x
 
 
-class VisionTransformer(Module):
+class AttentionStack(Module):
+    """ViTCoD's hooks on a model whose ``blocks`` are transformer blocks
+    (ViT, LeViT and the Strided Transformer alike)."""
+
+    def attention_modules(self):
+        return [block.attn for block in self.blocks]
+
+    def set_masks(self, masks):
+        """Install per-layer fixed masks (list of (H,N,N) arrays or None)."""
+        if len(masks) != len(self.blocks):
+            raise ValueError(
+                f"expected {len(self.blocks)} masks, got {len(masks)}"
+            )
+        for block, mask in zip(self.blocks, masks):
+            block.attn.set_mask(mask)
+
+    def set_autoencoder(self, factory):
+        """Attach an AE module to every attention layer.
+
+        ``factory(num_heads, head_dim) -> Module`` builds one AE per layer
+        (the paper inserts one per attention head group, Fig. 10 Step 1).
+        """
+        for block in self.blocks:
+            block.attn.autoencoder = factory(
+                block.attn.num_heads, block.attn.head_dim
+            )
+
+    def reconstruction_pairs(self):
+        """All (original, reconstructed) Q/K pairs from the last forward."""
+        pairs = []
+        for block in self.blocks:
+            pairs.extend(block.attn.last_reconstruction_pairs)
+        return pairs
+
+
+class VisionTransformer(AttentionStack):
     """Patch-token ViT with CLS token and classification head.
 
     Inputs are pre-extracted patch vectors of shape
@@ -82,39 +117,6 @@ class VisionTransformer(Module):
     def forward(self, x):
         feats = self.forward_features(x)
         return self.head(feats[:, 0, :])
-
-    # ------------------------------------------------------------------
-    # ViTCoD hooks
-    # ------------------------------------------------------------------
-    def attention_modules(self):
-        return [block.attn for block in self.blocks]
-
-    def set_masks(self, masks):
-        """Install per-layer fixed masks (list of (H,N,N) arrays or None)."""
-        if len(masks) != len(self.blocks):
-            raise ValueError(
-                f"expected {len(self.blocks)} masks, got {len(masks)}"
-            )
-        for block, mask in zip(self.blocks, masks):
-            block.attn.set_mask(mask)
-
-    def set_autoencoder(self, factory):
-        """Attach an AE module to every attention layer.
-
-        ``factory(num_heads, head_dim) -> Module`` builds one AE per layer
-        (the paper inserts one per attention head group, Fig. 10 Step 1).
-        """
-        for block in self.blocks:
-            block.attn.autoencoder = factory(
-                block.attn.num_heads, block.attn.head_dim
-            )
-
-    def reconstruction_pairs(self):
-        """All (original, reconstructed) Q/K pairs from the last forward."""
-        pairs = []
-        for block in self.blocks:
-            pairs.extend(block.attn.last_reconstruction_pairs)
-        return pairs
 
 
 def build_vit(config: ModelConfig, patch_dim, num_classes, seed=0):

@@ -29,7 +29,6 @@ __all__ = [
     "pretrained",
     "evaluate_classifier",
     "evaluate_pose",
-    "clear_zoo_cache",
 ]
 
 _ZOO_CACHE: Dict[tuple, "TrainResult"] = {}
@@ -45,10 +44,6 @@ class TrainResult:
     history: List[dict] = field(default_factory=list)
     test_accuracy: float = 0.0
     test_loss: float = 0.0
-
-    @property
-    def final_train_loss(self):
-        return self.history[-1]["loss"] if self.history else float("nan")
 
 
 def evaluate_classifier(model, x, y, batch_size=128):
@@ -233,7 +228,3 @@ def pretrained(name, seed=0, epochs=8, dataset_kwargs=None, fresh_copy=True):
 
     _ZOO_CACHE[key] = result
     return _rebuild_like(result, seed) if fresh_copy else result
-
-
-def clear_zoo_cache():
-    _ZOO_CACHE.clear()

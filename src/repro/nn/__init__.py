@@ -1,34 +1,28 @@
 """Numpy autograd + NN substrate for the ViTCoD reproduction."""
 
-from .autograd import Tensor, no_grad, is_grad_enabled
+from .autograd import Tensor, no_grad
 from .modules import (
     Module,
     Parameter,
     Linear,
     LayerNorm,
     GELU,
-    ReLU,
-    Sequential,
     Mlp,
 )
 from . import functional
-from .optim import SGD, Adam
+from .optim import Adam
 from .data import SyntheticPatchDataset, SyntheticPoseDataset, iterate_minibatches
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "Module",
     "Parameter",
     "Linear",
     "LayerNorm",
     "GELU",
-    "ReLU",
-    "Sequential",
     "Mlp",
     "functional",
-    "SGD",
     "Adam",
     "SyntheticPatchDataset",
     "SyntheticPoseDataset",

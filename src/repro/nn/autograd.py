@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -34,10 +34,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
-
-
-def is_grad_enabled():
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad, shape):
@@ -84,51 +80,17 @@ class Tensor:
         self._parents = ()
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(*shape, requires_grad=False):
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad=False):
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng=None, scale=1.0, requires_grad=False):
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def numpy(self):
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self):
         return float(self.data.item())
 
     def detach(self):
         return Tensor(self.data, requires_grad=False)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __len__(self):
-        return len(self.data)
 
     # ------------------------------------------------------------------
     # Graph plumbing
@@ -209,9 +171,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_as_tensor(other))
 
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other)
         out_data = self.data * other.data
@@ -240,20 +199,6 @@ class Tensor:
 
         return self._make(out_data, (self, other), backward)
 
-    def __rtruediv__(self, other):
-        return _as_tensor(other) / self
-
-    def __pow__(self, exponent):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return self._make(out_data, (self,), backward)
-
     def __matmul__(self, other):
         other = _as_tensor(other)
         out_data = self.data @ other.data
@@ -271,22 +216,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
-
-        return self._make(out_data, (self,), backward)
-
-    def log(self):
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return self._make(np.log(self.data), (self,), backward)
-
     def sqrt(self):
         out_data = np.sqrt(self.data)
 
@@ -296,30 +225,12 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return self._make(out_data, (self,), backward)
-
     def abs(self):
         def backward(grad):
             if self.requires_grad:
                 self._accumulate(grad * np.sign(self.data))
 
         return self._make(np.abs(self.data), (self,), backward)
-
-    def relu(self):
-        mask = self.data > 0
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return self._make(self.data * mask, (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -349,22 +260,6 @@ class Tensor:
         mu = self.mean(axis=axis, keepdims=True)
         centered = self - mu
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims=False):
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad):
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            full = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == full).astype(np.float64)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(mask * g)
-
-        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Shape manipulation

@@ -90,9 +90,6 @@ class SyntheticPatchDataset:
         x[:, self.salient_positions, :] += prototypes[self.y][:, None, :]
         self.x = x
 
-    def __len__(self):
-        return self.num_samples
-
     def split(self, train_fraction=0.8):
         """Deterministic train/test split: ``(x_tr, y_tr, x_te, y_te)``."""
         cut = int(self.num_samples * train_fraction)
@@ -126,9 +123,6 @@ class SyntheticPoseDataset:
         latent = np.sin(freqs[:, None, :] * t[None, :, None] + phases[:, None, :])
         self.y = latent
         self.x = latent + self.noise * rng.standard_normal(latent.shape)
-
-    def __len__(self):
-        return self.num_samples
 
     def split(self, train_fraction=0.8):
         cut = int(self.num_samples * train_fraction)

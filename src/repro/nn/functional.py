@@ -11,8 +11,6 @@ __all__ = [
     "mse_loss",
     "l1_loss",
     "reconstruction_loss",
-    "accuracy",
-    "one_hot",
 ]
 
 
@@ -46,20 +44,6 @@ def reconstruction_loss(original, reconstructed):
     which drives the element-wise discrepancy toward exact zeros.
     """
     return l1_loss(reconstructed, original.detach())
-
-
-def accuracy(logits, targets):
-    """Top-1 accuracy of ``logits`` (Tensor or ndarray) against int targets."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    pred = data.argmax(axis=-1)
-    return float((pred == np.asarray(targets)).mean())
-
-
-def one_hot(indices, num_classes):
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros((indices.size, num_classes))
-    out[np.arange(indices.size), indices.ravel()] = 1.0
-    return out.reshape(indices.shape + (num_classes,))
 
 
 def _detach_if_tensor(value):

@@ -19,8 +19,6 @@ __all__ = [
     "Linear",
     "LayerNorm",
     "GELU",
-    "ReLU",
-    "Sequential",
     "Mlp",
 ]
 
@@ -65,10 +63,6 @@ class Module:
         for module in self._modules.values():
             yield from module.modules()
 
-    def zero_grad(self):
-        for param in self.parameters():
-            param.zero_grad()
-
     def train(self, mode=True):
         for module in self.modules():
             object.__setattr__(module, "training", mode)
@@ -76,9 +70,6 @@ class Module:
 
     def eval(self):
         return self.train(False)
-
-    def num_parameters(self):
-        return sum(p.size for p in self.parameters())
 
     def state_dict(self):
         return {name: param.data.copy() for name, param in self.named_parameters()}
@@ -142,30 +133,6 @@ class LayerNorm(Module):
 class GELU(Module):
     def forward(self, x):
         return x.gelu()
-
-
-class ReLU(Module):
-    def forward(self, x):
-        return x.relu()
-
-
-class Sequential(Module):
-    def __init__(self, *layers):
-        super().__init__()
-        self.layers = list(layers)
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __len__(self):
-        return len(self.layers)
 
 
 class Mlp(Module):

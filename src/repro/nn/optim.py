@@ -1,4 +1,4 @@
-"""Optimisers for the reproduction's training loops (SGD + Adam).
+"""The optimiser of the reproduction's training loops (Adam).
 
 The paper finetunes DeiT/LeViT with the DeiT recipe (AdamW-style) and the
 Strided Transformer with a small learning rate of 1e-5; Adam with optional
@@ -9,48 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SGD", "Adam"]
+__all__ = ["Adam"]
 
 
-class _Optimizer:
-    def __init__(self, params):
+class Adam:
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
-
-    def zero_grad(self):
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(_Optimizer):
-    def __init__(self, params, lr=0.01, momentum=0.0, weight_decay=0.0):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self):
-        for param, vel in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                vel *= self.momentum
-                vel += grad
-                grad = vel
-            param.data = param.data - self.lr * grad
-
-
-class Adam(_Optimizer):
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        super().__init__(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -58,6 +24,10 @@ class Adam(_Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self):
+        for param in self.params:
+            param.zero_grad()
 
     def step(self):
         self._step_count += 1

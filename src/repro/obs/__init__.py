@@ -23,17 +23,12 @@ from .prometheus import render_metrics
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     Registry,
     Span,
     counter,
-    disable,
     enable,
-    enabled,
-    gauge,
     get_registry,
-    histogram,
     set_registry,
     span,
     use_registry,
@@ -47,19 +42,14 @@ __all__ = [
     "ChromeTrace",
     "Counter",
     "EventLog",
-    "Gauge",
     "Histogram",
     "Registry",
     "Span",
     "configure_logging",
     "counter",
-    "disable",
     "enable",
-    "enabled",
-    "gauge",
     "get_logger",
     "get_registry",
-    "histogram",
     "render_metrics",
     "set_registry",
     "span",

@@ -39,6 +39,3 @@ class EventLog:
     def read(self) -> list:
         """Every intact record, in order; ``[]`` for a missing stream."""
         return load_jsonl(self.path)
-
-    def __len__(self) -> int:
-        return len(self.read())

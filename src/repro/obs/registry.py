@@ -1,4 +1,4 @@
-"""Thread-safe telemetry primitives: counters, gauges, histograms, spans.
+"""Thread-safe telemetry primitives: counters, histograms, spans.
 
 The registry is the single in-process metrics source every layer of the
 repo reports into (DSE engine, dist shards, serve).  Design rules:
@@ -31,7 +31,6 @@ from ..perf.timing import Timer
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "Span",
     "Registry",
@@ -39,11 +38,7 @@ __all__ = [
     "set_registry",
     "use_registry",
     "enable",
-    "disable",
-    "enabled",
     "counter",
-    "gauge",
-    "histogram",
     "span",
 ]
 
@@ -64,13 +59,6 @@ DEFAULT_LATENCY_BUCKETS = (
     5.0,
     10.0,
 )
-
-
-def _label_suffix(labels) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{key}="{value}"' for key, value in labels)
-    return "{" + inner + "}"
 
 
 class Counter:
@@ -96,36 +84,8 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """A value that goes both ways (queue depth, chosen chunk size)."""
-
-    kind = "gauge"
-
-    def __init__(self, name, labels=(), help=""):
-        self.name = name
-        self.labels = tuple(labels)
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def set(self, value):
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount=1):
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount=1):
-        self.inc(-amount)
-
-    @property
-    def value(self):
-        return self._value
-
-
 class Histogram:
-    """Fixed-bucket distribution with p50/p95/p99 summaries.
+    """Fixed-bucket distribution (count, sum and buckets).
 
     Buckets are cumulative-``le`` at render time (Prometheus semantics);
     internally each bucket holds its own count so :meth:`observe` is one
@@ -172,42 +132,6 @@ class Histogram:
             out.append((bound, cumulative))
         return out
 
-    def quantile(self, q):
-        """Linear-interpolated quantile estimate; ``None`` when empty.
-
-        Within the +Inf bucket there is nothing to interpolate against,
-        so the estimate saturates at the largest finite bound.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            total = self._count
-            counts = list(self._counts)
-        if total == 0:
-            return None
-        target = q * total
-        cumulative = 0
-        lower = 0.0
-        for bound, count in zip(self.bounds + (inf,), counts):
-            cumulative += count
-            if count and cumulative >= target:
-                if bound == inf:
-                    return lower
-                fraction = (target - (cumulative - count)) / count
-                return lower + (bound - lower) * max(0.0, min(1.0, fraction))
-            if bound != inf:
-                lower = bound
-        return lower
-
-    def summary(self):
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
-
 
 class _NoopMetric:
     """Absorbs every metric operation; shared by all disabled call sites."""
@@ -217,18 +141,8 @@ class _NoopMetric:
     def inc(self, amount=1):
         pass
 
-    def dec(self, amount=1):
-        pass
-
-    def set(self, value):
-        pass
-
     def observe(self, value):
         pass
-
-    @property
-    def value(self):
-        return 0
 
 
 class _NoopSpan:
@@ -317,11 +231,6 @@ class Registry:
             return NOOP_METRIC
         return self._get_or_create(Counter, name, labels, help)
 
-    def gauge(self, name, help="", **labels) -> Gauge:
-        if not self.enabled:
-            return NOOP_METRIC
-        return self._get_or_create(Gauge, name, labels, help)
-
     def histogram(self, name, help="", buckets=None, **labels) -> Histogram:
         if not self.enabled:
             return NOOP_METRIC
@@ -343,7 +252,7 @@ class Registry:
             return self._metrics.get(key)
 
     def value(self, name, **labels):
-        """Counter/gauge value (``None`` if absent) — test convenience."""
+        """Counter value (``None`` if absent) — test convenience."""
         metric = self.get(name, **labels)
         return None if metric is None else metric.value
 
@@ -360,14 +269,6 @@ class Registry:
             out.append((name, children[0][1].kind, help_, children))
         return out
 
-    def snapshot(self) -> dict:
-        """Flat ``{"name{labels}": value-or-summary}`` view for tests."""
-        out = {}
-        for name, kind, _help, children in self.collect():
-            for labels, metric in children:
-                key = name + _label_suffix(labels)
-                out[key] = metric.summary() if kind == "histogram" else metric.value
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -404,24 +305,8 @@ def enable():
     _default.enabled = True
 
 
-def disable():
-    _default.enabled = False
-
-
-def enabled() -> bool:
-    return _default.enabled
-
-
 def counter(name, help="", **labels):
     return _default.counter(name, help=help, **labels)
-
-
-def gauge(name, help="", **labels):
-    return _default.gauge(name, help=help, **labels)
-
-
-def histogram(name, help="", buckets=None, **labels):
-    return _default.histogram(name, help=help, buckets=buckets, **labels)
 
 
 def span(name, **trace_args):

@@ -53,22 +53,6 @@ class ChromeTrace:
         with self._lock:
             self._events.append(event)
 
-    def add_instant(self, name, args=None):
-        """One ``i`` (instant) event: a point-in-time marker."""
-        event = {
-            "name": name,
-            "cat": "repro",
-            "ph": "i",
-            "s": "t",
-            "ts": (perf_counter() - self.epoch) * 1e6,
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-        }
-        if args:
-            event["args"] = dict(args)
-        with self._lock:
-            self._events.append(event)
-
     @property
     def events(self) -> list:
         with self._lock:

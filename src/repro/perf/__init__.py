@@ -14,9 +14,7 @@ from .cache import (
     cached_model_workload,
     instance_memo,
     cached_synthetic_attention_workload,
-    clear_workload_cache,
     workload_cache,
-    workload_cache_stats,
 )
 from .timing import BenchResult, Timer, benchit
 
@@ -26,9 +24,7 @@ __all__ = [
     "instance_memo",
     "cached_model_workload",
     "cached_synthetic_attention_workload",
-    "clear_workload_cache",
     "workload_cache",
-    "workload_cache_stats",
     "BenchResult",
     "Timer",
     "benchit",

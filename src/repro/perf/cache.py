@@ -27,8 +27,6 @@ __all__ = [
     "workload_cache",
     "cached_synthetic_attention_workload",
     "cached_model_workload",
-    "clear_workload_cache",
-    "workload_cache_stats",
 ]
 
 
@@ -39,11 +37,6 @@ class CacheStats:
     hits: int
     misses: int
     size: int
-
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class KeyedCache:
@@ -81,24 +74,10 @@ class KeyedCache:
                     self._entries.popitem(last=False)
             return value
 
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(hits=self._hits, misses=self._misses,
                               size=len(self._entries))
-
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key):
-        with self._lock:
-            return key in self._entries
 
 
 #: Process-wide cache shared by every ``cached_*`` constructor.
@@ -136,13 +115,3 @@ def cached_model_workload(config, sparsity=0.9, theta_d=0.25, seed=0,
         config, sparsity=sparsity, theta_d=theta_d, seed=seed,
         index_format=index_format, reordered=reordered,
     ))
-
-
-def clear_workload_cache():
-    """Drop every entry of the process-wide workload cache."""
-    workload_cache.clear()
-
-
-def workload_cache_stats() -> CacheStats:
-    """Hit/miss counters of the process-wide workload cache."""
-    return workload_cache.stats()

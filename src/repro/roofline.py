@@ -47,13 +47,6 @@ class RooflinePoint:
         ridge = ridge_intensity(self.config)
         return "memory" if self.intensity < ridge else "compute"
 
-    @property
-    def runtime_seconds(self):
-        """Time under the roofline model (ops at attainable throughput)."""
-        if self.ops == 0:
-            return 0.0
-        return self.ops / (self.attainable_gops * 1e9)
-
 
 def attainable_gops(intensity, config=VITCOD_DEFAULT):
     """min(peak compute, bandwidth × intensity), in GOPS."""

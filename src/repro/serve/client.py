@@ -103,9 +103,6 @@ class ServeClient:
     def status(self, job_id: str) -> dict:
         return self._json(f"/jobs/{job_id}")
 
-    def results(self, job_id: str) -> dict:
-        return self._json(f"/jobs/{job_id}/results")
-
     def events(self, job_id: str) -> list:
         """The job's durable lifecycle timeline, oldest record first."""
         return self._json(f"/jobs/{job_id}/events")["events"]
@@ -136,11 +133,3 @@ class ServeClient:
                     f"({status.get('done', 0)}/{status.get('grid_size', '?')} points)"
                 )
             time.sleep(poll)
-
-    def run(self, request: dict, timeout=300.0, poll=0.2) -> dict:
-        """Submit, wait, and return the parsed results document."""
-        info = self.submit(request)
-        status = self.wait(info["id"], timeout=timeout, poll=poll)
-        if status["state"] == "failed":
-            raise ServeError(409, status.get("error", "job failed"))
-        return self.results(info["id"])

@@ -426,9 +426,9 @@ class JobManager:
         }
         with self._lock:
             self._bump("submitted")
-            if self.cache.lookup(job_id) is not None:
+            if self.cache.result_path(job_id).is_file():
                 # Finished: its directory answers for it, so nothing is
-                # registered.
+                # registered, and the result itself is not read.
                 self._bump("cache_hits")
                 job = JobState(job_id, record, self.jobs_root / job_id, "done")
                 self._event(job.root, "cache_hit")
@@ -835,11 +835,11 @@ class JobManager:
 
         A finished job serves its cached document *verbatim*, straight
         from ``result.json`` (the bytes are the contract: byte-identical
-        to ``python -m repro dse --json`` on the same study).  An unfinished job streams a partial
-        document decoded from the completion records written so far —
-        scored points in grid order, marked ``"partial": true`` with
-        done/grid-size counters.  A failed job raises
-        :class:`JobFailedError`.
+        to ``python -m repro dse --json`` on the same study).  An
+        unfinished job streams a partial document decoded from the
+        completion records written so far — scored points in grid order,
+        marked ``"partial": true`` with done/grid-size counters.  A failed
+        job raises :class:`JobFailedError`.
         """
         job = self._live(job_id)
         if job is None or job.state != "failed":

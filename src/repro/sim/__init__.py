@@ -35,8 +35,8 @@ simulator's grid walk, the analytical model's array walks) override
 ``simulate_attention`` itself, their one-layer cases serve
 ``simulate_attention_layer``, and both are tested bit-for-bit against a
 scalar reference (the cycle simulator's event loop in
-:mod:`repro.hw.cycle_reference`, the analytical model's per-layer reports
-in ``tests/analytical_oracle.py``, folded with :func:`merge_results`).
+``tests/cycle_reference.py``, the analytical model's per-layer reports in
+``tests/analytical_oracle.py``, folded with :func:`merge_results`).
 
 Design-space exploration plugs into the same layer through the
 :class:`~repro.sim.evaluator.Evaluator` protocol (:mod:`repro.sim.evaluator`):

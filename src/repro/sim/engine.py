@@ -46,9 +46,6 @@ class AttentionSimulatorBase:
 
     name: str = "simulator"
 
-    def simulate_attention_layer(self, layer, **kwargs):
-        raise NotImplementedError
-
     # -------------------------------------------------- subclass hooks --
     def _layer_kwargs(self, model):
         """One kwargs dict per attention layer, in layer order."""

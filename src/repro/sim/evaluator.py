@@ -85,18 +85,6 @@ class EvalMetrics:
     seconds: float
     energy_joules: float
 
-    def to_dict(self) -> dict:
-        """JSON-safe record (floats round-trip bit-exactly through JSON)."""
-        return {"seconds": self.seconds, "energy_joules": self.energy_joules}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalMetrics":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            seconds=float(data["seconds"]),
-            energy_joules=float(data["energy_joules"]),
-        )
-
 
 @runtime_checkable
 class Evaluator(Protocol):
@@ -399,7 +387,7 @@ class CycleSimEvaluator:
     grid walk (O(rows) per point) — swept knobs become per-point
     numpy columns (via :func:`dse_grid_columns`) — and each row is
     bit-for-bit the scalar reference loop's point
-    (:mod:`repro.hw.cycle_reference`).  A sweep of a knob the cycle
+    (``tests/cycle_reference.py``).  A sweep of a knob the cycle
     simulator does not model raises :class:`UnsupportedParameterError`.
     """
 

@@ -1,43 +1,21 @@
 """ViTCoD's split-and-conquer sparsity algorithm (Algorithm 1)."""
 
-from .pruning import (
-    prune_attention_map,
-    mask_sparsity,
-    threshold_for_sparsity,
-    mask_for_sparsity,
-)
+from .pruning import prune_attention_map, mask_sparsity
 from .reordering import ReorderResult, find_global_tokens, reorder_attention_map
-from .split_conquer import (
-    HeadPartition,
-    SplitConquerResult,
-    split_and_conquer,
-    split_and_conquer_layers,
-)
-from .patterns import (
-    synthetic_vit_attention,
-    synthetic_nlp_attention,
-    diagonal_band_mask,
-    random_mask,
-)
+from .split_conquer import HeadPartition, SplitConquerResult, split_and_conquer
+from .patterns import synthetic_vit_attention, synthetic_nlp_attention
 from . import metrics
-from . import schedules
 
 __all__ = [
     "prune_attention_map",
     "mask_sparsity",
-    "threshold_for_sparsity",
-    "mask_for_sparsity",
     "ReorderResult",
     "find_global_tokens",
     "reorder_attention_map",
     "HeadPartition",
     "SplitConquerResult",
     "split_and_conquer",
-    "split_and_conquer_layers",
     "synthetic_vit_attention",
     "synthetic_nlp_attention",
-    "diagonal_band_mask",
-    "random_mask",
     "metrics",
-    "schedules",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "sparsity",
-    "density",
     "polarization_score",
     "column_imbalance",
     "k_reuse_factor",
@@ -38,10 +37,6 @@ def _as_mask(mask):
 def sparsity(mask):
     """Fraction of zero entries."""
     return float(1.0 - np.asarray(mask, dtype=bool).mean())
-
-
-def density(mask):
-    return float(np.asarray(mask, dtype=bool).mean())
 
 
 def polarization_score(mask, num_global_tokens):

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "synthetic_vit_attention",
-    "synthetic_nlp_attention",
-    "diagonal_band_mask",
-    "random_mask",
-]
+__all__ = ["synthetic_vit_attention", "synthetic_nlp_attention"]
 
 
 def synthetic_vit_attention(
@@ -73,23 +68,3 @@ def synthetic_nlp_attention(num_tokens, num_heads=1, seed=0, heavy_tail=1.2):
     rng = np.random.default_rng(seed)
     scores = rng.pareto(heavy_tail, size=(num_heads, num_tokens, num_tokens)) + 0.05
     return scores / scores.sum(axis=-1, keepdims=True)
-
-
-def diagonal_band_mask(num_tokens, band_width=1):
-    """Pure diagonal-band binary mask (the paper's worst-case reuse pattern)."""
-    idx = np.arange(num_tokens)
-    return np.abs(idx[:, None] - idx[None, :]) <= band_width
-
-
-def random_mask(num_tokens, density, num_heads=1, seed=0, ensure_rows=True):
-    """Unstructured random mask at a given density (SpGEMM-style pattern)."""
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    rng = np.random.default_rng(seed)
-    mask = rng.random((num_heads, num_tokens, num_tokens)) < density
-    if ensure_rows:
-        empty = ~mask.any(axis=-1)
-        heads, rows = np.nonzero(empty)
-        cols = rng.integers(0, num_tokens, size=len(rows))
-        mask[heads, rows, cols] = True
-    return mask

@@ -23,12 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "prune_attention_map",
-    "mask_sparsity",
-    "threshold_for_sparsity",
-    "mask_for_sparsity",
-]
+__all__ = ["prune_attention_map", "mask_sparsity"]
 
 
 def _rank_rows(attention_map):
@@ -130,21 +125,3 @@ def mask_sparsity(mask):
     """Fraction of pruned (zero) entries in a binary mask."""
     mask = np.asarray(mask, dtype=bool)
     return 1.0 - mask.mean()
-
-
-def threshold_for_sparsity(attention_map, target_sparsity, tol=5e-3, max_iter=60):
-    """Bisect ``θp`` so the pruned mask hits ``target_sparsity``.
-
-    The paper sweeps sparsity ratios {50…95}% (§VI-C); this inverts the
-    θp → sparsity map, which is monotone (larger θp keeps more entries).
-    The rows are sorted once; each iteration only re-derives the per-row
-    keep counts from the cumulative mass, exactly as
-    :func:`prune_attention_map` (with its default ``min_keep=1``) would.
-    """
-    return _threshold(_rank_rows(attention_map), target_sparsity, tol, max_iter)
-
-
-def mask_for_sparsity(attention_map, target_sparsity, tol=5e-3):
-    """Convenience: mask whose sparsity is close to ``target_sparsity``."""
-    theta_p = threshold_for_sparsity(attention_map, target_sparsity, tol=tol)
-    return prune_attention_map(attention_map, theta_p)

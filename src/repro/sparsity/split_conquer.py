@@ -16,8 +16,7 @@ import numpy as np
 from .pruning import _prune, _rank_rows, _threshold, mask_sparsity
 from .reordering import reorder_attention_map
 
-__all__ = ["HeadPartition", "SplitConquerResult", "split_and_conquer",
-           "split_and_conquer_layers"]
+__all__ = ["HeadPartition", "SplitConquerResult", "split_and_conquer"]
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,6 @@ class SplitConquerResult:
     def reordered_masks(self):
         return np.stack([p.reordered_mask for p in self.partitions])
 
-    def masked_map(self, attention_map):
-        """``m ⊙ A`` in the original token order (finetuning target)."""
-        return np.asarray(attention_map) * self.mask
-
 
 def split_and_conquer(
     attention_map,
@@ -144,8 +139,3 @@ def split_and_conquer(
     return SplitConquerResult(
         mask=mask, partitions=partitions, theta_p=theta_p, theta_d=theta_d
     )
-
-
-def split_and_conquer_layers(attention_maps, **kwargs):
-    """Apply :func:`split_and_conquer` to a list of per-layer maps."""
-    return [split_and_conquer(a, **kwargs) for a in attention_maps]

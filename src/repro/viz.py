@@ -1,22 +1,15 @@
-"""Headless (ASCII) visualisation of masks, rooflines, breakdowns, curves.
+"""Headless (ASCII) visualisation of masks, rooflines and breakdowns.
 
 Everything in this reproduction runs without matplotlib; these renderers
-give the examples and CLI readable pictures of the paper's figures: Fig. 8
-mask density plots, Fig. 3 rooflines, Fig. 19 breakdown bars, and Fig. 9b
-training curves.
+give the CLI readable pictures of the paper's figures: Fig. 8 mask
+density plots, Fig. 3 rooflines and Fig. 19 breakdown bars.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "render_mask",
-    "render_bar",
-    "render_breakdown",
-    "render_curve",
-    "render_roofline",
-]
+__all__ = ["render_mask", "render_breakdown", "render_roofline"]
 
 _SHADES = " .:-=+*#%@"
 
@@ -40,14 +33,6 @@ def render_mask(mask, width=60):
     return "\n".join(lines)
 
 
-def render_bar(value, maximum, width=40, fill="#"):
-    """A single horizontal bar scaled to ``maximum``."""
-    if maximum <= 0:
-        raise ValueError("maximum must be positive")
-    count = int(round(width * min(value, maximum) / maximum))
-    return fill * count + " " * (width - count)
-
-
 def render_breakdown(fractions, width=40):
     """Stacked latency-breakdown bar (Fig. 19 style).
 
@@ -62,29 +47,6 @@ def render_breakdown(fractions, width=40):
     legend = "  ".join(f"{ch}={key} {fractions.get(key, 0.0):.0%}"
                        for key, ch in chars.items())
     return f"[{line.ljust(width)}] {legend}"
-
-
-def render_curve(xs, ys, width=60, height=12, x_label="", y_label=""):
-    """Scatter-line plot of one curve (Fig. 9b style)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("xs and ys must be equal-length 1-D sequences")
-    if len(xs) == 0:
-        raise ValueError("empty curve")
-    grid = [[" "] * width for _ in range(height)]
-    x_lo, x_hi = xs.min(), xs.max()
-    y_lo, y_hi = ys.min(), ys.max()
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    for x, y in zip(xs, ys):
-        col = int((x - x_lo) / x_span * (width - 1))
-        row = height - 1 - int((y - y_lo) / y_span * (height - 1))
-        grid[row][col] = "*"
-    lines = ["".join(r) for r in grid]
-    header = f"{y_label} [{y_lo:.4g} .. {y_hi:.4g}]"
-    footer = f"{x_label} [{x_lo:.4g} .. {x_hi:.4g}]"
-    return "\n".join([header] + lines + [footer])
 
 
 def render_roofline(points, config=None, width=60, height=14):

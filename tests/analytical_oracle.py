@@ -11,20 +11,18 @@ report equals its report here (latency, energy and ``details``), and each
 walk total equals :func:`fold` of its reports.
 
 Each function takes the accelerator whose design point it models and
-reads only its fields (and, for the S-stationary ablation, its packing
-efficiency).  A plain module (not a conftest) so the per-point oracle
-(``per_point.py``), the benchmarks and the CI checks can import it with
-this directory on ``sys.path``.
+reads only its fields.  The dataflow formulas the walks share with the
+baselines (``repro.hw.dataflow``) are copied here in their scalar form,
+so the oracle stays independent of them.  A plain module (not a conftest)
+so the per-point oracle (``per_point.py``), the benchmarks and the CI
+checks can import it with this directory on ``sys.path``.
 """
 
 from math import ceil
 
+import numpy as np
+
 from repro.hw.allocator import allocate_mac_lines
-from repro.hw.dataflow import (
-    dense_gemm_cycles,
-    s_stationary_sddmm_cycles,
-    softmax_cycles,
-)
 from repro.hw.trace import EnergyBreakdown, LatencyBreakdown, SimReport
 from repro.sim import merge_results
 
@@ -34,7 +32,55 @@ __all__ = [
     "simulate_attention_layer",
     "simulate_gemm",
     "fold",
+    "walk_gemm",
 ]
+
+
+def walk_gemm(accel, gemm):
+    """One GEMM through the production GEMM walk, as one report: the side
+    :func:`simulate_gemm` is held to.
+
+    ``details`` holds its MACs (``mac_count``, encoder MACs included) and
+    DRAM bytes (``dram_bytes``).
+    """
+    walk = accel._gemm_walk([gemm])
+    details = {key: float(walk[key][0]) for key in ("mac_count", "dram_bytes")}
+    return accel._report(gemm.name, walk, details)
+
+
+def s_stationary_sddmm_cycles(num_products, head_dim, total_macs,
+                              pack_efficiency=1.0):
+    """Cycles for an S-stationary mapping: one PE per score, a batch of
+    ``total_macs × pack_efficiency`` scores every ``head_dim`` cycles."""
+    if num_products == 0:
+        return 0
+    return ceil(num_products / (total_macs * pack_efficiency)) * head_dim
+
+
+def dense_gemm_cycles(m, k, n, total_macs, utilization=0.85):
+    """Cycles for a dense (m×k)·(k×n) GEMM on the whole array."""
+    macs = m * k * n
+    if macs == 0:
+        return 0
+    return ceil(macs / (total_macs * utilization))
+
+
+def softmax_cycles(num_scores, num_rows, lanes=8):
+    """One exp per kept score plus two touches per row, ``lanes`` wide."""
+    return ceil((num_scores + 2 * num_rows) / lanes)
+
+
+def pack_efficiency(accel, layer):
+    """The S-stationary ablation's packing efficiency: rows of ``r``
+    non-zeros fill ``ceil(max(r, 1) / W) * W`` slots, ``W`` two MAC
+    lines wide, floored at 0.05."""
+    width = accel.config.macs_per_line * 2
+    stats = layer.head_stats()
+    per_row = (stats.denser_nnz + stats.sparser_nnz) / stats.tokens
+    slot_rows = np.ceil(np.maximum(per_row, 1) / width) * width
+    slots = int((slot_rows * stats.tokens).sum())
+    nnz = layer.total_nnz
+    return min(1.0, max(nnz / slots, 0.05)) if slots else 1.0
 
 
 def k_stationary_sddmm_cycles(num_products, head_dim, mac_lines, macs_per_line=8):
@@ -135,7 +181,7 @@ def simulate_attention_layer(accel, layer):
 
     if accel.dataflow == "s_stationary":
         # Ablation: Sanger-style spatial mapping on the same workload.
-        eff = accel._s_stationary_pack_efficiency(layer)
+        eff = pack_efficiency(accel, layer)
         sddmm_compute = s_stationary_sddmm_cycles(
             denser_products + sparser_products,
             dk,

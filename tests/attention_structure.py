@@ -4,8 +4,9 @@ The split-and-conquer design rests on two empirical properties of trained
 ViT attention: (1) mass concentrates near the diagonal because "adjacent
 input tokens/patches tend to have a higher correlation than others", and
 (2) a few global tokens absorb mass from every query.  These functions
-quantify both on any attention map so the properties can be *tested* on our
-trained models rather than assumed.
+quantify both on any attention map, so the tests can check that the
+synthetic generators and the trained models have them rather than assume
+it.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ specification the production grid walk
 (:class:`~repro.hw.cycle_sim.CycleAccurateSimulator`) is held to bit for
 bit, and it is slow: tens of milliseconds per DeiT-Tiny point.
 
-No production module imports this one.  The test suite, the perf
-benchmarks and the CI cross-check use it, most conveniently through
-:class:`ReferenceCycleSimEvaluator`, a per-point DSE evaluator that scores
-points with the loop and charges energy exactly as
+It lives with the other oracles under ``tests/``, outside the package:
+the test suite, the perf benchmarks and the CI cross-check put ``tests``
+on ``sys.path`` and import it as ``cycle_reference``, most conveniently
+through :class:`ReferenceCycleSimEvaluator`, a per-point DSE evaluator
+that scores points with the loop and charges energy exactly as
 :class:`~repro.sim.evaluator.CycleSimEvaluator` does.
 """
 
@@ -22,16 +23,31 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import List, Optional
 
-from ..sim.engine import AttentionSimulatorBase
-from ..sim.evaluator import CycleSimEvaluator, _cycle_metrics
-from .allocator import allocate_mac_lines
-from .cycle_sim import _TIME_SCALE, CycleSimResult, merge_cycle_results
-from .dram import DramModel, DramRequest
-from .params import VITCOD_DEFAULT, HardwareConfig
-from .workload import AttentionWorkload, ModelWorkload, split_remainder
+import numpy as np
+
+from repro.hw.allocator import allocate_mac_lines
+from repro.hw.cycle_sim import _TIME_SCALE, CycleSimResult, merge_cycle_results
+from repro.hw.dram import DramModel, DramRequest
+from repro.hw.params import VITCOD_DEFAULT, HardwareConfig
+from repro.hw.workload import AttentionWorkload, ModelWorkload
+from repro.sim.engine import AttentionSimulatorBase
+from repro.sim.evaluator import CycleSimEvaluator, _cycle_metrics
 
 __all__ = ["Timeline", "ColumnJob", "EngineSchedule",
            "ReferenceCycleSimulator", "ReferenceCycleSimEvaluator"]
+
+
+def split_remainder(nnz, cols):
+    """Spread ``nnz`` products over ``cols`` columns without losing the
+    remainder: the first ``nnz % cols`` columns carry one extra product
+    (this loop's own copy of the fallback for heads built without
+    per-column counts)."""
+    if cols <= 0:
+        return np.zeros(0, dtype=np.int64)
+    per, rem = divmod(int(nnz), cols)
+    counts = np.full(cols, per, dtype=np.int64)
+    counts[:rem] += 1
+    return counts
 
 
 def _quantize(cycles):

@@ -13,7 +13,7 @@ onto a cloned config and accelerator kwargs, then one call.
   ``test_sim_batched`` holds the accelerator's array walks to);
 * ``PerPoint(CycleSimEvaluator())`` is the simulator's walk at P = 1 on the
   cloned config, charged with the production energy charge.  The scalar
-  event loop is ``repro.hw.cycle_reference.ReferenceCycleSimEvaluator``.
+  event loop is ``ReferenceCycleSimEvaluator`` (``tests/cycle_reference.py``).
 
 A plain module, not a conftest: the tests import it directly, and
 ``benchmarks/perf`` and the CI checks put this directory on ``sys.path``

@@ -4,7 +4,13 @@ cost model."""
 import numpy as np
 import pytest
 
-from repro.compiler import parse_layers
+from attention_structure import (
+    distance_profile,
+    global_column_share,
+    head_agreement,
+    structure_report,
+)
+from repro.compiler import compile_layers, parse_layers
 from repro.compiler.reconfig import (
     amortized_overhead,
     break_even_inferences,
@@ -12,12 +18,6 @@ from repro.compiler.reconfig import (
 )
 from repro.hw import ViTCoDAccelerator, attention_workload_from_masks
 from repro.models import extract_average_attention
-from repro.models.analysis import (
-    distance_profile,
-    global_column_share,
-    head_agreement,
-    structure_report,
-)
 from repro.sparsity import (
     synthetic_nlp_attention,
     synthetic_vit_attention,
@@ -117,7 +117,14 @@ class TestReconfigCost:
         _, cfgs = layer_configs
         cost = estimate_compile_cost(cfgs)
         assert cost.total_cycles > 0
-        assert cost.seconds() > 0
+
+    def test_compile_cost_charges_the_compiled_program(self, layer_configs):
+        # §V-B.3's one-time compile: every instruction Fig. 14's codegen
+        # emits (13 per layer with the AE on) is charged once.
+        _, cfgs = layer_configs
+        program = compile_layers(cfgs)
+        assert len(program) == 13 * len(cfgs) == 39
+        assert estimate_compile_cost(cfgs).instruction_cycles == 32 * len(program)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """ViTCoD's analytical walks held to the scalar oracle, layer by layer.
 
-``ViTCoDAccelerator.simulate_attention_layer`` and ``simulate_gemm`` are
-the one-layer and one-GEMM cases of the accelerator's array walks;
+``ViTCoDAccelerator.simulate_attention_layer`` and
+``analytical_oracle.walk_gemm`` are the one-layer and one-GEMM cases of
+the accelerator's array walks;
 ``analytical_oracle`` keeps the scalar model the walks replaced.  Every
 registry model's layers and GEMMs, at two sparsities and under each
 modelling switch, must give equal reports: latency, energy and
@@ -17,7 +18,7 @@ import pytest
 import analytical_oracle
 from repro.baselines import SangerSimulator, SpAttenSimulator
 from repro.hw import ViTCoDAccelerator
-from repro.models import list_models
+from repro.models import MODEL_REGISTRY
 from repro.perf import cached_model_workload
 from repro.sim import merge_results
 
@@ -49,7 +50,7 @@ def test_one_layer_and_one_gemm_equal_the_oracle(kwargs):
     # Scatter amplification applies only where masks were not reordered
     # (no streaming fallback), so that setting also walks unreordered masks.
     orderings = (True, False) if "_scatter_amplification" in kwargs else (True,)
-    for model in list_models():
+    for model in sorted(MODEL_REGISTRY):
         for sparsity in SPARSITIES:
             for reordered in orderings:
                 wl = cached_model_workload(model, sparsity=sparsity,
@@ -61,13 +62,13 @@ def test_one_layer_and_one_gemm_equal_the_oracle(kwargs):
                     )
                 for gemm in wl.linear_layers:
                     assert_same_report(
-                        accel.simulate_gemm(gemm),
+                        analytical_oracle.walk_gemm(accel, gemm),
                         analytical_oracle.simulate_gemm(accel, gemm),
                     )
 
 
 @pytest.mark.parametrize("make", [SangerSimulator, SpAttenSimulator])
-@pytest.mark.parametrize("model", list_models())
+@pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
 def test_baseline_end_to_end_is_attention_then_oracle_gemms(make, model):
     """The dense layers of an attention-only baseline fold onto its
     attention totals exactly as the oracle's per-GEMM reports would."""

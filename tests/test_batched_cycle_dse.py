@@ -34,7 +34,7 @@ from repro.hw import (
 )
 from repro.hw.params import VITCOD_DEFAULT
 from repro.hw import cycle_sim as cycle_sim_module
-from repro.hw.cycle_reference import (
+from cycle_reference import (
     ReferenceCycleSimEvaluator,
     ReferenceCycleSimulator,
 )

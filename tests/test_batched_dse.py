@@ -498,5 +498,7 @@ class TestParetoMaskAgreement:
             dtype=np.float64,
         )
         sorted_mask = dse_module._pareto_mask_sorted_2d(values)
-        pairwise_mask = dse_module._pareto_mask_pairwise(values)
+        less_eq = np.all(values[:, None, :] <= values[None, :, :], axis=2)
+        strictly = np.any(values[:, None, :] < values[None, :, :], axis=2)
+        pairwise_mask = ~np.any(less_eq & strictly, axis=0)
         assert (sorted_mask == pairwise_mask).all()

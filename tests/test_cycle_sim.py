@@ -11,7 +11,7 @@ from repro.hw import (
     dense_attention_workload,
     synthetic_attention_workload,
 )
-from repro.hw.cycle_reference import Timeline
+from cycle_reference import Timeline
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +27,14 @@ def wl70():
 class TestDramModel:
     def test_sequential_stream_at_peak(self):
         dram = DramModel()
-        bw = dram.effective_bandwidth(1 << 20, sequential=True)
+        size = 1 << 20
+        bw = size / dram.service_cycles(DramRequest(bytes=size))
         assert bw == pytest.approx(dram.bytes_per_cycle)
 
     def test_scattered_slower_than_sequential(self):
         dram = DramModel()
-        assert (dram.effective_bandwidth(128, sequential=False)
-                < dram.effective_bandwidth(128, sequential=True))
+        assert (dram.service_cycles(DramRequest(bytes=128, sequential=False))
+                > dram.service_cycles(DramRequest(bytes=128, sequential=True)))
 
     def test_burst_rounding(self):
         dram = DramModel(burst_bytes=64)
@@ -53,7 +54,9 @@ class TestDramModel:
         dram = DramModel()
         for size in (8, 64, 100, 4096):
             for seq in (True, False):
-                assert dram.amplification(size, sequential=seq) >= 1.0 - 1e-9
+                request = DramRequest(bytes=size, sequential=seq)
+                ideal = size / dram.bytes_per_cycle
+                assert dram.service_cycles(request) / ideal >= 1.0 - 1e-9
 
     @given(size=st.integers(min_value=1, max_value=1 << 22))
     @settings(max_examples=40, deadline=None)
@@ -118,9 +121,8 @@ class TestCycleSim:
 
     def test_utilizations_bounded(self, wl90):
         r = CycleAccurateSimulator().simulate_layer(wl90)
-        for u in (r.denser_utilization, r.sparser_utilization,
-                  r.dram_utilization):
-            assert 0.0 <= u <= 1.0
+        for busy in (r.denser_busy, r.sparser_busy, r.dram_busy):
+            assert 0.0 <= busy <= r.makespan
 
     def test_engines_overlap(self, wl90):
         """Two-pronged execution: total engine busy time exceeds the SDDMM
@@ -170,7 +172,8 @@ class TestCycleSim:
 def test_production_never_imports_the_reference_loop():
     """The reference event loop is a test oracle: loading the CLI, the
     service and the dist layer (and running a cycle point) must not pull
-    it in."""
+    it, or any other module of ``tests/``, in — even with ``tests/`` on
+    the path."""
     import os
     import subprocess
     import sys
@@ -178,6 +181,7 @@ def test_production_never_imports_the_reference_loop():
 
     import repro
 
+    tests = Path(__file__).resolve().parent
     code = (
         "import sys, repro.cli, repro.serve, repro.dist\n"
         "from repro.sim import resolve_evaluator\n"
@@ -186,10 +190,13 @@ def test_production_never_imports_the_reference_loop():
         "resolve_evaluator('cycle').evaluate_batch(cached_model_workload("
         "'deit-tiny', sparsity=0.9), VITCOD_DEFAULT, ['mac_lines'], "
         "[(64,)])\n"
-        "print('repro.hw.cycle_reference' in sys.modules)\n"
+        f"tests = {str(tests) + os.sep!r}\n"
+        "print(sorted(name for name, m in list(sys.modules.items())\n"
+        "             if (getattr(m, '__file__', None) or '').startswith(tests)))\n"
     )
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), str(tests)])
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 """Grid walk at P = 1 vs the scalar reference loop: exact-equality properties.
 
 The production simulator must reproduce the per-job event loop of
-:mod:`repro.hw.cycle_reference` *bit for bit* (durations are quantized to a
+``tests/cycle_reference.py`` *bit for bit* (durations are quantized to a
 ``2**-20``-cycle grid precisely so that the two associations of the same
 event algebra cannot round differently).
 """
@@ -20,7 +20,7 @@ from repro.hw import (
     dense_attention_workload,
     synthetic_attention_workload,
 )
-from repro.hw.cycle_reference import ReferenceCycleSimulator
+from cycle_reference import ReferenceCycleSimulator
 
 
 def assert_results_identical(wl, **sim_kwargs):
@@ -150,7 +150,7 @@ class TestNnzConservation:
         wl = self._fallback_layer(16, 3, 40)
         _, sparser_jobs = ReferenceCycleSimulator()._build_jobs(wl)
         simulated = sum(j.products for j in sparser_jobs) * wl.head_dim
-        assert simulated == wl.heads[0].sparser_macs
+        assert simulated == wl.heads[0].sparser_nnz * wl.head_dim
 
     def test_fallback_matches_column_cv_distribution(self):
         """workload.column_cv and the job builder spread identically."""

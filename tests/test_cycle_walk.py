@@ -11,7 +11,7 @@ field bit for bit:
   on paper-scale DeiT-Base chunks: the first 1024-point chunk of each
   shard of a 2-shard, 16384-point fleet grid, and a 1080-point grid;
 * against the scalar reference event loop
-  (:mod:`repro.hw.cycle_reference`) on sampled paper-scale points, and on
+  (``tests/cycle_reference.py``) on sampled paper-scale points, and on
   random tiny workloads whose chunks force the direct route.
 """
 
@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist.sharding import shard_indices
-from repro.harness.dse import grid_point
+from repro.dist.sharding import ShardSpec
+from repro.harness.dse import _decode_grid_index, check_grid
 from repro.hw import ModelWorkload, synthetic_attention_workload
 from repro.hw import cycle_sim as cycle_sim_module
-from repro.hw.cycle_reference import (
+from cycle_reference import (
     ReferenceCycleSimEvaluator,
     ReferenceCycleSimulator,
 )
@@ -65,8 +65,9 @@ def deit_base():
 def fleet_chunk(shard):
     """The first 1024 rows of a strided 2-shard split of FLEET_GRID."""
     names = sorted(FLEET_GRID)
-    indices = shard_indices(16384, shard)[:1024]
-    return names, [grid_point(FLEET_GRID, i) for i in indices]
+    indices = ShardSpec.parse(shard).indices(16384)[:1024]
+    grid = check_grid(FLEET_GRID)
+    return names, [_decode_grid_index(grid, names, i) for i in indices]
 
 
 def bench_rows():

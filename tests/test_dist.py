@@ -26,7 +26,6 @@ from repro.dist import (
     merge_store,
     model_workload_spec,
     run_shard,
-    shard_indices,
     store_status,
     workload_from_spec,
 )
@@ -72,9 +71,6 @@ class TestShardSpec:
                   for k in range(1, count + 1)]
         merged = sorted(i for chunk in chunks for i in chunk)
         assert merged == list(range(size))
-
-    def test_shard_indices_convenience(self):
-        assert list(shard_indices(7, "2/3")) == [1, 4]
 
 
 #: Arbitrary weight vectors: 1-6 shards, weights 0-5, at least one positive.
@@ -1024,6 +1020,21 @@ class TestElasticCli:
         by_shard = {s["shard"]: s for s in status["shards"]}
         assert by_shard["1/2"]["stolen"] == 2
         assert by_shard["2/2"]["steals"] == 2
+
+    def test_status_names_stalled_shards_by_spec(self, tmp_path, capsys):
+        """A stalled shard prints as its ``K/N`` spec, on stdout and in
+        ``--json``, not as its whole status record."""
+        from repro.cli import main
+
+        store = str(tmp_path / "store")
+        assert main(["dse-shard", "--shard", "1/3", "--out", store,
+                     "--models", "deit-tiny"] + self.GRID_ARGS) == 0
+        capsys.readouterr()
+        out = tmp_path / "status.json"
+        assert main(["dse-status", store, "--stall-after", "1",
+                     "--json", str(out)]) == 0
+        assert "shards ['2/3', '3/3'] STALLED" in capsys.readouterr().out
+        assert json.loads(out.read_text())["stalled_shards"] == ["2/3", "3/3"]
 
     def test_bad_steal_flags_rejected(self, tmp_path):
         from repro.cli import main

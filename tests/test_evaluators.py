@@ -14,7 +14,7 @@ import pytest
 
 from repro.harness.dse import iter_indexed_design_points, sweep_design_space
 from repro.hw import model_workload
-from repro.hw.cycle_reference import ReferenceCycleSimulator
+from cycle_reference import ReferenceCycleSimulator
 from repro.hw.params import VITCOD_DEFAULT
 from repro.models import get_config
 from repro.sim import (
@@ -147,7 +147,7 @@ class TestCycleSimEvaluator:
             result = ReferenceCycleSimulator(
                 config=config
             ).simulate_attention(small_workload)
-            assert point.seconds == config.cycles_to_seconds(result.makespan)
+            assert point.seconds == result.makespan / config.frequency_hz
             assert point.energy_joules > 0
 
     def test_unsupported_parameter_raises(self, small_workload):
@@ -235,14 +235,6 @@ class TestEvaluatorSpecs:
                                         ["mac_lines"], rows)
                 == rebuilt.evaluate_batch(small_workload, VITCOD_DEFAULT,
                                           ["mac_lines"], rows))
-
-    def test_metrics_round_trip(self):
-        import json
-
-        metrics = EvalMetrics(seconds=1.23456789e-4,
-                              energy_joules=9.87654321e-3)
-        data = json.loads(json.dumps(metrics.to_dict()))
-        assert EvalMetrics.from_dict(data) == metrics
 
 
 class TestSpecHardening:

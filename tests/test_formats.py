@@ -1,31 +1,32 @@
-"""Tests for sparse storage formats and tiling (repro.formats)."""
+"""Tests for the sparse index formats (repro.formats)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.formats import (
-    CSCMatrix,
-    CSRMatrix,
-    COOMatrix,
-    TileGrid,
-    fits_in_buffer,
-    index_bytes,
-    tile_1d,
-    tiles_for_matmul,
-)
-from repro.sparsity import random_mask
+from repro.formats import COOMatrix, CSCMatrix
 
 
 def sample_mask(n=16, density=0.2, seed=0):
-    return random_mask(n, density, seed=seed)[0]
+    return np.random.default_rng(seed).random((n, n)) < density
+
+
+def to_dense(sparse):
+    """Rebuild the boolean pattern a CSC or COO matrix stores."""
+    out = np.zeros(sparse.shape, dtype=bool)
+    if isinstance(sparse, CSCMatrix):
+        cols = np.repeat(np.arange(sparse.shape[1]), np.diff(sparse.col_ptr))
+        out[sparse.row_idx, cols] = True
+    else:
+        out[sparse.rows, sparse.cols] = True
+    return out
 
 
 class TestCSC:
     def test_roundtrip(self):
         dense = sample_mask()
         np.testing.assert_array_equal(
-            CSCMatrix.from_dense(dense).to_dense(), dense
+            to_dense(CSCMatrix.from_dense(dense)), dense
         )
 
     def test_nnz(self):
@@ -62,37 +63,11 @@ class TestCSC:
             CSCMatrix.from_dense(np.zeros((2, 2, 2)))
 
 
-class TestCSR:
-    def test_roundtrip(self):
-        dense = sample_mask(seed=4)
-        np.testing.assert_array_equal(
-            CSRMatrix.from_dense(dense).to_dense(), dense
-        )
-
-    def test_row_access(self):
-        dense = np.zeros((4, 5), dtype=bool)
-        dense[2, 1] = dense[2, 4] = True
-        csr = CSRMatrix.from_dense(dense)
-        np.testing.assert_array_equal(csr.row(2), [1, 4])
-
-    def test_row_nnz(self):
-        dense = sample_mask(seed=5)
-        np.testing.assert_array_equal(
-            CSRMatrix.from_dense(dense).row_nnz(), dense.sum(axis=1)
-        )
-
-    def test_csr_csc_transpose_duality(self):
-        dense = sample_mask(seed=6)
-        csr = CSRMatrix.from_dense(dense)
-        csc = CSCMatrix.from_dense(dense.T)
-        np.testing.assert_array_equal(csr.to_dense(), csc.to_dense().T)
-
-
 class TestCOO:
     def test_roundtrip(self):
         dense = sample_mask(seed=7)
         np.testing.assert_array_equal(
-            COOMatrix.from_dense(dense).to_dense(), dense
+            to_dense(COOMatrix.from_dense(dense)), dense
         )
 
     def test_nnz(self):
@@ -106,18 +81,15 @@ class TestCOO:
         maps = synthetic_vit_attention(197, num_heads=1, seed=0)
         res = split_and_conquer(maps, target_sparsity=0.9)
         sparser = res.partitions[0].sparser_mask
-        assert index_bytes(sparser, "csc") < index_bytes(sparser, "coo")
+        assert (CSCMatrix.from_dense(sparser).index_bytes()
+                < COOMatrix.from_dense(sparser).index_bytes())
 
 
 class TestIndexBytesHelper:
     def test_all_formats(self):
         dense = sample_mask(seed=9)
-        for fmt in ("csc", "csr", "coo"):
-            assert index_bytes(dense, fmt) > 0
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            index_bytes(sample_mask(), "ellpack")
+        for cls in (CSCMatrix, COOMatrix):
+            assert cls.from_dense(dense).index_bytes() > 0
 
 
 class TestHypothesisRoundtrip:
@@ -131,48 +103,7 @@ class TestHypothesisRoundtrip:
     def test_all_formats_roundtrip(self, rows, cols, seed, density):
         rng = np.random.default_rng(seed)
         dense = rng.random((rows, cols)) < density
-        for cls in (CSCMatrix, CSRMatrix, COOMatrix):
+        for cls in (CSCMatrix, COOMatrix):
             sparse = cls.from_dense(dense)
-            np.testing.assert_array_equal(sparse.to_dense(), dense)
+            np.testing.assert_array_equal(to_dense(sparse), dense)
             assert sparse.nnz == dense.sum()
-
-
-class TestTiling:
-    def test_exact_division(self):
-        grid = tile_1d(12, 4)
-        assert grid.count == 3
-        assert grid.sizes() == [4, 4, 4]
-
-    def test_remainder(self):
-        grid = tile_1d(10, 4)
-        assert grid.count == 3
-        assert grid.sizes() == [4, 4, 2]
-        assert grid.last_tile == 2
-
-    def test_empty(self):
-        grid = tile_1d(0, 4)
-        assert grid.count == 0
-        assert grid.sizes() == []
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            TileGrid(total=4, tile=0)
-        with pytest.raises(ValueError):
-            TileGrid(total=-1, tile=2)
-
-    def test_tiles_for_matmul(self):
-        assert tiles_for_matmul(8, 8, 8, 4, 4, 4) == 8
-
-    def test_fits_in_buffer(self):
-        assert fits_in_buffer(100, 2, 200)
-        assert not fits_in_buffer(101, 2, 200)
-
-    @given(
-        total=st.integers(min_value=0, max_value=10_000),
-        tile=st.integers(min_value=1, max_value=512),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_sizes_sum_to_total(self, total, tile):
-        grid = tile_1d(total, tile)
-        assert sum(grid.sizes()) == total
-        assert all(0 < s <= tile for s in grid.sizes())

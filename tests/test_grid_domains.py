@@ -248,7 +248,7 @@ class TestUnmodelledKnobRefused:
         """The scalar oracle stays a per-point callable, and names the
         cycle walk's knob set: an unmodelled knob is refused before any
         point is scored or any store exists."""
-        from repro.hw.cycle_reference import (
+        from cycle_reference import (
             ReferenceCycleSimEvaluator,
             ReferenceCycleSimulator,
         )

@@ -12,7 +12,6 @@ from repro.harness import (
     fig15_speedups,
     fig17_accuracy_latency,
     fig19_breakdown_energy,
-    format_speedup_row,
     format_table,
     nlp_comparison,
     nlp_dynamic_accuracy,
@@ -217,6 +216,3 @@ class TestReport:
     def test_format_table_empty(self):
         out = format_table(["col"], [])
         assert "col" in out
-
-    def test_speedup_row(self):
-        assert format_speedup_row("m", [1.234, 10.0]) == ["m", "1.2x", "10.0x"]

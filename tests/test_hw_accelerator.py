@@ -2,6 +2,8 @@
 
 import pytest
 
+from analytical_oracle import walk_gemm
+
 from repro.hw import (
     GemmWorkload,
     ViTCoDAccelerator,
@@ -110,7 +112,7 @@ class TestAttentionLayer:
 class TestGemm:
     def test_gemm_report(self):
         acc = ViTCoDAccelerator()
-        r = acc.simulate_gemm(GemmWorkload("fc1", 197, 768, 3072))
+        r = walk_gemm(acc, GemmWorkload("fc1", 197, 768, 3072))
         assert r.cycles > 0
         assert r.latency.compute > 0
 
@@ -118,14 +120,14 @@ class TestGemm:
         # QKV generation (a ``*.qkv`` GEMM) AE-encodes its Q/K outputs; a
         # same-shape GEMM under any other name writes back uncompressed.
         acc = ViTCoDAccelerator()
-        compressed = acc.simulate_gemm(GemmWorkload("l0.qkv", 197, 768, 2304))
-        plain = acc.simulate_gemm(GemmWorkload("l0.fc1", 197, 768, 2304))
+        compressed = walk_gemm(acc, GemmWorkload("l0.qkv", 197, 768, 2304))
+        plain = walk_gemm(acc, GemmWorkload("l0.fc1", 197, 768, 2304))
         assert (compressed.details["dram_bytes"] < plain.details["dram_bytes"])
 
     def test_no_compression_without_ae(self):
         acc = ViTCoDAccelerator(use_ae=False)
-        a = acc.simulate_gemm(GemmWorkload("l0.qkv", 64, 64, 192))
-        b = acc.simulate_gemm(GemmWorkload("l0.fc1", 64, 64, 192))
+        a = walk_gemm(acc, GemmWorkload("l0.qkv", 64, 64, 192))
+        b = walk_gemm(acc, GemmWorkload("l0.fc1", 64, 64, 192))
         assert a.details["dram_bytes"] == b.details["dram_bytes"]
 
 

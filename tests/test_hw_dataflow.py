@@ -111,7 +111,7 @@ class TestAllocator:
     def test_total_preserved(self):
         for d, s in [(1, 1), (5, 95), (1000, 3)]:
             alloc = allocate_mac_lines(64, d, s)
-            assert alloc.total == 64
+            assert alloc.denser_lines + alloc.sparser_lines == 64
 
     def test_reserve_minimum(self):
         alloc = allocate_mac_lines(64, 10_000, 1)
@@ -119,7 +119,7 @@ class TestAllocator:
 
     def test_zero_workloads(self):
         alloc = allocate_mac_lines(64, 0, 0)
-        assert alloc.total == 64
+        assert alloc.denser_lines + alloc.sparser_lines == 64
 
     def test_one_sided(self):
         assert allocate_mac_lines(64, 100, 0).denser_lines == 64
@@ -139,7 +139,7 @@ class TestAllocator:
     @settings(max_examples=60, deadline=None)
     def test_allocation_invariants(self, denser, sparser, lines):
         alloc = allocate_mac_lines(lines, denser, sparser)
-        assert alloc.total == lines
+        assert alloc.denser_lines + alloc.sparser_lines == lines
         assert alloc.denser_lines >= 0 and alloc.sparser_lines >= 0
         if denser > 0 and sparser > 0:
             assert alloc.denser_lines >= 1 and alloc.sparser_lines >= 1

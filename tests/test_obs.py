@@ -84,30 +84,21 @@ class TestRegistry:
         assert r.value("req", route="/health") == 2
         assert r.value("req") is None  # the unlabelled series was never touched
 
-    def test_gauge_goes_both_ways(self):
-        g = Registry().gauge("depth")
-        g.set(10)
-        g.inc(5)
-        g.dec(3)
-        assert g.value == 12
-
     def test_kind_conflict_raises(self):
         r = Registry()
         r.counter("x")
         with pytest.raises(ValueError, match="already registered as a counter"):
-            r.gauge("x")
+            r.histogram("x")
         with pytest.raises(ValueError, match="already registered"):
             r.histogram("x", route="/jobs")
 
     def test_disabled_registry_is_inert(self):
         r = Registry(enabled=False)
         assert r.counter("c") is NOOP_METRIC
-        assert r.gauge("g") is NOOP_METRIC
         assert r.histogram("h") is NOOP_METRIC
         assert r.span("s") is NOOP_SPAN
         r.counter("c").inc(99)  # absorbed, nothing registered
         assert r.get("c") is None
-        assert r.snapshot() == {}
         assert render_metrics(r) == ""  # nothing registered, nothing rendered
 
     def test_default_registry_swap_is_scoped(self):
@@ -138,8 +129,6 @@ class TestHistogram:
     def test_empty_histogram(self):
         h = Registry().histogram("lat")
         assert h.count == 0 and h.sum == 0.0
-        assert h.quantile(0.5) is None
-        assert h.summary()["p99"] is None
 
     def test_cumulative_buckets_end_at_total(self):
         h = Registry().histogram("lat", buckets=(1.0, 2.0, 4.0))
@@ -150,32 +139,6 @@ class TestHistogram:
         counts = [count for _, count in cumulative]
         assert counts == sorted(counts)  # cumulative is monotone
         assert cumulative[-1] == (math.inf, h.count)
-
-    def test_quantile_interpolates_within_a_bucket(self):
-        h = Registry().histogram("lat", buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 0.5, 1.5, 1.5):
-            h.observe(value)
-        # p50 lands exactly at the first bucket's upper bound ...
-        assert h.quantile(0.5) == pytest.approx(1.0)
-        # ... and p100 at the second's.
-        assert h.quantile(1.0) == pytest.approx(2.0)
-        assert h.quantile(0.75) == pytest.approx(1.5)
-
-    def test_quantile_saturates_in_the_inf_bucket(self):
-        h = Registry().histogram("lat", buckets=(1.0, 2.0))
-        h.observe(50.0)  # beyond every finite bound
-        assert h.quantile(0.99) == pytest.approx(2.0)
-
-    def test_quantile_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="quantile"):
-            Registry().histogram("lat").quantile(1.5)
-
-    def test_summary_shape(self):
-        h = Registry().histogram("lat", buckets=(1.0,))
-        h.observe(0.5)
-        summary = h.summary()
-        assert set(summary) == {"count", "sum", "p50", "p95", "p99"}
-        assert summary["count"] == 1 and summary["sum"] == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +167,7 @@ def parse_prometheus(text):
             continue
         if line.startswith("# TYPE "):
             _, _, name, kind = line.split(" ")
-            assert kind in ("counter", "gauge", "histogram")
+            assert kind in ("counter", "histogram")
             types[name] = kind
             continue
         match = _SAMPLE_LINE.match(line)
@@ -218,7 +181,7 @@ class TestPrometheusRender:
         r = Registry()
         r.counter("req_total", help="requests", route="/jobs", status="200").inc(3)
         r.counter("req_total", route="/health", status="200").inc()
-        r.gauge("chunk_size").set(24)
+        r.counter("chunk_size").inc(24)
         h = r.histogram("req_seconds", help="latency", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
@@ -229,7 +192,7 @@ class TestPrometheusRender:
         types, samples = parse_prometheus(render_metrics(self._populated()))
         assert types == {
             "req_total": "counter",
-            "chunk_size": "gauge",
+            "chunk_size": "counter",
             "req_seconds": "histogram",
         }
         assert samples['req_total{route="/jobs",status="200"}'] == 3
@@ -251,7 +214,7 @@ class TestPrometheusRender:
     def test_help_and_type_lines(self):
         text = render_metrics(self._populated())
         assert "# HELP req_total requests\n# TYPE req_total counter\n" in text
-        assert "# TYPE chunk_size gauge" in text
+        assert "# TYPE chunk_size counter" in text
 
     def test_label_values_are_escaped(self):
         r = Registry()
@@ -300,11 +263,10 @@ class TestSpansAndTraces:
             with r.span("outer"):
                 with r.span("inner"):
                     pass
-            tracer.add_instant("marker", args={"k": 1})
         doc = json.loads(out.read_text())
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
-        assert [e["ph"] for e in events] == ["X", "X", "i"]  # ts-sorted
+        assert [e["ph"] for e in events] == ["X", "X"]
         stamps = [e["ts"] for e in events]
         assert stamps == sorted(stamps)
         assert all({"pid", "tid", "cat"} <= set(e) for e in events)
@@ -314,7 +276,7 @@ class TestSpansAndTraces:
 
         def emit():
             for _ in range(200):
-                tracer.add_instant("tick")
+                tracer.add_complete("tick", 0.0, 0.0)
 
         threads = [threading.Thread(target=emit) for _ in range(4)]
         for t in threads:
@@ -334,7 +296,7 @@ class TestEventLog:
         log.append({"event": "submitted", "t": 1.0})
         log.append({"event": "done", "t": 2.0})
         assert [e["event"] for e in log.read()] == ["submitted", "done"]
-        assert len(log) == 2
+        assert len(log.read()) == 2
 
     def test_read_tolerates_a_torn_final_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -462,7 +424,7 @@ class TestStoreStatusEta:
     def test_complete_shard_eta_is_zero(self, tmp_path, workload):
         store, _ = self._half_run_store(tmp_path, workload)
         one = store_status(store).shards[0]
-        assert one.complete and one.eta_seconds == 0.0
+        assert one.pending == 0 and one.eta_seconds == 0.0
         assert _format_eta(one.eta_seconds) == "-"
 
     def test_all_failed_shard_is_complete_with_zero_eta(
@@ -480,7 +442,7 @@ class TestStoreStatusEta:
         assert result.failed == 6
         status = store_status(store)
         one = status.shards[0]
-        assert one.complete and one.done == one.total == 6
+        assert one.pending == 0 and one.done == one.total == 6
         assert one.failed == 6 and one.scored == 0
         assert one.eta_seconds == 0.0 and status.eta_seconds == 0.0
         assert status.fraction_scored == 0.0

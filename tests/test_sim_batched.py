@@ -3,7 +3,7 @@
 The cycle simulator's grid walk runs every layer in one max-plus scan with
 per-layer reset rows; durations live on the ``2**-20``-cycle grid, so the
 whole-model walk, the walk layer by layer and the scalar reference loop
-(:mod:`repro.hw.cycle_reference`) are exact in double precision and must
+(``tests/cycle_reference.py``) are exact in double precision and must
 agree exactly, ``per_layer`` breakdowns included.  The analytical model's
 array geometry mirrors the per-layer phase expressions operation for
 operation, so it is held to exact equality with the scalar model's
@@ -27,7 +27,7 @@ from repro.hw import (
     model_workload,
     synthetic_attention_workload,
 )
-from repro.hw.cycle_reference import ReferenceCycleSimulator
+from cycle_reference import ReferenceCycleSimulator
 from repro.models import get_config
 
 
@@ -206,11 +206,14 @@ class TestWorkloadStatArrays:
         stats = wl.head_stats()
         assert stats.tokens.tolist() == [h.num_tokens for h in wl.heads]
         assert stats.sparser_nnz.tolist() == [h.sparser_nnz for h in wl.heads]
-        assert wl.total_nnz == sum(h.total_nnz for h in wl.heads)
+        assert wl.total_nnz == sum(h.denser_nnz + h.sparser_nnz
+                                   for h in wl.heads)
         assert wl.sddmm_macs == sum(
-            h.denser_macs + h.sparser_macs for h in wl.heads
+            (h.num_global_tokens * h.num_tokens + h.sparser_nnz) * h.head_dim
+            for h in wl.heads
         )
-        assert wl.spmm_macs == sum(h.spmm_macs for h in wl.heads)
+        assert wl.spmm_macs == sum((h.denser_nnz + h.sparser_nnz) * h.head_dim
+                                   for h in wl.heads)
         assert wl.index_bytes() == sum(h.sparser_index_bytes for h in wl.heads)
         assert wl.scattered_nnz == sum(
             int(round(h.sparser_nnz * (1.0 - h.sparser_locality)))

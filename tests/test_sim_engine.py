@@ -19,7 +19,7 @@ from repro.hw import (
     merge_cycle_results,
     model_workload,
 )
-from repro.hw.cycle_reference import ReferenceCycleSimulator
+from cycle_reference import ReferenceCycleSimulator
 from repro.models import get_config
 from repro.sim import (
     AttentionSimulatorBase,
@@ -166,16 +166,6 @@ class TestPerLayerBreakdown:
         via_model = sim.simulate_attention(tiny_model)
         via_layers = sim.simulate_attention(tiny_model.attention_layers)
         assert dataclasses.astuple(via_model) == dataclasses.astuple(via_layers)
-
-    def test_experiment_uses_per_layer(self):
-        from repro.harness import cycle_per_layer_breakdown
-
-        out = cycle_per_layer_breakdown(model="deit-tiny", sparsity=0.9)
-        assert len(out["layers"]) == 12
-        fractions = [row["makespan_fraction"] for row in out["layers"]]
-        assert sum(fractions) == pytest.approx(1.0)
-        assert all(0 < row["makespan"] <= out["total_makespan"]
-                   for row in out["layers"])
 
 
 class TestBaselineBehaviourPreserved:

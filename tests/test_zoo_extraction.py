@@ -6,7 +6,6 @@ import pytest
 from repro.models import (
     evaluate_classifier,
     extract_average_attention,
-    normalize_rows,
     pretrained,
 )
 from repro.models.zoo import _ZOO_CACHE
@@ -107,9 +106,3 @@ class TestExtraction:
         # Not every layer specialises, but at least one develops clear
         # global-token columns over the salient patches.
         assert max(ratios) > 1.15
-
-    def test_normalize_rows(self):
-        a = np.array([[2.0, 2.0], [0.0, 0.0]])
-        out = normalize_rows(a)
-        np.testing.assert_allclose(out[0], [0.5, 0.5])
-        np.testing.assert_allclose(out[1], [0.0, 0.0])  # guarded zero row

@@ -7,7 +7,7 @@ which scans every (point, row, job) cell: design points grouped by their
 (MAC lines, bytes/cycle, AE ratio) triple, each group's running max of
 the request ladder built once, then broadcast over the group's points.
 
-The scalar event loop of :mod:`repro.hw.cycle_reference` is the ground
+The scalar event loop of ``tests/cycle_reference.py`` is the ground
 truth, but it costs ~0.3 s per DeiT-Base point, so it cannot check
 1024-point chunks in tier-1.  This scan can, in well under a second, and
 production must match it bit for bit on every per-layer field array.
