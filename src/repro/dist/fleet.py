@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import random
 import signal
 import sys
 import time
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import obs
-from .runner import _recorded_indices
+from .runner import _recorded_indices, backoff_s
 from .sharding import ShardSpec
 from .store import ResultStore
 
@@ -72,6 +71,7 @@ _POLL_S = 0.2
 #: Relaunches per shard before the supervisor abandons it.
 _MAX_RESTARTS = 3
 
+#: Relaunch backoff (:func:`~repro.dist.runner.backoff_s`), seconds.
 _BACKOFF_BASE_S = 0.25
 _BACKOFF_CAP_S = 5.0
 
@@ -198,9 +198,6 @@ def run_fleet(
     *,
     hang_after=_HANG_AFTER_S,
     max_restarts=_MAX_RESTARTS,
-    poll_s=_POLL_S,
-    backoff_base_s=_BACKOFF_BASE_S,
-    backoff_cap_s=_BACKOFF_CAP_S,
 ) -> FleetResult:
     """Supervise ``num_shards`` forked ``dse-shard`` children to completion.
 
@@ -216,7 +213,6 @@ def run_fleet(
     num_shards = int(num_shards)
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    rng = random.Random()
     layout = ResultStore(store)
     shards = []
     for k in range(1, num_shards + 1):
@@ -240,9 +236,7 @@ def run_fleet(
             )
             return
         restarts += 1
-        backoff = min(
-            backoff_cap_s, backoff_base_s * 2 ** (shard.restarts - 1)
-        ) * (0.5 + rng.random())
+        backoff = backoff_s(shard.restarts, _BACKOFF_BASE_S, _BACKOFF_CAP_S)
         shard.relaunch_at = time.monotonic() + backoff
         obs.counter("fleet_restarts").inc()
         _log.info(
@@ -274,7 +268,7 @@ def run_fleet(
                         shard,
                         f"ledgers stale for more than {hang_after:.1f}s",
                     )
-            time.sleep(poll_s)
+            time.sleep(_POLL_S)
     finally:
         for shard in shards:
             if shard.pid is not None:

@@ -57,7 +57,7 @@ from ..harness.dse import (
     iter_indexed_design_points,
 )
 from ..hw.params import VITCOD_DEFAULT
-from ..ledger import JsonlAppender, publish
+from ..ledger import JsonlAppender, publish, remove
 from ..perf.cache import cached_model_workload
 from ..sim.evaluator import check_swept_knobs, resolve_evaluator
 from .sharding import ShardSpec
@@ -191,20 +191,13 @@ class ShardRunResult:
 # ----------------------------------------------------------------------
 # Transient-failure retries
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _RetryPolicy:
-    """Capped, jittered exponential backoff for transient point failures."""
-
-    budget: int = _MAX_POINT_RETRIES
-    base_s: float = _RETRY_BASE_S
-    cap_s: float = _RETRY_CAP_S
-
-    def delay(self, attempt: int, rng) -> float:
-        if self.base_s <= 0:
-            return 0.0
-        return min(self.cap_s, self.base_s * 2 ** (attempt - 1)) * (
-            0.5 + rng.random()
-        )
+def backoff_s(attempt: int, base_s=_RETRY_BASE_S, cap_s=_RETRY_CAP_S) -> float:
+    """Capped, jittered exponential backoff before retry ``attempt``
+    (1-based): ``min(cap_s, base_s * 2**(attempt - 1))`` times a jitter
+    in [0.5, 1.5).  The one backoff of point retries, served task
+    retries (both at the defaults) and fleet relaunches; the jitter
+    never affects results."""
+    return min(cap_s, base_s * 2 ** (attempt - 1)) * (0.5 + random.random())
 
 
 def _score_into(
@@ -217,8 +210,7 @@ def _score_into(
     chunksize,
     evaluator,
     handicap,
-    retry,
-    rng,
+    retries,
     counter,
     skip=None,
 ):
@@ -260,21 +252,21 @@ def _score_into(
         )
 
     for index, result in evaluate(indices):
-        if retry.budget > 0 and getattr(result, "transient", False):
+        if retries > 0 and getattr(result, "transient", False):
             transient[index] = 1
             obs.counter("dist_transient_failures").inc()
             continue
         emit(index, result)
     attempt = 1
-    while transient and attempt <= retry.budget:
-        time.sleep(retry.delay(attempt, rng))
+    while transient and attempt <= retries:
+        time.sleep(backoff_s(attempt))
         obs.counter("dist_point_retries").inc(len(transient))
         retried += len(transient)
         still = {}
         for index, result in evaluate(sorted(transient)):
             tries = transient[index]
             if getattr(result, "transient", False):
-                if attempt < retry.budget:
+                if attempt < retries:
                     still[index] = tries + 1
                     continue
                 # Budget spent: the transient failure persists as the
@@ -371,7 +363,7 @@ def _try_claim(path: Path, shard, ttl: float) -> bool:
 
 def _release_claim(path: Path):
     try:
-        path.unlink()
+        remove(path)
     except OSError:
         pass
 
@@ -421,8 +413,7 @@ def _steal_missing(
     steal_chunk,
     claim_ttl,
     handicap,
-    retry,
-    rng,
+    retries,
 ) -> tuple:
     """Claim and evaluate grid indices slower shards still owe.
 
@@ -457,8 +448,7 @@ def _steal_missing(
                     chunksize=chunksize,
                     evaluator=evaluator,
                     handicap=handicap,
-                    retry=retry,
-                    rng=rng,
+                    retries=retries,
                     counter="dist_records_stolen",
                 )
                 stolen += recorded
@@ -578,8 +568,7 @@ def run_shard(
         # point evaluator a wrapper carrying the scoped plan.
         plan = plan.scoped(store.root)
         point_evaluator = FaultyEvaluator(point_evaluator, plan)
-    retry = _RetryPolicy(budget=max(0, int(max_point_retries)))
-    rng = random.Random()  # backoff jitter only — never affects results
+    retries = max(0, int(max_point_retries))
 
     def pending():
         for index in todo:
@@ -599,8 +588,7 @@ def run_shard(
                     chunksize=chunksize,
                     evaluator=point_evaluator,
                     handicap=handicap,
-                    retry=retry,
-                    rng=rng,
+                    retries=retries,
                     counter="dist_records_written",
                     # A stealer may persist an index while its chunk is in
                     # flight; recording it again would only add a tolerated
@@ -622,8 +610,7 @@ def run_shard(
                     steal_chunk or _STEAL_CHUNK,
                     claim_ttl,
                     handicap,
-                    retry,
-                    rng,
+                    retries,
                 )
                 retried += steal_retried
     _log.info(

@@ -225,17 +225,17 @@ class ResultStore:
         self.root = Path(root)
 
     @classmethod
-    def create_or_attach(cls, root, manifest: dict) -> "ResultStore":
-        """THE way to open a store for writing: create it, or attach to it.
+    def create_or_attach(cls, root, manifest: dict):
+        """Open a store for writing: create it, or attach to it.
 
-        The shared entry point of every store-creating caller — shard
-        launches (:func:`repro.dist.run_shard`) and the serve layer's job
-        submissions; see :meth:`ensure_manifest` for how concurrent
-        creators of one directory resolve to one study.
+        Returns ``(store, created)``, where ``created`` says whether this
+        call published the manifest.  A served job is its store, so that
+        flag alone tells a new job from one that already exists; see
+        :meth:`ensure_manifest` for how concurrent creators of one
+        directory resolve to one study.
         """
         store = cls(root)
-        store.ensure_manifest(manifest)
-        return store
+        return store, store.ensure_manifest(manifest)
 
     # -- manifest ------------------------------------------------------
     @property
@@ -251,6 +251,15 @@ class ResultStore:
                 "run a shard into it first"
             )
         manifest = json.loads(self.manifest_path.read_text())
+        self.check_manifest(manifest)
+        return manifest
+
+    def check_manifest(self, manifest: dict):
+        """Refuse a recorded study this version cannot score: another
+        ``schema`` (:class:`StoreMismatchError`), or a grid or evaluator
+        name that fails :func:`~repro.harness.dse.check_grid` or
+        :func:`~repro.sim.evaluator.check_evaluator_name` (``ValueError``).
+        """
         if manifest.get("schema") != SCHEMA:
             raise StoreMismatchError(
                 f"{self.manifest_path}: schema "
@@ -258,10 +267,10 @@ class ResultStore:
             )
         check_grid(manifest["grid"])
         check_evaluator_name(manifest["evaluator"].get("name"))
-        return manifest
 
-    def ensure_manifest(self, manifest: dict) -> dict:
-        """Create the store for ``manifest``, or verify it already matches.
+    def ensure_manifest(self, manifest: dict) -> bool:
+        """Create the store for ``manifest``, or verify it already matches;
+        True if this call published the manifest.
 
         The first caller to run creates the directory and *exclusively*
         publishes the manifest (:func:`repro.ledger.publish`: nobody reads
@@ -279,6 +288,7 @@ class ResultStore:
         # same way they will when read back.
         expected = json.loads(json.dumps(manifest, sort_keys=True, allow_nan=False))
         existing = self.read_manifest(missing_ok=True)
+        published = False
         if existing is None:
             payload = json.dumps(expected, sort_keys=True, indent=2, allow_nan=False)
             published = publish(self.manifest_path, payload + "\n", exclusive=True)
@@ -293,7 +303,7 @@ class ResultStore:
                 f"(mismatched manifest fields: {', '.join(mismatched)}); "
                 "use a fresh --out directory per study"
             )
-        return existing
+        return published
 
     # -- shard files ---------------------------------------------------
     def shard_path(self, shard) -> Path:

@@ -12,10 +12,13 @@ Every file the DSE stack must not lose is written here, and only here:
   it) and keeps exactly what the reader counts as a record, so a resumed
   shard never skips a point the file lost: a tail that parses lost only
   its newline and is terminated, any other tail is truncated;
-* **publishes** — :func:`publish` makes ``MANIFEST.json``, ``job.json``,
+* **publishes** — :func:`publish` makes ``MANIFEST.json``,
   ``result.json``, ``error.json`` and steal claims appear whole or not
   at all, and durably: the content is fsynced before it takes the name,
-  and the directory entry after.
+  and the directory entry after;
+* **removals** — :func:`remove` deletes a released steal claim or a
+  retried job's ``error.json`` durably: the directory is fsynced once
+  the name is gone, so no later durable step can outlive the removal.
 
 The write-path hooks of :mod:`repro.faults` (``torn_write``,
 ``fsync_error``, ``kill``) fire here.  Imports are the standard library
@@ -42,6 +45,7 @@ __all__ = [
     "iter_jsonl",
     "load_jsonl",
     "publish",
+    "remove",
 ]
 
 #: Records between the fsyncs of a long-lived appender: a flush already
@@ -208,9 +212,30 @@ def publish(path, text: str, *, exclusive: bool) -> bool:
         return False
     finally:
         tmp.unlink(missing_ok=True)
-    fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+    _fsync_dir(path.parent)
+    return True
+
+
+def remove(path) -> bool:
+    """Unlink ``path`` durably; False if it was not there.
+
+    When a file was removed the directory is fsynced, as :func:`publish`
+    does, so a power loss cannot bring the name back behind a later
+    durable step (a re-queued job's fsynced ``queued`` event must not
+    meet a resurrected ``error.json``).  Removing nothing costs no fsync.
+    """
+    path = Path(path)
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        return False
+    _fsync_dir(path.parent)
+    return True
+
+
+def _fsync_dir(directory: Path):
+    fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
-    return True

@@ -255,8 +255,6 @@ def build_server(
     host="127.0.0.1",
     port=0,
     workers=2,
-    max_grid_points=65536,
-    max_shards=16,
     max_pending=1024,
     task_timeout=None,
     task_retries=2,
@@ -274,8 +272,6 @@ def build_server(
     manager = JobManager(
         data_dir,
         workers=workers,
-        max_grid_points=max_grid_points,
-        max_shards=max_shards,
         max_pending=max_pending,
         task_timeout=task_timeout,
         task_retries=task_retries,

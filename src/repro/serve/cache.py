@@ -13,8 +13,9 @@ the job id.
 Two consequences fall out for free:
 
 * **deduplication** — POSTing a study that is already queued or running
-  lands on the same job directory (the ``job.json`` exclusive-create is
-  the arbiter), so a stampede of identical requests costs one evaluation;
+  lands on the same job directory (the exclusive publish of its store's
+  ``MANIFEST.json`` is the arbiter), so a stampede of identical requests
+  costs one evaluation;
 * **content-addressed caching** — POSTing a study that already finished
   finds its rendered ``result.json`` under the same id and returns it
   instantly with ``cache_hit: true``, without touching an evaluator.

@@ -7,14 +7,17 @@ durable form is one directory:
 .. code-block:: text
 
     data_dir/jobs/<job_id>/
-      job.json      # the normalised request (exclusive-created, atomic)
-      store/        # a repro.dist ResultStore: the shards' ledger
+      store/        # a repro.dist ResultStore: MANIFEST.json + ledgers
       events.jsonl  # append-only lifecycle timeline (repro.obs.events)
       result.json   # rendered results, present iff the job is done
       error.json    # present iff the job failed structurally
 
-Everything that matters survives a server kill: ``job.json`` says what to
-run, the store's completion records say what already ran, and
+A served job is its store.  :meth:`JobManager.submit` normalises a
+request straight into the store's ``MANIFEST.json`` (grid, evaluator,
+base config, workload recipe, shard count), the job's only record, and
+that manifest's exclusive publish is what makes a submission a new job.
+Everything that matters survives a server kill: the manifest says what
+to run, the store's completion records say what already ran, and
 ``result.json`` says it finished.  :meth:`JobManager.resume` re-enqueues
 every job directory without a result or an error on startup, and the
 shards resume from their records (:func:`repro.dist.run_shard` skips
@@ -42,9 +45,7 @@ number of studies it has served.
 from __future__ import annotations
 
 import json
-import math
 import queue
-import random
 import re
 import threading
 import time
@@ -53,9 +54,10 @@ from pathlib import Path
 
 from .. import obs
 from ..dist.merge import merge_store, store_status
-from ..ledger import iter_jsonl, publish
+from ..ledger import iter_jsonl, publish, remove
 from ..obs.events import EventLog
 from ..dist.runner import (
+    backoff_s,
     model_workload_spec,
     run_shard,
     workload_fingerprint,
@@ -66,22 +68,15 @@ from ..dist.store import (
     StoreError,
     build_manifest,
     config_from_dict,
-    config_to_dict,
     decode_record,
 )
-from ..harness.dse import PointFailure, check_grid, grid_size
+from ..harness.dse import PointFailure, check_grid
 from ..harness.serialization import dse_result_payload, to_json
 from ..hw.params import VITCOD_DEFAULT
-from ..sim.evaluator import (
-    check_evaluator_name,
-    check_swept_knobs,
-    evaluator_from_spec,
-    evaluator_spec,
-)
+from ..sim.evaluator import check_swept_knobs, evaluator_from_spec
 from .cache import ResultCache, study_fingerprint
 
 __all__ = [
-    "JOB_SCHEMA",
     "ServeRequestError",
     "ServeOverloadError",
     "UnknownJobError",
@@ -90,12 +85,14 @@ __all__ = [
     "JobManager",
 ]
 
-#: ``job.json`` schema tag; bump on incompatible layout changes.
-JOB_SCHEMA = "repro-serve/1"
-
-JOB_NAME = "job.json"
+STORE_NAME = "store"
 ERROR_NAME = "error.json"
 EVENTS_NAME = "events.jsonl"
+
+#: What one request may ask of the server: validation limits, not
+#: scheduling hints.
+_MAX_GRID_POINTS = 65536
+_MAX_SHARDS = 16
 
 _STOP = object()
 
@@ -113,7 +110,6 @@ _REQUEST_FIELDS = frozenset(
         "model",
         "sparsity",
         "n_shards",
-        "handicap",
     }
 )
 _WORKLOAD_SPEC_FIELDS = frozenset(
@@ -155,7 +151,7 @@ class JobState:
     """One job: a live table entry, or a finished job read from its dir."""
 
     job_id: str
-    request: dict  # the job.json record
+    manifest: dict  # the store's MANIFEST.json: what the job runs
     root: Path
     state: str  # queued | running | merging | done | failed
     error: str = None
@@ -164,35 +160,21 @@ class JobState:
 
     @property
     def store_root(self) -> Path:
-        return self.root / "store"
+        return self.root / STORE_NAME
 
     @property
     def n_shards(self) -> int:
-        return int(self.request["n_shards"])
+        return int(self.manifest["num_shards"])
 
     @property
     def grid_size(self) -> int:
-        """The recorded grid's point count, without re-checking it (a
-        refused record's grid may fail the check)."""
-        return math.prod(len(values) for values in self.request["grid"].values())
+        return int(self.manifest["grid_size"])
 
 
-def _check_number(value, name, minimum=None):
+def _check_number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServeRequestError(f"{name} must be a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ServeRequestError(f"{name} must be >= {minimum}, got {value!r}")
     return value
-
-
-def _refusal(record):
-    """Why this version cannot run a recorded job, or ``None``."""
-    try:
-        check_grid(record["grid"])
-        check_evaluator_name(record["evaluator"].get("name"))
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 class JobManager:
@@ -200,8 +182,6 @@ class JobManager:
 
     ``workers`` threads drain the shard-task queue (``0`` starts none —
     tests then drive execution deterministically with :meth:`run_next`).
-    ``max_grid_points`` / ``max_shards`` bound what one request may ask
-    of the server; both are validation limits, not scheduling hints.
 
     Robustness knobs: ``max_pending`` bounds the task queue (submissions
     that would overflow it raise :class:`ServeOverloadError` → 503);
@@ -214,8 +194,6 @@ class JobManager:
         self,
         data_dir,
         workers=2,
-        max_grid_points=65536,
-        max_shards=16,
         max_pending=1024,
         task_retries=2,
         task_timeout=None,
@@ -224,8 +202,6 @@ class JobManager:
         self.jobs_root = self.data_dir / "jobs"
         self.jobs_root.mkdir(parents=True, exist_ok=True)
         self.cache = ResultCache(self.jobs_root)
-        self.max_grid_points = int(max_grid_points)
-        self.max_shards = int(max_shards)
         self.max_pending = int(max_pending)
         self.task_retries = int(task_retries)
         self.task_timeout = None if task_timeout is None else float(task_timeout)
@@ -292,10 +268,10 @@ class JobManager:
                     f"grid parameter {name!r} needs a non-empty list of values"
                 )
             size *= len(values)
-        if size > self.max_grid_points:
+        if size > _MAX_GRID_POINTS:
             raise ServeRequestError(
                 f"grid has {size} points, above this server's limit of "
-                f"{self.max_grid_points}"
+                f"{_MAX_GRID_POINTS}"
             )
         try:
             checked = check_grid(grid)
@@ -340,6 +316,8 @@ class JobManager:
         )
 
     def _normalize(self, request) -> dict:
+        """The store manifest of a valid request, built once; anything
+        else raises :class:`ServeRequestError` before a write."""
         if not isinstance(request, dict):
             raise ServeRequestError("request body must be a JSON object")
         unknown = sorted(set(request) - _REQUEST_FIELDS)
@@ -354,9 +332,8 @@ class JobManager:
             check_swept_knobs(evaluator, sorted(grid))
         except (TypeError, ValueError) as exc:
             raise ServeRequestError(str(exc)) from None
-        evaluator_wire = evaluator_spec(evaluator)
-        fault_plan = evaluator_wire.get("faults") or {}
-        if fault_plan.get("kill_after_records") is not None:
+        plan = getattr(evaluator, "fault_plan", None)
+        if plan is not None and plan.kill_after_records is not None:
             raise ServeRequestError(
                 "fault plans with 'kill_after_records' cannot run served: "
                 "shards execute in-process, so the injected SIGKILL would "
@@ -373,19 +350,17 @@ class JobManager:
         n_shards = request.get("n_shards", 1)
         if isinstance(n_shards, bool) or not isinstance(n_shards, int):
             raise ServeRequestError(f"'n_shards' must be an integer, got {n_shards!r}")
-        if not 1 <= n_shards <= self.max_shards:
+        if not 1 <= n_shards <= _MAX_SHARDS:
             raise ServeRequestError(
-                f"'n_shards' must be in 1..{self.max_shards}, got {n_shards}"
+                f"'n_shards' must be in 1..{_MAX_SHARDS}, got {n_shards}"
             )
-        handicap = _check_number(request.get("handicap", 0.0), "'handicap'", 0.0)
-        return {
-            "grid": grid,
-            "evaluator": evaluator_wire,
-            "base_config": config_to_dict(config),
-            "workload_spec": self._normalize_workload_spec(request),
-            "n_shards": n_shards,
-            "handicap": float(handicap),
-        }
+        spec = self._normalize_workload_spec(request)
+        try:
+            workload = workload_from_spec(spec)
+        except Exception as exc:
+            raise ServeRequestError(f"cannot build workload from spec: {exc}") from None
+        spec["fingerprint"] = workload_fingerprint(workload)
+        return build_manifest(grid, n_shards, evaluator, config, spec)
 
     # ------------------------------------------------------------------
     # Submission
@@ -400,37 +375,15 @@ class JobManager:
         counters.  Raises :class:`ServeRequestError` on malformed input
         *before* any directory is touched.
         """
-        normalized = self._normalize(request)
-        try:
-            workload = workload_from_spec(normalized["workload_spec"])
-        except Exception as exc:
-            raise ServeRequestError(f"cannot build workload from spec: {exc}") from None
-        spec = {
-            **normalized["workload_spec"],
-            "fingerprint": workload_fingerprint(workload),
-        }
-        manifest = build_manifest(
-            normalized["grid"],
-            normalized["n_shards"],
-            evaluator_from_spec(normalized["evaluator"]),
-            config_from_dict(normalized["base_config"]),
-            spec,
-        )
+        manifest = self._normalize(request)
         job_id = study_fingerprint(manifest)
-        record = {
-            "schema": JOB_SCHEMA,
-            "id": job_id,
-            **normalized,
-            "workload_spec": spec,
-            "created": time.time(),
-        }
         with self._lock:
             self._bump("submitted")
             if self.cache.result_path(job_id).is_file():
                 # Finished: its directory answers for it, so nothing is
                 # registered, and the result itself is not read.
                 self._bump("cache_hits")
-                job = JobState(job_id, record, self.jobs_root / job_id, "done")
+                job = JobState(job_id, manifest, self.jobs_root / job_id, "done")
                 self._event(job.root, "cache_hit")
                 return self._submit_info(job, cache_hit=True, created=False)
             job = self._jobs.get(job_id)
@@ -443,25 +396,20 @@ class JobManager:
             # Startup resume is exempt — it re-queues work this server
             # already accepted.
             pending = self._queue.qsize()
-            n_shards = int(record["n_shards"])
-            if pending + n_shards > self.max_pending:
+            if pending + manifest["num_shards"] > self.max_pending:
                 self._bump("overload_rejections")
                 retry_after = max(
                     1.0, min(60.0, pending / max(1, self.workers))
                 )
                 raise ServeOverloadError(pending, self.max_pending, retry_after)
             job_root = self.jobs_root / job_id
-            job_root.mkdir(parents=True, exist_ok=True)
-            # Exclusive publish: a concurrent identical submission, or a
-            # re-submission after a crash, always parses what it finds.
-            text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-            created = publish(job_root / JOB_NAME, text, exclusive=True)
-            if not created:
-                # The directory survives from an earlier server life (or
-                # a failed run being retried): adopt its durable record.
-                record = json.loads((job_root / JOB_NAME).read_text())
+            # The manifest's exclusive publish is the one arbiter of a new
+            # job: a concurrent identical submission, or a re-submission
+            # of a job an earlier server life accepted, attaches instead.
             try:
-                ResultStore.create_or_attach(job_root / "store", manifest)
+                _, created = ResultStore.create_or_attach(
+                    job_root / STORE_NAME, manifest
+                )
             except StoreError as exc:
                 raise ServeRequestError(
                     f"job {job_id} has a conflicting store on disk: {exc}"
@@ -470,19 +418,19 @@ class JobManager:
                 job_root,
                 "submitted",
                 created=created,
-                evaluator=record["evaluator"]["name"],
-                grid_size=grid_size(record["grid"]),
-                n_shards=int(record["n_shards"]),
+                evaluator=manifest["evaluator"]["name"],
+                grid_size=manifest["grid_size"],
+                n_shards=manifest["num_shards"],
             )
-            job = self._enqueue(job_id, record)
+            job = self._enqueue(job_id, manifest)
             return self._submit_info(job, cache_hit=False, created=created)
 
-    def _enqueue(self, job_id, record) -> JobState:
+    def _enqueue(self, job_id, manifest) -> JobState:
         """(Re-)queue every shard of a job; caller holds the lock."""
-        job = JobState(job_id, record, self.jobs_root / job_id, "queued")
+        job = JobState(job_id, manifest, self.jobs_root / job_id, "queued")
         self._jobs[job_id] = job
         job.remaining = set(range(1, job.n_shards + 1))
-        (job.root / ERROR_NAME).unlink(missing_ok=True)
+        remove(job.root / ERROR_NAME)
         for k in sorted(job.remaining):
             self._queue.put((job_id, k))
         self._note_transition(job, "queued", n_shards=job.n_shards)
@@ -496,7 +444,7 @@ class JobManager:
             "created": created,
             "n_shards": job.n_shards,
             "grid_size": job.grid_size,
-            "evaluator": job.request["evaluator"]["name"],
+            "evaluator": job.manifest["evaluator"]["name"],
         }
 
     # ------------------------------------------------------------------
@@ -573,16 +521,15 @@ class JobManager:
         """
 
         def work():
-            workload = workload_from_spec(job.request["workload_spec"])
+            manifest = job.manifest
             return run_shard(
-                workload,
-                job.request["grid"],
+                workload_from_spec(manifest["workload"]),
+                manifest["grid"],
                 f"{shard_index}/{job.n_shards}",
                 job.store_root,
-                base_config=config_from_dict(job.request["base_config"]),
-                evaluator=evaluator_from_spec(job.request["evaluator"]),
-                workload_spec=job.request["workload_spec"],
-                handicap=job.request.get("handicap", 0.0),
+                base_config=config_from_dict(manifest["base_config"]),
+                evaluator=evaluator_from_spec(manifest["evaluator"]),
+                workload_spec=manifest["workload"],
             )
 
         if self.task_timeout is None:
@@ -625,9 +572,7 @@ class JobManager:
             self._fail(job, exc)
             return
         self._bump("task_retries")
-        delay = min(2.0, 0.05 * 2 ** (attempts - 1)) * (
-            0.5 + random.random()
-        )
+        delay = backoff_s(attempts)
         _log.warning(
             "job %s shard %d failed (%s); retry %d/%d in %.2fs",
             job.job_id, shard_index, error, attempts, self.task_retries, delay,
@@ -642,7 +587,7 @@ class JobManager:
     def _merge(self, job):
         """Fold the job's store into the served document (the last mile)."""
         merged = merge_store(job.store_root)
-        spec = job.request["workload_spec"]
+        spec = merged.manifest["workload"]
         payload = dse_result_payload(
             spec.get("model"),
             spec.get("sparsity"),
@@ -712,35 +657,43 @@ class JobManager:
     def _read(self, job_id) -> JobState:
         """A job outside the table, as its directory records it.
 
-        ``result.json`` makes it done and ``error.json`` failed; a record
-        this version cannot run (:func:`_refusal`) reads as failed with
-        the reason.  Any other directory is not this manager's job — it
-        was never resumed — unless an identical re-submission re-queued
-        it since the table was read, and then the new entry answers.
+        A directory without ``store/MANIFEST.json`` is not a job.
+        ``result.json`` makes it done and ``error.json`` failed; a
+        manifest the store's check refuses
+        (:meth:`~repro.dist.store.ResultStore.check_manifest`) reads as
+        failed with the reason.  Any other directory is not this
+        manager's job — it was never resumed — unless an identical
+        re-submission re-queued it since the table was read, and then
+        the new entry answers.
         """
         root = self.jobs_root / job_id
+        store = ResultStore(root / STORE_NAME)
         try:
-            record = json.loads((root / JOB_NAME).read_text())
+            manifest = json.loads(store.manifest_path.read_text())
         except (FileNotFoundError, NotADirectoryError):
             raise UnknownJobError(job_id) from None
         if self.cache.result_path(job_id).is_file():
-            return JobState(job_id, record, root, "done")
+            return JobState(job_id, manifest, root, "done")
         try:
             error = json.loads((root / ERROR_NAME).read_text()).get("error")
         except FileNotFoundError:
-            error = _refusal(record)
-            if error is None:
+            try:
+                store.check_manifest(manifest)
+            except (StoreError, ValueError) as exc:
+                error = str(exc)
+            else:
                 job = self._live(job_id)
                 if job is None:
                     raise UnknownJobError(job_id) from None
                 return job
-        return JobState(job_id, record, root, "failed", error=error)
+        return JobState(job_id, manifest, root, "failed", error=error)
 
     def jobs(self) -> list:
         """Brief submission info for every job directory (listing endpoint).
 
         Live jobs answer from the table and finished ones from their
-        directories, so the listing reads the data dir.
+        directories, so the listing reads the data dir.  Jobs come in
+        submission order: the time of each one's first event.
         """
         jobs = []
         for job_dir in sorted(self.jobs_root.iterdir()):
@@ -750,8 +703,15 @@ class JobManager:
                 continue  # not a job directory, or one never resumed
         return [
             self._submit_info(job, cache_hit=False, created=False)
-            for job in sorted(jobs, key=lambda j: j.request.get("created", 0.0))
+            for job in sorted(jobs, key=self._submitted_at)
         ]
+
+    @staticmethod
+    def _submitted_at(job) -> float:
+        """The ``t`` of the job's first (``submitted``) event."""
+        for event in iter_jsonl(job.root / EVENTS_NAME):
+            return event["t"]
+        return 0.0
 
     def _done_points(self, job):
         """The point count of the job's ``done`` event, or ``None`` when a
@@ -775,11 +735,11 @@ class JobManager:
         recorded: every grid point is done, and no ledger is read.
         """
         job = self._get(job_id)
-        spec = job.request["workload_spec"]
+        spec = job.manifest["workload"]
         info = {
             "id": job.job_id,
             "state": job.state,
-            "evaluator": job.request["evaluator"]["name"],
+            "evaluator": job.manifest["evaluator"]["name"],
             "model": spec.get("model"),
             "sparsity": spec.get("sparsity"),
             "n_shards": job.n_shards,
@@ -871,7 +831,7 @@ class JobManager:
         payload = {
             "partial": True,
             "state": job.state,
-            "evaluator": job.request["evaluator"]["name"],
+            "evaluator": job.manifest["evaluator"]["name"],
             "grid_size": job.grid_size,
             "done": len(records),
             "points": points,
@@ -886,11 +846,11 @@ class JobManager:
 
         A directory with a ``result.json`` or an ``error.json`` is
         finished: it is not opened, and lookups answer from it (an
-        identical re-submission retries a failed one).  A record whose
-        grid fails :func:`~repro.harness.dse.check_grid`, or whose
-        evaluator name fails
-        :func:`~repro.sim.evaluator.check_evaluator_name`, is refused:
-        it stays off the queue, and lookups answer failed with that
+        identical re-submission retries a failed one).  One without
+        ``store/MANIFEST.json`` is not a job.  A manifest that
+        :meth:`~repro.dist.store.ResultStore.read_manifest` refuses
+        (another schema, or a grid or evaluator name this version cannot
+        score) stays off the queue, and lookups answer failed with that
         message.  Anything else goes back on the queue — its shards skip
         every recorded index, so only the genuinely missing work re-runs.
         Returns the ids it queued.
@@ -900,22 +860,21 @@ class JobManager:
             return resumed
         for job_dir in sorted(self.jobs_root.iterdir()):
             job_id = job_dir.name
-            record_path = job_dir / JOB_NAME
             if (
                 not _JOB_ID.fullmatch(job_id)
-                or not record_path.is_file()
                 or self.cache.result_path(job_id).is_file()
                 or (job_dir / ERROR_NAME).is_file()
             ):
                 continue
-            record = json.loads(record_path.read_text())
-            if _refusal(record) is not None:
+            try:
+                manifest = ResultStore(job_dir / STORE_NAME).read_manifest()
+            except (StoreError, ValueError):
                 continue
             with self._lock:
                 if job_id in self._jobs:
                     continue
                 self._event(job_dir, "resumed")
-                self._enqueue(job_id, record)
+                self._enqueue(job_id, manifest)
                 resumed.append(job_id)
         return resumed
 

@@ -438,7 +438,7 @@ def evaluator_names() -> tuple:
 def check_evaluator_name(name):
     """Refuse a recorded evaluator name this version cannot score.
 
-    Store manifests and served job records name the strategy their
+    Store manifests, served jobs' included, name the strategy their
     records were scored with: a built-in, or ``custom:<name>`` for a
     caller's own evaluator.  Any other name, such as a strategy this
     version no longer has, raises one :class:`ValueError` naming the

@@ -198,13 +198,14 @@ class TestStoreFiles:
         store = ResultStore(tmp_path / "store")
         manifest = build_manifest(GRID, 2, AnalyticalEvaluator(),
                                   VITCOD_DEFAULT, SPEC)
-        store.ensure_manifest(manifest)
+        assert store.ensure_manifest(manifest) is True  # published
         other = build_manifest({"mac_lines": (16,)}, 2,
                                AnalyticalEvaluator(), VITCOD_DEFAULT, SPEC)
         with pytest.raises(StoreMismatchError):
             store.ensure_manifest(other)
         # The identical manifest is accepted (another host joining in).
-        assert store.ensure_manifest(manifest)["num_shards"] == 2
+        assert store.ensure_manifest(manifest) is False
+        assert store.read_manifest()["num_shards"] == 2
 
 
 class _RecordingEvaluator:

@@ -28,6 +28,7 @@ from repro.dist import (
     run_shard,
     store_status,
 )
+import repro.dist.fleet as fleet_module
 from repro.dist.fleet import _Shard
 from repro.dist.store import JsonlAppender, load_jsonl, record_payload
 from repro.faults import (
@@ -418,10 +419,12 @@ class TestForkedShards:
             return real_run_shard(workload, grid, shard, *args, **kwargs)
 
         monkeypatch.setattr(repro.dist, "run_shard", run_shard)
+        monkeypatch.setattr(fleet_module, "_POLL_S", 0.02)
+        monkeypatch.setattr(fleet_module, "_BACKOFF_BASE_S", 0.01)
         store = tmp_path / "store"
         fleet = run_fleet(store, 2, [
             "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
-        ], max_restarts=2, poll_s=0.02, backoff_base_s=0.01)
+        ], max_restarts=2)
         assert fleet.abandoned == (1,)
         assert fleet.restarts == 2  # all shard 1's: shard 2 exited 0
         assert fleet.hang_kills == 0

@@ -209,10 +209,10 @@ class TestRecordedGridsAreChecked:
         manager = JobManager(tmp_path, workers=0)
         info = manager.submit({"grid": {"mac_lines": [16, 32]},
                                "model": "deit-tiny"})
-        record = tmp_path / "jobs" / info["id"] / "job.json"
-        data = json.loads(record.read_text())
+        manifest = tmp_path / "jobs" / info["id"] / "store" / "MANIFEST.json"
+        data = json.loads(manifest.read_text())
         data["grid"]["mac_lines"] = [16, 16.5]
-        record.write_text(json.dumps(data))
+        manifest.write_text(json.dumps(data))
         restarted = JobManager(tmp_path, workers=0)
         assert restarted.resume() == []
         status = restarted.status(info["id"])

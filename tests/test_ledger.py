@@ -2,8 +2,9 @@
 
 One torn-tail contract for every ledger, checked through both writers
 that use it — the long-lived shard appender and the one-record event
-append — plus the reader rule they share and the atomic publish behind
-every manifest, job record, result, error file and steal claim.
+append — plus the reader rule they share, the atomic publish behind
+every manifest, result, error file and steal claim, and the durable
+removal of a retried job's error file or a released claim.
 """
 
 import json
@@ -21,6 +22,7 @@ from repro.ledger import (
     StoreCorruptError,
     load_jsonl,
     publish,
+    remove,
 )
 from repro.obs.events import EventLog
 
@@ -235,3 +237,31 @@ class TestPublish:
             [("fsync", "file"), (move,), ("fsync", "dir")]
         assert events[0][2] == len(text)
         assert (tmp_path / "result.json").read_text() == text
+
+
+class TestRemove:
+    def test_remove_fsyncs_the_directory_once_the_name_is_gone(
+            self, tmp_path, monkeypatch):
+        """Like a publish, a removal is durable before the next step: a
+        re-queued job's fsynced ``queued`` event cannot meet a
+        resurrected ``error.json`` after a power loss."""
+        import stat
+
+        path = tmp_path / "error.json"
+        path.write_text('{"error": "boom"}\n')
+        events = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append((kind, path.exists()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        assert remove(path) is True
+        assert events == [("dir", False)]
+        assert not path.exists()
+
+    def test_removing_nothing_costs_no_fsync(self, tmp_path, fsyncs):
+        assert remove(tmp_path / "error.json") is False
+        assert fsyncs == []

@@ -240,11 +240,11 @@ class TestJobIds:
         job_id = manager.submit(_request())["id"]
         _drain(manager)
         outside = tmp_path / "outside"
-        outside.mkdir()
-        for name in ("job.json", "result.json", "events.jsonl"):
+        (outside / "store").mkdir(parents=True)
+        for name in ("store/MANIFEST.json", "result.json", "events.jsonl"):
             (outside / name).write_bytes(
                 (manager.jobs_root / job_id / name).read_bytes())
-        (manager.jobs_root / ("0" * 16)).mkdir()  # no job.json
+        (manager.jobs_root / ("0" * 16)).mkdir()  # no store/MANIFEST.json
         return manager, job_id, outside
 
     def test_only_well_formed_ids_touch_the_disk(self, escape):

@@ -62,6 +62,14 @@ def _request(**overrides):
     return request
 
 
+def _hanging(seconds):
+    """The analytical evaluator under a one-shot ``evaluator_hang_s``
+    fault: the first scoring call in the job's store sleeps ``seconds``.
+    The marker is scoped to the store, so of two shards only one hangs,
+    and a restarted server's resume does not hang again."""
+    return {"name": "analytical", "faults": {"evaluator_hang_s": seconds}}
+
+
 class TestStudyFingerprint:
     def _manifest(self, n_shards=1, grid=GRID):
         return build_manifest(
@@ -234,13 +242,12 @@ class TestJobManager:
         manager = JobManager(tmp_path, workers=0)
         info = manager.submit(_request(n_shards=2))
         assert manager.run_next() is True  # a partial store
-        root = tmp_path / "jobs" / info["id"]
-        for path in (root / "job.json", root / "store" / "MANIFEST.json"):
-            data = json.loads(path.read_text())
-            data["evaluator"] = {"name": "hybrid",
-                                 "coarse": {"name": "analytical"},
-                                 "fine": {"name": "cycle"}}
-            path.write_text(json.dumps(data))
+        path = tmp_path / "jobs" / info["id"] / "store" / "MANIFEST.json"
+        data = json.loads(path.read_text())
+        data["evaluator"] = {"name": "hybrid",
+                             "coarse": {"name": "analytical"},
+                             "fine": {"name": "cycle"}}
+        path.write_text(json.dumps(data))
         reborn = JobManager(tmp_path, workers=0)
         assert reborn.resume() == []
         status = reborn.status(info["id"])
@@ -260,10 +267,101 @@ class TestJobManager:
             manager.results("0" * 16)
 
 
+class TestJobIsItsStore:
+    """The store's ``MANIFEST.json`` is a served job's only record."""
+
+    #: The README's example request and the id it documents.
+    README_REQUEST = {
+        "grid": {"mac_lines": [16, 32, 64], "ae_compression": [None, 0.5]},
+        "evaluator": "cycle",
+        "model": "deit-tiny", "sparsity": 0.9,
+        "n_shards": 2,
+    }
+    README_ID = "0c11e700c7dba059"
+
+    def test_a_served_job_directory_holds_only_its_store(self, tmp_path):
+        manager = JobManager(tmp_path, workers=0)
+        info = manager.submit(_request(n_shards=2))
+        _drain(manager)
+        root = tmp_path / "jobs" / info["id"]
+        assert sorted(os.listdir(root)) == [
+            "events.jsonl", "result.json", "store"
+        ]
+
+    def test_the_job_id_is_the_manifest_fingerprint(self, tmp_path):
+        manager = JobManager(tmp_path, workers=0)
+        info = manager.submit(self.README_REQUEST)
+        assert info["id"] == self.README_ID
+        store = ResultStore(tmp_path / "jobs" / info["id"] / "store")
+        manifest = store.read_manifest()
+        assert study_fingerprint(manifest) == info["id"]
+        assert manifest["num_shards"] == info["n_shards"] == 2
+        assert manifest["grid_size"] == info["grid_size"] == 6
+
+    def test_a_fresh_study_makes_twelve_fsyncs(self, tmp_path, monkeypatch):
+        """Manifest 2 (file, directory), events 7, ledger close 1,
+        ``result.json`` 2: a second published record would add two."""
+        manager = JobManager(tmp_path, workers=0)
+        calls = []
+        real = os.fsync
+
+        def fsync(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        info = manager.submit({
+            "grid": {"mac_lines": [16, 32], "bandwidth_gbps": [19.2, 38.4]},
+            "evaluator": "cycle", "model": "deit-tiny", "n_shards": 1,
+        })
+        _drain(manager)
+        monkeypatch.undo()
+        assert manager.status(info["id"])["state"] == "done"
+        assert len(calls) == 12
+
+    def test_the_listing_order_survives_a_restart(self, tmp_path):
+        """``GET /jobs`` lists jobs by their ``submitted`` event, which
+        is on disk, so a restarted server lists them the same way."""
+        manager = JobManager(tmp_path, workers=0)
+        order = [
+            manager.submit(_request(grid={"mac_lines": [lines]}))["id"]
+            for lines in (16, 32, 64, 128)
+        ]
+        assert order != sorted(order)  # not the directory order
+        assert manager.run_next() is True  # one job done, three queued
+        assert [info["id"] for info in manager.jobs()] == order
+        reborn = JobManager(tmp_path, workers=0)
+        assert sorted(reborn.resume()) == sorted(order[1:])
+        assert [info["id"] for info in reborn.jobs()] == order
+
+    def test_a_parent_data_dir_keeps_working(self, tmp_path):
+        """A ``job.json`` an earlier version wrote beside the store is
+        ignored and kept; a directory with one but no manifest (a crash
+        inside a submission, before any reply) is not a job."""
+        manager = JobManager(tmp_path, workers=0)
+        done = manager.submit(_request())["id"]
+        _drain(manager)
+        queued = manager.submit(_request(grid={"mac_lines": [16, 64]}))["id"]
+        for job_id in (done, queued):
+            (tmp_path / "jobs" / job_id / "job.json").write_text("{}\n")
+        orphan = tmp_path / "jobs" / ("f" * 16)
+        orphan.mkdir()
+        (orphan / "job.json").write_text("{}\n")
+        reborn = JobManager(tmp_path, workers=0)
+        assert reborn.resume() == [queued]
+        _drain(reborn)
+        for job_id in (done, queued):
+            assert reborn.status(job_id)["state"] == "done"
+            assert (tmp_path / "jobs" / job_id / "job.json").is_file()
+        with pytest.raises(UnknownJobError):
+            reborn.status("f" * 16)
+        assert [info["id"] for info in reborn.jobs()] == [done, queued]
+
+
 class TestValidation:
     @pytest.fixture()
     def manager(self, tmp_path):
-        return JobManager(tmp_path, workers=0, max_grid_points=64, max_shards=4)
+        return JobManager(tmp_path, workers=0)
 
     @pytest.mark.parametrize(
         "request_patch, match",
@@ -311,9 +409,15 @@ class TestValidation:
         assert list((tmp_path / "jobs").iterdir()) == []
         assert manager.run_next() is False
 
-    def test_rejects_oversized_grids(self, manager):
-        with pytest.raises(ServeRequestError, match="limit"):
-            manager.submit(_request(grid={"mac_lines": list(range(1, 100))}))
+    def test_rejects_oversized_grids(self, manager, tmp_path):
+        """One point over the 65,536-point limit is refused before any
+        work: no grid check, no workload, no directory."""
+        grid = {"mac_lines": list(range(2, 65539))}
+        with pytest.raises(ServeRequestError,
+                           match="65537 points, above this server's limit "
+                                 "of 65536"):
+            manager.submit(_request(grid=grid))
+        assert list((tmp_path / "jobs").iterdir()) == []
 
     def test_rejects_unknown_models(self, manager):
         with pytest.raises(ServeRequestError, match="workload"):
@@ -374,6 +478,17 @@ class TestHTTPService:
             with pytest.raises(ServeError) as excinfo:
                 client._request("/jobs", data=b"{not json")
             assert excinfo.value.status == 400
+
+    def test_handicap_is_not_a_request_field(self, tmp_path):
+        """A per-point sleep is no client's to ask for: the field is
+        unknown, and nothing is written."""
+        with serving(tmp_path / "data", workers=0) as server:
+            with pytest.raises(ServeError) as excinfo:
+                ServeClient(server.url).submit(_request(handicap=0.5))
+        assert excinfo.value.status == 400
+        assert "unknown request field(s) ['handicap']" in str(excinfo.value)
+        jobs = tmp_path / "data" / "jobs"
+        assert not jobs.exists() or not any(jobs.iterdir())
 
     def test_unknown_evaluator_answers_400(self, tmp_path):
         """``"hybrid"`` is no longer an evaluator: the spec check refuses
@@ -461,9 +576,11 @@ class TestRestartResume:
         job_id = None
         try:
             client = ServeClient(first.url)
-            # The handicap slows each recorded point so the kill lands
-            # mid-grid deterministically, not by racing a fast sweep.
-            info = client.submit(_request(n_shards=2, handicap=0.4))
+            # One shard hangs in its first scoring call while the other
+            # records its points, so the kill lands mid-grid
+            # deterministically, not by racing a fast sweep.
+            request = _request(n_shards=2, evaluator=_hanging(60.0))
+            info = client.submit(request)
             job_id = info["id"]
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
@@ -474,7 +591,7 @@ class TestRestartResume:
             else:
                 pytest.fail("server never recorded a completed point")
             assert status["done"] < status["grid_size"], (
-                "job finished before the kill; raise the handicap"
+                "job finished before the kill; lengthen the hang"
             )
         finally:
             first.kill()
@@ -486,7 +603,7 @@ class TestRestartResume:
             assert status["state"] == "done"
             assert client.raw_results(job_id) == expected
             # And the finished study now serves straight from the cache.
-            again = client.submit(_request(n_shards=2, handicap=0.4))
+            again = client.submit(request)
             assert again["id"] == job_id
             assert again["cache_hit"] is True
         finally:
@@ -508,14 +625,17 @@ class TestCreateOrAttach:
         manifest = self._manifest()
         root = tmp_path / "store"
         with ThreadPoolExecutor(max_workers=8) as pool:
-            stores = list(
+            opened = list(
                 pool.map(
                     lambda _: ResultStore.create_or_attach(root, manifest),
                     range(8),
                 )
             )
+        stores = [store for store, _ in opened]
         assert all(store.read_manifest() == stores[0].read_manifest()
                    for store in stores)
+        # The exclusive publish has exactly one winner: one new job.
+        assert sum(created for _, created in opened) == 1
         assert not list(root.glob("*.tmp.*"))  # losers cleaned up
 
     def test_concurrent_mismatched_creation_one_winner(self, tmp_path):
@@ -716,8 +836,8 @@ class TestTaskWatchdog:
         manager = JobManager(
             tmp_path, workers=0, task_timeout=0.3, task_retries=0
         )
-        # handicap sleeps per recorded point: 4 points x 0.5s >> 0.3s.
-        info = manager.submit(_request(handicap=0.5))
+        # The one shard's first scoring call hangs 1s >> 0.3s.
+        info = manager.submit(_request(evaluator=_hanging(1.0)))
         _drain(manager)
         status = manager.status(info["id"])
         assert status["state"] == "failed"
@@ -747,7 +867,7 @@ class TestGracefulShutdown:
         first = _ServerProcess(tmp_path, data_dir)
         try:
             client = ServeClient(first.url)
-            info = client.submit(_request(n_shards=2, handicap=0.4))
+            info = client.submit(_request(n_shards=2, evaluator=_hanging(2.0)))
             job_id = info["id"]
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:

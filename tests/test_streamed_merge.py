@@ -72,7 +72,7 @@ def _make_store(root, grid=GRID, score=_point):
         grid, 2, evaluator_from_spec("cycle"), VITCOD_DEFAULT,
         model_workload_spec(MODEL, sparsity=SPARSITY),
     )
-    store = ResultStore.create_or_attach(root, manifest)
+    store, _ = ResultStore.create_or_attach(root, manifest)
     combos = _combos(grid)
     for k in (1, 2):
         with JsonlAppender(store.shard_path(ShardSpec(k, 2))) as out:

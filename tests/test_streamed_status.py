@@ -68,7 +68,7 @@ def _generated_store(root, rng):
         weights=ShardSpec(1, num_shards, weights=tuple(weights)).weights
         if weights else None,
     )
-    store = ResultStore.create_or_attach(root, manifest)
+    store, _ = ResultStore.create_or_attach(root, manifest)
     now = time.time()
     for k in range(1, num_shards + 1):
         shard = ShardSpec(k, num_shards, weights=tuple(weights) if weights else None)
@@ -125,7 +125,7 @@ def test_status_peak_follows_the_indices(tmp_path):
         grid, 2, evaluator_from_spec("cycle"), VITCOD_DEFAULT,
         model_workload_spec("deit-tiny"),
     )
-    store = ResultStore.create_or_attach(tmp_path / "store", manifest)
+    store, _ = ResultStore.create_or_attach(tmp_path / "store", manifest)
     for k in (1, 2):
         shard = ShardSpec(k, 2)
         store.shard_path(shard).write_text("".join(
