@@ -367,28 +367,35 @@ def _dse_result(model, sparsity, evaluator_name, grid, points, json_path,
     ``dse``, ``dse-merge`` and the serve layer's results endpoint all
     serialise one sweep identically (the CI smoke jobs assert the JSON
     files are byte-identical across the three surfaces).  The table goes
-    to stdout line by line and the JSON into its file chunk by chunk:
-    the text ``format_table`` and ``to_json`` return whole, never held
-    whole.  ``frontier`` is ``pareto_frontier(points)`` when the caller
-    has it (a merge does).
+    to stdout line by line and the JSON into its file chunk by chunk,
+    each row and point dict built as it is read: the text
+    ``format_table`` and ``to_json`` return whole, never held whole.
+    ``frontier`` is ``pareto_frontier(points)`` when the caller has it
+    (a merge does).
     """
-    from .harness.serialization import dse_result_payload, iter_json
+    from .harness.serialization import (
+        LazyArray, dse_result_payload, flag_frontier, iter_json,
+    )
 
+    if frontier is None:
+        frontier = harness.pareto_frontier(points)
     payload = dse_result_payload(model, sparsity, evaluator_name, grid, points,
                                  frontier=frontier)
     names_ = sorted(grid)
-    rows = [[row["parameters"][n] for n in names_]
-            + [row["seconds"], row["energy_joules"], row["edp"],
-               "*" if row["pareto"] else ""]
-            for row in payload["points"]]
+
+    def rows():  # the payload's points, parameters in ``names_`` order
+        for point, pareto in flag_frontier(points, frontier):
+            yield ([value for _, value in point.parameters]
+                   + [point.seconds, point.energy_joules, point.edp,
+                      "*" if pareto else ""])
+
     for line in harness.iter_table(
-        names_ + ["seconds", "energy_J", "EDP", "pareto"], rows,
-        float_fmt="{:.3e}",
+        names_ + ["seconds", "energy_J", "EDP", "pareto"],
+        LazyArray(rows, len(points)), float_fmt="{:.3e}",
     ):
         print(line)
-    frontier_size = sum(1 for row in rows if row[-1])
-    print(f"\n{len(rows)} points ({evaluator_name} evaluator), "
-          f"{frontier_size} on the Pareto frontier")
+    print(f"\n{len(points)} points ({evaluator_name} evaluator), "
+          f"{len(frontier)} on the Pareto frontier")
     if json_path:
         _write_json(json_path, iter_json(payload))
 

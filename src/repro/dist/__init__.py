@@ -74,7 +74,6 @@ from .store import (
     build_manifest,
     config_from_dict,
     config_to_dict,
-    decode_record,
     encode_record,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "encode_record",
-    "decode_record",
     "ShardRunResult",
     "run_shard",
     "FleetResult",

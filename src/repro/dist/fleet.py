@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import obs
+from ..ledger import make_dirs
 from .runner import _recorded_indices, backoff_s
 from .sharding import ShardSpec
 from .store import ResultStore
@@ -112,7 +113,9 @@ class _Shard:
         return not (self.done or self.abandoned)
 
     def launch(self):
-        self.log_path.parent.mkdir(parents=True, exist_ok=True)
+        # The first launch makes the store directory, the log
+        # directory's parent: durably, as ensure_manifest would.
+        make_dirs(self.log_path.parent)
         with open(self.log_path, "ab") as log:
             # Flushed first, so no buffered output is written twice.
             sys.stdout.flush()

@@ -13,17 +13,21 @@ construction sees points in the same (grid) order.
 
 Work-stealing makes duplicates possible (claims are advisory), so the
 merge is *duplicate-tolerant rather than exactly-once*: an index may
-appear in several files as long as every copy carries the same payload
-(the record minus its wall-clock timestamp — all built-in evaluators are
-deterministic, so honest duplicates are bit-identical).  Conflicting
-copies mean a non-deterministic evaluator or mixed studies and fail
-loudly.  Ownership stays checked: a shard file may only hold its own
-indices, a steal file only *other* shards' indices.
+appear in several files as long as every copy carries the same result
+(all built-in evaluators are deterministic, so honest duplicates are
+bit-identical).  Conflicting copies mean a non-deterministic evaluator
+or mixed studies and fail loudly.  Ownership stays checked: a shard file
+may only hold its own indices, a steal file only *other* shards'
+indices.
 
 The merge is a pure fold of records: it builds no workload and touches
-no evaluator, so any host that can read the store can merge it.  It
-streams the ledgers line by line and decodes each record into its grid
-slot, so its memory follows the number of points, not of records.
+no evaluator, so any host that can read the store can merge it.  A
+point's parameters are a pure function of its grid index, so the fold
+checks each record's ``p`` against the grid and keeps only its
+objectives, in float64 columns by grid slot
+(:class:`~repro.harness.dse.GridPoints`), plus a state byte per slot and
+the error text of failed slots: no Python object per point outlives its
+line.
 
 :func:`store_status` is the monitoring companion: per-shard completion
 counts — scored vs persisted-failure records, stolen-index counts, and
@@ -37,18 +41,26 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from .. import obs
-from ..harness.dse import DesignPoint, PointFailure, pareto_frontier
+from ..harness.dse import (
+    DesignPoint,
+    GridPoints,
+    PointFailure,
+    _decode_grid_index,
+    pareto_frontier,
+)
 from .sharding import ShardSpec
 from .store import (
     IncompleteStoreError,
     ResultStore,
     StoreCorruptError,
     StoreMismatchError,
-    decode_record,
     record_payload,
 )
 
@@ -62,16 +74,22 @@ __all__ = [
 
 _log = obs.get_logger("dist.merge")
 
+#: A grid slot's state byte in the fold: no record yet, a scored point,
+#: a persisted evaluator failure, or a record that does not decode.
+_MISSING, _SCORED, _FAILED, _BAD = 0, 1, 2, 3
+#: ``state.translate`` table: 1 for a scored slot, 0 for any other.
+_SCORED_ONLY = bytes(int(state == _SCORED) for state in range(256))
+
 
 @dataclass(frozen=True)
 class MergeResult:
     """A merged study: the single-process sweep's output, reconstructed."""
 
-    points: Tuple[DesignPoint, ...]  # deterministic grid order
+    points: Sequence[DesignPoint]  # GridPoints: grid order, rebuilt on read
     frontier: Tuple[DesignPoint, ...]  # pareto_frontier(points)
     manifest: dict
     dropped: int  # failure records dropped (mirrors the sweep's warns)
-    duplicates: int = 0  # redundant payload-identical records tolerated
+    duplicates: int = 0  # redundant same-result records tolerated
 
 
 def _drop_failure(index, failure: PointFailure):
@@ -101,124 +119,225 @@ def _shard_spec(manifest: dict, shard_index: int) -> ShardSpec:
     )
 
 
-def _fold_records(store: ResultStore, manifest: dict):
+class _Columns:
+    """A store's records decoded into per-slot columns (see :func:`_fold`).
+
+    ``state`` holds one byte per grid slot; a scored slot's objectives
+    sit in ``seconds``/``energy``/``area``, a failed slot's error text in
+    ``errors``, and an undecodable record's payload and error in ``bad``.
+    """
+
+    def __init__(self, manifest: dict):
+        self.grid = manifest["grid"]
+        self.names = sorted(self.grid)
+        self.size = manifest["grid_size"]
+        self.state = bytearray(self.size)
+        zeros = bytes(8 * self.size)
+        self.seconds, self.energy, self.area = (array("d", zeros) for _ in range(3))
+        self.errors = {}  # grid index -> error text of a failed slot
+        self.bad = {}  # grid index -> (payload, StoreCorruptError)
+        # Per axis, last first: the radix and values that peel a grid
+        # index's digits off its little end (see _decode_grid_index).
+        self._axes = [
+            (axis, name, len(self.grid[name]), self.grid[name])
+            for axis, name in reversed(list(enumerate(self.names)))
+        ]
+
+    def _check_parameters(self, index, pairs):
+        """Raise ``ValueError`` unless ``pairs`` are grid ``index``'s
+        ``[name, value]`` pairs: compared per axis, value and type."""
+        if len(pairs) != len(self.names):
+            raise self._mismatch(index)
+        remaining = index
+        for axis, name, radix, values in self._axes:
+            remaining, digit = divmod(remaining, radix)
+            found, value = pairs[axis]
+            expected = values[digit]
+            if found != name or value != expected or type(value) is not type(expected):
+                raise self._mismatch(index)
+
+    def _mismatch(self, index) -> ValueError:
+        values = _decode_grid_index(self.grid, self.names, index)
+        expected = [list(pair) for pair in zip(self.names, values)]
+        return ValueError(f"parameters are not grid index {index}'s {expected!r}")
+
+    def put(self, index, record):
+        """Decode ``record`` into slot ``index``; a record that does not
+        decode marks it ``_BAD`` with the error, raised in grid order."""
+        try:
+            self._check_parameters(index, record["p"])
+            if "err" in record:
+                self.errors[index] = str(record["err"])
+                self.state[index] = _FAILED
+                return
+            self.seconds[index] = record["s"]
+            self.energy[index] = record["e"]
+            self.area[index] = record["a"]
+            self.state[index] = _SCORED
+        except (KeyError, TypeError, ValueError) as exc:
+            error = StoreCorruptError(f"malformed completion record {record!r}: {exc}")
+            self.bad[index] = (record_payload(record), error)
+            self.state[index] = _BAD
+
+    def same(self, index, record) -> bool:
+        """Whether ``record`` carries the result already in slot ``index``."""
+        state = self.state[index]
+        if state == _BAD:
+            return record_payload(record) == self.bad[index][0]
+        try:
+            self._check_parameters(index, record["p"])
+            if "err" in record:
+                return state == _FAILED and str(record["err"]) == self.errors[index]
+            return (
+                state == _SCORED
+                and record["s"] == self.seconds[index]
+                and record["e"] == self.energy[index]
+                and record["a"] == self.area[index]
+            )
+        except (KeyError, TypeError, ValueError):
+            return False
+
+    def parameters(self, index) -> tuple:
+        return tuple(zip(self.names, _decode_grid_index(self.grid, self.names, index)))
+
+    def unscored(self):
+        """``(index, state)`` of each slot not scored, in grid order."""
+        states = np.frombuffer(self.state, np.uint8)
+        for index in np.flatnonzero(states != _SCORED).tolist():
+            yield index, self.state[index]
+
+    def points(self) -> GridPoints:
+        scored = bytes(self.state.translate(_SCORED_ONLY))
+        return GridPoints(self.grid, scored, self.seconds, self.energy, self.area)
+
+
+def _fold(store: ResultStore, manifest: dict) -> Tuple[_Columns, int]:
     """Decode every record into its grid slot as it is read, verified.
 
-    Returns ``(slots, duplicates)``: ``slots[i]`` holds grid index
-    ``i``'s decoded result (or the :class:`StoreCorruptError` of a record
-    that does not decode, for the caller to raise in grid order).  Checks
-    the partition invariants: all files belong to this store's ``N``-way
-    partition, a shard file holds only indices the (possibly weighted)
-    shard owns, a steal file holds only in-range indices its shard does
-    *not* own, and no index is missing.  Within a file the first record
-    of an index wins.  An index recorded in more than one file is tolerated
-    when every copy has the same payload (timestamp aside) and counted
-    in ``duplicates``; conflicting copies raise
-    :class:`StoreCorruptError`.  Ownership keeps shard files disjoint, so
-    only a steal file can repeat an index: steal files are read first,
-    and only their payloads are kept, to check the copies read after.
+    Returns ``(columns, duplicates)``.  Checks the partition invariants:
+    all files belong to this store's ``N``-way partition, a shard file
+    holds only indices the (possibly weighted) shard owns, and a steal
+    file holds only in-range indices its shard does *not* own.  Within a
+    file the first record of an index wins.  An index recorded in more
+    than one file is tolerated when every copy carries the same result
+    (parameters, then objectives or error text; an undecodable copy
+    compares by payload, timestamp aside) and counted in
+    ``duplicates``; conflicting copies raise :class:`StoreCorruptError`.
+    Ownership keeps shard files disjoint, so only a steal file can
+    repeat an index: steal files are read first.  A record that does not
+    decode (a missing key, or a ``p`` that is not its grid index's)
+    waits in its slot, for the caller to raise in grid order; when a
+    shard file repeats a stolen one, the shard file's copy is the one
+    that reports.
     """
     num_shards = manifest["num_shards"]
-    size = manifest["grid_size"]
+    columns = _Columns(manifest)
+    size = columns.size
+    state = columns.state
     sources = [
         (index, count, path, True) for index, count, path in store.steal_files()
     ] + [(index, count, path, False) for index, count, path in store.shard_files()]
-    stolen = {}  # index -> (payload, result) of its first steal-file copy
-    slots = [None] * size
+    # Ordinal (from 1) of the last file that recorded each slot: a repeat
+    # within one file is skipped, a copy in another file is compared.
+    last = array("H", bytes(2 * size))
     duplicates = 0
-    for shard_index, shard_count, path, is_steal in sources:
+    for ordinal, (shard_index, shard_count, path, is_steal) in enumerate(sources, 1):
         if shard_count != num_shards:
             raise StoreMismatchError(
                 f"{path.name} belongs to a /{shard_count} partition but "
                 f"the store was created for /{num_shards}"
             )
-        owned = set(_shard_spec(manifest, shard_index).indices(size))
-        seen = set()  # this steal file's indices so far
+        shard = _shard_spec(manifest, shard_index)
         for index, record in store.iter_records(path):
-            if is_steal and index in owned:
+            inside = 0 <= index < size
+            if is_steal and inside and shard.owns(index):
                 raise StoreCorruptError(
                     f"{path.name} holds grid index {index}, which shard "
                     f"{shard_index}/{shard_count} owns outright — steal "
                     "files may only cover other shards' indices"
                 )
-            if is_steal and not 0 <= index < size:
+            if is_steal and not inside:
                 raise StoreCorruptError(
                     f"{path.name} holds grid index {index}, outside the "
                     f"{size}-point grid"
                 )
-            if not is_steal and index not in owned:
+            if not is_steal and not (inside and shard.owns(index)):
                 raise StoreCorruptError(
                     f"{path.name} holds grid index {index}, which shard "
                     f"{shard_index}/{shard_count} does not own"
                 )
-            if index in seen or slots[index] is not None:
+            if last[index] == ordinal:
                 continue  # a repeat within this file: the first one wins
-            if index in stolen:
-                if stolen[index][0] != record_payload(record):
-                    raise StoreCorruptError(
-                        f"grid index {index} appears in multiple files with "
-                        "conflicting results — the evaluator is not "
-                        "deterministic, or the store mixes studies"
-                    )
-                duplicates += 1
-            if is_steal:
-                seen.add(index)
-                stolen.setdefault(index, (record_payload(record), _decoded(record)))
-            else:
-                slots[index] = _decoded(record)
-    for index, (_, result) in stolen.items():
-        if slots[index] is None:
-            slots[index] = result
-    missing = slots.count(None)
-    if missing:
-        raise IncompleteStoreError(
-            f"store holds {size - missing} of {size} grid points "
-            f"({missing} missing); run the remaining shards "
-            "(see `python -m repro dse-status`)"
-        )
-    return slots, duplicates
-
-
-def _decoded(record):
-    """A record's result, or the error that decoding it raised."""
-    try:
-        return decode_record(record)[1]
-    except StoreCorruptError as exc:
-        return exc
+            last[index] = ordinal
+            if not state[index]:
+                columns.put(index, record)
+                continue
+            if not columns.same(index, record):
+                raise StoreCorruptError(
+                    f"grid index {index} appears in multiple files with "
+                    "conflicting results — the evaluator is not "
+                    "deterministic, or the store mixes studies"
+                )
+            duplicates += 1
+            if state[index] == _BAD and not is_steal:
+                columns.put(index, record)
+    return columns, duplicates
 
 
 def merge_store(store) -> MergeResult:
     """Merge a complete sharded store into the single-process sweep result.
 
-    A pure fold of records: each is decoded into its grid slot as the
-    ledgers stream past, failures are dropped in grid order, and the
-    frontier recomputed — no workload is built, no evaluator runs and no
-    raw record outlives its line.
+    A pure fold of records: each is decoded into its grid slot's columns
+    as the ledgers stream past, a missing index refuses the store, then
+    failures are dropped in grid order and the frontier is recomputed —
+    no workload is built, no evaluator runs, and no raw record outlives
+    its line.
     """
     store = ResultStore(store)
     manifest = store.read_manifest()
     with obs.span("dist_merge"):
-        slots, duplicates = _fold_records(store, manifest)
-        points = []  # grid order, failures dropped
+        columns, duplicates = _fold(store, manifest)
+        size = columns.size
+        missing = columns.state.count(_MISSING)
+        if missing:
+            raise IncompleteStoreError(
+                f"store holds {size - missing} of {size} grid points "
+                f"({missing} missing); run the remaining shards "
+                "(see `python -m repro dse-status`)"
+            )
         dropped = 0
-        for index, result in enumerate(slots):
-            if isinstance(result, StoreCorruptError):
-                raise result
-            if isinstance(result, PointFailure):
-                _drop_failure(index, result)
-                dropped += 1
-                continue
-            points.append(result)
+        for index, state in columns.unscored():
+            if state == _BAD:
+                raise columns.bad[index][1]
+            failure = PointFailure(columns.parameters(index), columns.errors[index])
+            _drop_failure(index, failure)
+            dropped += 1
+        points = columns.points()
         obs.counter("dist_merges").inc()
         if duplicates:
             obs.counter("dist_duplicates_tolerated").inc(duplicates)
         return MergeResult(
-            points=tuple(points),
+            points=points,
             frontier=tuple(pareto_frontier(points)),
             manifest=manifest,
             dropped=dropped,
             duplicates=duplicates,
         )
+
+
+def scored_so_far(store) -> Tuple[GridPoints, int]:
+    """A store's scored points so far and how many indices it recorded.
+
+    The merge's fold with missing slots allowed, for a study still
+    running: failures are skipped silently, and the first record that
+    does not decode, in grid order, raises.
+    """
+    store = ResultStore(store)
+    columns, _ = _fold(store, store.read_manifest())
+    for index, state in columns.unscored():
+        if state == _BAD:
+            raise columns.bad[index][1]
+    return columns.points(), columns.size - columns.state.count(_MISSING)
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,11 @@ once any shard finishes the range.
 
 Workload recipes (`workload spec` dicts) make stores portable across
 hosts: instead of pickling a workload, the manifest records *how to build
-it* (model name, sparsity, seed, ...), and every host reconstructs it
-through the process-wide :mod:`repro.perf` cache — so N shards on one
-machine share a single construction.
+it* (model name, sparsity, seed, ...), and every process reconstructs it
+through its own process-wide :mod:`repro.perf` cache.  A ``dse-fleet``
+supervisor never builds the workload, so each forked shard builds its
+own; only a server's shards, which are threads of one process, share
+one construction.
 """
 
 from __future__ import annotations
@@ -477,8 +479,8 @@ def run_shard(
 ) -> ShardRunResult:
     """Evaluate shard ``K/N`` of ``grid`` into a durable result store.
 
-    Creates (or validates) the store's manifest, loads this shard's
-    existing completion records, and evaluates **only the missing
+    Creates (or validates) the store's manifest, reads which indices
+    this shard's ledger already holds, and evaluates **only the missing
     indices** — re-running after a crash, preemption or deliberate kill
     picks up where the file ends.  Each completed point (or captured
     evaluator failure) is appended and flushed immediately.  Indices a
@@ -552,12 +554,15 @@ def run_shard(
     )
     path = store.shard_path(shard)
     size = grid_size(grid)
-    done = store.load_records(path)
+    done, failed = set(), 0  # this shard's recorded indices and failures
+    for index, record in store.iter_records(path):
+        if index not in done:
+            done.add(index)
+            failed += "err" in record
     coverage = _StealCoverage(store, shard)
     covered = coverage.refresh()
     owned = shard.indices(size)
     todo = [index for index in owned if index not in done and index not in covered]
-    failed = sum(1 for record in done.values() if "err" in record)
     registry = obs.get_registry()
     if registry.enabled and len(owned) > len(todo):
         registry.counter("dist_resume_skips").inc(len(owned) - len(todo))

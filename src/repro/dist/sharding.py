@@ -147,6 +147,15 @@ class ShardSpec:
         own.sort()
         return own
 
+    def owns(self, index: int) -> bool:
+        """Whether non-negative grid ``index`` is this shard's: the
+        residue rule of :meth:`indices`, in O(1) (the caller checks the
+        grid's upper bound)."""
+        if self.weights is None:
+            return index % self.count == self.index - 1
+        first = sum(self.weights[: self.index - 1])
+        return first <= index % sum(self.weights) < first + self.weight
+
     def __str__(self):
         base = f"{self.index}/{self.count}"
         if self.weights is None:

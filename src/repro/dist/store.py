@@ -26,7 +26,7 @@ Design rules, in order of importance:
   final line, which loaders tolerate and resumers simply re-evaluate;
 * **bit-exact round-trip** — objectives and parameters are written with
   Python's shortest-round-trip float repr (what :mod:`json` emits), so a
-  decoded :class:`~repro.harness.dse.DesignPoint` compares equal to the
+  merged :class:`~repro.harness.dse.DesignPoint` compares equal to the
   in-memory one, field for field — merged shard stores reproduce a
   single-process sweep *bit for bit*;
 * **self-describing** — ``MANIFEST.json`` pins the grid, shard count,
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -61,6 +60,7 @@ from ..ledger import (
     StoreError,
     iter_jsonl,
     load_jsonl,
+    make_dirs,
     publish,
 )
 from ..sim.evaluator import check_evaluator_name, evaluator_spec
@@ -75,7 +75,6 @@ __all__ = [
     "JsonlAppender",
     "load_jsonl",
     "encode_record",
-    "decode_record",
     "record_payload",
     "build_manifest",
     "config_to_dict",
@@ -109,7 +108,7 @@ def encode_record(index: int, result, timestamp=None, retries: int = 0) -> dict:
     ``i`` grid index, ``p`` parameters as ``[name, value]`` pairs, then
     either ``s``/``e``/``a`` (seconds, energy, area proxy) or ``err``,
     plus ``t`` — the unix completion time (``timestamp`` overrides the
-    clock; progress metadata only, ignored by :func:`decode_record`, so
+    clock; progress metadata only, ignored by the merge, so
     :func:`repro.dist.store_status` can derive per-shard throughput and
     ETA without affecting the bit-exact merge).  ``retries`` > 0 adds an
     ``r`` key — how many transient-failure re-evaluations this point
@@ -136,28 +135,6 @@ def encode_record(index: int, result, timestamp=None, retries: int = 0) -> dict:
         record["r"] = int(retries)
     record["t"] = time.time() if timestamp is None else float(timestamp)
     return record
-
-
-def decode_record(record: dict):
-    """Inverse of :func:`encode_record`: ``(index, DesignPoint|PointFailure)``."""
-    try:
-        index = int(record["i"])
-        # One shared string per knob name, not one per record.
-        parameters = tuple(
-            (sys.intern(str(name)), value) for name, value in record["p"]
-        )
-        if "err" in record:
-            return index, PointFailure(parameters=parameters, error=str(record["err"]))
-        return index, DesignPoint(
-            parameters=parameters,
-            seconds=record["s"],
-            energy_joules=record["e"],
-            area_proxy=record["a"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreCorruptError(
-            f"malformed completion record {record!r}: {exc}"
-        ) from None
 
 
 def record_payload(record: dict) -> dict:
@@ -272,8 +249,9 @@ class ResultStore:
         """Create the store for ``manifest``, or verify it already matches;
         True if this call published the manifest.
 
-        The first caller to run creates the directory and *exclusively*
-        publishes the manifest (:func:`repro.ledger.publish`: nobody reads
+        The first caller to run creates the directory (durably, with
+        :func:`repro.ledger.make_dirs`) and *exclusively* publishes the
+        manifest (:func:`repro.ledger.publish`: nobody reads
         a half-written one, and a creator that loses the race reads the
         winner's); every later caller — another shard process, possibly
         on another host, or a concurrent job submission in the serve
@@ -283,7 +261,7 @@ class ResultStore:
         *different* settings resolve to one study plus one loud
         :class:`StoreMismatchError` — never to a silently mixed store.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.root)
         # JSON round-trip first so tuples/lists and int/float unify the
         # same way they will when read back.
         expected = json.loads(json.dumps(manifest, sort_keys=True, allow_nan=False))

@@ -19,7 +19,9 @@ order in this process, under two drivers:
   points of any subset of grid indices, lazily.
 
 :func:`pareto_frontier` is THE non-dominated-set rule: every result's
-frontier comes from it.
+frontier comes from it.  A merged study keeps its points as columns
+(:class:`GridPoints`), since a point's parameters are a pure function of
+its grid index.
 
 *What* scores a point is pluggable (:mod:`repro.sim.evaluator`):
 ``"analytical"`` (the default closed-form model), ``"cycle"`` (the
@@ -44,6 +46,8 @@ single-process sweep bit for bit.
 
 from __future__ import annotations
 
+import collections.abc
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import islice, product
@@ -64,6 +68,7 @@ from ..sim.evaluator import (
 
 __all__ = [
     "DesignPoint",
+    "GridPoints",
     "PointFailure",
     "check_grid",
     "grid_size",
@@ -113,6 +118,78 @@ class PointFailure:
     #: sharded runners re-evaluate transient failures under a backoff
     #: budget before persisting anything.
     transient: bool = False
+
+
+class GridPoints(collections.abc.Sequence):
+    """A grid's scored points, kept as float64 columns by grid slot.
+
+    A point's parameters are a pure function of its grid index, so only
+    its objectives are stored: ``seconds``, ``energy_joules`` and
+    ``area_proxy`` each hold one float per grid slot (``array('d')``), and
+    ``scored`` one byte per slot, nonzero where the slot holds a scored
+    point.  Each :class:`DesignPoint` is rebuilt when it is read, in grid
+    order with unscored slots skipped, and equals the one the sweep made
+    field for field (:func:`repro.dist.merge_store` builds these; compare
+    ``list(points)``, as the sequence itself has no ``==``).  ``grid``
+    maps each knob to its values, as a checked grid or a store manifest
+    holds it.
+    """
+
+    def __init__(self, grid, scored, seconds, energy_joules, area_proxy):
+        self._grid = grid
+        self._names = sorted(grid)
+        # One shared (name, value) pair per grid value: a point's
+        # parameters are a tuple of these, as ``product`` yields them.
+        self._axes = [[(name, value) for value in grid[name]] for name in self._names]
+        self._scored = scored
+        self._columns = {
+            "seconds": seconds,
+            "energy_joules": energy_joules,
+            "area_proxy": area_proxy,
+        }
+        self._length = len(scored) - scored.count(0)
+        self._positions = None  # grid index per position, on first indexing
+
+    def __len__(self):
+        return self._length
+
+    def _slots(self):
+        return zip(product(*self._axes), self._scored, *self._columns.values())
+
+    def indexed(self):
+        """Each scored ``(grid index, DesignPoint)``, in grid order."""
+        for index, (parameters, scored, *objectives) in enumerate(self._slots()):
+            if scored:
+                yield index, DesignPoint(parameters, *objectives)
+
+    def __iter__(self):  # indexed() without the index: a render's hot loop
+        for parameters, scored, seconds, energy, area in self._slots():
+            if scored:
+                yield DesignPoint(parameters, seconds, energy, area)
+
+    def __getitem__(self, position):
+        position = operator.index(position)
+        if position < 0:
+            position += self._length
+        if not 0 <= position < self._length:
+            raise IndexError("GridPoints index out of range")
+        if self._positions is None:
+            self._positions = np.flatnonzero(np.frombuffer(self._scored, np.uint8))
+        index = int(self._positions[position])
+        values = _decode_grid_index(self._grid, self._names, index)
+        return DesignPoint(
+            tuple(zip(self._names, values)),
+            *(column[index] for column in self._columns.values()),
+        )
+
+    def column(self, name) -> np.ndarray:
+        """One float64 value of field ``name`` per point, in grid order."""
+        if name not in self._columns:
+            return np.fromiter(
+                (getattr(point, name) for point in self), np.float64, self._length
+            )
+        scored = np.frombuffer(self._scored, np.uint8).astype(bool)
+        return np.frombuffer(self._columns[name], np.float64)[scored]
 
 
 def _evaluate_chunk(workload, base_config, names, chunk, evaluator):
@@ -424,7 +501,8 @@ def pareto_frontier(
     """Non-dominated subset under two minimise-objectives.
 
     Runs in O(n log n) via a sort and a prefix-minimum scan.  Points are
-    returned in input order.
+    returned in input order.  :class:`GridPoints` give their objective
+    columns as they are, without rebuilding a point.
     """
     if len(objectives) != 2:
         raise ValueError(
@@ -432,12 +510,15 @@ def pareto_frontier(
         )
     if not points:
         return []
-    values = np.array(
-        [[getattr(p, obj) for obj in objectives] for p in points],
-        dtype=np.float64,
-    )
+    if isinstance(points, GridPoints):
+        values = np.column_stack([points.column(name) for name in objectives])
+    else:
+        values = np.array(
+            [[getattr(p, obj) for obj in objectives] for p in points],
+            dtype=np.float64,
+        )
     keep = _pareto_mask_sorted_2d(values)
-    return [p for p, k in zip(points, keep) if k]
+    return [points[i] for i in np.flatnonzero(keep)]
 
 
 def sensitivity(

@@ -7,11 +7,55 @@ bytes.
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 
-__all__ = ["dse_result_payload", "iter_json", "to_json"]
+__all__ = ["LazyArray", "dse_result_payload", "flag_frontier", "iter_json", "to_json"]
+
+
+class LazyArray(tuple):
+    """A sequence whose items are built one at a time as they are read.
+
+    ``build`` returns a fresh iterator over the ``length`` items, and
+    each pass calls it again, so no item outlives its use: the table
+    reads its rows twice and keeps neither.  A ``tuple`` only so that
+    :func:`iter_json` encodes it as an array: it offers ``len`` and
+    iteration, and its own storage stays empty, so indexing, comparing
+    or ``json.dumps`` without an indent see no items (``list()`` it
+    first).
+    """
+
+    def __new__(cls, build, length):
+        array = super().__new__(cls)
+        array._build, array._length = build, length
+        return array
+
+    def __len__(self):
+        return self._length
+
+    def __iter__(self):
+        return self._build()
+
+
+def flag_frontier(points, frontier):
+    """Each point with whether it is on ``frontier``, flagged by position.
+
+    ``frontier`` is a subsequence of ``points`` in their order, as
+    :func:`~repro.harness.dse.pareto_frontier` returns it, so one walk
+    over both flags the position where the next frontier point occurs.
+    Points compare by value, so a merge's rebuilt frontier flags the
+    positions its very objects would; equal points are on the frontier
+    together or not at all, so a tie cannot shift a flag.
+    """
+    ahead = iter(frontier)
+    target = next(ahead, None)
+    for point in points:
+        pareto = point == target
+        if pareto:
+            target = next(ahead, None)
+        yield point, pareto
 
 
 def dse_result_payload(
@@ -25,30 +69,34 @@ def dse_result_payload(
     served over HTTP reproduce the single-process sweep's JSON **byte
     for byte** (``to_json`` of equal payloads is identical text: keys
     are sorted and floats round-trip through the shortest repr).
-    ``frontier``, when a caller already holds ``pareto_frontier(points)``
-    (a merge does), flags those same point objects instead of running
-    the rule again.
+    ``points`` is a sequence (a list, or a merge's
+    :class:`~repro.harness.dse.GridPoints`); each point's dict is built
+    when the encoder (or the CLI's table) reads it, and no other copy
+    of the points is made.  ``frontier``, when a caller already holds
+    ``pareto_frontier(points)`` (a merge does), is used instead of
+    running the rule again; see :func:`flag_frontier`.
     """
     from .dse import pareto_frontier
 
     if frontier is None:
         frontier = pareto_frontier(points)
-    on_front = set(map(id, frontier))
+
+    def point_dicts():
+        for point, pareto in flag_frontier(points, frontier):
+            yield {
+                "parameters": dict(point.parameters),
+                "seconds": point.seconds,
+                "energy_joules": point.energy_joules,
+                "edp": point.edp,
+                "pareto": pareto,
+            }
+
     return {
         "model": model,
         "sparsity": sparsity,
         "evaluator": evaluator_name,
         "grid": {name: list(values) for name, values in grid.items()},
-        "points": [
-            {
-                "parameters": dict(point.parameters),
-                "seconds": point.seconds,
-                "energy_joules": point.energy_joules,
-                "edp": point.edp,
-                "pareto": id(point) in on_front,
-            }
-            for point in points
-        ],
+        "points": LazyArray(point_dicts, len(points)),
     }
 
 
@@ -68,5 +116,11 @@ def iter_json(payload, indent=2):
 
 
 def to_json(payload, indent=2) -> str:
-    """JSON-dump any harness result (numpy types handled)."""
-    return "".join(iter_json(payload, indent))
+    """JSON-dump any harness result (numpy types handled).
+
+    The chunks go into one buffer as they come, not into a list of them.
+    """
+    text = io.StringIO()
+    for chunk in iter_json(payload, indent):
+        text.write(chunk)
+    return text.getvalue()

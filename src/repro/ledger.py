@@ -18,7 +18,10 @@ Every file the DSE stack must not lose is written here, and only here:
   and the directory entry after;
 * **removals** — :func:`remove` deletes a released steal claim or a
   retried job's ``error.json`` durably: the directory is fsynced once
-  the name is gone, so no later durable step can outlive the removal.
+  the name is gone, so no later durable step can outlive the removal;
+* **directories** — :func:`make_dirs` creates a store's directory and
+  its missing parents, fsyncing each new entry into its parent, so a
+  published manifest is never reachable only through a lost name.
 
 The write-path hooks of :mod:`repro.faults` (``torn_write``,
 ``fsync_error``, ``kill``) fire here.  Imports are the standard library
@@ -44,6 +47,7 @@ __all__ = [
     "append_once",
     "iter_jsonl",
     "load_jsonl",
+    "make_dirs",
     "publish",
     "remove",
 ]
@@ -231,6 +235,30 @@ def remove(path) -> bool:
         return False
     _fsync_dir(path.parent)
     return True
+
+
+def make_dirs(directory):
+    """Create ``directory`` and its missing parents, durably.
+
+    Each directory this call makes is fsynced into its parent before
+    the next one is made, so its name survives a power loss along with
+    anything later published inside it.  One another process made
+    between the check and the ``mkdir`` is fsynced the same way, as the
+    files inside are about to depend on it.  Existing directories cost
+    no fsync.
+    """
+    missing = []
+    directory = Path(directory)
+    while not directory.is_dir():
+        missing.append(directory)
+        directory = directory.parent
+    for directory in reversed(missing):
+        try:
+            directory.mkdir()
+        except FileExistsError:
+            if not directory.is_dir():
+                raise
+        _fsync_dir(directory.parent)
 
 
 def _fsync_dir(directory: Path):

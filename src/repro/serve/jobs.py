@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import obs
-from ..dist.merge import merge_store, store_status
+from ..dist.merge import merge_store, scored_so_far, store_status
 from ..ledger import iter_jsonl, publish, remove
 from ..obs.events import EventLog
 from ..dist.runner import (
@@ -68,10 +68,9 @@ from ..dist.store import (
     StoreError,
     build_manifest,
     config_from_dict,
-    decode_record,
 )
-from ..harness.dse import PointFailure, check_grid
-from ..harness.serialization import dse_result_payload, to_json
+from ..harness.dse import check_grid
+from ..harness.serialization import LazyArray, dse_result_payload, to_json
 from ..hw.params import VITCOD_DEFAULT
 from ..sim.evaluator import check_swept_knobs, evaluator_from_spec
 from .cache import ResultCache, study_fingerprint
@@ -810,31 +809,25 @@ class JobManager:
             job = self._read(job_id)
         if job.state == "failed":
             raise JobFailedError(job.error or "job failed")
-        store = ResultStore(job.store_root)
-        records = {}
-        for _, _, path in store.shard_files():
-            records.update(store.load_records(path))
-        points = []
-        for index in sorted(records):
-            _, result = decode_record(records[index])
-            if isinstance(result, PointFailure):
-                continue
-            points.append(
-                {
+        points, recorded = scored_so_far(job.store_root)
+
+        def point_dicts():
+            for index, point in points.indexed():
+                yield {
                     "index": index,
-                    "parameters": dict(result.parameters),
-                    "seconds": result.seconds,
-                    "energy_joules": result.energy_joules,
-                    "edp": result.edp,
+                    "parameters": dict(point.parameters),
+                    "seconds": point.seconds,
+                    "energy_joules": point.energy_joules,
+                    "edp": point.edp,
                 }
-            )
+
         payload = {
             "partial": True,
             "state": job.state,
             "evaluator": job.manifest["evaluator"]["name"],
             "grid_size": job.grid_size,
-            "done": len(records),
-            "points": points,
+            "done": recorded,
+            "points": LazyArray(point_dicts, len(points)),
         }
         return to_json(payload), True
 

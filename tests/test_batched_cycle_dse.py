@@ -429,7 +429,7 @@ class TestDistShards:
                       evaluator=PerPoint(CycleSimEvaluator()))
         batched = merge_store(tmp_path / "batched")
         per_point = merge_store(tmp_path / "per_point")
-        assert batched.points == per_point.points
+        assert list(batched.points) == list(per_point.points)
         assert batched.frontier == per_point.frontier
         reference = sweep_design_space(
             small_workload, grid, evaluator=ReferenceCycleSimEvaluator()

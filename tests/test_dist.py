@@ -21,7 +21,6 @@ from repro.dist import (
     build_manifest,
     config_from_dict,
     config_to_dict,
-    decode_record,
     encode_record,
     merge_store,
     model_workload_spec,
@@ -40,6 +39,7 @@ from repro.hw.params import VITCOD_DEFAULT, HardwareConfig
 from repro.perf import cached_model_workload
 from repro.sim.evaluator import AnalyticalEvaluator
 
+from merge_oracle import decode_record
 from per_point import PerPoint
 
 GRID = {"mac_lines": (16, 32, 64), "ae_compression": (None, 0.5)}

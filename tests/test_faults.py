@@ -20,7 +20,6 @@ import repro
 from repro.dist import (
     ResultStore,
     ShardSpec,
-    decode_record,
     encode_record,
     merge_store,
     model_workload_spec,
@@ -48,6 +47,8 @@ from repro.sim.evaluator import (
     evaluator_from_spec,
     evaluator_spec,
 )
+
+from merge_oracle import decode_record
 
 GRID = {"mac_lines": (16, 32, 64), "ae_compression": (None, 0.5)}
 SPEC = model_workload_spec("deit-tiny", sparsity=0.9)

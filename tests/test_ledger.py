@@ -21,6 +21,7 @@ from repro.ledger import (
     JsonlAppender,
     StoreCorruptError,
     load_jsonl,
+    make_dirs,
     publish,
     remove,
 )
@@ -265,3 +266,31 @@ class TestRemove:
     def test_removing_nothing_costs_no_fsync(self, tmp_path, fsyncs):
         assert remove(tmp_path / "error.json") is False
         assert fsyncs == []
+
+
+class TestMakeDirs:
+    def test_each_new_directory_is_fsynced_into_its_parent(
+            self, tmp_path, monkeypatch):
+        """Parents first, each fsynced once it holds the new entry."""
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(sorted(os.listdir(fd)))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        make_dirs(tmp_path / "jobs" / "abc" / "store")
+        assert (tmp_path / "jobs" / "abc" / "store").is_dir()
+        assert synced == [["jobs"], ["abc"], ["store"]]
+
+    def test_existing_directories_cost_no_fsync(self, tmp_path, fsyncs):
+        make_dirs(tmp_path)
+        (tmp_path / "store").mkdir()
+        make_dirs(tmp_path / "store")
+        assert fsyncs == []
+
+    def test_a_file_in_the_way_raises(self, tmp_path):
+        (tmp_path / "store").write_text("")
+        with pytest.raises(FileExistsError):
+            make_dirs(tmp_path / "store" / "logs")

@@ -298,8 +298,9 @@ class TestJobIsItsStore:
         assert manifest["num_shards"] == info["n_shards"] == 2
         assert manifest["grid_size"] == info["grid_size"] == 6
 
-    def test_a_fresh_study_makes_twelve_fsyncs(self, tmp_path, monkeypatch):
-        """Manifest 2 (file, directory), events 7, ledger close 1,
+    def test_a_fresh_study_makes_fourteen_fsyncs(self, tmp_path, monkeypatch):
+        """Job and store directories 2 (``jobs/``, ``jobs/<id>/``),
+        manifest 2 (file, directory), events 7, ledger close 1,
         ``result.json`` 2: a second published record would add two."""
         manager = JobManager(tmp_path, workers=0)
         calls = []
@@ -317,8 +318,30 @@ class TestJobIsItsStore:
         _drain(manager)
         monkeypatch.undo()
         assert manager.status(info["id"])["state"] == "done"
-        assert len(calls) == 12
+        assert len(calls) == 14
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="names fsynced descriptors through /proc")
+    def test_a_new_job_directory_is_durable_before_the_reply(
+            self, tmp_path, monkeypatch):
+        """By the time ``submit`` returns, ``jobs/`` holds ``<id>`` and
+        ``<id>/`` holds ``store`` durably: both directories were fsynced,
+        before the manifest inside was published."""
+        manager = JobManager(tmp_path, workers=0)
+        synced = []
+        real = os.fsync
+
+        def fsync(fd):
+            synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        info = manager.submit(_request())
+        monkeypatch.undo()
+        jobs = tmp_path.resolve() / "jobs"
+        root, store = jobs / info["id"], jobs / info["id"] / "store"
+        assert synced[:2] == [str(jobs), str(root)]
+        assert synced.index(str(store)) > 1  # the manifest's publish
     def test_the_listing_order_survives_a_restart(self, tmp_path):
         """``GET /jobs`` lists jobs by their ``submitted`` event, which
         is on disk, so a restarted server lists them the same way."""

@@ -181,6 +181,16 @@ def roots_served():
                 client.raw_results(job)
                 client.events(job)
             client.submit({**base, "evaluator": "analytical"})
+            # A running job's partial document: of its two shards, the
+            # first to score hangs a second while the other records.
+            hang = {"name": "analytical", "faults": {"evaluator_hang_s": 1.0}}
+            job = client.submit({**base, "evaluator": hang})["id"]
+            status = client.status(job)
+            while not status["scored"] and status["state"] not in ("done", "failed"):
+                time.sleep(0.02)
+                status = client.status(job)
+            client.raw_results(job)
+            client.wait(job, poll=0.05)
             client.jobs()
             client.metrics_text()
             try:
