@@ -32,9 +32,10 @@ missing indices of slower shards — see :mod:`repro.dist`):
     python -m repro dse-shard --shard 1/3@4,1,1 --out store/ --steal
 
 Chaos-ready operation (see :mod:`repro.faults` and :mod:`repro.dist.fleet`):
-a supervisor forks N shards from its own process (each runs ``dse-shard``
-without starting an interpreter) and keeps them alive under crashes and
-hangs, and a seeded fault plan makes failures reproducible:
+a supervisor checks the ``dse-shard`` options once, forks N shards from
+its own process (each calls the function ``dse-shard`` runs, with its
+own shard, and starts no interpreter) and keeps them alive under crashes
+and hangs, and a seeded fault plan makes failures reproducible:
 
     python -m repro dse-fleet --out store/ --num-shards 3 --steal \\
         --faults '{"seed": 7, "evaluator_error_rate": 0.1}'
@@ -59,29 +60,7 @@ from .harness.serialization import to_json
 from .ledger import StoreError
 from .sim.evaluator import check_swept_knobs, evaluator_names
 
-__all__ = ["main", "build_parser"]
-
-EXPERIMENTS = {
-    "fig1": "accuracy/BLEU vs sparsity curves",
-    "fig3": "roofline analysis",
-    "fig4": "FLOPs + EdgeGPU latency breakdowns",
-    "fig8": "attention-map polarization metrics",
-    "fig15": "speedups over the five baselines",
-    "fig17": "accuracy vs attention latency",
-    "fig19": "latency breakdown + energy",
-    "table1": "accelerator taxonomy",
-    "ablation": "pruning vs reordering",
-    "nlp": "NLP comparison vs Sanger",
-    "roofline": "alias of fig3 with ASCII plot",
-    "polarize": "run Algorithm 1 and draw the mask",
-    "dse": "design-space sweep + Pareto frontier",
-    "dse-shard": "evaluate one K/N shard of a sweep into a result store",
-    "dse-fleet": "fork and supervise N dse-shard children (crash/hang "
-                 "relaunch with backoff)",
-    "dse-merge": "merge a sharded store into the full sweep + frontier",
-    "dse-status": "per-shard progress of a sharded sweep store",
-    "serve": "run the HTTP DSE job service over a durable data dir",
-}
+__all__ = ["COMMANDS", "main", "build_parser"]
 
 #: Default grid of the ``dse`` command (overridable with ``--grid``).
 DEFAULT_DSE_GRID = {
@@ -140,34 +119,12 @@ def _sweep_grid(args):
     return grid
 
 
-def _check_shard_options(args):
-    """Every ``dse-shard`` option, checked once with one line on failure:
-    by ``dse-shard`` before it reads its store, by ``dse-fleet`` before
-    it forks a shard."""
-    from .dist import ShardSpec
-
-    if args.shard is not None:
-        try:
-            ShardSpec.parse(args.shard)
-        except ValueError as exc:
-            raise SystemExit(f"--shard: {exc}") from None
-    if args.steal_chunk is not None and args.steal_chunk < 1:
-        raise SystemExit("--steal-chunk must be a positive index count, "
-                         f"got {args.steal_chunk}")
-    if args.handicap < 0:
-        raise SystemExit(f"--handicap must be non-negative seconds, got "
-                         f"{args.handicap}")
-    if args.max_point_retries is not None and args.max_point_retries < 0:
-        raise SystemExit(f"--max-point-retries must be >= 0, got "
-                         f"{args.max_point_retries}")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ViTCoD (HPCA 2023) reproduction experiment runner",
     )
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["list"],
+    parser.add_argument("experiment", choices=[*_experiments(), "list"],
                         help="experiment to run")
     parser.add_argument("store", nargs="?", default=None,
                         help="dse-merge/dse-status: result-store directory")
@@ -285,37 +242,6 @@ def build_parser():
     return parser
 
 
-def _load_fault_plan(arg):
-    """Parse ``--faults`` (inline JSON object, or a path to one).
-
-    Returns the validated spec dict, or None when the flag was absent.
-    Validation failures surface as :class:`SystemExit` with the plan
-    field that was wrong, before any evaluator or store work starts.
-    """
-    if not arg:
-        return None
-    import json
-
-    from .faults import FaultPlanError, plan_from_spec
-
-    text = arg
-    if not arg.lstrip().startswith("{"):
-        try:
-            with open(arg) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SystemExit(f"--faults: cannot read {arg!r}: {exc}")
-    try:
-        spec = json.loads(text)
-    except ValueError as exc:
-        raise SystemExit(f"--faults: invalid JSON: {exc}")
-    try:
-        plan_from_spec(spec)
-    except FaultPlanError as exc:
-        raise SystemExit(f"--faults: {exc}")
-    return spec
-
-
 def _format_eta(eta_seconds):
     """Compact human ETA: ``-`` done, ``?`` unknown, else h/m/s."""
     if eta_seconds is None:
@@ -400,209 +326,281 @@ def _dse_result(model, sparsity, evaluator_name, grid, points, json_path,
         _write_json(json_path, iter_json(payload))
 
 
-def _run(args):
-    models = tuple(args.models) if args.models else harness.DEFAULT_MODELS
-    name = args.experiment
-    if args.store is not None and name not in ("dse-shard", "dse-fleet",
-                                               "dse-merge", "dse-status"):
+def _fields(report, names):
+    """``{name: report.name}`` for each of the space-separated ``names``:
+    a report's ``--json`` (``to_json`` sorts the keys)."""
+    return {name: getattr(report, name) for name in names.split()}
+
+
+def _models(args):
+    """``--models``, or the paper's six DeiT/LeViT models."""
+    return tuple(args.models) if args.models else harness.DEFAULT_MODELS
+
+
+def _model(args):
+    """The one model a DSE study runs on: ``--models``' first."""
+    return args.models[0] if args.models else "deit-tiny"
+
+
+def _evaluator(args):
+    """``--evaluator``, wrapped in the ``--faults`` plan (an inline JSON
+    object, or a path to one) if there is one.
+
+    A plan that does not read, parse or validate exits with one line
+    naming what was wrong, before any evaluator or store work starts.
+    """
+    if not args.faults:
+        return args.evaluator
+    import json
+
+    from .faults import FaultPlanError, FaultyEvaluator
+
+    text = args.faults
+    if not text.lstrip().startswith("{"):
+        try:
+            with open(text) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SystemExit(f"--faults: cannot read {args.faults!r}: {exc}")
+    try:
+        spec = json.loads(text)
+    except ValueError as exc:
+        raise SystemExit(f"--faults: invalid JSON: {exc}")
+    try:
+        return FaultyEvaluator(args.evaluator, spec)
+    except FaultPlanError as exc:
+        raise SystemExit(f"--faults: {exc}")
+
+
+def _list(args):
+    for name in _experiments():
+        print(f"{name:10s} {COMMANDS[name][0]}")
+
+
+def _serve(args):
+    from .serve import run_server
+
+    if not args.data_dir:
+        raise SystemExit("serve requires --data-dir DIR (durable job "
+                         "state lives there)")
+    if args.serve_workers < 1:
         raise SystemExit(
-            f"unexpected positional argument {args.store!r}: only the "
-            "dse-shard/dse-fleet/dse-merge/dse-status commands take a "
-            "store directory"
+            f"--serve-workers must be >= 1, got {args.serve_workers}"
         )
-    if args.batch_size is not None and args.batch_size < 1:
+    if args.max_pending < 1:
         raise SystemExit(
-            f"--batch-size must be a positive point count, got "
-            f"{args.batch_size}"
+            f"--max-pending must be >= 1, got {args.max_pending}"
         )
-    if name == "list":
-        for key in sorted(EXPERIMENTS):
-            print(f"{key:10s} {EXPERIMENTS[key]}")
-        return None
+    if args.task_timeout is not None and args.task_timeout <= 0:
+        raise SystemExit(
+            f"--task-timeout must be positive seconds, got "
+            f"{args.task_timeout}"
+        )
+    if args.task_retries < 0:
+        raise SystemExit(
+            f"--task-retries must be >= 0, got {args.task_retries}"
+        )
+    run_server(args.data_dir, host=args.host, port=args.port,
+               workers=args.serve_workers, verbose=args.verbose,
+               max_pending=args.max_pending,
+               task_timeout=args.task_timeout,
+               task_retries=args.task_retries)
 
-    if name == "serve":
-        from .serve import run_server
-        if not args.data_dir:
-            raise SystemExit("serve requires --data-dir DIR (durable job "
-                             "state lives there)")
-        if args.serve_workers < 1:
-            raise SystemExit(
-                f"--serve-workers must be >= 1, got {args.serve_workers}"
-            )
-        if args.max_pending < 1:
-            raise SystemExit(
-                f"--max-pending must be >= 1, got {args.max_pending}"
-            )
-        if args.task_timeout is not None and args.task_timeout <= 0:
-            raise SystemExit(
-                f"--task-timeout must be positive seconds, got "
-                f"{args.task_timeout}"
-            )
-        if args.task_retries < 0:
-            raise SystemExit(
-                f"--task-retries must be >= 0, got {args.task_retries}"
-            )
-        run_server(args.data_dir, host=args.host, port=args.port,
-                   workers=args.serve_workers, verbose=args.verbose,
-                   max_pending=args.max_pending,
-                   task_timeout=args.task_timeout,
-                   task_retries=args.task_retries)
-        return None
 
-    if name == "fig1":
-        result = harness.fig1_accuracy_sparsity()
-        print(harness.format_table(
-            ["sparsity"] + list(result["curves"]),
-            [[s] + [result["curves"][c][i] for c in result["curves"]]
-             for i, s in enumerate(result["sparsities"])],
-        ))
-        return result
+def _fig1(args):
+    result = harness.fig1_accuracy_sparsity()
+    print(harness.format_table(
+        ["sparsity"] + list(result["curves"]),
+        [[s] + [result["curves"][c][i] for c in result["curves"]]
+         for i, s in enumerate(result["sparsities"])],
+    ))
+    return result
 
-    if name in ("fig3", "roofline"):
-        result = harness.fig3_roofline()
-        from .roofline import sddmm_roofline_points
-        from .viz import render_roofline
-        print(render_roofline(sddmm_roofline_points()))
-        print(f"\nridge: {result['ridge_ops_per_byte']:.2f} Ops/Byte")
-        return result
 
-    if name == "fig4":
-        result = harness.fig4_breakdown(models=models)
-        print(harness.format_table(
-            ["model", "SA latency frac", "core frac of SA", "MLP FLOPs frac"],
-            [[r["model"], r["sa_latency_fraction"], r["core_fraction_of_sa"],
-              r["flops_fraction"]["mlp"]] for r in result],
-        ))
-        return result
+def _fig3(args):
+    from .roofline import sddmm_roofline_points
+    from .viz import render_roofline
 
-    if name == "fig8":
-        result = harness.fig8_polarization(sparsity=args.sparsity)
-        print(f"mean polarization: {result['mean_polarization']:.3f}")
-        return result
+    result = harness.fig3_roofline()
+    print(render_roofline(sddmm_roofline_points()))
+    print(f"\nridge: {result['ridge_ops_per_byte']:.2f} Ops/Byte")
+    return result
 
-    if name == "fig15":
-        result = harness.fig15_speedups(sparsity=args.sparsity, models=models,
-                                        end_to_end=args.end_to_end)
-        baselines = list(result["mean"])
-        rows = [
-            [m] + [result["per_model"][m][b] for b in baselines]
-            for m in result["per_model"]
-        ]
-        rows.append(["MEAN"] + [result["mean"][b] for b in baselines])
-        print(harness.format_table(["model"] + baselines, rows,
-                                   float_fmt="{:.1f}"))
-        return result
 
-    if name == "fig17":
-        result = harness.fig17_accuracy_latency(models=models,
-                                                sparsity=args.sparsity)
-        print(harness.format_table(
-            ["model", "latency reduction", "accuracy drop"],
-            [[r["model"], r["latency_reduction"],
-              r["dense_accuracy"] - r["vitcod_accuracy"]] for r in result],
-        ))
-        return result
+def _fig4(args):
+    result = harness.fig4_breakdown(models=_models(args))
+    print(harness.format_table(
+        ["model", "SA latency frac", "core frac of SA", "MLP FLOPs frac"],
+        [[r["model"], r["sa_latency_fraction"], r["core_fraction_of_sa"],
+          r["flops_fraction"]["mlp"]] for r in result],
+    ))
+    return result
 
-    if name == "fig19":
-        result = harness.fig19_breakdown_energy(models=models)
-        from .viz import render_breakdown
-        for design, fr in result["mean_breakdown_at_max_sparsity"].items():
-            print(f"{design:14s}", render_breakdown(fr))
-        print(f"\nS&C vs Sanger: {result['speedup_sc_only_vs_sanger']:.2f}x; "
-              f"AE on top: {result['speedup_ae_on_top']:.2f}x; "
-              "energy eff vs Sanger: "
-              f"{result['energy_efficiency_vs_sanger']:.2f}x")
-        return result
 
-    if name == "table1":
-        result = harness.table1_taxonomy()
-        print(harness.format_table(
-            ["accelerator", "field", "dataflow", "pattern", "codesign"],
-            [[r["accelerator"], r["field"], r["dataflow"], r["pattern"],
-              "yes" if r["codesign"] else "no"] for r in result],
-        ))
-        return result
+def _fig8(args):
+    result = harness.fig8_polarization(sparsity=args.sparsity)
+    print(f"mean polarization: {result['mean_polarization']:.3f}")
+    return result
 
-    if name == "ablation":
-        result = harness.ablation_prune_reorder()
-        print(harness.format_table(
-            ["sparsity", "pruning benefit", "reordering benefit"],
-            [[r["sparsity"], r["pruning_benefit"], r["reordering_benefit"]]
-             for r in result["rows"]],
-        ))
-        return result
 
-    if name == "nlp":
-        result = harness.nlp_comparison()
-        print(harness.format_table(
-            ["sparsity", "speedup vs Sanger", "fixed-mask BLEU drop"],
-            [[r["sparsity"], r["speedup_vs_sanger"],
-              r["fixed_mask_bleu_drop"]] for r in result],
-        ))
-        return result
+def _fig15(args):
+    result = harness.fig15_speedups(sparsity=args.sparsity,
+                                    models=_models(args),
+                                    end_to_end=args.end_to_end)
+    baselines = list(result["mean"])
+    rows = [
+        [m] + [result["per_model"][m][b] for b in baselines]
+        for m in result["per_model"]
+    ]
+    rows.append(["MEAN"] + [result["mean"][b] for b in baselines])
+    print(harness.format_table(["model"] + baselines, rows,
+                               float_fmt="{:.1f}"))
+    return result
 
-    if name == "dse":
-        from . import obs
-        from .harness.dse import sweep_design_space
-        from .perf import cached_model_workload
-        model = args.models[0] if args.models else "deit-tiny"
-        grid = _sweep_grid(args)
-        evaluator = args.evaluator
-        faults = _load_fault_plan(args.faults)
-        if faults is not None:
-            # Serial sweeps have no retry layer: transient injected
-            # failures surface as dropped points (the dist runner is
-            # the path that heals them).
-            from .faults import FaultyEvaluator
-            evaluator = FaultyEvaluator(evaluator, faults)
-        # --trace installs a span collector on the default registry for
-        # the sweep's duration; tracing observes only — the JSON result
-        # stays byte-identical with and without it.
-        tracer = obs.tracing(path=args.trace) if args.trace else None
-        with tracer if tracer is not None else contextlib.nullcontext():
-            with obs.span("dse_workload", model=model):
-                workload = cached_model_workload(model, sparsity=args.sparsity)
-            points = sweep_design_space(
-                workload, grid, evaluator=evaluator,
-                chunksize=args.batch_size,
-            )
-        if args.trace:
-            print(f"wrote Chrome trace {args.trace} (load in Perfetto)",
-                  file=sys.stderr)
-        return _dse_result(model, args.sparsity, args.evaluator, grid,
-                           points, args.json)
 
-    if name == "dse-shard":
+def _fig17(args):
+    result = harness.fig17_accuracy_latency(models=_models(args),
+                                            sparsity=args.sparsity)
+    print(harness.format_table(
+        ["model", "latency reduction", "accuracy drop"],
+        [[r["model"], r["latency_reduction"],
+          r["dense_accuracy"] - r["vitcod_accuracy"]] for r in result],
+    ))
+    return result
+
+
+def _fig19(args):
+    from .viz import render_breakdown
+
+    result = harness.fig19_breakdown_energy(models=_models(args))
+    for design, fr in result["mean_breakdown_at_max_sparsity"].items():
+        print(f"{design:14s}", render_breakdown(fr))
+    print(f"\nS&C vs Sanger: {result['speedup_sc_only_vs_sanger']:.2f}x; "
+          f"AE on top: {result['speedup_ae_on_top']:.2f}x; "
+          "energy eff vs Sanger: "
+          f"{result['energy_efficiency_vs_sanger']:.2f}x")
+    return result
+
+
+def _table1(args):
+    result = harness.table1_taxonomy()
+    print(harness.format_table(
+        ["accelerator", "field", "dataflow", "pattern", "codesign"],
+        [[r["accelerator"], r["field"], r["dataflow"], r["pattern"],
+          "yes" if r["codesign"] else "no"] for r in result],
+    ))
+    return result
+
+
+def _ablation(args):
+    result = harness.ablation_prune_reorder()
+    print(harness.format_table(
+        ["sparsity", "pruning benefit", "reordering benefit"],
+        [[r["sparsity"], r["pruning_benefit"], r["reordering_benefit"]]
+         for r in result["rows"]],
+    ))
+    return result
+
+
+def _nlp(args):
+    result = harness.nlp_comparison()
+    print(harness.format_table(
+        ["sparsity", "speedup vs Sanger", "fixed-mask BLEU drop"],
+        [[r["sparsity"], r["speedup_vs_sanger"],
+          r["fixed_mask_bleu_drop"]] for r in result],
+    ))
+    return result
+
+
+def _polarize(args):
+    from .sparsity import split_and_conquer, synthetic_vit_attention
+    from .viz import render_mask
+
+    maps = synthetic_vit_attention(args.tokens, num_heads=args.heads)
+    result = split_and_conquer(maps, target_sparsity=args.sparsity)
+    print(render_mask(result.partitions[0].reordered_mask))
+    print(f"\nsparsity {result.sparsity:.1%}, "
+          f"global tokens {result.num_global_tokens.tolist()}")
+    return {
+        "sparsity": result.sparsity,
+        "num_global_tokens": result.num_global_tokens.tolist(),
+    }
+
+
+def _dse(args):
+    from . import obs
+    from .harness.dse import sweep_design_space
+    from .perf import cached_model_workload
+
+    model = _model(args)
+    grid = _sweep_grid(args)
+    # Serial sweeps have no retry layer: transient injected failures
+    # surface as dropped points (the dist runner is the path that heals
+    # them).
+    evaluator = _evaluator(args)
+    # --trace installs a span collector on the default registry for the
+    # sweep's duration; tracing observes only — the JSON result stays
+    # byte-identical with and without it.
+    tracer = obs.tracing(path=args.trace) if args.trace else None
+    with tracer if tracer is not None else contextlib.nullcontext():
+        with obs.span("dse_workload", model=model):
+            workload = cached_model_workload(model, sparsity=args.sparsity)
+        points = sweep_design_space(
+            workload, grid, evaluator=evaluator, chunksize=args.batch_size,
+        )
+    if args.trace:
+        print(f"wrote Chrome trace {args.trace} (load in Perfetto)",
+              file=sys.stderr)
+    _dse_result(model, args.sparsity, args.evaluator, grid, points, args.json)
+
+
+def _shard_runner(args, out):
+    """Check every ``dse-shard`` option in ``args`` against the store
+    ``out``, each with one line on failure, and return ``score(shard)``,
+    which scores shard ``shard`` (``K/N`` or a ``ShardSpec``) into it.
+
+    ``dse-shard`` runs it on ``--shard``; ``dse-fleet`` forks it once per
+    shard, so every child scores with exactly the options the supervisor
+    parsed and checked, and checks nothing again.
+    """
+    from .dist import ShardSpec
+
+    if args.shard is not None:
+        try:
+            ShardSpec.parse(args.shard)
+        except ValueError as exc:
+            raise SystemExit(f"--shard: {exc}") from None
+    if args.steal_chunk is not None and args.steal_chunk < 1:
+        raise SystemExit("--steal-chunk must be a positive index count, "
+                         f"got {args.steal_chunk}")
+    if args.handicap < 0:
+        raise SystemExit(f"--handicap must be non-negative seconds, got "
+                         f"{args.handicap}")
+    if args.max_point_retries is not None and args.max_point_retries < 0:
+        raise SystemExit(f"--max-point-retries must be >= 0, got "
+                         f"{args.max_point_retries}")
+    model = _model(args)
+    grid = _sweep_grid(args)
+    _read_store(_existing_manifest, out)
+    evaluator = _evaluator(args)
+    retries = {}
+    if args.max_point_retries is not None:
+        retries["max_point_retries"] = args.max_point_retries
+
+    def score(shard):
         from .dist import model_workload_spec, run_shard
         from .perf import cached_model_workload
-        if not args.shard:
-            raise SystemExit("dse-shard requires --shard K/N")
-        out = args.out or args.store
-        if not out:
-            raise SystemExit("dse-shard requires --out DIR (the store "
-                             "directory shared by every shard)")
-        _check_shard_options(args)
-        model = args.models[0] if args.models else "deit-tiny"
-        grid = _sweep_grid(args)
-        _read_store(_existing_manifest, out)
-        evaluator = args.evaluator
-        faults = _load_fault_plan(args.faults)
-        if faults is not None:
-            from .faults import FaultyEvaluator
-            evaluator = FaultyEvaluator(evaluator, faults)
+
         workload = cached_model_workload(model, sparsity=args.sparsity)
-        run_kwargs = {}
-        if args.max_point_retries is not None:
-            run_kwargs["max_point_retries"] = args.max_point_retries
         try:
             run = run_shard(
-                workload, grid, args.shard, out,
+                workload, grid, shard, out,
                 evaluator=evaluator, chunksize=args.batch_size,
                 workload_spec=model_workload_spec(model,
                                                   sparsity=args.sparsity),
                 steal=args.steal, steal_chunk=args.steal_chunk,
                 claim_ttl=args.claim_ttl, handicap=args.handicap,
-                **run_kwargs,
+                **retries,
             )
         except StoreError as exc:
             # Another study's store, a corrupt ledger: one line, like
@@ -617,190 +615,185 @@ def _run(args):
             line += f"; {run.stolen} stolen from other shards"
         print(line)
         print(f"store: {run.store}")
-        return {
-            "shard": str(run.shard),
-            "store": str(run.store),
-            "total": run.total,
-            "evaluated": run.evaluated,
-            "skipped": run.skipped,
-            "failed": run.failed,
-            "stolen": run.stolen,
-            "retried": run.retried,
-            "complete": run.complete,
-        }
+        counts = "total evaluated skipped failed stolen retried complete"
+        return {"shard": str(run.shard), "store": str(run.store),
+                **_fields(run, counts)}
 
-    if name == "dse-fleet":
-        import json as _json
+    return score
 
-        from .dist import run_fleet
-        out = args.out or args.store
-        if not out:
-            raise SystemExit("dse-fleet requires --out DIR (the store "
-                             "directory shared by every shard)")
-        if args.num_shards < 1:
-            raise SystemExit(
-                f"--num-shards must be >= 1, got {args.num_shards}"
-            )
-        # A bad option, a bad grid or a refused store fails here, not
-        # in N shards.
-        _check_shard_options(args)
-        _sweep_grid(args)
-        _read_store(_existing_manifest, out)
-        faults = _load_fault_plan(args.faults)
-        model = args.models[0] if args.models else "deit-tiny"
-        shard_args = ["--models", model, "--sparsity", str(args.sparsity),
-                      "--evaluator", args.evaluator]
-        for spec in args.grid or ():
-            shard_args += ["--grid", spec]
-        if args.batch_size is not None:
-            shard_args += ["--batch-size", str(args.batch_size)]
-        if args.steal:
-            shard_args.append("--steal")
-        if args.steal_chunk is not None:
-            shard_args += ["--steal-chunk", str(args.steal_chunk)]
-        if args.claim_ttl != 600.0:
-            shard_args += ["--claim-ttl", str(args.claim_ttl)]
-        if args.handicap:
-            shard_args += ["--handicap", str(args.handicap)]
-        if args.max_point_retries is not None:
-            shard_args += ["--max-point-retries", str(args.max_point_retries)]
-        if faults is not None:
-            shard_args += ["--faults", _json.dumps(faults)]
-        fleet = run_fleet(
-            out, args.num_shards, shard_args,
-            hang_after=args.hang_after, max_restarts=args.max_restarts,
+
+def _dse_shard(args):
+    if not args.shard:
+        raise SystemExit("dse-shard requires --shard K/N")
+    out = args.out or args.store
+    if not out:
+        raise SystemExit("dse-shard requires --out DIR (the store "
+                         "directory shared by every shard)")
+    return _shard_runner(args, out)(args.shard)
+
+
+def _dse_fleet(args):
+    from .dist import run_fleet
+
+    out = args.out or args.store
+    if not out:
+        raise SystemExit("dse-fleet requires --out DIR (the store "
+                         "directory shared by every shard)")
+    if args.num_shards < 1:
+        raise SystemExit(
+            f"--num-shards must be >= 1, got {args.num_shards}"
         )
-        line = (f"fleet of {fleet.num_shards} shards: {fleet.restarts} "
-                f"relaunches ({fleet.hang_kills} hang kills)")
-        if fleet.abandoned:
-            line += f"; abandoned shards: {list(fleet.abandoned)}"
-        line += "; store " + ("complete" if fleet.complete else "INCOMPLETE")
-        print(line)
-        print(f"store: {fleet.store}")
-        result = {
-            "store": str(fleet.store),
-            "num_shards": fleet.num_shards,
-            "restarts": fleet.restarts,
-            "hang_kills": fleet.hang_kills,
-            "abandoned": list(fleet.abandoned),
-            "complete": fleet.complete,
-            "ok": fleet.ok,
-        }
-        if not fleet.complete:
-            if args.json:
-                with open(args.json, "w") as fh:
-                    fh.write(to_json(result))
-            raise SystemExit(
-                "dse-fleet: store is incomplete (some grid indices have "
-                "no record); re-run the same command to resume, or run "
-                "with --steal so survivors absorb abandoned shards"
-            )
-        return result
-
-    if name == "dse-merge":
-        from .dist import merge_store
-        store = args.store or args.out
-        if not store:
-            raise SystemExit("dse-merge requires a store directory")
-        merged = _read_store(merge_store, store)
-        manifest = merged.manifest
-        workload_spec = manifest.get("workload", {})
-        line = (f"merged {manifest['num_shards']} shards "
-                f"({manifest['grid_size']} grid points, {merged.dropped} "
-                "dropped)")
-        if merged.duplicates:
-            line += (f"; {merged.duplicates} redundant duplicate records "
-                     "tolerated (bit-identical)")
-        print(line)
-        return _dse_result(
-            workload_spec.get("model"),
-            workload_spec.get("sparsity"),
-            manifest["evaluator"]["name"],
-            {k: tuple(v) for k, v in manifest["grid"].items()},
-            merged.points,
-            args.json,
-            frontier=merged.frontier,
+    # A bad option, a bad grid or a refused store fails here, not in N
+    # shards.
+    shard = _shard_runner(args, out)
+    fleet = run_fleet(
+        out, args.num_shards, shard,
+        hang_after=args.hang_after, max_restarts=args.max_restarts,
+    )
+    line = (f"fleet of {fleet.num_shards} shards: {fleet.restarts} "
+            f"relaunches ({fleet.hang_kills} hang kills)")
+    if fleet.abandoned:
+        line += f"; abandoned shards: {list(fleet.abandoned)}"
+    line += "; store " + ("complete" if fleet.complete else "INCOMPLETE")
+    print(line)
+    print(f"store: {fleet.store}")
+    result = {"store": str(fleet.store), "abandoned": list(fleet.abandoned),
+              **_fields(fleet, "num_shards restarts hang_kills complete ok")}
+    if not fleet.complete:
+        if args.json:
+            with open(args.json, "w") as fh:
+                fh.write(to_json(result))
+        raise SystemExit(
+            "dse-fleet: store is incomplete (some grid indices have "
+            "no record); re-run the same command to resume, or run "
+            "with --steal so survivors absorb abandoned shards"
         )
+    return result
 
-    if name == "dse-status":
-        from .dist import store_status
-        store = args.store or args.out
-        if not store:
-            raise SystemExit("dse-status requires a store directory")
-        if args.stall_after is not None and args.stall_after <= 0:
-            raise SystemExit(
-                f"--stall-after must be positive seconds, got "
-                f"{args.stall_after}"
-            )
-        status = _read_store(store_status, store,
-                             stall_after=args.stall_after)
-        print(harness.format_table(
-            ["shard", "scored", "failed", "stolen", "steals", "retries",
-             "pending", "total", "done%", "ok%", "eta", "state"],
-            [[str(s.shard), s.scored, s.failed, s.stolen, s.steals,
-              s.retries, s.pending, s.total, f"{s.fraction_done:.0%}",
-              f"{s.fraction_scored:.0%}", _format_eta(s.eta_seconds),
-              "STALLED" if s.stalled else ""]
-             for s in status.shards],
-        ))
-        line = (f"\n{status.done}/{status.grid_size} grid points done "
-                f"({status.fraction_done:.0%}), {status.scored} scored, "
-                f"{status.failed} failed")
-        if status.stolen:
-            line += f", {status.stolen} stolen"
-        if status.retries:
-            line += f", {status.retries} retries"
-        if status.stalled_shards:
-            line += (", shards "
-                     f"{[str(s.shard) for s in status.stalled_shards]} STALLED")
-        if not status.complete:
-            line += f"; ETA {_format_eta(status.eta_seconds)}"
-        print(line)
-        return {
-            "grid_size": status.grid_size,
-            "done": status.done,
-            "scored": status.scored,
-            "failed": status.failed,
-            "stolen": status.stolen,
-            "steals": status.steals,
-            "fraction_done": status.fraction_done,
-            "fraction_scored": status.fraction_scored,
-            "eta_seconds": status.eta_seconds,
-            "complete": status.complete,
-            "retries": status.retries,
-            "stalled_shards": [str(s.shard) for s in status.stalled_shards],
-            "shards": [
-                {"shard": str(s.shard), "done": s.done,
-                 "scored": s.scored, "failed": s.failed,
-                 "stolen": s.stolen, "steals": s.steals,
-                 "retries": s.retries, "stalled": s.stalled,
-                 "total": s.total,
-                 "fraction_done": s.fraction_done,
-                 "fraction_scored": s.fraction_scored,
-                 "eta_seconds": s.eta_seconds}
-                for s in status.shards
-            ],
-        }
 
-    if name == "polarize":
-        from .sparsity import split_and_conquer, synthetic_vit_attention
-        from .viz import render_mask
-        maps = synthetic_vit_attention(args.tokens, num_heads=args.heads)
-        result_obj = split_and_conquer(maps, target_sparsity=args.sparsity)
-        print(render_mask(result_obj.partitions[0].reordered_mask))
-        print(f"\nsparsity {result_obj.sparsity:.1%}, "
-              f"global tokens {result_obj.num_global_tokens.tolist()}")
-        return {
-            "sparsity": result_obj.sparsity,
-            "num_global_tokens": result_obj.num_global_tokens.tolist(),
-        }
+def _dse_merge(args):
+    from .dist import merge_store
 
-    raise SystemExit(f"unknown experiment {name!r}")  # pragma: no cover
+    store = args.store or args.out
+    if not store:
+        raise SystemExit("dse-merge requires a store directory")
+    merged = _read_store(merge_store, store)
+    manifest = merged.manifest
+    workload_spec = manifest.get("workload", {})
+    line = (f"merged {manifest['num_shards']} shards "
+            f"({manifest['grid_size']} grid points, {merged.dropped} "
+            "dropped)")
+    if merged.duplicates:
+        line += (f"; {merged.duplicates} redundant duplicate records "
+                 "tolerated (bit-identical)")
+    print(line)
+    _dse_result(
+        workload_spec.get("model"),
+        workload_spec.get("sparsity"),
+        manifest["evaluator"]["name"],
+        {k: tuple(v) for k, v in manifest["grid"].items()},
+        merged.points,
+        args.json,
+        frontier=merged.frontier,
+    )
+
+
+def _dse_status(args):
+    from .dist import store_status
+
+    store = args.store or args.out
+    if not store:
+        raise SystemExit("dse-status requires a store directory")
+    if args.stall_after is not None and args.stall_after <= 0:
+        raise SystemExit(
+            f"--stall-after must be positive seconds, got "
+            f"{args.stall_after}"
+        )
+    status = _read_store(store_status, store, stall_after=args.stall_after)
+    print(harness.format_table(
+        ["shard", "scored", "failed", "stolen", "steals", "retries",
+         "pending", "total", "done%", "ok%", "eta", "state"],
+        [[str(s.shard), s.scored, s.failed, s.stolen, s.steals,
+          s.retries, s.pending, s.total, f"{s.fraction_done:.0%}",
+          f"{s.fraction_scored:.0%}", _format_eta(s.eta_seconds),
+          "STALLED" if s.stalled else ""]
+         for s in status.shards],
+    ))
+    line = (f"\n{status.done}/{status.grid_size} grid points done "
+            f"({status.fraction_done:.0%}), {status.scored} scored, "
+            f"{status.failed} failed")
+    if status.stolen:
+        line += f", {status.stolen} stolen"
+    if status.retries:
+        line += f", {status.retries} retries"
+    if status.stalled_shards:
+        line += (", shards "
+                 f"{[str(s.shard) for s in status.stalled_shards]} STALLED")
+    if not status.complete:
+        line += f"; ETA {_format_eta(status.eta_seconds)}"
+    print(line)
+    counts = ("done scored failed stolen steals retries fraction_done "
+              "fraction_scored eta_seconds")
+    return {
+        **_fields(status, f"grid_size complete {counts}"),
+        "stalled_shards": [str(s.shard) for s in status.stalled_shards],
+        "shards": [{"shard": str(s.shard), **_fields(s, f"total stalled {counts}")}
+                   for s in status.shards],
+    }
+
+
+#: Every command: ``name -> (description, command)``.  A command takes
+#: the parsed arguments, prints its report and returns what ``--json``
+#: writes (``None``: nothing, or it wrote the file itself).  The
+#: ``dse-*`` commands work on a result store, so only they take the
+#: ``store`` positional.
+COMMANDS = {
+    "fig1": ("accuracy/BLEU vs sparsity curves", _fig1),
+    "fig3": ("roofline analysis", _fig3),
+    "fig4": ("FLOPs + EdgeGPU latency breakdowns", _fig4),
+    "fig8": ("attention-map polarization metrics", _fig8),
+    "fig15": ("speedups over the five baselines", _fig15),
+    "fig17": ("accuracy vs attention latency", _fig17),
+    "fig19": ("latency breakdown + energy", _fig19),
+    "table1": ("accelerator taxonomy", _table1),
+    "ablation": ("pruning vs reordering", _ablation),
+    "nlp": ("NLP comparison vs Sanger", _nlp),
+    "roofline": ("alias of fig3 with ASCII plot", _fig3),
+    "polarize": ("run Algorithm 1 and draw the mask", _polarize),
+    "dse": ("design-space sweep + Pareto frontier", _dse),
+    "dse-shard": ("evaluate one K/N shard of a sweep into a result store",
+                  _dse_shard),
+    "dse-fleet": ("fork and supervise N dse-shard children (crash/hang "
+                  "relaunch with backoff)", _dse_fleet),
+    "dse-merge": ("merge a sharded store into the full sweep + frontier",
+                  _dse_merge),
+    "dse-status": ("per-shard progress of a sharded sweep store",
+                   _dse_status),
+    "serve": ("run the HTTP DSE job service over a durable data dir",
+              _serve),
+    "list": ("list the experiments", _list),
+}
+
+
+def _experiments():
+    """Every command but ``list``, sorted: what ``list`` prints."""
+    return sorted(name for name in COMMANDS if name != "list")
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    result = _run(args)
+    store_commands = [name for name in COMMANDS if name.startswith("dse-")]
+    if args.store is not None and args.experiment not in store_commands:
+        raise SystemExit(
+            f"unexpected positional argument {args.store!r}: only the "
+            f"{'/'.join(store_commands)} commands take a store directory"
+        )
+    if args.batch_size is not None and args.batch_size < 1:
+        raise SystemExit(
+            f"--batch-size must be a positive point count, got "
+            f"{args.batch_size}"
+        )
+    result = COMMANDS[args.experiment][1](args)
     if args.json and result is not None:
         _write_json(args.json, [to_json(result)])
     return 0

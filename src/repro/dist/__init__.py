@@ -34,12 +34,12 @@ restartable *pipeline* over durable artifacts instead:
    ETA, retry counts, ``--stall-after`` staleness flags) without
    touching an evaluator;
 6. **supervise** — ``dse-fleet`` forks N shards from its own process,
-   which has already imported ``repro`` (each child runs the
-   ``dse-shard`` command, so no shard pays interpreter start-up or
-   imports), and relaunches crashed ones, and hung ones whose ledgers
-   went stale, with backoff (:mod:`repro.dist.fleet`), so a seeded fault
-   storm — or a real bad day — still converges to the same bit-identical
-   merge.
+   which has already imported ``repro`` (each child calls a function of
+   its shard, under ``dse-fleet`` the one ``dse-shard`` runs, so no
+   shard pays interpreter start-up, imports or argument parsing), and
+   relaunches crashed ones, and hung ones whose ledgers went stale, with
+   backoff (:mod:`repro.dist.fleet`), so a seeded fault storm — or a
+   real bad day — still converges to the same bit-identical merge.
 
 
 The same machinery scales *down* to one box: N local processes sharding

@@ -3,12 +3,12 @@
 ``run_fleet`` (CLI: ``python -m repro dse-fleet``) is the single-host
 supervisor for a sharded study.  It forks one child per shard from its
 own process, which has already imported ``repro`` and numpy.  The child
-points fds 1 and 2 at ``<store>/logs/shard-K.log`` and runs
-:func:`repro.cli.main` on the ``dse-shard`` argv that ``python -m repro
-dse-shard`` receives on any other host, so argument checks, the fault
-plan, the workload build and ``run_shard`` stay one shard path; a shard
-or a relaunch pays no interpreter start-up and no imports.  The
-supervisor then watches two failure signals:
+points fds 1 and 2 at ``<store>/logs/shard-K.log`` and calls
+``shard(spec)`` with its own :class:`ShardSpec`; ``dse-fleet`` passes
+the function ``dse-shard`` runs once its options are checked, so the
+fault plan, the workload build and ``run_shard`` stay one shard path,
+and a shard or a relaunch pays no interpreter start-up, imports or
+argument parsing.  The supervisor then watches two failure signals:
 
 * **crash** — the child exits nonzero (evaluator bug, injected torn
   write, OOM kill, plain SIGKILL).  The shard is relaunched with capped
@@ -26,11 +26,12 @@ Each shard gets ``max_restarts`` relaunches before it is abandoned; when
 the fleet runs with ``--steal``, the surviving shards absorb an abandoned
 shard's missing indices, so the study can still complete.  The final
 :class:`FleetResult` reports restarts, hang kills, abandoned shards and
-whether the store ended complete (every grid index recorded).
+whether the store ended complete (:func:`~repro.dist.store_status`, the
+count ``dse-status`` reports).
 
-A child ends the way the interpreter ends ``python -m repro dse-shard``:
-the same exit status, then the exit handlers (``atexit``), then a flush
-and ``os._exit``.  It never returns or raises into :func:`run_fleet`,
+A child exits with the status the interpreter would give the call (see
+:func:`_exit_status`), after the exit handlers (``atexit``) and a flush,
+through ``os._exit``.  It never returns or raises into :func:`run_fleet`,
 whose clean-up would SIGKILL its sibling shards.  The supervisor forks
 from one Python thread with no ledger open, after flushing
 ``sys.stdout`` and ``sys.stderr`` so no buffered output is written
@@ -44,6 +45,7 @@ and re-running the same command converges the same way.
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import signal
 import sys
@@ -54,7 +56,8 @@ from pathlib import Path
 
 from .. import obs
 from ..ledger import make_dirs
-from .runner import _recorded_indices, backoff_s
+from .merge import store_status
+from .runner import backoff_s
 from .sharding import ShardSpec
 from .store import ResultStore
 
@@ -96,9 +99,9 @@ class FleetResult:
 class _Shard:
     """Supervisor-side state of one forked shard."""
 
-    def __init__(self, index, argv, ledgers, log_path):
+    def __init__(self, index, run, ledgers, log_path):
         self.index = index
-        self.argv = argv  # the ``dse-shard`` argv the child runs
+        self.run = run  # the child's body: ``shard(spec)``
         self.ledgers = ledgers
         self.log_path = log_path
         self.pid = None
@@ -122,7 +125,7 @@ class _Shard:
             sys.stderr.flush()
             pid = os.fork()
             if pid == 0:
-                _run_child(self.argv, log.fileno())
+                _run_child(self.run, log.fileno())
         self.pid = pid
         self.launched_at = time.monotonic()
 
@@ -152,8 +155,8 @@ class _Shard:
         return min(ages)
 
 
-def _run_child(argv, log_fd):
-    """Body of a forked shard: ``dse-shard`` on ``argv``, then exit.
+def _run_child(run, log_fd):
+    """Body of a forked shard: ``run()``, then exit.
 
     Never returns: the child leaves through ``os._exit`` after the exit
     handlers (the benchmark's span recorder writes its file in one) and
@@ -169,7 +172,7 @@ def _run_child(argv, log_fd):
         sys.stderr = open(
             2, "w", buffering=1, errors="backslashreplace", closefd=False
         )
-        status = _exit_status(argv)
+        status = _exit_status(run)
         atexit._run_exitfuncs()
         sys.stdout.flush()
         sys.stderr.flush()
@@ -177,17 +180,18 @@ def _run_child(argv, log_fd):
         os._exit(status)
 
 
-def _exit_status(argv) -> int:
-    """Run ``dse-shard``; the exit status the interpreter would give it."""
-    from ..cli import main
-
+def _exit_status(run) -> int:
+    """Call ``run()``; the exit status the interpreter would give a
+    program that did the same (whatever ``run`` returns exits 0)."""
     try:
-        code = main(argv)
+        run()
     except SystemExit as exc:
         code = exc.code
     except BaseException:  # the child's top frame: nothing unwinds past it
         traceback.print_exc()
         return 1
+    else:
+        return 0
     if code is None or isinstance(code, int):
         return code or 0
     print(code, file=sys.stderr)
@@ -197,20 +201,19 @@ def _exit_status(argv) -> int:
 def run_fleet(
     store,
     num_shards,
-    shard_args,
+    shard,
     *,
     hang_after=_HANG_AFTER_S,
     max_restarts=_MAX_RESTARTS,
 ) -> FleetResult:
-    """Supervise ``num_shards`` forked ``dse-shard`` children to completion.
+    """Supervise ``num_shards`` forked shards of one study to completion.
 
-    ``shard_args`` is the common CLI argument tail every shard shares
-    (models, grid, evaluator, ``--steal``, ``--faults``, ...); the
-    supervisor adds ``--shard K/N`` and ``--out`` per shard, and each
-    child runs :func:`repro.cli.main` on that ``dse-shard`` argv.  A
-    child's output lands in ``<store>/logs/shard-K.log``.  Call from a
-    process with one Python thread: every launch is an ``os.fork``.
-    See the module docstring for the crash/hang/abandon semantics.
+    Each child calls ``shard(spec)`` with its :class:`ShardSpec` ``K/N``
+    (``N`` = ``num_shards``), which must score that shard into ``store``;
+    ``dse-fleet`` passes the function ``dse-shard`` runs.  A child's
+    output lands in ``<store>/logs/shard-K.log``.  Call from a process
+    with one Python thread: every launch is an ``os.fork``.  See the
+    module docstring for the crash/hang/abandon semantics.
     """
     store = Path(store)
     num_shards = int(num_shards)
@@ -220,64 +223,64 @@ def run_fleet(
     shards = []
     for k in range(1, num_shards + 1):
         spec = ShardSpec(k, num_shards)
-        argv = ["dse-shard", "--shard", str(spec), "--out", str(store)]
-        argv += [str(arg) for arg in shard_args]
+        run = functools.partial(shard, spec)
         ledgers = (layout.shard_path(spec), layout.steal_path(spec))
-        shards.append(_Shard(k, argv, ledgers, store / "logs" / f"shard-{k}.log"))
+        shards.append(_Shard(k, run, ledgers, store / "logs" / f"shard-{k}.log"))
 
     restarts = hang_kills = 0
 
-    def _crashed(shard, why):
+    def _crashed(child, why):
         nonlocal restarts
-        shard.restarts += 1
-        if shard.restarts > max_restarts:
-            shard.abandoned = True
+        child.restarts += 1
+        if child.restarts > max_restarts:
+            child.abandoned = True
             obs.counter("fleet_abandoned_shards").inc()
             _log.warning(
                 "fleet: shard %d/%d abandoned after %d restarts (%s)",
-                shard.index, num_shards, max_restarts, why,
+                child.index, num_shards, max_restarts, why,
             )
             return
         restarts += 1
-        backoff = backoff_s(shard.restarts, _BACKOFF_BASE_S, _BACKOFF_CAP_S)
-        shard.relaunch_at = time.monotonic() + backoff
+        backoff = backoff_s(child.restarts, _BACKOFF_BASE_S, _BACKOFF_CAP_S)
+        child.relaunch_at = time.monotonic() + backoff
         obs.counter("fleet_restarts").inc()
         _log.info(
             "fleet: shard %d/%d %s; relaunch %d/%d in %.2fs",
-            shard.index, num_shards, why, shard.restarts, max_restarts, backoff,
+            child.index, num_shards, why, child.restarts, max_restarts, backoff,
         )
 
     try:
-        while any(shard.live for shard in shards):
-            for shard in shards:
-                if not shard.live:
+        while any(child.live for child in shards):
+            for child in shards:
+                if not child.live:
                     continue
-                if shard.pid is None:
-                    if time.monotonic() >= shard.relaunch_at:
-                        shard.launch()
+                if child.pid is None:
+                    if time.monotonic() >= child.relaunch_at:
+                        child.launch()
                     continue
-                code = shard.poll()
+                code = child.poll()
                 if code is not None:
                     if code == 0:
-                        shard.done = True
+                        child.done = True
                     else:
-                        _crashed(shard, f"exited with code {code}")
+                        _crashed(child, f"exited with code {code}")
                     continue
-                if hang_after > 0 and shard.idle_s() > hang_after:
+                if hang_after > 0 and child.idle_s() > hang_after:
                     hang_kills += 1
                     obs.counter("fleet_hang_kills").inc()
-                    shard.kill()
+                    child.kill()
                     _crashed(
-                        shard,
+                        child,
                         f"ledgers stale for more than {hang_after:.1f}s",
                     )
             time.sleep(_POLL_S)
     finally:
-        for shard in shards:
-            if shard.pid is not None:
-                shard.kill()
+        for child in shards:
+            if child.pid is not None:
+                child.kill()
 
-    complete = _store_complete(store)
+    # Complete as dse-status counts it; no manifest, no shard got that far.
+    complete = layout.manifest_path.exists() and store_status(store).complete
     return FleetResult(
         store=store,
         num_shards=num_shards,
@@ -287,11 +290,3 @@ def run_fleet(
         complete=complete,
     )
 
-
-def _store_complete(root) -> bool:
-    """Whether every grid index of the store's study has a record."""
-    store = ResultStore(root)
-    manifest = store.read_manifest(missing_ok=True)
-    if manifest is None:
-        return False
-    return len(_recorded_indices(store)) >= int(manifest["grid_size"])

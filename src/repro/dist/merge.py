@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -53,6 +52,7 @@ from ..harness.dse import (
     GridPoints,
     PointFailure,
     _decode_grid_index,
+    _drop_failure,
     pareto_frontier,
 )
 from .sharding import ShardSpec
@@ -72,8 +72,6 @@ __all__ = [
     "store_status",
 ]
 
-_log = obs.get_logger("dist.merge")
-
 #: A grid slot's state byte in the fold: no record yet, a scored point,
 #: a persisted evaluator failure, or a record that does not decode.
 _MISSING, _SCORED, _FAILED, _BAD = 0, 1, 2, 3
@@ -90,23 +88,6 @@ class MergeResult:
     manifest: dict
     dropped: int  # failure records dropped (mirrors the sweep's warns)
     duplicates: int = 0  # redundant same-result records tolerated
-
-
-def _drop_failure(index, failure: PointFailure):
-    """Mirror :func:`repro.harness.dse._filter_failures`' warning."""
-    _log.warning(
-        "DSE point %d %r dropped: evaluator raised %s",
-        index,
-        dict(failure.parameters),
-        failure.error,
-    )
-    obs.counter("dse_points_failed").inc()
-    warnings.warn(
-        f"DSE point {index} {dict(failure.parameters)!r} dropped: "
-        f"evaluator raised {failure.error}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
 
 
 def _shard_spec(manifest: dict, shard_index: int) -> ShardSpec:

@@ -150,7 +150,8 @@ def model_workload_spec(
 
 
 def workload_from_spec(spec):
-    """Build the workload a manifest's spec describes (perf-cache backed).
+    """Build the workload a manifest's spec describes (perf-cache backed);
+    a field the spec leaves out takes :func:`model_workload_spec`'s default.
 
     Construction routes through :func:`repro.perf.cached_model_workload`,
     so every shard/merge step in one process — and every evaluator call
@@ -161,13 +162,14 @@ def workload_from_spec(spec):
             f"store manifest has no reconstructible workload spec "
             f"({spec!r}); pass workload= explicitly"
         )
+    recipe = {**model_workload_spec(spec["model"]), **spec}
     return cached_model_workload(
-        spec["model"],
-        sparsity=spec.get("sparsity", 0.9),
-        theta_d=spec.get("theta_d", 0.25),
-        seed=spec.get("seed", 0),
-        index_format=spec.get("index_format", "csc"),
-        reordered=spec.get("reordered", True),
+        recipe["model"],
+        sparsity=recipe["sparsity"],
+        theta_d=recipe["theta_d"],
+        seed=recipe["seed"],
+        index_format=recipe["index_format"],
+        reordered=recipe["reordered"],
     )
 
 

@@ -331,23 +331,29 @@ def _note_chunk(pairs):
         registry.counter("dse_points_scored").inc(len(pairs) - failed)
 
 
+def _drop_failure(index, failure: PointFailure):
+    """Log, count and warn that failed grid point ``index`` is left out:
+    the one drop of the in-memory sweep and of the merge."""
+    _log.warning(
+        "DSE point %d %r dropped: evaluator raised %s",
+        index,
+        dict(failure.parameters),
+        failure.error,
+    )
+    obs.counter("dse_points_failed").inc()
+    warnings.warn(
+        f"DSE point {index} {dict(failure.parameters)!r} dropped: "
+        f"evaluator raised {failure.error}",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+
+
 def _filter_failures(pairs):
     """Pass ``(index, DesignPoint)`` pairs through; warn-and-drop failures."""
     for index, point in pairs:
         if isinstance(point, PointFailure):
-            _log.warning(
-                "DSE point %d %r dropped: evaluator raised %s",
-                index,
-                dict(point.parameters),
-                point.error,
-            )
-            obs.counter("dse_points_failed").inc()
-            warnings.warn(
-                f"DSE point {index} {dict(point.parameters)!r} dropped: "
-                f"evaluator raised {point.error}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _drop_failure(index, point)
             continue
         yield index, point
 

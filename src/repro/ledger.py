@@ -11,7 +11,9 @@ Every file the DSE stack must not lose is written here, and only here:
   Opening for append repairs it first (the next record would glue onto
   it) and keeps exactly what the reader counts as a record, so a resumed
   shard never skips a point the file lost: a tail that parses lost only
-  its newline and is terminated, any other tail is truncated;
+  its newline and is terminated, any other tail is truncated.  The open
+  that creates a ledger fsyncs its directory before any record is
+  written, so the name is as durable as the records;
 * **publishes** — :func:`publish` makes ``MANIFEST.json``,
   ``result.json``, ``error.json`` and steal claims appear whole or not
   at all, and durably: the content is fsynced before it takes the name,
@@ -31,6 +33,7 @@ use this module.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -66,7 +69,10 @@ class StoreCorruptError(StoreError):
 
 
 def _open_for_append(path: Path):
-    """Repair a torn final line (see the module docstring), then open."""
+    """Create or repair (see the module docstring), then open."""
+    with contextlib.suppress(FileExistsError):
+        open(path, "xb").close()
+        _fsync_dir(path.parent)
     with open(path, "a+b") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":

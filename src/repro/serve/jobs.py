@@ -170,12 +170,6 @@ class JobState:
         return int(self.manifest["grid_size"])
 
 
-def _check_number(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServeRequestError(f"{name} must be a number, got {value!r}")
-    return value
-
-
 class JobManager:
     """Submission, execution and observation of jobs in one data dir.
 
@@ -294,25 +288,21 @@ class JobManager:
             unknown = sorted(set(spec) - _WORKLOAD_SPEC_FIELDS)
             if unknown:
                 raise ServeRequestError(f"unknown workload_spec field(s) {unknown}")
-            model = spec.get("model")
         else:
-            spec = {}
-            model = request.get("model", "deit-tiny")
+            spec = {"model": request.get("model", "deit-tiny")}
+            if "sparsity" in request:
+                spec["sparsity"] = request["sparsity"]
+        model = spec.get("model")
         if not isinstance(model, str) or not model:
             raise ServeRequestError(f"'model' must be a model name, got {model!r}")
-        sparsity = _check_number(
-            spec.get("sparsity", request.get("sparsity", 0.9)), "'sparsity'"
-        )
-        # Canonicalise to the full recipe so two spellings of the same
-        # study (defaults implicit vs explicit) share one fingerprint.
-        return model_workload_spec(
-            model,
-            sparsity=sparsity,
-            theta_d=spec.get("theta_d", 0.25),
-            seed=spec.get("seed", 0),
-            index_format=spec.get("index_format", "csc"),
-            reordered=spec.get("reordered", True),
-        )
+        # Canonicalise to the full recipe, each missing field at its
+        # default, so two spellings of the same study (defaults implicit
+        # vs explicit) share one fingerprint.
+        spec = {**model_workload_spec(model), **spec}
+        sparsity = spec["sparsity"]
+        if isinstance(sparsity, bool) or not isinstance(sparsity, (int, float)):
+            raise ServeRequestError(f"'sparsity' must be a number, got {sparsity!r}")
+        return spec
 
     def _normalize(self, request) -> dict:
         """The store manifest of a valid request, built once; anything

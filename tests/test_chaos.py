@@ -1,10 +1,10 @@
 """Chaos suite: a seeded fault storm must not change a single byte.
 
 Each test runs a real supervised fleet (:func:`repro.dist.run_fleet` —
-forked ``dse-shard`` children, relaunched when they crash or when their
-ledgers go stale) under a deterministic fault plan, then asserts the
-merged study is **bit for bit** identical to the healthy serial sweep's
-JSON document.  That is
+forked shards, each running ``dse-shard`` through the CLI's ``main``,
+relaunched when they crash or when their ledgers go stale) under a
+deterministic fault plan, then asserts the merged study is **bit for
+bit** identical to the healthy serial sweep's JSON document.  That is
 the whole robustness contract in one assertion: retries, steal
 takeovers, torn-tail repair and supervisor relaunches are allowed to
 cost time, never correctness.
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
 from repro.dist import merge_store, run_fleet
 from repro.harness.dse import sweep_design_space
 from repro.harness.serialization import dse_result_payload, to_json
@@ -67,8 +68,13 @@ def _storm_fleet(store, evaluator_name, storm, num_shards=3, hang_after=2.0):
         "--steal", "--claim-ttl", "2",
         "--faults", json.dumps(storm),
     ]
+
+    def shard(spec):  # python -m repro dse-shard, as shard spec of store
+        return main(["dse-shard", "--shard", str(spec), "--out", str(store),
+                     *shard_args])
+
     return run_fleet(
-        store, num_shards, shard_args,
+        store, num_shards, shard,
         hang_after=hang_after, max_restarts=5,
     )
 

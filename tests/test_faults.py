@@ -54,6 +54,18 @@ GRID = {"mac_lines": (16, 32, 64), "ae_compression": (None, 0.5)}
 SPEC = model_workload_spec("deit-tiny", sparsity=0.9)
 
 
+def dse_shard(store, argv):
+    """A fleet's ``shard(spec)``: ``python -m repro dse-shard --shard
+    spec --out store`` plus ``argv``, through the CLI's ``main``."""
+    from repro.cli import main
+
+    def shard(spec):
+        return main(["dse-shard", "--shard", str(spec), "--out", str(store),
+                     *argv])
+
+    return shard
+
+
 @pytest.fixture(scope="module")
 def workload():
     return cached_model_workload("deit-tiny", sparsity=0.9)
@@ -358,10 +370,10 @@ class TestShardLiveness:
     def test_liveness_follows_ledger_appends(self, tmp_path):
         """dse-fleet reads liveness from the ledgers: no heartbeat files."""
         store = tmp_path / "store"
-        fleet = run_fleet(store, 2, [
+        fleet = run_fleet(store, 2, dse_shard(store, [
             "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
             "--steal",
-        ])
+        ]))
         assert fleet.ok and fleet.hang_kills == 0
         assert not (store / "heartbeats").exists()
 
@@ -398,9 +410,9 @@ class TestForkedShards:
 
         monkeypatch.setattr(subprocess, "Popen", no_subprocess)
         store = tmp_path / "store"
-        fleet = run_fleet(store, 2, [
+        fleet = run_fleet(store, 2, dse_shard(store, [
             "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
-        ])
+        ]))
         assert fleet.ok and fleet.restarts == 0
         assert list(merge_store(store).points) == sweep_design_space(
             workload, {"mac_lines": (16, 32, 64)}
@@ -423,9 +435,9 @@ class TestForkedShards:
         monkeypatch.setattr(fleet_module, "_POLL_S", 0.02)
         monkeypatch.setattr(fleet_module, "_BACKOFF_BASE_S", 0.01)
         store = tmp_path / "store"
-        fleet = run_fleet(store, 2, [
+        fleet = run_fleet(store, 2, dse_shard(store, [
             "--models", "deit-tiny", "--grid", "mac_lines=16,32,64",
-        ], max_restarts=2)
+        ]), max_restarts=2)
         assert fleet.abandoned == (1,)
         assert fleet.restarts == 2  # all shard 1's: shard 2 exited 0
         assert fleet.hang_kills == 0
@@ -442,15 +454,32 @@ class TestForkedShards:
         assert failed.count("Traceback (most recent call last)") == 3
         assert failed.count("RuntimeError: shard 1/2 refuses to run") == 3
 
+    def test_a_return_exits_zero(self, capsys):
+        """Whatever a shard returns, its child exits 0; a ``SystemExit``
+        keeps the status the interpreter would give it."""
+
+        def exits(code):
+            def run():
+                raise SystemExit(code)
+
+            return run
+
+        assert fleet_module._exit_status(lambda: {"complete": False}) == 0
+        assert fleet_module._exit_status(lambda: 3) == 0
+        assert fleet_module._exit_status(exits(None)) == 0
+        assert fleet_module._exit_status(exits(2)) == 2
+        assert fleet_module._exit_status(exits("refused")) == 1
+        assert capsys.readouterr().err == "refused\n"
+
     def test_system_exit_message_and_status(self, tmp_path, caplog):
         """An argument check's ``SystemExit`` message goes to the log and
         the child exits 1, as ``python -m repro dse-shard`` would."""
         store = tmp_path / "store"
         with caplog.at_level(logging.WARNING, logger="repro.dist.fleet"):
-            fleet = run_fleet(store, 1, [
+            fleet = run_fleet(store, 1, dse_shard(store, [
                 "--models", "deit-tiny", "--grid", "mac_lines=16",
                 "--handicap", "-1",
-            ], max_restarts=0)
+            ]), max_restarts=0)
         assert fleet.abandoned == (1,) and fleet.restarts == 0
         assert "(exited with code 1)" in caplog.text
         log = (store / "logs" / "shard-1.log").read_text()

@@ -298,10 +298,12 @@ class TestJobIsItsStore:
         assert manifest["num_shards"] == info["n_shards"] == 2
         assert manifest["grid_size"] == info["grid_size"] == 6
 
-    def test_a_fresh_study_makes_fourteen_fsyncs(self, tmp_path, monkeypatch):
+    def test_a_fresh_study_makes_sixteen_fsyncs(self, tmp_path, monkeypatch):
         """Job and store directories 2 (``jobs/``, ``jobs/<id>/``),
-        manifest 2 (file, directory), events 7, ledger close 1,
-        ``result.json`` 2: a second published record would add two."""
+        manifest 2 (file, directory), events 7 plus 1 for the new
+        ``events.jsonl``'s directory entry, ledger 1 for its directory
+        entry and 1 at close, ``result.json`` 2: a second published
+        record would add two."""
         manager = JobManager(tmp_path, workers=0)
         calls = []
         real = os.fsync
@@ -318,7 +320,7 @@ class TestJobIsItsStore:
         _drain(manager)
         monkeypatch.undo()
         assert manager.status(info["id"])["state"] == "done"
-        assert len(calls) == 14
+        assert len(calls) == 16
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="names fsynced descriptors through /proc")
@@ -342,6 +344,40 @@ class TestJobIsItsStore:
         root, store = jobs / info["id"], jobs / info["id"] / "store"
         assert synced[:2] == [str(jobs), str(root)]
         assert synced.index(str(store)) > 1  # the manifest's publish
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="names fsynced descriptors through /proc")
+    def test_a_new_ledger_is_durable_before_its_first_record(
+            self, tmp_path, monkeypatch):
+        """A ledger's directory is fsynced once the ledger exists and
+        before anything fsyncs a record into it: ``jobs/<id>/`` for
+        ``events.jsonl`` before ``submit`` returns, ``store/`` for the
+        shard ledger before that appender's first fsync."""
+        manager = JobManager(tmp_path, workers=0)
+        synced = []  # (fsynced path, the names in it if a directory)
+        real = os.fsync
+
+        def fsync(fd):
+            path = os.readlink(f"/proc/self/fd/{fd}")
+            synced.append(
+                (path, os.listdir(path) if os.path.isdir(path) else None)
+            )
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        info = manager.submit(_request())
+        replied = len(synced)
+        _drain(manager)
+        monkeypatch.undo()
+        assert manager.status(info["id"])["state"] == "done"
+        root = tmp_path.resolve() / "jobs" / info["id"]
+        assert any(path == str(root) and "events.jsonl" in names
+                   for path, names in synced[:replied])
+        store = root / "store"
+        ledger = store / "shard-0001-of-0001.jsonl"
+        first = [path for path, _ in synced].index(str(ledger))
+        assert any(path == str(store) and ledger.name in names
+                   for path, names in synced[:first])
     def test_the_listing_order_survives_a_restart(self, tmp_path):
         """``GET /jobs`` lists jobs by their ``submitted`` event, which
         is on disk, so a restarted server lists them the same way."""

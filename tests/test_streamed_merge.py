@@ -33,8 +33,9 @@ from repro.dist import (
     encode_record,
     merge_store,
     model_workload_spec,
+    run_fleet,
+    store_status,
 )
-from repro.dist.fleet import _store_complete
 from repro.dist.runner import _recorded_indices
 from repro.harness import format_table, iter_table
 from repro.harness.dse import DesignPoint, PointFailure
@@ -353,9 +354,24 @@ class TestStreamedIndices:
 
         monkeypatch.setattr(ResultStore, "load_records", loaded)
         assert _recorded_indices(store) == set(range(6))
-        assert _store_complete(store.root)
+        assert store_status(store.root).complete
         _write(store.shard_path(ShardSpec(1, 2)), [])
-        assert not _store_complete(store.root)
+        assert not store_status(store.root).complete
+
+    def test_an_index_outside_the_grid_completes_nothing(self, tmp_path):
+        """Shard 1/2's steal file holds index 6, outside the 6-point
+        grid, while index 0 has no record: the store is incomplete to
+        ``dse-status`` and to ``dse-fleet`` alike (six recorded indices
+        are not six grid points)."""
+        store = _make_store(tmp_path / "store")
+        own = store.shard_path(ShardSpec(1, 2))
+        _write(own, [json.loads(line) for line in _lines(own)[1:]])
+        stray = json.loads(_lines(store.shard_path(ShardSpec(2, 2)))[0])
+        _write(store.steal_path(ShardSpec(1, 2)), [{**stray, "i": 6}])
+        assert len(_recorded_indices(store)) == 6
+        assert not store_status(store.root).complete
+        fleet = run_fleet(store.root, 2, lambda spec: None)  # scores nothing
+        assert fleet.abandoned == () and not fleet.complete
 
 
 def test_merge_peak_follows_the_points(tmp_path):

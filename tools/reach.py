@@ -106,10 +106,13 @@ def _quiet_main(argv, refused=False):
 
 
 def roots_commands():
-    figures = ["fig1", "fig3", "fig4", "fig8", "fig15", "fig17", "fig19"]
-    figures += ["table1", "ablation", "nlp", "roofline"]
-    runs = [["list"], ["polarize"]]
-    runs += [[fig, "--json", f"{fig}.json"] for fig in figures]
+    from repro.cli import COMMANDS
+
+    # Every command the runs below (and roots_served) do not drive with
+    # arguments of their own runs bare with --json: a new figure is a
+    # root once it is in the command table.
+    driven = {"dse", "dse-shard", "dse-fleet", "dse-merge", "dse-status", "serve"}
+    runs = [[name, "--json", f"{name}.json"] for name in COMMANDS if name not in driven]
     runs += [
         ["fig15", "--end-to-end", "--json", "fig15-e2e.json"],
         ["dse", *GRID, "--json", "dse-a.json", "--trace", "trace.json"],
