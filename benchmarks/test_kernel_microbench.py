@@ -11,7 +11,7 @@ import pytest
 
 from repro.compiler import execute_attention_layer
 from repro.formats import CSCMatrix
-from repro.hw import ViTCoDAccelerator, attention_workload_from_masks
+from repro.hw import ViTCoDAccelerator, attention_workload
 from repro.sparsity import (
     prune_attention_map,
     split_and_conquer,
@@ -46,12 +46,13 @@ def test_bench_csc_build(benchmark, result197):
 
 
 def test_bench_workload_construction(benchmark, result197):
-    wl = benchmark(attention_workload_from_masks, result197, 64)
+    wl = benchmark(attention_workload, result197.mask, 64,
+                   result197.theta_d)
     assert wl.num_tokens == 197
 
 
 def test_bench_accelerator_layer_sim(benchmark, result197):
-    wl = attention_workload_from_masks(result197, 64)
+    wl = attention_workload(result197.mask, 64, result197.theta_d)
     acc = ViTCoDAccelerator()
     report = benchmark(acc.simulate_attention_layer, wl)
     assert report.cycles > 0

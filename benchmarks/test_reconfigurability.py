@@ -10,7 +10,7 @@ prediction.
 from repro.baselines import SangerSimulator
 from repro.compiler import estimate_compile_cost, parse_layers
 from repro.compiler.reconfig import amortized_overhead, break_even_inferences
-from repro.hw import ViTCoDAccelerator, attention_workload_from_masks
+from repro.hw import ViTCoDAccelerator, attention_workload
 from repro.sparsity import split_and_conquer, synthetic_vit_attention
 
 from conftest import print_paper_vs_measured
@@ -28,7 +28,7 @@ def test_compile_once_amortizes(benchmark):
         cfgs = parse_layers(results, head_dim=64)
         cost = estimate_compile_cost(cfgs)
         acc = ViTCoDAccelerator()
-        workloads = [attention_workload_from_masks(r, head_dim=64)
+        workloads = [attention_workload(r.mask, 64, r.theta_d)
                      for r in results]
         inference = sum(
             acc.simulate_attention_layer(w).cycles for w in workloads

@@ -8,7 +8,7 @@ and Accelerator Co-Design* (HPCA 2023) end to end:
 * :mod:`repro.sparsity` — the split-and-conquer algorithm (Algorithm 1);
 * :mod:`repro.autoencoder` — the learnable Q/K auto-encoder and the unified
   ViTCoD pipeline (Fig. 10);
-* :mod:`repro.formats` — the CSC index format (and COO for its ablation);
+* :mod:`repro.formats` — the CSC index format the functional executor walks;
 * :mod:`repro.sim` — the unified simulation-engine layer (protocols plus
   the shared whole-model accumulation every simulator implements);
 * :mod:`repro.hw` — the two-pronged ViTCoD accelerator simulator (§V);

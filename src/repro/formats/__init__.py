@@ -1,6 +1,5 @@
-"""Sparse index formats of the sparser engine (CSC, and COO for the
-format ablation)."""
+"""Sparse index format of the sparser engine (CSC)."""
 
-from .sparse import CSCMatrix, COOMatrix
+from .sparse import CSCMatrix
 
-__all__ = ["CSCMatrix", "COOMatrix"]
+__all__ = ["CSCMatrix"]

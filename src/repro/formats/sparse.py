@@ -1,10 +1,12 @@
-"""Sparse matrix storage formats used by the accelerator model.
+"""The sparse storage format the functional executor walks.
 
 The sparser engine pre-loads non-zero *indexes* in **CSC** (compressed sparse
 column) format — chosen over COO because the K-stationary dataflow produces
 attention-map columns one at a time (§V-B.1), so walking a CSC column yields
-exactly the Q rows a resident K vector must be multiplied with.  COO is
-provided for the format ablation.
+exactly the Q rows a resident K vector must be multiplied with.  The
+workload model needs only the index *bytes* of CSC and of COO (the format
+ablation), which :func:`repro.hw.workload.attention_workload` computes from
+column counts without building either structure.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CSCMatrix", "COOMatrix"]
+__all__ = ["CSCMatrix"]
 
 
 def _validate_dense(dense):
@@ -47,42 +49,3 @@ class CSCMatrix:
     def column(self, j):
         """Row indices of non-zeros in column ``j``."""
         return self.row_idx[self.col_ptr[j] : self.col_ptr[j + 1]]
-
-    def column_nnz(self):
-        return np.diff(self.col_ptr)
-
-    def index_bytes(self, ptr_bytes=4, idx_bytes=1):
-        """Storage for the index structure (paper: 20 KB index buffer).
-
-        Row indices fit in one byte for N ≤ 256 (ViTs have ≤ 197 + CLS
-        tokens); pointers are wider.
-        """
-        if self.shape[0] > 256 and idx_bytes == 1:
-            idx_bytes = 2
-        return len(self.col_ptr) * ptr_bytes + len(self.row_idx) * idx_bytes
-
-
-@dataclass(frozen=True)
-class COOMatrix:
-    """Boolean sparsity pattern as (row, col) coordinate pairs."""
-
-    shape: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-
-    @classmethod
-    def from_dense(cls, dense):
-        dense = _validate_dense(dense).astype(bool)
-        rows, cols = np.nonzero(dense)
-        return cls(shape=dense.shape, rows=rows.astype(np.int64),
-                   cols=cols.astype(np.int64))
-
-    @property
-    def nnz(self):
-        return len(self.rows)
-
-    def index_bytes(self, idx_bytes=1):
-        if max(self.shape) > 256 and idx_bytes == 1:
-            idx_bytes = 2
-        # Two coordinates per non-zero — why CSC wins for our patterns.
-        return 2 * self.nnz * idx_bytes

@@ -17,7 +17,7 @@ from ..baselines import (
     edgegpu_platform,
     gpu_platform,
 )
-from ..hw import ViTCoDAccelerator, attention_workload_from_masks
+from ..hw import ViTCoDAccelerator, attention_workload
 from ..models import NLP_BERT_BASE, get_config
 # Experiment runners are pure in (config, sparsity, seed, ...), so workload
 # construction — by far their hottest step — goes through the process-wide
@@ -27,6 +27,7 @@ from ..perf.cache import cached_model_workload as model_workload
 from ..roofline import sddmm_roofline_points, ridge_intensity
 from ..sparsity import (
     metrics,
+    prune_layer,
     split_and_conquer,
     synthetic_nlp_attention,
     synthetic_vit_attention,
@@ -417,8 +418,8 @@ def nlp_attention_model_workload(sparsity=0.9, theta_d=0.25, seed=0):
         maps = synthetic_nlp_attention(
             stage.num_tokens, num_heads=stage.num_heads, seed=seed + i
         )
-        result = split_and_conquer(maps, target_sparsity=sparsity, theta_d=theta_d)
-        layers.append(attention_workload_from_masks(result, stage.head_dim))
+        layers.append(attention_workload(prune_layer(maps, sparsity),
+                                         stage.head_dim, theta_d))
     return ModelWorkload(
         name="bert-base-nlp", attention_layers=layers, linear_layers=()
     )

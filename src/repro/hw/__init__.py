@@ -7,7 +7,7 @@ from .workload import (
     AttentionWorkload,
     GemmWorkload,
     ModelWorkload,
-    attention_workload_from_masks,
+    attention_workload,
     dense_attention_workload,
     synthetic_attention_workload,
     model_workload,
@@ -37,7 +37,7 @@ __all__ = [
     "AttentionWorkload",
     "GemmWorkload",
     "ModelWorkload",
-    "attention_workload_from_masks",
+    "attention_workload",
     "dense_attention_workload",
     "synthetic_attention_workload",
     "model_workload",

@@ -4,6 +4,21 @@ An :class:`AttentionWorkload` captures one attention layer's polarized
 sparsity structure (per-head global-token counts and non-zero counts) plus
 shape metadata; a :class:`ModelWorkload` bundles all layers of a model with
 its dense (QKV projection / MLP) GEMMs for end-to-end simulation.
+
+**From map to workload.**  A synthetic layer's build holds at most two
+layer-wide float64 arrays: the generated map, which
+:func:`~repro.sparsity.prune_layer` normalises in place into row
+probabilities, and the one cumulative ranking that θp's bisection reads;
+each head's mask then comes from that head's own sort.
+:func:`attention_workload` reads every :class:`HeadWorkload` field off
+the (H, N, N) boolean mask, all heads at once: the column counts give
+each head's global tokens (more than θd non-zeros) and their stable
+permutation (global tokens first, each group in token order), the denser
+and sparser non-zeros and the sparser column counts; the CSC (or, for the
+format ablation, COO) index bytes follow from those counts; and the band
+locality gathers only the band around the reordered diagonal, through
+the permutation.  No head's reordered N×N mask or sparse-format object
+is built.
 """
 
 from __future__ import annotations
@@ -13,14 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..formats.sparse import CSCMatrix, COOMatrix
 from ..models.config import ModelConfig
-from ..sparsity.split_conquer import SplitConquerResult, split_and_conquer
+from ..sparsity.pruning import prune_layer
 from ..sparsity.patterns import synthetic_vit_attention
 
 __all__ = ["HeadWorkload", "HeadStatArrays", "AttentionWorkload",
            "GemmWorkload", "ModelWorkload",
-           "attention_workload_from_masks", "dense_attention_workload",
+           "attention_workload", "dense_attention_workload",
            "synthetic_attention_workload", "model_workload"]
 
 
@@ -263,73 +277,80 @@ class ModelWorkload:
         return float(np.mean([l.sparsity for l in self.attention_layers]))
 
 
-def _band_locality(sparser_mask, col_offset, band_width=None):
-    """Fraction of non-zeros within ±band_width of the (token) diagonal.
+def _band_nnz(mask, order, num_global):
+    """Per head, the sparser non-zeros within the Q row cache's reach of
+    the diagonal once the head is reordered.
 
-    ``sparser_mask`` has shape (N, N - Ngt); global column index of local
-    column j is ``col_offset + j``.  Band width defaults to a small fraction
-    of N, the reach of the on-chip Q row cache.
+    The reach is ``max(2, N // 24)`` tokens.  Only the band is gathered:
+    for every reordered column ``p`` past the head's global tokens and
+    every reordered row ``p + d`` with ``|d| <= reach``, the mask entry of
+    the two tokens ``order`` puts there.
     """
-    sparser_mask = np.asarray(sparser_mask, dtype=bool)
-    n, m = sparser_mask.shape
-    if sparser_mask.sum() == 0:
-        return 1.0
-    if band_width is None:
-        band_width = max(2, n // 24)
-    rows = np.arange(n)[:, None]
-    cols = col_offset + np.arange(m)[None, :]
-    band = np.abs(rows - cols) <= band_width
-    return float((sparser_mask & band).sum() / sparser_mask.sum())
+    num_heads, n = order.shape
+    reach = max(2, n // 24)
+    positions = np.arange(n)
+    rows = positions[:, None] + np.arange(-reach, reach + 1)
+    inside = (rows >= 0) & (rows < n)
+    band = mask[np.arange(num_heads)[:, None, None],
+                order[:, np.clip(rows, 0, n - 1)], order[:, :, None]]
+    band &= inside
+    band &= positions[:, None] >= num_global[:, None, None]
+    return band.sum(axis=(1, 2))
 
 
-def attention_workload_from_masks(result: SplitConquerResult, head_dim,
-                                  index_format="csc", reordered=True):
-    """Build an :class:`AttentionWorkload` from a split-and-conquer result.
+def attention_workload(mask, head_dim, theta_d, index_format="csc",
+                       reordered=True):
+    """Build an :class:`AttentionWorkload` from one layer's (H, N, N) mask.
 
-    ``reordered=False`` models the pruning-only ablation (§VI-C): the same
-    mask without token reordering — no denser block (Ngt = 0), lower
-    streaming locality, the whole mask treated as the sparser workload.
+    A head's global tokens are its columns holding more than ``theta_d``
+    non-zeros (a count, or if < 1 a fraction of N); reordering moves them
+    first.  ``reordered=False`` models the pruning-only ablation (§VI-C):
+    the same mask without token reordering — no denser block (Ngt = 0),
+    lower streaming locality, the whole mask treated as the sparser
+    workload.  ``index_format`` is ``"csc"`` (column pointers plus a row
+    index per non-zero) or ``"coo"`` (two coordinates per non-zero); a
+    row index takes two bytes past 256 tokens.
     """
-    heads = []
-    for part in result.partitions:
-        if reordered:
-            sparser = part.sparser_mask
-            ngt = part.num_global_tokens
-            denser_nnz = part.denser_nnz
-            locality = _band_locality(sparser, col_offset=ngt)
-        else:
-            # Undo the permutation: use the original-order mask per head.
-            inverse = np.argsort(part.permutation)
-            original = part.reordered_mask[np.ix_(inverse, inverse)]
-            sparser = original
-            ngt = 0
-            denser_nnz = 0
-            locality = _band_locality(original, col_offset=0)
-        if index_format == "csc":
-            sp = CSCMatrix.from_dense(sparser)
-            idx_bytes = sp.index_bytes()
-            col_nnz = sp.column_nnz()
-        elif index_format == "coo":
-            sp = COOMatrix.from_dense(sparser)
-            idx_bytes = sp.index_bytes()
-            col_nnz = np.asarray(sparser).sum(axis=0)
-        else:
-            raise ValueError(f"unknown index format {index_format!r}")
-        heads.append(
-            HeadWorkload(
-                num_tokens=part.num_tokens,
-                head_dim=head_dim,
-                num_global_tokens=ngt,
-                denser_nnz=denser_nnz,
-                sparser_nnz=int(np.asarray(sparser).sum()),
-                sparser_index_bytes=idx_bytes,
-                sparser_locality=locality,
-                sparser_column_nnz=col_nnz,
-            )
+    if index_format not in ("csc", "coo"):
+        raise ValueError(f"unknown index format {index_format!r}")
+    mask = np.asarray(mask, dtype=bool)
+    num_heads, n = mask.shape[0], mask.shape[-1]
+    column_nnz = mask.sum(axis=1)
+    if reordered:
+        is_global = column_nnz > (theta_d if theta_d >= 1 else theta_d * n)
+    else:
+        is_global = np.zeros(column_nnz.shape, dtype=bool)
+    # Each head's token order: global tokens first, both groups stable.
+    order = np.argsort(~is_global, axis=-1, kind="stable")
+    num_global = is_global.sum(axis=-1)
+    denser_nnz = np.where(is_global, column_nnz, 0).sum(axis=-1)
+    sparser_nnz = column_nnz.sum(axis=-1) - denser_nnz
+    row_bytes = 2 if n > 256 else 1
+    if index_format == "csc":
+        index_bytes = (n - num_global + 1) * 4 + sparser_nnz * row_bytes
+    else:
+        index_bytes = 2 * sparser_nnz * row_bytes
+    band_nnz = _band_nnz(mask, order, num_global)
+    locality = np.where(sparser_nnz > 0,
+                        band_nnz / np.maximum(sparser_nnz, 1), 1.0)
+    heads = [
+        HeadWorkload(
+            num_tokens=n,
+            head_dim=head_dim,
+            num_global_tokens=ngt,
+            denser_nnz=denser,
+            sparser_nnz=sparser,
+            sparser_index_bytes=index,
+            sparser_locality=local,
+            sparser_column_nnz=counts[~glob],
         )
+        for ngt, denser, sparser, index, local, counts, glob in zip(
+            num_global.tolist(), denser_nnz.tolist(), sparser_nnz.tolist(),
+            index_bytes.tolist(), locality.tolist(), column_nnz, is_global)
+    ]
     return AttentionWorkload(
-        num_tokens=result.num_tokens,
-        num_heads=result.num_heads,
+        num_tokens=n,
+        num_heads=num_heads,
         head_dim=head_dim,
         heads=heads,
         streaming_fallback=reordered,
@@ -368,10 +389,8 @@ def synthetic_attention_workload(num_tokens, num_heads, head_dim,
     if sparsity is None:
         return dense_attention_workload(num_tokens, num_heads, head_dim)
     maps = synthetic_vit_attention(num_tokens, num_heads=num_heads, seed=seed)
-    result = split_and_conquer(maps, target_sparsity=sparsity, theta_d=theta_d)
-    return attention_workload_from_masks(result, head_dim,
-                                         index_format=index_format,
-                                         reordered=reordered)
+    return attention_workload(prune_layer(maps, sparsity), head_dim, theta_d,
+                              index_format=index_format, reordered=reordered)
 
 
 def model_workload(config: ModelConfig, sparsity=0.9, theta_d=0.25, seed=0,

@@ -2,8 +2,11 @@
 
 ``split_and_conquer`` takes an averaged attention map, prunes it with a fixed
 mask, reorders tokens per head so global tokens lead, and returns the
-polarized denser/sparser partition that drives both finetuning (mask
-installation) and the accelerator's workload split.
+polarized denser/sparser partition that finetuning installs (the mask) and
+Fig. 8 and ``polarize`` draw (the reordered masks).  The accelerator's
+workload reads the same statistics straight off the mask
+(:func:`repro.hw.workload.attention_workload`), without the per-head
+reordered copies built here.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .pruning import _prune, _rank_rows, _threshold, mask_sparsity
+from .pruning import _probabilities, _prune, mask_sparsity
 from .reordering import reorder_attention_map
 
 __all__ = ["HeadPartition", "SplitConquerResult", "split_and_conquer"]
@@ -120,11 +123,9 @@ def split_and_conquer(
 
     if (theta_p is None) == (target_sparsity is None):
         raise ValueError("provide exactly one of theta_p or target_sparsity")
-    # One ranking of the rows serves both the θp bisection and the mask.
-    ranked = _rank_rows(attention_map)
-    if theta_p is None:
-        theta_p = _threshold(ranked, target_sparsity)
-    mask = _prune(ranked, theta_p, min_keep=min_keep)
+    # The row probabilities are a new array: the caller's map is untouched.
+    mask, theta_p = _prune(_probabilities(attention_map), theta_p,
+                           target_sparsity, min_keep)
 
     partitions = []
     for head_mask in mask:

@@ -1,33 +1,46 @@
-"""The stable-argsort pruning kernel: the oracle for Algorithm 1's masks.
+"""The per-head path: the oracle for Algorithm 1's masks and workloads.
 
-``repro.sparsity.pruning`` sorts each layer's rows once, by value, and
-reads the mask off the k-th largest value of each row.  This module keeps
-the earlier kernel it replaced — a ``kind="stable"`` argsort of every row,
-once for the θp bisection and again per head for the mask — so the masks
-themselves have an independent check: production must agree with it bit
-for bit (masks, θp and every workload field built from them).
+``repro.sparsity.pruning`` sorts each head's rows by value and reads the
+mask off the k-th largest value of each row, and
+``repro.hw.workload.attention_workload`` reads every workload field off the
+(H, N, N) mask for all heads at once.  This module keeps the earlier path
+they replaced, so both have an independent check: production must agree
+with it bit for bit (masks, θp and every workload field).
 
 * :func:`prune_attention_map` / :func:`threshold_for_sparsity` are the
-  argsort kernel, signature for signature;
+  stable-argsort kernel — a ``kind="stable"`` argsort of every row, once
+  for the θp bisection and again per head for the mask — signature for
+  signature;
 * :func:`synthetic_vit_attention` is the per-head map generator (one
   Gaussian band per head);
+* :func:`oracle_attention_workload` is the per-head statistics path: each
+  head reordered on its own (``reorder_attention_map``), its sparser block
+  stored as a :class:`CSCMatrix` or :class:`COOMatrix` and its band
+  locality counted over a dense band (:func:`_band_locality`);
 * :func:`oracle_attention_layers` builds a registry model's attention
-  layers from those three, through the production reordering and
-  workload builder.
+  layers from those alone.
 
-A plain module (not a conftest) so the CI checks can import it with this
-directory on ``sys.path``.
+:class:`COOMatrix` (the format ablation's pattern) and the two statistics
+:class:`CSCMatrix` adds to ``repro.formats.CSCMatrix`` live here because
+only this path builds them.  A plain module (not a conftest) so the CI
+checks can import it with this directory on ``sys.path``.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.workload import attention_workload_from_masks
-from repro.sparsity import HeadPartition, SplitConquerResult, reorder_attention_map
+from repro import formats
+from repro.hw.workload import AttentionWorkload, HeadWorkload
+from repro.sparsity import reorder_attention_map
 
 __all__ = [
     "prune_attention_map",
     "threshold_for_sparsity",
     "synthetic_vit_attention",
+    "CSCMatrix",
+    "COOMatrix",
+    "oracle_attention_workload",
     "oracle_attention_layers",
 ]
 
@@ -129,22 +142,116 @@ def synthetic_vit_attention(num_tokens, num_heads=1, num_global_tokens=None,
     return maps
 
 
-def _oracle_split_and_conquer(maps, target_sparsity, theta_d):
-    theta_p = threshold_for_sparsity(maps, target_sparsity)
-    mask = prune_attention_map(maps, theta_p)
-    partitions = []
-    for head_mask in mask:
-        reordered, info = reorder_attention_map(head_mask, theta_d)
-        partitions.append(HeadPartition(
-            reordered_mask=reordered, permutation=info.permutation,
-            num_global_tokens=info.num_global_tokens))
-    return SplitConquerResult(mask=mask, partitions=partitions,
-                              theta_p=theta_p, theta_d=theta_d)
+class CSCMatrix(formats.CSCMatrix):
+    """``repro.formats.CSCMatrix`` plus the statistics the per-head path
+    reads off it."""
+
+    def column_nnz(self):
+        return np.diff(self.col_ptr)
+
+    def index_bytes(self, ptr_bytes=4, idx_bytes=1):
+        """Storage for the index structure (paper: 20 KB index buffer).
+
+        Row indices fit in one byte for N ≤ 256 (ViTs have ≤ 197 + CLS
+        tokens); pointers are wider.
+        """
+        if self.shape[0] > 256 and idx_bytes == 1:
+            idx_bytes = 2
+        return len(self.col_ptr) * ptr_bytes + len(self.row_idx) * idx_bytes
+
+
+@dataclass(frozen=True)
+class COOMatrix:
+    """Boolean sparsity pattern as (row, col) coordinate pairs."""
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def from_dense(cls, dense):
+        dense = np.asarray(dense)
+        if dense.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
+        rows, cols = np.nonzero(dense.astype(bool))
+        return cls(shape=dense.shape, rows=rows.astype(np.int64),
+                   cols=cols.astype(np.int64))
+
+    @property
+    def nnz(self):
+        return len(self.rows)
+
+    def index_bytes(self, idx_bytes=1):
+        if max(self.shape) > 256 and idx_bytes == 1:
+            idx_bytes = 2
+        # Two coordinates per non-zero — why CSC wins for our patterns.
+        return 2 * self.nnz * idx_bytes
+
+
+def _band_locality(sparser_mask, col_offset, band_width=None):
+    """Fraction of non-zeros within ±band_width of the (token) diagonal.
+
+    ``sparser_mask`` has shape (N, N - Ngt); global column index of local
+    column j is ``col_offset + j``.  Band width defaults to a small fraction
+    of N, the reach of the on-chip Q row cache.
+    """
+    sparser_mask = np.asarray(sparser_mask, dtype=bool)
+    n, m = sparser_mask.shape
+    if sparser_mask.sum() == 0:
+        return 1.0
+    if band_width is None:
+        band_width = max(2, n // 24)
+    rows = np.arange(n)[:, None]
+    cols = col_offset + np.arange(m)[None, :]
+    band = np.abs(rows - cols) <= band_width
+    return float((sparser_mask & band).sum() / sparser_mask.sum())
+
+
+def oracle_attention_workload(mask, head_dim, theta_d, index_format="csc",
+                              reordered=True):
+    """``repro.hw.workload.attention_workload``, one head at a time."""
+    heads = []
+    for head_mask in np.asarray(mask, dtype=bool):
+        if reordered:
+            reordered_mask, info = reorder_attention_map(head_mask, theta_d)
+            ngt = info.num_global_tokens
+            sparser = reordered_mask[:, ngt:]
+            denser_nnz = int(reordered_mask[:, :ngt].sum())
+        else:
+            # The pruning-only ablation: the mask in its original order.
+            sparser, ngt, denser_nnz = head_mask, 0, 0
+        locality = _band_locality(sparser, col_offset=ngt)
+        if index_format == "csc":
+            sp = CSCMatrix.from_dense(sparser)
+            col_nnz = sp.column_nnz()
+        elif index_format == "coo":
+            sp = COOMatrix.from_dense(sparser)
+            col_nnz = np.asarray(sparser).sum(axis=0)
+        else:
+            raise ValueError(f"unknown index format {index_format!r}")
+        heads.append(HeadWorkload(
+            num_tokens=head_mask.shape[-1],
+            head_dim=head_dim,
+            num_global_tokens=ngt,
+            denser_nnz=denser_nnz,
+            sparser_nnz=int(np.asarray(sparser).sum()),
+            sparser_index_bytes=sp.index_bytes(),
+            sparser_locality=locality,
+            sparser_column_nnz=col_nnz,
+        ))
+    return AttentionWorkload(
+        num_tokens=mask.shape[-1],
+        num_heads=mask.shape[0],
+        head_dim=head_dim,
+        heads=heads,
+        streaming_fallback=reordered,
+    )
 
 
 def oracle_attention_layers(config, sparsity=0.9, theta_d=0.25, seed=0,
                             index_format="csc", reordered=True):
-    """``model_workload(...).attention_layers``, every mask from the oracle.
+    """``model_workload(...).attention_layers``, every mask and every
+    statistic from the oracle.
 
     Layer ``i`` is seeded ``seed + 101 * i`` over the paper stages, as in
     ``repro.hw.workload.model_workload``.
@@ -155,8 +262,9 @@ def oracle_attention_layers(config, sparsity=0.9, theta_d=0.25, seed=0,
             maps = synthetic_vit_attention(stage.num_tokens,
                                            num_heads=stage.num_heads,
                                            seed=seed + 101 * len(layers))
-            result = _oracle_split_and_conquer(maps, sparsity, theta_d)
-            layers.append(attention_workload_from_masks(
-                result, stage.head_dim, index_format=index_format,
+            mask = prune_attention_map(
+                maps, threshold_for_sparsity(maps, sparsity))
+            layers.append(oracle_attention_workload(
+                mask, stage.head_dim, theta_d, index_format=index_format,
                 reordered=reordered))
     return layers

@@ -16,7 +16,7 @@ from repro.compiler.reconfig import (
     break_even_inferences,
     estimate_compile_cost,
 )
-from repro.hw import ViTCoDAccelerator, attention_workload_from_masks
+from repro.hw import ViTCoDAccelerator, attention_workload
 from repro.models import extract_average_attention
 from repro.sparsity import (
     synthetic_nlp_attention,
@@ -138,7 +138,7 @@ class TestReconfigCost:
         acc = ViTCoDAccelerator()
         inference_cycles = sum(
             acc.simulate_attention_layer(
-                attention_workload_from_masks(r, head_dim=64)
+                attention_workload(r.mask, 64, r.theta_d)
             ).cycles
             for r in results
         )
@@ -155,7 +155,7 @@ class TestReconfigCost:
         sanger = SangerSimulator()
         saving = sum(
             sanger.simulate_attention_layer(
-                attention_workload_from_masks(r, head_dim=64)
+                attention_workload(r.mask, 64, r.theta_d)
             ).latency.preprocess
             for r in results
         )

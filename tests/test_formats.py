@@ -1,10 +1,15 @@
-"""Tests for the sparse index formats (repro.formats)."""
+"""Tests for the sparse index formats.
+
+``CSCMatrix`` is ``repro.formats.CSCMatrix`` (the executor's pattern)
+with the column counts and index bytes the oracle's per-head path reads
+off it; ``COOMatrix`` is the oracle's (``tests/pruning_oracle.py``).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.formats import COOMatrix, CSCMatrix
+from pruning_oracle import COOMatrix, CSCMatrix
 
 
 def sample_mask(n=16, density=0.2, seed=0):

@@ -1,12 +1,14 @@
 """Tests for workload construction (repro.hw.workload) and hardware params."""
 
+import tracemalloc
+
 import pytest
 
 from repro.hw import (
     VITCOD_DEFAULT,
     GemmWorkload,
     HeadWorkload,
-    attention_workload_from_masks,
+    attention_workload,
     dense_attention_workload,
     model_workload,
     synthetic_attention_workload,
@@ -47,9 +49,14 @@ class TestHeadWorkload:
         assert counts.max() - counts.min() == 1
 
 
+def workload_of(result, **kwargs):
+    """The workload of a split-and-conquer result's mask, at head_dim 64."""
+    return attention_workload(result.mask, 64, result.theta_d, **kwargs)
+
+
 class TestWorkloadFromMasks:
     def test_consistency_with_partitions(self, paper_scale_result):
-        wl = attention_workload_from_masks(paper_scale_result, head_dim=64)
+        wl = workload_of(paper_scale_result)
         assert wl.num_heads == 12 and wl.num_tokens == 197
         for head, part in zip(wl.heads, paper_scale_result.partitions):
             assert head.denser_nnz == part.denser_nnz
@@ -58,12 +65,11 @@ class TestWorkloadFromMasks:
             assert 0.0 <= head.sparser_locality <= 1.0
 
     def test_sparsity_matches(self, paper_scale_result):
-        wl = attention_workload_from_masks(paper_scale_result, head_dim=64)
+        wl = workload_of(paper_scale_result)
         assert wl.sparsity == pytest.approx(paper_scale_result.sparsity)
 
     def test_unreordered_mode(self, paper_scale_result):
-        wl = attention_workload_from_masks(paper_scale_result, head_dim=64,
-                                           reordered=False)
+        wl = workload_of(paper_scale_result, reordered=False)
         assert all(h.num_global_tokens == 0 for h in wl.heads)
         assert all(h.denser_nnz == 0 for h in wl.heads)
         # All non-zeros land in the sparser workload.
@@ -71,24 +77,20 @@ class TestWorkloadFromMasks:
         assert sum(h.sparser_nnz for h in wl.heads) == total
 
     def test_unreordered_less_local(self, paper_scale_result):
-        reordered = attention_workload_from_masks(paper_scale_result, 64)
-        raw = attention_workload_from_masks(paper_scale_result, 64,
-                                            reordered=False)
+        reordered = workload_of(paper_scale_result)
+        raw = workload_of(paper_scale_result, reordered=False)
         # Without the global-column extraction, global columns pollute the
         # band: scattered non-zeros increase.
         assert raw.scattered_nnz > reordered.scattered_nnz
 
     def test_coo_index_format(self, paper_scale_result):
-        csc = attention_workload_from_masks(paper_scale_result, 64,
-                                            index_format="csc")
-        coo = attention_workload_from_masks(paper_scale_result, 64,
-                                            index_format="coo")
+        csc = workload_of(paper_scale_result, index_format="csc")
+        coo = workload_of(paper_scale_result, index_format="coo")
         assert coo.index_bytes() > csc.index_bytes()
 
     def test_unknown_format(self, paper_scale_result):
         with pytest.raises(ValueError):
-            attention_workload_from_masks(paper_scale_result, 64,
-                                          index_format="bsr")
+            workload_of(paper_scale_result, index_format="bsr")
 
 
 class TestSyntheticAndDense:
@@ -121,6 +123,28 @@ class TestModelWorkload:
         assert len(wl.linear_layers) == 48  # qkv, proj, fc1, fc2 per layer
         assert wl.name == "deit-base"
         assert abs(wl.mean_sparsity - 0.9) < 0.03
+
+    def test_build_holds_two_layer_wide_arrays(self):
+        """A DeiT-Base build at 90% sparsity peaks at most 8 MiB traced.
+
+        The bound allows one layer's two (12, 197, 197) float64 arrays,
+        3.55 MiB each: the generated map, which ``prune_layer``
+        normalises in place into row probabilities, and the cumulative
+        ranking that θp's bisection reads.  On top of them sit one
+        bisection step's boolean comparison (0.44 MiB) and the layers
+        built so far.  A build that copies the map, or keeps every
+        head's sort, reads ~15 MiB.
+        """
+        config = get_config("deit-base")
+        # Warm up with another seed, so one-time imports do not count.
+        model_workload(config, sparsity=0.9, seed=1)
+        tracemalloc.start()
+        try:
+            model_workload(config, sparsity=0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_levit_multistage_shapes(self):
         wl = model_workload(get_config("levit-128"), sparsity=0.8)

@@ -12,7 +12,7 @@ from repro.compiler import (
     execute_attention_layer,
     parse_layers,
 )
-from repro.hw import ViTCoDAccelerator, attention_workload_from_masks
+from repro.hw import ViTCoDAccelerator, attention_workload
 from repro.models import extract_average_attention, pretrained
 from repro.nn import Tensor, no_grad
 from repro.sparsity import split_and_conquer
@@ -33,7 +33,7 @@ class TestAlgorithmToHardware:
         _, result = pipeline
         layer = result.layer_results[0]
         head_dim = result.model.blocks[0].attn.head_dim
-        wl = attention_workload_from_masks(layer, head_dim=head_dim)
+        wl = attention_workload(layer.mask, head_dim, layer.theta_d)
         report = ViTCoDAccelerator().simulate_attention_layer(wl)
         assert report.cycles > 0
         assert abs(wl.sparsity - layer.sparsity) < 1e-9
@@ -45,7 +45,7 @@ class TestAlgorithmToHardware:
         times = []
         for target in (0.5, 0.9):
             res = split_and_conquer(maps[0], target_sparsity=target)
-            wl = attention_workload_from_masks(res, head_dim=8)
+            wl = attention_workload(res.mask, 8, res.theta_d)
             times.append(acc.simulate_attention_layer(wl).cycles)
         assert times[1] < times[0]
 
@@ -105,7 +105,7 @@ class TestCrossSubsystemConsistency:
         _, result = pipeline
         layer = result.layer_results[0]
         head_dim = result.model.blocks[0].attn.head_dim
-        wl = attention_workload_from_masks(layer, head_dim=head_dim)
+        wl = attention_workload(layer.mask, head_dim, layer.theta_d)
         mask_nnz = int(result.model.blocks[0].attn.attention_mask.sum())
         assert wl.total_nnz == mask_nnz
         assert wl.spmm_macs == mask_nnz * head_dim
@@ -116,7 +116,7 @@ class TestCrossSubsystemConsistency:
         acc = ViTCoDAccelerator()
         reports = [
             acc.simulate_attention_layer(
-                attention_workload_from_masks(l, head_dim=head_dim))
+                attention_workload(l.mask, head_dim, l.theta_d))
             for l in result.layer_results
         ]
         merged = reports[0]

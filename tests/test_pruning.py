@@ -9,11 +9,17 @@ from hypothesis.extra.numpy import arrays
 
 import pruning_oracle as oracle
 from repro.dist import workload_fingerprint
-from repro.hw.workload import AttentionWorkload, HeadWorkload, model_workload
+from repro.hw.workload import (
+    AttentionWorkload,
+    HeadWorkload,
+    attention_workload,
+    model_workload,
+)
 from repro.models import get_config
 from repro.sparsity import (
     mask_sparsity,
     prune_attention_map,
+    prune_layer,
     split_and_conquer,
     synthetic_vit_attention,
 )
@@ -162,6 +168,26 @@ class TestHypothesisProperties:
                 assert kept.min() >= pruned.max() - 1e-12
 
 
+class TestCallersMapUntouched:
+    """Only ``prune_layer`` takes over the map it is given."""
+
+    @pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6)])
+    def test_prune_and_split_leave_the_map_as_it_was(self, shape):
+        a = np.random.default_rng(0).random(shape) * 3.0  # rows sum to ~9
+        before = a.copy()
+        prune_attention_map(a, 0.5)
+        split_and_conquer(a, theta_p=0.5)
+        split_and_conquer(a, target_sparsity=0.5)
+        assert a.tobytes() == before.tobytes()
+
+    def test_prune_layer_normalises_its_map_in_place(self):
+        a = np.random.default_rng(1).random((2, 6, 6)) * 3.0
+        want = split_and_conquer(a, target_sparsity=0.5).mask
+        mask = prune_layer(a, 0.5)
+        np.testing.assert_array_equal(mask, want)
+        np.testing.assert_allclose(a.sum(axis=-1), 1.0)
+
+
 class TestNonFiniteMaps:
     """NaN and ±inf are rejected before any sort, naming the map's shape."""
 
@@ -262,3 +288,68 @@ def _assert_fields_equal(got, want, cls, skip=()):
             assert a.dtype == b.dtype and np.array_equal(a, b), field.name
         else:
             assert a == b, field.name
+
+
+@st.composite
+def layer_masks(draw):
+    """(H, N, N) masks with the structure Algorithm 1 leaves: random
+    scatter, a band around the diagonal and dense (global-token) columns;
+    N reaches past 72 (a wider band) and past 256 (two-byte indices)."""
+    heads = draw(st.integers(1, 3))
+    n = draw(st.one_of(st.integers(1, 24), st.integers(70, 80),
+                       st.integers(250, 260)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((heads, n, n)) < draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    band = draw(st.integers(0, 4))
+    mask |= np.abs(np.arange(n)[:, None] - np.arange(n)) < band
+    for head in mask:
+        head[:, rng.choice(n, size=draw(st.integers(0, min(n, 4))),
+                           replace=False)] = True
+    return mask
+
+
+theta_ds = st.one_of(st.floats(0.0, 0.99), st.integers(1, 40),
+                     st.integers(1, 40).map(float))
+
+
+class TestWorkloadMatchesPerHeadOracle:
+    """Every field ``attention_workload`` reads off a layer's mask equals
+    the oracle's per-head path (reorder each head, store its sparser block
+    as CSC or COO, count its band locality over a dense band)."""
+
+    @given(mask=layer_masks(), theta_d=theta_ds,
+           index_format=st.sampled_from(["csc", "coo"]), reordered=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_statistics(self, mask, theta_d, index_format, reordered):
+        _assert_layers_equal(
+            attention_workload(mask, 16, theta_d, index_format=index_format,
+                               reordered=reordered),
+            oracle.oracle_attention_workload(
+                mask, 16, theta_d, index_format=index_format,
+                reordered=reordered))
+
+    @given(a=attention_maps(), target=st.floats(0.0, 0.99), theta_d=theta_ds,
+           index_format=st.sampled_from(["csc", "coo"]), reordered=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_layers_with_rows_tied_at_the_kth_value(self, a, target, theta_d,
+                                                    index_format, reordered):
+        """Integer-valued and constant rows tie at the k-th value: the
+        build (prune_layer, then the statistics) equals the argsort oracle
+        followed by the per-head path."""
+        maps = a.reshape((-1,) + a.shape[-2:])
+        want = oracle.prune_attention_map(
+            maps, oracle.threshold_for_sparsity(maps, target))
+        _assert_layers_equal(
+            attention_workload(prune_layer(maps.copy(), target), 8, theta_d,
+                               index_format=index_format, reordered=reordered),
+            oracle.oracle_attention_workload(
+                want, 8, theta_d, index_format=index_format,
+                reordered=reordered))
+
+
+def _assert_layers_equal(got, want):
+    _assert_fields_equal(got, want, AttentionWorkload, skip={"heads"})
+    assert len(got.heads) == len(want.heads)
+    for got_head, want_head in zip(got.heads, want.heads):
+        _assert_fields_equal(got_head, want_head, HeadWorkload)
+    assert workload_fingerprint([got]) == workload_fingerprint([want])
